@@ -125,32 +125,28 @@ func main() {
 		os.Exit(2)
 	}
 
-	opts := []exp.Option{
-		exp.Seed(*seed),
-		exp.Backend(backend),
-		exp.Parallel(*parallel),
-		exp.Shards(*shards),
-		exp.Machine(*machName),
-		exp.Map(*mapName),
-		exp.Ckpt(*ckptName),
-		exp.BB(bbNodes, bbGbps),
-		exp.Drain(*drainName),
-	}
-	if *quiet {
-		opts = append(opts, exp.Quiet())
+	o := exp.Options{
+		Seed:      *seed,
+		FS:        backend,
+		Parallel:  *parallel,
+		Shards:    *shards,
+		Machine:   *machName,
+		Map:       *mapName,
+		Ckpt:      *ckptName,
+		BBNodes:   bbNodes,
+		BBDrainBW: bbGbps * 1e9,
+		Drain:     *drainName,
+		Quiet:     *quiet,
+		Manifests: *manifests,
 	}
 	if *np > 0 {
-		opts = append(opts, exp.NPs(*np))
-	}
-	if *manifests {
-		opts = append(opts, exp.Manifests())
+		o.NPs = []int{*np}
 	}
 	var tc *exp.TraceCollector
 	if *traceOut != "" || *metrics {
 		tc = &exp.TraceCollector{MaxEvents: *traceEvts}
-		opts = append(opts, exp.Trace(tc))
+		o.Trace = tc
 	}
-	o := exp.New(opts...)
 
 	s := exp.NewSession(o, os.Stdout)
 	s.MTBF = *mtbf

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	nekcem -np 4096 -strategy rbio -log trace.json
+//	nekcem -np 4096 -ckpt rbio -log trace.json
 //	iolog trace.json
 //	iolog -ranks 4096 -dt 0.25 trace.json
 //	iobench -exp fig5 -trace sim.json && iolog -metrics sim.json

@@ -18,22 +18,12 @@ import (
 	"os"
 
 	"repro/internal/bbuf"
-	"repro/internal/bgp"
 	"repro/internal/ckpt"
 	"repro/internal/exp"
 	"repro/internal/fsys"
 	"repro/internal/iolog"
 	"repro/internal/machine"
-	"repro/internal/mpi"
 	"repro/internal/nekcem"
-	"repro/internal/recover"
-	"repro/internal/sim"
-	"repro/internal/xrand"
-
-	// Backends self-register with the fsys registry from their package
-	// inits; the bbuf import also provides the -bb/-drain validators.
-	_ "repro/internal/gpfs"
-	_ "repro/internal/pvfs"
 )
 
 func main() {
@@ -42,7 +32,6 @@ func main() {
 		steps    = flag.Int("steps", 20, "solver time steps")
 		every    = flag.Int("ckpt-every", 20, "checkpoint every N steps (0: never)")
 		ckptName = flag.String("ckpt", "", "checkpoint strategy from the ckpt registry: 1pfpp, coio1, coio, rbio1, rbio, multilevel, async (default rbio)")
-		strategy = flag.String("strategy", "", "synonym for -ckpt (kept for older scripts)")
 		fsName   = flag.String("fs", "gpfs", "storage backend from the fsys registry: gpfs, pvfs, bbuf")
 		bbSpec   = flag.String("bb", "", "burst-buffer fleet spec <nodes>x<gbps> for -fs bbuf (e.g. 8x0.25); \"\" = one private node per ION at the default bandwidth")
 		drain    = flag.String("drain", "", "burst-buffer drain-scheduler policy for -fs bbuf: fifo (default), deadline, tenant")
@@ -104,13 +93,11 @@ func main() {
 		mesh.N = *order
 	}
 
-	strat, err := resolveStrategy(*ckptName, *strategy, *np, *nf)
+	strat, err := resolveStrategy(*ckptName, *np, *nf)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-
-	k := sim.NewKernel()
 	desc, err := machine.Lookup(*machName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -119,62 +106,33 @@ func main() {
 	mcfg := desc.Config(*np)
 	if *mapName != "" {
 		mcfg.Placement = *mapName
-		mcfg.PlacementSeed = *seed
 	}
-	m, err := bgp.New(k, xrand.New(*seed), mcfg)
-	if err != nil {
+	if err := mcfg.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	// The partitioned kernel must be enabled before any process spawns
-	// (storage servers included); per-op logging appends from every rank and
-	// stays serial.
-	if *shards > 1 && *logPath == "" && m.NumPsets() > 1 {
-		k.EnableSharding(m.NumPsets(), *shards, m.Lookahead(), *seed)
-	}
-	fs, err := fsys.Mount(backend, m, fsys.MountOptions{
-		Quiet:     *quiet,
-		BBNodes:   bbNodes,
-		BBDrainBW: bbGbps * 1e9,
-		Drain:     *drain,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if k.Sharded() {
-		// Storage state is global to the machine: route every time-charging
-		// file-system call through the exclusive lane.
-		fs = fsys.Guard(fs)
-	}
-	w := mpi.NewWorld(m, mpi.DefaultConfig())
 
 	var log *iolog.Log
 	if *logPath != "" {
 		log = &iolog.Log{}
 	}
-
 	payload := nekcem.PaperPayloadFactor
 	if *content {
 		payload = 1
 	}
-	var mlog *recover.Log
-	var seg *recover.Segment
-	if *workStps > 0 && *epochs > 0 {
-		mlog = recover.NewLog(*seed, *np)
-		if di, ok := fsys.AsDrainInfo(fs); ok {
-			// Burst-buffer backend: an epoch seals only once the fleet is
-			// expected to have drained it — absorption is not durability.
-			mlog.SetCommitGate(func(t float64) float64 {
-				if h := di.DrainHorizon(); h > t {
-					return h
-				}
-				return t
-			})
-		}
-		seg = mlog.StartSegment("ckpt", 0, 0)
+	o := exp.Options{
+		Seed:      *seed,
+		FS:        backend,
+		Machine:   *machName,
+		Map:       *mapName,
+		Quiet:     *quiet,
+		Shards:    *shards,
+		BBNodes:   bbNodes,
+		BBDrainBW: bbGbps * 1e9,
+		Drain:     *drain,
+		Manifests: *workStps > 0 && *epochs > 0,
 	}
-	rcfg := nekcem.RunConfig{
+	res, err := exp.Production(o, *np, nekcem.RunConfig{
 		Mesh:            mesh,
 		Strategy:        strat,
 		Dir:             "ckpt",
@@ -184,11 +142,7 @@ func main() {
 		PayloadFactor:   payload,
 		Compute:         nekcem.DefaultComputeModel(),
 		Log:             log,
-	}
-	if seg != nil {
-		rcfg.Epochs = seg
-	}
-	res, err := nekcem.Run(w, fs, rcfg)
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -208,11 +162,10 @@ func main() {
 		}
 		fmt.Println()
 	}
-	fmt.Printf("  files on %s: %d\n", fs.Name(), fs.NumFiles())
-	if mlog != nil {
-		seg.Close()
+	fmt.Printf("  files on %s: %d\n", res.FS.Name(), res.FS.NumFiles())
+	if res.Epochs != nil {
 		sealed, torn := 0, 0
-		for _, e := range mlog.Epochs(ckpt.LevelGlobal) {
+		for _, e := range res.Epochs.Epochs(ckpt.LevelGlobal) {
 			if e.Sealed() {
 				sealed++
 			} else {
@@ -228,15 +181,10 @@ func main() {
 }
 
 // resolveStrategy builds the run's checkpoint strategy from the -ckpt flag
-// (falling back to the legacy -strategy spelling) via the ckpt registry. A
-// positive -nf refines the registry configuration: file count for coIO,
-// np:ng group count for rbIO; strategies without a file-count knob ignore
-// it, as before.
-func resolveStrategy(ckptName, legacy string, np, nf int) (ckpt.Strategy, error) {
-	name := ckptName
-	if name == "" {
-		name = legacy
-	}
+// via the ckpt registry. A positive -nf refines the registry configuration:
+// file count for coIO, np:ng group count for rbIO; strategies without a
+// file-count knob ignore it.
+func resolveStrategy(name string, np, nf int) (ckpt.Strategy, error) {
 	d, err := ckpt.Lookup(name)
 	if err != nil {
 		return nil, err

@@ -7,46 +7,37 @@ import (
 	"repro/internal/ckpt"
 )
 
-// TestResolveStrategy pins the -ckpt/-strategy/-nf resolution the command
-// exits 2 on: registry names and aliases build, the legacy -strategy
-// spelling still works with -ckpt taking precedence, -nf refines the
-// file-count knob, and unknown names surface the registry's typed error.
+// TestResolveStrategy pins the -ckpt/-nf resolution the command exits 2
+// on: registry names and aliases build, -nf refines the file-count knob,
+// and unknown names surface the registry's typed error.
 func TestResolveStrategy(t *testing.T) {
-	s, err := resolveStrategy("", "", 4096, 0)
+	s, err := resolveStrategy("", 4096, 0)
 	if err != nil || s.Name() != ckpt.DefaultRbIO().Name() {
 		t.Fatalf("default resolution: %v, %v", s, err)
 	}
-	s, err = resolveStrategy("async", "", 4096, 0)
+	s, err = resolveStrategy("async", 4096, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s.(ckpt.Async); !ok {
 		t.Fatalf("-ckpt async built %T", s)
 	}
-	// Legacy spelling, and -ckpt winning over it.
-	s, err = resolveStrategy("", "1pfpp", 4096, 0)
+	s, err = resolveStrategy("1pfpp", 4096, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s.(ckpt.OnePFPP); !ok {
-		t.Fatalf("-strategy 1pfpp built %T", s)
-	}
-	s, err = resolveStrategy("coio", "1pfpp", 4096, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.(ckpt.CoIO); !ok {
-		t.Fatalf("-ckpt did not take precedence over -strategy: built %T", s)
+		t.Fatalf("-ckpt 1pfpp built %T", s)
 	}
 	// -nf refinement.
-	s, err = resolveStrategy("coio", "", 4096, 16)
+	s, err = resolveStrategy("coio", 4096, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if co := s.(ckpt.CoIO); co.NumFiles != 16 {
 		t.Fatalf("-nf 16 built coIO with %d files", co.NumFiles)
 	}
-	s, err = resolveStrategy("rbio", "", 4096, 16)
+	s, err = resolveStrategy("rbio", 4096, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +45,7 @@ func TestResolveStrategy(t *testing.T) {
 		t.Fatalf("-nf 16 built rbIO with group size %d, want 256", rb.GroupSize)
 	}
 	// The exit-2 path: a typed unknown-strategy error.
-	_, err = resolveStrategy("mpiio", "", 4096, 0)
+	_, err = resolveStrategy("mpiio", 4096, 0)
 	var ue *ckpt.UnknownStrategyError
 	if !errors.As(err, &ue) {
 		t.Fatalf("unknown -ckpt returned %v, want *ckpt.UnknownStrategyError", err)

@@ -62,53 +62,63 @@ func (s MultiLevel) Plan(c *mpi.Comm, r *mpi.Rank) (Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	bw := s.LocalBW
-	if bw <= 0 {
-		bw = 1.4e9
-	}
-	// One RAM-disk pipe per compute node, shared by its ranks; the node
-	// store is shared plan state so every rank of a node contends on it.
-	pipes := c.Shared(r, func() any { return map[int]*fabric.Pipe{} }).(map[int]*fabric.Pipe)
-	local := c.Shared(r, func() any { return map[int]*localCkpt{} }).(map[int]*localCkpt)
+	// One RAM-disk pipe per compute node, shared by its ranks, so every rank
+	// of a node contends on it.
+	sh := c.Shared(r, func() any { return buildMLShared(s, c, r) }).(*mlShared)
 	return &mlPlan{
 		cfg:    s,
-		c:      c,
 		global: gp,
-		pipes:  pipes,
-		bw:     bw,
-		local:  local,
+		sh:     sh,
 		count:  map[int]int{},
 	}, nil
 }
 
-// localCkpt is a rank's most recent RAM-disk checkpoint.
+// mlShared is the plan state all ranks of a communicator share. Both maps
+// are filled once, before any checkpoint, and are read-only afterwards: a
+// pipe is only driven by its node's ranks and a slot only by its rank, so
+// under the partitioned kernel every mutation stays inside one pset's
+// partition.
+type mlShared struct {
+	pipes map[int]*fabric.Pipe // node -> RAM-disk pipe
+	local map[int]*localCkpt   // world rank -> latest local checkpoint slot
+}
+
+func buildMLShared(s MultiLevel, c *mpi.Comm, r *mpi.Rank) *mlShared {
+	bw := s.LocalBW
+	if bw <= 0 {
+		bw = 1.4e9
+	}
+	lat := s.LocalLatency
+	if lat <= 0 {
+		lat = 20e-6
+	}
+	m := r.World().M
+	sh := &mlShared{pipes: map[int]*fabric.Pipe{}, local: map[int]*localCkpt{}}
+	for i := 0; i < c.Size(); i++ {
+		w := c.WorldRank(i)
+		sh.local[w] = &localCkpt{}
+		if node := m.NodeOfRank(w); sh.pipes[node] == nil {
+			sh.pipes[node] = fabric.NewPipe(fmt.Sprintf("ramdisk/n%d", node), lat, bw)
+		}
+	}
+	return sh
+}
+
+// localCkpt is a rank's most recent RAM-disk checkpoint (nil cp: empty).
 type localCkpt struct {
 	cp *Checkpoint
 }
 
 type mlPlan struct {
 	cfg    MultiLevel
-	c      *mpi.Comm
 	global Plan
-	pipes  map[int]*fabric.Pipe // node -> RAM-disk pipe (shared across ranks)
-	bw     float64
-	local  map[int]*localCkpt // world rank -> latest local checkpoint (shared)
-	count  map[int]int        // per-rank checkpoint counter (rank-local)
+	sh     *mlShared
+	count  map[int]int // per-rank checkpoint counter (rank-local)
 }
 
 // nodePipe returns the RAM-disk pipe of the calling rank's node.
 func (pl *mlPlan) nodePipe(r *mpi.Rank) *fabric.Pipe {
-	node := r.World().M.NodeOfRank(r.ID())
-	p, ok := pl.pipes[node]
-	if !ok {
-		lat := pl.cfg.LocalLatency
-		if lat <= 0 {
-			lat = 20e-6
-		}
-		p = fabric.NewPipe(fmt.Sprintf("ramdisk/n%d", node), lat, pl.bw)
-		pl.pipes[node] = p
-	}
-	return p
+	return pl.sh.pipes[r.World().M.NodeOfRank(r.ID())]
 }
 
 // Write implements Plan: always local, periodically also global.
@@ -119,7 +129,7 @@ func (pl *mlPlan) Write(env *Env, r *mpi.Rank, cp *Checkpoint) (Stats, error) {
 	start := r.Now()
 	_, end := pl.nodePipe(r).Transfer(r.Now(), cp.TotalBytes())
 	r.Proc().SleepUntil(end)
-	pl.local[r.ID()] = &localCkpt{cp: cp}
+	pl.sh.local[r.ID()].cp = cp
 	if env.FaultAware() && !env.Up(r.ID()) {
 		env.epochLost(LevelLocal, cp.Step, r.ID(), "node down", r.Now())
 	} else {
@@ -151,23 +161,23 @@ func (pl *mlPlan) Write(env *Env, r *mpi.Rank, cp *Checkpoint) (Stats, error) {
 
 // Read implements Plan: local first, global as the fallback.
 func (pl *mlPlan) Read(env *Env, r *mpi.Rank, step int64) (*Checkpoint, error) {
-	if lc := pl.local[r.ID()]; lc != nil && lc.cp.Step == step {
-		_, end := pl.nodePipe(r).Transfer(r.Now(), lc.cp.TotalBytes())
+	if cp := pl.sh.local[r.ID()].cp; cp != nil && cp.Step == step {
+		_, end := pl.nodePipe(r).Transfer(r.Now(), cp.TotalBytes())
 		r.Proc().SleepUntil(end)
-		return lc.cp, nil
+		return cp, nil
 	}
 	return pl.global.Read(env, r, step)
 }
 
 // DropLocal simulates the loss of a rank's node-local storage (a node
 // failure): subsequent reads must fall back to the global level.
-func (pl *mlPlan) DropLocal(rank int) { delete(pl.local, rank) }
+func (pl *mlPlan) DropLocal(rank int) { pl.sh.local[rank].cp = nil }
 
-// LocalSteps reports which step a rank's local level currently holds
+// LocalStep reports which step a rank's local level currently holds
 // (-1 when empty), for tests and diagnostics.
 func (pl *mlPlan) LocalStep(rank int) int64 {
-	if lc := pl.local[rank]; lc != nil {
-		return lc.cp.Step
+	if cp := pl.sh.local[rank].cp; cp != nil {
+		return cp.Step
 	}
 	return -1
 }

@@ -178,14 +178,33 @@ func (s *Session) LaunchOn(a *machine.Alloc, t Tenant) (*Job, error) {
 	return j, nil
 }
 
+// CapacityError reports a tenant that could never be admitted: it asks for
+// more ranks than the whole machine has.
+type CapacityError struct {
+	Tenant   string
+	NP       int
+	Capacity int // machine size in ranks
+}
+
+func (e *CapacityError) Error() string {
+	return fmt.Sprintf("cluster: tenant %q needs np=%d but the machine has only %d ranks", e.Tenant, e.NP, e.Capacity)
+}
+
 // LaunchQueued spawns one admission process per tenant (dynamic
 // scheduling): sleep to arrival, queue until capacity frees, place, run,
 // and retire the allocation on completion. Serial kernel only. The
 // returned jobs fill in Alloc/World/Admitted as the simulation admits
-// them; Collect reads them after the kernel ran.
+// them; Collect reads them after the kernel ran. A tenant larger than the
+// machine fails the launch with a *CapacityError before anything spawns,
+// instead of queueing forever.
 func (s *Session) LaunchQueued(tenants []Tenant) ([]*Job, error) {
 	if s.M.K.Sharded() {
 		return nil, fmt.Errorf("cluster: queued admission needs the serial kernel (admission mutates shared allocator state mid-run)")
+	}
+	for _, t := range tenants {
+		if t.NP > s.M.Cfg.Ranks {
+			return nil, &CapacityError{Tenant: t.Name, NP: t.NP, Capacity: s.M.Cfg.Ranks}
+		}
 	}
 	jobs := make([]*Job, len(tenants))
 	for i, t := range tenants {

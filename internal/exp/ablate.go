@@ -5,11 +5,7 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/gpfs"
-	"repro/internal/mpi"
 	"repro/internal/mpiio"
-	"repro/internal/nekcem"
-	"repro/internal/sim"
-	"repro/internal/xrand"
 )
 
 func defaultHints() mpiio.Hints { return mpiio.DefaultHints() }
@@ -38,34 +34,11 @@ func AblationTable(rows []AblationRow) string {
 
 // runWith executes one checkpoint step with a custom GPFS configuration.
 func runWith(o Options, np int, strat ckpt.Strategy, mod func(*gpfs.Config)) (*Run, error) {
-	k := sim.NewKernel()
-	m, err := o.newMachine(k, xrand.New(o.seed()^uint64(np)*0x9e37), np)
-	if err != nil {
-		return nil, err
-	}
 	gcfg := gpfs.DefaultConfig()
-	if o.Quiet {
-		gcfg.NoiseProb = 0
-	}
 	if mod != nil {
 		mod(&gcfg)
 	}
-	fs, err := gpfs.New(m, gcfg)
-	if err != nil {
-		return nil, err
-	}
-	w := mpi.NewWorld(m, mpi.DefaultConfig())
-	res, err := nekcem.Run(w, fs, nekcem.RunConfig{
-		Mesh:            nekcem.PaperMesh(np),
-		Strategy:        strat,
-		Dir:             "ckpt",
-		Steps:           1,
-		CheckpointEvery: 1,
-		Synthetic:       true,
-		SkipPresetup:    true,
-		PayloadFactor:   nekcem.PaperPayloadFactor,
-		Compute:         nekcem.DefaultComputeModel(),
-	})
+	e, res, err := simulate(o, scenario{NP: np, GPFSCfg: &gcfg}, paperRun(np, strat, 1, 1), "ablation/"+strat.Name())
 	if err != nil {
 		return nil, err
 	}
@@ -75,7 +48,7 @@ func runWith(o Options, np int, strat ckpt.Strategy, mod func(*gpfs.Config)) (*R
 		Agg:     res.Checkpoints[0],
 		PerRank: res.PerRank,
 		Result:  res,
-		FSStats: fs.Stats,
+		FSStats: *e.Stats,
 	}, nil
 }
 

@@ -4,10 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/ckpt"
-	"repro/internal/mpi"
 	"repro/internal/nekcem"
-	"repro/internal/sim"
-	"repro/internal/xrand"
 )
 
 // Eq1Result is the paper's production-time improvement (Equation 1):
@@ -28,27 +25,7 @@ type Eq1Result struct {
 // production runs nc solver steps with a checkpoint at step nc and returns
 // the end-to-end time and the checkpoint/compute ratio.
 func production(o Options, np, nc int, strat ckpt.Strategy) (wall, ratio float64, err error) {
-	k := sim.NewKernel()
-	m, err := o.newMachine(k, xrand.New(o.seed()^uint64(np)), np)
-	if err != nil {
-		return 0, 0, err
-	}
-	fs, _, err := buildFS(o, m, o.FS)
-	if err != nil {
-		return 0, 0, err
-	}
-	w := mpi.NewWorld(m, mpi.DefaultConfig())
-	res, err := nekcem.Run(w, fs, nekcem.RunConfig{
-		Mesh:            nekcem.PaperMesh(np),
-		Strategy:        strat,
-		Dir:             "ckpt",
-		Steps:           nc,
-		CheckpointEvery: nc,
-		Synthetic:       true,
-		SkipPresetup:    true,
-		PayloadFactor:   nekcem.PaperPayloadFactor,
-		Compute:         nekcem.DefaultComputeModel(),
-	})
+	_, res, err := simulate(o, scenario{NP: np, Stream: streamNP}, paperRun(np, strat, nc, nc), "eq1/"+strat.Name())
 	if err != nil {
 		return 0, 0, err
 	}
@@ -161,23 +138,13 @@ func MeshRead(o Options, cases ...MeshReadRow) ([]MeshReadRow, error) {
 	}
 	out := make([]MeshReadRow, 0, len(cases))
 	for _, c := range cases {
-		k := sim.NewKernel()
-		m, err := o.newMachine(k, xrand.New(o.seed()), c.NP)
-		if err != nil {
-			return nil, err
-		}
-		fs, _, err := buildFS(o, m, o.FS)
-		if err != nil {
-			return nil, err
-		}
-		w := mpi.NewWorld(m, mpi.DefaultConfig())
-		res, err := nekcem.Run(w, fs, nekcem.RunConfig{
+		_, res, err := simulate(o, scenario{NP: c.NP, Stream: streamSeed}, nekcem.RunConfig{
 			Mesh:      nekcem.Mesh{E: c.E, N: 15},
 			Dir:       "in",
 			Steps:     0,
 			Synthetic: true,
 			Compute:   nekcem.DefaultComputeModel(),
-		})
+		}, fmt.Sprintf("meshread/E=%d", c.E))
 		if err != nil {
 			return nil, err
 		}

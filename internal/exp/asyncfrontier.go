@@ -6,12 +6,6 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/fault"
 	"repro/internal/fsys"
-	"repro/internal/mpi"
-	"repro/internal/nekcem"
-	"repro/internal/recover"
-	"repro/internal/sim"
-	"repro/internal/storage"
-	"repro/internal/xrand"
 )
 
 // frontierNames are the asyncfrontier arms: the two strongest blocking
@@ -147,106 +141,43 @@ func AsyncFrontier(o Options, np int, mtbfHours float64, trials int) ([]AsyncFro
 	return rows, nil
 }
 
-// runFrontierCell executes one multi-step run of one arm, mirroring
-// runCheckpoint's construction order (kernel, experiment RNG, machine,
-// sharding gate, storage, faults, world) so the single-step goldens pin
-// this path's components too. Every run records epochs into a fresh
-// manifest log; the staleness probe reads it at the schedule's node-kill
-// instants. Faulted cells stay on the serial kernel, same rule as every
-// faulted job.
+// runFrontierCell executes one multi-step run of one arm on the shared
+// builder, so the single-step goldens pin this path's components too.
+// Every run records epochs into a fresh manifest log; the staleness probe
+// reads it at the fault schedule's node-kill instants.
 func runFrontierCell(o Options, np int, name string, spec *FaultSpec) (*frontierCell, error) {
 	strat := ckpt.MustNew(name, np)
-	k := sim.NewKernel()
-	rng := xrand.New(o.seed() ^ uint64(np)*0x9e37)
-	m, err := buildMachine(o, Job{}, k, rng, np)
+	e, err := build(o, scenario{NP: np, Faults: spec})
 	if err != nil {
 		return nil, err
 	}
-	if o.Shards > 1 && spec == nil && m.NumPsets() > 1 {
-		k.EnableSharding(m.NumPsets(), o.Shards, m.Lookahead(), o.seed())
+	mlog := e.epochLog()
+	// probe reads the staleness of durable state at every node kill up to t.
+	probe := func(cell *frontierCell, t float64) *frontierCell {
+		for _, ev := range e.Inj.Schedule().FailsIn(fault.Node, 0, t) {
+			cell.kills++
+			cell.stale = append(cell.stale, mlog.StalenessAt(ckpt.LevelGlobal, ev.Time))
+		}
+		return cell
 	}
-	fs, _, err := buildFS(o, m, o.FS)
-	if err != nil {
-		return nil, err
-	}
-	runFS := fs
-	if k.Sharded() {
-		runFS = fsys.Guard(fs)
-	}
-	var inj *fault.Injector
-	var sched fault.Schedule
+	rcfg := paperRun(np, strat, frontierSteps, frontierEvery)
+	rcfg.Epochs = mlog.StartSegment(rcfg.Dir, 0, 0)
+	rcfg.RankUp = e.rankUp()
+	label := "asyncfrontier/" + name
 	if spec != nil {
-		sp := *spec
-		if sp.Schedule == nil {
-			// Sample here with attachFaults' exact recipe (same rates, same
-			// seed derivation) so the kill times are in hand for the
-			// staleness probe; attachFaults then adopts the schedule
-			// verbatim.
-			servers := 0
-			if sc, ok := fs.(interface{ Servers() []*storage.Server }); ok {
-				servers = len(sc.Servers())
-			}
-			horizon := sp.Horizon
-			if horizon <= 0 {
-				horizon = 150
-			}
-			srng := xrand.New(sp.Seed | 1)
-			sp.Schedule = fault.Sample(srng, horizon, map[fault.Class]fault.Rates{
-				fault.Node:   {N: m.NumNodes(), MTBF: sp.MTBF, MTTR: sp.MTTR, Shape: sp.Shape},
-				fault.ION:    {N: m.NumPsets(), MTBF: sp.MTBF, MTTR: sp.MTTR, Shape: sp.Shape},
-				fault.Server: {N: servers, MTBF: sp.MTBF, MTTR: sp.MTTR, Shape: sp.Shape},
-				fault.Link:   {N: m.NumPsets(), MTBF: sp.MTBF, MTTR: sp.MTTR, Shape: sp.Shape, Factor: 0.25},
-			})
-		}
-		sched = sp.Schedule
-		if inj, err = attachFaults(k, m, fs, &sp); err != nil {
-			return nil, err
-		}
+		label += fmt.Sprintf("/seed%d", spec.Seed)
 	}
-	w := mpi.NewWorld(m, mpi.DefaultConfig())
-	mlog := recover.NewLog(o.seed(), np)
-	if di, ok := fsys.AsDrainInfo(fs); ok {
-		// Burst-buffer backend: epoch seals defer to the fleet's drain
-		// horizon (absorption is not durability).
-		mlog.SetCommitGate(func(t float64) float64 {
-			if h := di.DrainHorizon(); h > t {
-				return h
-			}
-			return t
-		})
-	}
-	seg := mlog.StartSegment("ckpt", 0, 0)
-	rcfg := nekcem.RunConfig{
-		Mesh:            nekcem.PaperMesh(np),
-		Strategy:        strat,
-		Dir:             "ckpt",
-		Steps:           frontierSteps,
-		CheckpointEvery: frontierEvery,
-		Synthetic:       true,
-		SkipPresetup:    true,
-		PayloadFactor:   nekcem.PaperPayloadFactor,
-		Compute:         nekcem.DefaultComputeModel(),
-		Epochs:          seg,
-	}
-	if inj != nil {
-		rcfg.RankUp = func(rank int) bool { return inj.Up(fault.Node, m.NodeOfRank(rank)) }
-	}
-	res, err := nekcem.Run(w, runFS, rcfg)
+	defer e.finish(label)
+	res, err := e.solve(rcfg)
 	if err != nil {
 		if spec != nil && fsys.Unavailable(err) {
 			// A sync strategy without a fault-aware path hit dead storage
 			// mid-collective: the trial's state is lost, and the staleness
 			// at the kills that did land is still measurable.
-			cell := &frontierCell{lost: true, makespan: k.Now()}
-			for _, ev := range sched.FailsIn(fault.Node, 0, k.Now()) {
-				cell.kills++
-				cell.stale = append(cell.stale, mlog.StalenessAt(ckpt.LevelGlobal, ev.Time))
-			}
-			return cell, nil
+			return probe(&frontierCell{lost: true, makespan: e.K.Now()}, e.K.Now()), nil
 		}
 		return nil, err
 	}
-	seg.Close()
 	cell := &frontierCell{makespan: res.Wall}
 	for _, c := range res.Checkpoints {
 		if b := c.BlockedTime(); b > cell.blockedSec {
@@ -260,11 +191,7 @@ func runFrontierCell(o Options, np int, name string, spec *FaultSpec) (*frontier
 		}
 		cell.lost = cell.lost || c.Lost()
 	}
-	for _, ev := range sched.FailsIn(fault.Node, 0, res.Wall) {
-		cell.kills++
-		cell.stale = append(cell.stale, mlog.StalenessAt(ckpt.LevelGlobal, ev.Time))
-	}
-	return cell, nil
+	return probe(cell, res.Wall), nil
 }
 
 // AsyncFrontierTable renders the frontier.

@@ -7,31 +7,21 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/cluster"
 	"repro/internal/fault"
-	"repro/internal/fsys"
 	"repro/internal/machine"
 	"repro/internal/recover"
 	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/trace"
-	"repro/internal/xrand"
 )
 
-// clusterSession is the exp-layer wiring of one multi-tenant run: the same
-// construction order as runCheckpoint (recorder, machine, sharding, backend,
-// guard) over a machine sized to host every tenant at once, plus the cluster
-// scheduler. When the tenant list collapses to one job filling the machine,
-// the composition is byte-identical to a single-tenant runCheckpoint — the
-// nt=1 goldens pin it.
+// clusterSession is one multi-tenant run: a built scenario sized to host
+// every tenant at once, plus the cluster scheduler. When the tenant list
+// collapses to one job filling the machine, the composition is
+// byte-identical to a single-tenant runCheckpoint — the nt=1 goldens pin
+// it.
 type clusterSession struct {
-	o        Options
-	K        *sim.Kernel
-	M        *machine.Machine
-	FS       fsys.System    // raw backend (fault attachment needs it)
-	Stats    *storage.Stats // live storage-core counters
-	RunFS    fsys.System    // what tenants call: Guard-wrapped when sharded
-	Rec      *trace.Recorder
-	Sess     *cluster.Session
-	Capacity int // machine size in ranks
+	*env
+	Sess *cluster.Session
 }
 
 // clusterCapacity sizes the shared machine for a tenant set: each tenant's
@@ -70,65 +60,22 @@ func nextPow2(n int) int {
 }
 
 // newClusterSession builds the shared kernel+machine+backend for a tenant
-// set. capacityRanks <= 0 sizes the machine from the tenants; a positive
-// value pins it (ckptstorm's arms share one machine size so the hardware is
-// held fixed while the tenant mix varies). serial forces the serial kernel
-// even when Options ask for shards (queued admission, fault injection).
-func newClusterSession(o Options, tenants []cluster.Tenant, capacityRanks int, serial bool) (*clusterSession, error) {
-	if capacityRanks <= 0 {
-		var err error
-		if capacityRanks, err = clusterCapacity(o, tenants); err != nil {
-			return nil, err
-		}
-	}
-	k := sim.NewKernel()
-	var rec *trace.Recorder
-	if o.Trace != nil {
-		rec = o.Trace.newRecorder()
-	} else {
-		// Multi-tenant runs always carry a metrics-only recorder: per-tenant
-		// attribution rides the span stream, and a zero event cap keeps the
-		// memory flat. Tracing never perturbs simulated time, so attaching
-		// it unconditionally cannot move a result.
-		rec = &trace.Recorder{MaxEvents: 0}
-	}
-	k.SetRecorder(rec)
-	// Same stream derivation as runCheckpoint with capacity in place of np:
-	// a machine of the same size gets the same noise, whoever runs on it.
-	rng := xrand.New(o.seed() ^ uint64(capacityRanks)*0x9e37)
-	d, err := machine.Lookup(o.Machine)
+// set on a machine of sc.NP ranks. Cluster sessions always carry a
+// recorder — a metrics-only one when tracing is off — because per-tenant
+// attribution rides the span stream; recording never perturbs simulated
+// time. The machine RNG derives from the capacity in place of np, so a
+// machine of the same size gets the same noise, whoever runs on it.
+func newClusterSession(o Options, sc scenario) (*clusterSession, error) {
+	sc.Metrics = true
+	e, err := build(o, sc)
 	if err != nil {
 		return nil, err
 	}
-	cfg := d.Config(capacityRanks)
-	if o.Map != "" {
-		cfg.Placement = o.Map
-	}
-	cfg.PlacementSeed = o.seed()
-	m, err := machine.New(k, rng, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if o.Shards > 1 && !serial && m.NumPsets() > 1 {
-		k.EnableSharding(m.NumPsets(), o.Shards, m.Lookahead(), o.seed())
-	}
-	fs, stats, err := buildFS(o, m, o.FS)
-	if err != nil {
-		return nil, err
-	}
-	runFS := fs
-	if k.Sharded() {
-		runFS = fsys.Guard(fs)
-	}
-	cs := &clusterSession{
-		o: o, K: k, M: m, FS: fs, Stats: stats, RunFS: runFS,
-		Rec: rec, Sess: cluster.NewSession(m, runFS), Capacity: capacityRanks,
-	}
-	return cs, nil
+	return &clusterSession{env: e, Sess: cluster.NewSession(e.M, e.RunFS)}, nil
 }
 
 // tenantDefaults threads the session-level placement knobs into tenants
-// that did not pin their own, mirroring buildMachine's override order.
+// that did not pin their own, mirroring scenario.machineConfig's override order.
 func (cs *clusterSession) tenantDefaults(tenants []cluster.Tenant) []cluster.Tenant {
 	out := make([]cluster.Tenant, len(tenants))
 	for i, t := range tenants {
@@ -177,21 +124,9 @@ func (cs *clusterSession) wireDrainTenants(jobs []*cluster.Job) {
 	}
 }
 
-// run drives the kernel to completion and finalizes the jobs.
-func (cs *clusterSession) run(jobs []*cluster.Job) error {
+// collect drives the kernel to completion and finalizes the jobs.
+func (cs *clusterSession) collect(jobs []*cluster.Job) error {
 	return cluster.Collect(jobs, cs.K.Run())
-}
-
-// finish hands the recorder to the options' collector, once, after the
-// session's last phase.
-func (cs *clusterSession) finish(label string) {
-	if cs.o.Trace == nil {
-		return
-	}
-	cs.Rec.Add(trace.LayerKernel, "kernel.events", int64(cs.K.Events()))
-	cs.o.Trace.add(TraceEntry{
-		Label: label, NP: cs.Capacity, Makespan: cs.K.Now(), Rec: cs.Rec,
-	})
 }
 
 // ClusterRun is one multi-tenant session's outcome.
@@ -209,7 +144,11 @@ type ClusterRun struct {
 // place, retire — serial kernel only); otherwise every tenant is admitted up
 // front, which supports the sharded kernel and per-tenant attribution.
 func RunCluster(o Options, tenants []cluster.Tenant, queued bool) (*ClusterRun, error) {
-	cs, err := newClusterSession(o, tenants, 0, queued)
+	capRanks, err := clusterCapacity(o, tenants)
+	if err != nil {
+		return nil, err
+	}
+	cs, err := newClusterSession(o, scenario{NP: capRanks, Queued: queued})
 	if err != nil {
 		return nil, err
 	}
@@ -222,12 +161,12 @@ func RunCluster(o Options, tenants []cluster.Tenant, queued bool) (*ClusterRun, 
 	if err != nil {
 		return nil, err
 	}
-	if err := cs.run(jobs); err != nil {
+	if err := cs.collect(jobs); err != nil {
 		return nil, err
 	}
 	cs.finish("cluster")
 	return &ClusterRun{
-		Jobs: jobs, Rec: cs.Rec, Capacity: cs.Capacity,
+		Jobs: jobs, Rec: cs.Rec, Capacity: cs.NP,
 		Makespan: cs.K.Now(), Events: cs.K.Events(), FSStats: *cs.Stats,
 	}, nil
 }
@@ -318,7 +257,7 @@ func CkptStorm(o Options, np, nt int) (*CkptStormResult, error) {
 	res := &CkptStormResult{NP: np, Tenants: nt, Capacity: capRanks}
 
 	arm := func(sname, label string, tenants []cluster.Tenant) ([]*cluster.Job, *trace.Recorder, error) {
-		cs, err := newClusterSession(o, tenants, capRanks, false)
+		cs, err := newClusterSession(o, scenario{NP: capRanks})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -326,7 +265,7 @@ func CkptStorm(o Options, np, nt int) (*CkptStormResult, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		if err := cs.run(jobs); err != nil {
+		if err := cs.collect(jobs); err != nil {
 			return nil, nil, err
 		}
 		cs.finish("ckptstorm/" + sname + "/" + label)
@@ -468,18 +407,22 @@ func RestartStorm(o Options, np, nt int) (*RestartStormResult, error) {
 		logs[i] = recover.NewLog(o.seed(), tenants[i].NP)
 		tenants[i].Epochs = logs[i].StartSegment("ckpt/"+tenants[i].Name, 0, 0)
 	}
-	cs, err := newClusterSession(o, tenants, 0, true)
+	capRanks, err := clusterCapacity(o, tenants)
 	if err != nil {
 		return nil, err
 	}
-	res := &RestartStormResult{NP: np, Tenants: nt, Capacity: cs.Capacity, OutageSec: 60}
+	cs, err := newClusterSession(o, scenario{NP: capRanks, Faulted: true})
+	if err != nil {
+		return nil, err
+	}
+	res := &RestartStormResult{NP: np, Tenants: nt, Capacity: capRanks, OutageSec: 60}
 
 	// Phase 1 — every tenant writes its checkpoint.
 	jobs, err := cs.launch(tenants)
 	if err != nil {
 		return nil, err
 	}
-	if err := cs.run(jobs); err != nil {
+	if err := cs.collect(jobs); err != nil {
 		return nil, err
 	}
 	t1 := cs.K.Now()
@@ -487,19 +430,15 @@ func RestartStorm(o Options, np, nt int) (*RestartStormResult, error) {
 	// Phase 2 — system-wide outage: every file server fails one second
 	// after the writes drain and restores OutageSec later. The schedule is
 	// explicit, so the scenario is exactly reproducible.
-	servers := 0
-	if sc, ok := cs.FS.(interface{ Servers() []*storage.Server }); ok {
-		servers = len(sc.Servers())
-	}
 	var sched fault.Schedule
-	for i := 0; i < servers; i++ {
+	for i := 0; i < numServers(cs.FS); i++ {
 		sched = append(sched,
 			fault.Event{Time: t1 + 1, Class: fault.Server, Index: i, Kind: fault.Fail},
 			fault.Event{Time: t1 + 1 + res.OutageSec, Class: fault.Server, Index: i, Kind: fault.Restore},
 		)
 	}
 	sched.Sort()
-	inj, err := attachFaults(cs.K, cs.M, cs.FS, &FaultSpec{Schedule: sched, Seed: o.seed()})
+	inj, err := cs.attachFaults(&FaultSpec{Schedule: sched, Seed: o.seed()})
 	if err != nil {
 		return nil, err
 	}
@@ -624,10 +563,8 @@ func RunWorkload(o Options, wk cluster.Workload) (*WorkloadResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	capRanks := 0
-	if len(o.NPs) == 1 {
-		capRanks = o.NPs[0]
-	} else {
+	capRanks := o.npOr(0)
+	if capRanks == 0 {
 		largest := tenants[0]
 		for _, t := range tenants {
 			if t.NP > largest.NP {
@@ -639,7 +576,7 @@ func RunWorkload(o Options, wk cluster.Workload) (*WorkloadResult, error) {
 		}
 		capRanks = nextPow2(2 * capRanks)
 	}
-	cs, err := newClusterSession(o, tenants, capRanks, true)
+	cs, err := newClusterSession(o, scenario{NP: capRanks, Queued: true})
 	if err != nil {
 		return nil, err
 	}
@@ -647,11 +584,11 @@ func RunWorkload(o Options, wk cluster.Workload) (*WorkloadResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := cs.run(jobs); err != nil {
+	if err := cs.collect(jobs); err != nil {
 		return nil, err
 	}
 	cs.finish("workload")
-	return &WorkloadResult{Capacity: cs.Capacity, Jobs: jobs, Makespan: cs.K.Now()}, nil
+	return &WorkloadResult{Capacity: cs.NP, Jobs: jobs, Makespan: cs.K.Now()}, nil
 }
 
 // Table renders the admission trace.

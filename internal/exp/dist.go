@@ -86,10 +86,7 @@ func (d *Distribution) Table() string {
 // Fig9 reproduces the 1PFPP per-rank I/O time distribution at 16K ranks:
 // some ranks finish in seconds, others take hundreds (metadata queueing).
 func Fig9(o Options) (*Distribution, error) {
-	np := 16384
-	if len(o.NPs) == 1 {
-		np = o.NPs[0]
-	}
+	np := o.npOr(16384)
 	r, err := runCheckpoint(o, Job{NP: np, Strategy: ckpt.OnePFPP{}})
 	if err != nil {
 		return nil, err
@@ -101,10 +98,7 @@ func Fig9(o Options) (*Distribution, error) {
 // synchronized around the mean, with heavy-tail outliers that stall the
 // whole collective.
 func Fig10(o Options) (*Distribution, error) {
-	np := 65536
-	if len(o.NPs) == 1 {
-		np = o.NPs[0]
-	}
+	np := o.npOr(65536)
 	r, err := runCheckpoint(o, Job{NP: np, Strategy: ckpt.CoIO{NumFiles: np / 64, Hints: mpiio.DefaultHints()}})
 	if err != nil {
 		return nil, err
@@ -115,10 +109,7 @@ func Fig10(o Options) (*Distribution, error) {
 // Fig11 reproduces the rbIO distribution at 64K ranks: two bands — workers
 // finishing in microseconds and a flat line of writers.
 func Fig11(o Options) (*Distribution, error) {
-	np := 65536
-	if len(o.NPs) == 1 {
-		np = o.NPs[0]
-	}
+	np := o.npOr(65536)
 	r, err := runCheckpoint(o, Job{NP: np, Strategy: DefaultRbIOWithGroup(64)})
 	if err != nil {
 		return nil, err
@@ -138,10 +129,7 @@ type Fig12Row struct {
 // Fig12 reproduces the Darshan-style write-activity analysis at 32K ranks:
 // rbIO's independent writers against coIO's collective aggregators.
 func Fig12(o Options) ([]Fig12Row, error) {
-	np := 32768
-	if len(o.NPs) == 1 {
-		np = o.NPs[0]
-	}
+	np := o.npOr(32768)
 	const dt = 0.5
 	rb, err := runCheckpoint(o, Job{NP: np, Strategy: DefaultRbIOWithGroup(64), WithLog: true})
 	if err != nil {

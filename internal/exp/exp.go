@@ -14,17 +14,10 @@ import (
 
 	"repro/internal/bbuf"
 	"repro/internal/ckpt"
-	"repro/internal/fault"
 	"repro/internal/fsys"
 	"repro/internal/gpfs"
 	"repro/internal/iolog"
-	"repro/internal/machine"
-	"repro/internal/mpi"
 	"repro/internal/nekcem"
-	"repro/internal/recover"
-	"repro/internal/sim"
-	"repro/internal/trace"
-	"repro/internal/xrand"
 )
 
 // Options configure an experiment run. Zero values mean "default"; the
@@ -62,8 +55,9 @@ type Options struct {
 	// worker threads. 0 or 1 keep the serial kernel. Sharded runs are
 	// byte-identical to serial ones for every shard count (the
 	// sharded-equivalence goldens pin it), so the knob trades nothing but
-	// wall-clock. Jobs that inject faults or collect per-op logs fall back
-	// to the serial kernel.
+	// wall-clock. Runs with a serial reason (scenario.serial: fault
+	// injection, per-op log, queued admission, recovery lifecycle, one
+	// pset) keep the serial kernel.
 	Shards int
 	// Trace, when set, attaches a fresh trace.Recorder to every simulation
 	// kernel the experiment builds and collects one entry per run. Tracing
@@ -147,112 +141,37 @@ type Run struct {
 }
 
 // runCheckpoint executes exactly one coordinated checkpoint step of the
-// job's strategy on an np-rank Intrepid partition, against the backend the
-// job (or, if the job leaves it empty, the options) selects, and returns the
+// job's strategy on an np-rank partition, against the backend the job (or,
+// if the job leaves it empty, the options) selects, and returns the
 // measurements. Job.WithLog controls whether per-op records are collected
 // (they cost memory at 64K).
 func runCheckpoint(o Options, j Job) (*Run, error) {
 	np := j.NP
-	backend := j.FS
-	if backend == "" {
-		backend = o.FS
-	}
-	if j.BBNodes > 0 {
-		o.BBNodes = j.BBNodes
-	}
-	if j.BBDrain != "" {
-		o.Drain = j.BBDrain
-	}
-	k := sim.NewKernel()
-	var rec *trace.Recorder
-	if o.Trace != nil {
-		// Attached before any component is built, so every fabric pipe and
-		// storage server instruments itself at construction.
-		rec = o.Trace.newRecorder()
-		k.SetRecorder(rec)
-	}
-	rng := xrand.New(o.seed() ^ uint64(np)*0x9e37)
-	m, err := buildMachine(o, j, k, rng, np)
+	e, err := build(o, scenario{NP: np, Job: j, Faults: j.Faults, Log: j.WithLog})
 	if err != nil {
 		return nil, err
 	}
-	// The partitioned kernel must be enabled before any process spawns
-	// (storage servers included). Faulted and per-op-logged jobs stay on the
-	// serial kernel: fault events mutate shared machine state from schedule
-	// context, and the op log appends from every rank.
-	if o.Shards > 1 && j.Faults == nil && !j.WithLog && m.NumPsets() > 1 {
-		k.EnableSharding(m.NumPsets(), o.Shards, m.Lookahead(), o.seed())
-	}
-	fs, stats, err := buildFS(o, m, backend)
-	if err != nil {
-		return nil, err
-	}
-	runFS := fs
-	if k.Sharded() {
-		// Storage state is global to the machine: route every time-charging
-		// file-system call through the exclusive lane.
-		runFS = fsys.Guard(fs)
-	}
-	var inj *fault.Injector
-	if j.Faults != nil {
-		// Armed before the world spawns so the fault events' kernel sequence
-		// numbers are fixed by the schedule alone (determinism contract).
-		if inj, err = attachFaults(k, m, fs, j.Faults); err != nil {
-			return nil, err
-		}
-	}
-	w := mpi.NewWorld(m, mpi.DefaultConfig())
-	var log *iolog.Log
+	rcfg := paperRun(np, j.Strategy, 1, 1)
 	if j.WithLog {
-		log = &iolog.Log{}
+		rcfg.Log = &iolog.Log{}
 	}
-	rcfg := nekcem.RunConfig{
-		Mesh:            nekcem.PaperMesh(np),
-		Strategy:        j.Strategy,
-		Dir:             "ckpt",
-		Steps:           1,
-		CheckpointEvery: 1,
-		Synthetic:       true,
-		SkipPresetup:    true,
-		PayloadFactor:   nekcem.PaperPayloadFactor,
-		Compute:         nekcem.DefaultComputeModel(),
-		Log:             log,
-	}
-	if inj != nil {
-		rcfg.RankUp = func(rank int) bool { return inj.Up(fault.Node, m.NodeOfRank(rank)) }
-	}
+	rcfg.RankUp = e.rankUp()
 	if o.Manifests {
-		rcfg.Epochs = recover.NewLog(o.seed(), np).StartSegment(rcfg.Dir, 0, 0)
+		rcfg.Epochs = e.epochLog().StartSegment(rcfg.Dir, 0, 0)
 	}
-	// collect hands the run's recorder to the collector once the simulation
-	// is over, whatever its outcome (aggregates survive even if the event
-	// buffer overflowed).
-	collect := func() {
-		if rec == nil {
-			return
-		}
-		rec.Add(trace.LayerKernel, "kernel.events", int64(k.Events()))
-		rec.Add(trace.LayerKernel, "kernel.dispatched", int64(k.Dispatched()))
-		rec.Add(trace.LayerKernel, "kernel.woken", int64(k.Woken()))
-		o.Trace.add(TraceEntry{
-			Label:    fmt.Sprintf("%s/%s", fs.Name(), j.Strategy.Name()),
-			NP:       np,
-			Makespan: k.Now(),
-			Rec:      rec,
-		})
-	}
-	res, err := nekcem.Run(w, runFS, rcfg)
+	label := fmt.Sprintf("%s/%s", e.FS.Name(), j.Strategy.Name())
+	res, err := e.solve(rcfg)
 	if err != nil {
 		if j.Faults != nil && fsys.Unavailable(err) {
 			// A strategy without a fault-aware path hit dead storage
 			// mid-collective: the checkpoint is lost, but the trial itself
 			// succeeded at measuring that.
-			collect()
-			return &Run{NP: np, FSStats: *stats, Events: k.Events(), Fault: &FaultOutcome{
-				Lost: true, WriteError: err.Error(), Counts: inj.Counts(),
+			e.finish(label)
+			return &Run{NP: np, FSStats: *e.Stats, Events: e.K.Events(), Fault: &FaultOutcome{
+				Lost: true, WriteError: err.Error(), Counts: e.Inj.Counts(),
 			}}, nil
 		}
-		return nil, fmt.Errorf("exp: %s on %s at np=%d: %w", j.Strategy.Name(), fs.Name(), np, err)
+		return nil, fmt.Errorf("exp: %s on %s at np=%d: %w", j.Strategy.Name(), e.FS.Name(), np, err)
 	}
 	if len(res.Checkpoints) != 1 {
 		return nil, fmt.Errorf("exp: expected 1 checkpoint, got %d", len(res.Checkpoints))
@@ -262,62 +181,27 @@ func runCheckpoint(o Options, j Job) (*Run, error) {
 		S:       res.Checkpoints[0].Bytes,
 		Agg:     res.Checkpoints[0],
 		PerRank: res.PerRank,
-		Log:     log,
+		Log:     rcfg.Log,
 		Result:  res,
-		FSStats: *stats,
-		Events:  k.Events(),
+		FSStats: *e.Stats,
+		Events:  e.K.Events(),
 	}
-	if b, ok := fs.(*bbuf.FileSystem); ok {
+	if b, ok := e.FS.(*bbuf.FileSystem); ok {
 		st := b.Buffer()
 		r.Buffer = &st
 	}
 	if j.Faults != nil {
-		r.Fault = faultOutcome(o, j, m, fs, r, inj)
-		r.Events = k.Events()
+		r.Fault = e.faultOutcome(j, r)
+		r.Events = e.K.Events()
 	}
-	collect()
+	e.finish(label)
 	return r, nil
-}
-
-// buildMachine composes the partition a job runs on: the machine preset the
-// job (or, if the job leaves it empty, the options) selects, with the
-// placement and pset-ratio overrides applied. The default composition —
-// Intrepid, txyz — is exactly the pre-refactor machine, pinned by the
-// machine_*.golden files.
-func buildMachine(o Options, j Job, k *sim.Kernel, rng *xrand.RNG, np int) (*machine.Machine, error) {
-	name := j.Machine
-	if name == "" {
-		name = o.Machine
-	}
-	d, err := machine.Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	cfg := d.Config(np)
-	if p := j.Map; p != "" {
-		cfg.Placement = p
-	} else if o.Map != "" {
-		cfg.Placement = o.Map
-	}
-	// The placement's seed rides the experiment seed so a "random" mapping
-	// is reproducible per run; placement never draws from the machine RNG.
-	cfg.PlacementSeed = o.seed()
-	if j.NodesPerPset > 0 {
-		cfg.NodesPerPset = j.NodesPerPset
-	}
-	return machine.New(k, rng, cfg)
-}
-
-// newMachine is buildMachine without job-level overrides, for analyses that
-// build machines outside the job runner.
-func (o Options) newMachine(k *sim.Kernel, rng *xrand.RNG, np int) (*machine.Machine, error) {
-	return buildMachine(o, Job{}, k, rng, np)
 }
 
 // faultOutcome condenses a faulted run's loss accounting and, when the spec
 // asks and nothing was lost, drives a fresh job's restart from the surviving
 // checkpoint on the same (possibly still-degraded) storage.
-func faultOutcome(o Options, j Job, m *machine.Machine, fs fsys.System, r *Run, inj *fault.Injector) *FaultOutcome {
+func (e *env) faultOutcome(j Job, r *Run) *FaultOutcome {
 	agg := r.Agg
 	fo := &FaultOutcome{
 		DeadRanks:     agg.DeadRanks,
@@ -327,7 +211,7 @@ func faultOutcome(o Options, j Job, m *machine.Machine, fs fsys.System, r *Run, 
 		Retries:       r.FSStats.Retries,
 		Failovers:     r.FSStats.Failovers,
 		CommitErrors:  r.FSStats.CommitErrors,
-		Counts:        inj.Counts(),
+		Counts:        e.Inj.Counts(),
 	}
 	if r.Buffer != nil {
 		fo.LostBufferBytes = r.Buffer.LostBytes
@@ -337,12 +221,7 @@ func faultOutcome(o Options, j Job, m *machine.Machine, fs fsys.System, r *Run, 
 		return fo
 	}
 	fo.RestartAttempted = true
-	w2 := mpi.NewWorld(m, mpi.DefaultConfig())
-	res2, err := nekcem.Run(w2, fs, nekcem.RunConfig{
-		Mesh: nekcem.PaperMesh(r.NP), Strategy: j.Strategy, Dir: "ckpt",
-		Steps: 0, RestartStep: 1, Synthetic: true, SkipPresetup: true,
-		PayloadFactor: nekcem.PaperPayloadFactor, Compute: nekcem.DefaultComputeModel(),
-	})
+	res2, err := e.solve(paperRestart(r.NP, j.Strategy))
 	fo.RestartOK = err == nil && res2.Restored
 	return fo
 }

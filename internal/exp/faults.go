@@ -6,9 +6,6 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/fault"
-	"repro/internal/fsys"
-	"repro/internal/machine"
-	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/xrand"
 )
@@ -66,11 +63,8 @@ type FaultOutcome struct {
 // attachFaults samples (or adopts) the spec's schedule, arms an injector on
 // the kernel, and threads it through the storage backend and the Ethernet
 // NICs. It must run before the MPI world spawns.
-func attachFaults(k *sim.Kernel, m *machine.Machine, fs fsys.System, spec *FaultSpec) (*fault.Injector, error) {
-	servers := 0
-	if sc, ok := fs.(interface{ Servers() []*storage.Server }); ok {
-		servers = len(sc.Servers())
-	}
+func (e *env) attachFaults(spec *FaultSpec) (*fault.Injector, error) {
+	k, m, fs := e.K, e.M, e.FS
 	sched := spec.Schedule
 	if sched == nil {
 		if spec.MTBF <= 0 {
@@ -84,7 +78,7 @@ func attachFaults(k *sim.Kernel, m *machine.Machine, fs fsys.System, spec *Fault
 		sched = fault.Sample(rng, horizon, map[fault.Class]fault.Rates{
 			fault.Node:   {N: m.NumNodes(), MTBF: spec.MTBF, MTTR: spec.MTTR, Shape: spec.Shape},
 			fault.ION:    {N: m.NumPsets(), MTBF: spec.MTBF, MTTR: spec.MTTR, Shape: spec.Shape},
-			fault.Server: {N: servers, MTBF: spec.MTBF, MTTR: spec.MTTR, Shape: spec.Shape},
+			fault.Server: {N: numServers(fs), MTBF: spec.MTBF, MTTR: spec.MTTR, Shape: spec.Shape},
 			fault.Link:   {N: m.NumPsets(), MTBF: spec.MTBF, MTTR: spec.MTTR, Shape: spec.Shape, Factor: 0.25},
 		})
 	}
@@ -286,21 +280,12 @@ func Makespan(o Options, np int, mtbfHours float64) ([]MakespanRow, error) {
 		return nil, err
 	}
 	// Component census for the system MTBF: every injectable component
-	// (nodes, IONs, servers) counts; links only degrade, so they do not
-	// interrupt the job.
-	k := sim.NewKernel()
-	m, err := o.newMachine(k, xrand.New(o.seed()), np)
+	// counts; links only degrade, so they do not interrupt the job.
+	census, err := build(o, scenario{NP: np, Stream: streamSeed})
 	if err != nil {
 		return nil, err
 	}
-	fs, _, err := buildFS(o, m, o.FS)
-	if err != nil {
-		return nil, err
-	}
-	ncomp := m.NumNodes() + m.NumPsets()
-	if sc, ok := fs.(interface{ Servers() []*storage.Server }); ok {
-		ncomp += len(sc.Servers())
-	}
+	ncomp := census.components()
 	var rows []MakespanRow
 	for _, r0 := range rows0 {
 		for _, mult := range []float64{0.25, 0.5, 1, 2, 4} {

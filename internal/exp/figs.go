@@ -35,16 +35,7 @@ func Headline(o Options, approaches ...int) ([]HeadlineRow, error) {
 	}
 	var rows []HeadlineRow
 	for i, r := range runs {
-		step := r.Agg.StepTime()
-		rows = append(rows, HeadlineRow{
-			NP:        r.NP,
-			Approach:  ApproachLabels[approaches[i%len(approaches)]],
-			S:         r.S,
-			StepSec:   step,
-			GBps:      GB(r.Agg.Bandwidth()),
-			Ratio:     step / r.Result.ComputeStep,
-			WorkerSec: r.Agg.MaxWorker,
-		})
+		rows = append(rows, headlineRow(r, ApproachLabels[approaches[i%len(approaches)]]))
 	}
 	return rows, nil
 }
@@ -67,18 +58,22 @@ func headlineNamed(o Options) ([]HeadlineRow, error) {
 	}
 	var rows []HeadlineRow
 	for _, r := range runs {
-		step := r.Agg.StepTime()
-		rows = append(rows, HeadlineRow{
-			NP:        r.NP,
-			Approach:  d.Label,
-			S:         r.S,
-			StepSec:   step,
-			GBps:      GB(r.Agg.Bandwidth()),
-			Ratio:     step / r.Result.ComputeStep,
-			WorkerSec: r.Agg.MaxWorker,
-		})
+		rows = append(rows, headlineRow(r, d.Label))
 	}
 	return rows, nil
+}
+
+func headlineRow(r *Run, label string) HeadlineRow {
+	step := r.Agg.StepTime()
+	return HeadlineRow{
+		NP:        r.NP,
+		Approach:  label,
+		S:         r.S,
+		StepSec:   step,
+		GBps:      GB(r.Agg.Bandwidth()),
+		Ratio:     step / r.Result.ComputeStep,
+		WorkerSec: r.Agg.MaxWorker,
+	}
 }
 
 // Fig5Table renders the write-bandwidth view (paper Figure 5).

@@ -1,11 +1,7 @@
 package exp
 
 import (
-	"fmt"
-
 	"repro/internal/fsys"
-	"repro/internal/machine"
-	"repro/internal/storage"
 
 	// Backends self-register with the fsys registry from their package
 	// inits; these imports are what make them mountable here.
@@ -18,30 +14,3 @@ import (
 // Every backend is a policy composition over the shared storage core
 // (internal/storage), so each experiment runs unchanged on any of them.
 var FileSystems = []fsys.Backend{"gpfs", "pvfs", "bbuf"}
-
-// KnownFS reports whether name selects a backend. The empty string selects
-// the default (gpfs).
-func KnownFS(name string) bool {
-	_, err := fsys.Lookup(name)
-	return err == nil
-}
-
-// buildFS mounts the backend b ("" = fsys.DefaultBackend) on the machine
-// with its default configuration, applying the Quiet ablation, and returns
-// it along with a pointer to its live storage-core counters.
-func buildFS(o Options, m *machine.Machine, b fsys.Backend) (fsys.System, *storage.Stats, error) {
-	fs, err := fsys.Mount(b, m, fsys.MountOptions{
-		Quiet:     o.Quiet,
-		BBNodes:   o.BBNodes,
-		BBDrainBW: o.BBDrainBW,
-		Drain:     o.Drain,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	sp, ok := fs.(storage.StatsProvider)
-	if !ok {
-		return nil, nil, fmt.Errorf("exp: backend %q does not expose storage stats", fs.Name())
-	}
-	return fs, sp.StorageStats(), nil
-}

@@ -4,10 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/ckpt"
-	"repro/internal/mpi"
-	"repro/internal/nekcem"
-	"repro/internal/sim"
-	"repro/internal/xrand"
 )
 
 // MLRow is one multi-level checkpointing measurement: a production run that
@@ -39,27 +35,7 @@ func MultiLevelStudy(o Options, np int) ([]MLRow, error) {
 	}
 	var rows []MLRow
 	for _, strat := range cases {
-		k := sim.NewKernel()
-		m, err := o.newMachine(k, xrand.New(o.seed()^uint64(np)), np)
-		if err != nil {
-			return nil, err
-		}
-		fs, _, err := buildFS(o, m, o.FS)
-		if err != nil {
-			return nil, err
-		}
-		w := mpi.NewWorld(m, mpi.DefaultConfig())
-		res, err := nekcem.Run(w, fs, nekcem.RunConfig{
-			Mesh:            nekcem.PaperMesh(np),
-			Strategy:        strat,
-			Dir:             "ckpt",
-			Steps:           steps,
-			CheckpointEvery: nc,
-			Synthetic:       true,
-			SkipPresetup:    true,
-			PayloadFactor:   nekcem.PaperPayloadFactor,
-			Compute:         nekcem.DefaultComputeModel(),
-		})
+		e, res, err := simulate(o, scenario{NP: np, Stream: streamNP}, paperRun(np, strat, steps, nc), "multilevel/"+strat.Name())
 		if err != nil {
 			return nil, err
 		}
@@ -69,7 +45,7 @@ func MultiLevelStudy(o Options, np int) ([]MLRow, error) {
 			Ckpts:    len(res.Checkpoints),
 			TotalSec: res.TotalCheckpoint(),
 			WallSec:  res.Wall,
-			PFSFiles: fs.NumFiles(),
+			PFSFiles: e.FS.NumFiles(),
 		})
 	}
 	return rows, nil

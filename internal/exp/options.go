@@ -32,71 +32,11 @@ func (o Options) workers() int { return o.normalize().Parallel }
 
 func (o Options) nps() []int { return o.normalize().NPs }
 
-// Option is a functional option for New.
-type Option func(*Options)
-
-// New builds Options from functional options. New() with no arguments is
-// equivalent to the zero Options value: defaults resolve lazily through
-// normalize, so the two construction styles are interchangeable.
-func New(opts ...Option) Options {
-	var o Options
-	for _, opt := range opts {
-		opt(&o)
+// npOr returns the sweep's single processor count if the options pin one,
+// and def otherwise.
+func (o Options) npOr(def int) int {
+	if len(o.NPs) == 1 {
+		return o.NPs[0]
 	}
-	return o
+	return def
 }
-
-// Seed sets the experiment seed (0 means the default seed 1).
-func Seed(s uint64) Option { return func(o *Options) { o.Seed = s } }
-
-// NPs sets the processor counts to sweep.
-func NPs(nps ...int) Option {
-	return func(o *Options) { o.NPs = append([]int(nil), nps...) }
-}
-
-// Backend selects the storage backend ("" means fsys.DefaultBackend).
-func Backend(b fsys.Backend) Option { return func(o *Options) { o.FS = b } }
-
-// Machine selects the machine preset ("" means machine.DefaultMachine).
-func Machine(name string) Option { return func(o *Options) { o.Machine = name } }
-
-// Map overrides the preset's rank→node placement policy ("" keeps the
-// preset's own mapping).
-func Map(policy string) Option { return func(o *Options) { o.Map = policy } }
-
-// Parallel sets the experiment worker-pool size (<= 0 means one per CPU).
-func Parallel(n int) Option { return func(o *Options) { o.Parallel = n } }
-
-// Shards sets the partitioned-kernel worker count inside each simulation
-// (0 or 1 keep the serial kernel).
-func Shards(n int) Option { return func(o *Options) { o.Shards = n } }
-
-// Quiet disables the shared-storage noise model.
-func Quiet() Option { return func(o *Options) { o.Quiet = true } }
-
-// Trace attaches a collector that receives one recorder per simulation run.
-func Trace(tc *TraceCollector) Option { return func(o *Options) { o.Trace = tc } }
-
-// Manifests attaches an epoch-manifest log to every checkpoint run (pure
-// bookkeeping; fault-free results stay byte-identical).
-func Manifests() Option { return func(o *Options) { o.Manifests = true } }
-
-// Ckpt restricts headline sweeps to one registered strategy ("" keeps the
-// full five-arm sweep). The name must resolve through ckpt.Lookup; CLIs
-// validate it before building Options.
-func Ckpt(name string) Option { return func(o *Options) { o.Ckpt = name } }
-
-// BB configures the burst-buffer fleet for bbuf-backed runs: nodes sizes
-// the fleet (0 = one private node per ION, the legacy shape) and gbps is
-// the per-node drain bandwidth in GB/s (0 = the backend default).
-func BB(nodes int, gbps float64) Option {
-	return func(o *Options) {
-		o.BBNodes = nodes
-		o.BBDrainBW = gbps * 1e9
-	}
-}
-
-// Drain selects the burst-buffer drain-scheduler policy ("" = fifo). The
-// name must resolve through bbuf.Lookup; CLIs validate it before building
-// Options.
-func Drain(name string) Option { return func(o *Options) { o.Drain = name } }

@@ -6,28 +6,6 @@ import (
 	"testing"
 )
 
-// TestOptionsCompatibility pins the equivalence of the two construction
-// styles: New with functional options must produce exactly the struct
-// literal it replaces, so existing callers can migrate field by field.
-func TestOptionsCompatibility(t *testing.T) {
-	tc := &TraceCollector{}
-	got := New(
-		Seed(7),
-		NPs(512, 1024),
-		Backend("pvfs"),
-		Parallel(3),
-		Quiet(),
-		Trace(tc),
-	)
-	want := Options{Seed: 7, NPs: []int{512, 1024}, FS: "pvfs", Parallel: 3, Quiet: true, Trace: tc}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("New(...) = %+v, want %+v", got, want)
-	}
-	if !reflect.DeepEqual(New(), Options{}) {
-		t.Fatalf("New() = %+v, want zero Options", New())
-	}
-}
-
 // TestNormalizeDefaults pins the single place zero values resolve.
 func TestNormalizeDefaults(t *testing.T) {
 	n := Options{}.normalize()

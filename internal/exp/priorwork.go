@@ -6,9 +6,6 @@ import (
 	"repro/internal/bgp"
 	"repro/internal/gpfs"
 	"repro/internal/mpi"
-	"repro/internal/nekcem"
-	"repro/internal/sim"
-	"repro/internal/xrand"
 )
 
 // PriorWorkRow compares the paper's cited prior-work results (reference
@@ -47,40 +44,12 @@ func PriorWorkBGL(o Options) ([]PriorWorkRow, error) {
 	const np = 32768
 	var rows []PriorWorkRow
 	for _, machineName := range []string{"BG/L", "BG/P (Intrepid)"} {
-		k := sim.NewKernel()
-		var (
-			mcfg bgp.Config
-			gcfg gpfs.Config
-			wcfg mpi.Config
-		)
-		if machineName == "BG/L" {
-			mcfg, gcfg, wcfg = bgp.BlueGeneL(np), bglGPFS(), bglMPI()
-		} else {
+		mcfg, gcfg, wcfg := bgp.BlueGeneL(np), bglGPFS(), bglMPI()
+		if machineName != "BG/L" {
 			mcfg, gcfg, wcfg = bgp.Intrepid(np), gpfs.DefaultConfig(), mpi.DefaultConfig()
 		}
-		if o.Quiet {
-			gcfg.NoiseProb = 0
-		}
-		m, err := bgp.New(k, xrand.New(o.seed()), mcfg)
-		if err != nil {
-			return nil, err
-		}
-		fs, err := gpfs.New(m, gcfg)
-		if err != nil {
-			return nil, err
-		}
-		w := mpi.NewWorld(m, wcfg)
-		res, err := nekcem.Run(w, fs, nekcem.RunConfig{
-			Mesh:            nekcem.PaperMesh(np),
-			Strategy:        DefaultRbIOWithGroup(64),
-			Dir:             "ckpt",
-			Steps:           1,
-			CheckpointEvery: 1,
-			Synthetic:       true,
-			SkipPresetup:    true,
-			PayloadFactor:   nekcem.PaperPayloadFactor,
-			Compute:         nekcem.DefaultComputeModel(),
-		})
+		sc := scenario{NP: np, Stream: streamSeed, MachineCfg: &mcfg, GPFSCfg: &gcfg, MPICfg: &wcfg}
+		_, res, err := simulate(o, sc, paperRun(np, DefaultRbIOWithGroup(64), 1, 1), "priorwork/"+machineName)
 		if err != nil {
 			return nil, err
 		}

@@ -6,14 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/ckpt"
-	"repro/internal/fault"
-	"repro/internal/fsys"
-	"repro/internal/mpi"
-	"repro/internal/nekcem"
 	"repro/internal/recover"
-	"repro/internal/sim"
-	"repro/internal/storage"
-	"repro/internal/xrand"
 )
 
 // RecoveryRow is one cell of the closed-loop recovery study: a strategy
@@ -47,19 +40,18 @@ type RecoveryRow struct {
 // failures per fault-free makespan at the paper's 6h headline MTBF.
 var recoveryMultipliers = []float64{8, 2, 0.5}
 
-// recoveryFamilies are the four strategy families under lifecycle test,
-// each with the segment granularity its epoch cadence needs (multi-level
-// must span GlobalEvery checkpoint intervals per launched segment so its
-// periodic global flush happens).
-func recoveryFamilies(np int) []struct {
+// recoveryFamily is one strategy family under lifecycle test, with the
+// segment granularity its epoch cadence needs (multi-level must span
+// GlobalEvery checkpoint intervals per launched segment so its periodic
+// global flush happens).
+type recoveryFamily struct {
 	Strategy ckpt.Strategy
 	SegCkpts int
-} {
+}
+
+func recoveryFamilies(np int) []recoveryFamily {
 	ml := ckpt.MustNew("multilevel", np).(ckpt.MultiLevel)
-	return []struct {
-		Strategy ckpt.Strategy
-		SegCkpts int
-	}{
+	return []recoveryFamily{
 		{ckpt.MustNew("1pfpp", np), 1},
 		{ckpt.MustNew("coio", np), 1},
 		{ckpt.MustNew("rbio", np), 1},
@@ -75,36 +67,16 @@ type recoveryCellOut struct {
 	err   error
 }
 
-// runRecoveryCell executes one full checkpoint/restart lifecycle: it
-// mirrors runCheckpoint's construction order (kernel, experiment RNG,
-// machine, storage, faults) and then hands the pieces to the recover
-// driver instead of a single solver run. Lifecycles always use the serial
-// kernel: fault injection forces it, and the fault-free arms must be
-// number-identical to the faulted ones' clean prefixes.
-func runRecoveryCell(o Options, np int, strat ckpt.Strategy, segCkpts, work, ce int, spec *FaultSpec) recoveryCellOut {
-	k := sim.NewKernel()
-	rng := xrand.New(o.seed() ^ uint64(np)*0x9e37)
-	m, err := buildMachine(o, Job{NP: np}, k, rng, np)
+// runRecoveryCell executes one full checkpoint/restart lifecycle: it builds
+// the scenario like every run and then hands the pieces to the recover
+// driver instead of a single solver run.
+func runRecoveryCell(o Options, np int, fam recoveryFamily, work, ce int, spec *FaultSpec, label string) recoveryCellOut {
+	e, err := build(o, scenario{NP: np, Faults: spec, Lifecycle: true})
 	if err != nil {
 		return recoveryCellOut{err: err}
 	}
-	fs, _, err := buildFS(o, m, o.FS)
-	if err != nil {
-		return recoveryCellOut{err: err}
-	}
-	servers := 0
-	if sc, ok := fs.(interface{ Servers() []*storage.Server }); ok {
-		servers = len(sc.Servers())
-	}
-	ncomp := m.NumNodes() + m.NumPsets() + servers
-	var inj *fault.Injector
-	if spec != nil {
-		if inj, err = attachFaults(k, m, fs, spec); err != nil {
-			return recoveryCellOut{err: err}
-		}
-	}
-	log := recover.NewLog(o.seed(), np)
-	if b, ok := fs.(interface {
+	log := e.epochLog()
+	if b, ok := e.FS.(interface {
 		OnLost(func(ion int, bytes int64, t float64))
 	}); ok {
 		// Burst-buffer tiers report unflushed-epoch loss into the manifest
@@ -113,39 +85,23 @@ func runRecoveryCell(o Options, np int, strat ckpt.Strategy, segCkpts, work, ce 
 		// ClassifyKills sees one consistent number per event.
 		b.OnLost(func(_ int, bytes int64, t float64) { log.BufferLoss(bytes, t) })
 	}
-	if di, ok := fsys.AsDrainInfo(fs); ok {
-		// Epoch seals defer to the fleet's drain horizon: absorption is not
-		// durability, so a commit only counts once its bytes are expected
-		// off the staging tier.
-		log.SetCommitGate(func(t float64) float64 {
-			if h := di.DrainHorizon(); h > t {
-				return h
-			}
-			return t
-		})
-	}
-	base := nekcem.RunConfig{
-		Mesh: nekcem.PaperMesh(np), Strategy: strat, Synthetic: true,
-		SkipPresetup: true, PayloadFactor: nekcem.PaperPayloadFactor,
-		Compute: nekcem.DefaultComputeModel(),
-	}
-	if inj != nil {
-		base.RankUp = func(rank int) bool { return inj.Up(fault.Node, m.NodeOfRank(rank)) }
-	}
-	res, err := recover.Run(k, recover.Config{
-		FS:       fs,
-		NewWorld: func() *mpi.World { return mpi.NewWorld(m, mpi.DefaultConfig()) },
+	base := paperRun(np, fam.Strategy, 0, 0)
+	base.RankUp = e.rankUp()
+	res, err := recover.Run(e.K, recover.Config{
+		FS:       e.FS,
+		NewWorld: e.world,
 		Base:     base,
-		Log:      log, Work: work, CheckpointEvery: ce, SegmentCkpts: segCkpts,
-		Dir: "ckpt", Injector: inj,
-		Nodes: m.NumNodes(), IONs: m.NumPsets(), Servers: servers,
+		Log:      log, Work: work, CheckpointEvery: ce, SegmentCkpts: fam.SegCkpts,
+		Dir: "ckpt", Injector: e.Inj,
+		Nodes: e.M.NumNodes(), IONs: e.M.NumPsets(), Servers: numServers(e.FS),
 	})
 	if err != nil {
 		return recoveryCellOut{err: err}
 	}
-	out := recoveryCellOut{res: res, ncomp: ncomp}
-	if inj != nil {
-		out.kills = recover.ClassifyKills(log, inj.Schedule(), res.End)
+	e.finish(label)
+	out := recoveryCellOut{res: res, ncomp: e.components()}
+	if e.Inj != nil {
+		out.kills = recover.ClassifyKills(log, e.Inj.Schedule(), res.End)
 	}
 	return out
 }
@@ -174,7 +130,7 @@ func RecoveryStudy(o Options, np int, mtbfHours float64, work, epochs int) ([]Re
 	// Stage 1: fault-free arms, one per family, in parallel.
 	free := make([]recoveryCellOut, len(families))
 	runPool(o.workers(), len(families), func(i int) {
-		free[i] = runRecoveryCell(o, np, families[i].Strategy, families[i].SegCkpts, work, ce, nil)
+		free[i] = runRecoveryCell(o, np, families[i], work, ce, nil, "recovery/"+families[i].Strategy.Name())
 	})
 	for i, c := range free {
 		if c.err != nil {
@@ -197,10 +153,10 @@ func RecoveryStudy(o Options, np int, mtbfHours float64, work, epochs int) ([]Re
 		seed := o.seed()
 		seed ^= uint64(fi+1) * 0xbf58476d1ce4e5b9
 		seed ^= uint64(ri+1) * 0x94d049bb133111eb
-		cells[idx] = runRecoveryCell(o, np, families[fi].Strategy, families[fi].SegCkpts, work, ce, &FaultSpec{
+		cells[idx] = runRecoveryCell(o, np, families[fi], work, ce, &FaultSpec{
 			MTBF: mtbfHours * 3600 * recoveryMultipliers[ri], MTTR: 60, Shape: 1.2,
 			Horizon: horizon, Seed: seed,
-		})
+		}, fmt.Sprintf("recovery/%s/x%g", families[fi].Strategy.Name(), recoveryMultipliers[ri]))
 	})
 
 	var rows []RecoveryRow

@@ -11,7 +11,7 @@ import (
 // each of the four strategy families, with measured makespans and Daly
 // predictions populated.
 func TestRecoveryStudySmoke(t *testing.T) {
-	rows, err := RecoveryStudy(New(Seed(1), Parallel(4)), 256, 6, 24, 4)
+	rows, err := RecoveryStudy(Options{Seed: 1, Parallel: 4}, 256, 6, 24, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestRecoveryStudySmoke(t *testing.T) {
 // -parallel).
 func TestRecoveryStudyParallelDeterministic(t *testing.T) {
 	run := func(par int) string {
-		rows, err := RecoveryStudy(New(Seed(2), Parallel(par)), 256, 6, 24, 4)
+		rows, err := RecoveryStudy(Options{Seed: 2, Parallel: par}, 256, 6, 24, 4)
 		if err != nil {
 			t.Fatal(err)
 		}

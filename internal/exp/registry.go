@@ -115,12 +115,7 @@ func (s *Session) Headline() ([]HeadlineRow, error) {
 // NPOr returns the sweep's single processor count if the options pin one,
 // and def otherwise — the scaling rule every fixed-scale experiment uses
 // for the -np override.
-func (s *Session) NPOr(def int) int {
-	if len(s.Opts.NPs) == 1 {
-		return s.Opts.NPs[0]
-	}
-	return def
-}
+func (s *Session) NPOr(def int) int { return s.Opts.npOr(def) }
 
 func (s *Session) tenants() int {
 	if s.Tenants > 0 {

@@ -5,10 +5,6 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/gpfs"
-	"repro/internal/mpi"
-	"repro/internal/nekcem"
-	"repro/internal/sim"
-	"repro/internal/xrand"
 )
 
 // RestartRow is one restart-path measurement: how long a job takes to read
@@ -28,42 +24,26 @@ func RestartStudy(o Options, np int) ([]RestartRow, error) {
 	strategies := strategiesByName(np, "1pfpp", "coio", "rbio")
 	var rows []RestartRow
 	for _, strat := range strategies {
-		k := sim.NewKernel()
-		m, err := o.newMachine(k, xrand.New(o.seed()^uint64(np)), np)
+		// Job 1 writes the checkpoint; job 2 restarts from it, and its
+		// presetup-free wall time up to restore completion is the restart
+		// cost.
+		e, err := build(o, scenario{NP: np, Stream: streamNP})
 		if err != nil {
 			return nil, err
 		}
-		fs, _, err := buildFS(o, m, o.FS)
+		res1, err := e.solve(paperRun(np, strat, 1, 1))
 		if err != nil {
 			return nil, err
 		}
-
-		// Job 1 writes the checkpoint.
-		w1 := mpi.NewWorld(m, mpi.DefaultConfig())
-		res1, err := nekcem.Run(w1, fs, nekcem.RunConfig{
-			Mesh: nekcem.PaperMesh(np), Strategy: strat, Dir: "ckpt",
-			Steps: 1, CheckpointEvery: 1, Synthetic: true, SkipPresetup: true,
-			PayloadFactor: nekcem.PaperPayloadFactor, Compute: nekcem.DefaultComputeModel(),
-		})
-		if err != nil {
-			return nil, err
-		}
-
-		// Job 2 restarts from it; its presetup-free wall time up to restore
-		// completion is the restart cost.
-		w2 := mpi.NewWorld(m, mpi.DefaultConfig())
-		t0 := k.Now()
-		res2, err := nekcem.Run(w2, fs, nekcem.RunConfig{
-			Mesh: nekcem.PaperMesh(np), Strategy: strat, Dir: "ckpt",
-			Steps: 0, RestartStep: 1, Synthetic: true, SkipPresetup: true,
-			PayloadFactor: nekcem.PaperPayloadFactor, Compute: nekcem.DefaultComputeModel(),
-		})
+		t0 := e.K.Now()
+		res2, err := e.solve(paperRestart(np, strat))
 		if err != nil {
 			return nil, err
 		}
 		if !res2.Restored {
 			return nil, fmt.Errorf("exp: restart with %s did not restore", strat.Name())
 		}
+		e.finish("restart/" + strat.Name())
 		rows = append(rows, RestartRow{
 			Strategy:   strat.Name(),
 			NP:         np,

@@ -15,7 +15,7 @@ import (
 // within 1e-12).
 func TestTraceMetricsSumToMakespan(t *testing.T) {
 	tc := &TraceCollector{}
-	o := New(NPs(512), Trace(tc))
+	o := Options{NPs: []int{512}, Trace: tc}
 	if _, err := Headline(o); err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestTraceMetricsSumToMakespan(t *testing.T) {
 // commit chain, checkpoint phases, compute steps and kernel counters.
 func TestTraceLayersPopulated(t *testing.T) {
 	tc := &TraceCollector{}
-	o := New(NPs(512), Trace(tc))
+	o := Options{NPs: []int{512}, Trace: tc}
 	if _, err := Headline(o, 4); err != nil { // rbIO nf=ng
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestTraceLayersPopulated(t *testing.T) {
 // `iobench -exp fig5 -np 512 -trace out.json`).
 func TestTraceJSONValid(t *testing.T) {
 	tc := &TraceCollector{}
-	o := New(NPs(512), Trace(tc))
+	o := Options{NPs: []int{512}, Trace: tc}
 	if _, err := Headline(o, 0, 4); err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestTracingDoesNotPerturbGoldens(t *testing.T) {
 func TestTraceParallelDeterministic(t *testing.T) {
 	run := func(parallel int) []trace.Metrics {
 		tc := &TraceCollector{}
-		o := New(NPs(512), Trace(tc), Parallel(parallel))
+		o := Options{NPs: []int{512}, Trace: tc, Parallel: parallel}
 		if _, err := Headline(o); err != nil {
 			t.Fatal(err)
 		}

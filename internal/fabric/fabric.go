@@ -152,10 +152,6 @@ func (c LinkConfig) MinLatency(hops int) float64 {
 	return c.InjectLat + float64(hops)*c.HopLatency
 }
 
-// TorusConfig is the historical name of LinkConfig, from when the torus was
-// the only interconnect the simulator knew.
-type TorusConfig = LinkConfig
-
 // DefaultLinkConfig returns Blue Gene/P torus parameters: 425 MB/s per link
 // direction, ~100ns per hop, and DMA injection near memory speed.
 func DefaultLinkConfig() LinkConfig {
@@ -166,9 +162,6 @@ func DefaultLinkConfig() LinkConfig {
 		InjectLat:  2e-6,
 	}
 }
-
-// DefaultTorusConfig is the historical name of DefaultLinkConfig.
-func DefaultTorusConfig() LinkConfig { return DefaultLinkConfig() }
 
 // TreeConfig holds the collective-network parameters.
 type TreeConfig struct {

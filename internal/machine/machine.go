@@ -107,7 +107,7 @@ func New(k *sim.Kernel, rng *xrand.RNG, cfg Config) (*Machine, error) {
 	if rec := k.Recorder(); rec != nil {
 		// Attach the kernel's recorder before the machine is used, so every
 		// fabric transfer of the run is captured. SetRecorder must therefore
-		// precede New — exp.runCheckpoint does this.
+		// precede New — exp's run builder does this.
 		m.Net.Instrument(rec)
 		for i := 0; i < psets; i++ {
 			m.Tree.Pset(i).Instrument(rec, trace.LayerFabric, "ion.funnel", i)
