@@ -42,8 +42,9 @@ var ErrFormat = errors.New("cemfmt: malformed checkpoint")
 // Header is the master header of a checkpoint file.
 //
 // Offset queries (HeaderSize, FieldOffset, ChunkOffset, TotalSize) memoize
-// the encoded size and the chunk prefix sums on first use; do not mutate a
-// Header after querying offsets.
+// the encoded size and the chunk prefix sums on first use (or at Freeze;
+// Unmarshal returns frozen headers); do not mutate a Header after querying
+// offsets.
 type Header struct {
 	App     string
 	Step    int64
@@ -68,6 +69,14 @@ func (h *Header) ensure() {
 			h.prefix[i+1] = h.prefix[i] + c
 		}
 	}
+}
+
+// Freeze memoizes the offset tables now and returns h. Queries on a frozen
+// header only read it, so one header may be shared by ranks that query it
+// concurrently (the lanes of a partitioned simulation).
+func (h *Header) Freeze() *Header {
+	h.ensure()
+	return h
 }
 
 // NumChunks returns the number of per-rank chunks in the file.
@@ -199,7 +208,7 @@ func Unmarshal(b []byte) (*Header, error) {
 			return nil, fmt.Errorf("%w: negative chunk size", ErrFormat)
 		}
 	}
-	return h, nil
+	return h.Freeze(), nil
 }
 
 // BlockHeader encodes a field block header.

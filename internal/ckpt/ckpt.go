@@ -267,15 +267,16 @@ func groupFile(dir string, step int64, g int) string {
 }
 
 // buildHeader assembles the master header for a file holding the given
-// chunk sizes.
+// chunk sizes, frozen: writers in several psets share it.
 func buildHeader(cp *Checkpoint, chunkBytes []int64) *cemfmt.Header {
-	return &cemfmt.Header{
+	h := &cemfmt.Header{
 		App:        App,
 		Step:       cp.Step,
 		SimTime:    cp.SimTime,
 		Fields:     cp.fieldNames(),
 		ChunkBytes: chunkBytes,
 	}
+	return h.Freeze()
 }
 
 // headerResult carries a parsed master header (or the failure) from the

@@ -290,6 +290,13 @@ func (e *env) finish(label string) {
 	e.Rec.Add(trace.LayerKernel, "kernel.events", int64(e.K.Events()))
 	e.Rec.Add(trace.LayerKernel, "kernel.dispatched", int64(e.K.Dispatched()))
 	e.Rec.Add(trace.LayerKernel, "kernel.woken", int64(e.K.Woken()))
+	if st, ok := e.K.ShardStats(); ok {
+		e.Rec.Add(trace.LayerKernel, "shard.lane_events", int64(st.LaneEvents))
+		e.Rec.Add(trace.LayerKernel, "shard.exclusive_events", int64(st.ExclusiveEvents))
+		e.Rec.Add(trace.LayerKernel, "shard.windows", int64(st.Windows))
+		e.Rec.Add(trace.LayerKernel, "shard.parallel_windows", int64(st.ParallelWindows))
+		e.Rec.Add(trace.LayerKernel, "shard.suspensions", int64(st.Suspensions))
+	}
 	e.o.Trace.add(TraceEntry{Label: label, NP: e.NP, Makespan: e.K.Now(), Rec: e.Rec})
 }
 

@@ -2,6 +2,9 @@ package exp
 
 import (
 	"testing"
+
+	"repro/internal/ckpt"
+	"repro/internal/sim"
 )
 
 // TestScenarioSerialRule pins the one rule for which runs stay on the
@@ -91,5 +94,62 @@ func TestRecoveryStudyTraced(t *testing.T) {
 	}
 	if len(labels) != cells {
 		t.Errorf("trace labels are not unique per cell: %v", labels)
+	}
+}
+
+// TestRbIOShardedStaysOnLanes is the partitioned kernel's hardware-
+// independent regression gate: rbIO nf=ng at np=4096 builds its groups and
+// writers' communicator by splitting the world, and with per-message
+// routing those world-wide collectives ride the pset lanes, so under 10% of
+// all dispatches may land on the exclusive lane. The counts must not depend
+// on the lane worker count, and a traced run reports the same counts as
+// trace counters.
+func TestRbIOShardedStaysOnLanes(t *testing.T) {
+	const np = 4096
+	run := func(o Options) sim.ShardStats {
+		t.Helper()
+		e, err := build(o, scenario{NP: np})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.solve(paperRun(np, ckpt.MustNew("rbio", np), 1, 1)); err != nil {
+			t.Fatal(err)
+		}
+		e.finish("rbio")
+		st, ok := e.K.ShardStats()
+		if !ok {
+			t.Fatal("run did not shard")
+		}
+		return st
+	}
+	st := run(Options{Seed: 1, Shards: 4, Parallel: 1})
+	total := st.LaneEvents + st.ExclusiveEvents
+	share := float64(st.ExclusiveEvents) / float64(total)
+	t.Logf("np=%d shards=4: %+v, exclusive share %.1f%%", np, st, 100*share)
+	if share >= 0.10 {
+		t.Errorf("%.1f%% of %d dispatches ran on the exclusive lane, want < 10%%", 100*share, total)
+	}
+	if st.ParallelWindows == 0 || st.ParallelWindows > st.Windows {
+		t.Errorf("parallel windows %d of %d", st.ParallelWindows, st.Windows)
+	}
+
+	tc := &TraceCollector{MaxEvents: 1}
+	if got := run(Options{Seed: 1, Shards: 2, Parallel: 1, Trace: tc}); got != st {
+		t.Errorf("shards=2 traced counts %+v differ from shards=4 %+v", got, st)
+	}
+	counters := map[string]int64{}
+	for _, c := range tc.Entries()[0].Rec.Snapshot("", 0).Counters {
+		counters[c.Name] = c.Value
+	}
+	for name, want := range map[string]uint64{
+		"shard.lane_events":      st.LaneEvents,
+		"shard.exclusive_events": st.ExclusiveEvents,
+		"shard.windows":          st.Windows,
+		"shard.parallel_windows": st.ParallelWindows,
+		"shard.suspensions":      st.Suspensions,
+	} {
+		if counters[name] != int64(want) {
+			t.Errorf("trace counter %s = %d, want %d", name, counters[name], want)
+		}
 	}
 }

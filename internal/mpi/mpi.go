@@ -22,6 +22,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/data"
@@ -65,7 +66,7 @@ type World struct {
 	base   int // first global rank id; ranks[i] has id base+i
 	ranks  []*Rank
 	world  *Comm
-	shared *laneMPI   // registries and pools for serial and exclusive-lane use
+	shared *laneMPI   // pset-spanning registries; pools for serial and exclusive-lane use
 	lanes  []*laneMPI // per-pset resource sets; nil unless the kernel is pset-sharded
 
 	// rec caches the kernel's trace recorder at world construction. Every
@@ -84,26 +85,21 @@ type barrierState struct {
 	done    sim.Signal
 }
 
-type splitKey struct {
+type collKey struct {
 	parent int
 	seq    int
 }
 
-type splitEntry struct {
-	comms map[int64]*Comm // color -> communicator
-}
-
 // laneMPI is one execution context's slice of the runtime's mutable state:
-// collective registries (splits, barriers, shared values), a communicator-id
+// collective registries (barriers, shared values), a communicator-id
 // namespace, the object pools, and a fabric routing port. The serial kernel
 // and the exclusive lane use the world's single shared set; under a
 // pset-partitioned kernel every pset additionally gets a private set, so
-// operations on pset-local communicators touch no globally shared structure
-// and their lanes may run concurrently.
+// same-pset messages and the registries of pset-local communicators touch
+// no globally shared structure and their lanes may run concurrently.
 type laneMPI struct {
-	splitReg   map[splitKey]*splitEntry
-	barriers   map[splitKey]*barrierState
-	values     map[splitKey]*valueEntry
+	barriers   map[collKey]*barrierState
+	values     map[collKey]*valueEntry
 	nextCommID int
 	msgPool    []*message    // free list of consumed messages
 	sendPool   []*sendHook   // free list of fired send hooks
@@ -114,10 +110,8 @@ type laneMPI struct {
 
 func newLaneMPI() *laneMPI {
 	return &laneMPI{
-		splitReg:   make(map[splitKey]*splitEntry),
-		barriers:   make(map[splitKey]*barrierState),
-		values:     make(map[splitKey]*valueEntry),
-		nextCommID: 1,
+		barriers: make(map[collKey]*barrierState),
+		values:   make(map[collKey]*valueEntry),
 	}
 }
 
@@ -157,15 +151,11 @@ func buildWorld(m *machine.Machine, cfg Config, base, size int) *World {
 	w.ranks = make([]*Rank, size)
 	members := make([]int, size)
 	for i := range w.ranks {
-		w.ranks[i] = &Rank{
-			w:    w,
-			id:   base + i,
-			node: m.NodeOfRank(base + i),
-		}
+		node := m.NodeOfRank(base + i)
+		w.ranks[i] = &Rank{w: w, id: base + i, node: node, pset: m.PsetOfNode(node)}
 		members[i] = base + i
 	}
-	part := w.commPart(members)
-	w.world = &Comm{w: w, id: 0, members: members, ident: true, off: base, part: part, lane: w.laneOK(part)}
+	w.world = &Comm{w: w, id: 0, members: members, ident: true, off: base, part: w.commPart(members)}
 	return w
 }
 
@@ -180,38 +170,56 @@ func (w *World) commPart(members []int) int {
 	if w.lanes == nil || len(members) == 0 {
 		return -1
 	}
-	p := w.M.PsetOfRank(members[0])
+	p := w.rankOf(members[0]).pset
 	for _, m := range members[1:] {
-		if w.M.PsetOfRank(m) != p {
+		if w.rankOf(m).pset != p {
 			return -1
 		}
 	}
 	return p
 }
 
-// laneOK reports whether a communicator confined to pset part may run its
-// operations on that pset's lane: the pset's internal routes must be
-// link-disjoint from every other pset's (machine.RouteSafePsets).
-func (w *World) laneOK(part int) bool {
-	return part >= 0 && w.lanes[part].safe
+// lanePort decides where one message travels: it returns the pset lane's
+// fabric port when the partitioned kernel may price and deliver the
+// message on that lane, nil when it belongs on the shared engine. A message
+// takes the lane when sender and receiver live in the same pset and that
+// pset's internal routes are link-disjoint from every other pset's
+// (machine.RouteSafePsets); the payload then touches only the pset's own
+// links, injection frontier and ranks. Cross-pset messages, messages inside
+// an unsafe pset, and every message of a serial kernel return nil. The
+// choice is per message, not per communicator: a world-wide collective's
+// tree sends ride the lanes and only its pset-crossing edges serialize.
+// Matching stays correct because deliveries into a rank come only from its
+// own pset's lane or from the exclusive lane, and the two never overlap.
+func (w *World) lanePort(src, dst *Rank) *machine.Port {
+	if w.lanes == nil || src.pset != dst.pset {
+		return nil
+	}
+	if ln := w.lanes[src.pset]; ln.safe {
+		return ln.port
+	}
+	return nil
 }
 
-// regFor returns the resource set owning communicator c's registries and
-// id namespace. A lane communicator's registries are touched only by its
-// own pset's ranks — on that pset's lane or on the exclusive lane, never
-// from two lanes at once — so the per-communicator choice is deterministic
-// and race-free.
+// regFor returns the resource set owning communicator c's collective
+// registries (Barrier, Shared). A communicator confined to one pset keeps
+// them in that pset's set: only its own ranks touch them — on that pset's
+// lane or on the exclusive lane, never from two lanes at once — so they
+// need no shared section. A pset-spanning communicator keeps them in the
+// world's shared set, which its ranks reach from different lanes, so every
+// touch sits in a short shared section (Comm.enter).
 func (w *World) regFor(c *Comm) *laneMPI {
-	if c.lane {
+	if c.part >= 0 {
 		return w.lanes[c.part]
 	}
 	return w.shared
 }
 
-// poolFor returns the object pool for p's current execution context. The
+// poolFor returns the object pool of the execution context acting for p:
+// its partition's lane while that lane runs, the shared set otherwise. The
 // pools are plain free lists — an object taken from one may be returned to
-// another — so only freedom from races matters, and a process on a running
-// lane is the only code touching that lane's pool.
+// another — so only freedom from races matters, and a running lane is the
+// only code touching that lane's pool.
 func (w *World) poolFor(p *sim.Proc) *laneMPI {
 	if w.lanes != nil && p.OnLane() {
 		return w.lanes[p.Part()]
@@ -219,18 +227,21 @@ func (w *World) poolFor(p *sim.Proc) *laneMPI {
 	return w.shared
 }
 
-// laneCommShift namespaces communicator ids minted by lane-local splits:
-// lane p mints (p+1)<<32 | n while the shared namespace counts from 1, so
-// ids stay unique and deterministic without cross-lane coordination.
+// laneCommShift namespaces communicator ids: pset p mints (p+1)<<32 | n
+// while a serial kernel counts from 1, so ids stay unique and
+// deterministic without cross-lane coordination.
 const laneCommShift = 32
 
-func (ln *laneMPI) newCommID(part int) int {
-	id := ln.nextCommID
-	ln.nextCommID++
-	if part >= 0 {
-		return (part+1)<<laneCommShift | id
+// newCommID mints a communicator id from the namespace of r's pset. Only
+// that pset's lane or the exclusive lane ever touches its counter.
+func (w *World) newCommID(r *Rank) int {
+	if w.lanes == nil {
+		w.shared.nextCommID++
+		return w.shared.nextCommID
 	}
-	return id
+	ln := w.lanes[r.pset]
+	ln.nextCommID++
+	return (r.pset+1)<<laneCommShift | ln.nextCommID
 }
 
 // Size returns the number of ranks.
@@ -248,7 +259,7 @@ func (w *World) Spawn(body func(c *Comm, r *Rank)) {
 		name := fmt.Sprintf("rank%d", r.id)
 		fn := func(p *sim.Proc) { body(w.world, r) }
 		if w.lanes != nil {
-			r.proc = w.K.GoPart(w.M.PsetOfRank(r.id), name, fn)
+			r.proc = w.K.GoPart(r.pset, name, fn)
 		} else {
 			r.proc = w.K.Go(name, fn)
 		}
@@ -271,12 +282,12 @@ type Rank struct {
 	w    *World
 	id   int // world rank
 	node int
+	pset int // the node's pset: its partition under a sharded kernel
 	proc *sim.Proc
 
-	inbox      []*message
-	want       *recvWant
-	collSeq    []commSeq // per-comm collective sequence numbers
-	splitCount []commSeq // per-comm count of splits performed
+	inbox   []*message
+	want    *recvWant
+	collSeq []commSeq // per-comm collective sequence numbers
 
 	// SendBusyUntil tracks when this rank's messaging layer finishes
 	// injecting its queued sends; consecutive Isends serialize on it.
@@ -300,6 +311,7 @@ type message struct {
 	tag  int
 	comm int
 	buf  data.Buf
+	val  any   // host object riding the payload (BcastValueSized), else nil
 	dst  *Rank // delivery target; message implements sim.Hook
 }
 
@@ -344,6 +356,7 @@ type sendHook struct {
 	tag       int
 	comm      int
 	buf       data.Buf
+	val       any
 }
 
 // Fire mirrors, operation for operation, what the sender used to execute
@@ -365,7 +378,7 @@ func (h *sendHook) Fire() {
 		arrival = w.M.Net.Transfer(injDone, h.srcNode, h.dst.node, h.buf.Len())
 	}
 	msg := w.poolFor(h.dst.proc).getMsg()
-	*msg = message{src: h.src, tag: h.tag, comm: h.comm, buf: h.buf, dst: h.dst}
+	*msg = message{src: h.src, tag: h.tag, comm: h.comm, buf: h.buf, val: h.val, dst: h.dst}
 	w.K.AtHookCtx(h.dst.proc, arrival, msg)
 	h.sender.UnparkAfter(h.resume)
 	pool := w.poolFor(h.sender)
@@ -469,16 +482,6 @@ func bump(list *[]commSeq, comm int) int {
 	return 0
 }
 
-// peekSeq returns the counter for comm without incrementing it.
-func peekSeq(list []commSeq, comm int) int {
-	for i := range list {
-		if list[i].comm == comm {
-			return list[i].n
-		}
-	}
-	return 0
-}
-
 // Request represents an outstanding non-blocking send.
 type Request struct {
 	doneAt float64 // when the local buffer becomes reusable
@@ -514,44 +517,28 @@ type Comm struct {
 	off     int   // the contiguous run's base when ident
 
 	// part is the single pset all members live in, -1 when the group spans
-	// psets or the kernel is not pset-sharded. lane marks a communicator
-	// whose whole traffic may be priced on that pset's partition lane
-	// (part >= 0 and the pset's routes are link-disjoint from every other
-	// pset's). Message matching is per communicator, so the lane/shared
-	// choice is made once per communicator, never per message — all traffic
-	// of one communicator flows through one context.
+	// psets or the kernel is not pset-sharded. It decides only where the
+	// communicator's collective registries live (World.regFor). Messages
+	// are routed one by one from their endpoints (World.lanePort), whatever
+	// communicator carries them.
 	part int
-	lane bool
 }
 
-// enter opens the shared section a non-lane operation must run in: any
-// communicator that spans psets (or whose pset shares fabric links with
-// another) keeps its matching state, registries, and fabric traffic on the
-// globally-ordered exclusive lane. Lane communicators skip it, and on a
-// serial kernel it only bumps a counter. Every enter pairs with an exit;
-// nested sections (a collective built from sends and receives) collapse
-// into the outermost one.
+// enter opens the shared section around a pset-spanning communicator's
+// registry work (Barrier, Shared) under a partitioned kernel; for every
+// other communicator, and on a serial kernel, it is a no-op. Every enter
+// pairs with an exit. Point-to-point traffic never needs one: it is routed
+// per message (World.lanePort).
 func (c *Comm) enter(r *Rank) {
-	if !c.lane {
+	if c.part < 0 && c.w.lanes != nil {
 		r.proc.EnterShared()
 	}
 }
 
 func (c *Comm) exit(r *Rank) {
-	if !c.lane {
+	if c.part < 0 && c.w.lanes != nil {
 		r.proc.ExitShared()
 	}
-}
-
-// port returns the lane-private fabric port for a lane communicator, nil
-// for traffic priced on the shared engine. A lane communicator's port is
-// also safe from the exclusive lane (no window runs concurrently with
-// exclusive code), so the choice is static per communicator.
-func (c *Comm) port() *machine.Port {
-	if c.lane {
-		return c.w.lanes[c.part].port
-	}
-	return nil
 }
 
 // identOff reports whether members is a contiguous ascending run (base+i at
@@ -609,7 +596,12 @@ func (c *Comm) isend(r *Rank, dst, tag int, buf data.Buf) (doneAt, start float64
 	if r.w.rec != nil {
 		prevLayer = r.w.K.SetLayer(trace.LayerMPI)
 	}
-	c.enter(r)
+	dstRank := r.w.rankOf(c.members[dst])
+	port := r.w.lanePort(r, dstRank)
+	shared := port == nil && r.w.lanes != nil
+	if shared {
+		r.proc.EnterShared()
+	}
 	start = r.Now()
 	cfg := r.w.cfg
 	// The call itself costs the software overhead.
@@ -623,13 +615,11 @@ func (c *Comm) isend(r *Rank, dst, tag int, buf data.Buf) (doneAt, start float64
 	localDone := copyStart + float64(buf.Len())/cfg.LocalCopyBW
 	r.sendBusyUntil = localDone
 
-	dstWorld := c.members[dst]
-	dstRank := r.w.rankOf(dstWorld)
 	// Physical movement: DMA injection, then the fabric.
 	var injDone, arrival float64
-	if p := c.port(); p != nil {
-		injDone = p.Inject(localDone, r.node, buf.Len())
-		arrival = p.Transfer(injDone, r.node, dstRank.node, buf.Len())
+	if port != nil {
+		injDone = port.Inject(localDone, r.node, buf.Len())
+		arrival = port.Transfer(injDone, r.node, dstRank.node, buf.Len())
 	} else {
 		injDone = r.w.M.Net.Inject(localDone, r.node, buf.Len())
 		arrival = r.w.M.Net.Transfer(injDone, r.node, dstRank.node, buf.Len())
@@ -637,7 +627,9 @@ func (c *Comm) isend(r *Rank, dst, tag int, buf data.Buf) (doneAt, start float64
 	msg := r.w.poolFor(r.proc).getMsg()
 	*msg = message{src: r.id, tag: tag, comm: c.id, buf: buf, dst: dstRank}
 	r.w.K.AtHookCtx(dstRank.proc, arrival, msg)
-	c.exit(r)
+	if shared {
+		r.proc.ExitShared()
+	}
 	if r.w.rec != nil {
 		rec := r.proc.Rec()
 		rec.Span(trace.LayerMPI, "mpi.isend", r.id, start, localDone, buf.Len())
@@ -653,7 +645,10 @@ func (c *Comm) isend(r *Rank, dst, tag int, buf data.Buf) (doneAt, start float64
 // handoff, local completion — depends only on rank-private state, so Send
 // computes them up front, posts a pooled sendHook to touch the fabric at the
 // overhead-end instant, and yields once, straight to local completion.
-func (c *Comm) Send(r *Rank, dst, tag int, buf data.Buf) {
+func (c *Comm) Send(r *Rank, dst, tag int, buf data.Buf) { c.send(r, dst, tag, buf, nil) }
+
+// send is Send with a host object riding the payload to the receiver.
+func (c *Comm) send(r *Rank, dst, tag int, buf data.Buf, val any) {
 	if dst < 0 || dst >= len(c.members) {
 		panic(fmt.Sprintf("mpi: Send to rank %d of %d-rank comm", dst, len(c.members)))
 	}
@@ -663,25 +658,32 @@ func (c *Comm) Send(r *Rank, dst, tag int, buf data.Buf) {
 		prevLayer = r.w.K.SetLayer(trace.LayerMPI)
 		t0 = r.Now()
 	}
-	if !c.lane && r.w.lanes != nil {
-		c.sendShared(r, dst, tag, buf)
-	} else {
-		cfg := r.w.cfg
-		tCall := r.Now() + cfg.SendOverhead
-		copyStart := tCall
-		if r.sendBusyUntil > copyStart {
-			copyStart = r.sendBusyUntil
-		}
-		localDone := copyStart + float64(buf.Len())/cfg.LocalCopyBW
-		r.sendBusyUntil = localDone
-		h := r.w.poolFor(r.proc).getSendHook()
-		*h = sendHook{
-			w: r.w, sender: r.proc, srcNode: r.node, dst: r.w.rankOf(c.members[dst]),
-			localDone: localDone, resume: localDone - tCall, port: c.port(),
-			src: r.id, tag: tag, comm: c.id, buf: buf,
-		}
-		r.w.K.AtHookCtx(r.proc, tCall, h)
-		r.proc.Park() // the hook resumes us at localDone
+	dstRank := r.w.rankOf(c.members[dst])
+	port := r.w.lanePort(r, dstRank)
+	// A message the lanes may not carry runs in a shared section: the hook
+	// then fires on the exclusive lane, at the key the serial hook holds.
+	shared := port == nil && r.w.lanes != nil
+	if shared {
+		r.proc.EnterShared()
+	}
+	cfg := r.w.cfg
+	tCall := r.Now() + cfg.SendOverhead
+	copyStart := tCall
+	if r.sendBusyUntil > copyStart {
+		copyStart = r.sendBusyUntil
+	}
+	localDone := copyStart + float64(buf.Len())/cfg.LocalCopyBW
+	r.sendBusyUntil = localDone
+	h := r.w.poolFor(r.proc).getSendHook()
+	*h = sendHook{
+		w: r.w, sender: r.proc, srcNode: r.node, dst: dstRank,
+		localDone: localDone, resume: localDone - tCall, port: port,
+		src: r.id, tag: tag, comm: c.id, buf: buf, val: val,
+	}
+	r.w.K.AtHookCtx(r.proc, tCall, h)
+	r.proc.Park() // the hook resumes us at localDone
+	if shared {
+		r.proc.ExitShared()
 	}
 	if r.w.rec != nil {
 		rec := r.proc.Rec()
@@ -690,32 +692,6 @@ func (c *Comm) Send(r *Rank, dst, tag int, buf data.Buf) {
 		rec.Add(trace.LayerMPI, "mpi.bytes", buf.Len())
 		r.w.K.SetLayer(prevLayer)
 	}
-}
-
-// sendShared is the blocking send for communicators kept on the exclusive
-// lane. The sendHook exists to let a serial Send yield exactly once; a
-// cross-pset send under a partitioned kernel must suspend into a shared
-// section anyway, so it performs the identical arithmetic inline, at the
-// identical simulated instants the serial hook fires at — overhead end,
-// buffer handoff, injection, traversal, delivery, local completion.
-func (c *Comm) sendShared(r *Rank, dst, tag int, buf data.Buf) {
-	r.proc.EnterShared()
-	cfg := r.w.cfg
-	r.proc.Sleep(cfg.SendOverhead)
-	copyStart := r.Now()
-	if r.sendBusyUntil > copyStart {
-		copyStart = r.sendBusyUntil
-	}
-	localDone := copyStart + float64(buf.Len())/cfg.LocalCopyBW
-	r.sendBusyUntil = localDone
-	dstRank := r.w.rankOf(c.members[dst])
-	injDone := r.w.M.Net.Inject(localDone, r.node, buf.Len())
-	arrival := r.w.M.Net.Transfer(injDone, r.node, dstRank.node, buf.Len())
-	msg := r.w.poolFor(r.proc).getMsg()
-	*msg = message{src: r.id, tag: tag, comm: c.id, buf: buf, dst: dstRank}
-	r.w.K.AtHookCtx(dstRank.proc, arrival, msg)
-	r.proc.SleepUntil(localDone)
-	r.proc.ExitShared()
 }
 
 // RecvRequest is an outstanding non-blocking receive posted with Irecv.
@@ -745,56 +721,8 @@ func (rr *RecvRequest) Wait() (data.Buf, int) {
 // Recv blocks until a message with the given source (comm rank, or
 // AnySource) and tag arrives, and returns its payload and source comm rank.
 func (c *Comm) Recv(r *Rank, src, tag int) (data.Buf, int) {
-	if r.want != nil {
-		panic("mpi: rank has a receive already outstanding")
-	}
-	var prevLayer trace.Layer
-	var t0 float64
-	if r.w.rec != nil {
-		prevLayer = r.w.K.SetLayer(trace.LayerMPI)
-		t0 = r.Now()
-	}
-	srcWorld := AnySource
-	if src != AnySource {
-		if src < 0 || src >= len(c.members) {
-			panic(fmt.Sprintf("mpi: Recv from rank %d of %d-rank comm", src, len(c.members)))
-		}
-		srcWorld = c.members[src]
-	}
-	c.enter(r)
-	want := &recvWant{src: srcWorld, tag: tag, comm: c.id}
-	var got *message
-	// First match against already-arrived messages, in arrival order.
-	for i, m := range r.inbox {
-		if m.matches(want) {
-			got = m
-			r.inbox = append(r.inbox[:i], r.inbox[i+1:]...)
-			break
-		}
-	}
-	if got == nil {
-		r.want = want
-		r.proc.Park() // deliver's wakeHook resumes us past overhead and copy
-		got = want.got
-		buf, srcWorld := got.buf, got.src
-		r.w.poolFor(r.proc).putMsg(got)
-		c.exit(r)
-		if r.w.rec != nil {
-			r.proc.Rec().Span(trace.LayerMPI, "mpi.recv", r.id, t0, r.Now(), buf.Len())
-			r.w.K.SetLayer(prevLayer)
-		}
-		return buf, c.rankOfWorld(srcWorld)
-	}
-	cfg := r.w.cfg
-	buf, srcWorld := got.buf, got.src
-	r.w.poolFor(r.proc).putMsg(got) // consumed: back to the pool before yielding
-	r.proc.Sleep(cfg.RecvOverhead + float64(buf.Len())/cfg.LocalCopyBW)
-	c.exit(r)
-	if r.w.rec != nil {
-		r.proc.Rec().Span(trace.LayerMPI, "mpi.recv", r.id, t0, r.Now(), buf.Len())
-		r.w.K.SetLayer(prevLayer)
-	}
-	return buf, c.rankOfWorld(srcWorld)
+	buf, from, _, _ := c.recv(r, src, tag, -1)
+	return buf, from
 }
 
 // RecvTimeout is Recv with a deadline: it blocks until a matching message
@@ -805,6 +733,16 @@ func (c *Comm) Recv(r *Rank, src, tag int) (data.Buf, int) {
 // Fault-aware checkpoint protocols use it to detect dead peers without
 // deadlocking the group.
 func (c *Comm) RecvTimeout(r *Rank, src, tag int, timeout float64) (data.Buf, int, bool) {
+	buf, from, _, ok := c.recv(r, src, tag, timeout)
+	return buf, from, ok
+}
+
+// recv is the receive behind Recv (timeout < 0: none) and RecvTimeout, also
+// returning the host object the message carried. It touches only
+// rank-private state — the inbox and the posted want — so it needs no
+// shared section on any communicator: deliveries into r come from r's own
+// lane or the exclusive lane, which never run at once.
+func (c *Comm) recv(r *Rank, src, tag int, timeout float64) (buf data.Buf, from int, val any, ok bool) {
 	if r.want != nil {
 		panic("mpi: rank has a receive already outstanding")
 	}
@@ -817,13 +755,13 @@ func (c *Comm) RecvTimeout(r *Rank, src, tag int, timeout float64) (data.Buf, in
 	srcWorld := AnySource
 	if src != AnySource {
 		if src < 0 || src >= len(c.members) {
-			panic(fmt.Sprintf("mpi: RecvTimeout from rank %d of %d-rank comm", src, len(c.members)))
+			panic(fmt.Sprintf("mpi: receive from rank %d of %d-rank comm", src, len(c.members)))
 		}
 		srcWorld = c.members[src]
 	}
-	c.enter(r)
 	want := &recvWant{src: srcWorld, tag: tag, comm: c.id}
 	var got *message
+	// First match against already-arrived messages, in arrival order.
 	for i, m := range r.inbox {
 		if m.matches(want) {
 			got = m
@@ -831,46 +769,42 @@ func (c *Comm) RecvTimeout(r *Rank, src, tag int, timeout float64) (data.Buf, in
 			break
 		}
 	}
-	if got == nil {
+	if got != nil {
+		buf, srcWorld, val = got.buf, got.src, got.val
+		r.w.poolFor(r.proc).putMsg(got) // consumed: back to the pool before yielding
+		cfg := r.w.cfg
+		r.proc.Sleep(cfg.RecvOverhead + float64(buf.Len())/cfg.LocalCopyBW)
+	} else {
 		r.want = want
-		r.w.K.AfterHookCtx(r.proc, timeout, timeoutHook(func() {
-			// Only cancel if this exact receive is still posted: the pointer
-			// compare keeps a stale timer from touching a later receive.
-			if r.want == want {
-				r.want = nil
-				want.timedOut = true
-				r.proc.Unpark()
-			}
-		}))
-		r.proc.Park()
+		if timeout >= 0 {
+			r.w.K.AfterHookCtx(r.proc, timeout, timeoutHook(func() {
+				// Only cancel if this exact receive is still posted: the
+				// pointer compare keeps a stale timer from touching a later
+				// receive.
+				if r.want == want {
+					r.want = nil
+					want.timedOut = true
+					r.proc.Unpark()
+				}
+			}))
+		}
+		r.proc.Park() // deliver's wakeHook resumes us past overhead and copy
 		if want.timedOut {
-			c.exit(r)
 			if r.w.rec != nil {
 				r.proc.Rec().Span(trace.LayerMPI, "mpi.recv.timeout", r.id, t0, r.Now(), 0)
 				r.w.K.SetLayer(prevLayer)
 			}
-			return data.Buf{}, -1, false
+			return data.Buf{}, -1, nil, false
 		}
 		got = want.got
-		buf, srcWorld := got.buf, got.src
+		buf, srcWorld, val = got.buf, got.src, got.val
 		r.w.poolFor(r.proc).putMsg(got)
-		c.exit(r)
-		if r.w.rec != nil {
-			r.proc.Rec().Span(trace.LayerMPI, "mpi.recv", r.id, t0, r.Now(), buf.Len())
-			r.w.K.SetLayer(prevLayer)
-		}
-		return buf, c.rankOfWorld(srcWorld), true
 	}
-	cfg := r.w.cfg
-	buf, srcWorld := got.buf, got.src
-	r.w.poolFor(r.proc).putMsg(got)
-	r.proc.Sleep(cfg.RecvOverhead + float64(buf.Len())/cfg.LocalCopyBW)
-	c.exit(r)
 	if r.w.rec != nil {
 		r.proc.Rec().Span(trace.LayerMPI, "mpi.recv", r.id, t0, r.Now(), buf.Len())
 		r.w.K.SetLayer(prevLayer)
 	}
-	return buf, c.rankOfWorld(srcWorld), true
+	return buf, c.rankOfWorld(srcWorld), val, true
 }
 
 func (c *Comm) rankOfWorld(world int) int {
@@ -914,10 +848,13 @@ func (c *Comm) Barrier(r *Rank) {
 		t0 = r.Now()
 	}
 	c.mustRank(r)
+	key := collKey{parent: c.id, seq: bump(&r.collSeq, c.id)}
+	// The section spans the wait and the release latency: a pset-spanning
+	// barrier's release fires from the exclusive lane, and a zero-delay wake
+	// into a lane could land in that lane's past, so the waiters resume on
+	// the exclusive lane and leave it only after the latency.
 	c.enter(r)
 	reg := c.w.regFor(c)
-	seq := bump(&r.collSeq, c.id)
-	key := splitKey{parent: c.id, seq: seq}
 	st, ok := reg.barriers[key]
 	if !ok {
 		st = &barrierState{}
@@ -941,9 +878,16 @@ func (c *Comm) Barrier(r *Rank) {
 // Bcast broadcasts buf from root to all ranks (binomial tree) and returns
 // each rank's copy.
 func (c *Comm) Bcast(r *Rank, root int, buf data.Buf) data.Buf {
+	buf, _ = c.bcast(r, root, buf, nil)
+	return buf
+}
+
+// bcast is the binomial-tree broadcast behind Bcast and BcastValueSized:
+// the root's host object val rides every tree message with the payload.
+func (c *Comm) bcast(r *Rank, root int, buf data.Buf, val any) (data.Buf, any) {
 	n := len(c.members)
 	if n == 1 {
-		return buf
+		return buf, val
 	}
 	me := c.mustRank(r)
 	tag := c.nextCollTag(r)
@@ -954,7 +898,7 @@ func (c *Comm) Bcast(r *Rank, root int, buf data.Buf) data.Buf {
 		for mask < n {
 			if vrank&mask != 0 {
 				parent := ((vrank - mask) + root) % n
-				buf, _ = c.Recv(r, parent, tag)
+				buf, _, val, _ = c.recv(r, parent, tag, -1)
 				break
 			}
 			mask <<= 1
@@ -971,18 +915,19 @@ func (c *Comm) Bcast(r *Rank, root int, buf data.Buf) data.Buf {
 	for m := mask >> 1; m >= 1; m >>= 1 {
 		child := vrank + m
 		if child < n {
-			c.Send(r, (child+root)%n, tag, buf)
+			c.send(r, (child+root)%n, tag, buf, val)
 		}
 	}
-	return buf
+	return buf, val
 }
 
 // BcastValue broadcasts an arbitrary Go value from root to every rank,
 // charging the communication cost of a small broadcast. It exists because a
 // real MPI program's ranks obtain shared objects (file handles, plans) from
 // the same library call, while in the simulation the object lives on one
-// rank; the registry is keyed by the communicator's synchronized collective
-// sequence number, so overlapping broadcasts cannot cross.
+// rank; the value rides the broadcast's own messages, whose tag is the
+// communicator's synchronized collective sequence number, so overlapping
+// broadcasts cannot cross.
 func (c *Comm) BcastValue(r *Rank, root int, v any) any {
 	return c.BcastValueSized(r, root, v, 64)
 }
@@ -991,27 +936,8 @@ func (c *Comm) BcastValue(r *Rank, root int, v any) any {
 // the given byte size. Receivers share the root's object: treat it as
 // read-only.
 func (c *Comm) BcastValueSized(r *Rank, root int, v any, size int64) any {
-	if len(c.members) == 1 {
-		return v
-	}
-	c.enter(r)
-	reg := c.w.regFor(c)
-	key := splitKey{parent: c.id, seq: peekSeq(r.collSeq, c.id)} // Bcast below consumes this seq
-	if c.mustRank(r) == root {
-		reg.values[key] = &valueEntry{v: v}
-		c.Bcast(r, root, data.Synthetic(size))
-		c.exit(r)
-		return v
-	}
-	c.Bcast(r, root, data.Synthetic(size))
-	e := reg.values[key]
-	out := e.v
-	e.readers++
-	if e.readers == len(c.members)-1 {
-		delete(reg.values, key)
-	}
-	c.exit(r)
-	return out
+	_, v = c.bcast(r, root, data.Synthetic(size), v)
+	return v
 }
 
 // Shared returns a value computed once per (communicator, call-site
@@ -1029,10 +955,9 @@ func (c *Comm) Shared(r *Rank, compute func() any) any {
 	if len(c.members) == 1 {
 		return compute()
 	}
+	key := collKey{parent: c.id, seq: bump(&r.collSeq, c.id)}
 	c.enter(r)
 	reg := c.w.regFor(c)
-	seq := bump(&r.collSeq, c.id)
-	key := splitKey{parent: c.id, seq: seq}
 	e, ok := reg.values[key]
 	if !ok {
 		e = &valueEntry{v: compute()}
@@ -1211,64 +1136,48 @@ func (c *Comm) ExscanInt64(r *Rank, v int64) int64 {
 // Split partitions the communicator by color, ordering each new
 // communicator by (key, old rank), exactly like MPI_Comm_split. Every rank
 // must call it; ranks with the same color receive the same *Comm.
+//
+// Deviation from MPI: the new communicator is always ordered by world rank
+// regardless of key (Comm.Rank relies on sorted membership). The paper's
+// strategies only split with key == parent rank, where the two orderings
+// coincide.
 func (c *Comm) Split(r *Rank, color int64, key int64) *Comm {
-	// The physical cost is an allgather of (color, key).
+	// The physical cost is an allgather of (color, key). Comm rank 0 builds
+	// every child once the keys reach it, and the child table rides the
+	// keys' broadcast back, so a split touches no registry.
 	colors := c.AllgatherInt64(r, color)
-	keys := c.AllgatherInt64(r, key)
+	c.GatherInt64(r, 0, key)
+	var children map[int64]*Comm
+	if c.mustRank(r) == 0 {
+		children = c.children(r, colors)
+	}
+	children = c.BcastValueSized(r, 0, children, 8*int64(len(c.members))).(map[int64]*Comm)
+	return children[color]
+}
 
-	c.enter(r)
-	reg := c.w.regFor(c)
-	regPart := -1
-	if c.lane {
-		regPart = c.part
+// children builds one communicator per color, minting ids in ascending
+// color order from the namespace of r's pset.
+func (c *Comm) children(r *Rank, colors []int64) map[int64]*Comm {
+	groups := make(map[int64][]int)
+	var order []int64
+	for i, col := range colors {
+		if _, seen := groups[col]; !seen {
+			order = append(order, col)
+		}
+		// Parent members ascend, so every group does too.
+		groups[col] = append(groups[col], c.members[i])
 	}
-	seq := bump(&r.splitCount, c.id)
-	sk := splitKey{parent: c.id, seq: seq}
-	entry, ok := reg.splitReg[sk]
-	if !ok {
-		entry = &splitEntry{comms: make(map[int64]*Comm)}
-		// Build every child communicator deterministically: colors sorted.
-		type member struct {
-			key  int64
-			rank int // comm rank in parent
+	slices.Sort(order)
+	out := make(map[int64]*Comm, len(order))
+	for _, col := range order {
+		members := groups[col]
+		off, ident := identOff(members)
+		out[col] = &Comm{
+			w: c.w, id: c.w.newCommID(r), members: members,
+			ident: ident, off: off, part: c.w.commPart(members),
 		}
-		groups := make(map[int64][]member)
-		var order []int64
-		for i := range colors {
-			if _, seen := groups[colors[i]]; !seen {
-				order = append(order, colors[i])
-			}
-			groups[colors[i]] = append(groups[colors[i]], member{key: keys[i], rank: i})
-		}
-		sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-		for _, col := range order {
-			ms := groups[col]
-			sort.Slice(ms, func(i, j int) bool {
-				if ms[i].key != ms[j].key {
-					return ms[i].key < ms[j].key
-				}
-				return ms[i].rank < ms[j].rank
-			})
-			members := make([]int, len(ms))
-			for i, m := range ms {
-				members[i] = c.members[m.rank]
-			}
-			// Deviation from MPI: the new communicator is always ordered by
-			// world rank regardless of key (Comm.Rank relies on sorted
-			// membership). The paper's strategies only split with
-			// key == parent rank, where the two orderings coincide.
-			sort.Ints(members)
-			part := c.w.commPart(members)
-			off, ident := identOff(members)
-			entry.comms[col] = &Comm{
-				w: c.w, id: reg.newCommID(regPart), members: members,
-				ident: ident, off: off, part: part, lane: c.w.laneOK(part),
-			}
-		}
-		reg.splitReg[sk] = entry
 	}
-	c.exit(r)
-	return entry.comms[color]
+	return out
 }
 
 func (c *Comm) mustRank(r *Rank) int {

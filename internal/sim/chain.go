@@ -229,5 +229,8 @@ func (k *Kernel) rerootChains() {
 	for _, pt := range sh.parts {
 		pt.ctx.initRoot()
 		pt.ctx.made = 0
+		// The cached heap key holds a copy of the head's old stamp; times
+		// are unchanged, so refreshing it keeps the heap valid.
+		pt.head, _ = pt.cal.peek()
 	}
 }

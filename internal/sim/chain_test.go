@@ -137,18 +137,21 @@ func TestChainBoundSentinel(t *testing.T) {
 // compaction must be invisible.
 func TestShardedRerootEquivalence(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	base, baseEvents, baseNow := shardScript(t, 5, 4)
 	prev := chainRerootGoal
 	defer func() { chainRerootGoal = prev }()
-	for _, goal := range []uint64{0, 8, 64} {
-		chainRerootGoal = goal
-		got, gotEvents, gotNow := shardScript(t, 5, 4)
-		if got != base {
-			t.Fatalf("goal=%d history diverged from no-reroot run", goal)
-		}
-		if gotEvents != baseEvents || gotNow != baseNow {
-			t.Fatalf("goal=%d stats diverged: events %d vs %d, now %v vs %v",
-				goal, gotEvents, baseEvents, gotNow, baseNow)
+	for _, tied := range []bool{false, true} {
+		chainRerootGoal = prev
+		base, baseStats, baseNow := shardScript(t, 5, 4, tied)
+		for _, goal := range []uint64{0, 8, 64} {
+			chainRerootGoal = goal
+			got, gotStats, gotNow := shardScript(t, 5, 4, tied)
+			if got != base {
+				t.Fatalf("tied=%v goal=%d history diverged from no-reroot run", tied, goal)
+			}
+			if gotStats != baseStats || gotNow != baseNow {
+				t.Fatalf("tied=%v goal=%d stats diverged: %+v vs %+v, now %v vs %v",
+					tied, goal, gotStats, baseStats, gotNow, baseNow)
+			}
 		}
 	}
 }

@@ -57,7 +57,7 @@ type Kernel struct {
 
 	rec    *trace.Recorder // nil = tracing disabled (the only cost: nil checks)
 	layer  trace.Layer     // layer attributed to events scheduled now
-	ndisp  uint64          // events dispatched (maintained only while tracing)
+	ndisp  uint64          // events dispatched (serial: only while tracing; sharded: exclusive lane, always)
 	nwoken uint64          // process resumes dispatched
 
 	sh     *shard   // nil = serial mode (see partition.go)
@@ -441,8 +441,9 @@ func (k *Kernel) Events() uint64 {
 	return k.seq
 }
 
-// Dispatched reports events popped and fired. Maintained only while a
-// recorder is attached; zero otherwise.
+// Dispatched reports events popped and fired. The serial kernel maintains
+// it only while a recorder is attached (zero otherwise); the partitioned
+// kernel always does (see ShardStats).
 func (k *Kernel) Dispatched() uint64 {
 	if k.sh != nil {
 		return k.shardedDispatched()

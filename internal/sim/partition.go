@@ -7,10 +7,11 @@
 // Events whose effects stay inside one partition (intra-pset MPI traffic,
 // same-node wakeups, per-rank compute) live in that partition's calendar
 // and are dispatched by parallel lane workers inside conservative windows.
-// Everything that touches shared simulation state — storage, collectives,
-// cross-pset fabric transfers — runs on a single globally-ordered
-// "exclusive" lane backed by the kernel's original calendar, entered by
-// processes through EnterShared/ExitShared.
+// Everything that touches shared simulation state — storage, the
+// registries of pset-spanning collectives, cross-pset fabric transfers —
+// runs on a single globally-ordered "exclusive" lane backed by the
+// kernel's original calendar, entered by processes through
+// EnterShared/ExitShared.
 //
 // Ordering model. Every event carries a key (t, part, localSeq) packed
 // into its sequence word (see partShift): the exclusive lane's events keep
@@ -45,7 +46,10 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/trace"
 	"repro/internal/xrand"
@@ -113,20 +117,21 @@ type partition struct {
 	mainCh chan struct{} // baton back to the lane worker frame
 	ctx    chainCtx      // origin-chain context of the running segment
 	nsusp  int           // suspended shared sections (0 or 1)
-	pend   []pendReq // suspensions, collected by the coordinator at join
-	outbox []xmsg    // cross-partition mailbox, drained at join
+	pend   []pendReq     // suspensions, collected by the coordinator at join
+	outbox []xmsg        // cross-partition mailbox, drained at join
 
 	procs   int // live processes owned by this partition
 	nparked int
 	reg     []*Proc
 
 	nwoken uint64
-	ndisp  uint64
+	ndisp  uint64   // events dispatched on this lane
 	advLog []advRec // clock-advance attributions (tracing only)
 	layer  trace.Layer
 	rec    *trace.Recorder // per-partition recorder (tracing only, lazy)
 
-	heapPos int // index in the coordinator's head heap, -1 if absent
+	heapPos int   // index in the coordinator's head heap, -1 if absent
+	head    event // calendar head as of the last heapFix: the heap key
 }
 
 // shard holds the kernel's sharded-mode state.
@@ -139,6 +144,44 @@ type shard struct {
 	pends     []pendReq  // pending shared sections, min-heap by key
 	curPart   *partition // lane running in the coordinator goroutine, if any
 	advClock  float64    // global attribution replay frontier (tracing only)
+
+	// Window scratch, reused across windows: the eligible lanes in
+	// partition-index order, the heap-walk stack, the next lane a worker
+	// claims, the helper workers' wake-up channel (live during a run) and
+	// their join.
+	active []*partition
+	stack  []int
+	next   atomic.Int64
+	start  chan struct{}
+	wg     sync.WaitGroup
+
+	windows, parallel, suspensions uint64 // see ShardStats
+}
+
+// ShardStats counts where the partitioned kernel did its work. Every count
+// is a function of the event set alone — not of the worker count or
+// GOMAXPROCS — so the counts make a hardware-independent regression gate.
+type ShardStats struct {
+	LaneEvents      uint64 // events dispatched on partition lanes
+	ExclusiveEvents uint64 // events dispatched on the exclusive lane
+	Windows         uint64 // conservative windows opened
+	ParallelWindows uint64 // windows with more than one eligible lane
+	Suspensions     uint64 // shared sections a lane process suspended into
+}
+
+// ShardStats returns the partitioned kernel's dispatch counters; ok is
+// false on a serial kernel.
+func (k *Kernel) ShardStats() (st ShardStats, ok bool) {
+	sh := k.sh
+	if sh == nil {
+		return st, false
+	}
+	for _, pt := range sh.parts {
+		st.LaneEvents += pt.ndisp
+	}
+	st.ExclusiveEvents = k.ndisp
+	st.Windows, st.ParallelWindows, st.Suspensions = sh.windows, sh.parallel, sh.suspensions
+	return st, true
 }
 
 // Sharded reports whether the kernel runs in partitioned mode.
@@ -392,9 +435,12 @@ func (k *Kernel) insertLocalKeyed(pt *partition, t float64, h Hook, parent *chai
 	}
 	pt.cal.push(event{t: t, seq: pt.seq | uint64(pt.idx+1)<<partShift | uint64(lay)<<layerShift, h: h,
 		parent: parent, idx: idx})
-	if !pt.active {
+	if !pt.active && (pt.heapPos < 0 || t < pt.head.t) {
 		// Exclusive context: the lane head may have moved; keep the
-		// coordinator's heap current. Lane context defers to the join.
+		// coordinator's heap current. The new event carries the partition's
+		// newest seq, so unless it is strictly earlier than the head it
+		// sorts after it and the heap key is unchanged. Lane context defers
+		// to the join.
 		k.heapFix(pt)
 	}
 }
@@ -433,16 +479,21 @@ func (k *Kernel) insertProcSharded(t float64, p *Proc) {
 // ---- coordinator head heap -------------------------------------------------
 //
 // A positional binary min-heap over partitions keyed by their calendar
-// heads, so the coordinator and the exclusive fast paths find the minimal
-// partition-local key in O(1) and maintain it in O(log P). Lanes mutate
-// their own calendars during a window; the coordinator refreshes their
-// entries at the join.
+// head times, so the coordinator and the exclusive fast paths find the
+// earliest partition-local time in O(1) and maintain it in O(log P). Each
+// entry's head is cached in partition.head at heapFix. Lanes mutate their
+// own calendars during a window; the coordinator refreshes their entries at
+// the join.
+//
+// Equal-time heads sit in arbitrary relative order: ordering them would
+// walk origin chains, which in a symmetric machine (every pset running the
+// same schedule) stay tied back to the run's start. Only times are needed
+// by the window bound and the fast paths; the two questions that depend on
+// genealogy — whether a head precedes an exclusive item at its time, and
+// which heads lie below a window bound — compare every tied head in full
+// (headBefore, eligible), and heap order still prunes every later subtree.
 
-func (k *Kernel) heapLess(a, b *partition) bool {
-	ea, _ := a.cal.peek()
-	eb, _ := b.cal.peek()
-	return keyLess(ea, eb)
-}
+func (k *Kernel) heapLess(a, b *partition) bool { return a.head.t < b.head.t }
 
 func (k *Kernel) heapSwap(i, j int) {
 	h := k.sh.heap
@@ -485,7 +536,8 @@ func (k *Kernel) heapDown(i int) {
 // heapFix re-sites pt after its head changed (or appeared / vanished).
 func (k *Kernel) heapFix(pt *partition) {
 	sh := k.sh
-	_, has := pt.cal.peek()
+	var has bool
+	pt.head, has = pt.cal.peek()
 	if pt.heapPos < 0 {
 		if !has {
 			return
@@ -511,15 +563,49 @@ func (k *Kernel) heapFix(pt *partition) {
 	k.heapUp(pt.heapPos)
 }
 
-// heapMin returns the minimal partition head key, if any partition has
+// heapMin returns the earliest partition head time, if any partition has
 // pending events.
-func (k *Kernel) heapMin() (event, *partition, bool) {
+func (k *Kernel) heapMin() (float64, bool) {
 	if len(k.sh.heap) == 0 {
-		return event{}, nil, false
+		return 0, false
 	}
-	pt := k.sh.heap[0]
-	ev, _ := pt.cal.peek()
-	return ev, pt, true
+	return k.sh.heap[0].head.t, true
+}
+
+// headsUpTo calls visit on every partition whose head time is at most t,
+// until visit returns false. It walks the head heap from the root and
+// prunes every subtree whose root is later than t — heap order puts its
+// descendants later too — so the walk costs about the number of heads
+// visited, not the partition count.
+func (k *Kernel) headsUpTo(t float64, visit func(pt *partition) bool) {
+	sh := k.sh
+	stack := append(sh.stack[:0], 0)
+	for len(stack) > 0 {
+		i := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if i >= len(sh.heap) || sh.heap[i].head.t > t {
+			continue
+		}
+		if !visit(sh.heap[i]) {
+			break
+		}
+		stack = append(stack, 2*i+1, 2*i+2)
+	}
+	sh.stack = stack
+}
+
+// headBefore reports whether some partition head precedes key x. Heads at
+// x's time are compared in full.
+func (k *Kernel) headBefore(x event) bool {
+	if t, ok := k.heapMin(); !ok || t != x.t {
+		return ok && t < x.t
+	}
+	found := false
+	k.headsUpTo(x.t, func(pt *partition) bool {
+		found = keyLess(pt.head, x)
+		return !found
+	})
+	return found
 }
 
 // ---- pending shared sections ----------------------------------------------
@@ -602,7 +688,7 @@ func (k *Kernel) noEarlierExclusive(t float64) bool {
 	if len(k.sh.pends) > 0 && k.sh.pends[0].t <= t {
 		return false
 	}
-	if ev, _, ok := k.heapMin(); ok && ev.t <= t {
+	if head, ok := k.heapMin(); ok && head <= t {
 		return false
 	}
 	return true
@@ -619,78 +705,101 @@ func (k *Kernel) runSharded() {
 	for _, pt := range sh.parts {
 		k.heapFix(pt)
 	}
+	if sh.workers > 1 {
+		// Helper lane workers live for this run: closing start stops them,
+		// and the run returns only once they have exited.
+		var exited sync.WaitGroup
+		sh.start = make(chan struct{})
+		for w := 1; w < sh.workers; w++ {
+			exited.Add(1)
+			go func() {
+				defer exited.Done()
+				k.laneWorker(sh.start)
+			}()
+		}
+		defer func() {
+			close(sh.start)
+			exited.Wait()
+		}()
+	}
 	for iter := uint64(0); ; iter++ {
 		if iter&255 == 0 && k.chainMade() > chainRerootGoal {
 			// Quiescent point: no lane running, no process holding the
 			// baton. Compact the origin chains before they accumulate.
 			k.rerootChains()
 		}
-		xk, xkind := k.xMin()
-		pk, ppt, pok := k.heapMin()
-		if xkind != 0 && (!pok || !keyLess(pk, xk)) {
-			if xk.t > k.horizon {
-				return
-			}
-			if !k.stepExclusive(xkind) {
-				continue
-			}
+		if p := k.xNext(nil); p != nil {
 			// A process holds the baton; wait for it to hand back.
+			p.ch <- struct{}{}
 			<-k.mainCh
 			continue
 		}
-		if !pok || pk.t > k.horizon {
+		head, ok := k.heapMin()
+		if !ok || head > k.horizon {
 			return
 		}
-		if ppt.nsusp > 0 {
-			// Unreachable: a suspended lane's remaining keys all exceed
-			// its pending section's key, so the section won above.
-			panic("sim: suspended partition holds the global minimum")
-		}
-		k.runWindow(pk, xk, xkind)
+		xk, xkind := k.xMin()
+		k.runWindow(head, xk, xkind)
 	}
 }
 
-// stepExclusive dispatches one exclusive item (the caller established it
-// is the global minimum and within the horizon). Returns true when a
-// process now holds the baton, false when the item was a plain hook fired
-// inline.
-func (k *Kernel) stepExclusive(xkind int) bool {
-	if xkind == 2 {
-		req := k.pendPop()
-		k.ctx.adopt(req.node, req.nextIdx)
-		pt := req.p.part
-		pt.nsusp--
-		// The process continues at its own (lane) clock; the window bound
-		// guaranteed no exclusive item in between, so time is monotone.
-		if pt.now > k.now {
-			k.now = pt.now
+// xNext dispatches exclusive items, firing hooks inline, until one is a
+// process to resume — returned, possibly self — or no exclusive item may
+// run: the global minimum is partition-local (a window is due) or nothing
+// remains within the horizon, and it returns nil.
+func (k *Kernel) xNext(self *Proc) *Proc {
+	for {
+		xk, xkind := k.xMin()
+		if !k.canExclusive(xk, xkind) {
+			return nil
 		}
-		k.nwoken++
-		req.p.ch <- struct{}{}
-		return true
+		if xkind == 2 {
+			return k.admit()
+		}
+		ev := k.cal.pop()
+		k.ctx.begin(ev.parent, ev.t, ev.idx)
+		if k.rec != nil {
+			k.observeSharded(ev)
+		}
+		k.now = ev.t
+		k.ndisp++
+		p, isProc := ev.h.(*Proc)
+		if !isProc {
+			ev.h.Fire()
+			continue
+		}
+		if p.done {
+			panic("sim: resuming finished process " + p.name)
+		}
+		if p.part != nil && ev.t > p.part.now {
+			// An exclusive resume moves the owning partition's clock too —
+			// including a self-resume, or the process's own Now() would lag
+			// its kernel clock — so its later lane-local inserts are
+			// causally sound.
+			p.part.now = ev.t
+		}
+		if p != self {
+			k.nwoken++
+		}
+		return p
 	}
-	ev := k.cal.pop()
-	k.ctx.begin(ev.parent, ev.t, ev.idx)
-	if k.rec != nil {
-		k.observeSharded(ev)
+}
+
+// admit hands the exclusive lane to the earliest suspended shared section:
+// it adopts the section's origin segment and returns the process to resume.
+func (k *Kernel) admit() *Proc {
+	req := k.pendPop()
+	k.ctx.adopt(req.node, req.nextIdx)
+	pt := req.p.part
+	pt.nsusp--
+	// The process continues at its own (lane) clock; the window bound
+	// guaranteed no exclusive item in between, so time is monotone.
+	if pt.now > k.now {
+		k.now = pt.now
 	}
-	k.now = ev.t
-	p, isProc := ev.h.(*Proc)
-	if !isProc {
-		ev.h.Fire()
-		return false
-	}
-	if p.done {
-		panic("sim: resuming finished process " + p.name)
-	}
-	if p.part != nil && ev.t > p.part.now {
-		// An exclusive resume moves the owning partition's clock too, so
-		// the process's later lane-local inserts are causally sound.
-		p.part.now = ev.t
-	}
+	k.sh.suspensions++
 	k.nwoken++
-	p.ch <- struct{}{}
-	return true
+	return req.p
 }
 
 // observeSharded logs an exclusive dispatch's clock-advance attribution
@@ -702,17 +811,17 @@ func (k *Kernel) observeSharded(ev event) {
 		k.advLog = append(k.advLog, advRec{t: ev.t, layer: lay})
 	}
 	k.layer = lay
-	k.ndisp++
 }
 
-// runWindow computes the conservative bound and runs every eligible lane
-// below it, then joins: drains mailboxes, collects suspensions, and
-// refreshes the head heap.
-func (k *Kernel) runWindow(pk, xk event, xkind int) {
+// runWindow computes the conservative bound from the earliest partition
+// head time and the next exclusive item, runs every eligible lane below it,
+// then joins: collects suspensions, refreshes the head heap, and drains
+// mailboxes.
+func (k *Kernel) runWindow(head float64, xk event, xkind int) {
 	sh := k.sh
 	// The zero chain stamp (parent nil, idx 0) precedes every real event
 	// at the bound's own time, so "strictly below bound" excludes it.
-	bound := event{t: pk.t + sh.lookahead}
+	bound := event{t: head + sh.lookahead}
 	if xkind != 0 && keyLess(xk, bound) {
 		bound = xk
 	}
@@ -722,20 +831,16 @@ func (k *Kernel) runWindow(pk, xk event, xkind int) {
 		// matching the serial dispatch loops.
 		bound = event{t: math.Nextafter(k.horizon, math.Inf(1))}
 	}
-	var active []*partition
-	for _, pt := range sh.heap {
-		if pt.nsusp > 0 {
-			continue
-		}
-		if ev, ok := pt.cal.peek(); ok && keyLess(ev, bound) {
-			pt.bound = bound
-			active = append(active, pt)
-		}
-	}
+	active := k.eligible(bound)
 	if len(active) == 0 {
+		// Unreachable: a head precedes the next exclusive item, and a
+		// suspended lane's keys all exceed its pending section's key.
 		panic("sim: window with no eligible lane")
 	}
-	sort.Slice(active, func(i, j int) bool { return active[i].idx < active[j].idx })
+	sh.windows++
+	if len(active) > 1 {
+		sh.parallel++
+	}
 	if len(active) == 1 || sh.workers == 1 {
 		for _, pt := range active {
 			sh.curPart = pt
@@ -744,36 +849,70 @@ func (k *Kernel) runWindow(pk, xk event, xkind int) {
 		sh.curPart = nil
 	} else {
 		sh.inWindow = true
-		n := sh.workers
-		if n > len(active) {
-			n = len(active)
+		sh.next.Store(0)
+		n := min(sh.workers, len(active))
+		sh.wg.Add(n - 1)
+		for w := 1; w < n; w++ {
+			sh.start <- struct{}{}
 		}
-		done := make(chan struct{}, n)
-		for w := 0; w < n; w++ {
-			go func(w int) {
-				for i := w; i < len(active); i += n {
-					k.runLane(active[i])
-				}
-				done <- struct{}{}
-			}(w)
-		}
-		for w := 0; w < n; w++ {
-			<-done
-		}
+		k.runLanes()
+		sh.wg.Wait()
 		sh.inWindow = false
 	}
-	// Join: route mailboxes (deterministic order: by source partition,
-	// then emission order), collect suspended sections, refresh heads.
+	// Join: collect suspended sections and refresh heads, then route
+	// mailboxes (deterministic order: by source partition, then emission
+	// order) into heap entries that are already current.
 	for _, pt := range active {
-		for _, m := range pt.outbox {
-			k.insertLocalKeyed(sh.parts[m.to], m.t, m.h, m.parent, m.idx)
-		}
-		pt.outbox = pt.outbox[:0]
 		for _, req := range pt.pend {
 			k.pendPush(req)
 		}
 		pt.pend = pt.pend[:0]
 		k.heapFix(pt)
+	}
+	for _, pt := range active {
+		for _, m := range pt.outbox {
+			k.insertLocalKeyed(sh.parts[m.to], m.t, m.h, m.parent, m.idx)
+		}
+		pt.outbox = pt.outbox[:0]
+	}
+}
+
+// eligible returns, in partition-index order, the unsuspended lanes with
+// work strictly below bound, setting their bounds.
+func (k *Kernel) eligible(bound event) []*partition {
+	active := k.sh.active[:0]
+	k.headsUpTo(bound.t, func(pt *partition) bool {
+		if pt.nsusp == 0 && keyLess(pt.head, bound) {
+			pt.bound = bound
+			active = append(active, pt)
+		}
+		return true
+	})
+	slices.SortFunc(active, func(a, b *partition) int { return a.idx - b.idx })
+	k.sh.active = active
+	return active
+}
+
+// laneWorker is a helper goroutine of one run: each token on start sends
+// it to claim window lanes beside the coordinator.
+func (k *Kernel) laneWorker(start <-chan struct{}) {
+	for range start {
+		k.runLanes()
+		k.sh.wg.Done()
+	}
+}
+
+// runLanes claims the window's lanes one at a time until none is left.
+// Lanes of one window touch disjoint state, so which worker runs which
+// lane cannot change a result.
+func (k *Kernel) runLanes() {
+	sh := k.sh
+	for {
+		i := int(sh.next.Add(1) - 1)
+		if i >= len(sh.active) {
+			return
+		}
+		k.runLane(sh.active[i])
 	}
 }
 
@@ -783,9 +922,24 @@ func (k *Kernel) runWindow(pk, xk event, xkind int) {
 func (k *Kernel) runLane(pt *partition) {
 	pt.active = true
 	for pt.nsusp == 0 {
+		p := k.laneNext(pt, nil)
+		if p == nil {
+			break
+		}
+		p.ch <- struct{}{}
+		<-pt.mainCh
+	}
+	pt.active = false
+}
+
+// laneNext is xNext for a lane: it dispatches pt's events below the window
+// bound, firing hooks inline, until one is a process to resume — returned,
+// possibly self — or the lane is done for this window (nil).
+func (k *Kernel) laneNext(pt *partition, self *Proc) *Proc {
+	for {
 		ev, ok := pt.cal.peek()
 		if !ok || !keyLess(ev, pt.bound) {
-			break
+			return nil
 		}
 		pt.cal.pop()
 		pt.ctx.begin(ev.parent, ev.t, ev.idx)
@@ -793,6 +947,7 @@ func (k *Kernel) runLane(pt *partition) {
 			pt.observe(ev)
 		}
 		pt.now = ev.t
+		pt.ndisp++
 		p, isProc := ev.h.(*Proc)
 		if !isProc {
 			ev.h.Fire()
@@ -801,11 +956,11 @@ func (k *Kernel) runLane(pt *partition) {
 		if p.done {
 			panic("sim: resuming finished process " + p.name)
 		}
-		pt.nwoken++
-		p.ch <- struct{}{}
-		<-pt.mainCh
+		if p != self {
+			pt.nwoken++
+		}
+		return p
 	}
-	pt.active = false
 }
 
 // observe is the lane-side tracing half of a dispatch: log the advance for
@@ -816,53 +971,27 @@ func (pt *partition) observe(ev event) {
 		pt.advLog = append(pt.advLog, advRec{t: ev.t, layer: lay})
 	}
 	pt.layer = lay
-	pt.ndisp++
 }
 
 // sdispatchLane continues lane dispatch from a process that yielded on its
 // lane: pop further local events below the bound, take back its own
 // resume, or hand the baton on and wait.
 func (k *Kernel) sdispatchLane(self *Proc) {
-	pt := self.part
-	for {
-		ev, ok := pt.cal.peek()
-		if !ok || !keyLess(ev, pt.bound) {
-			pt.mainCh <- struct{}{}
-			<-self.ch
-			return
-		}
-		pt.cal.pop()
-		pt.ctx.begin(ev.parent, ev.t, ev.idx)
-		if k.rec != nil {
-			pt.observe(ev)
-		}
-		pt.now = ev.t
-		p, isProc := ev.h.(*Proc)
-		if !isProc {
-			ev.h.Fire()
-			continue
-		}
-		if p == self {
-			return
-		}
-		if p.done {
-			panic("sim: resuming finished process " + p.name)
-		}
-		pt.nwoken++
-		p.ch <- struct{}{}
-		<-self.ch
+	switch p := k.laneNext(self.part, self); p {
+	case self:
 		return
+	case nil:
+		self.part.mainCh <- struct{}{}
+	default:
+		p.ch <- struct{}{}
 	}
+	<-self.ch
 }
 
 // canExclusive reports whether the exclusive item xk may dispatch now: it
 // exists, lies within the horizon, and no partition head precedes it.
 func (k *Kernel) canExclusive(xk event, xkind int) bool {
-	if xkind == 0 || xk.t > k.horizon {
-		return false
-	}
-	pk, _, pok := k.heapMin()
-	return !pok || !keyLess(pk, xk)
+	return xkind != 0 && xk.t <= k.horizon && !k.headBefore(xk)
 }
 
 // sdispatchX continues exclusive dispatch from a process that yielded on
@@ -870,124 +999,32 @@ func (k *Kernel) canExclusive(xk event, xkind int) bool {
 // globally minimal key is partition-local (a window is due) or everything
 // within the horizon has drained.
 func (k *Kernel) sdispatchX(self *Proc) {
-	for {
-		xk, xkind := k.xMin()
-		if !k.canExclusive(xk, xkind) {
-			k.mainCh <- struct{}{}
-			<-self.ch
-			return
-		}
-		if xkind == 2 {
-			req := k.pendPop()
-			k.ctx.adopt(req.node, req.nextIdx)
-			pt := req.p.part
-			pt.nsusp--
-			if pt.now > k.now {
-				k.now = pt.now
-			}
-			k.nwoken++
-			req.p.ch <- struct{}{}
-			<-self.ch
-			return
-		}
-		ev := k.cal.pop()
-		k.ctx.begin(ev.parent, ev.t, ev.idx)
-		if k.rec != nil {
-			k.observeSharded(ev)
-		}
-		k.now = ev.t
-		p, isProc := ev.h.(*Proc)
-		if !isProc {
-			ev.h.Fire()
-			continue
-		}
-		if p.part != nil && ev.t > p.part.now {
-			// An exclusive resume moves the owning partition's clock too —
-			// including a self-resume, or the process's own Now() would lag
-			// its kernel clock for the rest of the section.
-			p.part.now = ev.t
-		}
-		if p == self {
-			return
-		}
-		if p.done {
-			panic("sim: resuming finished process " + p.name)
-		}
-		k.nwoken++
-		p.ch <- struct{}{}
-		<-self.ch
+	switch p := k.xNext(self); p {
+	case self:
 		return
+	case nil:
+		k.mainCh <- struct{}{}
+	default:
+		p.ch <- struct{}{}
 	}
+	<-self.ch
 }
 
 // sdispatchEnd releases the baton from a process whose function returned,
 // in whichever context it ended.
 func (k *Kernel) sdispatchEnd(p *Proc) {
-	if p.part != nil && p.part.active {
-		pt := p.part
-		for {
-			ev, ok := pt.cal.peek()
-			if !ok || !keyLess(ev, pt.bound) {
-				pt.mainCh <- struct{}{}
-				return
-			}
-			pt.cal.pop()
-			pt.ctx.begin(ev.parent, ev.t, ev.idx)
-			if k.rec != nil {
-				pt.observe(ev)
-			}
-			pt.now = ev.t
-			q, isProc := ev.h.(*Proc)
-			if !isProc {
-				ev.h.Fire()
-				continue
-			}
-			if q.done {
-				panic("sim: resuming finished process " + q.name)
-			}
-			pt.nwoken++
+	if pt := p.part; pt != nil && pt.active {
+		if q := k.laneNext(pt, nil); q != nil {
 			q.ch <- struct{}{}
-			return
+		} else {
+			pt.mainCh <- struct{}{}
 		}
-	}
-	for {
-		xk, xkind := k.xMin()
-		if !k.canExclusive(xk, xkind) {
-			k.mainCh <- struct{}{}
-			return
-		}
-		if xkind == 2 {
-			req := k.pendPop()
-			k.ctx.adopt(req.node, req.nextIdx)
-			pt := req.p.part
-			pt.nsusp--
-			if pt.now > k.now {
-				k.now = pt.now
-			}
-			k.nwoken++
-			req.p.ch <- struct{}{}
-			return
-		}
-		ev := k.cal.pop()
-		k.ctx.begin(ev.parent, ev.t, ev.idx)
-		if k.rec != nil {
-			k.observeSharded(ev)
-		}
-		k.now = ev.t
-		q, isProc := ev.h.(*Proc)
-		if !isProc {
-			ev.h.Fire()
-			continue
-		}
-		if q.done {
-			panic("sim: resuming finished process " + q.name)
-		}
-		if q.part != nil && ev.t > q.part.now {
-			q.part.now = ev.t
-		}
-		k.nwoken++
-		q.ch <- struct{}{}
 		return
+	}
+	if q := k.xNext(nil); q != nil {
+		q.ch <- struct{}{}
+	} else {
+		k.mainCh <- struct{}{}
 	}
 }
 

@@ -10,14 +10,20 @@ import (
 
 // shardScript runs a small partitioned model — per-partition workers that
 // sleep, exchange mailbox posts with a neighbor partition, and
-// periodically enter a shared section that appends to a global log — and
-// returns the observable history. The history must be identical for any
-// worker count and GOMAXPROCS.
-func shardScript(t *testing.T, nparts, workers int) (string, uint64, float64) {
+// periodically enter a shared section that appends to a global log, beside
+// an exclusive-lane ticker that logs on a fixed beat — and returns the
+// observable history and the dispatch counters. Both must be identical for
+// any worker count and GOMAXPROCS. With tied set the workers keep the
+// ticker's beat, so heads of different partitions and of the exclusive
+// lane meet at equal times and only genealogy orders them; workers == 0
+// then runs the script on the serial kernel, the reference order.
+func shardScript(t *testing.T, nparts, workers int, tied bool) (string, ShardStats, float64) {
 	t.Helper()
 	k := NewKernel()
 	const lookahead = 1e-6
-	k.EnableSharding(nparts, workers, lookahead, 42)
+	if workers > 0 {
+		k.EnableSharding(nparts, workers, lookahead, 42)
+	}
 	var log []string
 	record := func(p *Proc, what string) {
 		p.EnterShared()
@@ -26,12 +32,26 @@ func shardScript(t *testing.T, nparts, workers int) (string, uint64, float64) {
 	}
 	for part := 0; part < nparts; part++ {
 		part := part
+		if part == nparts/2 {
+			// Spawned between partitions, so equal-time ties put some
+			// workers before the ticker in the serial order and some after.
+			k.Go("ticker", func(p *Proc) {
+				for i := 0; i < 20; i++ {
+					p.Sleep(3e-7)
+					log = append(log, fmt.Sprintf("%.9f ticker %d", p.Now(), i))
+				}
+			})
+		}
 		for w := 0; w < 3; w++ {
 			w := w
 			k.GoPart(part, fmt.Sprintf("p%d.w%d", part, w), func(p *Proc) {
-				rng := k.PartRNG(part)
+				pause := func() float64 { return 3e-7 }
+				if !tied {
+					rng := k.PartRNG(part)
+					pause = func() float64 { return rng.Exp(3e-7) }
+				}
 				for i := 0; i < 20; i++ {
-					p.Sleep(rng.Exp(3e-7))
+					p.Sleep(pause())
 					if i%5 == w%5 {
 						record(p, fmt.Sprintf("iter%d", i))
 					}
@@ -49,30 +69,47 @@ func shardScript(t *testing.T, nparts, workers int) (string, uint64, float64) {
 	if err := k.Run(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	return strings.Join(log, "\n"), k.Events(), k.Now()
+	st, ok := k.ShardStats()
+	if workers > 0 {
+		if !ok || st.LaneEvents+st.ExclusiveEvents != k.Events() {
+			t.Fatalf("shard stats %+v (ok %v) do not cover %d events", st, ok, k.Events())
+		}
+		if st.Suspensions == 0 || st.ParallelWindows == 0 {
+			t.Fatalf("script exercised no suspension or parallel window: %+v", st)
+		}
+	}
+	return strings.Join(log, "\n"), st, k.Now()
 }
 
 func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	base, baseEvents, baseNow := shardScript(t, 5, 1)
-	if base == "" {
-		t.Fatal("script produced no history")
-	}
-	for _, workers := range []int{2, 4, 8} {
-		got, gotEvents, gotNow := shardScript(t, 5, workers)
-		if got != base {
-			t.Fatalf("workers=%d history diverged from workers=1", workers)
+	for _, tied := range []bool{false, true} {
+		base, baseStats, baseNow := shardScript(t, 5, 1, tied)
+		if base == "" {
+			t.Fatal("script produced no history")
 		}
-		if gotEvents != baseEvents || gotNow != baseNow {
-			t.Fatalf("workers=%d stats diverged: events %d vs %d, now %v vs %v",
-				workers, gotEvents, baseEvents, gotNow, baseNow)
+		if tied {
+			if ref, _, refNow := shardScript(t, 5, 0, true); base != ref || baseNow != refNow {
+				t.Fatalf("tied history diverged from the serial kernel:\n%s\nvs serial\n%s", base, ref)
+			}
 		}
-	}
-	// And independent of GOMAXPROCS.
-	runtime.GOMAXPROCS(1)
-	got, _, _ := shardScript(t, 5, 4)
-	if got != base {
-		t.Fatal("GOMAXPROCS=1 history diverged")
+		for _, workers := range []int{2, 4, 8} {
+			got, gotStats, gotNow := shardScript(t, 5, workers, tied)
+			if got != base {
+				t.Fatalf("tied=%v workers=%d history diverged from workers=1", tied, workers)
+			}
+			if gotStats != baseStats || gotNow != baseNow {
+				t.Fatalf("tied=%v workers=%d stats diverged: %+v vs %+v, now %v vs %v",
+					tied, workers, gotStats, baseStats, gotNow, baseNow)
+			}
+		}
+		// And independent of GOMAXPROCS.
+		prev := runtime.GOMAXPROCS(1)
+		got, gotStats, _ := shardScript(t, 5, 4, tied)
+		runtime.GOMAXPROCS(prev)
+		if got != base || gotStats != baseStats {
+			t.Fatalf("tied=%v GOMAXPROCS=1 history diverged", tied)
+		}
 	}
 }
 
@@ -206,7 +243,7 @@ func TestShardedRunUntil(t *testing.T) {
 // partition-aware APIs degrade to their serial equivalents.
 func TestSerialUnaffected(t *testing.T) {
 	k := NewKernel()
-	if k.Sharded() || k.NumPartitions() != 0 || k.Lookahead() != 0 {
+	if _, ok := k.ShardStats(); k.Sharded() || ok || k.NumPartitions() != 0 || k.Lookahead() != 0 {
 		t.Fatal("serial kernel claims sharded state")
 	}
 	fired := 0

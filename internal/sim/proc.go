@@ -77,12 +77,14 @@ func (p *Proc) Part() int {
 	return p.part.idx
 }
 
-// OnLane reports whether the process is currently executing on its
-// partition's lane: partition-owned, outside any shared section, with the
-// lane active. Model code uses it to pick lane-private resources (pools,
-// scratch) over their globally shared counterparts.
+// OnLane reports whether p's partition lane is running. That lane is then
+// the execution context of everything acting for the partition: p's own
+// code (a process inside a shared section runs on the exclusive lane, never
+// during a window) and hooks firing on p's behalf, even while p itself sits
+// parked in a shared section. Model code uses it to pick lane-private
+// resources (pools, scratch) over their globally shared counterparts.
 func (p *Proc) OnLane() bool {
-	return p.part != nil && p.part.active && p.sharedDepth == 0
+	return p.part != nil && p.part.active
 }
 
 // Rec returns the trace recorder this process's model code must emit to:
