@@ -24,13 +24,13 @@ import (
 	"repro/internal/exp"
 	"repro/internal/fsys"
 	"repro/internal/gpfs"
+	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/mpiio"
 	"repro/internal/nekcem"
 	"repro/internal/perf"
 	"repro/internal/pvfs"
 	"repro/internal/sim"
-	"repro/internal/topo"
 	"repro/internal/xrand"
 )
 
@@ -625,10 +625,11 @@ func BenchmarkMicroProcSwitch(b *testing.B) {
 // BenchmarkMicroTorusRoute measures dimension-ordered route computation on
 // the 64K-rank partition's torus.
 func BenchmarkMicroTorusRoute(b *testing.B) {
-	t := topo.Dims(16384)
+	t := machine.TorusDims(16384)
+	var route []int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = t.Route(i%t.Nodes(), (i*2654435761)%t.Nodes())
+		route = t.AppendRoute(route[:0], i%t.Nodes(), (i*2654435761)%t.Nodes())
 	}
 }
 

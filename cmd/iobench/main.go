@@ -23,6 +23,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -36,128 +37,77 @@ import (
 	"repro/internal/fsys"
 	"repro/internal/machine"
 	"repro/internal/perf"
+	"repro/internal/registry"
 
 	_ "repro/internal/bgp" // registers the Blue Gene machine presets
 )
 
+// cli is iobench's command line.
+type cli struct {
+	fs *flag.FlagSet
+
+	which, fsName, ckptName, machName, mapName, bbSpec, drainName string
+	workload, traceOut                                            string
+	np, parallel, shards, epochs, work, tenants, traceEvents      int
+	seed                                                          uint64
+	mtbf                                                          float64
+	quiet, manifests, metrics                                     bool
+}
+
+// newCLI defines iobench's flags on fs.
+func newCLI(fs *flag.FlagSet) *cli {
+	c := &cli{fs: fs}
+	fs.StringVar(&c.which, "exp", "all", "experiment to run (list = print the registry)")
+	fs.IntVar(&c.np, "np", 0, "override the processor sweep with a single count (0 = paper scale 16K/32K/64K)")
+	fs.Uint64Var(&c.seed, "seed", 1, "simulation seed")
+	fs.BoolVar(&c.quiet, "quiet", false, "disable the shared-storage noise model")
+	fs.IntVar(&c.parallel, "parallel", runtime.NumCPU(), "experiment worker-pool size (1 = serial); results are identical at any setting")
+	fs.IntVar(&c.shards, "shards", 0, "partitioned-kernel lane workers inside each simulation (0 or 1 = serial kernel); results are identical at any setting")
+	fs.StringVar(&c.fsName, "fs", "gpfs", "storage backend for checkpoint experiments: gpfs, pvfs, bbuf (fscompare, drainoverlap and the GPFS-knob ablations/priorwork pick their own backends)")
+	fs.StringVar(&c.ckptName, "ckpt", "", "restrict the headline sweeps (fig5/fig6/fig7) to one ckpt-registry strategy: 1pfpp, coio1, coio, rbio1, rbio, multilevel, async (\"\" = all five headline arms)")
+	fs.StringVar(&c.machName, "machine", "", "machine preset for checkpoint experiments: intrepid (default), bgl, fattree, dragonfly (priorwork pins its own machines)")
+	fs.StringVar(&c.mapName, "map", "", "rank->node placement policy override: txyz (machine default), xyzt, blocked, roundrobin, random")
+	fs.StringVar(&c.bbSpec, "bb", "", "burst-buffer fleet spec <nodes>x<gbps> for -fs bbuf (e.g. 8x0.25); \"\" = one private node per ION at the default bandwidth")
+	fs.StringVar(&c.drainName, "drain", "", "burst-buffer drain-scheduler policy for -fs bbuf: fifo (default), deadline, tenant")
+	fs.Float64Var(&c.mtbf, "mtbf", 6, "per-component MTBF in hours for the fault experiments (faultsweep, makespan, recovery)")
+	fs.IntVar(&c.epochs, "epochs", 0, "checkpoint epochs over the recovery lifecycle's work budget (0 = default 12)")
+	fs.IntVar(&c.work, "work", 0, "solver-step work budget for -exp recovery (0 = default 120)")
+	fs.BoolVar(&c.manifests, "manifests", false, "attach epoch-manifest recording to every checkpoint run (results are byte-identical; used by the golden-diff CI step)")
+	fs.IntVar(&c.tenants, "tenants", 0, "concurrent tenant jobs for the multi-tenant experiments (ckptstorm, restartstorm); 0 = default 2")
+	fs.StringVar(&c.workload, "workload", "", "workload generator spec for -exp workload: key=value pairs over jobs, np (min:max), gap, steps, seed, strategy")
+	fs.StringVar(&c.traceOut, "trace", "", "write a Chrome/Perfetto trace_event JSON of every simulation run to this file (load at ui.perfetto.dev)")
+	fs.BoolVar(&c.metrics, "metrics", false, "print per-run aggregated metrics (per-layer simulated time, counters, span stats)")
+	fs.IntVar(&c.traceEvents, "trace-events", 0, "per-run retained trace event cap (0 = default 1M; aggregates keep counting past the cap)")
+	return c
+}
+
 func main() {
-	var (
-		which     = flag.String("exp", "all", "experiment to run (list = print the registry)")
-		np        = flag.Int("np", 0, "override the processor sweep with a single count (0 = paper scale 16K/32K/64K)")
-		seed      = flag.Uint64("seed", 1, "simulation seed")
-		quiet     = flag.Bool("quiet", false, "disable the shared-storage noise model")
-		parallel  = flag.Int("parallel", runtime.NumCPU(), "experiment worker-pool size (1 = serial); results are identical at any setting")
-		shards    = flag.Int("shards", 0, "partitioned-kernel lane workers inside each simulation (0 or 1 = serial kernel); results are identical at any setting")
-		fsName    = flag.String("fs", "gpfs", "storage backend for checkpoint experiments: gpfs, pvfs, bbuf (fscompare, drainoverlap and the GPFS-knob ablations/priorwork pick their own backends)")
-		ckptName  = flag.String("ckpt", "", "restrict the headline sweeps (fig5/fig6/fig7) to one ckpt-registry strategy: 1pfpp, coio1, coio, rbio1, rbio, multilevel, async (\"\" = all five headline arms)")
-		machName  = flag.String("machine", "", "machine preset for checkpoint experiments: intrepid (default), bgl, fattree, dragonfly (priorwork pins its own machines)")
-		mapName   = flag.String("map", "", "rank->node placement policy override: txyz (machine default), xyzt, blocked, roundrobin, random")
-		bbSpec    = flag.String("bb", "", "burst-buffer fleet spec <nodes>x<gbps> for -fs bbuf (e.g. 8x0.25); \"\" = one private node per ION at the default bandwidth")
-		drainName = flag.String("drain", "", "burst-buffer drain-scheduler policy for -fs bbuf: fifo (default), deadline, tenant")
-		mtbf      = flag.Float64("mtbf", 6, "per-component MTBF in hours for the fault experiments (faultsweep, makespan, recovery)")
-		epochs    = flag.Int("epochs", 0, "checkpoint epochs over the recovery lifecycle's work budget (0 = default 12)")
-		workSteps = flag.Int("work", 0, "solver-step work budget for -exp recovery (0 = default 120)")
-		manifests = flag.Bool("manifests", false, "attach epoch-manifest recording to every checkpoint run (results are byte-identical; used by the golden-diff CI step)")
-		tenants   = flag.Int("tenants", 0, "concurrent tenant jobs for the multi-tenant experiments (ckptstorm, restartstorm); 0 = default 2")
-		workload  = flag.String("workload", "", "workload generator spec for -exp workload: key=value pairs over jobs, np (min:max), gap, steps, seed, strategy")
-		traceOut  = flag.String("trace", "", "write a Chrome/Perfetto trace_event JSON of every simulation run to this file (load at ui.perfetto.dev)")
-		metrics   = flag.Bool("metrics", false, "print per-run aggregated metrics (per-layer simulated time, counters, span stats)")
-		traceEvts = flag.Int("trace-events", 0, "per-run retained trace event cap (0 = default 1M; aggregates keep counting past the cap)")
-	)
+	c := newCLI(flag.CommandLine)
 	flag.Parse()
 	perf.TuneGC()
 
-	if *which == "list" {
+	if c.which == "list" {
 		listExperiments()
 		return
 	}
-
-	backend, err := fsys.Lookup(*fsName)
+	o, run, err := c.resolve()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-	if _, err := machine.Lookup(*machName); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if err := machine.ValidatePlacement(*mapName); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "invalid -shards %d (want >= 0; 0 or 1 = serial kernel)\n", *shards)
-		os.Exit(2)
-	}
-	if *tenants < 0 {
-		fmt.Fprintf(os.Stderr, "invalid -tenants %d (want >= 1; 0 = default 2)\n", *tenants)
-		os.Exit(2)
-	}
-	if err := validateLifecycleFlags(*epochs, *workSteps, setFlags()); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if _, err := cluster.ParseWorkload(*workload); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if err := validateCkptFlag(*ckptName); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	bbNodes, bbGbps, err := bbuf.ParseFleetSpec(*bbSpec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if *drainName != "" {
-		if _, err := bbuf.Lookup(*drainName); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-	}
-	if _, ok := exp.LookupExperiment(*which); !ok && *which != "all" {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q (valid: all, list", *which)
-		for _, d := range exp.Experiments() {
-			fmt.Fprintf(os.Stderr, ", %s", d.Name)
-		}
-		fmt.Fprintln(os.Stderr, ")")
-		os.Exit(2)
-	}
-
-	o := exp.Options{
-		Seed:      *seed,
-		FS:        backend,
-		Parallel:  *parallel,
-		Shards:    *shards,
-		Machine:   *machName,
-		Map:       *mapName,
-		Ckpt:      *ckptName,
-		BBNodes:   bbNodes,
-		BBDrainBW: bbGbps * 1e9,
-		Drain:     *drainName,
-		Quiet:     *quiet,
-		Manifests: *manifests,
-	}
-	if *np > 0 {
-		o.NPs = []int{*np}
 	}
 	var tc *exp.TraceCollector
-	if *traceOut != "" || *metrics {
-		tc = &exp.TraceCollector{MaxEvents: *traceEvts}
+	if c.traceOut != "" || c.metrics {
+		tc = &exp.TraceCollector{MaxEvents: c.traceEvents}
 		o.Trace = tc
 	}
 
 	s := exp.NewSession(o, os.Stdout)
-	s.MTBF = *mtbf
-	s.Tenants = *tenants
-	s.Workload = *workload
-	s.Epochs = *epochs
-	s.Work = *workSteps
-	for _, d := range exp.Experiments() {
-		if *which != "all" && !selects(d, *which) {
-			continue
-		}
+	s.MTBF = c.mtbf
+	s.Tenants = c.tenants
+	s.Workload = c.workload
+	s.Epochs = c.epochs
+	s.Work = c.work
+	for _, d := range run {
 		t0 := time.Now()
 		fmt.Printf("== %s ==\n", d.Name)
 		if err := d.Run(s); err != nil {
@@ -167,24 +117,135 @@ func main() {
 		fmt.Printf("(%s wall)\n\n", time.Since(t0).Round(time.Millisecond))
 	}
 
-	if *metrics && tc != nil {
+	if c.metrics && tc != nil {
 		for _, m := range tc.Metrics() {
 			fmt.Printf("%s\n", m.Table())
 		}
 	}
-	if *traceOut != "" && tc != nil {
-		if err := writeTrace(tc, *traceOut); err != nil {
+	if c.traceOut != "" && tc != nil {
+		if err := writeTrace(tc, c.traceOut); err != nil {
 			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "trace: wrote %s (load at ui.perfetto.dev or chrome://tracing)\n", *traceOut)
+		fmt.Fprintf(os.Stderr, "trace: wrote %s (load at ui.perfetto.dev or chrome://tracing)\n", c.traceOut)
 	}
 }
 
+// resolve validates the command line before any simulation is built and
+// returns the run's options and the experiments to run, in registry order.
+// Every rejection is typed: a *registry.UnknownError for a name no registry
+// holds, a *flagError for a number out of range.
+func (c *cli) resolve() (exp.Options, []exp.Descriptor, error) {
+	var o exp.Options
+	backend, err := fsys.Lookup(c.fsName)
+	if err != nil {
+		return o, nil, err
+	}
+	if err := validateMachine(c.machName, c.mapName, c.np); err != nil {
+		return o, nil, err
+	}
+	if c.shards < 0 {
+		return o, nil, &flagError{"shards", c.shards, "want >= 0; 0 or 1 = serial kernel"}
+	}
+	if c.tenants < 0 {
+		return o, nil, &flagError{"tenants", c.tenants, "want >= 1; 0 = default 2"}
+	}
+	if err := validateLifecycleFlags(c.epochs, c.work, setFlags(c.fs)); err != nil {
+		return o, nil, err
+	}
+	if _, err := cluster.ParseWorkload(c.workload); err != nil {
+		return o, nil, err
+	}
+	if err := validateCkptFlag(c.ckptName); err != nil {
+		return o, nil, err
+	}
+	bbNodes, bbGbps, err := bbuf.ParseFleetSpec(c.bbSpec)
+	if err != nil {
+		return o, nil, err
+	}
+	if c.drainName != "" {
+		if _, err := bbuf.Lookup(c.drainName); err != nil {
+			return o, nil, err
+		}
+	}
+	run := exp.Experiments()
+	if c.which != "all" {
+		d, err := exp.Lookup(c.which)
+		if err != nil {
+			// The driver's two pseudo-experiments are valid choices too.
+			var ue *registry.UnknownError
+			if errors.As(err, &ue) {
+				ue.Known = append([]string{"all", "list"}, ue.Known...)
+			}
+			return o, nil, err
+		}
+		run = []exp.Descriptor{d}
+	}
+
+	o = exp.Options{
+		Seed:      c.seed,
+		FS:        backend,
+		Parallel:  c.parallel,
+		Shards:    c.shards,
+		Machine:   c.machName,
+		Map:       c.mapName,
+		Ckpt:      c.ckptName,
+		BBNodes:   bbNodes,
+		BBDrainBW: bbGbps * 1e9,
+		Drain:     c.drainName,
+		Quiet:     c.quiet,
+		Manifests: c.manifests,
+	}
+	if c.np > 0 {
+		o.NPs = []int{c.np}
+	}
+	return o, run, nil
+}
+
+// flagError reports a numeric flag value out of range.
+type flagError struct {
+	Flag  string
+	Value int
+	Why   string
+}
+
+func (e *flagError) Error() string { return fmt.Sprintf("invalid -%s %d (%s)", e.Flag, e.Value, e.Why) }
+
+// validateMachine checks -machine, -np and -map together: np must be >= 0,
+// and the preset's partition with the placement override must validate at
+// every processor count the sweep runs (-np, or the paper's three).
+func validateMachine(name, placement string, np int) error {
+	d, err := machine.Lookup(name)
+	if err != nil {
+		return err
+	}
+	if np < 0 {
+		return &flagError{"np", np, "want >= 0; 0 = paper scale 16K/32K/64K"}
+	}
+	nps := exp.PaperNPs
+	if np > 0 {
+		nps = []int{np}
+	}
+	for _, n := range nps {
+		cfg := d.Config(n)
+		if placement != "" {
+			cfg.Placement = placement
+		}
+		if err := cfg.Validate(); err != nil {
+			var ue *registry.UnknownError
+			if !errors.As(err, &ue) {
+				err = &flagError{"np", n, err.Error()}
+			}
+			return err
+		}
+	}
+	return nil
+}
+
 // setFlags returns the names of the flags the command line set explicitly.
-func setFlags() map[string]bool {
+func setFlags(fs *flag.FlagSet) map[string]bool {
 	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	return set
 }
 
@@ -192,10 +253,10 @@ func setFlags() map[string]bool {
 // (their zero defaults mean "use the experiment's default budget").
 func validateLifecycleFlags(epochs, work int, set map[string]bool) error {
 	if set["epochs"] && epochs <= 0 {
-		return fmt.Errorf("invalid -epochs %d (want >= 1; omit for the default 12)", epochs)
+		return &flagError{"epochs", epochs, "want >= 1; omit for the default 12"}
 	}
 	if set["work"] && work <= 0 {
-		return fmt.Errorf("invalid -work %d (want >= 1; omit for the default 120)", work)
+		return &flagError{"work", work, "want >= 1; omit for the default 120"}
 	}
 	return nil
 }
@@ -208,19 +269,6 @@ func validateCkptFlag(name string) error {
 	}
 	_, err := ckpt.Lookup(name)
 	return err
-}
-
-// selects reports whether name picks descriptor d (by name or alias).
-func selects(d exp.Descriptor, name string) bool {
-	if d.Name == name {
-		return true
-	}
-	for _, a := range d.Aliases {
-		if a == name {
-			return true
-		}
-	}
-	return false
 }
 
 func listExperiments() {

@@ -2,9 +2,12 @@ package main
 
 import (
 	"errors"
+	"flag"
+	"strings"
 	"testing"
 
-	"repro/internal/ckpt"
+	"repro/internal/exp"
+	"repro/internal/registry"
 )
 
 // TestValidateCkptFlag pins the -ckpt exit-2 surface: empty (all headline
@@ -17,9 +20,79 @@ func TestValidateCkptFlag(t *testing.T) {
 		}
 	}
 	err := validateCkptFlag("mpiio")
-	var ue *ckpt.UnknownStrategyError
-	if !errors.As(err, &ue) {
-		t.Fatalf("unknown -ckpt returned %v, want *ckpt.UnknownStrategyError", err)
+	var ue *registry.UnknownError
+	if !errors.As(err, &ue) || ue.Kind != "ckpt strategy" {
+		t.Fatalf("unknown -ckpt returned %#v, want a ckpt strategy *registry.UnknownError", err)
+	}
+}
+
+// resolveArgs parses args as iobench's command line and resolves it.
+func resolveArgs(t *testing.T, args ...string) ([]exp.Descriptor, error) {
+	t.Helper()
+	fs := flag.NewFlagSet("iobench", flag.ContinueOnError)
+	c := newCLI(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	_, run, err := c.resolve()
+	return run, err
+}
+
+// TestResolveRejectsBadFlags pins the exit-2 surface: every bad name is the
+// registry's typed error of the flag's kind, every bad number a *flagError
+// naming the flag, and all of it is caught before anything runs.
+func TestResolveRejectsBadFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		kind string // registry kind of the *registry.UnknownError
+		flag string // or the flag a *flagError names
+	}{
+		{[]string{"-exp", "nope"}, "exp experiment", ""},
+		{[]string{"-ckpt", "nope"}, "ckpt strategy", ""},
+		{[]string{"-fs", "nope"}, "fsys backend", ""},
+		{[]string{"-machine", "nope"}, "machine machine", ""},
+		{[]string{"-map", "nope"}, "machine placement", ""},
+		{[]string{"-map", "nope", "-np", "1024"}, "machine placement", ""},
+		{[]string{"-drain", "nope"}, "bbuf drain scheduler", ""},
+		{[]string{"-np", "-4"}, "", "np"},
+		{[]string{"-np", "1000"}, "", "np"},
+		{[]string{"-np", "12", "-machine", "bgl"}, "", "np"},
+		{[]string{"-shards", "-1"}, "", "shards"},
+		{[]string{"-tenants", "-2"}, "", "tenants"},
+		{[]string{"-epochs", "0"}, "", "epochs"},
+		{[]string{"-work", "-5"}, "", "work"},
+	} {
+		_, err := resolveArgs(t, tc.args...)
+		var ue *registry.UnknownError
+		var fe *flagError
+		switch {
+		case tc.kind != "" && (!errors.As(err, &ue) || ue.Kind != tc.kind):
+			t.Errorf("%v: error %#v, want a %s *registry.UnknownError", tc.args, err, tc.kind)
+		case tc.flag != "" && (!errors.As(err, &fe) || fe.Flag != tc.flag):
+			t.Errorf("%v: error %#v, want a *flagError for -%s", tc.args, err, tc.flag)
+		}
+	}
+
+	const prefix = `exp: unknown experiment "nope" (valid: all, list, ablations, `
+	if _, err := resolveArgs(t, "-exp", "nope"); !strings.HasPrefix(err.Error(), prefix) {
+		t.Errorf("unknown -exp message %q, want prefix %q", err, prefix)
+	}
+}
+
+// TestResolveSelectsExperiments pins -exp selection: one name runs one
+// experiment, "all" runs the registry in registration order.
+func TestResolveSelectsExperiments(t *testing.T) {
+	run, err := resolveArgs(t, "-exp", "fig8", "-np", "1024", "-machine", "bgl", "-map", "xyzt")
+	if err != nil || len(run) != 1 || run[0].Name != "fig8" {
+		t.Fatalf("-exp fig8 resolved to %d experiments, %v", len(run), err)
+	}
+	run, err = resolveArgs(t)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := exp.Experiments()
+	if len(run) != len(all) || run[0].Name != all[0].Name || run[len(run)-1].Name != all[len(all)-1].Name {
+		t.Fatalf("-exp all resolved to %d experiments, want the %d registered in order", len(run), len(all))
 	}
 }
 

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -24,121 +25,86 @@ import (
 	"repro/internal/iolog"
 	"repro/internal/machine"
 	"repro/internal/nekcem"
+	"repro/internal/registry"
 )
 
+// cli is nekcem's command line.
+type cli struct {
+	fs *flag.FlagSet
+
+	np, steps, every, nf, shards, elems, order, work, epochs int
+	ckptName, fsName, bbSpec, drain, machName, mapName       string
+	logPath                                                  string
+	seed                                                     uint64
+	quiet, content                                           bool
+}
+
+// newCLI defines nekcem's flags on fs.
+func newCLI(fs *flag.FlagSet) *cli {
+	c := &cli{fs: fs}
+	fs.IntVar(&c.np, "np", 4096, "MPI ranks (power-of-two nodes, 4 ranks/node)")
+	fs.IntVar(&c.steps, "steps", 20, "solver time steps")
+	fs.IntVar(&c.every, "ckpt-every", 20, "checkpoint every N steps (0: never)")
+	fs.StringVar(&c.ckptName, "ckpt", "", "checkpoint strategy from the ckpt registry: 1pfpp, coio1, coio, rbio1, rbio, multilevel, async (default rbio)")
+	fs.StringVar(&c.fsName, "fs", "gpfs", "storage backend from the fsys registry: gpfs, pvfs, bbuf")
+	fs.StringVar(&c.bbSpec, "bb", "", "burst-buffer fleet spec <nodes>x<gbps> for -fs bbuf (e.g. 8x0.25); \"\" = one private node per ION at the default bandwidth")
+	fs.StringVar(&c.drain, "drain", "", "burst-buffer drain-scheduler policy for -fs bbuf: fifo (default), deadline, tenant")
+	fs.IntVar(&c.nf, "nf", 0, "coio: number of files (default np/64); rbio: np/ng group count")
+	fs.Uint64Var(&c.seed, "seed", 1, "simulation seed")
+	fs.StringVar(&c.machName, "machine", "", "machine preset: intrepid (default), bgl, fattree, dragonfly")
+	fs.StringVar(&c.mapName, "map", "", "rank->node placement policy: txyz (default), xyzt, blocked, roundrobin, random")
+	fs.BoolVar(&c.quiet, "quiet", false, "disable shared-storage noise")
+	fs.IntVar(&c.shards, "shards", 0, "partitioned-kernel lane workers (0 or 1 = serial kernel; results are identical at any setting; ignored with -log)")
+	fs.BoolVar(&c.content, "content", false, "content mode: run the real SEDG kernel and verify restart bit-for-bit (small np)")
+	fs.StringVar(&c.logPath, "log", "", "write a Darshan-style I/O trace (JSON) to this file")
+	fs.IntVar(&c.elems, "elements", 0, "mesh elements (default: paper weak scaling, ~4.25/rank at N=15)")
+	fs.IntVar(&c.order, "order", 0, "polynomial order N (default 15; content mode default 4)")
+	fs.IntVar(&c.work, "work", 0, "solver-step work budget; with -epochs, overrides -steps/-ckpt-every and records epoch manifests (0 = off)")
+	fs.IntVar(&c.epochs, "epochs", 0, "checkpoint epochs over the -work budget (0 = off)")
+	return c
+}
+
 func main() {
-	var (
-		np       = flag.Int("np", 4096, "MPI ranks (power-of-two nodes, 4 ranks/node)")
-		steps    = flag.Int("steps", 20, "solver time steps")
-		every    = flag.Int("ckpt-every", 20, "checkpoint every N steps (0: never)")
-		ckptName = flag.String("ckpt", "", "checkpoint strategy from the ckpt registry: 1pfpp, coio1, coio, rbio1, rbio, multilevel, async (default rbio)")
-		fsName   = flag.String("fs", "gpfs", "storage backend from the fsys registry: gpfs, pvfs, bbuf")
-		bbSpec   = flag.String("bb", "", "burst-buffer fleet spec <nodes>x<gbps> for -fs bbuf (e.g. 8x0.25); \"\" = one private node per ION at the default bandwidth")
-		drain    = flag.String("drain", "", "burst-buffer drain-scheduler policy for -fs bbuf: fifo (default), deadline, tenant")
-		nf       = flag.Int("nf", 0, "coio: number of files (default np/64); rbio: np/ng group count")
-		seed     = flag.Uint64("seed", 1, "simulation seed")
-		machName = flag.String("machine", "", "machine preset: intrepid (default), bgl, fattree, dragonfly")
-		mapName  = flag.String("map", "", "rank->node placement policy: txyz (default), xyzt, blocked, roundrobin, random")
-		quiet    = flag.Bool("quiet", false, "disable shared-storage noise")
-		shards   = flag.Int("shards", 0, "partitioned-kernel lane workers (0 or 1 = serial kernel; results are identical at any setting; ignored with -log)")
-		content  = flag.Bool("content", false, "content mode: run the real SEDG kernel and verify restart bit-for-bit (small np)")
-		logPath  = flag.String("log", "", "write a Darshan-style I/O trace (JSON) to this file")
-		elems    = flag.Int("elements", 0, "mesh elements (default: paper weak scaling, ~4.25/rank at N=15)")
-		order    = flag.Int("order", 0, "polynomial order N (default 15; content mode default 4)")
-		workStps = flag.Int("work", 0, "solver-step work budget; with -epochs, overrides -steps/-ckpt-every and records epoch manifests (0 = off)")
-		epochs   = flag.Int("epochs", 0, "checkpoint epochs over the -work budget (0 = off)")
-	)
+	c := newCLI(flag.CommandLine)
 	flag.Parse()
 
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "invalid -shards %d (want >= 0; 0 or 1 = serial kernel)\n", *shards)
-		os.Exit(2)
-	}
-	backend, err := fsys.Lookup(*fsName)
+	o, strat, err := c.resolve()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	bbNodes, bbGbps, err := bbuf.ParseFleetSpec(*bbSpec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if *drain != "" {
-		if _, err := bbuf.Lookup(*drain); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-	}
-	if err := validateLifecycleFlags(*epochs, *workStps, setFlags()); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if *workStps > 0 && *epochs > 0 {
-		*steps = *workStps
-		*every = *workStps / *epochs
-		if *every < 1 {
-			*every = 1
-		}
+	steps, every := c.steps, c.every
+	if c.work > 0 && c.epochs > 0 {
+		steps = c.work
+		every = max(c.work/c.epochs, 1)
 	}
 
-	mesh := nekcem.PaperMesh(*np)
-	if *content {
-		mesh = nekcem.Mesh{E: 2 * *np, N: 4}
+	mesh := nekcem.PaperMesh(c.np)
+	if c.content {
+		mesh = nekcem.Mesh{E: 2 * c.np, N: 4}
 	}
-	if *elems > 0 {
-		mesh.E = *elems
+	if c.elems > 0 {
+		mesh.E = c.elems
 	}
-	if *order > 0 {
-		mesh.N = *order
-	}
-
-	strat, err := resolveStrategy(*ckptName, *np, *nf)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	desc, err := machine.Lookup(*machName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	mcfg := desc.Config(*np)
-	if *mapName != "" {
-		mcfg.Placement = *mapName
-	}
-	if err := mcfg.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+	if c.order > 0 {
+		mesh.N = c.order
 	}
 
 	var log *iolog.Log
-	if *logPath != "" {
+	if c.logPath != "" {
 		log = &iolog.Log{}
 	}
 	payload := nekcem.PaperPayloadFactor
-	if *content {
+	if c.content {
 		payload = 1
 	}
-	o := exp.Options{
-		Seed:      *seed,
-		FS:        backend,
-		Machine:   *machName,
-		Map:       *mapName,
-		Quiet:     *quiet,
-		Shards:    *shards,
-		BBNodes:   bbNodes,
-		BBDrainBW: bbGbps * 1e9,
-		Drain:     *drain,
-		Manifests: *workStps > 0 && *epochs > 0,
-	}
-	res, err := exp.Production(o, *np, nekcem.RunConfig{
+	res, err := exp.Production(o, c.np, nekcem.RunConfig{
 		Mesh:            mesh,
 		Strategy:        strat,
 		Dir:             "ckpt",
-		Steps:           *steps,
-		CheckpointEvery: *every,
-		Synthetic:       !*content,
+		Steps:           steps,
+		CheckpointEvery: every,
+		Synthetic:       !c.content,
 		PayloadFactor:   payload,
 		Compute:         nekcem.DefaultComputeModel(),
 		Log:             log,
@@ -148,17 +114,17 @@ func main() {
 		os.Exit(1)
 	}
 
-	fmt.Printf("NekCEM production run: np=%d E=%d N=%d strategy=%s\n", *np, mesh.E, mesh.N, strat.Name())
+	fmt.Printf("NekCEM production run: np=%d E=%d N=%d strategy=%s\n", c.np, mesh.E, mesh.N, strat.Name())
 	fmt.Printf("  presetup (mesh read):   %8.2f s\n", res.Presetup)
 	fmt.Printf("  compute per step:       %8.3f s\n", res.ComputeStep)
-	fmt.Printf("  simulated wall time:    %8.2f s for %d steps\n", res.Wall, *steps)
-	for _, c := range res.Checkpoints {
-		fmt.Printf("  checkpoint @step %-5d  %8.2f s  %7.2f GB  %6.2f GB/s", c.Step, c.StepTime(), float64(c.Bytes)/1e9, exp.GB(c.Bandwidth()))
-		if pb := c.PerceivedBandwidth(); pb > 0 {
-			fmt.Printf("  (perceived %.0f TB/s, workers blocked <= %.1f ms)", pb/1e12, c.MaxWorker*1e3)
+	fmt.Printf("  simulated wall time:    %8.2f s for %d steps\n", res.Wall, steps)
+	for _, cp := range res.Checkpoints {
+		fmt.Printf("  checkpoint @step %-5d  %8.2f s  %7.2f GB  %6.2f GB/s", cp.Step, cp.StepTime(), float64(cp.Bytes)/1e9, exp.GB(cp.Bandwidth()))
+		if pb := cp.PerceivedBandwidth(); pb > 0 {
+			fmt.Printf("  (perceived %.0f TB/s, workers blocked <= %.1f ms)", pb/1e12, cp.MaxWorker*1e3)
 		}
-		if c.AsyncRanks > 0 {
-			fmt.Printf("  (solver blocked %.1f ms, flush durable %.2f s after snapshot)", c.BlockedTime()*1e3, c.MaxDurable-c.MaxEnd)
+		if cp.AsyncRanks > 0 {
+			fmt.Printf("  (solver blocked %.1f ms, flush durable %.2f s after snapshot)", cp.BlockedTime()*1e3, cp.MaxDurable-cp.MaxEnd)
 		}
 		fmt.Println()
 	}
@@ -176,14 +142,89 @@ func main() {
 	}
 
 	if log != nil {
-		writeLog(log, *logPath)
+		writeLog(log, c.logPath)
 	}
 }
 
+// resolve validates the command line before anything is built and returns
+// the run's options and checkpoint strategy. Every rejection is typed: a
+// *registry.UnknownError for a name no registry holds, a *flagError for a
+// number out of range.
+func (c *cli) resolve() (exp.Options, ckpt.Strategy, error) {
+	var o exp.Options
+	if c.shards < 0 {
+		return o, nil, &flagError{"shards", c.shards, "want >= 0; 0 or 1 = serial kernel"}
+	}
+	for _, f := range []struct {
+		name  string
+		value int
+	}{{"steps", c.steps}, {"ckpt-every", c.every}, {"nf", c.nf}} {
+		if f.value < 0 {
+			return o, nil, &flagError{f.name, f.value, "want >= 0"}
+		}
+	}
+	backend, err := fsys.Lookup(c.fsName)
+	if err != nil {
+		return o, nil, err
+	}
+	bbNodes, bbGbps, err := bbuf.ParseFleetSpec(c.bbSpec)
+	if err != nil {
+		return o, nil, err
+	}
+	if c.drain != "" {
+		if _, err := bbuf.Lookup(c.drain); err != nil {
+			return o, nil, err
+		}
+	}
+	if err := validateLifecycleFlags(c.epochs, c.work, setFlags(c.fs)); err != nil {
+		return o, nil, err
+	}
+	strat, err := resolveStrategy(c.ckptName, c.np, c.nf)
+	if err != nil {
+		return o, nil, err
+	}
+	desc, err := machine.Lookup(c.machName)
+	if err != nil {
+		return o, nil, err
+	}
+	mcfg := desc.Config(c.np)
+	if c.mapName != "" {
+		mcfg.Placement = c.mapName
+	}
+	if err := mcfg.Validate(); err != nil {
+		var ue *registry.UnknownError
+		if !errors.As(err, &ue) {
+			err = &flagError{"np", c.np, err.Error()}
+		}
+		return o, nil, err
+	}
+	return exp.Options{
+		Seed:      c.seed,
+		FS:        backend,
+		Machine:   c.machName,
+		Map:       c.mapName,
+		Quiet:     c.quiet,
+		Shards:    c.shards,
+		BBNodes:   bbNodes,
+		BBDrainBW: bbGbps * 1e9,
+		Drain:     c.drain,
+		Manifests: c.work > 0 && c.epochs > 0,
+	}, strat, nil
+}
+
+// flagError reports a numeric flag value out of range.
+type flagError struct {
+	Flag  string
+	Value int
+	Why   string
+}
+
+func (e *flagError) Error() string { return fmt.Sprintf("invalid -%s %d (%s)", e.Flag, e.Value, e.Why) }
+
 // resolveStrategy builds the run's checkpoint strategy from the -ckpt flag
 // via the ckpt registry. A positive -nf refines the registry configuration:
-// file count for coIO, np:ng group count for rbIO; strategies without a
-// file-count knob ignore it.
+// file count for coIO, np:ng group count for rbIO, and must divide np for
+// either; strategies without a file-count knob ignore it.
 func resolveStrategy(name string, np, nf int) (ckpt.Strategy, error) {
 	d, err := ckpt.Lookup(name)
 	if err != nil {
@@ -198,15 +239,20 @@ func resolveStrategy(name string, np, nf int) (ckpt.Strategy, error) {
 		case ckpt.RbIO:
 			s.GroupSize = np / nf
 			strat = s
+		default:
+			return strat, nil
+		}
+		if np%nf != 0 {
+			return nil, &flagError{"nf", nf, fmt.Sprintf("want a divisor of -np %d", np)}
 		}
 	}
 	return strat, nil
 }
 
 // setFlags returns the names of the flags the command line set explicitly.
-func setFlags() map[string]bool {
+func setFlags(fs *flag.FlagSet) map[string]bool {
 	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	return set
 }
 
@@ -214,10 +260,10 @@ func setFlags() map[string]bool {
 // (their zero defaults leave -steps/-ckpt-every in charge).
 func validateLifecycleFlags(epochs, work int, set map[string]bool) error {
 	if set["epochs"] && epochs <= 0 {
-		return fmt.Errorf("invalid -epochs %d (want >= 1)", epochs)
+		return &flagError{"epochs", epochs, "want >= 1"}
 	}
 	if set["work"] && work <= 0 {
-		return fmt.Errorf("invalid -work %d (want >= 1)", work)
+		return &flagError{"work", work, "want >= 1"}
 	}
 	return nil
 }

@@ -2,9 +2,11 @@ package main
 
 import (
 	"errors"
+	"flag"
 	"testing"
 
 	"repro/internal/ckpt"
+	"repro/internal/registry"
 )
 
 // TestResolveStrategy pins the -ckpt/-nf resolution the command exits 2
@@ -44,11 +46,56 @@ func TestResolveStrategy(t *testing.T) {
 	if rb := s.(ckpt.RbIO); rb.GroupSize != 256 {
 		t.Fatalf("-nf 16 built rbIO with group size %d, want 256", rb.GroupSize)
 	}
+	// -nf is ignored by strategies without a file-count knob.
+	if _, err := resolveStrategy("1pfpp", 4096, 3); err != nil {
+		t.Fatalf("-ckpt 1pfpp -nf 3: %v", err)
+	}
 	// The exit-2 path: a typed unknown-strategy error.
 	_, err = resolveStrategy("mpiio", 4096, 0)
-	var ue *ckpt.UnknownStrategyError
-	if !errors.As(err, &ue) {
-		t.Fatalf("unknown -ckpt returned %v, want *ckpt.UnknownStrategyError", err)
+	var ue *registry.UnknownError
+	if !errors.As(err, &ue) || ue.Kind != "ckpt strategy" {
+		t.Fatalf("unknown -ckpt returned %#v, want a ckpt strategy *registry.UnknownError", err)
+	}
+}
+
+// TestResolveRejectsBadFlags pins the exit-2 surface: every bad name is the
+// registry's typed error of the flag's kind and every bad number a
+// *flagError naming the flag, all caught before anything is built.
+func TestResolveRejectsBadFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		kind string // registry kind of the *registry.UnknownError
+		flag string // or the flag a *flagError names
+	}{
+		{[]string{"-ckpt", "nope"}, "ckpt strategy", ""},
+		{[]string{"-fs", "nope"}, "fsys backend", ""},
+		{[]string{"-machine", "nope"}, "machine machine", ""},
+		{[]string{"-map", "nope"}, "machine placement", ""},
+		{[]string{"-drain", "nope"}, "bbuf drain scheduler", ""},
+		{[]string{"-np", "-4"}, "", "np"},
+		{[]string{"-np", "1000"}, "", "np"},
+		{[]string{"-nf", "-3"}, "", "nf"},
+		{[]string{"-steps", "-1"}, "", "steps"},
+		{[]string{"-ckpt-every", "-2"}, "", "ckpt-every"},
+		{[]string{"-shards", "-1"}, "", "shards"},
+		{[]string{"-ckpt", "rbio", "-nf", "3", "-np", "64"}, "", "nf"},
+		{[]string{"-ckpt", "coio", "-nf", "3", "-np", "64"}, "", "nf"},
+		{[]string{"-epochs", "0"}, "", "epochs"},
+	} {
+		fs := flag.NewFlagSet("nekcem", flag.ContinueOnError)
+		c := newCLI(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := c.resolve()
+		var ue *registry.UnknownError
+		var fe *flagError
+		switch {
+		case tc.kind != "" && (!errors.As(err, &ue) || ue.Kind != tc.kind):
+			t.Errorf("%v: error %#v, want a %s *registry.UnknownError", tc.args, err, tc.kind)
+		case tc.flag != "" && (!errors.As(err, &fe) || fe.Flag != tc.flag):
+			t.Errorf("%v: error %#v, want a *flagError for -%s", tc.args, err, tc.flag)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bgp"
 	"repro/internal/data"
+	"repro/internal/registry"
 	"repro/internal/sim"
 	"repro/internal/xrand"
 )
@@ -24,15 +25,12 @@ func TestSchedulerRegistry(t *testing.T) {
 		t.Fatalf("Lookup(\"\") = %v, %v; want the %q default", s, err, DefaultScheduler)
 	}
 	_, err := Lookup("nope")
-	var ue *UnknownSchedulerError
-	if !errors.As(err, &ue) {
-		t.Fatalf("Lookup(nope) error %v, want *UnknownSchedulerError", err)
+	var ue *registry.UnknownError
+	if !errors.As(err, &ue) || ue.Kind != "bbuf drain scheduler" {
+		t.Fatalf("Lookup(nope) error %#v, want a bbuf drain scheduler *registry.UnknownError", err)
 	}
-	if ue.Name != "nope" || len(ue.Known) != len(Schedulers()) {
-		t.Fatalf("error carries %q with %d known, want nope with %d", ue.Name, len(ue.Known), len(Schedulers()))
-	}
-	if got := Schedulers(); got[0] != "fifo" {
-		t.Fatalf("registration order starts with %q, want fifo first", got[0])
+	if ue.Name != "nope" || len(ue.Known) != 3 {
+		t.Fatalf("error carries %q with known %v, want nope with the three policies", ue.Name, ue.Known)
 	}
 }
 

@@ -1,20 +1,17 @@
 package bbuf
 
-import (
-	"fmt"
-	"sort"
-)
+import "repro/internal/registry"
 
 // Request is one drain awaiting dispatch: an absorbed write sitting in a
 // fleet node's buffer until the node's drain channel picks it up. The
 // scheduler sees only this value — the handle, offsets, and storage plumbing
 // stay inside the fleet.
 type Request struct {
-	Seq      int64   // fleet-wide admission order; the deterministic tie-break
-	Node     int     // fleet node holding the bytes
-	ION      int     // originating I/O node (pset)
-	Tenant   int     // owning tenant index (0 in single-tenant runs)
-	Priority int     // tenant drain priority; higher drains first under "tenant"
+	Seq      int64 // fleet-wide admission order; the deterministic tie-break
+	Node     int   // fleet node holding the bytes
+	ION      int   // originating I/O node (pset)
+	Tenant   int   // owning tenant index (0 in single-tenant runs)
+	Priority int   // tenant drain priority; higher drains first under "tenant"
 	Bytes    int64
 	Ready    float64 // when absorption completed and the drain became eligible
 	Deadline float64 // Ready + Config.DrainTarget; the deadline-aware key
@@ -22,8 +19,7 @@ type Request struct {
 
 // Scheduler is the drain-ordering policy seam: it decides which pending
 // request a fleet node's drain channel serves next. Policies register under
-// a name (Register/Lookup, mirroring the ckpt/fsys/machine registries) and
-// the -drain flag selects one.
+// a name in a registry.Registry and the -drain flag selects one.
 type Scheduler interface {
 	Name() string
 	// Queued reports whether the policy can reorder pending drains. A
@@ -41,73 +37,14 @@ type Scheduler interface {
 	Pick(pending []Request) int
 }
 
-// UnknownSchedulerError reports a drain-policy name that is not registered.
-type UnknownSchedulerError struct {
-	Name  string
-	Known []string // sorted registered names
-}
-
-func (e *UnknownSchedulerError) Error() string {
-	return fmt.Sprintf("bbuf: unknown drain scheduler %q (valid: %s)", e.Name, joinNames(e.Known))
-}
-
-func joinNames(s []string) string {
-	out := ""
-	for i, v := range s {
-		if i > 0 {
-			out += ", "
-		}
-		out += v
-	}
-	return out
-}
-
 // DefaultScheduler is what an empty policy name resolves to.
 const DefaultScheduler = "fifo"
 
-var (
-	schedulers     = map[string]Scheduler{}
-	schedulerOrder []string
-)
-
-// Register installs a drain scheduler under its name. Schedulers
-// self-register from this package's init; registering an empty name or the
-// same name twice is a wiring bug and panics.
-func Register(s Scheduler) {
-	name := s.Name()
-	if name == "" {
-		panic("bbuf: Register with empty scheduler name")
-	}
-	if _, dup := schedulers[name]; dup {
-		panic("bbuf: duplicate scheduler registration: " + name)
-	}
-	schedulers[name] = s
-	schedulerOrder = append(schedulerOrder, name)
-}
-
-// Schedulers returns the registered drain-policy names in registration
-// order.
-func Schedulers() []string {
-	out := make([]string, len(schedulerOrder))
-	copy(out, schedulerOrder)
-	return out
-}
+var schedulers = registry.New[Scheduler]("bbuf drain scheduler", DefaultScheduler)
 
 // Lookup resolves a drain-policy name. The empty string resolves to
-// DefaultScheduler; an unregistered name returns an
-// *UnknownSchedulerError.
-func Lookup(name string) (Scheduler, error) {
-	if name == "" {
-		name = DefaultScheduler
-	}
-	s, ok := schedulers[name]
-	if !ok {
-		known := append([]string(nil), schedulerOrder...)
-		sort.Strings(known)
-		return nil, &UnknownSchedulerError{Name: name, Known: known}
-	}
-	return s, nil
-}
+// DefaultScheduler; an unregistered name returns a *registry.UnknownError.
+func Lookup(name string) (Scheduler, error) { return schedulers.Lookup(name) }
 
 // FIFO serves drains in admission order. It is pass-through (Queued false):
 // each request's drain is planned the moment its absorption completes, and
@@ -166,7 +103,7 @@ func (TenantPriority) Pick(pending []Request) int {
 }
 
 func init() {
-	Register(FIFO{})
-	Register(Deadline{})
-	Register(TenantPriority{})
+	for _, s := range []Scheduler{FIFO{}, Deadline{}, TenantPriority{}} {
+		schedulers.Register(s.Name(), nil, s)
+	}
 }

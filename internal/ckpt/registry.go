@@ -1,20 +1,16 @@
 package ckpt
 
 import (
-	"fmt"
-	"sort"
-
 	"repro/internal/mpiio"
+	"repro/internal/registry"
 )
 
 // Descriptor describes one registered checkpoint strategy: a stable name
 // for CLIs and experiment tables, the paper's legend label, and a factory
 // that builds the strategy for a given processor count (some strategies —
-// coIO's np:nf=64:1 arm — scale a knob with np).
-//
-// The registry mirrors the fsys backend and machine registries: strategy
-// lists everywhere (experiments, cluster workloads, both CLIs) derive from
-// one place instead of scattered struct literals.
+// coIO's np:nf=64:1 arm — scale a knob with np). Strategy lists everywhere
+// (experiments, cluster workloads, both CLIs) derive from this one
+// registry instead of scattered struct literals.
 type Descriptor struct {
 	// Name is the canonical registry key ("rbio", "coio1", ...).
 	Name string
@@ -29,99 +25,28 @@ type Descriptor struct {
 	New func(np int) Strategy
 }
 
-var (
-	strategies    = map[string]Descriptor{}
-	strategyAlias = map[string]string{} // alias -> canonical name
-	strategyOrder []string
-)
-
-// Register installs a strategy descriptor. Registering an empty name, a nil
-// factory, or a name/alias that collides with an existing one is a wiring
-// bug and panics.
-func Register(d Descriptor) {
-	if d.Name == "" {
-		panic("ckpt: Register with empty strategy name")
-	}
-	if d.New == nil {
-		panic("ckpt: Register with nil factory for " + d.Name)
-	}
-	if _, dup := strategies[d.Name]; dup {
-		panic("ckpt: duplicate strategy registration: " + d.Name)
-	}
-	if _, dup := strategyAlias[d.Name]; dup {
-		panic("ckpt: strategy name collides with an alias: " + d.Name)
-	}
-	for _, a := range d.Aliases {
-		if a == "" {
-			panic("ckpt: empty alias for strategy " + d.Name)
-		}
-		if _, dup := strategies[a]; dup {
-			panic("ckpt: alias collides with a strategy name: " + a)
-		}
-		if _, dup := strategyAlias[a]; dup {
-			panic("ckpt: duplicate strategy alias: " + a)
-		}
-	}
-	strategies[d.Name] = d
-	for _, a := range d.Aliases {
-		strategyAlias[a] = d.Name
-	}
-	strategyOrder = append(strategyOrder, d.Name)
-}
-
-// Strategies returns the registered descriptors in registration order.
-func Strategies() []Descriptor {
-	out := make([]Descriptor, 0, len(strategyOrder))
-	for _, name := range strategyOrder {
-		out = append(out, strategies[name])
-	}
-	return out
-}
-
 // DefaultStrategy is what an empty name resolves to (the paper's headline
 // configuration, matching the nekcem CLI default).
 const DefaultStrategy = "rbio"
 
-// UnknownStrategyError reports a strategy name that is not registered.
-type UnknownStrategyError struct {
-	Name  string
-	Known []string // sorted canonical names
-}
+var strategies = registry.New[Descriptor]("ckpt strategy", DefaultStrategy)
 
-func (e *UnknownStrategyError) Error() string {
-	return fmt.Sprintf("ckpt: unknown strategy %q (valid: %s)", e.Name, joinNames(e.Known))
-}
-
-func joinNames(s []string) string {
-	out := ""
-	for i, v := range s {
-		if i > 0 {
-			out += ", "
-		}
-		out += v
+// Register installs a strategy descriptor under its name and aliases. A nil
+// factory is a wiring bug and panics, like a colliding name.
+func Register(d Descriptor) {
+	if d.New == nil {
+		panic("ckpt: Register with nil factory for " + d.Name)
 	}
-	return out
+	strategies.Register(d.Name, d.Aliases, d)
 }
+
+// Strategies returns the registered descriptors in registration order.
+func Strategies() []Descriptor { return strategies.All() }
 
 // Lookup resolves a strategy name or alias to its descriptor. The empty
-// string resolves to DefaultStrategy; an unregistered name returns an
-// *UnknownStrategyError listing the valid choices.
-func Lookup(name string) (Descriptor, error) {
-	if name == "" {
-		name = DefaultStrategy
-	}
-	if canon, ok := strategyAlias[name]; ok {
-		name = canon
-	}
-	d, ok := strategies[name]
-	if !ok {
-		known := make([]string, 0, len(strategyOrder))
-		known = append(known, strategyOrder...)
-		sort.Strings(known)
-		return Descriptor{}, &UnknownStrategyError{Name: name, Known: known}
-	}
-	return d, nil
-}
+// string resolves to DefaultStrategy; an unregistered name returns a
+// *registry.UnknownError listing the valid choices.
+func Lookup(name string) (Descriptor, error) { return strategies.Lookup(name) }
 
 // New resolves a strategy name and builds it for an np-rank run.
 func New(name string, np int) (Strategy, error) {
@@ -184,11 +109,11 @@ func init() {
 		New:   func(int) Strategy { return DefaultRbIO() },
 	})
 	Register(Descriptor{
-		Name:  "multilevel",
-		Label: "multilevel, local+rbIO/4",
-		Doc:   "SCR-style: RAM-disk every step, rbIO to the PFS every 4th",
+		Name:    "multilevel",
+		Label:   "multilevel, local+rbIO/4",
+		Doc:     "SCR-style: RAM-disk every step, rbIO to the PFS every 4th",
 		Aliases: []string{"ml"},
-		New:   func(int) Strategy { return DefaultMultiLevel() },
+		New:     func(int) Strategy { return DefaultMultiLevel() },
 	})
 	Register(Descriptor{
 		Name:  "async",

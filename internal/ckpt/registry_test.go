@@ -3,9 +3,10 @@ package ckpt
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/registry"
 )
 
 // mustPanicContains asserts fn panics with a message containing want.
@@ -23,24 +24,30 @@ func mustPanicContains(t *testing.T, want string, fn func()) {
 	fn()
 }
 
-// TestRegisterWiringBugsPanic pins Register's validation: every wiring bug
-// panics before any registry state is mutated, so the tests below can probe
-// all of them against the live registry.
+// TestRegisterWiringBugsPanic pins Register's validation against the live
+// strategy registry: every wiring bug panics before any registry state is
+// mutated. The generic collision rules are in the registry package; this
+// pins that ckpt routes through them and adds the nil-factory guard.
 func TestRegisterWiringBugsPanic(t *testing.T) {
 	ok := func(int) Strategy { return OnePFPP{} }
 	for _, tc := range []struct {
 		want string
 		d    Descriptor
 	}{
-		{"empty strategy name", Descriptor{New: ok}},
+		{"empty ckpt strategy name", Descriptor{New: ok}},
 		{"nil factory", Descriptor{Name: "x-nilfactory"}},
-		{"duplicate strategy registration", Descriptor{Name: "rbio", New: ok}},
-		{"strategy name collides with an alias", Descriptor{Name: "ml", New: ok}},
-		{"alias collides with a strategy name", Descriptor{Name: "x-alias1", New: ok, Aliases: []string{"rbio"}}},
-		{"duplicate strategy alias", Descriptor{Name: "x-alias2", New: ok, Aliases: []string{"ml"}}},
-		{"empty alias", Descriptor{Name: "x-alias3", New: ok, Aliases: []string{""}}},
+		{`duplicate ckpt strategy registration "rbio"`, Descriptor{Name: "rbio", New: ok}},
+		{`duplicate ckpt strategy registration "ml"`, Descriptor{Name: "ml", New: ok}},
+		{`duplicate ckpt strategy registration "rbio"`, Descriptor{Name: "x-alias1", New: ok, Aliases: []string{"rbio"}}},
+		{`duplicate ckpt strategy registration "ml"`, Descriptor{Name: "x-alias2", New: ok, Aliases: []string{"ml"}}},
+		{"empty ckpt strategy name or alias", Descriptor{Name: "x-alias3", New: ok, Aliases: []string{""}}},
 	} {
 		mustPanicContains(t, tc.want, func() { Register(tc.d) })
+	}
+	for _, name := range []string{"x-nilfactory", "x-alias1", "x-alias2", "x-alias3"} {
+		if _, err := Lookup(name); err == nil {
+			t.Errorf("failed registration of %q left it in the registry", name)
+		}
 	}
 }
 
@@ -65,27 +72,16 @@ func TestLookupDefaultAndAliases(t *testing.T) {
 }
 
 // TestLookupUnknownTypedError pins the error surface both CLIs print on
-// exit 2: a typed *UnknownStrategyError carrying the sorted valid names.
+// exit 2: the shared registry error, byte for byte.
 func TestLookupUnknownTypedError(t *testing.T) {
 	_, err := Lookup("mpiio")
-	var ue *UnknownStrategyError
-	if !errors.As(err, &ue) {
-		t.Fatalf("Lookup error is %T, want *UnknownStrategyError", err)
+	var ue *registry.UnknownError
+	if !errors.As(err, &ue) || ue.Kind != "ckpt strategy" {
+		t.Fatalf("Lookup error is %#v, want a ckpt strategy *registry.UnknownError", err)
 	}
-	if ue.Name != "mpiio" {
-		t.Errorf("error names %q, want mpiio", ue.Name)
-	}
-	if !sort.StringsAreSorted(ue.Known) {
-		t.Errorf("Known not sorted: %v", ue.Known)
-	}
-	if len(ue.Known) != len(Strategies()) {
-		t.Errorf("Known lists %d names, registry has %d", len(ue.Known), len(Strategies()))
-	}
-	msg := err.Error()
-	for _, want := range []string{`unknown strategy "mpiio"`, "valid:", "rbio", "async"} {
-		if !strings.Contains(msg, want) {
-			t.Errorf("error %q missing %q", msg, want)
-		}
+	const want = `ckpt: unknown strategy "mpiio" (valid: 1pfpp, async, coio, coio1, multilevel, rbio, rbio1)`
+	if err.Error() != want {
+		t.Errorf("error %q, want %q", err.Error(), want)
 	}
 }
 

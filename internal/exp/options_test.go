@@ -1,9 +1,12 @@
 package exp
 
 import (
+	"errors"
 	"reflect"
 	"runtime"
 	"testing"
+
+	"repro/internal/registry"
 )
 
 // TestNormalizeDefaults pins the single place zero values resolve.
@@ -45,8 +48,8 @@ func TestNormalizeDefaults(t *testing.T) {
 	}
 }
 
-// TestExperimentRegistry sanity-checks the registry round-trip and the
-// duplicate-registration guard.
+// TestExperimentRegistry sanity-checks the registry round-trip and that
+// the empty name selects no experiment.
 func TestExperimentRegistry(t *testing.T) {
 	ds := Experiments()
 	if len(ds) < 20 {
@@ -61,21 +64,17 @@ func TestExperimentRegistry(t *testing.T) {
 			t.Fatalf("duplicate name %q in Experiments()", d.Name)
 		}
 		seen[d.Name] = true
-		got, ok := LookupExperiment(d.Name)
-		if !ok || got.Name != d.Name {
-			t.Fatalf("LookupExperiment(%q) failed", d.Name)
+		got, err := Lookup(d.Name)
+		if err != nil || got.Name != d.Name {
+			t.Fatalf("Lookup(%q) = %q, %v", d.Name, got.Name, err)
 		}
 	}
-	if _, ok := LookupExperiment("no-such-exp"); ok {
-		t.Fatal("LookupExperiment invented an experiment")
-	}
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate Register did not panic")
+	for _, name := range []string{"no-such-exp", ""} {
+		var ue *registry.UnknownError
+		if _, err := Lookup(name); !errors.As(err, &ue) || ue.Kind != "exp experiment" {
+			t.Fatalf("Lookup(%q) error %#v, want an exp experiment *registry.UnknownError", name, err)
 		}
-	}()
-	Register(Descriptor{Name: "fig5", Doc: "dup", Run: func(*Session) error { return nil }})
+	}
 }
 
 // TestSessionNPOr pins the single-NP override rule.

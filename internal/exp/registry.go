@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+
+	"repro/internal/registry"
 )
 
 // Descriptor is one runnable experiment in the registry: its canonical
@@ -17,54 +19,22 @@ type Descriptor struct {
 	// Flags documents driver flags beyond the common set that the
 	// experiment consumes (e.g. "-mtbf"). Empty for most.
 	Flags string
-	// Aliases are alternative -exp names that select this experiment.
-	Aliases []string
 	// Run executes the experiment and prints its tables to s.Out.
 	Run func(s *Session) error
 }
 
-var (
-	registry      = map[string]*Descriptor{}
-	registryOrder []*Descriptor
-)
+// experiments has no default: an experiment is always named.
+var experiments = registry.New[Descriptor]("exp experiment", "")
 
-// Register installs an experiment descriptor. Duplicate names or aliases
-// are wiring bugs and panic.
-func Register(d Descriptor) {
-	if d.Name == "" || d.Run == nil {
-		panic("exp: Register needs a name and a run body")
-	}
-	if _, dup := registry[d.Name]; dup {
-		panic("exp: duplicate experiment registration: " + d.Name)
-	}
-	desc := &d
-	registry[d.Name] = desc
-	for _, a := range d.Aliases {
-		if _, dup := registry[a]; dup {
-			panic("exp: experiment alias collides: " + a)
-		}
-		registry[a] = desc
-	}
-	registryOrder = append(registryOrder, desc)
-}
+// Register installs an experiment descriptor.
+func Register(d Descriptor) { experiments.Register(d.Name, nil, d) }
 
 // Experiments returns the registered descriptors in registration order.
-func Experiments() []Descriptor {
-	out := make([]Descriptor, 0, len(registryOrder))
-	for _, d := range registryOrder {
-		out = append(out, *d)
-	}
-	return out
-}
+func Experiments() []Descriptor { return experiments.All() }
 
-// LookupExperiment resolves an experiment name or alias.
-func LookupExperiment(name string) (Descriptor, bool) {
-	d, ok := registry[name]
-	if !ok {
-		return Descriptor{}, false
-	}
-	return *d, true
-}
+// Lookup resolves an experiment name; an unknown one returns a
+// *registry.UnknownError.
+func Lookup(name string) (Descriptor, error) { return experiments.Lookup(name) }
 
 // Session is the shared state of one driver invocation: the options every
 // experiment runs with, where tables go, and results shared between

@@ -1,10 +1,8 @@
 package fsys
 
 import (
-	"fmt"
-	"sort"
-
 	"repro/internal/machine"
+	"repro/internal/registry"
 )
 
 // Backend is a typed file-system backend name ("gpfs", "pvfs", "bbuf").
@@ -40,81 +38,31 @@ type MountOptions struct {
 // MountFunc mounts a backend's file system model on a machine.
 type MountFunc func(m *machine.Machine, opt MountOptions) (System, error)
 
-var (
-	backends     = map[Backend]MountFunc{}
-	backendOrder []Backend
-)
+var backends = registry.New[MountFunc]("fsys backend", string(DefaultBackend))
 
 // Register installs a backend under its name. Backends self-register from
 // their package init, so importing internal/gpfs (etc.) is what makes a
-// backend mountable. Registering an empty name or the same name twice is a
-// wiring bug and panics.
-func Register(b Backend, fn MountFunc) {
-	if b == "" {
-		panic("fsys: Register with empty backend name")
-	}
-	if fn == nil {
-		panic("fsys: Register with nil mount func for " + string(b))
-	}
-	if _, dup := backends[b]; dup {
-		panic("fsys: duplicate backend registration: " + string(b))
-	}
-	backends[b] = fn
-	backendOrder = append(backendOrder, b)
-}
-
-// Backends returns the registered backend names in registration order.
-func Backends() []Backend {
-	out := make([]Backend, len(backendOrder))
-	copy(out, backendOrder)
-	return out
-}
-
-// UnknownBackendError reports a backend name that is not registered.
-type UnknownBackendError struct {
-	Name  string
-	Known []string // sorted registered names
-}
-
-func (e *UnknownBackendError) Error() string {
-	return fmt.Sprintf("fsys: unknown backend %q (valid: %s)", e.Name, joinStrings(e.Known))
-}
-
-func joinStrings(s []string) string {
-	out := ""
-	for i, v := range s {
-		if i > 0 {
-			out += ", "
-		}
-		out += v
-	}
-	return out
-}
+// backend mountable.
+func Register(b Backend, fn MountFunc) { backends.Register(string(b), nil, fn) }
 
 // Lookup resolves a backend name. The empty string resolves to
-// DefaultBackend; an unregistered name returns an *UnknownBackendError.
+// DefaultBackend; an unregistered name returns a *registry.UnknownError.
 func Lookup(name string) (Backend, error) {
 	if name == "" {
 		name = string(DefaultBackend)
 	}
-	b := Backend(name)
-	if _, ok := backends[b]; !ok {
-		known := make([]string, 0, len(backendOrder))
-		for _, k := range backendOrder {
-			known = append(known, string(k))
-		}
-		sort.Strings(known)
-		return "", &UnknownBackendError{Name: name, Known: known}
+	if _, err := backends.Lookup(name); err != nil {
+		return "", err
 	}
-	return b, nil
+	return Backend(name), nil
 }
 
 // Mount resolves and mounts a backend on the machine. An empty Backend
 // mounts DefaultBackend.
 func Mount(b Backend, m *machine.Machine, opt MountOptions) (System, error) {
-	rb, err := Lookup(string(b))
+	mount, err := backends.Lookup(string(b))
 	if err != nil {
 		return nil, err
 	}
-	return backends[rb](m, opt)
+	return mount(m, opt)
 }

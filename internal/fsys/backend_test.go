@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bgp"
 	"repro/internal/fsys"
+	"repro/internal/registry"
 	"repro/internal/sim"
 	"repro/internal/xrand"
 
@@ -15,13 +16,9 @@ import (
 )
 
 func TestRegisteredBackends(t *testing.T) {
-	got := map[fsys.Backend]bool{}
-	for _, b := range fsys.Backends() {
-		got[b] = true
-	}
-	for _, want := range []fsys.Backend{"gpfs", "pvfs", "bbuf"} {
-		if !got[want] {
-			t.Fatalf("backend %q not registered (have %v)", want, fsys.Backends())
+	for _, want := range []string{"gpfs", "pvfs", "bbuf"} {
+		if b, err := fsys.Lookup(want); err != nil || string(b) != want {
+			t.Fatalf("Lookup(%q) = %q, %v", want, b, err)
 		}
 	}
 }
@@ -38,12 +35,12 @@ func TestLookupDefaultsAndErrors(t *testing.T) {
 	if err == nil {
 		t.Fatal("Lookup(ext4) succeeded")
 	}
-	var ube *fsys.UnknownBackendError
-	if !errors.As(err, &ube) {
-		t.Fatalf("error is %T, want *UnknownBackendError", err)
+	var ue *registry.UnknownError
+	if !errors.As(err, &ue) || ue.Kind != "fsys backend" {
+		t.Fatalf("error is %#v, want an fsys backend *registry.UnknownError", err)
 	}
-	if ube.Name != "ext4" || len(ube.Known) < 3 {
-		t.Fatalf("bad error detail: %+v", ube)
+	if ue.Name != "ext4" || len(ue.Known) < 3 {
+		t.Fatalf("bad error detail: %+v", ue)
 	}
 }
 

@@ -123,32 +123,19 @@ func (ic *Interconnect) priceRoute(route []int, start float64, size int64) (arri
 }
 
 // Port is a lane-private routing context over the shared engine for the
-// partitioned kernel: its own route scratch and, for topologies that keep
-// internal routing scratch (the torus hop buffer), a private routing view,
-// so concurrent lanes never share a buffer. The contention state (link and
+// partitioned kernel: its own route scratch, so concurrent lanes never
+// share a buffer (topologies are stateless). The contention state (link and
 // injection frontiers) stays on the engine — the kernel's route-safety gate
 // (Machine.RouteSafePsets) guarantees concurrent lanes touch disjoint links
 // and inject only from their own nodes, and exclusive-lane traffic never
 // overlaps a window, so every link's update order matches the serial run.
 type Port struct {
 	ic       *Interconnect
-	topo     Topology
 	routeBuf []int
 }
 
 // NewPort returns a routing context safe to use from one kernel lane.
-func (ic *Interconnect) NewPort() *Port {
-	return &Port{ic: ic, topo: cloneRouter(ic.topo)}
-}
-
-// cloneRouter returns a routing view with private scratch when the topology
-// carries any; stateless topologies are shared as-is.
-func cloneRouter(t Topology) Topology {
-	if c, ok := t.(interface{ cloneRouter() Topology }); ok {
-		return c.cloneRouter()
-	}
-	return t
-}
+func (ic *Interconnect) NewPort() *Port { return &Port{ic: ic} }
 
 // Inject is Interconnect.Inject through the port. The injection frontier is
 // per source node, which belongs to exactly one lane.
@@ -168,7 +155,7 @@ func (p *Port) Transfer(start float64, src, dst int, size int64) (arrival float6
 	if src == dst {
 		return start + ic.cfg.HopLatency
 	}
-	p.routeBuf = p.topo.AppendRoute(p.routeBuf[:0], src, dst)
+	p.routeBuf = ic.topo.AppendRoute(p.routeBuf[:0], src, dst)
 	return ic.priceRoute(p.routeBuf, start, size)
 }
 

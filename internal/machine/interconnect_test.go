@@ -6,23 +6,22 @@ import (
 	"testing/quick"
 
 	"repro/internal/fabric"
-	"repro/internal/topo"
 )
 
 // The contention tests below are the former fabric.Torus suite, re-run
 // through the generic engine on the torus topology: the refactor must not
 // change a single arrival time.
 
-func torusNet(t *testing.T, x, y, z int, cfg fabric.LinkConfig) (*Interconnect, topo.Torus) {
+func torusNet(t *testing.T, x, y, z int, cfg fabric.LinkConfig) (*Interconnect, *Torus) {
 	t.Helper()
-	tor := topo.New(x, y, z)
-	return NewInterconnect(&TorusTopology{T: tor}, cfg), tor
+	tor := NewTorus(x, y, z)
+	return NewInterconnect(tor, cfg), tor
 }
 
 func TestUncontendedLatency(t *testing.T) {
 	cfg := fabric.LinkConfig{LinkBW: 425e6, HopLatency: 100e-9, InjectBW: 3.4e9, InjectLat: 2e-6}
 	tn, tor := torusNet(t, 8, 8, 8, cfg)
-	src, dst := 0, tor.ID(topo.Coord{X: 3, Y: 0, Z: 0})
+	src, dst := 0, tor.ID([3]int{3, 0, 0})
 	size := int64(1 << 20)
 	arr := tn.Transfer(0, src, dst, size)
 	want := 3*cfg.HopLatency + float64(size)/cfg.LinkBW
@@ -48,7 +47,7 @@ func TestDisjointPathsDoNotInterfere(t *testing.T) {
 	tn, tor := torusNet(t, 8, 8, 1, fabric.LinkConfig{LinkBW: 1e6, HopLatency: 0, InjectBW: 1e12, InjectLat: 0})
 	// 0->1 along X and a Y-only pair share no links.
 	a1 := tn.Transfer(0, 0, 1, 1e6)
-	a2 := tn.Transfer(0, tor.ID(topo.Coord{X: 0, Y: 2, Z: 0}), tor.ID(topo.Coord{X: 0, Y: 3, Z: 0}), 1e6)
+	a2 := tn.Transfer(0, tor.ID([3]int{0, 2, 0}), tor.ID([3]int{0, 3, 0}), 1e6)
 	if math.Abs(a1-1.0) > 1e-9 || math.Abs(a2-1.0) > 1e-9 {
 		t.Fatalf("disjoint transfers interfered: %v, %v", a1, a2)
 	}

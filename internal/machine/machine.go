@@ -44,13 +44,11 @@ func (c Config) Validate() error {
 	if c.CPUHz <= 0 {
 		return fmt.Errorf("machine: CPU frequency must be positive")
 	}
-	if _, ok := topologies[c.Topology]; !ok && c.Topology != "" {
-		return &UnknownTopologyError{Name: c.Topology, Known: TopologyNames()}
+	if _, err := topologies.Lookup(c.Topology); err != nil {
+		return err
 	}
-	if _, ok := placements[c.Placement]; !ok && c.Placement != "" {
-		return &UnknownPlacementError{Name: c.Placement, Known: PlacementNames()}
-	}
-	return nil
+	_, err := placements.Lookup(c.Placement)
+	return err
 }
 
 // Machine is a built partition: the three seams composed and all fabrics

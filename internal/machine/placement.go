@@ -3,6 +3,7 @@ package machine
 import (
 	"fmt"
 
+	"repro/internal/registry"
 	"repro/internal/xrand"
 )
 
@@ -31,45 +32,51 @@ type tablePlacement struct {
 func (p *tablePlacement) Name() string        { return p.name }
 func (p *tablePlacement) NodeOf(rank int) int { return p.node[rank] }
 
-// placements maps policy names to table builders over (ranks, nodes,
+// defaultPlacement is the policy the empty name selects: the Blue Gene
+// default mapping.
+const defaultPlacement = "txyz"
+
+// placements holds the policies' table builders over (ranks, nodes,
 // ranksPerNode, seed).
-var placements = map[string]func(ranks, nodes, rpn int, seed uint64) []int{
+var placements = registry.New[func(ranks, nodes, rpn int, seed uint64) []int]("machine placement", defaultPlacement)
+
+func init() {
 	// txyz is the Blue Gene default mapping this repo has always simulated:
 	// ranks fill a node's cores before moving to the next node, so a node's
 	// rpn ranks are consecutive.
-	"txyz": func(ranks, nodes, rpn int, _ uint64) []int {
+	placements.Register("txyz", nil, func(ranks, nodes, rpn int, _ uint64) []int {
 		return buildTable(ranks, func(r int) int { return r / rpn })
-	},
+	})
 	// xyzt cycles ranks across nodes first: consecutive ranks land on
 	// consecutive nodes, wrapping every nodes ranks.
-	"xyzt": func(ranks, nodes, rpn int, _ uint64) []int {
+	placements.Register("xyzt", nil, func(ranks, nodes, rpn int, _ uint64) []int {
 		return buildTable(ranks, func(r int) int { return r % nodes })
-	},
+	})
 	// blocked is block-cyclic with half-node blocks (max(1, rpn/2)): pairs
 	// of ranks stay together but node fills interleave, a middle ground
 	// between txyz and xyzt.
-	"blocked": func(ranks, nodes, rpn int, _ uint64) []int {
+	placements.Register("blocked", nil, func(ranks, nodes, rpn int, _ uint64) []int {
 		blk := rpn / 2
 		if blk < 1 {
 			blk = 1
 		}
 		return buildTable(ranks, func(r int) int { return (r / blk) % nodes })
-	},
+	})
 	// roundrobin deals ranks to nodes like cards. On this repo's row-major
 	// tori it lands on the same table as xyzt (both are rank mod nodes); it
 	// is registered separately because the two differ on machines whose
 	// node numbering is not row-major.
-	"roundrobin": func(ranks, nodes, rpn int, _ uint64) []int {
+	placements.Register("roundrobin", nil, func(ranks, nodes, rpn int, _ uint64) []int {
 		return buildTable(ranks, func(r int) int { return r % nodes })
-	},
+	})
 	// random applies a seeded Fisher–Yates shuffle to the txyz assignment:
 	// capacity per node is preserved, locality is destroyed. The shuffle
 	// draws from its own xrand stream — never the machine RNG, whose split
 	// order is pinned by the determinism goldens.
-	"random": func(ranks, nodes, rpn int, seed uint64) []int {
+	placements.Register("random", nil, func(ranks, nodes, rpn int, seed uint64) []int {
 		perm := xrand.New(seed | 1).Perm(ranks)
 		return buildTable(ranks, func(r int) int { return perm[r] / rpn })
-	},
+	})
 }
 
 func buildTable(ranks int, nodeOf func(rank int) int) []int {
@@ -81,42 +88,21 @@ func buildTable(ranks int, nodeOf func(rank int) int) []int {
 }
 
 // PlacementNames returns the valid Config.Placement values, sorted.
-func PlacementNames() []string { return sortedKeys(placements) }
-
-// ValidatePlacement checks that name is a registered policy ("" counts: it
-// selects the default). Drivers use it to reject a bad -map before any
-// simulation is built.
-func ValidatePlacement(name string) error {
-	if _, ok := placements[name]; !ok && name != "" {
-		return &UnknownPlacementError{Name: name, Known: PlacementNames()}
-	}
-	return nil
-}
+func PlacementNames() []string { return placements.Names() }
 
 // NewPlacement builds the named rank→node policy. The empty name selects
 // txyz (the Blue Gene default). seed only affects the "random" policy.
-// Unknown names fail with a typed *UnknownPlacementError.
+// Unknown names fail with a typed *registry.UnknownError.
 func NewPlacement(name string, ranks, nodes, rpn int, seed uint64) (Placement, error) {
 	if name == "" {
-		name = "txyz"
+		name = defaultPlacement
 	}
-	fn, ok := placements[name]
-	if !ok {
-		return nil, &UnknownPlacementError{Name: name, Known: PlacementNames()}
+	table, err := placements.Lookup(name)
+	if err != nil {
+		return nil, err
 	}
 	if ranks != nodes*rpn {
 		return nil, fmt.Errorf("machine: placement %q: %d ranks != %d nodes * %d ranks/node", name, ranks, nodes, rpn)
 	}
-	return &tablePlacement{name: name, node: fn(ranks, nodes, rpn, seed)}, nil
-}
-
-// UnknownPlacementError reports a Config.Placement value that names no
-// registered policy.
-type UnknownPlacementError struct {
-	Name  string
-	Known []string
-}
-
-func (e *UnknownPlacementError) Error() string {
-	return fmt.Sprintf("machine: unknown placement %q (valid: %s)", e.Name, joinNames(e.Known))
+	return &tablePlacement{name: name, node: table(ranks, nodes, rpn, seed)}, nil
 }

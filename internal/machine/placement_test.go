@@ -4,6 +4,8 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"repro/internal/registry"
 )
 
 func mustPlacement(t *testing.T, name string, ranks, nodes, rpn int, seed uint64) Placement {
@@ -99,22 +101,24 @@ func TestRandomPlacementSeeding(t *testing.T) {
 	}
 }
 
-// TestUnknownPlacement checks the typed error, its listing, and the driver
-// validation helper.
+// TestUnknownPlacement checks the typed error, its listing, and that
+// Config.Validate rejects an unknown policy but accepts the default.
 func TestUnknownPlacement(t *testing.T) {
 	_, err := NewPlacement("snake", 64, 16, 4, 0)
-	var ue *UnknownPlacementError
-	if !errors.As(err, &ue) {
-		t.Fatalf("error %v is not *UnknownPlacementError", err)
+	var ue *registry.UnknownError
+	if !errors.As(err, &ue) || ue.Kind != "machine placement" {
+		t.Fatalf("error %#v is not a placement *registry.UnknownError", err)
 	}
 	if ue.Name != "snake" || len(ue.Known) != len(PlacementNames()) {
 		t.Fatalf("error fields: %+v", ue)
 	}
-	if err := ValidatePlacement("snake"); err == nil {
-		t.Fatal("ValidatePlacement accepted an unknown policy")
+	cfg := Config{Ranks: 64, RanksPerNode: 4, NodesPerPset: 4, CPUHz: 1, Placement: "snake"}
+	if err := cfg.Validate(); !errors.As(err, &ue) {
+		t.Fatalf("Validate accepted an unknown policy: %v", err)
 	}
-	if err := ValidatePlacement(""); err != nil {
-		t.Fatalf("ValidatePlacement rejected the default: %v", err)
+	cfg.Placement = ""
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("Validate rejected the default: %v", err)
 	}
 }
 

@@ -1,10 +1,6 @@
 package machine
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "repro/internal/registry"
 
 // Descriptor is a registered machine preset: a named Config generator, the
 // unit of selection for iobench -machine.
@@ -15,80 +11,21 @@ type Descriptor struct {
 	Config  func(ranks int) Config
 }
 
-var (
-	registry = map[string]Descriptor{}
-	aliases  = map[string]string{}
-)
-
-// Register adds a machine preset. It panics on a duplicate or empty name —
-// preset registration happens in init() and a collision is a programming
-// error, same contract as fsys.Register and exp.Register.
-func Register(d Descriptor) {
-	if d.Name == "" || d.Config == nil {
-		panic("machine: Register with empty name or nil config")
-	}
-	if _, dup := registry[d.Name]; dup {
-		panic(fmt.Sprintf("machine: duplicate machine %q", d.Name))
-	}
-	if _, dup := aliases[d.Name]; dup {
-		panic(fmt.Sprintf("machine: machine %q collides with an alias", d.Name))
-	}
-	registry[d.Name] = d
-	for _, a := range d.Aliases {
-		if _, dup := registry[a]; dup {
-			panic(fmt.Sprintf("machine: alias %q collides with a machine", a))
-		}
-		if _, dup := aliases[a]; dup {
-			panic(fmt.Sprintf("machine: duplicate alias %q", a))
-		}
-		aliases[a] = d.Name
-	}
-}
-
-// Machines returns the registered preset names, sorted (aliases excluded).
-func Machines() []string { return sortedKeys(registry) }
-
 // DefaultMachine is the preset selected by the empty machine name.
 const DefaultMachine = "intrepid"
 
+var presets = registry.New[Descriptor]("machine machine", DefaultMachine)
+
+// Register adds a machine preset under its name and aliases. A nil Config
+// is a wiring bug and panics, like a colliding name.
+func Register(d Descriptor) {
+	if d.Config == nil {
+		panic("machine: Register with nil config for " + d.Name)
+	}
+	presets.Register(d.Name, d.Aliases, d)
+}
+
 // Lookup resolves a machine name (or alias) to its descriptor. The empty
 // name selects DefaultMachine. Unknown names fail with a typed
-// *UnknownMachineError listing the valid set.
-func Lookup(name string) (Descriptor, error) {
-	if name == "" {
-		name = DefaultMachine
-	}
-	if canonical, ok := aliases[name]; ok {
-		name = canonical
-	}
-	d, ok := registry[name]
-	if !ok {
-		return Descriptor{}, &UnknownMachineError{Name: name, Known: Machines()}
-	}
-	return d, nil
-}
-
-// UnknownMachineError reports a -machine value that names no registered
-// preset.
-type UnknownMachineError struct {
-	Name  string
-	Known []string
-}
-
-func (e *UnknownMachineError) Error() string {
-	return fmt.Sprintf("machine: unknown machine %q (valid: %s)", e.Name, joinNames(e.Known))
-}
-
-// sortedKeys returns a string-keyed map's keys in sorted order, for stable
-// listings and error messages.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// joinNames formats a name list for error messages.
-func joinNames(names []string) string { return strings.Join(names, ", ") }
+// *registry.UnknownError listing the valid set.
+func Lookup(name string) (Descriptor, error) { return presets.Lookup(name) }

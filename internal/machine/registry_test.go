@@ -2,10 +2,11 @@ package machine_test
 
 import (
 	"errors"
-	"strings"
+	"sort"
 	"testing"
 
 	. "repro/internal/machine"
+	"repro/internal/registry"
 
 	_ "repro/internal/bgp" // registers the Blue Gene presets under test
 )
@@ -43,31 +44,22 @@ func TestLookupAlias(t *testing.T) {
 // valid presets.
 func TestUnknownMachine(t *testing.T) {
 	_, err := Lookup("cray")
-	var ue *UnknownMachineError
-	if !errors.As(err, &ue) {
-		t.Fatalf("error %v is not *UnknownMachineError", err)
+	var ue *registry.UnknownError
+	if !errors.As(err, &ue) || ue.Kind != "machine machine" {
+		t.Fatalf("error %#v is not a machine *registry.UnknownError", err)
 	}
 	if ue.Name != "cray" {
 		t.Fatalf("error name %q", ue.Name)
 	}
-	for _, want := range []string{"intrepid", "bgl", "fattree", "dragonfly"} {
-		found := false
-		for _, k := range ue.Known {
-			if k == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("known set %v missing %q", ue.Known, want)
-		}
-		if !strings.Contains(ue.Error(), want) {
-			t.Fatalf("error message %q does not list %q", ue.Error(), want)
-		}
+	const want = `machine: unknown machine "cray" (valid: bgl, dragonfly, fattree, intrepid)`
+	if err.Error() != want {
+		t.Fatalf("error message %q, want %q", err.Error(), want)
 	}
 }
 
-// TestDuplicateRegistrationPanics checks the registry's wiring-bug guard for
-// names, aliases, and name/alias collisions.
+// TestDuplicateRegistrationPanics checks that machine presets go through the
+// registry's wiring-bug guard for names, aliases and name/alias collisions,
+// plus the nil-config guard.
 func TestDuplicateRegistrationPanics(t *testing.T) {
 	mustPanic := func(what string, d Descriptor) {
 		t.Helper()
@@ -89,15 +81,17 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 // TestMachinesSorted checks the listing used by error messages and -machine
 // docs is sorted and alias-free.
 func TestMachinesSorted(t *testing.T) {
-	names := Machines()
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatalf("listing not sorted: %v", names)
-		}
+	_, err := Lookup("cray")
+	var ue *registry.UnknownError
+	if !errors.As(err, &ue) {
+		t.Fatal(err)
 	}
-	for _, n := range names {
+	if !sort.StringsAreSorted(ue.Known) {
+		t.Fatalf("listing not sorted: %v", ue.Known)
+	}
+	for _, n := range ue.Known {
 		if n == "bluegenel" {
-			t.Fatal("alias leaked into Machines()")
+			t.Fatal("alias leaked into the listing")
 		}
 	}
 }

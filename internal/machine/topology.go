@@ -4,8 +4,7 @@
 //   - Topology: the interconnect's shape. A graph of vertices (compute
 //     nodes first, internal switches/routers after) with a dense directed
 //     link index, minimal routing, and hop distances. Implementations:
-//     the 3-D torus (wrapping internal/topo), a two-level fat tree, and
-//     a dragonfly.
+//     the 3-D torus, a two-level fat tree, and a dragonfly.
 //   - Placement: the rank→node mapping policy (TXYZ, XYZT, blocked,
 //     round-robin, seeded-random). Transfer costs between ranks depend on
 //     where the ranks land, so the mapping is a first-class experimental
@@ -19,10 +18,11 @@
 // fat-tree/dragonfly what-if variants) is a Config composing one choice per
 // seam plus the I/O-side fabrics (pset tree funnels, Ethernet); presets
 // self-register in the machine registry (registry.go) and are selected by
-// name (iobench -machine).
+// name (iobench -machine). Topologies, placements and presets are each a
+// registry.Registry.
 package machine
 
-import "fmt"
+import "repro/internal/registry"
 
 // Topology is the interconnect-shape seam: a directed graph over vertices
 // 0..NumVertices-1, of which the first Nodes() are compute nodes and any
@@ -31,7 +31,8 @@ import "fmt"
 //
 // Routes are minimal and deterministic: the same (a, b) pair always yields
 // the same link sequence, a requirement of the simulator's bit-reproducible
-// determinism contract.
+// determinism contract. Implementations keep no mutable state, so the
+// partitioned kernel's lanes route through one shared Topology.
 type Topology interface {
 	// Name is the topology's registry tag ("torus", "fattree", "dragonfly");
 	// it prefixes the interconnect's trace counters (e.g. "torus.msgs").
@@ -58,37 +59,25 @@ func Route(t Topology, a, b int) []int {
 	return t.AppendRoute(make([]int, 0, t.Distance(a, b)), a, b)
 }
 
-// topologies maps topology names to constructors over a node count.
-var topologies = map[string]func(nodes int) Topology{
-	"torus":     func(n int) Topology { return NewTorusTopology(n) },
-	"fattree":   func(n int) Topology { return NewFatTree(n) },
-	"dragonfly": func(n int) Topology { return NewDragonfly(n) },
+// topologies holds the constructors over a node count; the empty name
+// selects the torus (the Blue Gene default).
+var topologies = registry.New[func(nodes int) Topology]("machine topology", "torus")
+
+func init() {
+	topologies.Register("torus", nil, func(n int) Topology { return TorusDims(n) })
+	topologies.Register("fattree", nil, func(n int) Topology { return NewFatTree(n) })
+	topologies.Register("dragonfly", nil, func(n int) Topology { return NewDragonfly(n) })
 }
 
 // TopologyNames returns the valid Config.Topology values, sorted.
-func TopologyNames() []string { return sortedKeys(topologies) }
+func TopologyNames() []string { return topologies.Names() }
 
-// NewTopology builds the named topology over the given node count. The
-// empty name selects the torus (the Blue Gene default). Unknown names fail
-// with a typed *UnknownTopologyError.
+// NewTopology builds the named topology over the given node count. Unknown
+// names fail with a typed *registry.UnknownError.
 func NewTopology(name string, nodes int) (Topology, error) {
-	if name == "" {
-		name = "torus"
-	}
-	fn, ok := topologies[name]
-	if !ok {
-		return nil, &UnknownTopologyError{Name: name, Known: TopologyNames()}
+	fn, err := topologies.Lookup(name)
+	if err != nil {
+		return nil, err
 	}
 	return fn(nodes), nil
-}
-
-// UnknownTopologyError reports a Config.Topology value that names no
-// registered topology.
-type UnknownTopologyError struct {
-	Name  string
-	Known []string
-}
-
-func (e *UnknownTopologyError) Error() string {
-	return fmt.Sprintf("machine: unknown topology %q (valid: %s)", e.Name, joinNames(e.Known))
 }

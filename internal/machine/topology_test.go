@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/registry"
 	"repro/internal/xrand"
 )
 
@@ -28,8 +29,8 @@ func testTopologies(t *testing.T, nodes int) map[string]Topology {
 
 // TestTopologyInvariants checks the properties every topology must share,
 // over seeded node pairs at several sizes: a route from a to b has exactly
-// Distance(a, b) links, chains link-by-link from a to b, and uses only
-// dense in-range link indices.
+// Distance(a, b) = Distance(b, a) links, chains link-by-link from a to b,
+// and uses only dense in-range link indices.
 func TestTopologyInvariants(t *testing.T) {
 	for _, nodes := range []int{8, 64, 512} {
 		for name, tp := range testTopologies(t, nodes) {
@@ -41,8 +42,8 @@ func TestTopologyInvariants(t *testing.T) {
 				for trial := 0; trial < 500; trial++ {
 					a, b := rng.Intn(nodes), rng.Intn(nodes)
 					route := Route(tp, a, b)
-					if d := tp.Distance(a, b); len(route) != d {
-						t.Fatalf("route %d->%d has %d links, Distance says %d", a, b, len(route), d)
+					if d, back := tp.Distance(a, b), tp.Distance(b, a); len(route) != d || back != d {
+						t.Fatalf("route %d->%d has %d links, Distance says %d there and %d back", a, b, len(route), d, back)
 					}
 					at := a
 					for _, idx := range route {
@@ -115,9 +116,9 @@ func TestTopologySelfRoute(t *testing.T) {
 // TestUnknownTopology checks the typed error and its listing.
 func TestUnknownTopology(t *testing.T) {
 	_, err := NewTopology("hypercube", 64)
-	var ue *UnknownTopologyError
-	if !errors.As(err, &ue) {
-		t.Fatalf("error %v is not *UnknownTopologyError", err)
+	var ue *registry.UnknownError
+	if !errors.As(err, &ue) || ue.Kind != "machine topology" {
+		t.Fatalf("error %#v is not a topology *registry.UnknownError", err)
 	}
 	if ue.Name != "hypercube" || len(ue.Known) != len(TopologyNames()) {
 		t.Fatalf("error fields: %+v", ue)
