@@ -10,9 +10,6 @@ package repro_test
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -310,31 +307,8 @@ func BenchmarkExtensionMultiLevel(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // Performance-regression benchmarks for the calendar-queue kernel and the
-// process handoff path. When BENCH_JSON names a directory, each also records
-// its result as BENCH_<name>.json there (see internal/perf).
-
-// emitBench writes one benchmark result as machine-readable JSON when the
-// BENCH_JSON environment variable names a directory.
-func emitBench(b *testing.B, name string, bench perf.Benchmark) {
-	b.Helper()
-	emitBenchNotes(b, name, "", bench)
-}
-
-// emitBenchNotes is emitBench with a human-readable environment note
-// recorded in the report.
-func emitBenchNotes(b *testing.B, name, notes string, bench perf.Benchmark) {
-	b.Helper()
-	dir := os.Getenv("BENCH_JSON")
-	if dir == "" {
-		return
-	}
-	bench.Name = name
-	r := perf.NewReport(notes)
-	r.Add(bench)
-	if err := r.WriteJSON(filepath.Join(dir, "BENCH_"+name+".json")); err != nil {
-		b.Error(err)
-	}
-}
+// process handoff path. The end-to-end perf record lives in bench/ (`make
+// perf`).
 
 // churnHook is a pooled self-rescheduling event: the steady-state calendar
 // workload with zero allocation pressure of its own.
@@ -375,10 +349,6 @@ func BenchmarkKernelEventChurn(b *testing.B) {
 	b.StopTimer()
 	eps := float64(k.Events()) / b.Elapsed().Seconds()
 	b.ReportMetric(eps, "events/s")
-	emitBench(b, "KernelEventChurn", perf.Benchmark{
-		NsPerOp:      float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-		EventsPerSec: eps,
-	})
 }
 
 // BenchmarkProcHandoff measures the full baton handoff: a parked process
@@ -403,10 +373,6 @@ func BenchmarkProcHandoff(b *testing.B) {
 	if err := k.Run(); err != nil {
 		b.Fatal(err)
 	}
-	b.StopTimer()
-	emitBench(b, "ProcHandoff", perf.Benchmark{
-		NsPerOp: float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-	})
 }
 
 // BenchmarkResourceQueue measures Acquire/Release cycling through a deep FIFO
@@ -430,10 +396,6 @@ func BenchmarkResourceQueue(b *testing.B) {
 	if err := k.Run(); err != nil {
 		b.Fatal(err)
 	}
-	b.StopTimer()
-	emitBench(b, "ResourceQueue", perf.Benchmark{
-		NsPerOp: float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-	})
 }
 
 // BenchmarkFig5Wallclock measures the end-to-end cost of regenerating
@@ -460,10 +422,6 @@ func BenchmarkFig5Wallclock(b *testing.B) {
 	eps := float64(events) / b.Elapsed().Seconds()
 	b.ReportMetric(eps, "events/s")
 	b.ReportMetric(b.Elapsed().Seconds()/float64(b.N), "s/sweep")
-	emitBench(b, "Fig5Wallclock64K", perf.Benchmark{
-		NsPerOp:      float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-		EventsPerSec: eps,
-	})
 }
 
 // BenchmarkFig5Partitioned measures the partitioned parallel kernel against
@@ -473,8 +431,7 @@ func BenchmarkFig5Wallclock(b *testing.B) {
 // measured is the partitioned kernel's alone, and on a single-core machine
 // it honestly reports the coordination overhead instead. The 1M arm times
 // the paper's best approach (rbIO nf=ng) at np=1,048,576 on the partitioned
-// kernel, the scale the partitioning exists for. With BENCH_JSON set, all
-// arms land in BENCH_fig5_1m.json.
+// kernel, the scale the partitioning exists for.
 func BenchmarkFig5Partitioned(b *testing.B) {
 	perf.TuneGC()
 	arms := []struct {
@@ -486,11 +443,6 @@ func BenchmarkFig5Partitioned(b *testing.B) {
 		{"sharded64K", 65536, 8, nil},
 		{"sharded1M", 1048576, 8, []int{4}},
 	}
-	type res struct {
-		wall, eps float64
-		events    uint64
-	}
-	results := map[string]res{}
 	for _, arm := range arms {
 		b.Run(arm.name, func(b *testing.B) {
 			o := opts()
@@ -511,48 +463,19 @@ func BenchmarkFig5Partitioned(b *testing.B) {
 			b.StopTimer()
 			eps := float64(events) / b.Elapsed().Seconds()
 			b.ReportMetric(eps, "events/s")
+			b.ReportMetric(float64(events)/float64(b.N), "events/sweep")
 			b.ReportMetric(b.Elapsed().Seconds()/float64(b.N), "s/sweep")
-			results[arm.name] = res{
-				wall:   b.Elapsed().Seconds() / float64(b.N),
-				eps:    eps,
-				events: events / uint64(b.N),
-			}
 		})
-	}
-	s, okS := results["serial64K"]
-	sh, okSh := results["sharded64K"]
-	m, okM := results["sharded1M"]
-	if okS && okSh && okM {
-		emitBenchNotes(b, "fig5_1m",
-			fmt.Sprintf("Partitioned (sharded) kernel vs serial, seed=1, experiment pool pinned to 1 worker, GOMAXPROCS=%d. "+
-				"64K arms: full Figure 5 column (five approaches); 1M arm: rbIO nf=ng only, shards=8. "+
-				"Sharded output is byte-identical to serial (goldens in internal/exp). "+
-				"The >=2x parallel speedup target requires >=4 cores; a single-CPU machine cannot demonstrate it — there the measured ratio (sharded64K_speedup) is calendar-locality gains minus lane-coordination overhead, not parallelism.",
-				runtime.GOMAXPROCS(0)),
-			perf.Benchmark{
-				NsPerOp:      m.wall * 1e9,
-				EventsPerSec: m.eps,
-				Extra: map[string]float64{
-					"serial64K_wall_s":          s.wall,
-					"serial64K_events_per_sec":  s.eps,
-					"sharded64K_wall_s":         sh.wall,
-					"sharded64K_events_per_sec": sh.eps,
-					"sharded64K_speedup":        s.wall / sh.wall,
-					"sharded1M_wall_s":          m.wall,
-					"sharded1M_kernel_events":   float64(m.events),
-					"gomaxprocs":                float64(runtime.GOMAXPROCS(0)),
-				},
-			})
 	}
 }
 
 // BenchmarkRecovery measures the closed-loop checkpoint/restart lifecycle
 // study at 2048 ranks: all four strategy families, one fault-free arm plus
 // the full MTBF ladder each, every rollback really scanning manifests and
-// re-reading its picked epoch. The recorded extras carry the experiment's
+// re-reading its picked epoch. The reported metrics carry the experiment's
 // headline physics — the worst measured-over-Daly ratio and the total
 // rollback/torn counts — so a regression in the recovery path or the epoch
-// protocol shows up in the JSON trend, not just the wall clock.
+// protocol shows up in the numbers, not just the wall clock.
 func BenchmarkRecovery(b *testing.B) {
 	perf.TuneGC()
 	var rows []exp.RecoveryRow
@@ -575,15 +498,8 @@ func BenchmarkRecovery(b *testing.B) {
 		torn += r.Torn
 	}
 	b.ReportMetric(worstRatio, "worst-measured/daly-x")
-	emitBench(b, "Recovery", perf.Benchmark{
-		NsPerOp: float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-		Extra: map[string]float64{
-			"worst_measured_over_daly_x": worstRatio,
-			"total_rollbacks":            float64(rollbacks),
-			"total_torn_epochs":          float64(torn),
-			"rows":                       float64(len(rows)),
-		},
-	})
+	b.ReportMetric(float64(rollbacks), "rollbacks")
+	b.ReportMetric(float64(torn), "torn-epochs")
 }
 
 // ---------------------------------------------------------------------------
@@ -716,8 +632,7 @@ func BenchmarkMicroGPFSWrite(b *testing.B) {
 // partition, the same op for all three arms so the ns/op difference is the
 // policies'. The bbuf arm gets an unbounded buffer so it stays on the
 // absorption path instead of flipping to spill when the background drain
-// falls behind the writer. With BENCH_JSON set, all three arms are recorded
-// in BENCH_StorageCommitPath.json.
+// falls behind the writer.
 func BenchmarkStorageCommitPath(b *testing.B) {
 	arms := []struct {
 		name  string
@@ -731,7 +646,6 @@ func BenchmarkStorageCommitPath(b *testing.B) {
 			return bbuf.MustNew(m, cfg)
 		}},
 	}
-	results := map[string]float64{}
 	for _, arm := range arms {
 		b.Run(arm.name, func(b *testing.B) {
 			k := sim.NewKernel()
@@ -757,16 +671,6 @@ func BenchmarkStorageCommitPath(b *testing.B) {
 			}
 			b.StopTimer()
 			b.SetBytes(4 << 20)
-			results[arm.name] = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-		})
-	}
-	if os.Getenv("BENCH_JSON") != "" {
-		emitBench(b, "StorageCommitPath", perf.Benchmark{
-			NsPerOp: results["gpfs"],
-			Extra: map[string]float64{
-				"pvfs_ns_per_op": results["pvfs"],
-				"bbuf_ns_per_op": results["bbuf"],
-			},
 		})
 	}
 }
@@ -851,7 +755,7 @@ func BenchmarkMicroCollectiveWrite(b *testing.B) {
 // slowdown is pure endogenous contention. Besides the wall-clock cost, the
 // report records the experiment's headline physics — the worst colliding
 // penalty and its staggered recovery — so a regression in either the
-// scheduler or the shared-storage path shows up in the JSON trend.
+// scheduler or the shared-storage path shows up in the reported metrics.
 func BenchmarkCkptStorm(b *testing.B) {
 	o := opts()
 	o.Quiet = true
@@ -869,20 +773,12 @@ func BenchmarkCkptStorm(b *testing.B) {
 	worst := r.WorstColliding()
 	b.ReportMetric(worst.CollidingPenalty, "worst-colliding-x")
 	b.ReportMetric(worst.StaggeredPenalty, "worst-staggered-x")
-	emitBench(b, "CkptStorm", perf.Benchmark{
-		NsPerOp: float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-		Extra: map[string]float64{
-			"worst_colliding_penalty_x": worst.CollidingPenalty,
-			"worst_staggered_penalty_x": worst.StaggeredPenalty,
-			"capacity_ranks":            float64(r.Capacity),
-		},
-	})
+	b.ReportMetric(float64(r.Capacity), "capacity-ranks")
 }
 
 // BenchmarkAsyncFrontier records the asynchronous checkpoint frontier at
 // 2048 ranks: the blocked-time collapse against the best sync arm, the
-// background flush tail, and the staleness price under injected kills
-// (BENCH_Async.json via `make async`).
+// background flush tail, and the staleness price under injected kills.
 func BenchmarkAsyncFrontier(b *testing.B) {
 	perf.TuneGC()
 	var rows []exp.AsyncFrontierRow
@@ -916,19 +812,12 @@ func BenchmarkAsyncFrontier(b *testing.B) {
 	if asyncBlocked > 0 {
 		blockedWin = bestSync / asyncBlocked
 	}
+	b.ReportMetric(asyncBlocked, "async-blocked-s")
+	b.ReportMetric(bestSync, "best-sync-blocked-s")
 	b.ReportMetric(blockedWin, "blocked-win-x")
 	b.ReportMetric(flushTail, "flush-tail-s")
-	emitBench(b, "Async", perf.Benchmark{
-		NsPerOp: float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-		Extra: map[string]float64{
-			"async_blocked_s":     asyncBlocked,
-			"best_sync_blocked_s": bestSync,
-			"blocked_win_x":       blockedWin,
-			"flush_tail_s":        flushTail,
-			"async_avg_stale_s":   asyncStale,
-			"sync_avg_stale_s":    syncStale,
-		},
-	})
+	b.ReportMetric(asyncStale, "async-stale-s")
+	b.ReportMetric(syncStale, "sync-stale-s")
 }
 
 // BenchmarkBBFleet records the burst-buffer fleet sizing study at 2048
@@ -977,17 +866,10 @@ func BenchmarkBBFleet(b *testing.B) {
 	if fullWriter > 0 {
 		writerWin = syncWriter / fullWriter
 	}
+	b.ReportMetric(syncWriter, "sync-writer-s")
+	b.ReportMetric(fullWriter, "full-fleet-writer-s")
 	b.ReportMetric(writerWin, "writer-win-x")
 	b.ReportMetric(worstFIFO, "worst-fifo-writer-s")
-	emitBench(b, "BBFleet", perf.Benchmark{
-		NsPerOp: float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-		Extra: map[string]float64{
-			"sync_writer_s":           syncWriter,
-			"full_fleet_writer_s":     fullWriter,
-			"writer_win_x":            writerWin,
-			"worst_fifo_writer_s":     worstFIFO,
-			"worst_deadline_writer_s": worstDeadline,
-			"deadline_tail_s":         deadlineTail,
-		},
-	})
+	b.ReportMetric(worstDeadline, "worst-deadline-writer-s")
+	b.ReportMetric(deadlineTail, "deadline-tail-s")
 }

@@ -17,7 +17,6 @@
 package bbuf
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/fault"
@@ -27,35 +26,12 @@ import (
 	"repro/internal/xrand"
 )
 
-// Errors returned by namespace operations.
-var (
-	ErrNotExist = errors.New("bbuf: file does not exist")
-	ErrExists   = errors.New("bbuf: file already exists")
-	ErrClosed   = errors.New("bbuf: handle is closed")
-)
-
-// Stats aggregates observable file system activity (the shared storage-core
-// counters).
-type Stats = storage.Stats
-
-// Handle is an open file descriptor.
-type Handle = storage.Handle
-
-// Config holds the burst-buffer model parameters. The shared-server side
-// mirrors the PVFS volume (same DDN arrays); the buffer parameters are the
-// ION-local tier.
+// Config holds the burst-buffer model parameters: the shared storage
+// mechanism behind the drain (the same DDN arrays as the PVFS volume), the
+// PVFS-style hashed metadata costs, and the ION-local buffer tier.
 type Config struct {
-	StripeSize int64   // stripe unit toward the shared servers
-	NumServers int     // shared file servers behind the drain
-	ServerBW   float64 // per-server bandwidth available to this application
-	ServerLat  float64 // per-request server latency
+	storage.Config
 
-	// ClientStreamBW caps one rank's CIOD proxy stream into the ION. With a
-	// memory-speed buffer behind it, this — not the servers — is what the
-	// application perceives.
-	ClientStreamBW float64
-
-	// Metadata costs (hashed-distributed, PVFS-style).
 	CreateBase float64
 	OpenBase   float64
 	CloseBase  float64
@@ -82,15 +58,6 @@ type Config struct {
 	// each drain's deadline is its absorb completion plus this many
 	// seconds. Only the "deadline" policy reads it.
 	DrainTarget float64
-
-	// Noise: same shared-storage heavy-tail model as the other backends
-	// (drained and spilled requests hit the same shared arrays).
-	NoiseProb      float64
-	NoiseAlpha     float64
-	NoiseScale     float64
-	NoiseConcRef   float64
-	NoiseGamma     float64
-	NoiseMaxFactor float64
 }
 
 // DefaultConfig returns the burst-buffer-on-Intrepid model parameters: a
@@ -98,39 +65,25 @@ type Config struct {
 // speed, and a background drain pacing itself below the 10 GbE NIC so it
 // coexists with foreground traffic.
 func DefaultConfig() Config {
+	sc := storage.DefaultConfig()
+	sc.BlockSize = 4 << 20 // stripe unit toward the shared servers
+	// One rank's CIOD proxy stream into the ION. With a memory-speed buffer
+	// behind it, this — not the servers — is what the application perceives.
+	sc.ClientStreamBW = 300e6
 	return Config{
-		StripeSize:     4 << 20,
-		NumServers:     128,
-		ServerBW:       140e6,
-		ServerLat:      2e-3,
-		ClientStreamBW: 300e6,
-		CreateBase:     0.8e-3,
-		OpenBase:       0.5e-3,
-		CloseBase:      0.2e-3,
-		BufferPerION:   2 << 30,
-		BufferBW:       2e9,
-		DrainBW:        250e6,
-		DrainTarget:    5,
-		NoiseProb:      0.0015,
-		NoiseAlpha:     1.9,
-		NoiseScale:     0.3,
-		NoiseConcRef:   5000,
-		NoiseGamma:     8,
-		NoiseMaxFactor: 20,
+		Config:       sc,
+		CreateBase:   0.8e-3,
+		OpenBase:     0.5e-3,
+		CloseBase:    0.2e-3,
+		BufferPerION: 2 << 30,
+		BufferBW:     2e9,
+		DrainBW:      250e6,
+		DrainTarget:  5,
 	}
 }
 
-// Validate checks the configuration.
+// Validate checks the buffer tier; storage.New checks the shared mechanism.
 func (c Config) Validate() error {
-	if c.StripeSize <= 0 {
-		return fmt.Errorf("bbuf: stripe size must be positive")
-	}
-	if c.NumServers <= 0 {
-		return fmt.Errorf("bbuf: need at least one server")
-	}
-	if c.ServerBW <= 0 || c.ClientStreamBW <= 0 {
-		return fmt.Errorf("bbuf: bandwidths must be positive")
-	}
 	if c.BufferPerION < 0 {
 		return fmt.Errorf("bbuf: buffer capacity must be non-negative")
 	}
@@ -143,9 +96,6 @@ func (c Config) Validate() error {
 	if c.DrainTarget < 0 {
 		return fmt.Errorf("bbuf: drain target must be non-negative")
 	}
-	if _, err := Lookup(c.DrainPolicy); err != nil {
-		return err
-	}
 	return nil
 }
 
@@ -154,7 +104,6 @@ func (c Config) Validate() error {
 // path. It implements fsys.System.
 type FileSystem struct {
 	*storage.Core
-	cfg  Config
 	path *fleet
 }
 
@@ -170,21 +119,9 @@ func New(m *machine.Machine, cfg Config) (*FileSystem, error) {
 		return nil, err
 	}
 	path := &fleet{cfg: cfg, sched: sched}
-	core, err := storage.New(m, storage.Config{
-		BlockSize:      cfg.StripeSize,
-		NumServers:     cfg.NumServers,
-		ServerBW:       cfg.ServerBW,
-		ServerLat:      cfg.ServerLat,
-		ClientStreamBW: cfg.ClientStreamBW,
-		ServerName:     "bbsrv",
-		NoiseProb:      cfg.NoiseProb,
-		NoiseAlpha:     cfg.NoiseAlpha,
-		NoiseScale:     cfg.NoiseScale,
-		NoiseConcRef:   cfg.NoiseConcRef,
-		NoiseGamma:     cfg.NoiseGamma,
-		NoiseMaxFactor: cfg.NoiseMaxFactor,
-	}, storage.Backend{
-		Name: "bbuf",
+	core, err := storage.New(m, cfg.Config, storage.Backend{
+		Name:       "bbuf",
+		ServerName: "bbsrv",
 		Metadata: &storage.HashedMDS{
 			CreateBase: cfg.CreateBase,
 			OpenBase:   cfg.OpenBase,
@@ -192,12 +129,11 @@ func New(m *machine.Machine, cfg Config) (*FileSystem, error) {
 		},
 		Concurrency: storage.LockFree{},
 		Data:        path,
-		Errors:      storage.Errors{NotExist: ErrNotExist, Exists: ErrExists, Closed: ErrClosed},
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &FileSystem{Core: core, cfg: cfg, path: path}, nil
+	return &FileSystem{Core: core, path: path}, nil
 }
 
 // MustNew is New, panicking on error.
@@ -208,9 +144,6 @@ func MustNew(m *machine.Machine, cfg Config) *FileSystem {
 	}
 	return fs
 }
-
-// Config returns the mounted configuration.
-func (fs *FileSystem) Config() Config { return fs.cfg }
 
 func init() {
 	fsys.Register("bbuf", func(m *machine.Machine, opt fsys.MountOptions) (fsys.System, error) {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/bgp"
 	"repro/internal/data"
+	"repro/internal/fsys"
 	"repro/internal/pvfs"
 	"repro/internal/sim"
 	"repro/internal/xrand"
@@ -48,13 +49,13 @@ func TestCreateWriteReadClose(t *testing.T) {
 		if err := h.Close(p, 0); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := fs.Open(p, 0, "missing"); !errors.Is(err, ErrNotExist) {
+		if _, err := fs.Open(p, 0, "missing"); !errors.Is(err, fsys.ErrNotExist) {
 			t.Fatalf("want ErrNotExist, got %v", err)
 		}
-		if _, err := fs.Create(p, 0, "ck/f0"); !errors.Is(err, ErrExists) {
+		if _, err := fs.Create(p, 0, "ck/f0"); !errors.Is(err, fsys.ErrExists) {
 			t.Fatalf("want ErrExists, got %v", err)
 		}
-		if err := h.Close(p, 0); !errors.Is(err, ErrClosed) {
+		if err := h.Close(p, 0); !errors.Is(err, fsys.ErrClosed) {
 			t.Fatalf("double close: want ErrClosed, got %v", err)
 		}
 	})

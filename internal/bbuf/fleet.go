@@ -48,8 +48,8 @@ type fleet struct {
 	// event-driven dispatcher; pass-through schedulers (FIFO) never touch
 	// these.
 	backlog      [][]pendingDrain
-	busy         []bool  // per-node: a dispatched drain still owns the channel
-	backlogBytes []int64 // per-node bytes enqueued but not yet dispatched
+	busy         []bool    // per-node: a dispatched drain still owns the channel
+	backlogBytes []int64   // per-node bytes enqueued but not yet dispatched
 	planEnd      []float64 // per-node latest planned drain-landing time
 
 	seq    int64 // fleet-wide drain admission counter
@@ -222,8 +222,7 @@ func (d *fleet) Commit(c *storage.Core, h *storage.Handle, rank int, streamEnd f
 	d.stats.AbsorbedBytes += n
 	// The buffer ingests the stream as it delivers; the caller perceives
 	// the later of stream completion and the buffer's own serialization.
-	cfg := c.Config()
-	start := streamEnd - float64(n)/cfg.ClientStreamBW
+	start := streamEnd - float64(n)/d.cfg.ClientStreamBW
 	if now := c.Kernel().Now(); start < now {
 		start = now
 	}
@@ -310,12 +309,11 @@ func (d *fleet) pump(c *storage.Core, node int) {
 // drain lands. It returns the time the node's drain channel frees (the
 // pipe's serialization point, not the landing).
 func (d *fleet) drainOut(c *storage.Core, h *storage.Handle, node int, ready float64, off, n int64) float64 {
-	cfg := c.Config()
 	m := c.Machine()
 	f := h.File()
 	drainStart, drainFree := d.drain[node].Transfer(ready, n)
 	spikeP := c.SpikeProb()
-	ss := cfg.BlockSize
+	ss := d.cfg.BlockSize
 	servers := c.Servers()
 	revolution := ss * int64(len(servers))
 	host := d.host[node]

@@ -130,7 +130,7 @@ func (pl *rbPlan) Write(env *Env, r *mpi.Rank, cp *Checkpoint) (Stats, error) {
 	if pl.isWriter {
 		return pl.writeWriter(env, r, cp)
 	}
-	return pl.writeWorker(env, r, cp)
+	return pl.writeWorkerTo(env, r, cp, 0)
 }
 
 // writeFT is the fault-aware nf=ng step. A dead rank contributes nothing; a
@@ -164,10 +164,12 @@ func (pl *rbPlan) writeFT(env *Env, r *mpi.Rank, cp *Checkpoint) (Stats, error) 
 	return pl.writeWriterFT(env, r, cp, me)
 }
 
-// writeWorkerTo is writeWorker aimed at an elected writer. When the group's
-// original writer is dead, the worker first burns a send-timeout window
-// discovering it (the paper's Isend hand-off is fire-and-forget, so the
-// failure only shows when the transport gives up on the dead node).
+// writeWorkerTo ships the rank's fields to the group's writer with
+// non-blocking sends and returns: the essence of "reduced blocking". When
+// the original writer (group rank 0) is dead and another was elected, the
+// worker first burns a send-timeout window discovering it (the paper's Isend
+// hand-off is fire-and-forget, so the failure only shows when the transport
+// gives up on the dead node).
 func (pl *rbPlan) writeWorkerTo(env *Env, r *mpi.Rank, cp *Checkpoint, writer int) (Stats, error) {
 	p := r.Proc()
 	start := r.Now()
@@ -181,7 +183,7 @@ func (pl *rbPlan) writeWorkerTo(env *Env, r *mpi.Rank, cp *Checkpoint, writer in
 	for fi, f := range cp.Fields {
 		t0 := r.Now()
 		req := pl.group.Isend(r, writer, fieldTag(cp.Step, fi), f.Data)
-		req.Wait(p)
+		req.Wait(p) // completes at local hand-off, microseconds
 		perceived += req.LocalTime()
 		if rec != nil {
 			rec.Span(trace.LayerCkpt, "rbio.handoff", r.ID(), t0, r.Now(), f.Data.Len())
@@ -296,33 +298,6 @@ func (pl *rbPlan) writeWriterFT(env *Env, r *mpi.Rank, cp *Checkpoint, me int) (
 		Bytes:         cp.TotalBytes(), // own share; workers report theirs
 		Durable:       end,
 		MissingChunks: missingN,
-	}, nil
-}
-
-// writeWorker ships the rank's fields to its writer with non-blocking sends
-// and returns: the essence of "reduced blocking".
-func (pl *rbPlan) writeWorker(env *Env, r *mpi.Rank, cp *Checkpoint) (Stats, error) {
-	p := r.Proc()
-	start := r.Now()
-	perceived := 0.0
-	rec := p.Rec()
-	for fi, f := range cp.Fields {
-		t0 := r.Now()
-		req := pl.group.Isend(r, 0, fieldTag(cp.Step, fi), f.Data)
-		req.Wait(p) // completes at local hand-off, microseconds
-		perceived += req.LocalTime()
-		if rec != nil {
-			rec.Span(trace.LayerCkpt, "rbio.handoff", r.ID(), t0, r.Now(), f.Data.Len())
-		}
-		env.log(r.ID(), iolog.OpSend, t0, r.Now(), f.Data.Len())
-	}
-	end := r.Now()
-	return Stats{
-		Role:      RoleWorker,
-		Start:     start,
-		End:       end,
-		Perceived: perceived,
-		Bytes:     cp.TotalBytes(),
 	}, nil
 }
 

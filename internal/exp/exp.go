@@ -15,9 +15,9 @@ import (
 	"repro/internal/bbuf"
 	"repro/internal/ckpt"
 	"repro/internal/fsys"
-	"repro/internal/gpfs"
 	"repro/internal/iolog"
 	"repro/internal/nekcem"
+	"repro/internal/storage"
 )
 
 // Options configure an experiment run. Zero values mean "default"; the
@@ -134,7 +134,7 @@ type Run struct {
 	PerRank []nekcem.RankCkpt
 	Log     *iolog.Log
 	Result  *nekcem.RunResult
-	FSStats gpfs.Stats
+	FSStats storage.Stats
 	Buffer  *bbuf.BufferStats // burst-buffer tier counters; nil unless FS was bbuf
 	Events  uint64            // kernel events dispatched over the whole simulation
 	Fault   *FaultOutcome     // fault-injection outcome; nil unless the job carried a FaultSpec

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/ckpt"
 	"repro/internal/recover"
@@ -211,33 +210,6 @@ func RecoveryStudy(o Options, np int, mtbfHours float64, work, epochs int) ([]Re
 		}
 	}
 	return rows, nil
-}
-
-// runPool executes n index jobs on a bounded worker pool. Results land in
-// caller-owned slots, so the outcome is independent of the worker count.
-func runPool(workers, n int, run func(i int)) {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				run(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
 }
 
 // RecoveryTable renders the recovery study.

@@ -47,60 +47,53 @@ var runJob = runCheckpoint
 // failed.
 func RunSet(o Options, jobs []Job) ([]*Run, error) {
 	results := make([]*Run, len(jobs))
-	nw := o.workers()
-	if nw > len(jobs) {
-		nw = len(jobs)
-	}
-	if nw <= 1 {
-		for i, j := range jobs {
-			r, err := runJob(o, j)
-			if err != nil {
-				return nil, err
-			}
-			results[i] = r
+	errs := make([]error, len(jobs))
+	var failed atomic.Bool // any job errored; skip the rest unstarted
+	runPool(o.workers(), len(jobs), func(i int) {
+		if failed.Load() {
+			return
 		}
-		return results, nil
-	}
-
-	var (
-		next   atomic.Int64 // index of the next unclaimed job
-		failed atomic.Bool  // any job errored; drain without starting more
-		errs   = make([]error, len(jobs))
-		wg     sync.WaitGroup
-	)
-	wg.Add(nw)
-	for w := 0; w < nw; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(jobs) {
-					return
-				}
-				// Re-check the failure flag after claiming the index: a
-				// claim that raced with another worker's failure must be
-				// abandoned before any simulation work starts, or the pool
-				// burns a full run on a result RunSet will discard.
-				if failed.Load() {
-					return
-				}
-				r, err := runJob(o, jobs[i])
-				if err != nil {
-					errs[i] = err
-					failed.Store(true)
-					return
-				}
-				results[i] = r
-			}
-		}()
-	}
-	wg.Wait()
+		if results[i], errs[i] = runJob(o, jobs[i]); errs[i] != nil {
+			failed.Store(true)
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
 	return results, nil
+}
+
+// runPool executes n index jobs on a bounded worker pool. Results land in
+// caller-owned slots, so the outcome is independent of the worker count. A
+// one-worker pool runs on the calling goroutine.
+func runPool(workers, n int, run func(i int)) {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			run(i)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	idx := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				run(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
 }
 
 // RunAll executes the headline grid — every requested approach at every

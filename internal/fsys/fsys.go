@@ -14,6 +14,15 @@ import (
 	"repro/internal/sim"
 )
 
+// Namespace errors every storage model returns, wrapped with the backend
+// name and path ("gpfs: file does not exist: ckpt/f0"); match with
+// errors.Is.
+var (
+	ErrNotExist = errors.New("file does not exist")
+	ErrExists   = errors.New("file already exists")
+	ErrClosed   = errors.New("handle is closed")
+)
+
 // Typed failures the storage models return under fault injection, defined
 // here so checkpoint strategies can classify errors without importing the
 // storage core. Backends wrap these with detail; match with errors.Is or

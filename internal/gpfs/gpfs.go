@@ -30,9 +30,6 @@
 package gpfs
 
 import (
-	"errors"
-	"fmt"
-
 	"repro/internal/fsys"
 	"repro/internal/machine"
 	"repro/internal/storage"
@@ -41,35 +38,10 @@ import (
 // FileSystem implements fsys.System.
 var _ fsys.System = (*FileSystem)(nil)
 
-// Errors returned by namespace operations.
-var (
-	ErrNotExist = errors.New("gpfs: file does not exist")
-	ErrExists   = errors.New("gpfs: file already exists")
-	ErrClosed   = errors.New("gpfs: handle is closed")
-)
-
-// Stats aggregates observable file system activity. It is the shared
-// storage-core stats type: every counter the GPFS policies touch is here.
-type Stats = storage.Stats
-
-// Handle is an open file descriptor. Handles may be shared across ranks
-// (collective opens hand the same handle to every rank), mirroring MPI-IO
-// shared file handles.
-type Handle = storage.Handle
-
-// Config holds the file system model parameters. Bandwidths are bytes/s,
-// times are seconds.
+// Config holds the file system model parameters: the shared storage
+// mechanism plus the GPFS policies' costs. Times are seconds.
 type Config struct {
-	BlockSize  int64   // file system block (lock granularity); Intrepid GPFS: 4 MiB
-	NumServers int     // NSD file servers (Intrepid: 128)
-	ServerBW   float64 // per-server bandwidth available to this application
-	ServerLat  float64 // per-request server latency
-
-	// ClientStreamBW caps the throughput of one client writing one file: the
-	// synchronous client flush pipeline (token checks, indirect-block
-	// updates, bounded in-flight data per stream). This is the knob that
-	// makes "more files == more parallel streams" true, per Figure 8.
-	ClientStreamBW float64
+	storage.Config
 
 	// Metadata server costs. A create scans/locks the directory, so its cost
 	// grows with the current entry count; in addition the MDS thrashes under
@@ -96,32 +68,19 @@ type Config struct {
 	// background and Close/Sync waits for it. Disabled models PVFS-like
 	// cache-off behaviour.
 	WriteBehind bool
-
-	// Noise models the shared, multi-user storage system. A server request
-	// suffers a heavy-tail delay with probability NoiseProb amplified by the
-	// number of distinct clients in the current I/O burst:
-	// p = NoiseProb * min((clients/NoiseConcRef)^NoiseGamma, NoiseMaxFactor).
-	// 128 file servers handle a few thousand concurrent clients gracefully;
-	// beyond that knee, interference grows sharply — the paper's explanation
-	// for coIO's 64K drop (8K aggregators) while rbIO (1K writers) stays
-	// clean.
-	NoiseProb      float64 // base spike probability per server request
-	NoiseAlpha     float64 // Pareto tail index of the spike size
-	NoiseScale     float64 // Pareto scale (minimum spike), seconds
-	NoiseConcRef   float64 // client-count knee of the amplification
-	NoiseGamma     float64 // steepness of the knee
-	NoiseMaxFactor float64 // cap on the amplification
 }
 
 // DefaultConfig returns parameters calibrated against the paper's Intrepid
 // GPFS measurements (see EXPERIMENTS.md for the calibration).
 func DefaultConfig() Config {
+	sc := storage.DefaultConfig()
+	sc.BlockSize = 4 << 20 // file system block, also the lock granularity
+	// The synchronous client flush pipeline (token checks, indirect-block
+	// updates, bounded in-flight data per stream): the knob that makes
+	// "more files == more parallel streams" true, per Figure 8.
+	sc.ClientStreamBW = 50e6
 	return Config{
-		BlockSize:      4 << 20,
-		NumServers:     128,
-		ServerBW:       140e6, // application share under normal load (~18 GB/s aggregate)
-		ServerLat:      2e-3,
-		ClientStreamBW: 50e6,
+		Config:         sc,
 		MDSCreateBase:  0.5e-3,
 		MDSOpenBase:    0.4e-3,
 		MDSCloseBase:   0.15e-3,
@@ -131,56 +90,20 @@ func DefaultConfig() Config {
 		TokenGrant:     0.45e-3,
 		TokenRevoke:    5e-3,
 		WriteBehind:    true,
-		NoiseProb:      0.0015,
-		NoiseAlpha:     1.9,
-		NoiseScale:     0.3,
-		NoiseConcRef:   5000,
-		NoiseGamma:     8,
-		NoiseMaxFactor: 20,
 	}
-}
-
-// Validate checks the configuration for usability.
-func (c Config) Validate() error {
-	if c.BlockSize <= 0 {
-		return fmt.Errorf("gpfs: block size must be positive")
-	}
-	if c.NumServers <= 0 {
-		return fmt.Errorf("gpfs: need at least one server")
-	}
-	if c.ServerBW <= 0 || c.ClientStreamBW <= 0 {
-		return fmt.Errorf("gpfs: bandwidths must be positive")
-	}
-	return nil
 }
 
 // FileSystem is one mounted GPFS-like file system shared by the whole
 // machine: the shared storage core composed with the GPFS policies.
 type FileSystem struct {
 	*storage.Core
-	cfg Config
 }
 
 // New mounts a file system on the machine.
 func New(m *machine.Machine, cfg Config) (*FileSystem, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	core, err := storage.New(m, storage.Config{
-		BlockSize:      cfg.BlockSize,
-		NumServers:     cfg.NumServers,
-		ServerBW:       cfg.ServerBW,
-		ServerLat:      cfg.ServerLat,
-		ClientStreamBW: cfg.ClientStreamBW,
-		ServerName:     "nsd",
-		NoiseProb:      cfg.NoiseProb,
-		NoiseAlpha:     cfg.NoiseAlpha,
-		NoiseScale:     cfg.NoiseScale,
-		NoiseConcRef:   cfg.NoiseConcRef,
-		NoiseGamma:     cfg.NoiseGamma,
-		NoiseMaxFactor: cfg.NoiseMaxFactor,
-	}, storage.Backend{
-		Name: "gpfs",
+	core, err := storage.New(m, cfg.Config, storage.Backend{
+		Name:       "gpfs",
+		ServerName: "nsd",
 		Metadata: &storage.CentralizedMDS{
 			CreateBase:  cfg.MDSCreateBase,
 			OpenBase:    cfg.MDSOpenBase,
@@ -191,12 +114,11 @@ func New(m *machine.Machine, cfg Config) (*FileSystem, error) {
 		},
 		Concurrency: &storage.TokenManager{Grant: cfg.TokenGrant, Revoke: cfg.TokenRevoke},
 		Data:        &storage.BlockPipeline{WriteBehind: cfg.WriteBehind},
-		Errors:      storage.Errors{NotExist: ErrNotExist, Exists: ErrExists, Closed: ErrClosed},
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &FileSystem{Core: core, cfg: cfg}, nil
+	return &FileSystem{Core: core}, nil
 }
 
 // MustNew is New, panicking on error.
@@ -207,9 +129,6 @@ func MustNew(m *machine.Machine, cfg Config) *FileSystem {
 	}
 	return fs
 }
-
-// Config returns the mounted configuration.
-func (fs *FileSystem) Config() Config { return fs.cfg }
 
 func init() {
 	fsys.Register("gpfs", func(m *machine.Machine, opt fsys.MountOptions) (fsys.System, error) {

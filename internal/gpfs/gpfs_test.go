@@ -9,7 +9,9 @@ import (
 
 	"repro/internal/bgp"
 	"repro/internal/data"
+	"repro/internal/fsys"
 	"repro/internal/sim"
+	"repro/internal/storage"
 	"repro/internal/xrand"
 )
 
@@ -57,7 +59,7 @@ func TestCreateExistingFails(t *testing.T) {
 		if _, err := fs.Create(p, 0, "a"); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := fs.Create(p, 0, "a"); !errors.Is(err, ErrExists) {
+		if _, err := fs.Create(p, 0, "a"); !errors.Is(err, fsys.ErrExists) {
 			t.Fatalf("want ErrExists, got %v", err)
 		}
 	})
@@ -65,7 +67,7 @@ func TestCreateExistingFails(t *testing.T) {
 
 func TestOpenMissingFails(t *testing.T) {
 	rig(t, 256, nil, func(p *sim.Proc, fs *FileSystem) {
-		if _, err := fs.Open(p, 0, "nope"); !errors.Is(err, ErrNotExist) {
+		if _, err := fs.Open(p, 0, "nope"); !errors.Is(err, fsys.ErrNotExist) {
 			t.Fatalf("want ErrNotExist, got %v", err)
 		}
 	})
@@ -176,13 +178,13 @@ func TestClosedHandleRejectsIO(t *testing.T) {
 	rig(t, 256, nil, func(p *sim.Proc, fs *FileSystem) {
 		h, _ := fs.Create(p, 0, "f")
 		h.Close(p, 0)
-		if err := h.WriteAt(p, 0, 0, data.Synthetic(10)); !errors.Is(err, ErrClosed) {
+		if err := h.WriteAt(p, 0, 0, data.Synthetic(10)); !errors.Is(err, fsys.ErrClosed) {
 			t.Fatalf("want ErrClosed, got %v", err)
 		}
-		if _, err := h.ReadAt(p, 0, 0, 1); !errors.Is(err, ErrClosed) {
+		if _, err := h.ReadAt(p, 0, 0, 1); !errors.Is(err, fsys.ErrClosed) {
 			t.Fatalf("want ErrClosed, got %v", err)
 		}
-		if err := h.Close(p, 0); !errors.Is(err, ErrClosed) {
+		if err := h.Close(p, 0); !errors.Is(err, fsys.ErrClosed) {
 			t.Fatalf("double close: want ErrClosed, got %v", err)
 		}
 	})
@@ -385,7 +387,7 @@ func TestSyncWaitsOwnCommitsOnly(t *testing.T) {
 	var inFlight int
 	rig(t, 1024, nil, func(p *sim.Proc, fs *FileSystem) {
 		hi, _ := fs.Create(p, 0, "shared")
-		h := hi.(*Handle)
+		h := hi.(*storage.Handle)
 		// Rank 512 (pset 2) issues a long write-behind commit.
 		h.WriteAt(p, 512, 0, data.Synthetic(200<<20))
 		// Rank 0 (pset 0) writes a tiny chunk elsewhere; its Sync should be

@@ -190,7 +190,7 @@ func TestFileDomainsAligned(t *testing.T) {
 		h.AggRatio = 64
 		f, _ := Open(c, r, fs, "f", true, h)
 		if r.ID() == 0 {
-			bs := fs.Config().BlockSize
+			bs := fs.BlockSize()
 			doms := f.fileDomains(0, 64*bs+12345)
 			if len(doms) != 4 {
 				t.Errorf("domain count %d, want 4", len(doms))

@@ -1,15 +1,11 @@
-// Package perf holds the performance-measurement plumbing shared by the
-// iobench binary and the repository benchmarks: a process-wide GC tuning
-// knob for simulation workloads, and a machine-readable benchmark report
-// (BENCH_*.json) so performance claims are recorded as data, not prose.
+// Package perf holds the performance plumbing shared by the iobench binary,
+// the repository benchmarks and the bench/ harness: a process-wide GC
+// tuning knob for simulation workloads.
 package perf
 
 import (
-	"encoding/json"
 	"os"
-	"runtime"
 	"runtime/debug"
-	"time"
 )
 
 // TuneGC relaxes the garbage collector for simulation workloads. A 64K-rank
@@ -24,48 +20,4 @@ func TuneGC() {
 	if os.Getenv("GOGC") == "" {
 		debug.SetGCPercent(250)
 	}
-}
-
-// Benchmark is one measurement in a report. NsPerOp is the wall-clock cost of
-// the benchmarked operation; EventsPerSec, when set, is the simulator's event
-// throughput during it (the scale-free number to compare machines by).
-type Benchmark struct {
-	Name         string             `json:"name"`
-	NsPerOp      float64            `json:"ns_per_op"`
-	AllocsPerOp  float64            `json:"allocs_per_op"`
-	BytesPerOp   float64            `json:"bytes_per_op"`
-	EventsPerSec float64            `json:"events_per_sec,omitempty"`
-	Extra        map[string]float64 `json:"extra,omitempty"`
-}
-
-// Report is the contents of a BENCH_*.json file.
-type Report struct {
-	GoVersion  string      `json:"go_version"`
-	GOMAXPROCS int         `json:"gomaxprocs"`
-	When       string      `json:"when"`
-	Notes      string      `json:"notes,omitempty"`
-	Benchmarks []Benchmark `json:"benchmarks"`
-}
-
-// NewReport returns a report stamped with the current environment.
-func NewReport(notes string) *Report {
-	return &Report{
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		When:       time.Now().UTC().Format(time.RFC3339),
-		Notes:      notes,
-	}
-}
-
-// Add appends a measurement.
-func (r *Report) Add(b Benchmark) { r.Benchmarks = append(r.Benchmarks, b) }
-
-// WriteJSON writes the report to path, indented for humans, trailing newline
-// for tools.
-func (r *Report) WriteJSON(path string) error {
-	enc, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(enc, '\n'), 0o644)
 }

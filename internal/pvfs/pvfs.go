@@ -25,120 +25,51 @@
 package pvfs
 
 import (
-	"errors"
-	"fmt"
-
 	"repro/internal/fsys"
 	"repro/internal/machine"
 	"repro/internal/storage"
 )
 
-// Errors returned by namespace operations.
-var (
-	ErrNotExist = errors.New("pvfs: file does not exist")
-	ErrExists   = errors.New("pvfs: file already exists")
-	ErrClosed   = errors.New("pvfs: handle is closed")
-)
-
-// Stats aggregates observable file system activity. It is the shared
-// storage-core stats type; counters the PVFS policies never touch (token
-// grants/revokes) stay zero.
-type Stats = storage.Stats
-
-// Handle is an open PVFS file descriptor.
-type Handle = storage.Handle
-
-// Config holds the PVFS model parameters.
+// Config holds the PVFS model parameters: the shared storage mechanism plus
+// the hashed metadata costs. PVFS metadata is distributed: creates hash to
+// one of NumServers metadata queues.
 type Config struct {
-	StripeSize int64   // stripe unit across servers (PVFS default: 64 KiB)
-	NumServers int     // I/O (and metadata) servers
-	ServerBW   float64 // per-server bandwidth available to this application
-	ServerLat  float64 // per-request server latency
+	storage.Config
 
-	// ClientStreamBW caps one client's synchronous request pipeline on one
-	// file. Without caching there is no write-behind to hide round trips,
-	// so the effective per-stream rate is below the GPFS client's.
-	ClientStreamBW float64
-
-	// Metadata costs. PVFS metadata is distributed: creates hash to one of
-	// NumServers metadata queues.
 	CreateBase float64
 	OpenBase   float64
 	CloseBase  float64
-
-	// Noise: same shared-storage heavy-tail model as GPFS (the hardware is
-	// the same DDN arrays).
-	NoiseProb      float64
-	NoiseAlpha     float64
-	NoiseScale     float64
-	NoiseConcRef   float64
-	NoiseGamma     float64
-	NoiseMaxFactor float64
 }
 
 // DefaultConfig returns the PVFS-on-Intrepid model parameters.
 func DefaultConfig() Config {
+	sc := storage.DefaultConfig()
+	sc.BlockSize = 64 << 10 // stripe unit across servers (PVFS default)
+	// One client's synchronous request pipeline on one file: without
+	// caching there is no write-behind to hide round trips, so the
+	// effective per-stream rate is below the GPFS client's.
+	sc.ClientStreamBW = 35e6
 	return Config{
-		StripeSize:     64 << 10,
-		NumServers:     128,
-		ServerBW:       140e6,
-		ServerLat:      2e-3,
-		ClientStreamBW: 35e6, // synchronous pipeline, no write-behind
-		CreateBase:     0.8e-3,
-		OpenBase:       0.5e-3,
-		CloseBase:      0.2e-3,
-		NoiseProb:      0.0015,
-		NoiseAlpha:     1.9,
-		NoiseScale:     0.3,
-		NoiseConcRef:   5000,
-		NoiseGamma:     8,
-		NoiseMaxFactor: 20,
+		Config:     sc,
+		CreateBase: 0.8e-3,
+		OpenBase:   0.5e-3,
+		CloseBase:  0.2e-3,
 	}
-}
-
-// Validate checks the configuration.
-func (c Config) Validate() error {
-	if c.StripeSize <= 0 {
-		return fmt.Errorf("pvfs: stripe size must be positive")
-	}
-	if c.NumServers <= 0 {
-		return fmt.Errorf("pvfs: need at least one server")
-	}
-	if c.ServerBW <= 0 || c.ClientStreamBW <= 0 {
-		return fmt.Errorf("pvfs: bandwidths must be positive")
-	}
-	return nil
 }
 
 // FileSystem is a mounted PVFS volume: the shared storage core composed
 // with the PVFS policies. It implements fsys.System.
 type FileSystem struct {
 	*storage.Core
-	cfg Config
 }
 
 var _ fsys.System = (*FileSystem)(nil)
 
 // New mounts a PVFS volume on the machine.
 func New(m *machine.Machine, cfg Config) (*FileSystem, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	core, err := storage.New(m, storage.Config{
-		BlockSize:      cfg.StripeSize,
-		NumServers:     cfg.NumServers,
-		ServerBW:       cfg.ServerBW,
-		ServerLat:      cfg.ServerLat,
-		ClientStreamBW: cfg.ClientStreamBW,
-		ServerName:     "pvfs",
-		NoiseProb:      cfg.NoiseProb,
-		NoiseAlpha:     cfg.NoiseAlpha,
-		NoiseScale:     cfg.NoiseScale,
-		NoiseConcRef:   cfg.NoiseConcRef,
-		NoiseGamma:     cfg.NoiseGamma,
-		NoiseMaxFactor: cfg.NoiseMaxFactor,
-	}, storage.Backend{
-		Name: "pvfs",
+	core, err := storage.New(m, cfg.Config, storage.Backend{
+		Name:       "pvfs",
+		ServerName: "pvfs",
 		Metadata: &storage.HashedMDS{
 			CreateBase: cfg.CreateBase,
 			OpenBase:   cfg.OpenBase,
@@ -146,12 +77,11 @@ func New(m *machine.Machine, cfg Config) (*FileSystem, error) {
 		},
 		Concurrency: storage.LockFree{},
 		Data:        storage.StripeSync{},
-		Errors:      storage.Errors{NotExist: ErrNotExist, Exists: ErrExists, Closed: ErrClosed},
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &FileSystem{Core: core, cfg: cfg}, nil
+	return &FileSystem{Core: core}, nil
 }
 
 // MustNew is New, panicking on error.
@@ -162,9 +92,6 @@ func MustNew(m *machine.Machine, cfg Config) *FileSystem {
 	}
 	return fs
 }
-
-// Config returns the mounted configuration.
-func (fs *FileSystem) Config() Config { return fs.cfg }
 
 func init() {
 	fsys.Register("pvfs", func(m *machine.Machine, opt fsys.MountOptions) (fsys.System, error) {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/bgp"
 	"repro/internal/data"
+	"repro/internal/fsys"
 	"repro/internal/gpfs"
 	"repro/internal/sim"
 	"repro/internal/xrand"
@@ -52,10 +53,10 @@ func TestCreateOpenCloseRoundTrip(t *testing.T) {
 		if _, err := fs.Open(p, 0, "a/b"); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := fs.Open(p, 0, "missing"); !errors.Is(err, ErrNotExist) {
+		if _, err := fs.Open(p, 0, "missing"); !errors.Is(err, fsys.ErrNotExist) {
 			t.Fatalf("want ErrNotExist, got %v", err)
 		}
-		if _, err := fs.Create(p, 0, "a/b"); !errors.Is(err, ErrExists) {
+		if _, err := fs.Create(p, 0, "a/b"); !errors.Is(err, fsys.ErrExists) {
 			t.Fatalf("want ErrExists, got %v", err)
 		}
 	})
@@ -165,10 +166,10 @@ func TestClosedHandleRejected(t *testing.T) {
 	rig(t, 256, nil, func(p *sim.Proc, fs *FileSystem) {
 		h, _ := fs.Create(p, 0, "f")
 		h.Close(p, 0)
-		if err := h.WriteAt(p, 0, 0, data.Synthetic(1)); !errors.Is(err, ErrClosed) {
+		if err := h.WriteAt(p, 0, 0, data.Synthetic(1)); !errors.Is(err, fsys.ErrClosed) {
 			t.Fatalf("want ErrClosed, got %v", err)
 		}
-		if err := h.Close(p, 0); !errors.Is(err, ErrClosed) {
+		if err := h.Close(p, 0); !errors.Is(err, fsys.ErrClosed) {
 			t.Fatalf("double close: want ErrClosed, got %v", err)
 		}
 	})

@@ -89,7 +89,7 @@ func (h *Handle) DoneOutstanding(client int) {
 // the caller perceives is the data path's wait.
 func (h *Handle) WriteAt(p *sim.Proc, rank int, off int64, buf data.Buf) error {
 	if h.closed {
-		return h.c.errs.Closed
+		return h.c.errClosed()
 	}
 	if buf.Len() == 0 {
 		return nil
@@ -147,7 +147,7 @@ func (h *Handle) WriteAt(p *sim.Proc, rank int, off int64, buf data.Buf) error {
 // otherwise. Reads past EOF return an error.
 func (h *Handle) ReadAt(p *sim.Proc, rank int, off, n int64) (data.Buf, error) {
 	if h.closed {
-		return data.Buf{}, h.c.errs.Closed
+		return data.Buf{}, h.c.errClosed()
 	}
 	if off+n > h.f.store.Size() {
 		return data.Buf{}, fmt.Errorf("%s: read [%d,%d) beyond EOF %d of %s", h.c.name, off, off+n, h.f.store.Size(), h.f.name)
@@ -186,7 +186,7 @@ func (h *Handle) Sync(p *sim.Proc, rank int) {
 // it) and releases it at the metadata service.
 func (h *Handle) Close(p *sim.Proc, rank int) error {
 	if h.closed {
-		return h.c.errs.Closed
+		return h.c.errClosed()
 	}
 	c := h.c
 	var prevLayer trace.Layer
