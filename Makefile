@@ -11,10 +11,11 @@ build:
 test:
 	$(GO) test ./...
 
-# check is the CI gate: static analysis, a full build, and the kernel +
-# experiment-runner tests under the race detector (the parallel fan-out and
-# the baton protocol are exactly the code -race can falsify).
+# check is the CI gate: formatting, static analysis, a full build, and the
+# kernel + experiment-runner tests under the race detector (the parallel
+# fan-out and the baton protocol are exactly the code -race can falsify).
 check:
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./internal/sim/... ./internal/exp/... ./internal/machine/...

@@ -28,6 +28,7 @@ import (
 	"repro/internal/perf"
 	"repro/internal/pvfs"
 	"repro/internal/sim"
+	"repro/internal/table"
 	"repro/internal/xrand"
 )
 
@@ -53,8 +54,8 @@ func BenchmarkFig5to7Headline(b *testing.B) {
 			b.Fatal(err)
 		}
 		report(b, "Figure 5: write bandwidth (GB/s)", exp.Fig5Table(rows))
-		report(b, "Figure 6: overall time per checkpoint step (s)", exp.Fig6Table(rows))
-		report(b, "Figure 7: checkpoint/computation time ratio", exp.Fig7Table(rows))
+		report(b, "Figure 6: overall time per checkpoint step (s)", exp.HeadlineTable(6, rows))
+		report(b, "Figure 7: checkpoint/computation time ratio", exp.HeadlineTable(7, rows))
 		// Headline metric: rbIO nf=ng bandwidth at 64K (paper: >13 GB/s).
 		b.ReportMetric(rows[len(rows)-1].GBps, "rbIO-64K-GB/s")
 	}
@@ -69,7 +70,7 @@ func BenchmarkFig8FileCountSweep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		report(b, "Figure 8: rbIO bandwidth vs number of files", exp.Fig8Table(rows))
+		report(b, "Figure 8: rbIO bandwidth vs number of files", table.Of(rows))
 		best := rows[0]
 		for _, r := range rows {
 			if r.NP == 65536 && r.GBps > best.GBps {
@@ -134,7 +135,7 @@ func BenchmarkFig12WriteActivity(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		report(b, "Figure 12: write activity, rbIO vs coIO @32K", exp.Fig12Table(rows))
+		report(b, "Figure 12: write activity, rbIO vs coIO @32K", table.Of(rows))
 	}
 }
 
@@ -146,7 +147,7 @@ func BenchmarkTableIPerceivedBandwidth(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		report(b, "Table I: perceived write performance (rbIO)", exp.TableITable(rows))
+		report(b, "Table I: perceived write performance (rbIO)", table.Of(rows))
 		b.ReportMetric(rows[len(rows)-1].PerceivedTBps, "perceived-64K-TB/s")
 	}
 }
@@ -160,7 +161,7 @@ func BenchmarkEq1ProductionImprovement(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		report(b, "Equation 1: production improvement @16K, nc=20", res.Table())
+		report(b, "Equation 1: production improvement @16K, nc=20", table.Of([]exp.Eq1Result{*res}))
 		b.ReportMetric(res.Formula, "Eq1-improvement-x")
 	}
 }
@@ -173,7 +174,7 @@ func BenchmarkEq7Speedup(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		report(b, "Equations 2-7: rbIO/coIO blocked-time speedup @16K", res.Table())
+		report(b, "Equations 2-7: rbIO/coIO blocked-time speedup @16K", table.Of([]exp.SpeedupResult{*res}))
 		b.ReportMetric(res.Measured, "measured-x")
 		b.ReportMetric(res.Analytic, "Eq7-x")
 	}
@@ -187,7 +188,7 @@ func BenchmarkMeshRead(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		report(b, "Section III-B: global mesh read (presetup)", exp.MeshReadTable(rows))
+		report(b, "Section III-B: global mesh read (presetup)", table.Of(rows))
 		b.ReportMetric(rows[0].Seconds, "E136K-32K-s")
 	}
 }
@@ -200,7 +201,7 @@ func BenchmarkAblationAlignment(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		report(b, "Ablation: file-domain alignment (coIO nf=1 @16K)", exp.AblationTable(rows))
+		report(b, "Ablation: file-domain alignment (coIO nf=1 @16K)", table.Of(rows))
 	}
 }
 
@@ -210,7 +211,7 @@ func BenchmarkAblationWriterBuffer(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		report(b, "Ablation: rbIO writer field-buffering @16K", exp.AblationTable(rows))
+		report(b, "Ablation: rbIO writer field-buffering @16K", table.Of(rows))
 	}
 }
 
@@ -220,7 +221,7 @@ func BenchmarkAblationAggRatio(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		report(b, "Ablation: rbIO np:ng ratio @16K", exp.AblationTable(rows))
+		report(b, "Ablation: rbIO np:ng ratio @16K", table.Of(rows))
 	}
 }
 
@@ -230,7 +231,7 @@ func BenchmarkAblationIONCache(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		report(b, "Ablation: ION write-behind cache (rbIO @16K)", exp.AblationTable(rows))
+		report(b, "Ablation: ION write-behind cache (rbIO @16K)", table.Of(rows))
 	}
 }
 
@@ -240,7 +241,7 @@ func BenchmarkAblationNoise(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		report(b, "Ablation: shared-storage noise (coIO 64:1 @64K)", exp.AblationTable(rows))
+		report(b, "Ablation: shared-storage noise (coIO 64:1 @64K)", table.Of(rows))
 	}
 }
 
@@ -252,7 +253,7 @@ func BenchmarkExtensionFSComparison(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		report(b, "Extension: GPFS vs PVFS @16K", exp.FSComparisonTable(rows))
+		report(b, "Extension: GPFS vs PVFS @16K", table.Of(rows))
 	}
 }
 
@@ -265,7 +266,7 @@ func BenchmarkExtensionPriorWorkBGL(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		report(b, "Extension: prior work [3], rbIO on BG/L @32K", exp.PriorWorkTable(rows))
+		report(b, "Extension: prior work [3], rbIO on BG/L @32K", table.Of(rows))
 		b.ReportMetric(rows[0].GBps, "BGL-GB/s")
 		b.ReportMetric(rows[0].PerceivedTBps, "BGL-perceived-TB/s")
 	}
@@ -279,7 +280,7 @@ func BenchmarkExtensionRestart(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		report(b, "Extension: restart performance @16K", exp.RestartTable(rows))
+		report(b, "Extension: restart performance @16K", table.Of(rows))
 	}
 }
 
@@ -289,7 +290,7 @@ func BenchmarkAblationBlockSize(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		report(b, "Ablation: GPFS block size (rbIO @16K)", exp.AblationTable(rows))
+		report(b, "Ablation: GPFS block size (rbIO @16K)", table.Of(rows))
 	}
 }
 
@@ -301,7 +302,7 @@ func BenchmarkExtensionMultiLevel(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		report(b, "Extension: multi-level checkpointing @16K", exp.MultiLevelTable(rows))
+		report(b, "Extension: multi-level checkpointing @16K", table.Of(rows))
 	}
 }
 
@@ -552,7 +553,7 @@ func BenchmarkMicroTorusRoute(b *testing.B) {
 // BenchmarkMicroTorusTransfer measures the contention-tracked transfer
 // arithmetic.
 func BenchmarkMicroTorusTransfer(b *testing.B) {
-	m := bgp.MustNew(sim.NewKernel(), xrand.New(1), bgp.Intrepid(4096))
+	m := machine.MustNew(sim.NewKernel(), xrand.New(1), bgp.Intrepid(4096))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Net.Transfer(float64(i), i%1024, (i*31)%1024, 1<<20)
@@ -563,7 +564,7 @@ func BenchmarkMicroTorusTransfer(b *testing.B) {
 // simulator.
 func BenchmarkMicroP2P(b *testing.B) {
 	k := sim.NewKernel()
-	m := bgp.MustNew(k, xrand.New(1), bgp.Intrepid(64))
+	m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(64))
 	w := mpi.NewWorld(m, mpi.DefaultConfig())
 	b.ResetTimer()
 	err := w.Run(func(c *mpi.Comm, r *mpi.Rank) {
@@ -587,7 +588,7 @@ func BenchmarkMicroP2P(b *testing.B) {
 // binomial gather + broadcast path.
 func BenchmarkMicroAllgather(b *testing.B) {
 	k := sim.NewKernel()
-	m := bgp.MustNew(k, xrand.New(1), bgp.Intrepid(256))
+	m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(256))
 	w := mpi.NewWorld(m, mpi.DefaultConfig())
 	b.ResetTimer()
 	err := w.Run(func(c *mpi.Comm, r *mpi.Rank) {
@@ -604,7 +605,7 @@ func BenchmarkMicroAllgather(b *testing.B) {
 // stream, Ethernet, striped commit) for a 4 MiB write.
 func BenchmarkMicroGPFSWrite(b *testing.B) {
 	k := sim.NewKernel()
-	m := bgp.MustNew(k, xrand.New(1), bgp.Intrepid(256))
+	m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(256))
 	fs := gpfs.MustNew(m, gpfs.DefaultConfig())
 	k.Go("w", func(p *sim.Proc) {
 		h, err := fs.Create(p, 0, "bench")
@@ -636,11 +637,11 @@ func BenchmarkMicroGPFSWrite(b *testing.B) {
 func BenchmarkStorageCommitPath(b *testing.B) {
 	arms := []struct {
 		name  string
-		mount func(m *bgp.Machine) fsys.System
+		mount func(m *machine.Machine) fsys.System
 	}{
-		{"gpfs", func(m *bgp.Machine) fsys.System { return gpfs.MustNew(m, gpfs.DefaultConfig()) }},
-		{"pvfs", func(m *bgp.Machine) fsys.System { return pvfs.MustNew(m, pvfs.DefaultConfig()) }},
-		{"bbuf", func(m *bgp.Machine) fsys.System {
+		{"gpfs", func(m *machine.Machine) fsys.System { return gpfs.MustNew(m, gpfs.DefaultConfig()) }},
+		{"pvfs", func(m *machine.Machine) fsys.System { return pvfs.MustNew(m, pvfs.DefaultConfig()) }},
+		{"bbuf", func(m *machine.Machine) fsys.System {
 			cfg := bbuf.DefaultConfig()
 			cfg.BufferPerION = 1 << 62
 			return bbuf.MustNew(m, cfg)
@@ -649,7 +650,7 @@ func BenchmarkStorageCommitPath(b *testing.B) {
 	for _, arm := range arms {
 		b.Run(arm.name, func(b *testing.B) {
 			k := sim.NewKernel()
-			m := bgp.MustNew(k, xrand.New(1), bgp.Intrepid(256))
+			m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(256))
 			fs := arm.mount(m)
 			k.Go("w", func(p *sim.Proc) {
 				h, err := fs.Create(p, 0, "bench")
@@ -707,7 +708,7 @@ func BenchmarkMicroSEDGAdvance(b *testing.B) {
 func BenchmarkMicroCheckpointStep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k := sim.NewKernel()
-		m := bgp.MustNew(k, xrand.New(1), bgp.Intrepid(1024))
+		m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(1024))
 		fs := gpfs.MustNew(m, gpfs.DefaultConfig())
 		w := mpi.NewWorld(m, mpi.DefaultConfig())
 		_, err := nekcem.Run(w, fs, nekcem.RunConfig{
@@ -725,7 +726,7 @@ func BenchmarkMicroCheckpointStep(b *testing.B) {
 // through the two-phase machinery.
 func BenchmarkMicroCollectiveWrite(b *testing.B) {
 	k := sim.NewKernel()
-	m := bgp.MustNew(k, xrand.New(1), bgp.Intrepid(256))
+	m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(256))
 	fs := gpfs.MustNew(m, gpfs.DefaultConfig())
 	w := mpi.NewWorld(m, mpi.DefaultConfig())
 	b.ResetTimer()
@@ -791,7 +792,7 @@ func BenchmarkAsyncFrontier(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	report(b, "AsyncFrontier: blocked time vs makespan vs staleness @2048", exp.AsyncFrontierTable(rows))
+	report(b, "AsyncFrontier: blocked time vs makespan vs staleness @2048", table.Of(rows))
 	var asyncBlocked, bestSync, flushTail, asyncStale, syncStale float64
 	bestSync = 1e18
 	for _, r := range rows {
@@ -849,7 +850,7 @@ func BenchmarkBBFleet(b *testing.B) {
 		switch {
 		case r.Fleet == 0:
 			syncWriter = r.WriterSec
-		case r.Fleet == r.Psets:
+		case int(r.Fleet) == r.Psets:
 			fullWriter = r.WriterSec
 		case r.Drain == "fifo" && r.WriterSec > worstFIFO:
 			worstFIFO = r.WriterSec

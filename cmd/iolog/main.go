@@ -18,8 +18,8 @@ import (
 	"os"
 	"sort"
 
-	"repro/internal/exp"
 	"repro/internal/iolog"
+	"repro/internal/table"
 	"repro/internal/trace"
 )
 
@@ -80,7 +80,7 @@ func main() {
 	sort.Float64s(sorted)
 	qs := iolog.Quantiles(times, 0, 0.25, 0.5, 0.75, 0.95, 1)
 	fmt.Println("per-rank I/O time distribution (Figures 9-11 style):")
-	fmt.Println(exp.FormatTable(
+	fmt.Println(table.Text(
 		[]string{"min", "p25", "median", "p75", "p95", "max"},
 		[][]string{{
 			fmt.Sprintf("%.3f", qs[0]), fmt.Sprintf("%.3f", qs[1]),
@@ -97,5 +97,5 @@ func main() {
 			fmt.Sprintf("%.1f", float64(bin.Bytes) / *dt / 1e6),
 		})
 	}
-	fmt.Println(exp.FormatTable([]string{"t (s)", "active writers", "MB/s"}, rows))
+	fmt.Println(table.Text([]string{"t (s)", "active writers", "MB/s"}, rows))
 }

@@ -15,6 +15,7 @@ import (
 	"repro/internal/bgp"
 	"repro/internal/ckpt"
 	"repro/internal/gpfs"
+	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/nekcem"
 	"repro/internal/sim"
@@ -36,16 +37,16 @@ var (
 
 func main() {
 	kernel := sim.NewKernel()
-	machine := bgp.MustNew(kernel, xrand.New(3), bgp.Intrepid(np))
+	m := machine.MustNew(kernel, xrand.New(3), bgp.Intrepid(np))
 	cfg := gpfs.DefaultConfig()
 	cfg.NoiseProb = 0
-	fs := gpfs.MustNew(machine, cfg)
+	fs := gpfs.MustNew(m, cfg)
 
 	// Phase 1: the original job. It plans to run 16 steps but "crashes"
 	// during step 10 — after the step-8 checkpoint became durable, before
 	// step 12's.
 	crashed := failStep / nc * nc // last durable checkpoint: step 8
-	w1 := mpi.NewWorld(machine, mpi.DefaultConfig())
+	w1 := mpi.NewWorld(m, mpi.DefaultConfig())
 	if _, err := nekcem.Run(w1, fs, nekcem.RunConfig{
 		Mesh: mesh, Strategy: strategy, Dir: "ckpt",
 		Steps: failStep - 1, CheckpointEvery: nc, DT: dt,
@@ -57,7 +58,7 @@ func main() {
 
 	// Phase 2: the replacement job restores from the last checkpoint and
 	// finishes the plan.
-	w2 := mpi.NewWorld(machine, mpi.DefaultConfig())
+	w2 := mpi.NewWorld(m, mpi.DefaultConfig())
 	res2, err := nekcem.Run(w2, fs, nekcem.RunConfig{
 		Mesh: mesh, Strategy: strategy, Dir: "ckpt",
 		Steps: planSteps, CheckpointEvery: nc, DT: dt,
@@ -80,7 +81,7 @@ func main() {
 	// Verification: job 2 wrote a checkpoint at the final step. Read it
 	// back through the I/O stack on a third job and compare every rank's
 	// restored fields against an uninterrupted reference trajectory.
-	w3 := mpi.NewWorld(machine, mpi.DefaultConfig())
+	w3 := mpi.NewWorld(m, mpi.DefaultConfig())
 	mismatches := 0
 	err = w3.Run(func(c *mpi.Comm, r *mpi.Rank) {
 		plan, err := strategy.Plan(c, r)

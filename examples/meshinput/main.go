@@ -16,6 +16,7 @@ import (
 	"repro/internal/bgp"
 	"repro/internal/data"
 	"repro/internal/gpfs"
+	"repro/internal/machine"
 	"repro/internal/meshgen"
 	"repro/internal/mpi"
 	"repro/internal/sim"
@@ -34,16 +35,16 @@ func main() {
 
 	// The input files live on the parallel file system before the job runs.
 	kernel := sim.NewKernel()
-	machine := bgp.MustNew(kernel, xrand.New(5), bgp.Intrepid(np))
+	m := machine.MustNew(kernel, xrand.New(5), bgp.Intrepid(np))
 	cfg := gpfs.DefaultConfig()
 	cfg.NoiseProb = 0
-	fs := gpfs.MustNew(machine, cfg)
+	fs := gpfs.MustNew(m, cfg)
 	fs.PreloadBytes("in/waveguide.rea", rea)
 	fs.PreloadBytes("in/waveguide.map", mp)
 
 	// Presetup: rank 0 reads the global files and broadcasts them; every
 	// rank decodes and extracts its local elements.
-	world := mpi.NewWorld(machine, mpi.DefaultConfig())
+	world := mpi.NewWorld(m, mpi.DefaultConfig())
 	var presetup float64
 	perRank := make([]int, np)
 	mismatches := 0

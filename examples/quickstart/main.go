@@ -12,6 +12,7 @@ import (
 	"repro/internal/bgp"
 	"repro/internal/ckpt"
 	"repro/internal/gpfs"
+	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/nekcem"
 	"repro/internal/sim"
@@ -24,9 +25,9 @@ func main() {
 	// driven by one deterministic discrete-event kernel.
 	const np = 1024
 	kernel := sim.NewKernel()
-	machine := bgp.MustNew(kernel, xrand.New(42), bgp.Intrepid(np))
-	fs := gpfs.MustNew(machine, gpfs.DefaultConfig())
-	world := mpi.NewWorld(machine, mpi.DefaultConfig())
+	m := machine.MustNew(kernel, xrand.New(42), bgp.Intrepid(np))
+	fs := gpfs.MustNew(m, gpfs.DefaultConfig())
+	world := mpi.NewWorld(m, mpi.DefaultConfig())
 
 	// The paper's headline strategy: reduced-blocking I/O with one dedicated
 	// writer per 64 ranks, each writer committing its own file (nf = ng).

@@ -12,12 +12,13 @@ import (
 
 	"repro/internal/bgp"
 	"repro/internal/ckpt"
-	"repro/internal/exp"
 	"repro/internal/gpfs"
+	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/mpiio"
 	"repro/internal/nekcem"
 	"repro/internal/sim"
+	"repro/internal/table"
 	"repro/internal/xrand"
 )
 
@@ -27,9 +28,9 @@ const np = 4096
 // returns (bandwidth GB/s, step seconds).
 func measure(strategy ckpt.Strategy) (float64, float64) {
 	kernel := sim.NewKernel()
-	machine := bgp.MustNew(kernel, xrand.New(11), bgp.Intrepid(np))
-	fs := gpfs.MustNew(machine, gpfs.DefaultConfig())
-	world := mpi.NewWorld(machine, mpi.DefaultConfig())
+	m := machine.MustNew(kernel, xrand.New(11), bgp.Intrepid(np))
+	fs := gpfs.MustNew(m, gpfs.DefaultConfig())
+	world := mpi.NewWorld(m, mpi.DefaultConfig())
 	res, err := nekcem.Run(world, fs, nekcem.RunConfig{
 		Mesh:            nekcem.PaperMesh(np),
 		Strategy:        strategy,
@@ -69,7 +70,7 @@ func main() {
 		}
 	}
 	fmt.Println("rbIO writer-ratio sweep (nf = ng):")
-	fmt.Println(exp.FormatTable([]string{"np:ng", "writers", "GB/s", "step (s)"}, rows))
+	fmt.Println(table.Text([]string{"np:ng", "writers", "GB/s", "step (s)"}, rows))
 
 	// Sweep 2: coIO file count, nf = 1 .. np/64.
 	rows = rows[:0]
@@ -83,7 +84,7 @@ func main() {
 		}
 	}
 	fmt.Println("coIO file-count sweep:")
-	fmt.Println(exp.FormatTable([]string{"nf", "GB/s", "step (s)"}, rows))
+	fmt.Println(table.Text([]string{"nf", "GB/s", "step (s)"}, rows))
 
 	fmt.Printf("best configuration on this partition: %s at %.2f GB/s\n", bestLabel, bestBW)
 }

@@ -15,6 +15,7 @@ import (
 	"repro/internal/bgp"
 	"repro/internal/ckpt"
 	"repro/internal/gpfs"
+	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/mpiio"
 	"repro/internal/nekcem"
@@ -32,13 +33,13 @@ func main() {
 	strategy := ckpt.CoIO{NumFiles: 4, Hints: mpiio.DefaultHints()}
 
 	kernel := sim.NewKernel()
-	machine := bgp.MustNew(kernel, xrand.New(7), bgp.Intrepid(np))
+	m := machine.MustNew(kernel, xrand.New(7), bgp.Intrepid(np))
 	cfg := gpfs.DefaultConfig()
 	cfg.NoiseProb = 0 // determinism matters more than realism here
-	fs := gpfs.MustNew(machine, cfg)
+	fs := gpfs.MustNew(m, cfg)
 
 	// First run: advance six steps, checkpointing at steps 3 and 6.
-	w1 := mpi.NewWorld(machine, mpi.DefaultConfig())
+	w1 := mpi.NewWorld(m, mpi.DefaultConfig())
 	res1, err := nekcem.Run(w1, fs, nekcem.RunConfig{
 		Mesh:            mesh,
 		Strategy:        strategy,
@@ -66,7 +67,7 @@ func main() {
 
 	// Restart run: a fresh world on the same machine and file system
 	// restores from the step-3 checkpoint and advances the remaining steps.
-	w2 := mpi.NewWorld(machine, mpi.DefaultConfig())
+	w2 := mpi.NewWorld(m, mpi.DefaultConfig())
 	var restartEnergy float64
 	err = w2.Run(func(c *mpi.Comm, r *mpi.Rank) {
 		plan, err := strategy.Plan(c, r)

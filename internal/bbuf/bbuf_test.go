@@ -8,6 +8,7 @@ import (
 	"repro/internal/bgp"
 	"repro/internal/data"
 	"repro/internal/fsys"
+	"repro/internal/machine"
 	"repro/internal/pvfs"
 	"repro/internal/sim"
 	"repro/internal/xrand"
@@ -16,7 +17,7 @@ import (
 func rig(t *testing.T, ranks int, mod func(*Config), body func(p *sim.Proc, fs *FileSystem)) {
 	t.Helper()
 	k := sim.NewKernel()
-	m := bgp.MustNew(k, xrand.New(1), bgp.Intrepid(ranks))
+	m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(ranks))
 	cfg := DefaultConfig()
 	cfg.NoiseProb = 0
 	if mod != nil {
@@ -76,7 +77,7 @@ func TestAbsorptionFasterThanSynchronous(t *testing.T) {
 	})
 
 	k := sim.NewKernel()
-	m := bgp.MustNew(k, xrand.New(1), bgp.Intrepid(256))
+	m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(256))
 	pcfg := pvfs.DefaultConfig()
 	pcfg.NoiseProb = 0
 	pfs := pvfs.MustNew(m, pcfg)
@@ -183,7 +184,7 @@ func TestSyncAndCloseDoNotWaitForDrain(t *testing.T) {
 func TestDeterministicPerSeed(t *testing.T) {
 	run := func(seed uint64) (float64, float64) {
 		k := sim.NewKernel()
-		m := bgp.MustNew(k, xrand.New(seed), bgp.Intrepid(256))
+		m := machine.MustNew(k, xrand.New(seed), bgp.Intrepid(256))
 		cfg := DefaultConfig()
 		cfg.NoiseProb = 0.2 // high so the drain path reliably draws spikes
 		fs := MustNew(m, cfg)

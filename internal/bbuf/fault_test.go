@@ -6,6 +6,7 @@ import (
 	"repro/internal/bgp"
 	"repro/internal/data"
 	"repro/internal/fault"
+	"repro/internal/machine"
 	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/xrand"
@@ -16,7 +17,7 @@ import (
 func faultRig(t *testing.T, mod func(*Config), sched fault.Schedule, body func(p *sim.Proc, fs *FileSystem)) {
 	t.Helper()
 	k := sim.NewKernel()
-	m := bgp.MustNew(k, xrand.New(1), bgp.Intrepid(256))
+	m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(256))
 	cfg := DefaultConfig()
 	cfg.NoiseProb = 0
 	if mod != nil {

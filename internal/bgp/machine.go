@@ -11,9 +11,9 @@
 // per pset, 850 MHz cores, 425 MB/s torus links, ~850 MB/s collective
 // network per pset, 10 GbE per ION.
 //
-// The Machine/Config/New names are aliases for their internal/machine
-// equivalents, kept so the wide pre-refactor import surface still reads
-// naturally at call sites that only ever mean "a Blue Gene".
+// The package holds configurations only: a preset is a machine.Config, and
+// machine.New builds it. Importing bgp also registers the presets by name
+// in the machine registry ("intrepid", "bgl", "fattree", "dragonfly").
 package bgp
 
 import (
@@ -21,23 +21,10 @@ import (
 	"repro/internal/machine"
 )
 
-// Config is an alias for machine.Config.
-type Config = machine.Config
-
-// Machine is an alias for machine.Machine.
-type Machine = machine.Machine
-
-// New builds a machine for the given configuration on the kernel; see
-// machine.New.
-var New = machine.New
-
-// MustNew is New, panicking on configuration errors; see machine.MustNew.
-var MustNew = machine.MustNew
-
 // Intrepid returns the configuration of an Intrepid partition with the given
 // number of MPI ranks (must be a power of two and a multiple of 4).
-func Intrepid(ranks int) Config {
-	return Config{
+func Intrepid(ranks int) machine.Config {
+	return machine.Config{
 		Ranks:        ranks,
 		RanksPerNode: 4,
 		NodesPerPset: 64,
@@ -55,7 +42,7 @@ func Intrepid(ranks int) Config {
 // cores per node ("virtual node" mode), 1 ION per 32 compute nodes on the
 // large ANL/SDSC-class systems, 175 MB/s torus links per direction and a
 // ~350 MB/s collective network.
-func BlueGeneL(ranks int) Config {
+func BlueGeneL(ranks int) machine.Config {
 	cfg := Intrepid(ranks)
 	cfg.RanksPerNode = 2
 	cfg.NodesPerPset = 32
@@ -83,7 +70,7 @@ func init() {
 	machine.Register(machine.Descriptor{
 		Name: "fattree",
 		Doc:  "Intrepid compute/I/O parameters on a two-level fat tree",
-		Config: func(ranks int) Config {
+		Config: func(ranks int) machine.Config {
 			cfg := Intrepid(ranks)
 			cfg.Topology = "fattree"
 			return cfg
@@ -92,7 +79,7 @@ func init() {
 	machine.Register(machine.Descriptor{
 		Name: "dragonfly",
 		Doc:  "Intrepid compute/I/O parameters on a dragonfly",
-		Config: func(ranks int) Config {
+		Config: func(ranks int) machine.Config {
 			cfg := Intrepid(ranks)
 			cfg.Topology = "dragonfly"
 			return cfg

@@ -3,13 +3,14 @@ package bgp
 import (
 	"testing"
 
+	"repro/internal/machine"
 	"repro/internal/sim"
 	"repro/internal/xrand"
 )
 
-func build(t *testing.T, ranks int) *Machine {
+func build(t *testing.T, ranks int) *machine.Machine {
 	t.Helper()
-	m, err := New(sim.NewKernel(), xrand.New(1), Intrepid(ranks))
+	m, err := machine.New(sim.NewKernel(), xrand.New(1), Intrepid(ranks))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,12 +70,12 @@ func TestEveryNodeHasPset(t *testing.T) {
 }
 
 func TestValidateRejectsBadConfigs(t *testing.T) {
-	bad := []Config{
+	bad := []machine.Config{
 		{}, // zero everything
-		func() Config { c := Intrepid(1000); return c }(),                     // 250 nodes, not power of two
-		func() Config { c := Intrepid(1024); c.RanksPerNode = 3; return c }(), // not divisible
-		func() Config { c := Intrepid(1024); c.NodesPerPset = 0; return c }(),
-		func() Config { c := Intrepid(1024); c.CPUHz = 0; return c }(),
+		func() machine.Config { c := Intrepid(1000); return c }(),                     // 250 nodes, not power of two
+		func() machine.Config { c := Intrepid(1024); c.RanksPerNode = 3; return c }(), // not divisible
+		func() machine.Config { c := Intrepid(1024); c.NodesPerPset = 0; return c }(),
+		func() machine.Config { c := Intrepid(1024); c.CPUHz = 0; return c }(),
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -112,7 +113,7 @@ func TestBlueGeneLPreset(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	m := MustNew(sim.NewKernel(), xrand.New(1), cfg)
+	m := machine.MustNew(sim.NewKernel(), xrand.New(1), cfg)
 	// 2 ranks/node, 32 nodes/pset: 16384 nodes, 512 psets.
 	if m.NumNodes() != 16384 || m.NumPsets() != 512 {
 		t.Fatalf("nodes %d psets %d", m.NumNodes(), m.NumPsets())

@@ -18,7 +18,7 @@ import (
 func runAsyncWorld(t *testing.T, ranks int, strat Strategy, mkEnv func(k *sim.Kernel, m *machine.Machine, fs *gpfs.FileSystem) *Env, body func(env *Env, pl Plan, c *mpi.Comm, r *mpi.Rank)) *gpfs.FileSystem {
 	t.Helper()
 	k := sim.NewKernel()
-	m := bgp.MustNew(k, xrand.New(1), bgp.Intrepid(ranks))
+	m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(ranks))
 	cfg := gpfs.DefaultConfig()
 	cfg.NoiseProb = 0
 	fs := gpfs.MustNew(m, cfg)

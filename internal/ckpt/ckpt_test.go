@@ -9,6 +9,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/gpfs"
 	"repro/internal/iolog"
+	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/mpiio"
 	"repro/internal/pvfs"
@@ -38,7 +39,7 @@ func makeCheckpoint(rank int, step int64, chunk int) *Checkpoint {
 func runWorld(t *testing.T, ranks int, strat Strategy, body func(env *Env, pl Plan, c *mpi.Comm, r *mpi.Rank)) (*gpfs.FileSystem, *iolog.Log) {
 	t.Helper()
 	k := sim.NewKernel()
-	m := bgp.MustNew(k, xrand.New(1), bgp.Intrepid(ranks))
+	m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(ranks))
 	cfg := gpfs.DefaultConfig()
 	cfg.NoiseProb = 0
 	fs := gpfs.MustNew(m, cfg)
@@ -283,7 +284,7 @@ func TestMismatchedFieldSizesRejected(t *testing.T) {
 
 func TestPlanRejectsIndivisibleGroups(t *testing.T) {
 	k := sim.NewKernel()
-	m := bgp.MustNew(k, xrand.New(1), bgp.Intrepid(64))
+	m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(64))
 	w := mpi.NewWorld(m, mpi.DefaultConfig())
 	errs := 0
 	err := w.Run(func(c *mpi.Comm, r *mpi.Rank) {
@@ -435,7 +436,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 func runWorldPVFS(t *testing.T, ranks int, strat Strategy, body func(env *Env, pl Plan, c *mpi.Comm, r *mpi.Rank)) *pvfs.FileSystem {
 	t.Helper()
 	k := sim.NewKernel()
-	m := bgp.MustNew(k, xrand.New(1), bgp.Intrepid(ranks))
+	m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(ranks))
 	cfg := pvfs.DefaultConfig()
 	cfg.NoiseProb = 0
 	fs := pvfs.MustNew(m, cfg)

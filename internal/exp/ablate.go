@@ -12,24 +12,12 @@ func defaultHints() mpiio.Hints { return mpiio.DefaultHints() }
 
 // AblationRow is one variant measurement of a design-choice ablation.
 type AblationRow struct {
-	Ablation string
-	Variant  string
-	NP       int
-	GBps     float64
-	StepSec  float64
-	Extra    string // ablation-specific detail (revocations, spikes, ...)
-}
-
-// AblationTable renders ablation rows.
-func AblationTable(rows []AblationRow) string {
-	out := [][]string{}
-	for _, r := range rows {
-		out = append(out, []string{
-			r.Ablation, r.Variant, fmt.Sprint(r.NP),
-			fmt.Sprintf("%.2f", r.GBps), fmt.Sprintf("%.2f", r.StepSec), r.Extra,
-		})
-	}
-	return FormatTable([]string{"ablation", "variant", "np", "GB/s", "step (s)", "detail"}, out)
+	Ablation string  `col:"ablation"`
+	Variant  string  `col:"variant"`
+	NP       int     `col:"np"`
+	GBps     float64 `col:"GB/s" fmt:"%.2f"`
+	StepSec  float64 `col:"step (s)" fmt:"%.2f"`
+	Extra    string  `col:"detail"` // ablation-specific detail (revocations, spikes, ...)
 }
 
 // runWith executes one checkpoint step with a custom GPFS configuration.

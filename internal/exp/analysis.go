@@ -12,14 +12,14 @@ import (
 // end-to-end improvement from running nc solver steps with one checkpoint
 // under both strategies.
 type Eq1Result struct {
-	NP         int
-	NC         int
-	Ratio1PFPP float64
-	RatioRbIO  float64
-	Formula    float64 // Equation (1)
+	NP         int     `col:"np"`
+	NC         int     `col:"nc"`
+	Ratio1PFPP float64 `col:"Ratio(1PFPP)" fmt:"%.0f"`
+	RatioRbIO  float64 `col:"Ratio(rbIO)" fmt:"%.0f"`
+	Formula    float64 `col:"Eq(1) improvement" fmt:"%.1fx"` // Equation (1)
 	Wall1PFPP  float64 // measured end-to-end production seconds
 	WallRbIO   float64
-	Measured   float64 // Wall1PFPP / WallRbIO
+	Measured   float64 `col:"measured end-to-end" fmt:"%.1fx"` // Wall1PFPP / WallRbIO
 }
 
 // production runs nc solver steps with a checkpoint at step nc and returns
@@ -52,29 +52,17 @@ func Eq1(o Options, np, nc int) (*Eq1Result, error) {
 	}, nil
 }
 
-// Table renders the Eq1 result.
-func (e *Eq1Result) Table() string {
-	rows := [][]string{{
-		fmt.Sprint(e.NP), fmt.Sprint(e.NC),
-		fmt.Sprintf("%.0f", e.Ratio1PFPP),
-		fmt.Sprintf("%.0f", e.RatioRbIO),
-		fmt.Sprintf("%.1fx", e.Formula),
-		fmt.Sprintf("%.1fx", e.Measured),
-	}}
-	return FormatTable([]string{"np", "nc", "Ratio(1PFPP)", "Ratio(rbIO)", "Eq(1) improvement", "measured end-to-end"}, rows)
-}
-
 // SpeedupResult evaluates the paper's Section V-C2 analysis: the total
 // blocked processor-time of coIO versus rbIO, measured (Equation 2 over the
 // per-rank blocking) and analytic (Equation 7: (np/ng)*(BW_rbIO/BW_coIO)).
 type SpeedupResult struct {
-	NP       int
-	TcoIO    float64 // sum over ranks of blocked seconds, coIO 64:1
-	TrbIO    float64 // sum over ranks of blocked seconds, rbIO 64:1
-	Measured float64 // TcoIO / TrbIO (Equation 2)
+	NP       int     `col:"np"`
+	TcoIO    float64 `col:"T_coIO (rank-s)" fmt:"%.3g"`   // sum over ranks of blocked seconds, coIO 64:1
+	TrbIO    float64 `col:"T_rbIO (rank-s)" fmt:"%.3g"`   // sum over ranks of blocked seconds, rbIO 64:1
+	Measured float64 `col:"measured speedup" fmt:"%.0fx"` // TcoIO / TrbIO (Equation 2)
 	BWcoIO   float64
 	BWrbIO   float64
-	Analytic float64 // Equation 7
+	Analytic float64 `col:"Eq(7) analytic" fmt:"%.0fx"` // Equation 7
 }
 
 // Speedup measures Equations (2)-(7) at the given processor count.
@@ -107,24 +95,12 @@ func Speedup(o Options, np int) (*SpeedupResult, error) {
 	return res, nil
 }
 
-// Table renders the speedup analysis.
-func (s *SpeedupResult) Table() string {
-	rows := [][]string{{
-		fmt.Sprint(s.NP),
-		fmt.Sprintf("%.3g", s.TcoIO),
-		fmt.Sprintf("%.3g", s.TrbIO),
-		fmt.Sprintf("%.0fx", s.Measured),
-		fmt.Sprintf("%.0fx", s.Analytic),
-	}}
-	return FormatTable([]string{"np", "T_coIO (rank-s)", "T_rbIO (rank-s)", "measured speedup", "Eq(7) analytic"}, rows)
-}
-
 // MeshReadRow is one global-mesh-read (presetup) measurement, per Section
 // III-B: 7.5 s for E=136K on 32,768 ranks, 28 s for E=546K on 131,072.
 type MeshReadRow struct {
-	E       int
-	NP      int
-	Seconds float64
+	E       int     `col:"E (elements)"`
+	NP      int     `col:"np"`
+	Seconds float64 `col:"presetup (s)" fmt:"%.1f"`
 }
 
 // MeshRead measures the presetup (global *.rea/*.map read, parse, and
@@ -151,15 +127,4 @@ func MeshRead(o Options, cases ...MeshReadRow) ([]MeshReadRow, error) {
 		out = append(out, MeshReadRow{E: c.E, NP: c.NP, Seconds: res.Presetup})
 	}
 	return out, nil
-}
-
-// MeshReadTable renders the presetup measurements.
-func MeshReadTable(rows []MeshReadRow) string {
-	out := [][]string{}
-	for _, r := range rows {
-		out = append(out, []string{
-			fmt.Sprint(r.E), fmt.Sprint(r.NP), fmt.Sprintf("%.1f", r.Seconds),
-		})
-	}
-	return FormatTable([]string{"E (elements)", "np", "presetup (s)"}, out)
 }

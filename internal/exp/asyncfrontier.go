@@ -6,6 +6,7 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/fault"
 	"repro/internal/fsys"
+	"repro/internal/table"
 )
 
 // frontierNames are the asyncfrontier arms: the two strongest blocking
@@ -21,19 +22,19 @@ var frontierNames = []string{"rbio", "coio", "async"}
 // when the background flush lands, so a badly-timed failure rolls back
 // further.
 type AsyncFrontierRow struct {
-	Strategy   string
-	NP         int
-	BlockedSec float64 // slowest checkpoint's solver-blocked phase
-	FlushSec   float64 // background flush tail past unblock (0 for sync arms)
-	StepSec    float64 // slowest checkpoint, snapshot start to durable
-	Makespan   float64 // fault-free simulated wall time of the whole run
+	Strategy   string  `col:"strategy"`
+	NP         int     `col:"np"`
+	BlockedSec float64 `col:"blocked (s)" fmt:"%.3f"`    // slowest checkpoint's solver-blocked phase
+	FlushSec   float64 `col:"flush tail (s)" fmt:"%.2f"` // background flush tail past unblock (0 for sync arms)
+	StepSec    float64 `col:"step (s)" fmt:"%.2f"`       // slowest checkpoint, snapshot start to durable
+	Makespan   float64 `col:"makespan (s)" fmt:"%.1f"`   // fault-free simulated wall time of the whole run
 
 	// Faulted phase (Trials independent runs under an accelerated MTBF).
-	Trials      int
-	Kills       int     // node deaths that landed inside the runs
-	AvgStaleSec float64 // mean staleness of durable state at those deaths
-	MaxStaleSec float64
-	LostTrials  int // trials that lost checkpoint state outright
+	Trials      int     `col:"trials"`
+	Kills       int     `col:"kills"`                    // node deaths that landed inside the runs
+	AvgStaleSec float64 `col:"avg stale (s)" fmt:"%.2f"` // mean staleness of durable state at those deaths
+	MaxStaleSec float64 `col:"max stale (s)" fmt:"%.2f"`
+	LostTrials  int     `col:"lost"` // trials that lost checkpoint state outright
 }
 
 // frontierCell is one executed run of one arm.
@@ -194,29 +195,6 @@ func runFrontierCell(o Options, np int, name string, spec *FaultSpec) (*frontier
 	return probe(cell, res.Wall), nil
 }
 
-// AsyncFrontierTable renders the frontier.
-func AsyncFrontierTable(rows []AsyncFrontierRow) string {
-	out := [][]string{}
-	for _, r := range rows {
-		out = append(out, []string{
-			r.Strategy, fmt.Sprint(r.NP),
-			fmt.Sprintf("%.3f", r.BlockedSec),
-			fmt.Sprintf("%.2f", r.FlushSec),
-			fmt.Sprintf("%.2f", r.StepSec),
-			fmt.Sprintf("%.1f", r.Makespan),
-			fmt.Sprint(r.Trials),
-			fmt.Sprint(r.Kills),
-			fmt.Sprintf("%.2f", r.AvgStaleSec),
-			fmt.Sprintf("%.2f", r.MaxStaleSec),
-			fmt.Sprint(r.LostTrials),
-		})
-	}
-	return FormatTable([]string{
-		"strategy", "np", "blocked (s)", "flush tail (s)", "step (s)",
-		"makespan (s)", "trials", "kills", "avg stale (s)", "max stale (s)", "lost",
-	}, out)
-}
-
 func init() {
 	Register(Descriptor{
 		Name:  "asyncfrontier",
@@ -227,7 +205,7 @@ func init() {
 			if err != nil {
 				return err
 			}
-			s.printf("== Extension: asynchronous checkpoint frontier ==\n%s\n", AsyncFrontierTable(rows))
+			s.printf("== Extension: asynchronous checkpoint frontier ==\n%s\n", table.Of(rows))
 			return nil
 		},
 	})

@@ -3,6 +3,8 @@ package exp
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/table"
 )
 
 // frontierAt renders the frontier table at a reduced scale with the given
@@ -13,7 +15,7 @@ func frontierAt(t *testing.T, parallel, shards int) ([]AsyncFrontierRow, string)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rows, AsyncFrontierTable(rows)
+	return rows, table.Of(rows)
 }
 
 // TestAsyncFrontierBlockedTimeWin is the experiment's acceptance check: the

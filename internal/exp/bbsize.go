@@ -1,10 +1,11 @@
 package exp
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/ckpt"
 	"repro/internal/machine"
+	"repro/internal/table"
 )
 
 // BBSizeRow is one fleet configuration's rbIO (or async) checkpoint step:
@@ -15,20 +16,31 @@ import (
 // path — the step degrades toward the sync backends — while an adequately
 // sized fleet keeps the whole commit behind the application.
 type BBSizeRow struct {
-	Strategy string
-	Ratio    int    // compute nodes per ION (the pset ratio)
-	Psets    int    // IONs at this ratio
-	Fleet    int    // fleet nodes (== Psets is the private legacy shape); 0 = sync reference
-	Drain    string // drain-scheduler policy ("sync" for the reference row)
+	Strategy string    `col:"strategy"`
+	Ratio    int       `col:"ratio"` // compute nodes per ION (the pset ratio)
+	Psets    int       `col:"psets"` // IONs at this ratio
+	Fleet    fleetSize `col:"fleet"` // fleet nodes (== Psets is the private legacy shape); 0 = sync reference
+	Drain    string    `col:"drain"` // drain-scheduler policy ("sync" for the reference row)
 
-	WriterSec    float64 // slowest writer's blocking time
-	StepSec      float64 // checkpoint step as the application perceives it
-	DurableSec   float64 // snapshot start to the last durable byte
-	DrainTailSec float64 // storage still landing data after the app unblocked
-	QueueSec     float64 // worst drain-queue residency past the flush (async arms)
-	SpillBytes   int64   // bytes that bypassed a full fleet synchronously
-	PeakBacklog  int64   // high-water scheduler backlog on any single node
-	DurableGBps  float64 // bytes over the time to the last durable byte
+	WriterSec    float64 `col:"writer (s)" fmt:"%.2f"`   // slowest writer's blocking time
+	StepSec      float64 `col:"step (s)" fmt:"%.2f"`     // checkpoint step as the application perceives it
+	DurableSec   float64 `col:"durable (s)" fmt:"%.2f"`  // snapshot start to the last durable byte
+	DrainTailSec float64 `col:"tail (s)" fmt:"%.2f"`     // storage still landing data after the app unblocked
+	QueueSec     float64 `col:"queue (s)" fmt:"%.2f"`    // worst drain-queue residency past the flush (async arms)
+	SpillBytes   int64   `col:"spill (B)"`               // bytes that bypassed a full fleet synchronously
+	PeakBacklog  int64   `col:"backlog peak (B)"`        // high-water scheduler backlog on any single node
+	DurableGBps  float64 `col:"durable GB/s" fmt:"%.2f"` // bytes over the time to the last durable byte
+}
+
+// fleetSize is a burst-buffer fleet's node count; the synchronous reference
+// row has none and prints "-".
+type fleetSize int
+
+func (n fleetSize) String() string {
+	if n == 0 {
+		return "-"
+	}
+	return strconv.Itoa(int(n))
 }
 
 // BBFaultRow is one faulted fleet configuration: the same step under an
@@ -36,13 +48,13 @@ type BBSizeRow struct {
 // concentrates more tenants' bytes per node, so a single ION death takes a
 // bigger (but correctly aggregated — one loss event per kill) bite.
 type BBFaultRow struct {
-	Fleet      int
-	Drain      string
-	Fails      int   // fault events that fired
-	LostBytes  int64 // absorbed bytes that never became durable
-	LossEvents int   // aggregated loss reports behind LostBytes
-	SpillBytes int64
-	Lost       bool // the trial lost checkpoint state outright
+	Fleet      int    `col:"fleet"`
+	Drain      string `col:"drain"`
+	Fails      int    `col:"fails"`       // fault events that fired
+	LostBytes  int64  `col:"lost (B)"`    // absorbed bytes that never became durable
+	LossEvents int    `col:"loss events"` // aggregated loss reports behind LostBytes
+	SpillBytes int64  `col:"spill (B)"`
+	Lost       bool   `col:"lost ckpt"` // the trial lost checkpoint state outright
 }
 
 // BBSizeResult is the bbsize experiment's output.
@@ -113,7 +125,7 @@ func BBSize(o Options, np int, mtbfHours float64) (*BBSizeResult, error) {
 		for _, sname := range strategies {
 			for _, size := range bbFleetSizes(psets) {
 				for _, drain := range drains {
-					add(BBSizeRow{Strategy: sname, Ratio: ratio, Psets: psets, Fleet: size, Drain: drain},
+					add(BBSizeRow{Strategy: sname, Ratio: ratio, Psets: psets, Fleet: fleetSize(size), Drain: drain},
 						Job{NP: np, Strategy: ckpt.MustNew(sname, np), FS: "bbuf",
 							NodesPerPset: ratio, BBNodes: size, BBDrain: drain})
 				}
@@ -197,47 +209,10 @@ func BBSize(o Options, np int, mtbfHours float64) (*BBSizeResult, error) {
 }
 
 // Table renders the fault-free sweep.
-func (r *BBSizeResult) Table() string {
-	out := [][]string{}
-	for _, row := range r.Rows {
-		fleet := fmt.Sprint(row.Fleet)
-		if row.Fleet == 0 {
-			fleet = "-"
-		}
-		out = append(out, []string{
-			row.Strategy, fmt.Sprint(row.Ratio), fmt.Sprint(row.Psets), fleet, row.Drain,
-			fmt.Sprintf("%.2f", row.WriterSec),
-			fmt.Sprintf("%.2f", row.StepSec),
-			fmt.Sprintf("%.2f", row.DurableSec),
-			fmt.Sprintf("%.2f", row.DrainTailSec),
-			fmt.Sprintf("%.2f", row.QueueSec),
-			fmt.Sprint(row.SpillBytes),
-			fmt.Sprint(row.PeakBacklog),
-			fmt.Sprintf("%.2f", row.DurableGBps),
-		})
-	}
-	return FormatTable([]string{
-		"strategy", "ratio", "psets", "fleet", "drain",
-		"writer (s)", "step (s)", "durable (s)", "tail (s)", "queue (s)",
-		"spill (B)", "backlog peak (B)", "durable GB/s",
-	}, out)
-}
+func (r *BBSizeResult) Table() string { return table.Of(r.Rows) }
 
 // FaultTable renders the faulted arm.
-func (r *BBSizeResult) FaultTable() string {
-	out := [][]string{}
-	for _, row := range r.Faulted {
-		out = append(out, []string{
-			fmt.Sprint(row.Fleet), row.Drain,
-			fmt.Sprint(row.Fails),
-			fmt.Sprint(row.LostBytes),
-			fmt.Sprint(row.LossEvents),
-			fmt.Sprint(row.SpillBytes),
-			fmt.Sprint(row.Lost),
-		})
-	}
-	return FormatTable([]string{"fleet", "drain", "fails", "lost (B)", "loss events", "spill (B)", "lost ckpt"}, out)
-}
+func (r *BBSizeResult) FaultTable() string { return table.Of(r.Faulted) }
 
 func init() {
 	Register(Descriptor{

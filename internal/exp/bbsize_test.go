@@ -3,6 +3,8 @@ package exp
 import (
 	"runtime"
 	"testing"
+
+	"repro/internal/table"
 )
 
 // bbsizeOut renders the full bbsize output (fault-free sweep plus the
@@ -57,7 +59,7 @@ func TestFleetPrivateShapeIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return DrainOverlapTable(rows)
+		return table.Of(rows)
 	}
 	legacy := render(Options{Seed: 1, NPs: []int{512}, Parallel: 1})
 	fleet := render(Options{Seed: 1, NPs: []int{512}, Parallel: 1, BBNodes: 2, Drain: "fifo"})

@@ -11,6 +11,7 @@ import (
 	"repro/internal/recover"
 	"repro/internal/sim"
 	"repro/internal/storage"
+	"repro/internal/table"
 	"repro/internal/trace"
 )
 
@@ -196,22 +197,22 @@ func stormStrategies(np int) []ckpt.Strategy {
 
 // CkptStormRow is one tenant's measurement in one arm of the storm.
 type CkptStormRow struct {
-	Strategy    string
-	Arm         string // "alone", "staggered", "colliding"
-	Tenant      string
-	StepSec     float64
-	GBps        float64
-	Penalty     float64 // StepSec over the strategy's alone-arm StepSec
-	StorageBusy float64 // storage-layer span seconds attributed to the tenant
-	FabricBusy  float64 // fabric-layer span seconds attributed to the tenant
+	Strategy    string  `col:"strategy"`
+	Arm         string  `col:"arm"` // "alone", "staggered", "colliding"
+	Tenant      string  `col:"tenant"`
+	StepSec     float64 `col:"step (s)" fmt:"%.3f"`
+	GBps        float64 `col:"BW (GB/s)" fmt:"%.2f"`
+	Penalty     float64 `col:"vs alone" fmt:"%.2fx"`        // StepSec over the strategy's alone-arm StepSec
+	StorageBusy float64 `col:"storage busy (s)" fmt:"%.2f"` // storage-layer span seconds attributed to the tenant
+	FabricBusy  float64 `col:"fabric busy (s)" fmt:"%.2f"`  // fabric-layer span seconds attributed to the tenant
 }
 
 // CkptStormSummary condenses one strategy's interference outcome.
 type CkptStormSummary struct {
-	Strategy         string
-	AloneSec         float64 // baseline step time, one tenant on the idle machine
-	StaggeredPenalty float64 // worst tenant's staggered-arm slowdown
-	CollidingPenalty float64 // worst tenant's colliding-arm slowdown
+	Strategy         string  `col:"strategy"`
+	AloneSec         float64 `col:"alone step (s)" fmt:"%.3f"` // baseline step time, one tenant on the idle machine
+	StaggeredPenalty float64 `col:"staggered" fmt:"%.2fx"`     // worst tenant's staggered-arm slowdown
+	CollidingPenalty float64 `col:"colliding" fmt:"%.2fx"`     // worst tenant's colliding-arm slowdown
 }
 
 // CkptStormResult is the endogenous-interference experiment: nt identical
@@ -333,46 +334,14 @@ func CkptStorm(o Options, np, nt int) (*CkptStormResult, error) {
 	return res, nil
 }
 
-// Table renders the per-tenant arm measurements.
-func (r *CkptStormResult) Table() string {
-	rows := [][]string{}
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.Strategy, row.Arm, row.Tenant,
-			fmt.Sprintf("%.3f", row.StepSec),
-			fmt.Sprintf("%.2f", row.GBps),
-			fmt.Sprintf("%.2fx", row.Penalty),
-			fmt.Sprintf("%.2f", row.StorageBusy),
-			fmt.Sprintf("%.2f", row.FabricBusy),
-		})
-	}
-	return FormatTable(
-		[]string{"strategy", "arm", "tenant", "step (s)", "BW (GB/s)", "vs alone", "storage busy (s)", "fabric busy (s)"},
-		rows)
-}
-
-// SummaryTable renders the per-strategy interference summary.
-func (r *CkptStormResult) SummaryTable() string {
-	rows := [][]string{}
-	for _, s := range r.Summaries {
-		rows = append(rows, []string{
-			s.Strategy,
-			fmt.Sprintf("%.3f", s.AloneSec),
-			fmt.Sprintf("%.2fx", s.StaggeredPenalty),
-			fmt.Sprintf("%.2fx", s.CollidingPenalty),
-		})
-	}
-	return FormatTable([]string{"strategy", "alone step (s)", "staggered", "colliding"}, rows)
-}
-
 // RestartStormRow is one tenant's solo-vs-storm restart read.
 type RestartStormRow struct {
-	Tenant   string
-	ScanSec  float64 // manifest scan-and-verify before the solo read
-	Torn     int     // torn epochs the tenant's scan detected
-	SoloSec  float64 // re-read duration with the machine otherwise idle
-	StormSec float64 // re-read duration with every tenant reading at once
-	Penalty  float64
+	Tenant   string  `col:"tenant"`
+	ScanSec  float64 `col:"scan (s)" fmt:"%.4f"`       // manifest scan-and-verify before the solo read
+	Torn     int     `col:"torn"`                      // torn epochs the tenant's scan detected
+	SoloSec  float64 `col:"solo read (s)" fmt:"%.3f"`  // re-read duration with the machine otherwise idle
+	StormSec float64 `col:"storm read (s)" fmt:"%.3f"` // re-read duration with every tenant reading at once
+	Penalty  float64 `col:"penalty" fmt:"%.2fx"`
 }
 
 // RestartStormResult measures recovery after a system-wide outage: all
@@ -530,22 +499,6 @@ func RestartStorm(o Options, np, nt int) (*RestartStormResult, error) {
 	return res, nil
 }
 
-// Table renders the solo-vs-storm comparison.
-func (r *RestartStormResult) Table() string {
-	rows := [][]string{}
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.Tenant,
-			fmt.Sprintf("%.4f", row.ScanSec),
-			fmt.Sprint(row.Torn),
-			fmt.Sprintf("%.3f", row.SoloSec),
-			fmt.Sprintf("%.3f", row.StormSec),
-			fmt.Sprintf("%.2fx", row.Penalty),
-		})
-	}
-	return FormatTable([]string{"tenant", "scan (s)", "torn", "solo read (s)", "storm read (s)", "penalty"}, rows)
-}
-
 // WorkloadResult is a queued multi-tenant workload trace: when each job
 // arrived, when capacity admitted it, and how long it ran.
 type WorkloadResult struct {
@@ -605,9 +558,7 @@ func (r *WorkloadResult) Table() string {
 			fmt.Sprintf("%.2f", j.Res.Done),
 		})
 	}
-	return FormatTable(
-		[]string{"job", "np", "strategy", "arrival", "admitted", "waited", "done"},
-		rows)
+	return table.Text([]string{"job", "np", "strategy", "arrival", "admitted", "waited", "done"}, rows)
 }
 
 // registerClusterExperiments wires the multi-tenant experiments into the
@@ -622,7 +573,7 @@ func registerClusterExperiments() {
 			if err != nil {
 				return err
 			}
-			s.printf("== ckptstorm: %d tenants x np=%d on a %d-rank machine ==\n%s\n%s\n", r.Tenants, r.NP, r.Capacity, r.Table(), r.SummaryTable())
+			s.printf("== ckptstorm: %d tenants x np=%d on a %d-rank machine ==\n%s\n%s\n", r.Tenants, r.NP, r.Capacity, table.Of(r.Rows), table.Of(r.Summaries))
 			w := r.WorstColliding()
 			s.printf("worst colliding penalty %.2fx (%s); staggering recovers it\n", w.CollidingPenalty, w.Strategy)
 			return nil
@@ -637,7 +588,7 @@ func registerClusterExperiments() {
 			if err != nil {
 				return err
 			}
-			s.printf("== restartstorm: %d tenants x np=%d, %vs outage ==\n%s\n", r.Tenants, r.NP, r.OutageSec, r.Table())
+			s.printf("== restartstorm: %d tenants x np=%d, %vs outage ==\n%s\n", r.Tenants, r.NP, r.OutageSec, table.Of(r.Rows))
 			s.printf("worst storm penalty %.2fx; fault events fired: %d fail, %d restore; manifest scans: %d torn epoch(s), %d B read\n",
 				r.StormPenalty, r.FaultCounts.Fails, r.FaultCounts.Restores, r.Torn, r.ScanBytes)
 			return nil

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/cluster"
+	"repro/internal/table"
 )
 
 // clusterHeadline reproduces the headline grid through the multi-tenant
@@ -76,7 +77,7 @@ func TestClusterSingleTenantGoldenIdentity(t *testing.T) {
 							})
 						}
 					}
-					checkGolden(t, "machine_fscompare_"+name+".golden", FSComparisonTable(rows))
+					checkGolden(t, "machine_fscompare_"+name+".golden", table.Of(rows))
 				})
 			}
 		}
@@ -92,7 +93,7 @@ func TestClusterDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r.Table() + r.SummaryTable()
+		return table.Of(r.Rows) + table.Of(r.Summaries)
 	}
 	storm := func() string { return stormSharded(0) }
 	want := storm()

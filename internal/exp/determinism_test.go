@@ -3,6 +3,8 @@ package exp
 import (
 	"runtime"
 	"testing"
+
+	"repro/internal/table"
 )
 
 // fig5At renders the Figure 5 table at a reduced scale with the given
@@ -54,7 +56,7 @@ func fscompareAt(t *testing.T, parallel int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return FSComparisonTable(rows)
+	return table.Of(rows)
 }
 
 // TestFSComparisonDeterministicAcrossWorkers extends the reproducibility
@@ -84,7 +86,7 @@ func TestDrainOverlapDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return DrainOverlapTable(rows)
+		return table.Of(rows)
 	}
 	ref := at(1)
 	if got := at(4); got != ref {

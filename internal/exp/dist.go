@@ -8,6 +8,7 @@ import (
 	"repro/internal/iolog"
 	"repro/internal/mpiio"
 	"repro/internal/nekcem"
+	"repro/internal/table"
 )
 
 // Plot renders the per-rank scatter as ASCII, the textual analogue of the
@@ -80,7 +81,7 @@ func (d *Distribution) Table() string {
 			"",
 		})
 	}
-	return FormatTable([]string{"experiment", "ranks", "min (s)", "median (s)", "p95 (s)", "max (s)", "max/med"}, rows)
+	return table.Text([]string{"experiment", "ranks", "min (s)", "median (s)", "p95 (s)", "max (s)", "max/med"}, rows)
 }
 
 // Fig9 reproduces the 1PFPP per-rank I/O time distribution at 16K ranks:
@@ -119,11 +120,11 @@ func Fig11(o Options) (*Distribution, error) {
 
 // Fig12Row is one timeline bin of the write-activity comparison.
 type Fig12Row struct {
-	T           float64
-	RbIOWriters int
-	RbIOMBps    float64
-	CoIOWriters int
-	CoIOMBps    float64
+	T           float64 `col:"t (s)" fmt:"%.1f"`
+	RbIOWriters int     `col:"rbIO writers"`
+	RbIOMBps    float64 `col:"rbIO MB/s" fmt:"%.0f"`
+	CoIOWriters int     `col:"coIO writers"`
+	CoIOMBps    float64 `col:"coIO MB/s" fmt:"%.0f"`
 }
 
 // Fig12 reproduces the Darshan-style write-activity analysis at 32K ranks:
@@ -158,17 +159,4 @@ func Fig12(o Options) ([]Fig12Row, error) {
 		}
 	}
 	return rows, nil
-}
-
-// Fig12Table renders the activity timeline.
-func Fig12Table(rows []Fig12Row) string {
-	out := [][]string{}
-	for _, r := range rows {
-		out = append(out, []string{
-			fmt.Sprintf("%.1f", r.T),
-			fmt.Sprint(r.RbIOWriters), fmt.Sprintf("%.0f", r.RbIOMBps),
-			fmt.Sprint(r.CoIOWriters), fmt.Sprintf("%.0f", r.CoIOMBps),
-		})
-	}
-	return FormatTable([]string{"t (s)", "rbIO writers", "rbIO MB/s", "coIO writers", "coIO MB/s"}, out)
 }

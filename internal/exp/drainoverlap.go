@@ -1,10 +1,6 @@
 package exp
 
-import (
-	"fmt"
-
-	"repro/internal/ckpt"
-)
+import "repro/internal/ckpt"
 
 // DrainRow is one backend's rbIO checkpoint step decomposed along the
 // write-behind axis: how long the slowest writer blocked, when the
@@ -14,12 +10,12 @@ import (
 // idea further — the writers block only for ION absorption, and the entire
 // shared-array commit becomes drain tail.
 type DrainRow struct {
-	FS           string
-	NP           int
-	WriterSec    float64 // slowest writer's blocking time
-	StepSec      float64 // checkpoint step as the application perceives it
-	DrainTailSec float64 // shared storage still landing data after MaxEnd
-	DurableGBps  float64 // bytes over the time to the last durable byte
+	FS           string  `col:"file system"`
+	NP           int     `col:"np"`
+	WriterSec    float64 `col:"writer blocked (s)" fmt:"%.2f"` // slowest writer's blocking time
+	StepSec      float64 `col:"step (s)" fmt:"%.2f"`           // checkpoint step as the application perceives it
+	DrainTailSec float64 `col:"drain tail (s)" fmt:"%.2f"`     // shared storage still landing data after MaxEnd
+	DurableGBps  float64 `col:"durable GB/s" fmt:"%.2f"`       // bytes over the time to the last durable byte
 }
 
 // DrainOverlap runs the headline rbIO configuration on gpfs and bbuf and
@@ -61,21 +57,4 @@ func DrainOverlap(o Options, np int) ([]DrainRow, error) {
 		}
 	}
 	return rows, nil
-}
-
-// DrainOverlapTable renders the comparison.
-func DrainOverlapTable(rows []DrainRow) string {
-	out := [][]string{}
-	for _, r := range rows {
-		out = append(out, []string{
-			r.FS, fmt.Sprint(r.NP),
-			fmt.Sprintf("%.2f", r.WriterSec),
-			fmt.Sprintf("%.2f", r.StepSec),
-			fmt.Sprintf("%.2f", r.DrainTailSec),
-			fmt.Sprintf("%.2f", r.DurableGBps),
-		})
-	}
-	return FormatTable(
-		[]string{"file system", "np", "writer blocked (s)", "step (s)", "drain tail (s)", "durable GB/s"},
-		out)
 }

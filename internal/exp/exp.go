@@ -10,7 +10,6 @@ package exp
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/bbuf"
 	"repro/internal/ckpt"
@@ -224,41 +223,6 @@ func (e *env) faultOutcome(j Job, r *Run) *FaultOutcome {
 	res2, err := e.solve(paperRestart(r.NP, j.Strategy))
 	fo.RestartOK = err == nil && res2.Restored
 	return fo
-}
-
-// FormatTable renders rows as an aligned text table.
-func FormatTable(headers []string, rows [][]string) string {
-	widths := make([]int, len(headers))
-	for i, h := range headers {
-		widths[i] = len(h)
-	}
-	for _, row := range rows {
-		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, cell := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], cell)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(headers)
-	sep := make([]string, len(headers))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	writeRow(sep)
-	for _, row := range rows {
-		writeRow(row)
-	}
-	return b.String()
 }
 
 // GB converts bytes/s to the paper's GB/s (decimal).

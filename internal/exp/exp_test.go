@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/table"
 )
 
 // Small-scale options so the whole experiment harness runs in CI time.
@@ -32,7 +34,7 @@ func TestHeadlineSmallScale(t *testing.T) {
 			byName["coIO, nf=1"].GBps, byName["coIO, np:nf=64:1"].GBps)
 	}
 	// The tables render with the right headers.
-	for _, tab := range []string{Fig5Table(rows), Fig6Table(rows), Fig7Table(rows)} {
+	for _, tab := range []string{Fig5Table(rows), HeadlineTable(6, rows), HeadlineTable(7, rows)} {
 		if !strings.Contains(tab, "2048") || !strings.Contains(tab, "1PFPP") {
 			t.Fatalf("table missing content:\n%s", tab)
 		}
@@ -68,7 +70,7 @@ func TestFig8SmallScale(t *testing.T) {
 			t.Fatalf("bad row %+v", r)
 		}
 	}
-	if !strings.Contains(Fig8Table(rows), "nf (=ng)") {
+	if !strings.Contains(table.Of(rows), "nf (=ng)") {
 		t.Fatal("table header missing")
 	}
 }
@@ -139,7 +141,7 @@ func TestFig12SmallScale(t *testing.T) {
 	if rbPeak == 0 || coPeak == 0 {
 		t.Fatalf("no writer activity recorded: rb=%d co=%d", rbPeak, coPeak)
 	}
-	if !strings.Contains(Fig12Table(rows), "rbIO writers") {
+	if !strings.Contains(table.Of(rows), "rbIO writers") {
 		t.Fatal("fig12 table header missing")
 	}
 }
@@ -159,7 +161,7 @@ func TestEq1SmallScale(t *testing.T) {
 	if res.Ratio1PFPP <= res.RatioRbIO {
 		t.Fatalf("1PFPP ratio %.0f not above rbIO ratio %.0f", res.Ratio1PFPP, res.RatioRbIO)
 	}
-	if !strings.Contains(res.Table(), "Eq(1)") {
+	if !strings.Contains(table.Of([]Eq1Result{*res}), "Eq(1)") {
 		t.Fatal("table header missing")
 	}
 }
@@ -247,19 +249,8 @@ func TestAblationsSmallScale(t *testing.T) {
 	if noise[1].GBps < noise[0].GBps {
 		t.Fatalf("quiet machine slower than noisy: %+v", noise)
 	}
-	if s := AblationTable(append(align, buf...)); !strings.Contains(s, "ablation") {
+	if s := table.Of(append(align, buf...)); !strings.Contains(s, "ablation") {
 		t.Fatal("ablation table header missing")
-	}
-}
-
-func TestFormatTable(t *testing.T) {
-	s := FormatTable([]string{"a", "bb"}, [][]string{{"1", "2"}, {"333", "4"}})
-	lines := strings.Split(strings.TrimSpace(s), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("table lines %d:\n%s", len(lines), s)
-	}
-	if !strings.HasPrefix(lines[1], "---") {
-		t.Fatalf("missing separator:\n%s", s)
 	}
 }
 
@@ -301,7 +292,7 @@ func TestFSComparisonSmallScale(t *testing.T) {
 		t.Fatalf("bbuf rbIO (%.2f) not ahead of GPFS rbIO (%.2f)",
 			byKey["bbuf/rbIO(64:1,nf=ng)"].GBps, byKey["gpfs/rbIO(64:1,nf=ng)"].GBps)
 	}
-	if !strings.Contains(FSComparisonTable(rows), "file system") {
+	if !strings.Contains(table.Of(rows), "file system") {
 		t.Fatal("table header missing")
 	}
 }
@@ -330,7 +321,7 @@ func TestDrainOverlapSmallScale(t *testing.T) {
 	if b.DurableGBps <= 0 || g.DurableGBps <= 0 {
 		t.Fatalf("non-positive durable bandwidth: %+v", rows)
 	}
-	if !strings.Contains(DrainOverlapTable(rows), "drain tail (s)") {
+	if !strings.Contains(table.Of(rows), "drain tail (s)") {
 		t.Fatal("table header missing")
 	}
 }
@@ -355,7 +346,7 @@ func TestMultiLevelStudySmallScale(t *testing.T) {
 	if ml4.TotalSec >= plain.TotalSec {
 		t.Fatalf("multi-level checkpoint time %.1f not below plain %.1f", ml4.TotalSec, plain.TotalSec)
 	}
-	if !strings.Contains(MultiLevelTable(rows), "PFS files") {
+	if !strings.Contains(table.Of(rows), "PFS files") {
 		t.Fatal("table header missing")
 	}
 }
@@ -373,7 +364,7 @@ func TestRestartStudySmallScale(t *testing.T) {
 			t.Fatalf("non-positive measurement %+v", r)
 		}
 	}
-	if !strings.Contains(RestartTable(rows), "restart read") {
+	if !strings.Contains(table.Of(rows), "restart read") {
 		t.Fatal("table header missing")
 	}
 }

@@ -1,11 +1,13 @@
 package exp
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
 	"repro/internal/ckpt"
 	"repro/internal/fault"
+	"repro/internal/table"
 )
 
 // faultedRun executes one checkpoint job at np with the given explicit fault
@@ -130,7 +132,7 @@ func faultSweepAt(t *testing.T, parallel int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return FaultTable(rows)
+	return table.Of(rows)
 }
 
 // TestFaultSweepDeterministicAcrossWorkers extends the reproducibility
@@ -176,5 +178,29 @@ func TestFaultFreeSpecMatchesNoSpec(t *testing.T) {
 		if clean.Agg.Bytes != faulted.Agg.Bytes {
 			t.Errorf("%s: bytes %d with empty schedule, %d without", strat.Name(), faulted.Agg.Bytes, clean.Agg.Bytes)
 		}
+	}
+}
+
+// TestDalyMakespan checks the Daly model against a hand-computed point and
+// against its large-MTBF limit, where failures vanish and the makespan is
+// the work plus one checkpoint per interval: work*(tau+C)/tau.
+func TestDalyMakespan(t *testing.T) {
+	// M=100, C=10, R=5, tau=40, work=400: ten segments of
+	// 100*e^0.05*(e^0.5-1) = 100*1.051271*0.648721 = 68.1982 each.
+	if got := dalyMakespan(100, 10, 5, 40, 400); math.Abs(got-681.982) > 1e-3 {
+		t.Errorf("dalyMakespan(M=100, C=10, R=5, tau=40, work=400) = %.6f, want 681.982", got)
+	}
+	const C, R, tau, work = 30.0, 60.0, 300.0, 86400.0
+	limit := work * (tau + C) / tau
+	prev := math.Inf(1)
+	for _, M := range []float64{1e6, 1e7, 1e8, 1e9} {
+		err := math.Abs(dalyMakespan(M, C, R, tau, work)-limit) / limit
+		if err >= prev {
+			t.Errorf("M=%g: relative error %.3g did not shrink from %.3g", M, err, prev)
+		}
+		prev = err
+	}
+	if prev > 1e-6 {
+		t.Errorf("M=1e9: relative error %.3g from the limit %g, want < 1e-6", prev, limit)
 	}
 }

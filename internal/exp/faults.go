@@ -128,26 +128,32 @@ func (e *env) attachFaults(spec *FaultSpec) (*fault.Injector, error) {
 
 // FaultRow aggregates the survivability trials of one (strategy, MTBF) cell.
 type FaultRow struct {
-	Strategy  string
-	FS        string
-	MTBFHours float64 // per-component MTBF
-	Trials    int
-	Lost      int // trials that lost checkpoint state
-	RestartOK int // trials whose surviving checkpoint restored a fresh job
+	Strategy  string       `col:"strategy"`
+	FS        string       `col:"fs"`
+	MTBFHours float64      `col:"mtbf/comp (h)" fmt:"%.1f"` // per-component MTBF
+	Trials    int          `col:"trials"`
+	Lost      lossTally    `col:"lost"`       // trials that lost checkpoint state
+	RestartOK restartTally `col:"restart ok"` // survivors whose checkpoint restored a fresh job
 
-	AvgFails     float64 // injector Fail events per trial
-	AvgDeadRanks float64
-	AvgMissing   float64 // rbIO chunks given up per trial
-	AvgFailovers float64
+	AvgFails     float64 `col:"fails" fmt:"%.1f"` // injector Fail events per trial
+	AvgDeadRanks float64 `col:"dead ranks" fmt:"%.1f"`
+	AvgMissing   float64 `col:"missing chunks" fmt:"%.1f"` // rbIO chunks given up per trial
+	AvgFailovers float64 `col:"failovers" fmt:"%.1f"`
 }
 
-// LossPct is the fraction of trials that lost state, in percent.
-func (r *FaultRow) LossPct() float64 {
-	if r.Trials == 0 {
-		return 0
-	}
-	return 100 * float64(r.Lost) / float64(r.Trials)
+// lossTally counts the trials that lost state; it prints with its share of
+// all trials, "3 (38%)".
+type lossTally struct{ N, Trials int }
+
+func (t lossTally) String() string {
+	return fmt.Sprintf("%d (%.0f%%)", t.N, 100*float64(t.N)/float64(t.Trials))
 }
+
+// restartTally counts the surviving trials whose checkpoint restored a fresh
+// job; it prints out of the survivors, "4/5".
+type restartTally struct{ N, Survivors int }
+
+func (t restartTally) String() string { return fmt.Sprintf("%d/%d", t.N, t.Survivors) }
 
 // faultStrategies are the survivability contenders: the three write layouts
 // whose failure modes differ (independent files, collective single file via
@@ -205,14 +211,15 @@ func FaultSweepN(o Options, np int, mtbfHours float64, trials int) ([]FaultRow, 
 				Strategy: strategies[si].Name(), FS: fsName,
 				MTBFHours: mtbfHours * mult, Trials: trials,
 			}
+			lost, restored := 0, 0
 			for t := 0; t < trials; t++ {
 				fo := runs[i].Fault
 				i++
 				if fo.Lost {
-					row.Lost++
+					lost++
 				}
 				if fo.RestartOK {
-					row.RestartOK++
+					restored++
 				}
 				row.AvgFails += float64(fo.Counts.Fails)
 				row.AvgDeadRanks += float64(fo.DeadRanks)
@@ -223,45 +230,29 @@ func FaultSweepN(o Options, np int, mtbfHours float64, trials int) ([]FaultRow, 
 			row.AvgDeadRanks /= float64(trials)
 			row.AvgMissing /= float64(trials)
 			row.AvgFailovers /= float64(trials)
+			row.Lost = lossTally{lost, trials}
+			row.RestartOK = restartTally{restored, trials - lost}
 			rows = append(rows, row)
 		}
 	}
 	return rows, nil
 }
 
-// FaultTable renders the survivability sweep.
-func FaultTable(rows []FaultRow) string {
-	out := [][]string{}
-	for _, r := range rows {
-		out = append(out, []string{
-			r.Strategy, r.FS, fmt.Sprintf("%.1f", r.MTBFHours), fmt.Sprint(r.Trials),
-			fmt.Sprintf("%d (%.0f%%)", r.Lost, r.LossPct()),
-			fmt.Sprintf("%d/%d", r.RestartOK, r.Trials-r.Lost),
-			fmt.Sprintf("%.1f", r.AvgFails),
-			fmt.Sprintf("%.1f", r.AvgDeadRanks),
-			fmt.Sprintf("%.1f", r.AvgMissing),
-			fmt.Sprintf("%.1f", r.AvgFailovers),
-		})
-	}
-	return FormatTable([]string{
-		"strategy", "fs", "mtbf/comp (h)", "trials", "lost", "restart ok",
-		"fails", "dead ranks", "missing chunks", "failovers",
-	}, out)
-}
-
 // MakespanRow is one point of the expected-makespan study: a strategy's
 // measured checkpoint/restart costs pushed through the Daly model at one
 // system MTBF.
 type MakespanRow struct {
-	Strategy  string
-	NP        int
-	MTBFHours float64 // per-component; SysMTBF is this over the component count
-	SysMTBF   float64 // seconds
-	C, R      float64 // measured checkpoint write / restart read, seconds
-	TauOpt    float64 // Young's optimum checkpoint interval, seconds
-	NumCkpts  float64 // checkpoints over the workload at TauOpt
-	Makespan  float64 // expected wall seconds for the 24h workload
-	Overhead  float64 // (makespan - work) / work, percent
+	Strategy      string  `col:"strategy"`
+	NP            int     `col:"np"`
+	MTBFHours     float64 `col:"mtbf/comp (h)" fmt:"%.1f"` // per-component; SysMTBF is this over the component count
+	SysMTBF       float64 `col:"sys mtbf (s)" fmt:"%.0f"`  // seconds
+	C             float64 `col:"C (s)" fmt:"%.1f"`         // measured checkpoint write, seconds
+	R             float64 `col:"R (s)" fmt:"%.1f"`         // measured restart read, seconds
+	TauOpt        float64 `col:"tau_opt (s)" fmt:"%.0f"`   // Young's optimum checkpoint interval, seconds
+	NumCkpts      float64 `col:"ckpts" fmt:"%.0f"`         // checkpoints over the workload at TauOpt
+	Makespan      float64 // expected wall seconds for the 24h workload
+	MakespanHours float64 `col:"makespan (h)" fmt:"%.2f"`
+	Overhead      float64 `col:"overhead" fmt:"%.1f%%"` // (makespan - work) / work, percent
 }
 
 // makespanWork is the fault-free workload the study amortizes over: 24 hours
@@ -293,39 +284,26 @@ func Makespan(o Options, np int, mtbfHours float64) ([]MakespanRow, error) {
 			M := mtbf * 3600 / float64(ncomp)
 			C, R := r0.WriteSec, r0.RestartSec
 			tau := math.Sqrt(2 * C * M) // Young's first-order optimum
-			// Daly's expected makespan for W seconds of work at interval tau:
-			// each segment of tau work costs M*e^{R/M}*(e^{(tau+C)/M}-1).
-			T := M * math.Exp(R/M) * (math.Exp((tau+C)/M) - 1) * (makespanWork / tau)
+			T := dalyMakespan(M, C, R, tau, makespanWork)
 			rows = append(rows, MakespanRow{
 				Strategy: r0.Strategy, NP: np,
 				MTBFHours: mtbf, SysMTBF: M,
 				C: C, R: R, TauOpt: tau,
-				NumCkpts: makespanWork / tau,
-				Makespan: T,
-				Overhead: 100 * (T - makespanWork) / makespanWork,
+				NumCkpts:      makespanWork / tau,
+				Makespan:      T,
+				MakespanHours: T / 3600,
+				Overhead:      100 * (T - makespanWork) / makespanWork,
 			})
 		}
 	}
 	return rows, nil
 }
 
-// MakespanTable renders the expected-makespan study.
-func MakespanTable(rows []MakespanRow) string {
-	out := [][]string{}
-	for _, r := range rows {
-		out = append(out, []string{
-			r.Strategy, fmt.Sprint(r.NP),
-			fmt.Sprintf("%.1f", r.MTBFHours),
-			fmt.Sprintf("%.0f", r.SysMTBF),
-			fmt.Sprintf("%.1f", r.C), fmt.Sprintf("%.1f", r.R),
-			fmt.Sprintf("%.0f", r.TauOpt),
-			fmt.Sprintf("%.0f", r.NumCkpts),
-			fmt.Sprintf("%.2f", r.Makespan/3600),
-			fmt.Sprintf("%.1f%%", r.Overhead),
-		})
-	}
-	return FormatTable([]string{
-		"strategy", "np", "mtbf/comp (h)", "sys mtbf (s)", "C (s)", "R (s)",
-		"tau_opt (s)", "ckpts", "makespan (h)", "overhead",
-	}, out)
+// dalyMakespan is Daly's first-order expected makespan for work seconds of
+// computation checkpointed every tau seconds, at system MTBF M with
+// checkpoint cost C and restart cost R: each of the work/tau segments costs
+// M*e^{R/M}*(e^{(tau+C)/M}-1). As M grows it tends to work*(tau+C)/tau,
+// the failure-free checkpoint bill.
+func dalyMakespan(M, C, R, tau, work float64) float64 {
+	return M * math.Exp(R/M) * (math.Exp((tau+C)/M) - 1) * (work / tau)
 }

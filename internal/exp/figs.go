@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/ckpt"
+	"repro/internal/table"
 )
 
 // HeadlineRow is one (approach, np) measurement shared by Figures 5-7.
@@ -76,48 +77,43 @@ func headlineRow(r *Run, label string) HeadlineRow {
 	}
 }
 
+// headlineViews are the Figure 5, 6 and 7 projections of a HeadlineRow:
+// the columns each figure adds after np and approach.
+var headlineViews = map[int]struct {
+	headers []string
+	cells   func(r HeadlineRow) []string
+}{
+	5: {[]string{"S (GB)", "bandwidth (GB/s)"}, func(r HeadlineRow) []string {
+		return []string{fmt.Sprintf("%.1f", float64(r.S)/1e9), fmt.Sprintf("%.2f", r.GBps)}
+	}},
+	6: {[]string{"time per ckpt step (s)"}, func(r HeadlineRow) []string {
+		return []string{fmt.Sprintf("%.1f", r.StepSec)}
+	}},
+	7: {[]string{"T(ckpt)/T(comp)"}, func(r HeadlineRow) []string {
+		return []string{fmt.Sprintf("%.0f", r.Ratio)}
+	}},
+}
+
+// HeadlineTable renders paper Figure fig's view (5, 6 or 7) of the
+// headline rows: write bandwidth, time per checkpoint step, or the
+// checkpoint/computation ratio.
+func HeadlineTable(fig int, rows []HeadlineRow) string {
+	v := headlineViews[fig]
+	out := make([][]string, len(rows))
+	for i, r := range rows {
+		out[i] = append([]string{fmt.Sprint(r.NP), r.Approach}, v.cells(r)...)
+	}
+	return table.Text(append([]string{"np", "approach"}, v.headers...), out)
+}
+
 // Fig5Table renders the write-bandwidth view (paper Figure 5).
-func Fig5Table(rows []HeadlineRow) string {
-	out := [][]string{}
-	for _, r := range rows {
-		out = append(out, []string{
-			fmt.Sprint(r.NP), r.Approach,
-			fmt.Sprintf("%.1f", float64(r.S)/1e9),
-			fmt.Sprintf("%.2f", r.GBps),
-		})
-	}
-	return FormatTable([]string{"np", "approach", "S (GB)", "bandwidth (GB/s)"}, out)
-}
-
-// Fig6Table renders the overall checkpoint-step time view (paper Figure 6).
-func Fig6Table(rows []HeadlineRow) string {
-	out := [][]string{}
-	for _, r := range rows {
-		out = append(out, []string{
-			fmt.Sprint(r.NP), r.Approach,
-			fmt.Sprintf("%.1f", r.StepSec),
-		})
-	}
-	return FormatTable([]string{"np", "approach", "time per ckpt step (s)"}, out)
-}
-
-// Fig7Table renders the checkpoint/computation ratio view (paper Figure 7).
-func Fig7Table(rows []HeadlineRow) string {
-	out := [][]string{}
-	for _, r := range rows {
-		out = append(out, []string{
-			fmt.Sprint(r.NP), r.Approach,
-			fmt.Sprintf("%.0f", r.Ratio),
-		})
-	}
-	return FormatTable([]string{"np", "approach", "T(ckpt)/T(comp)"}, out)
-}
+func Fig5Table(rows []HeadlineRow) string { return HeadlineTable(5, rows) }
 
 // Fig8Row is one point of the rbIO file-count sweep (paper Figure 8).
 type Fig8Row struct {
-	NP   int
-	NF   int // number of files == number of writer groups
-	GBps float64
+	NP   int     `col:"np"`
+	NF   int     `col:"nf (=ng)"` // number of files == number of writer groups
+	GBps float64 `col:"bandwidth (GB/s)" fmt:"%.2f"`
 }
 
 // Fig8 sweeps rbIO (nf = ng) over nf in {256, 512, 1024, 2048, 4096} at
@@ -147,22 +143,11 @@ func Fig8(o Options) ([]Fig8Row, error) {
 	return points, nil
 }
 
-// Fig8Table renders the sweep.
-func Fig8Table(rows []Fig8Row) string {
-	out := [][]string{}
-	for _, r := range rows {
-		out = append(out, []string{
-			fmt.Sprint(r.NP), fmt.Sprint(r.NF), fmt.Sprintf("%.2f", r.GBps),
-		})
-	}
-	return FormatTable([]string{"np", "nf (=ng)", "bandwidth (GB/s)"}, out)
-}
-
 // TableIRow is one row of the paper's Table I: perceived write performance.
 type TableIRow struct {
-	NP            int
-	SendCycles    float64 // CPU cycles a worker spends per field Isend
-	PerceivedTBps float64 // perceived bandwidth, TB/s
+	NP            int     `col:"# procs"`
+	SendCycles    float64 `col:"time (CPU cycles/send)" fmt:"%.0f"` // CPU cycles a worker spends per field Isend
+	PerceivedTBps float64 `col:"perceived BW (TB/s)" fmt:"%.0f"`    // perceived bandwidth, TB/s
 }
 
 // TableI measures rbIO's perceived write performance: how long the slowest
@@ -189,19 +174,6 @@ func TableI(o Options) ([]TableIRow, error) {
 		})
 	}
 	return rows, nil
-}
-
-// TableITable renders Table I.
-func TableITable(rows []TableIRow) string {
-	out := [][]string{}
-	for _, r := range rows {
-		out = append(out, []string{
-			fmt.Sprint(r.NP),
-			fmt.Sprintf("%.0f", r.SendCycles),
-			fmt.Sprintf("%.0f", r.PerceivedTBps),
-		})
-	}
-	return FormatTable([]string{"# procs", "time (CPU cycles/send)", "perceived BW (TB/s)"}, out)
 }
 
 // DefaultRbIOWithGroup returns the paper's rbIO configuration (nf = ng,

@@ -1,10 +1,6 @@
 package exp
 
-import (
-	"fmt"
-
-	"repro/internal/fsys"
-)
+import "repro/internal/fsys"
 
 // FSRow is one (file system, strategy) measurement of the backend
 // comparison the paper wanted to run (Section V-C1) but could not measure
@@ -14,11 +10,11 @@ import (
 // The burst-buffer arm extends the comparison to the ION-local tier later
 // systems added.
 type FSRow struct {
-	FS       string
-	Strategy string
-	NP       int
-	GBps     float64
-	StepSec  float64
+	FS       string  `col:"file system"`
+	Strategy string  `col:"strategy"`
+	NP       int     `col:"np"`
+	GBps     float64 `col:"GB/s" fmt:"%.2f"`
+	StepSec  float64 `col:"step (s)" fmt:"%.1f"`
 }
 
 // FSComparison runs the paper's strongest strategies on every backend at
@@ -51,16 +47,4 @@ func FSComparisonOn(o Options, np int, fsNames ...fsys.Backend) ([]FSRow, error)
 		}
 	}
 	return rows, nil
-}
-
-// FSComparisonTable renders the comparison.
-func FSComparisonTable(rows []FSRow) string {
-	out := [][]string{}
-	for _, r := range rows {
-		out = append(out, []string{
-			r.FS, r.Strategy, fmt.Sprint(r.NP),
-			fmt.Sprintf("%.2f", r.GBps), fmt.Sprintf("%.1f", r.StepSec),
-		})
-	}
-	return FormatTable([]string{"file system", "strategy", "np", "GB/s", "step (s)"}, out)
 }

@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/table"
 )
 
 // checkGolden compares got against the committed golden file, rewriting it
@@ -42,7 +44,7 @@ func TestFSComparisonGoldenGPFSPVFS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "fscompare_np2048_seed3.golden", FSComparisonTable(rows))
+	checkGolden(t, "fscompare_np2048_seed3.golden", table.Of(rows))
 }
 
 // TestFSComparisonGoldenThreeWay pins the full backend comparison — the
@@ -53,7 +55,7 @@ func TestFSComparisonGoldenThreeWay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "fscompare3_np2048_seed3.golden", FSComparisonTable(rows))
+	checkGolden(t, "fscompare3_np2048_seed3.golden", table.Of(rows))
 }
 
 // TestDrainOverlapGolden pins the drain-overlap experiment's table.
@@ -62,7 +64,7 @@ func TestDrainOverlapGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "drainoverlap_np2048_seed3.golden", DrainOverlapTable(rows))
+	checkGolden(t, "drainoverlap_np2048_seed3.golden", table.Of(rows))
 }
 
 // TestFaultSweepGolden pins the survivability sweep byte for byte: the
@@ -77,7 +79,7 @@ func TestFaultSweepGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "faultsweep_np2048_seed3.golden", FaultTable(rows))
+	checkGolden(t, "faultsweep_np2048_seed3.golden", table.Of(rows))
 }
 
 // TestMakespanGolden pins the expected-makespan study (measured C and R
@@ -87,5 +89,5 @@ func TestMakespanGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "makespan_np2048_seed3.golden", MakespanTable(rows))
+	checkGolden(t, "makespan_np2048_seed3.golden", table.Of(rows))
 }

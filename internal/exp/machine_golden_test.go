@@ -3,6 +3,8 @@ package exp
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/table"
 )
 
 // TestMachineRefactorGoldens pins the default Intrepid composition byte for
@@ -34,7 +36,7 @@ func TestMachineRefactorGoldens(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					checkGolden(t, "machine_fscompare_"+name+".golden", FSComparisonTable(rows))
+					checkGolden(t, "machine_fscompare_"+name+".golden", table.Of(rows))
 				})
 			}
 		}

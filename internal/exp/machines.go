@@ -1,10 +1,9 @@
 package exp
 
 import (
-	"fmt"
-
 	"repro/internal/ckpt"
 	"repro/internal/machine"
+	"repro/internal/table"
 )
 
 // sweepStrategies are the three-approach subset the machine-shape sweeps
@@ -19,11 +18,11 @@ func sweepStrategies(np int) ([]ckpt.Strategy, []string) {
 // sweep: how much of checkpoint performance is an artifact of where ranks
 // land on the fabric.
 type MapRow struct {
-	Policy   string
-	Strategy string
-	NP       int
-	GBps     float64
-	StepSec  float64
+	Policy   string  `col:"placement"`
+	Strategy string  `col:"strategy"`
+	NP       int     `col:"np"`
+	GBps     float64 `col:"GB/s" fmt:"%.2f"`
+	StepSec  float64 `col:"step (s)" fmt:"%.1f"`
 }
 
 // MapSweep runs the sweep strategies under every registered placement
@@ -54,27 +53,15 @@ func MapSweep(o Options, np int) ([]MapRow, error) {
 	return rows, nil
 }
 
-// MapSweepTable renders the placement sweep.
-func MapSweepTable(rows []MapRow) string {
-	out := [][]string{}
-	for _, r := range rows {
-		out = append(out, []string{
-			r.Policy, r.Strategy, fmt.Sprint(r.NP),
-			fmt.Sprintf("%.2f", r.GBps), fmt.Sprintf("%.1f", r.StepSec),
-		})
-	}
-	return FormatTable([]string{"placement", "strategy", "np", "GB/s", "step (s)"}, out)
-}
-
 // PsetRatioRow is one (compute:ION ratio, strategy) measurement of the
 // pset-ratio sweep: the paper fixes 64 compute nodes per ION; this asks how
 // the approaches would rank had the machine been provisioned differently.
 type PsetRatioRow struct {
-	NodesPerPset int
-	Strategy     string
-	NP           int
-	GBps         float64
-	StepSec      float64
+	NodesPerPset int     `col:"nodes:ION" fmt:"%d:1"`
+	Strategy     string  `col:"strategy"`
+	NP           int     `col:"np"`
+	GBps         float64 `col:"GB/s" fmt:"%.2f"`
+	StepSec      float64 `col:"step (s)" fmt:"%.1f"`
 }
 
 // PsetRatios is the compute:ION ratio sweep, bracketing Intrepid's 64:1.
@@ -113,18 +100,6 @@ func PsetRatio(o Options, np int) ([]PsetRatioRow, error) {
 	return rows, nil
 }
 
-// PsetRatioTable renders the pset-ratio sweep.
-func PsetRatioTable(rows []PsetRatioRow) string {
-	out := [][]string{}
-	for _, r := range rows {
-		out = append(out, []string{
-			fmt.Sprintf("%d:1", r.NodesPerPset), r.Strategy, fmt.Sprint(r.NP),
-			fmt.Sprintf("%.2f", r.GBps), fmt.Sprintf("%.1f", r.StepSec),
-		})
-	}
-	return FormatTable([]string{"nodes:ION", "strategy", "np", "GB/s", "step (s)"}, out)
-}
-
 func init() {
 	Register(Descriptor{
 		Name: "mapsweep", Doc: "checkpoint performance across rank-placement policies",
@@ -134,7 +109,7 @@ func init() {
 			if err != nil {
 				return err
 			}
-			s.printf("== Extension: rank-placement (mapping) sweep ==\n%s\n", MapSweepTable(rows))
+			s.printf("== Extension: rank-placement (mapping) sweep ==\n%s\n", table.Of(rows))
 			return nil
 		},
 	})
@@ -146,7 +121,7 @@ func init() {
 			if err != nil {
 				return err
 			}
-			s.printf("== Extension: compute:ION pset-ratio sweep ==\n%s\n", PsetRatioTable(rows))
+			s.printf("== Extension: compute:ION pset-ratio sweep ==\n%s\n", table.Of(rows))
 			return nil
 		},
 	})

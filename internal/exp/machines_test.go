@@ -6,6 +6,7 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/fault"
 	"repro/internal/machine"
+	"repro/internal/table"
 )
 
 // TestBGLHeadlineSmoke runs the Figure 5 sweep on the Blue Gene/L preset at
@@ -48,7 +49,7 @@ func TestMapSweepDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rows, MapSweepTable(rows)
+		return rows, table.Of(rows)
 	}
 	rows, ref := at(1)
 	if _, got := at(4); got != ref {
@@ -78,7 +79,7 @@ func TestPsetRatioDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rows, PsetRatioTable(rows)
+		return rows, table.Of(rows)
 	}
 	rows, ref := at(1)
 	if _, got := at(4); got != ref {

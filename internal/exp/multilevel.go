@@ -1,21 +1,17 @@
 package exp
 
-import (
-	"fmt"
-
-	"repro/internal/ckpt"
-)
+import "repro/internal/ckpt"
 
 // MLRow is one multi-level checkpointing measurement: a production run that
 // checkpoints every nc steps, with the local RAM-disk level absorbing all
 // but every k-th checkpoint.
 type MLRow struct {
-	Strategy string
-	NP       int
-	Ckpts    int
-	TotalSec float64 // summed checkpoint step times
-	WallSec  float64 // end-to-end production time
-	PFSFiles int
+	Strategy string  `col:"strategy"`
+	NP       int     `col:"np"`
+	Ckpts    int     `col:"ckpts"`
+	TotalSec float64 `col:"ckpt time (s)" fmt:"%.1f"` // summed checkpoint step times
+	WallSec  float64 `col:"wall (s)" fmt:"%.1f"`      // end-to-end production time
+	PFSFiles int     `col:"PFS files"`
 }
 
 // MultiLevelStudy compares plain rbIO (every checkpoint to the PFS) against
@@ -49,17 +45,4 @@ func MultiLevelStudy(o Options, np int) ([]MLRow, error) {
 		})
 	}
 	return rows, nil
-}
-
-// MultiLevelTable renders the study.
-func MultiLevelTable(rows []MLRow) string {
-	out := [][]string{}
-	for _, r := range rows {
-		out = append(out, []string{
-			r.Strategy, fmt.Sprint(r.NP), fmt.Sprint(r.Ckpts),
-			fmt.Sprintf("%.1f", r.TotalSec), fmt.Sprintf("%.1f", r.WallSec),
-			fmt.Sprint(r.PFSFiles),
-		})
-	}
-	return FormatTable([]string{"strategy", "np", "ckpts", "ckpt time (s)", "wall (s)", "PFS files"}, out)
 }

@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"repro/internal/bgp"
 	"repro/internal/gpfs"
 	"repro/internal/mpi"
@@ -13,10 +11,10 @@ import (
 // and 21 TB/s perceived) against the same strategy run on the BG/L machine
 // model.
 type PriorWorkRow struct {
-	Machine       string
-	NP            int
-	GBps          float64
-	PerceivedTBps float64
+	Machine       string  `col:"machine"`
+	NP            int     `col:"np"`
+	GBps          float64 `col:"write (GB/s)" fmt:"%.2f"`
+	PerceivedTBps float64 `col:"perceived (TB/s)" fmt:"%.0f"`
 }
 
 // bglGPFS returns BG/L-era storage constants: the ANL BG/L's SAN was an
@@ -62,16 +60,4 @@ func PriorWorkBGL(o Options) ([]PriorWorkRow, error) {
 		})
 	}
 	return rows, nil
-}
-
-// PriorWorkTable renders the comparison.
-func PriorWorkTable(rows []PriorWorkRow) string {
-	out := [][]string{}
-	for _, r := range rows {
-		out = append(out, []string{
-			r.Machine, fmt.Sprint(r.NP),
-			fmt.Sprintf("%.2f", r.GBps), fmt.Sprintf("%.0f", r.PerceivedTBps),
-		})
-	}
-	return FormatTable([]string{"machine", "np", "write (GB/s)", "perceived (TB/s)"}, out)
 }

@@ -2,34 +2,47 @@ package exp
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/ckpt"
 	"repro/internal/recover"
+	"repro/internal/table"
 )
 
 // RecoveryRow is one cell of the closed-loop recovery study: a strategy
 // family's measured lifecycle makespan at one per-component MTBF, next to
 // the Daly model's prediction from the same measured constants.
 type RecoveryRow struct {
-	Strategy  string
-	NP        int
-	MTBFHours float64 // per-component; 0 is the fault-free arm
-	SysMTBF   float64 // seconds; 0 for the fault-free arm
+	Strategy  string  `col:"strategy"`
+	NP        int     `col:"np"`
+	MTBFHours orDash  `col:"mtbf/comp (h)" fmt:"%.1f"` // per-component; 0 is the fault-free arm
+	SysMTBF   orDash  `col:"sys mtbf (s)" fmt:"%.0f"`  // seconds; 0 for the fault-free arm
 	Work      int     // solver-step budget
 	Tau       float64 // checkpoint interval, compute seconds
-	C         float64 // measured mean checkpoint cost, seconds
-	R         float64 // measured mean scan+restore per rollback, seconds
+	C         float64 `col:"C (s)" fmt:"%.2f"` // measured mean checkpoint cost, seconds
+	R         float64 `col:"R (s)" fmt:"%.2f"` // measured mean scan+restore per rollback, seconds
 
-	Makespan float64 // measured lifecycle wall seconds
-	Daly     float64 // model prediction from (M, tau, C, R, W)
+	Makespan float64 `col:"measured (s)" fmt:"%.1f"` // measured lifecycle wall seconds
+	Daly     float64 `col:"daly (s)" fmt:"%.1f"`     // model prediction from (M, tau, C, R, W)
+	Ratio    float64 `col:"ratio" fmt:"%.2fx"`       // Makespan / Daly
 
 	Segments  int
-	Rollbacks int
-	Torn      int // torn epochs the restart scans detected
-	Rework    int // banked steps re-executed after rollbacks
+	Rollbacks int `col:"rollbacks"`
+	Torn      int `col:"torn"`   // torn epochs the restart scans detected
+	Rework    int `col:"rework"` // banked steps re-executed after rollbacks
 	WaitSec   float64
-	Kills     recover.KillStats
+	Kills     recover.KillStats `col:"kills t/s/i"`
+}
+
+// orDash is a measurement that is absent when zero, as on the fault-free
+// arm: it prints as "-" then, and through its column's verb otherwise.
+type orDash float64
+
+func (v orDash) Format(f fmt.State, verb rune) {
+	if v == 0 {
+		f.Write([]byte("-"))
+		return
+	}
+	fmt.Fprintf(f, fmt.FormatString(f, verb), float64(v))
 }
 
 // recoveryMultipliers ladder the per-component MTBF for the lifecycle
@@ -169,13 +182,13 @@ func RecoveryStudy(o Options, np int, mtbfHours float64, work, epochs int) ([]Re
 		if c0 < 0 {
 			c0 = 0
 		}
+		// With no failures the model degenerates to work plus the
+		// checkpoint bill.
+		daly0 := workSec + float64(f.res.CkptCount)*c0
 		rows = append(rows, RecoveryRow{
 			Strategy: fam.Strategy.Name(), NP: np, Work: work,
 			Tau: tau, C: c0,
-			Makespan: f.res.Makespan,
-			// With no failures the model degenerates to work plus the
-			// checkpoint bill.
-			Daly:     workSec + float64(f.res.CkptCount)*c0,
+			Makespan: f.res.Makespan, Daly: daly0, Ratio: f.res.Makespan / daly0,
 			Segments: f.res.Segments,
 		})
 		for ri, mult := range recoveryMultipliers {
@@ -195,14 +208,14 @@ func RecoveryStudy(o Options, np int, mtbfHours float64, work, epochs int) ([]Re
 			if r.Rollbacks > 0 {
 				R = (r.ScanTime + r.RestartTime) / float64(r.Rollbacks)
 			}
-			// Daly's first-order expected makespan at the interval the
-			// lifecycle actually used.
-			daly := M * math.Exp(R/M) * (math.Exp((tau+C)/M) - 1) * (workSec / tau)
+			// Daly's expected makespan at the interval the lifecycle
+			// actually used.
+			daly := dalyMakespan(M, C, R, tau, workSec)
 			rows = append(rows, RecoveryRow{
 				Strategy: fam.Strategy.Name(), NP: np,
-				MTBFHours: mtbfHours * mult, SysMTBF: M,
+				MTBFHours: orDash(mtbfHours * mult), SysMTBF: orDash(M),
 				Work: work, Tau: tau, C: C, R: R,
-				Makespan: r.Makespan, Daly: daly,
+				Makespan: r.Makespan, Daly: daly, Ratio: r.Makespan / daly,
 				Segments: r.Segments, Rollbacks: r.Rollbacks,
 				Torn: r.TornSeen, Rework: r.ReworkSteps,
 				WaitSec: r.WaitTime, Kills: cell.kills,
@@ -213,26 +226,4 @@ func RecoveryStudy(o Options, np int, mtbfHours float64, work, epochs int) ([]Re
 }
 
 // RecoveryTable renders the recovery study.
-func RecoveryTable(rows []RecoveryRow) string {
-	out := [][]string{}
-	for _, r := range rows {
-		mtbf, sys := "-", "-"
-		if r.MTBFHours > 0 {
-			mtbf = fmt.Sprintf("%.1f", r.MTBFHours)
-			sys = fmt.Sprintf("%.0f", r.SysMTBF)
-		}
-		out = append(out, []string{
-			r.Strategy, fmt.Sprint(r.NP), mtbf, sys,
-			fmt.Sprintf("%.2f", r.C), fmt.Sprintf("%.2f", r.R),
-			fmt.Sprintf("%.1f", r.Makespan), fmt.Sprintf("%.1f", r.Daly),
-			fmt.Sprintf("%.2fx", r.Makespan/r.Daly),
-			fmt.Sprint(r.Rollbacks), fmt.Sprint(r.Torn), fmt.Sprint(r.Rework),
-			fmt.Sprintf("%d/%d/%d", r.Kills.MidEpochTorn, r.Kills.MidEpochSealed, r.Kills.Idle),
-		})
-	}
-	return FormatTable([]string{
-		"strategy", "np", "mtbf/comp (h)", "sys mtbf (s)", "C (s)", "R (s)",
-		"measured (s)", "daly (s)", "ratio", "rollbacks", "torn", "rework",
-		"kills t/s/i",
-	}, out)
-}
+func RecoveryTable(rows []RecoveryRow) string { return table.Of(rows) }

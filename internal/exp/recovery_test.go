@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/table"
 )
 
 // TestRecoveryStudySmoke runs a small closed-loop lifecycle study and checks
@@ -100,7 +102,7 @@ func TestManifestRecordingGoldenIdentity(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					checkGolden(t, "machine_fscompare_"+name+".golden", FSComparisonTable(rows))
+					checkGolden(t, "machine_fscompare_"+name+".golden", table.Of(rows))
 				})
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"os"
 
 	"repro/internal/registry"
+	"repro/internal/table"
 )
 
 // Descriptor is one runnable experiment in the registry: its canonical
@@ -138,7 +139,7 @@ func init() {
 			if err != nil {
 				return err
 			}
-			s.printf("== Figure 6: overall time per checkpoint step ==\n%s\n", Fig6Table(rows))
+			s.printf("== Figure 6: overall time per checkpoint step ==\n%s\n", HeadlineTable(6, rows))
 			return nil
 		},
 	})
@@ -149,7 +150,7 @@ func init() {
 			if err != nil {
 				return err
 			}
-			s.printf("== Figure 7: checkpoint/computation ratio ==\n%s\n", Fig7Table(rows))
+			s.printf("== Figure 7: checkpoint/computation ratio ==\n%s\n", HeadlineTable(7, rows))
 			return nil
 		},
 	})
@@ -160,7 +161,7 @@ func init() {
 			if err != nil {
 				return err
 			}
-			s.printf("== Figure 8: rbIO bandwidth vs number of files ==\n%s\n", Fig8Table(rows))
+			s.printf("== Figure 8: rbIO bandwidth vs number of files ==\n%s\n", table.Of(rows))
 			return nil
 		},
 	})
@@ -204,7 +205,7 @@ func init() {
 			if err != nil {
 				return err
 			}
-			s.printf("== Figure 12: write activity, rbIO vs coIO ==\n%s\n", Fig12Table(rows))
+			s.printf("== Figure 12: write activity, rbIO vs coIO ==\n%s\n", table.Of(rows))
 			return nil
 		},
 	})
@@ -215,7 +216,7 @@ func init() {
 			if err != nil {
 				return err
 			}
-			s.printf("== Table I: perceived write performance (rbIO) ==\n%s\n", TableITable(rows))
+			s.printf("== Table I: perceived write performance (rbIO) ==\n%s\n", table.Of(rows))
 			return nil
 		},
 	})
@@ -226,7 +227,7 @@ func init() {
 			if err != nil {
 				return err
 			}
-			s.printf("== Equation 1: production improvement, rbIO over 1PFPP ==\n%s\n", res.Table())
+			s.printf("== Equation 1: production improvement, rbIO over 1PFPP ==\n%s\n", table.Of([]Eq1Result{*res}))
 			return nil
 		},
 	})
@@ -237,7 +238,7 @@ func init() {
 			if err != nil {
 				return err
 			}
-			s.printf("== Equations 2-7: blocked-time speedup, rbIO over coIO ==\n%s\n", res.Table())
+			s.printf("== Equations 2-7: blocked-time speedup, rbIO over coIO ==\n%s\n", table.Of([]SpeedupResult{*res}))
 			return nil
 		},
 	})
@@ -254,7 +255,7 @@ func init() {
 			if err != nil {
 				return err
 			}
-			s.printf("== Section III-B: global mesh read (presetup) ==\n%s\n", MeshReadTable(rows))
+			s.printf("== Section III-B: global mesh read (presetup) ==\n%s\n", table.Of(rows))
 			return nil
 		},
 	})
@@ -265,7 +266,7 @@ func init() {
 			if err != nil {
 				return err
 			}
-			s.printf("== Extension: GPFS vs PVFS (Section V-C1's unpublished comparison) ==\n%s\n", FSComparisonTable(rows))
+			s.printf("== Extension: GPFS vs PVFS (Section V-C1's unpublished comparison) ==\n%s\n", table.Of(rows))
 			return nil
 		},
 	})
@@ -276,7 +277,7 @@ func init() {
 			if err != nil {
 				return err
 			}
-			s.printf("== Extension: rbIO commit overlap, GPFS write-behind vs ION burst buffer ==\n%s\n", DrainOverlapTable(rows))
+			s.printf("== Extension: rbIO commit overlap, GPFS write-behind vs ION burst buffer ==\n%s\n", table.Of(rows))
 			return nil
 		},
 	})
@@ -287,7 +288,7 @@ func init() {
 			if err != nil {
 				return err
 			}
-			s.printf("== Extension: prior work [3] — rbIO on 32K Blue Gene/L ==\n%s\n", PriorWorkTable(rows))
+			s.printf("== Extension: prior work [3] — rbIO on 32K Blue Gene/L ==\n%s\n", table.Of(rows))
 			return nil
 		},
 	})
@@ -298,7 +299,7 @@ func init() {
 			if err != nil {
 				return err
 			}
-			s.printf("== Extension: restart (read-side) performance ==\n%s\n", RestartTable(rows))
+			s.printf("== Extension: restart (read-side) performance ==\n%s\n", table.Of(rows))
 			return nil
 		},
 	})
@@ -309,7 +310,7 @@ func init() {
 			if err != nil {
 				return err
 			}
-			s.printf("== Extension: SCR-style multi-level checkpointing ==\n%s\n", MultiLevelTable(rows))
+			s.printf("== Extension: SCR-style multi-level checkpointing ==\n%s\n", table.Of(rows))
 			return nil
 		},
 	})
@@ -321,7 +322,7 @@ func init() {
 			if err != nil {
 				return err
 			}
-			s.printf("== Extension: checkpoint survivability under injected faults ==\n%s\n", FaultTable(rows))
+			s.printf("== Extension: checkpoint survivability under injected faults ==\n%s\n", table.Of(rows))
 			return nil
 		},
 	})
@@ -333,7 +334,7 @@ func init() {
 			if err != nil {
 				return err
 			}
-			s.printf("== Extension: expected makespan (Daly model on measured C and R) ==\n%s\n", MakespanTable(rows))
+			s.printf("== Extension: expected makespan (Daly model on measured C and R) ==\n%s\n", table.Of(rows))
 			return nil
 		},
 	})
@@ -368,7 +369,7 @@ func init() {
 				}
 				all = append(all, rows...)
 			}
-			s.printf("== Design-choice ablations ==\n%s\n", AblationTable(all))
+			s.printf("== Design-choice ablations ==\n%s\n", table.Of(all))
 			return nil
 		},
 	})

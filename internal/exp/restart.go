@@ -12,10 +12,10 @@ import (
 // application-level checkpointing with restartability (Section II); this
 // experiment measures the read side the evaluation leaves implicit.
 type RestartRow struct {
-	Strategy   string
-	NP         int
-	WriteSec   float64
-	RestartSec float64
+	Strategy   string  `col:"strategy"`
+	NP         int     `col:"np"`
+	WriteSec   float64 `col:"write (s)" fmt:"%.1f"`
+	RestartSec float64 `col:"restart read (s)" fmt:"%.1f"`
 }
 
 // RestartStudy writes one checkpoint per strategy and measures a fresh
@@ -52,18 +52,6 @@ func RestartStudy(o Options, np int) ([]RestartRow, error) {
 		})
 	}
 	return rows, nil
-}
-
-// RestartTable renders the study.
-func RestartTable(rows []RestartRow) string {
-	out := [][]string{}
-	for _, r := range rows {
-		out = append(out, []string{
-			r.Strategy, fmt.Sprint(r.NP),
-			fmt.Sprintf("%.1f", r.WriteSec), fmt.Sprintf("%.1f", r.RestartSec),
-		})
-	}
-	return FormatTable([]string{"strategy", "np", "write (s)", "restart read (s)"}, out)
 }
 
 // AblateBlockSize sweeps the GPFS block size (lock and striping

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/sim"
+	"repro/internal/table"
 )
 
 // TestScenarioSerialRule pins the one rule for which runs stay on the
@@ -54,7 +55,7 @@ func TestMultiLevelShardedEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return Fig5Table(rows) + MultiLevelTable(ml)
+		return Fig5Table(rows) + table.Of(ml)
 	}
 	ref := render(1)
 	for _, shards := range []int{4, 8} {

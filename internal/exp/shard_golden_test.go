@@ -3,6 +3,8 @@ package exp
 import (
 	"runtime"
 	"testing"
+
+	"repro/internal/table"
 )
 
 // shardedFig5 renders the Figure 5 table at np with the given in-simulation
@@ -63,7 +65,7 @@ func shardedFSCompare(t *testing.T, np int, seed uint64, shards int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return FSComparisonTable(rows)
+	return table.Of(rows)
 }
 
 // TestFSCompareShardedEquivalence extends the sharded-equivalence golden to

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/table"
 	"repro/internal/trace"
 )
 
@@ -132,7 +133,7 @@ func TestTracingDoesNotPerturbGoldens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "fscompare_np2048_seed3.golden", FSComparisonTable(rows))
+	checkGolden(t, "fscompare_np2048_seed3.golden", table.Of(rows))
 	if len(tc.Entries()) != 6 {
 		t.Fatalf("collected %d traces, want 6", len(tc.Entries()))
 	}

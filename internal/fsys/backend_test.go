@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bgp"
 	"repro/internal/fsys"
+	"repro/internal/machine"
 	"repro/internal/registry"
 	"repro/internal/sim"
 	"repro/internal/xrand"
@@ -47,7 +48,7 @@ func TestLookupDefaultsAndErrors(t *testing.T) {
 func TestMountRoundTrip(t *testing.T) {
 	for _, name := range []fsys.Backend{"gpfs", "pvfs", "bbuf"} {
 		k := sim.NewKernel()
-		m := bgp.MustNew(k, xrand.New(1), bgp.Intrepid(256))
+		m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(256))
 		fs, err := fsys.Mount(name, m, fsys.MountOptions{Quiet: true})
 		if err != nil {
 			t.Fatalf("Mount(%q): %v", name, err)
@@ -67,7 +68,7 @@ func TestDuplicateRegisterPanics(t *testing.T) {
 			t.Fatal("duplicate Register did not panic")
 		}
 	}()
-	fsys.Register("gpfs", func(m *bgp.Machine, opt fsys.MountOptions) (fsys.System, error) {
+	fsys.Register("gpfs", func(m *machine.Machine, opt fsys.MountOptions) (fsys.System, error) {
 		return nil, nil
 	})
 }

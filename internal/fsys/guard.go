@@ -51,11 +51,11 @@ func (g *guardedSystem) Open(p *sim.Proc, rank int, path string) (Handle, error)
 	return &guardedHandle{h: h}, err
 }
 
-func (g *guardedSystem) Preload(path string, size int64)          { g.fs.Preload(path, size) }
+func (g *guardedSystem) Preload(path string, size int64)           { g.fs.Preload(path, size) }
 func (g *guardedSystem) PreloadBytes(path string, contents []byte) { g.fs.PreloadBytes(path, contents) }
-func (g *guardedSystem) Exists(path string) bool                  { return g.fs.Exists(path) }
-func (g *guardedSystem) FileSize(path string) (int64, error)      { return g.fs.FileSize(path) }
-func (g *guardedSystem) NumFiles() int                            { return g.fs.NumFiles() }
+func (g *guardedSystem) Exists(path string) bool                   { return g.fs.Exists(path) }
+func (g *guardedSystem) FileSize(path string) (int64, error)       { return g.fs.FileSize(path) }
+func (g *guardedSystem) NumFiles() int                             { return g.fs.NumFiles() }
 
 type guardedHandle struct {
 	h Handle

@@ -8,6 +8,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/fault"
 	"repro/internal/fsys"
+	"repro/internal/machine"
 	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/xrand"
@@ -19,7 +20,7 @@ func faultRig(t *testing.T, mod func(*Config), sched fault.Schedule, pol *storag
 	jitterSeed uint64, body func(p *sim.Proc, fs *FileSystem)) {
 	t.Helper()
 	k := sim.NewKernel()
-	m := bgp.MustNew(k, xrand.New(1), bgp.Intrepid(256))
+	m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(256))
 	cfg := DefaultConfig()
 	cfg.NoiseProb = 0
 	if mod != nil {

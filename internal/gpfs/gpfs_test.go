@@ -10,6 +10,7 @@ import (
 	"repro/internal/bgp"
 	"repro/internal/data"
 	"repro/internal/fsys"
+	"repro/internal/machine"
 	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/xrand"
@@ -19,7 +20,7 @@ import (
 func rig(t *testing.T, ranks int, mod func(*Config), body func(p *sim.Proc, fs *FileSystem)) {
 	t.Helper()
 	k := sim.NewKernel()
-	m := bgp.MustNew(k, xrand.New(1), bgp.Intrepid(ranks))
+	m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(ranks))
 	cfg := DefaultConfig()
 	cfg.NoiseProb = 0 // tests want exact timing unless they opt in
 	if mod != nil {
@@ -308,7 +309,7 @@ func TestClientStreamCapsThroughput(t *testing.T) {
 func TestNoiseDeterministicPerSeed(t *testing.T) {
 	run := func(seed uint64) (float64, int) {
 		k := sim.NewKernel()
-		m := bgp.MustNew(k, xrand.New(seed), bgp.Intrepid(256))
+		m := machine.MustNew(k, xrand.New(seed), bgp.Intrepid(256))
 		cfg := DefaultConfig()
 		cfg.NoiseProb = 0.2 // high so the test reliably sees spikes
 		fs := MustNew(m, cfg)

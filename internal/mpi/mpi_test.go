@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/bgp"
 	"repro/internal/data"
+	"repro/internal/machine"
 	"repro/internal/sim"
 	"repro/internal/xrand"
 )
@@ -13,7 +14,7 @@ import (
 func newWorld(t *testing.T, ranks int) *World {
 	t.Helper()
 	k := sim.NewKernel()
-	m := bgp.MustNew(k, xrand.New(1), bgp.Intrepid(ranks))
+	m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(ranks))
 	return NewWorld(m, DefaultConfig())
 }
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/bgp"
 	"repro/internal/data"
 	"repro/internal/gpfs"
+	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/sim"
 	"repro/internal/xrand"
@@ -16,7 +17,7 @@ import (
 func env(t *testing.T, ranks int) (*mpi.World, *gpfs.FileSystem) {
 	t.Helper()
 	k := sim.NewKernel()
-	m := bgp.MustNew(k, xrand.New(1), bgp.Intrepid(ranks))
+	m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(ranks))
 	cfg := gpfs.DefaultConfig()
 	cfg.NoiseProb = 0
 	fs := gpfs.MustNew(m, cfg)

@@ -6,6 +6,7 @@ import (
 	"repro/internal/bgp"
 	"repro/internal/ckpt"
 	"repro/internal/gpfs"
+	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/mpiio"
 	"repro/internal/sim"
@@ -15,7 +16,7 @@ import (
 func testEnv(t *testing.T, ranks int) (*mpi.World, *gpfs.FileSystem) {
 	t.Helper()
 	k := sim.NewKernel()
-	m := bgp.MustNew(k, xrand.New(1), bgp.Intrepid(ranks))
+	m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(ranks))
 	cfg := gpfs.DefaultConfig()
 	cfg.NoiseProb = 0
 	return mpi.NewWorld(m, mpi.DefaultConfig()), gpfs.MustNew(m, cfg)
@@ -150,7 +151,7 @@ func TestProductionRestartRoundTrip(t *testing.T) {
 
 	// Restart on a fresh world sharing the same file system state.
 	k2 := sim.NewKernel()
-	m2 := bgp.MustNew(k2, xrand.New(2), bgp.Intrepid(16))
+	m2 := machine.MustNew(k2, xrand.New(2), bgp.Intrepid(16))
 	_ = m2
 	// The file system is bound to the first machine's kernel; restart within
 	// a fresh run against the same fs is not possible across kernels, so
@@ -176,7 +177,7 @@ func TestRestartWithinRun(t *testing.T) {
 	// world: first a run writes step 2; then a second world on the SAME
 	// kernel/fs restarts from it.
 	k := sim.NewKernel()
-	m := bgp.MustNew(k, xrand.New(1), bgp.Intrepid(16))
+	m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(16))
 	cfg := gpfs.DefaultConfig()
 	cfg.NoiseProb = 0
 	fs := gpfs.MustNew(m, cfg)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/fsys"
 	"repro/internal/gpfs"
+	"repro/internal/machine"
 	"repro/internal/sim"
 	"repro/internal/xrand"
 )
@@ -17,7 +18,7 @@ import (
 func rig(t *testing.T, ranks int, mod func(*Config), body func(p *sim.Proc, fs *FileSystem)) {
 	t.Helper()
 	k := sim.NewKernel()
-	m := bgp.MustNew(k, xrand.New(1), bgp.Intrepid(ranks))
+	m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(ranks))
 	cfg := DefaultConfig()
 	cfg.NoiseProb = 0
 	if mod != nil {
@@ -94,7 +95,7 @@ func TestDistributedMetadataBeatsGPFSOnCreateStorm(t *testing.T) {
 	const creates = 2000
 	measure := func(pv bool) float64 {
 		k := sim.NewKernel()
-		m := bgp.MustNew(k, xrand.New(1), bgp.Intrepid(8192))
+		m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(8192))
 		var end float64
 		done := 0
 		body := func(p *sim.Proc, create func(*sim.Proc, int, string) error, rank int) {

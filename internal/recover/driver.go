@@ -320,6 +320,11 @@ type KillStats struct {
 // Kills returns the total classified kills.
 func (k KillStats) Kills() int { return k.MidEpochTorn + k.MidEpochSealed + k.Idle }
 
+// String prints the three buckets as torn/sealed/idle, "1/0/2".
+func (k KillStats) String() string {
+	return fmt.Sprintf("%d/%d/%d", k.MidEpochTorn, k.MidEpochSealed, k.Idle)
+}
+
 // ClassifyKills buckets every Fail event fired up to time upto (<= 0: all)
 // by whether a global-level epoch was in flight when it hit and how that
 // epoch ended. Every mid-epoch kill lands in exactly one of the torn or

@@ -7,6 +7,7 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/fault"
 	"repro/internal/gpfs"
+	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/mpiio"
 	"repro/internal/nekcem"
@@ -21,7 +22,7 @@ import (
 func lifecycle(t *testing.T, np int, strat ckpt.Strategy, segCkpts, work, ce int, sched fault.Schedule) (*Result, *Log, fault.Schedule) {
 	t.Helper()
 	k := sim.NewKernel()
-	m := bgp.MustNew(k, xrand.New(1), bgp.Intrepid(np))
+	m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(np))
 	gcfg := gpfs.DefaultConfig()
 	gcfg.NoiseProb = 0
 	fs := gpfs.MustNew(m, gcfg)

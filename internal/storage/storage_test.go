@@ -42,7 +42,7 @@ var mechBad = map[string]func(*storage.Config){
 }
 
 func newMachine() *machine.Machine {
-	return bgp.MustNew(sim.NewKernel(), xrand.New(1), bgp.Intrepid(64))
+	return machine.MustNew(sim.NewKernel(), xrand.New(1), bgp.Intrepid(64))
 }
 
 func mountBBuf(m *machine.Machine, mod func(*bbuf.Config)) error {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"repro/internal/table"
 )
 
 // Metrics is the aggregated, serializable view of one run's recorder: the
@@ -108,7 +110,7 @@ func (m Metrics) Table() string {
 	rows = append(rows, []string{"total", fmt.Sprintf("%.6f", m.Attributed),
 		fmt.Sprintf("makespan %.6f (residual %.2e)", m.Makespan, m.Attributed-m.Makespan)})
 	b.WriteString("attributed simulated time per layer:\n")
-	b.WriteString(alignTable([]string{"layer", "seconds", "share"}, rows))
+	b.WriteString(table.Text([]string{"layer", "seconds", "share"}, rows))
 
 	if len(m.Counters) > 0 {
 		rows = rows[:0]
@@ -116,7 +118,7 @@ func (m Metrics) Table() string {
 			rows = append(rows, []string{c.Layer, c.Name, fmt.Sprint(c.Value)})
 		}
 		b.WriteString("counters:\n")
-		b.WriteString(alignTable([]string{"layer", "counter", "value"}, rows))
+		b.WriteString(table.Text([]string{"layer", "counter", "value"}, rows))
 	}
 
 	if len(m.Spans) > 0 {
@@ -132,7 +134,7 @@ func (m Metrics) Table() string {
 			})
 		}
 		b.WriteString("spans:\n")
-		b.WriteString(alignTable([]string{"layer", "span", "count", "total(s)", "min(s)", "max(s)", "GB", "duration histogram"}, rows))
+		b.WriteString(table.Text([]string{"layer", "span", "count", "total(s)", "min(s)", "max(s)", "GB", "duration histogram"}, rows))
 	}
 
 	if m.Dropped > 0 {
@@ -149,35 +151,4 @@ func histString(h []uint64) string {
 		}
 	}
 	return strings.Join(parts, " ")
-}
-
-// alignTable is a minimal column aligner; the exp package has a richer
-// one, but trace sits below exp in the import graph.
-func alignTable(headers []string, rows [][]string) string {
-	w := make([]int, len(headers))
-	for i, h := range headers {
-		w[i] = len(h)
-	}
-	for _, r := range rows {
-		for i, c := range r {
-			if i < len(w) && len(c) > w[i] {
-				w[i] = len(c)
-			}
-		}
-	}
-	var b strings.Builder
-	line := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", w[i], c)
-		}
-		b.WriteByte('\n')
-	}
-	line(headers)
-	for _, r := range rows {
-		line(r)
-	}
-	return b.String()
 }
