@@ -20,8 +20,8 @@ check:
 	$(GO) build ./...
 	$(GO) test -race ./internal/sim/... ./internal/exp/... ./internal/machine/...
 
-# bench runs the perf-regression microbenchmarks (calendar queue, process
-# handoff, resource ring).
+# bench runs the perf-regression microbenchmarks (event calendar churn,
+# process handoff, resource ring).
 bench:
 	$(GO) test -run xxx -bench 'KernelEventChurn|ProcHandoff|ResourceQueue' -benchmem .
 

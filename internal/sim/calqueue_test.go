@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -20,15 +21,23 @@ func popAll(t *testing.T, c *calQueue) []event {
 	return out
 }
 
+// capacity sums the slots the calendar holds allocated, live or not.
+func (c *calQueue) capacity() int {
+	n := cap(c.cur)
+	for _, b := range c.b {
+		n += cap(b)
+	}
+	return n
+}
+
 // TestCalQueueRandomAgainstSort drives the calendar through enough random
-// events to force growth resizes, window reseeds and cursor jumps, and checks
-// the drain order against a plain sort. Time scales span nanoseconds to
-// kiloseconds so the window logic sees the workload's bimodal spacing.
+// events to spread them over most radix buckets, and checks the drain order
+// against a plain sort. Time scales span nanoseconds to kiloseconds, the
+// workload's bimodal spacing.
 func TestCalQueueRandomAgainstSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	scales := []float64{1e-9, 1e-6, 1e-3, 1, 1e3}
 	var c calQueue
-	c.init()
 	var all []event
 	for seq := uint64(1); seq <= 20000; seq++ {
 		ev := event{t: rng.Float64() * scales[rng.Intn(len(scales))], seq: seq}
@@ -45,12 +54,11 @@ func TestCalQueueRandomAgainstSort(t *testing.T) {
 }
 
 // TestCalQueueInterleavedChurn mixes pushes and pops (the simulation's actual
-// access pattern) with times near the current head, exercising the sorted-run
-// fast path, its heap-mode degradation, and bucket compaction.
+// access pattern) with times near the current head and occasional far-future
+// ones, exercising refills from every bucket depth.
 func TestCalQueueInterleavedChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var c calQueue
-	c.init()
 	now := 0.0
 	seq := uint64(0)
 	var last event
@@ -58,7 +66,7 @@ func TestCalQueueInterleavedChurn(t *testing.T) {
 	for step := 0; step < 50000; step++ {
 		if c.len() == 0 || rng.Intn(3) > 0 {
 			seq++
-			// Mostly near-future, occasionally far-future (overflow heap).
+			// Mostly near-future, occasionally far-future.
 			d := rng.Float64() * 1e-6
 			if rng.Intn(50) == 0 {
 				d = rng.Float64() * 10
@@ -83,7 +91,6 @@ func TestCalQueueInterleavedChurn(t *testing.T) {
 // scheduling order, including when pops interleave with new same-time pushes.
 func TestCalQueueSameTimestampFIFO(t *testing.T) {
 	var c calQueue
-	c.init()
 	const at = 3.5
 	for seq := uint64(1); seq <= 5000; seq++ {
 		c.push(event{t: at, seq: seq})
@@ -112,22 +119,24 @@ func TestCalQueueSameTimestampFIFO(t *testing.T) {
 	}
 }
 
-// TestCalQueueShrinkAfterWave checks that the calendar shrinks back after a
-// large wave drains (the shrink-resize path) and still orders a sparse tail
-// correctly.
+// TestCalQueueShrinkAfterWave checks that the calendar releases a wave's
+// capacity once it drains: a barrier releasing 10000 ranks at the current
+// instant must not pin 10000 slots for the rest of the run. A sparse tail
+// still orders correctly afterwards.
 func TestCalQueueShrinkAfterWave(t *testing.T) {
 	var c calQueue
-	c.init()
-	seq := uint64(0)
+	c.push(event{t: 1, seq: 1})
+	c.pop() // the barrier's last arrival: the clock is now 1
+	seq := uint64(1)
 	for i := 0; i < 10000; i++ {
 		seq++
-		c.push(event{t: float64(i) * 1e-6, seq: seq})
+		c.push(event{t: 1, seq: seq})
 	}
 	for i := 0; i < 9990; i++ {
 		c.pop()
 	}
-	if got := len(c.buckets); got > 1024 {
-		t.Errorf("bucket array did not shrink: %d buckets for %d events", got, c.len())
+	if got := c.capacity(); got < 10000 {
+		t.Fatalf("capacity %d while the wave drains, want >= 10000", got)
 	}
 	seq++
 	c.push(event{t: 100, seq: seq})
@@ -135,23 +144,219 @@ func TestCalQueueShrinkAfterWave(t *testing.T) {
 	if out[len(out)-1].t != 100 {
 		t.Fatalf("tail event lost: last pop %v", out[len(out)-1])
 	}
+	if got := c.capacity(); got > calKeepCap {
+		t.Errorf("capacity %d after the wave drained, want <= %d", got, calKeepCap)
+	}
 }
 
-// TestCalQueueInfinityAndHugeTimes checks the float-safety overflow route:
-// events beyond the width-dependent horizon (including +Inf sentinels) stay
-// in the overflow heap and still drain in order.
+// TestCalQueueInfinityAndHugeTimes checks that the largest times — +Inf
+// sentinels and 1e300 — file and drain in order.
 func TestCalQueueInfinityAndHugeTimes(t *testing.T) {
 	var c calQueue
-	c.init()
-	inf := func(seq uint64) event { return event{t: 1e300, seq: seq} }
-	c.push(inf(1))
-	c.push(event{t: 1e-6, seq: 2})
-	c.push(event{t: 5, seq: 3})
+	c.push(event{t: math.Inf(1), seq: 1})
+	c.push(event{t: 1e300, seq: 2})
+	c.push(event{t: 1e-6, seq: 3})
+	c.push(event{t: 5, seq: 4})
+	c.push(event{t: math.Inf(1), seq: 5})
 	got := popAll(t, &c)
-	wantSeq := []uint64{2, 3, 1}
+	wantSeq := []uint64{3, 4, 2, 1, 5}
 	for i, w := range wantSeq {
 		if got[i].seq != w {
 			t.Fatalf("pop %d: seq %d, want %d", i, got[i].seq, w)
 		}
 	}
+}
+
+// TestCalQueuePeekThenPushEarlier covers the pattern of the RunUntil
+// horizon stop, Sleep's fast path and the sharded head heap: peek the head,
+// then push an event earlier than it (but not earlier than the last pop).
+// The next peek and pop must return the new event.
+func TestCalQueuePeekThenPushEarlier(t *testing.T) {
+	var c calQueue
+	c.push(event{t: 1, seq: 1})
+	c.pop()
+	c.push(event{t: 5, seq: 2})
+	if ev, _ := c.peek(); ev.seq != 2 {
+		t.Fatalf("peek: seq %d, want 2", ev.seq)
+	}
+	c.push(event{t: 3, seq: 3})
+	if ev, _ := c.peek(); ev.seq != 3 {
+		t.Fatalf("peek after earlier push: seq %d, want 3", ev.seq)
+	}
+	c.push(event{t: 1, seq: 4}) // at the last popped time itself
+	if ev, _ := c.peek(); ev.seq != 4 {
+		t.Fatalf("peek after push at the last pop: seq %d, want 4", ev.seq)
+	}
+	got := popAll(t, &c)
+	for i, w := range []uint64{4, 3, 2} {
+		if got[i].seq != w {
+			t.Fatalf("pop %d: seq %d, want %d", i, got[i].seq, w)
+		}
+	}
+}
+
+// TestCalQueueSignedZero checks that -0.0 and +0.0 are one instant: events
+// at either drain in seq order, and each keeps the sign it was pushed with.
+func TestCalQueueSignedZero(t *testing.T) {
+	var c calQueue
+	neg := math.Copysign(0, -1)
+	c.push(event{t: neg, seq: 1})
+	c.push(event{t: 0, seq: 2})
+	c.push(event{t: neg, seq: 3})
+	for i, ev := range popAll(t, &c) {
+		if want := uint64(i + 1); ev.seq != want {
+			t.Fatalf("pop %d: seq %d, want %d", i, ev.seq, want)
+		}
+		if math.Signbit(ev.t) != (ev.seq != 2) {
+			t.Fatalf("pop %d: t %v lost its sign", i, ev.t)
+		}
+	}
+}
+
+// TestCalQueueForEachRefreshesPeek checks that peek reflects a forEach
+// rewrite of the origin-chain stamp: the sharded re-root rewrites
+// parent/idx in place and then peeks each partition's head again.
+func TestCalQueueForEachRefreshesPeek(t *testing.T) {
+	var c calQueue
+	c.push(event{t: 2, seq: 1})
+	c.push(event{t: 3, seq: 2})
+	if ev, _ := c.peek(); ev.idx != 0 {
+		t.Fatalf("peek: idx %d, want 0", ev.idx)
+	}
+	c.forEach(func(ev *event) { ev.idx = 7 })
+	if ev, _ := c.peek(); ev.idx != 7 {
+		t.Fatalf("peek after forEach: idx %d, want 7", ev.idx)
+	}
+}
+
+// TestCalQueuePushOutOfRangePanics checks that a push the monotone radix
+// heap cannot file — below the last popped time, negative, or NaN — fails
+// loudly instead of reordering events.
+func TestCalQueuePushOutOfRangePanics(t *testing.T) {
+	for _, at := range []float64{1, -1, math.NaN()} {
+		var c calQueue
+		c.push(event{t: 2, seq: 1})
+		c.pop()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("push at %v after popping 2 did not panic", at)
+				}
+			}()
+			c.push(event{t: at, seq: 2})
+		}()
+	}
+}
+
+// churnHook is a pooled self-rescheduling event with an xorshift delay, so
+// the standing population spreads over many buckets instead of marching in
+// lockstep.
+type churnHook struct {
+	k   *Kernel
+	rng uint64
+}
+
+func (h *churnHook) Fire() {
+	h.rng ^= h.rng << 13
+	h.rng ^= h.rng >> 7
+	h.rng ^= h.rng << 17
+	h.k.AfterHook(1e-7+float64(h.rng%1024)*1e-8, h)
+}
+
+// TestEventChurnAllocFree pins the kernel's 0 allocs/op contract for event
+// churn: with a standing population of 1024 pooled hooks, dispatching and
+// rescheduling them allocates nothing once the calendar has warmed up.
+func TestEventChurnAllocFree(t *testing.T) {
+	k := NewKernel()
+	hooks := make([]churnHook, 1024)
+	for i := range hooks {
+		hooks[i] = churnHook{k: k, rng: uint64(i)*2654435761 + 1}
+		k.AfterHook(float64(i+1)*1e-7, &hooks[i])
+	}
+	k.RunUntil(1e-3) // warm-up: every bucket reaches its working capacity
+	before := k.Events()
+	if avg := testing.AllocsPerRun(50, func() { k.RunUntil(k.Now() + 1e-5) }); avg != 0 {
+		t.Fatalf("event churn allocates: %.1f allocs per run", avg)
+	}
+	if n := k.Events() - before; n < 50*1000 {
+		t.Fatalf("only %d events churned in 51 runs", n)
+	}
+}
+
+// fuzzTime decodes one byte into a push time no earlier than last: the low
+// three bits pick a scale from a same-instant tie to +Inf, the rest a
+// fraction of it. A tie at time zero may come out as -0.0.
+func fuzzTime(last float64, d byte) float64 {
+	scale := [...]float64{0, 1e-9, 1e-6, 1e-3, 1, 1e3, 1e300, math.Inf(1)}[d&7]
+	switch {
+	case scale == 0 && last == 0 && d&8 != 0:
+		return math.Copysign(0, -1)
+	case math.IsInf(scale, 1):
+		return scale
+	}
+	return last + scale*float64(d>>3)/31
+}
+
+// FuzzCalendar decodes bytes into monotone push/peek/pop/forEach operations
+// and checks every peek and pop against a sorted reference. A push byte's
+// upper bits become a layer tag in the seq, which must not affect order.
+func FuzzCalendar(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 3, 0, 0, 3, 3, 3})                   // same-timestamp FIFO
+	f.Add([]byte{0, 7, 0, 6, 0, 2, 0, 4, 3, 3, 3, 3})                   // +Inf and 1e300
+	f.Add([]byte{0, 0xf4, 3, 0, 0xf4, 2, 0, 0x14, 2, 0, 0, 2, 3, 3, 3}) // peek, then push earlier
+	f.Add([]byte{0, 8, 0, 0, 0, 8, 3, 3, 3})                            // -0.0 and +0.0
+	f.Add([]byte{0, 0x24, 0, 0x2c, 2, 4, 2, 3, 3})                      // forEach after peek
+	f.Add([]byte{0, 0x7a, 0, 0x3b, 1, 0x7c, 3, 0, 0x0b, 4, 3, 3, 3})    // mixed scales
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		var c calQueue
+		var ref []event // the queued events in (t, seq) order
+		last, seq := 0.0, uint64(0)
+		for i := 0; i < len(ops); i++ {
+			op := ops[i]
+			switch op % 5 {
+			case 0, 1:
+				var d byte
+				if i+1 < len(ops) {
+					i++
+					d = ops[i]
+				}
+				seq++
+				ev := event{t: fuzzTime(last, d), seq: seq | uint64(op>>3)<<layerShift, idx: seq}
+				c.push(ev)
+				at := sort.Search(len(ref), func(j int) bool { return eventLess(ev, ref[j]) })
+				ref = append(ref[:at], append([]event{ev}, ref[at:]...)...)
+			case 2:
+				got, ok := c.peek()
+				if ok != (len(ref) > 0) || ok && !sameEvent(got, ref[0]) {
+					t.Fatalf("op %d: peek %v %v, want %v", i, got, ok, ref)
+				}
+			case 3:
+				if len(ref) == 0 {
+					continue
+				}
+				if got := c.pop(); !sameEvent(got, ref[0]) {
+					t.Fatalf("op %d: pop %v, want %v", i, got, ref[0])
+				}
+				last, ref = ref[0].t, ref[1:]
+			case 4:
+				c.forEach(func(ev *event) { ev.idx += 1 << 32 })
+				for j := range ref {
+					ref[j].idx += 1 << 32
+				}
+			}
+			if c.len() != len(ref) {
+				t.Fatalf("op %d: len %d, want %d", i, c.len(), len(ref))
+			}
+		}
+		for _, want := range ref {
+			if got := c.pop(); !sameEvent(got, want) {
+				t.Fatalf("drain: pop %v, want %v", got, want)
+			}
+		}
+	})
+}
+
+// sameEvent compares two events field by field, telling -0.0 from +0.0.
+func sameEvent(a, b event) bool {
+	return a == b && math.Signbit(a.t) == math.Signbit(b.t)
 }

@@ -15,8 +15,9 @@
 // increasing sequence number breaks ties), so the model never depends on
 // calendar implementation details.
 //
-// The hot path is allocation-free at steady state: the calendar queue stores
-// events by value in recycled buckets, and the AtProc/AfterProc fast paths
+// The hot path is allocation-free at steady state: the calendar (a radix
+// heap, see calqueue.go) stores events by value in slices that keep their
+// capacity when drained, and the AtProc/AfterProc fast paths
 // schedule a process resume without the closure a plain At would capture.
 package sim
 
@@ -94,12 +95,10 @@ type event struct {
 
 // NewKernel returns a kernel with the clock at zero.
 func NewKernel() *Kernel {
-	k := &Kernel{
+	return &Kernel{
 		horizon: math.Inf(1),
 		mainCh:  make(chan struct{}),
 	}
-	k.cal.init()
-	return k
 }
 
 // Now returns the current simulation time in seconds.

@@ -6,13 +6,13 @@ import (
 )
 
 // TestRunUntilAcrossBucketBoundaries steps the clock through horizons that
-// repeatedly split the calendar's active window, checking that every event
+// fall between the calendar's pending events, checking that every event
 // fires exactly once, in order, within the step that covers it.
 func TestRunUntilAcrossBucketBoundaries(t *testing.T) {
 	k := NewKernel()
 	var fired []float64
-	// Microsecond-spaced cluster plus far-out stragglers: the window never
-	// covers all of them at once.
+	// Microsecond-spaced cluster plus far-out stragglers: the events spread
+	// over radix buckets many bits apart.
 	times := []float64{1e-6, 2e-6, 3e-6, 0.5, 0.500001, 2, 7, 7.000001, 40}
 	for _, at := range times {
 		at := at

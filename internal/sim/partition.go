@@ -237,7 +237,6 @@ func (k *Kernel) EnableSharding(nparts, workers int, lookahead float64, seed uin
 			mainCh:  make(chan struct{}),
 			heapPos: -1,
 		}
-		pt.cal.init()
 		pt.ctx.initRoot()
 		sh.parts[i] = pt
 	}
