@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bbuf"
+	"repro/internal/cluster"
 	"repro/internal/exp"
 	"repro/internal/registry"
 )
@@ -70,6 +72,22 @@ func TestResolveRejectsBadFlags(t *testing.T) {
 			t.Errorf("%v: error %#v, want a %s *registry.UnknownError", tc.args, err, tc.kind)
 		case tc.flag != "" && (!errors.As(err, &fe) || fe.Flag != tc.flag):
 			t.Errorf("%v: error %#v, want a *flagError for -%s", tc.args, err, tc.flag)
+		}
+	}
+	// Malformed specs fail with their parser's typed error.
+	for _, tc := range []struct {
+		args []string
+		want any // pointer to the error type errors.As must find
+	}{
+		{[]string{"-workload", "jobs=3000000000000"}, new(*cluster.WorkloadError)},
+		{[]string{"-workload", "np=1:9223372036854775807"}, new(*cluster.WorkloadError)},
+		{[]string{"-workload", "gap=NaN"}, new(*cluster.WorkloadError)},
+		{[]string{"-bb", "3y"}, new(*bbuf.SpecError)},
+		{[]string{"-bb", "8xNaN"}, new(*bbuf.SpecError)},
+		{[]string{"-bb", "8xInf"}, new(*bbuf.SpecError)},
+	} {
+		if _, err := resolveArgs(t, tc.args...); !errors.As(err, tc.want) {
+			t.Errorf("%v: error %#v, want %T", tc.args, err, tc.want)
 		}
 	}
 

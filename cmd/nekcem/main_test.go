@@ -5,6 +5,7 @@ import (
 	"flag"
 	"testing"
 
+	"repro/internal/bbuf"
 	"repro/internal/ckpt"
 	"repro/internal/registry"
 )
@@ -95,6 +96,24 @@ func TestResolveRejectsBadFlags(t *testing.T) {
 			t.Errorf("%v: error %#v, want a %s *registry.UnknownError", tc.args, err, tc.kind)
 		case tc.flag != "" && (!errors.As(err, &fe) || fe.Flag != tc.flag):
 			t.Errorf("%v: error %#v, want a *flagError for -%s", tc.args, err, tc.flag)
+		}
+	}
+	// Malformed fleet specs fail with the parser's typed error.
+	for _, tc := range []struct {
+		args []string
+		want any // pointer to the error type errors.As must find
+	}{
+		{[]string{"-bb", "3y"}, new(*bbuf.SpecError)},
+		{[]string{"-bb", "8xNaN"}, new(*bbuf.SpecError)},
+		{[]string{"-bb", "8xInf"}, new(*bbuf.SpecError)},
+	} {
+		fs := flag.NewFlagSet("nekcem", flag.ContinueOnError)
+		c := newCLI(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := c.resolve(); !errors.As(err, tc.want) {
+			t.Errorf("%v: error %#v, want %T", tc.args, err, tc.want)
 		}
 	}
 }

@@ -2,6 +2,8 @@ package bbuf
 
 import (
 	"errors"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/bgp"
@@ -96,6 +98,8 @@ func TestParseFleetSpec(t *testing.T) {
 		{"x", 0, 0, false},
 		{"8xfoo", 0, 0, false},
 		{"foo", 0, 0, false},
+		{"8xNaN", 0, 0, false},
+		{"8xInf", 0, 0, false},
 	}
 	for _, c := range cases {
 		nodes, gbps, err := ParseFleetSpec(c.in)
@@ -275,4 +279,33 @@ func TestIONDownAggregatesLossAcrossHostedNodes(t *testing.T) {
 	if st.LostBytes != 2*chunk || st.LossEvents != 1 {
 		t.Fatalf("stats report %d lost over %d events, want %d over 1", st.LostBytes, st.LossEvents, int64(2*chunk))
 	}
+}
+
+// FuzzParseFleetSpec checks that any -bb spec either fails with a
+// *SpecError or parses to its documented shape: the empty spec to (0, 0),
+// anything else to nodes >= 1 with a finite gbps > 0, or gbps 0 for the
+// bare "<nodes>" form.
+func FuzzParseFleetSpec(f *testing.F) {
+	for _, seed := range []string{"", "8", "8x0.25", "1x2", "0x1", "8x0", "8xNaN", "8xInf", "8x-Inf", "3y", "x"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		nodes, gbps, err := ParseFleetSpec(spec)
+		if err != nil {
+			var se *SpecError
+			if !errors.As(err, &se) {
+				t.Fatalf("ParseFleetSpec(%q): error %#v is not a *SpecError", spec, err)
+			}
+			return
+		}
+		bare := !strings.Contains(spec, "x")
+		switch {
+		case spec == "":
+			if nodes != 0 || gbps != 0 {
+				t.Fatalf("empty spec parsed to %d, %v", nodes, gbps)
+			}
+		case nodes < 1, bare && gbps != 0, !bare && (!(gbps > 0) || math.IsInf(gbps, 1)):
+			t.Fatalf("ParseFleetSpec(%q) accepted %d, %v", spec, nodes, gbps)
+		}
+	})
 }

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 
@@ -29,6 +31,27 @@ type Workload struct {
 	Mix []string
 }
 
+// Generator bounds: far past any job queue or machine the simulator builds,
+// low enough that a mistyped spec is an error instead of an endless
+// allocation.
+const (
+	maxJobs = 1 << 16
+	maxNP   = 1 << 30
+)
+
+// WorkloadError is the type of every error ParseWorkload and Tenants
+// return for a bad setting, so a CLI can exit 2 on it. Err carries the
+// message and any cause (a ckpt-registry *registry.UnknownError stays
+// reachable through errors.As).
+type WorkloadError struct{ Err error }
+
+func (e *WorkloadError) Error() string { return e.Err.Error() }
+func (e *WorkloadError) Unwrap() error { return e.Err }
+
+func badWorkload(format string, a ...any) error {
+	return &WorkloadError{fmt.Errorf(format, a...)}
+}
+
 // DefaultWorkload is the -workload starting point: four one-step jobs
 // between 256 and 1024 ranks arriving ~2 simulated seconds apart.
 func DefaultWorkload() Workload {
@@ -39,19 +62,22 @@ func DefaultWorkload() Workload {
 // [MinNP, MaxNP] (uniform over the exponents), so every job is
 // node-aligned on the standard machines.
 func (wk Workload) Tenants() ([]Tenant, error) {
-	if wk.Jobs <= 0 {
-		return nil, fmt.Errorf("cluster: workload needs jobs > 0, got %d", wk.Jobs)
+	if wk.Jobs <= 0 || wk.Jobs > maxJobs {
+		return nil, badWorkload("cluster: workload needs jobs > 0 and <= %d, got %d", maxJobs, wk.Jobs)
 	}
-	if wk.MinNP <= 0 || wk.MaxNP < wk.MinNP {
-		return nil, fmt.Errorf("cluster: workload np range %d:%d invalid", wk.MinNP, wk.MaxNP)
+	if wk.MinNP <= 0 || wk.MaxNP < wk.MinNP || wk.MaxNP > maxNP {
+		return nil, badWorkload("cluster: workload np range %d:%d invalid (want 0 < min <= max <= %d)", wk.MinNP, wk.MaxNP, maxNP)
 	}
 	if wk.Gap < 0 {
-		return nil, fmt.Errorf("cluster: workload gap %v negative", wk.Gap)
+		return nil, badWorkload("cluster: workload gap %v negative", wk.Gap)
+	}
+	if math.IsNaN(wk.Gap) || math.IsInf(wk.Gap, 0) {
+		return nil, badWorkload("cluster: workload gap %v not finite", wk.Gap)
 	}
 	loExp := ceilLog2(wk.MinNP)
 	hiExp := floorLog2(wk.MaxNP)
 	if hiExp < loExp {
-		return nil, fmt.Errorf("cluster: no power of two in np range %d:%d", wk.MinNP, wk.MaxNP)
+		return nil, badWorkload("cluster: no power of two in np range %d:%d", wk.MinNP, wk.MaxNP)
 	}
 	mix := wk.Mix
 	if len(mix) == 0 {
@@ -67,7 +93,7 @@ func (wk Workload) Tenants() ([]Tenant, error) {
 		np := 1 << (loExp + rng.Intn(hiExp-loExp+1))
 		strat, err := ckpt.New(mix[rng.Intn(len(mix))], np)
 		if err != nil {
-			return nil, fmt.Errorf("cluster: workload mix: %w", err)
+			return nil, badWorkload("cluster: workload mix: %w", err)
 		}
 		ts[i] = Tenant{
 			Name:     fmt.Sprintf("j%d", i),
@@ -80,21 +106,10 @@ func (wk Workload) Tenants() ([]Tenant, error) {
 	return ts, nil
 }
 
-func ceilLog2(n int) int {
-	e := 0
-	for 1<<e < n {
-		e++
-	}
-	return e
-}
+// ceilLog2 and floorLog2 take n >= 1.
+func ceilLog2(n int) int { return bits.Len(uint(n - 1)) }
 
-func floorLog2(n int) int {
-	e := 0
-	for 1<<(e+1) <= n {
-		e++
-	}
-	return e
-}
+func floorLog2(n int) int { return bits.Len(uint(n)) - 1 }
 
 // ParseWorkload parses the -workload flag syntax: comma-separated
 // key=value pairs over jobs, np (min:max), gap, steps, seed, strategy
@@ -109,7 +124,7 @@ func ParseWorkload(spec string) (Workload, error) {
 	for _, kv := range strings.Split(spec, ",") {
 		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
 		if !ok {
-			return wk, fmt.Errorf("cluster: workload term %q is not key=value", kv)
+			return wk, badWorkload("cluster: workload term %q is not key=value", kv)
 		}
 		var err error
 		switch k {
@@ -136,14 +151,14 @@ func ParseWorkload(spec string) (Workload, error) {
 			}
 			d, lerr := ckpt.Lookup(v)
 			if lerr != nil {
-				return wk, fmt.Errorf("cluster: workload strategy: %w (or \"all\")", lerr)
+				return wk, badWorkload("cluster: workload strategy: %w (or \"all\")", lerr)
 			}
 			wk.Mix = []string{d.Name}
 		default:
-			return wk, fmt.Errorf("cluster: unknown workload key %q (valid: jobs, np, gap, steps, seed, strategy)", k)
+			return wk, badWorkload("cluster: unknown workload key %q (valid: jobs, np, gap, steps, seed, strategy)", k)
 		}
 		if err != nil {
-			return wk, fmt.Errorf("cluster: workload %s=%q: %v", k, v, err)
+			return wk, badWorkload("cluster: workload %s=%q: %v", k, v, err)
 		}
 	}
 	if _, err := wk.Tenants(); err != nil {

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -130,10 +132,41 @@ func TestParseWorkloadErrors(t *testing.T) {
 		{"strategy=mpiio", `unknown strategy "mpiio"`},
 		{"jobs=0", "jobs > 0"},
 		{"np=513:1023", "no power of two"},
+		{"jobs=3000000000000", "jobs > 0 and <= 65536"},
+		{"np=1:9223372036854775807", "np range"},
+		{"gap=NaN", "not finite"},
+		{"gap=-Inf", "negative"},
 	} {
 		_, err := ParseWorkload(tc.spec)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("ParseWorkload(%q): error %v, want %q", tc.spec, err, tc.want)
 		}
 	}
+}
+
+// FuzzParseWorkload checks that any -workload spec either fails with a
+// *WorkloadError or parses to a generator whose documented invariants
+// hold: jobs > 0, 0 < MinNP <= MaxNP, and a finite gap >= 0.
+func FuzzParseWorkload(f *testing.F) {
+	for _, seed := range []string{
+		"", "jobs=6,np=256:1024,gap=1.5,seed=3", "np=512", "strategy=all",
+		"jobs=3000000000000", "np=1:9223372036854775807", "gap=NaN", "gap=Inf",
+		"np=513:1023", "jobs", "bogus=1",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		wk, err := ParseWorkload(spec)
+		if err != nil {
+			var we *WorkloadError
+			if !errors.As(err, &we) {
+				t.Fatalf("ParseWorkload(%q): error %#v is not a *WorkloadError", spec, err)
+			}
+			return
+		}
+		if wk.Jobs <= 0 || wk.MinNP <= 0 || wk.MaxNP < wk.MinNP ||
+			!(wk.Gap >= 0) || math.IsInf(wk.Gap, 1) {
+			t.Fatalf("ParseWorkload(%q) accepted %+v", spec, wk)
+		}
+	})
 }

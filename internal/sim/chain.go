@@ -187,7 +187,7 @@ func (k *Kernel) chainMade() uint64 {
 // rerootChains re-stamps every pending event and suspended shared section
 // as a root-level entry, ranked by its current (t, genealogy) key, and
 // drops all chain history. Must run at a coordinator-quiescent point: no
-// lane active, no process holding the baton, outboxes empty. Safe because
+// lane active, no process holding the baton. Safe because
 // (a) rank order reproduces key order, so every cross-calendar comparison
 // is preserved; (b) calendar-internal (t, seq) orders are untouched;
 // (c) every context re-begins from a (re-stamped) dispatch or adoption

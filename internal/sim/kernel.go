@@ -17,8 +17,8 @@
 //
 // The hot path is allocation-free at steady state: the calendar (a radix
 // heap, see calqueue.go) stores events by value in slices that keep their
-// capacity when drained, and the AtProc/AfterProc fast paths
-// schedule a process resume without the closure a plain At would capture.
+// capacity when drained, and the AfterProc fast path schedules a process
+// resume without the closure a plain At would capture.
 package sim
 
 import (
@@ -50,7 +50,6 @@ type Kernel struct {
 	seq     uint64
 	cal     calQueue
 	horizon float64 // Sleep may not advance the clock past this (RunUntil bound)
-	procs   int     // live (spawned, not finished) processes
 	nparked int     // processes currently parked
 	reg     []*Proc // every process ever spawned, for deadlock reporting
 	running bool
@@ -133,13 +132,10 @@ func (k *Kernel) SetLayer(l trace.Layer) trace.Layer {
 	return prev
 }
 
-// Layer returns the layer currently attributed to new events.
-func (k *Kernel) Layer() trace.Layer { return k.layer }
-
 // At schedules fn to run at absolute simulation time t. Scheduling in the
-// past panics: the model has a causality bug. In sharded mode un-targeted
-// events go to the shared (exclusive) calendar; use AtHookPart/Post from
-// lane context.
+// past panics: the model has a causality bug. In sharded mode the event
+// goes to the shared (exclusive) calendar, so lane code must schedule
+// through AtHookCtx or from a shared section.
 func (k *Kernel) At(t float64, fn func()) { k.insertAny(t, funcHook(fn)) }
 
 // After schedules fn to run d seconds from now.
@@ -162,21 +158,11 @@ func (k *Kernel) AfterHook(d float64, h Hook) {
 	k.insertAny(k.now+d, h)
 }
 
-// AtProc schedules process p to resume at absolute simulation time t. It is
-// the allocation-free equivalent of At(t, func() { resume p }) for the
-// kernel's hottest path: Sleep, Unpark and Go all schedule process resumes.
-func (k *Kernel) AtProc(t float64, p *Proc) {
-	if k.sh == nil {
-		k.insert(t, p)
-		return
-	}
-	k.insertProcSharded(t, p)
-}
-
-// AfterProc schedules process p to resume d seconds from now — in sharded
-// mode, relative to the clock governing p's resume context: the target's
-// lane clock when that lane is running (the waker shares it), the
-// exclusive clock otherwise.
+// AfterProc schedules process p to resume d seconds from now: the
+// allocation-free equivalent of After(d, func() { resume p }) that Unpark
+// and Go schedule through. In sharded mode d counts from the clock
+// governing p's resume context: the target's lane clock when that lane is
+// running (the waker shares it), the exclusive clock otherwise.
 func (k *Kernel) AfterProc(d float64, p *Proc) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
@@ -270,7 +256,7 @@ func (k *Kernel) Run() error {
 		k.finishSharded()
 		return k.shardedDeadlock()
 	}
-	k.dispatchMain()
+	k.drain()
 	if k.nparked > 0 {
 		names := make([]string, 0, k.nparked)
 		for _, p := range k.reg {
@@ -304,7 +290,7 @@ func (k *Kernel) RunUntil(t float64) {
 		}
 		return
 	}
-	k.dispatchMain()
+	k.drain()
 	k.horizon = prev
 	if t > k.now {
 		if k.rec != nil {
@@ -327,97 +313,81 @@ func (k *Kernel) RunUntil(t float64) {
 // which is what keeps the strict one-runnable-goroutine guarantee intact (and
 // lets `go test -race` verify it mechanically).
 
-// dispatchMain dispatches from the Run/RunUntil caller. It returns once no
-// event remains within the horizon — either directly, or (after the baton has
-// been handed to a process) when the out-of-work token arrives on mainCh.
-func (k *Kernel) dispatchMain() {
-	for {
-		next, ok := k.cal.peek()
-		if !ok || next.t > k.horizon {
-			return
-		}
-		ev := k.cal.pop()
-		if k.rec != nil {
-			k.observe(ev)
-		}
-		k.now = ev.t
-		p, ok := ev.h.(*Proc)
-		if !ok {
-			ev.h.Fire()
-			continue
-		}
-		if p.done {
-			panic("sim: resuming finished process " + p.name)
-		}
-		k.nwoken++
+// drain runs the serial kernel from the Run/RunUntil caller until no event
+// remains within the horizon: directly, or — once the baton has passed to a
+// process — until the out-of-work token arrives on mainCh.
+func (k *Kernel) drain() {
+	if p := k.next(nil); p != nil {
 		p.ch <- struct{}{}
 		<-k.mainCh
-		return
 	}
 }
 
-// dispatch dispatches from a process that just yielded (scheduled its own
-// resume, or parked). It returns when the process's model code should
-// continue: its own resume event popped, or — after passing the baton on —
-// the resume token arrived on its channel.
-func (k *Kernel) dispatch(self *Proc) {
+// next is the serial kernel's dispatch loop: it pops events within the
+// horizon, firing hooks inline, until one is a process to resume —
+// returned, possibly self — or none is left (nil). xNext and laneNext are
+// its exclusive-lane and partition-lane counterparts.
+func (k *Kernel) next(self *Proc) *Proc {
 	for {
-		next, ok := k.cal.peek()
-		if !ok || next.t > k.horizon {
-			k.mainCh <- struct{}{}
-			<-self.ch
-			return
+		ev, ok := k.cal.peek()
+		if !ok || ev.t > k.horizon {
+			return nil
 		}
-		ev := k.cal.pop()
+		k.cal.pop()
 		if k.rec != nil {
 			k.observe(ev)
 		}
 		k.now = ev.t
-		p, ok := ev.h.(*Proc)
-		if !ok {
-			ev.h.Fire()
-			continue
-		}
-		if p == self {
-			return
-		}
-		if p.done {
-			panic("sim: resuming finished process " + p.name)
-		}
-		k.nwoken++
-		p.ch <- struct{}{}
-		<-self.ch
-		return
-	}
-}
-
-// dispatchEnd dispatches from a process whose function has returned. It
-// passes the baton on and returns so the goroutine can exit; the process has
-// no future resume to wait for.
-func (k *Kernel) dispatchEnd() {
-	for {
-		next, ok := k.cal.peek()
-		if !ok || next.t > k.horizon {
-			k.mainCh <- struct{}{}
-			return
-		}
-		ev := k.cal.pop()
-		if k.rec != nil {
-			k.observe(ev)
-		}
-		k.now = ev.t
-		p, ok := ev.h.(*Proc)
-		if !ok {
+		p, isProc := ev.h.(*Proc)
+		if !isProc {
 			ev.h.Fire()
 			continue
 		}
 		if p.done {
 			panic("sim: resuming finished process " + p.name)
 		}
-		k.nwoken++
-		p.ch <- struct{}{}
+		if p != self {
+			k.nwoken++
+		}
+		return p
+	}
+}
+
+// nextFor runs the dispatch loop of the context driving p — the serial
+// kernel, p's partition lane, or the exclusive lane — and returns the
+// process to resume (nil: the context ran dry) with the channel that hands
+// the baton back to whoever runs that context: the Run caller, the
+// coordinator, or the lane worker.
+func (k *Kernel) nextFor(p, self *Proc) (*Proc, chan struct{}) {
+	switch {
+	case k.sh == nil:
+		return k.next(self), k.mainCh
+	case p.OnLane():
+		return k.laneNext(p.part, self), p.part.mainCh
+	}
+	return k.xNext(self), k.mainCh
+}
+
+// handoff completes a yield of self (it scheduled its own resume, or
+// parked) given the process its context's dispatch loop returned. It
+// returns when self's model code should continue: at once when that is
+// self, otherwise once the baton has been passed on and has come back.
+func handoff(self, next *Proc, home chan struct{}) {
+	if next == self {
 		return
 	}
+	release(next, home)
+	<-self.ch
+}
+
+// release passes the baton on: to next, or — when the dispatch loop ran dry
+// — home to whoever runs the context.
+func release(next *Proc, home chan struct{}) {
+	if next == nil {
+		home <- struct{}{}
+		return
+	}
+	next.ch <- struct{}{}
 }
 
 // Pending reports the number of events still scheduled.

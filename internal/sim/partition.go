@@ -37,10 +37,10 @@
 // its whole lane and re-runs on the exclusive lane at its segment-origin
 // key — the position where the serial kernel would have dispatched the
 // same code — which is what makes sharded runs byte-identical to serial
-// ones (pinned by goldens in internal/exp). Cross-partition events posted
-// from lane context travel through typed, timestamped mailboxes (Post) and
-// must be at least the lookahead in the future; the exclusive lane may
-// address any partition directly because all lanes are quiescent there.
+// ones (pinned by goldens in internal/exp). Every cross-partition effect is
+// made from a shared section: the exclusive lane may address any partition
+// directly because all lanes are quiescent there, while a lane may insert
+// only into its own partition (insertLocal panics otherwise).
 package sim
 
 import (
@@ -91,18 +91,6 @@ type pendReq struct {
 	p       *Proc
 }
 
-// xmsg is a typed cross-partition mailbox entry: an event posted from one
-// partition's lane into another partition, routed at the window join. The
-// origin-chain stamp is taken at Post time in the sender's context — the
-// reference kernel inserts the event there, not at the join.
-type xmsg struct {
-	to     int
-	t      float64
-	h      Hook
-	parent *chainNode
-	idx    uint64
-}
-
 // partition is one shard of the kernel: a private calendar, sequence
 // counter, clock, and RNG stream, plus the lane bookkeeping.
 type partition struct {
@@ -118,9 +106,7 @@ type partition struct {
 	ctx    chainCtx      // origin-chain context of the running segment
 	nsusp  int           // suspended shared sections (0 or 1)
 	pend   []pendReq     // suspensions, collected by the coordinator at join
-	outbox []xmsg        // cross-partition mailbox, drained at join
 
-	procs   int // live processes owned by this partition
 	nparked int
 	reg     []*Proc
 
@@ -244,29 +230,11 @@ func (k *Kernel) EnableSharding(nparts, workers int, lookahead float64, seed uin
 	k.sh = sh
 }
 
-// Lookahead returns the configured conservative lookahead, 0 when serial.
-func (k *Kernel) Lookahead() float64 {
-	if k.sh == nil {
-		return 0
-	}
-	return k.sh.lookahead
-}
-
 // PartRNG returns partition part's private xrand stream, so partitioned
 // model components can draw randomness from lane context without touching
 // a shared stream. Panics in serial mode.
 func (k *Kernel) PartRNG(part int) *xrand.RNG {
 	return k.sh.parts[part].rng
-}
-
-// PartNow returns partition part's clock — the correct notion of "now" for
-// code running on that partition's lane. Serial mode returns the kernel
-// clock.
-func (k *Kernel) PartNow(part int) float64 {
-	if k.sh == nil {
-		return k.now
-	}
-	return k.sh.parts[part].now
 }
 
 // PartRecorder returns the trace recorder lane code of partition part must
@@ -293,75 +261,8 @@ func (k *Kernel) GoPart(part int, name string, fn func(p *Proc)) *Proc {
 	}
 	pt := k.sh.parts[part]
 	p := &Proc{k: k, part: pt, name: name, ch: make(chan struct{})}
-	pt.procs++
 	pt.reg = append(pt.reg, p)
-	go func() {
-		<-p.ch
-		fn(p)
-		p.done = true
-		pt.procs--
-		k.sdispatchEnd(p)
-	}()
-	k.AfterProc(0, p)
-	return p
-}
-
-// Post schedules h to fire at absolute time t in partition to, from lane
-// context of partition from: the typed cross-partition mailbox. The entry
-// is held in the sender's outbox and routed at the window join, so t must
-// be at least the lookahead past the sender's clock — the CMB condition
-// that makes it impossible for the target lane to have advanced past t.
-// From exclusive context (or serial mode) it degenerates to AtHookPart.
-func (k *Kernel) Post(from, to int, t float64, h Hook) {
-	if k.sh == nil {
-		k.insert(t, h)
-		return
-	}
-	src := k.sh.parts[from]
-	if !src.active {
-		k.AtHookPart(to, t, h)
-		return
-	}
-	if to == from {
-		k.insertLocal(src, t, h)
-		return
-	}
-	if t < src.now+k.sh.lookahead {
-		panic(fmt.Sprintf("sim: cross-partition post at %v violates lookahead %v from clock %v",
-			t, k.sh.lookahead, src.now))
-	}
-	parent, idx := src.ctx.stamp()
-	src.outbox = append(src.outbox, xmsg{to: to, t: t, h: h, parent: parent, idx: idx})
-}
-
-// AtHookPart schedules h at absolute time t in partition part. From the
-// partition's own lane this is a local insert; from exclusive context it
-// addresses the partition directly (all lanes are quiescent), asserting
-// the partition's clock has not passed t. Serial mode ignores part.
-func (k *Kernel) AtHookPart(part int, t float64, h Hook) {
-	if k.sh == nil {
-		k.insert(t, h)
-		return
-	}
-	k.insertLocal(k.sh.parts[part], t, h)
-}
-
-// AfterHookPart schedules h d seconds past partition part's clock.
-func (k *Kernel) AfterHookPart(part int, d float64, h Hook) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	if k.sh == nil {
-		k.insert(k.now+d, h)
-		return
-	}
-	pt := k.sh.parts[part]
-	k.insertLocal(pt, pt.now+d, h)
-}
-
-// AfterPart schedules fn d seconds past partition part's clock.
-func (k *Kernel) AfterPart(part int, d float64, fn func()) {
-	k.AfterHookPart(part, d, funcHook(fn))
+	return k.start(p, fn)
 }
 
 // AtHookCtx schedules h at absolute time t on the calendar owned by the
@@ -402,22 +303,13 @@ func (k *Kernel) AfterHookCtx(p *Proc, d float64, h Hook) {
 // insertLocal places an event in a partition's calendar with a key packed
 // from the partition tag and its local sequence counter, stamped with the
 // origin chain of the inserting context: the partition's own running
-// segment from lane context, the exclusive segment otherwise.
+// segment from lane context, the exclusive segment otherwise. Lane code may
+// insert only into its own partition: another lane may be running ahead of
+// t, so a cross-partition effect must come from a shared section.
 func (k *Kernel) insertLocal(pt *partition, t float64, h Hook) {
-	var parent *chainNode
-	var idx uint64
-	if pt.active {
-		parent, idx = pt.ctx.stamp()
-	} else {
-		parent, idx = k.ctx.stamp()
+	if !pt.active && (k.sh.inWindow || k.sh.curPart != nil) {
+		panic(fmt.Sprintf("sim: lane insert into partition %d; cross-partition effects must run in a shared section", pt.idx))
 	}
-	k.insertLocalKeyed(pt, t, h, parent, idx)
-}
-
-// insertLocalKeyed is insertLocal with the origin-chain stamp supplied by
-// the caller — the mailbox join route, where the stamp was taken at Post
-// time in the sender's context.
-func (k *Kernel) insertLocalKeyed(pt *partition, t float64, h Hook, parent *chainNode, idx uint64) {
 	if t < pt.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before partition %d clock %v", t, pt.idx, pt.now))
 	}
@@ -428,10 +320,11 @@ func (k *Kernel) insertLocalKeyed(pt *partition, t float64, h Hook, parent *chai
 	if pt.seq > localMask {
 		panic("sim: partition sequence counter overflow")
 	}
-	lay := k.layer
+	ctx, lay := &k.ctx, k.layer
 	if pt.active {
-		lay = pt.layer
+		ctx, lay = &pt.ctx, pt.layer
 	}
+	parent, idx := ctx.stamp()
 	pt.cal.push(event{t: t, seq: pt.seq | uint64(pt.idx+1)<<partShift | uint64(lay)<<layerShift, h: h,
 		parent: parent, idx: idx})
 	if !pt.active && (pt.heapPos < 0 || t < pt.head.t) {
@@ -453,7 +346,7 @@ func (k *Kernel) insertShared(t float64, h Hook) {
 		panic("sim: scheduling event at NaN time")
 	}
 	if k.sh.inWindow || k.sh.curPart != nil {
-		panic("sim: un-partitioned insert from lane context; use AtHookPart or Post")
+		panic("sim: un-partitioned insert from lane context; schedule through AtHookCtx or a shared section")
 	}
 	k.seq++
 	if k.seq > localMask {
@@ -784,6 +677,12 @@ func (k *Kernel) xNext(self *Proc) *Proc {
 	}
 }
 
+// canExclusive reports whether the exclusive item xk may dispatch now: it
+// exists, lies within the horizon, and no partition head precedes it.
+func (k *Kernel) canExclusive(xk event, xkind int) bool {
+	return xkind != 0 && xk.t <= k.horizon && !k.headBefore(xk)
+}
+
 // admit hands the exclusive lane to the earliest suspended shared section:
 // it adopts the section's origin segment and returns the process to resume.
 func (k *Kernel) admit() *Proc {
@@ -814,8 +713,7 @@ func (k *Kernel) observeSharded(ev event) {
 
 // runWindow computes the conservative bound from the earliest partition
 // head time and the next exclusive item, runs every eligible lane below it,
-// then joins: collects suspensions, refreshes the head heap, and drains
-// mailboxes.
+// then joins: collects suspensions and refreshes the head heap.
 func (k *Kernel) runWindow(head float64, xk event, xkind int) {
 	sh := k.sh
 	// The zero chain stamp (parent nil, idx 0) precedes every real event
@@ -858,21 +756,13 @@ func (k *Kernel) runWindow(head float64, xk event, xkind int) {
 		sh.wg.Wait()
 		sh.inWindow = false
 	}
-	// Join: collect suspended sections and refresh heads, then route
-	// mailboxes (deterministic order: by source partition, then emission
-	// order) into heap entries that are already current.
+	// Join: collect suspended sections and refresh heads.
 	for _, pt := range active {
 		for _, req := range pt.pend {
 			k.pendPush(req)
 		}
 		pt.pend = pt.pend[:0]
 		k.heapFix(pt)
-	}
-	for _, pt := range active {
-		for _, m := range pt.outbox {
-			k.insertLocalKeyed(sh.parts[m.to], m.t, m.h, m.parent, m.idx)
-		}
-		pt.outbox = pt.outbox[:0]
 	}
 }
 
@@ -916,7 +806,7 @@ func (k *Kernel) runLanes() {
 }
 
 // runLane dispatches one partition's events strictly below its bound. It
-// is the lane-side analogue of dispatchMain: hooks fire inline, process
+// is the lane-side analogue of the serial drain: hooks fire inline, process
 // resumes hand the baton over and wait for it back on the lane channel.
 func (k *Kernel) runLane(pt *partition) {
 	pt.active = true
@@ -970,61 +860,6 @@ func (pt *partition) observe(ev event) {
 		pt.advLog = append(pt.advLog, advRec{t: ev.t, layer: lay})
 	}
 	pt.layer = lay
-}
-
-// sdispatchLane continues lane dispatch from a process that yielded on its
-// lane: pop further local events below the bound, take back its own
-// resume, or hand the baton on and wait.
-func (k *Kernel) sdispatchLane(self *Proc) {
-	switch p := k.laneNext(self.part, self); p {
-	case self:
-		return
-	case nil:
-		self.part.mainCh <- struct{}{}
-	default:
-		p.ch <- struct{}{}
-	}
-	<-self.ch
-}
-
-// canExclusive reports whether the exclusive item xk may dispatch now: it
-// exists, lies within the horizon, and no partition head precedes it.
-func (k *Kernel) canExclusive(xk event, xkind int) bool {
-	return xkind != 0 && xk.t <= k.horizon && !k.headBefore(xk)
-}
-
-// sdispatchX continues exclusive dispatch from a process that yielded on
-// the exclusive lane. It hands control back to the coordinator when the
-// globally minimal key is partition-local (a window is due) or everything
-// within the horizon has drained.
-func (k *Kernel) sdispatchX(self *Proc) {
-	switch p := k.xNext(self); p {
-	case self:
-		return
-	case nil:
-		k.mainCh <- struct{}{}
-	default:
-		p.ch <- struct{}{}
-	}
-	<-self.ch
-}
-
-// sdispatchEnd releases the baton from a process whose function returned,
-// in whichever context it ended.
-func (k *Kernel) sdispatchEnd(p *Proc) {
-	if pt := p.part; pt != nil && pt.active {
-		if q := k.laneNext(pt, nil); q != nil {
-			q.ch <- struct{}{}
-		} else {
-			pt.mainCh <- struct{}{}
-		}
-		return
-	}
-	if q := k.xNext(nil); q != nil {
-		q.ch <- struct{}{}
-	} else {
-		k.mainCh <- struct{}{}
-	}
 }
 
 // finishSharded raises every clock to the run's end and, when tracing,

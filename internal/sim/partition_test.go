@@ -3,20 +3,22 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
 )
 
 // shardScript runs a small partitioned model — per-partition workers that
-// sleep, exchange mailbox posts with a neighbor partition, and
-// periodically enter a shared section that appends to a global log, beside
-// an exclusive-lane ticker that logs on a fixed beat — and returns the
-// observable history and the dispatch counters. Both must be identical for
-// any worker count and GOMAXPROCS. With tied set the workers keep the
-// ticker's beat, so heads of different partitions and of the exclusive
-// lane meet at equal times and only genealogy orders them; workers == 0
-// then runs the script on the serial kernel, the reference order.
+// sleep, periodically enter a shared section that appends to a global log,
+// and from a shared section wake a parked sink process of the neighbor
+// partition, beside an exclusive-lane ticker that logs on a fixed beat —
+// and returns the observable history and the dispatch counters. Both must
+// be identical for any worker count and GOMAXPROCS. With tied set the
+// workers keep the ticker's beat, so heads of different partitions and of
+// the exclusive lane meet at equal times and only genealogy orders them;
+// workers == 0 then runs the script on the serial kernel, the reference
+// order.
 func shardScript(t *testing.T, nparts, workers int, tied bool) (string, ShardStats, float64) {
 	t.Helper()
 	k := NewKernel()
@@ -29,6 +31,36 @@ func shardScript(t *testing.T, nparts, workers int, tied bool) (string, ShardSta
 		p.EnterShared()
 		log = append(log, fmt.Sprintf("%.9f %s %s", p.Now(), p.Name(), what))
 		p.ExitShared()
+	}
+	// Each partition's sink parks on its lane until worker 0 of the
+	// previous partition wakes it from a shared section: a cross-partition
+	// insert made by the exclusive lane. The wake lands one lookahead
+	// later, past every lane clock of the window the section suspended
+	// from, and only once the previous wake has run (the sink has parked
+	// again); lastWake and stop are touched from shared sections and by
+	// the woken sink only.
+	sinks := make([]*Proc, nparts)
+	lastWake := make([]float64, nparts)
+	stop := make([]bool, nparts)
+	wake := func(p *Proc, dst int, last bool) {
+		if d := lastWake[dst] + 2*lookahead - p.Now(); d > 0 {
+			p.Sleep(d)
+		}
+		lastWake[dst], stop[dst] = p.Now(), last
+		sinks[dst].UnparkAfter(lookahead)
+	}
+	for part := 0; part < nparts; part++ {
+		part := part
+		lastWake[part] = math.Inf(-1)
+		sinks[part] = k.GoPart(part, fmt.Sprintf("p%d.sink", part), func(p *Proc) {
+			for {
+				p.Park()
+				record(p, "woken")
+				if stop[part] {
+					return
+				}
+			}
+		})
 	}
 	for part := 0; part < nparts; part++ {
 		part := part
@@ -56,12 +88,15 @@ func shardScript(t *testing.T, nparts, workers int, tied bool) (string, ShardSta
 						record(p, fmt.Sprintf("iter%d", i))
 					}
 					if w == 0 && i%7 == 0 {
-						// Cross-partition mailbox: fires on the neighbor's
-						// lane at least one lookahead in the future.
-						dst := (part + 1) % nparts
-						at := p.Now() + lookahead + 1e-7
-						k.Post(part, dst, at, funcHook(func() {}))
+						p.EnterShared()
+						wake(p, (part+1)%nparts, false)
+						p.ExitShared()
 					}
+				}
+				if w == 0 {
+					p.EnterShared()
+					wake(p, (part+1)%nparts, true)
+					p.ExitShared()
 				}
 			})
 		}
@@ -78,7 +113,11 @@ func shardScript(t *testing.T, nparts, workers int, tied bool) (string, ShardSta
 			t.Fatalf("script exercised no suspension or parallel window: %+v", st)
 		}
 	}
-	return strings.Join(log, "\n"), st, k.Now()
+	history := strings.Join(log, "\n")
+	if n := strings.Count(history, "woken"); n != 4*nparts {
+		t.Fatalf("sinks woken %d times, want %d", n, 4*nparts)
+	}
+	return history, st, k.Now()
 }
 
 func TestShardedDeterministicAcrossWorkers(t *testing.T) {
@@ -145,26 +184,47 @@ func TestShardedSharedSectionOrder(t *testing.T) {
 	}
 }
 
-// TestShardedMailboxLookaheadViolation pins the CMB safety net: a
-// cross-partition post closer than the lookahead must panic.
-func TestShardedMailboxLookaheadViolation(t *testing.T) {
-	k := NewKernel()
-	k.EnableSharding(2, 2, 1e-6, 1)
-	k.GoPart(0, "violator", func(p *Proc) {
-		p.Sleep(1e-7)
-		defer func() {
-			if recover() == nil {
-				t.Error("expected lookahead violation panic")
+// TestShardedCrossPartitionWakeNeedsSharedSection pins the lane guard: a
+// lane process waking a process of another partition outside a shared
+// section panics — that partition's lane may already be past the wake-up
+// time — and leaves the target parked; the same wake from a shared section
+// runs on the exclusive lane and lands in the target's partition. A busy
+// third partition shares the waker's windows, so with two workers the
+// guard fires inside a parallel window too.
+func TestShardedCrossPartitionWakeNeedsSharedSection(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		k := NewKernel()
+		k.EnableSharding(3, workers, 1e-6, 1)
+		var wokeAt float64
+		sleeper := k.GoPart(1, "sleeper", func(p *Proc) {
+			p.Park()
+			wokeAt = p.Now()
+		})
+		k.GoPart(2, "busy", func(p *Proc) {
+			for i := 0; i < 200; i++ {
+				p.Sleep(1e-7)
 			}
-			// The baton must still be released or Run hangs.
+		})
+		var refused any
+		k.GoPart(0, "waker", func(p *Proc) {
+			p.Sleep(1e-5) // windows later than the sleeper's Park
+			func() {
+				defer func() { refused = recover() }()
+				sleeper.Unpark()
+			}()
 			p.EnterShared()
+			sleeper.Unpark()
 			p.ExitShared()
-		}()
-		k.Post(0, 1, p.Now()+1e-9, funcHook(func() {}))
-	})
-	k.GoPart(1, "peer", func(p *Proc) { p.Sleep(5e-7) })
-	if err := k.Run(); err != nil {
-		t.Fatalf("run: %v", err)
+		})
+		if err := k.Run(); err != nil {
+			t.Fatalf("workers=%d: run: %v", workers, err)
+		}
+		if msg, _ := refused.(string); !strings.Contains(msg, "shared section") {
+			t.Errorf("workers=%d: lane wake into partition 1 gave %v, want the shared-section panic", workers, refused)
+		}
+		if wokeAt != 1e-5 {
+			t.Errorf("workers=%d: sleeper woke at %v, want 1e-5 from the shared section", workers, wokeAt)
+		}
 	}
 }
 
@@ -210,9 +270,9 @@ func TestShardedRunUntil(t *testing.T) {
 	k := NewKernel()
 	k.EnableSharding(2, 2, 1e-6, 1)
 	var hits []float64
-	for part := 0; part < 2; part++ {
-		part := part
-		k.GoPart(part, fmt.Sprintf("p%d", part), func(p *Proc) {
+	procs := make([]*Proc, 2)
+	for part := range procs {
+		procs[part] = k.GoPart(part, fmt.Sprintf("p%d", part), func(p *Proc) {
 			for i := 0; i < 10; i++ {
 				p.Sleep(1.0)
 				p.EnterShared()
@@ -228,9 +288,9 @@ func TestShardedRunUntil(t *testing.T) {
 	if k.Now() != 3.0 {
 		t.Fatalf("clock should rest at the horizon, got %v", k.Now())
 	}
-	for part := 0; part < 2; part++ {
-		if k.PartNow(part) != 3.0 {
-			t.Fatalf("partition %d clock %v, want 3.0", part, k.PartNow(part))
+	for part, p := range procs {
+		if p.Now() != 3.0 {
+			t.Fatalf("partition %d clock %v, want 3.0", part, p.Now())
 		}
 	}
 	k.RunUntil(20.0)
@@ -243,13 +303,9 @@ func TestShardedRunUntil(t *testing.T) {
 // partition-aware APIs degrade to their serial equivalents.
 func TestSerialUnaffected(t *testing.T) {
 	k := NewKernel()
-	if _, ok := k.ShardStats(); k.Sharded() || ok || k.NumPartitions() != 0 || k.Lookahead() != 0 {
+	if _, ok := k.ShardStats(); k.Sharded() || ok || k.NumPartitions() != 0 {
 		t.Fatal("serial kernel claims sharded state")
 	}
-	fired := 0
-	k.AtHookPart(3, 1.0, funcHook(func() { fired++ }))
-	k.AfterHookPart(9, 2.0, funcHook(func() { fired++ }))
-	k.Post(1, 2, 3.0, funcHook(func() { fired++ }))
 	done := false
 	k.GoPart(5, "serial", func(p *Proc) {
 		p.EnterShared()
@@ -263,8 +319,8 @@ func TestSerialUnaffected(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if fired != 3 || !done {
-		t.Fatalf("serial degradations broken: fired=%d done=%v", fired, done)
+	if !done {
+		t.Fatal("serial GoPart process did not run")
 	}
 	if k.Now() != 4 {
 		t.Fatalf("now=%v, want 4", k.Now())

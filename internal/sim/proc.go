@@ -30,18 +30,19 @@ type Proc struct {
 // fn runs entirely inside the simulation; when it returns the process ends.
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{k: k, name: name, ch: make(chan struct{})}
-	k.procs++
 	k.reg = append(k.reg, p)
+	return k.start(p, fn)
+}
+
+// start launches p's goroutine and schedules its first resume. When fn
+// returns, the goroutine passes the baton on in whichever context the
+// process ended and exits.
+func (k *Kernel) start(p *Proc, fn func(p *Proc)) *Proc {
 	go func() {
 		<-p.ch
 		fn(p)
 		p.done = true
-		k.procs--
-		if k.sh != nil {
-			k.sdispatchEnd(p)
-			return
-		}
-		k.dispatchEnd()
+		release(k.nextFor(p, nil))
 	}()
 	k.AfterProc(0, p)
 	return p
@@ -164,7 +165,7 @@ func (p *Proc) Sleep(d float64) {
 		}
 	}
 	k.insert(t, p)
-	k.dispatch(p)
+	handoff(p, k.next(p), k.mainCh)
 }
 
 // sleepSharded is Sleep for the partitioned kernel, with the fast path
@@ -192,7 +193,7 @@ func (p *Proc) sleepSharded(d float64) {
 			}
 		}
 		k.insertLocal(pt, t, p)
-		k.sdispatchLane(p)
+		handoff(p, k.laneNext(pt, p), pt.mainCh)
 		return
 	}
 	// Exclusive context: the fast path must clear every calendar — the
@@ -211,7 +212,7 @@ func (p *Proc) sleepSharded(d float64) {
 		return
 	}
 	k.insertProcSharded(t, p)
-	k.sdispatchX(p)
+	handoff(p, k.xNext(p), k.mainCh)
 }
 
 // SleepUntil suspends the process until absolute simulation time t. Times in
@@ -230,22 +231,13 @@ func (p *Proc) SleepUntil(t float64) {
 // kernel reports a deadlock otherwise.
 func (p *Proc) Park() {
 	p.parked = true
-	k := p.k
-	if k.sh != nil {
-		if p.part != nil {
-			p.part.nparked++
-		} else {
-			k.nparked++
-		}
-		if p.part != nil && p.part.active {
-			k.sdispatchLane(p)
-		} else {
-			k.sdispatchX(p)
-		}
-		return
+	if p.part != nil {
+		p.part.nparked++
+	} else {
+		p.k.nparked++
 	}
-	k.nparked++
-	k.dispatch(p)
+	next, home := p.k.nextFor(p, p)
+	handoff(p, next, home)
 }
 
 // Unpark schedules a parked process to resume at the current simulation
@@ -257,18 +249,20 @@ func (p *Proc) Unpark() { p.UnparkAfter(0) }
 // UnparkAfter schedules a parked process to resume d seconds from now. It
 // lets a waker fold a wake-then-sleep sequence into a single resume when the
 // woken process would only burn a fixed delay before touching shared state —
-// one handoff instead of two.
+// one handoff instead of two. A wake the kernel refuses (a lane reaching
+// into another partition outside a shared section) panics with p still
+// parked.
 func (p *Proc) UnparkAfter(d float64) {
 	if !p.parked {
 		panic("sim: Unpark of non-parked process " + p.name)
 	}
+	p.k.AfterProc(d, p)
 	p.parked = false
-	if p.k.sh != nil && p.part != nil {
+	if p.part != nil {
 		p.part.nparked--
 	} else {
 		p.k.nparked--
 	}
-	p.k.AfterProc(d, p)
 }
 
 // Yield gives other events scheduled at the current instant a chance to run
