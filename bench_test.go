@@ -353,8 +353,8 @@ func BenchmarkKernelEventChurn(b *testing.B) {
 }
 
 // BenchmarkProcHandoff measures the full baton handoff: a parked process
-// resumed by a peer, costing one channel round-trip and one goroutine switch
-// each way. (BenchmarkMicroProcSwitch measures the Sleep fast path, which
+// resumed by a peer, costing two coroutine switches (yield to the driver,
+// resume of the next process) each way. (BenchmarkMicroProcSwitch measures the Sleep fast path, which
 // elides the handoff entirely.)
 func BenchmarkProcHandoff(b *testing.B) {
 	k := sim.NewKernel()

@@ -36,6 +36,12 @@ const (
 	fieldNameSize   = 16
 )
 
+// maxHeaderLen caps the header payload length a preamble may declare. It
+// sits well above the largest real header — 2^16 fields plus one 8-byte
+// chunk entry per rank, about 10 MiB even at 2^20 ranks — so a corrupt
+// length fails here instead of sizing a read.
+const maxHeaderLen = 1 << 26
+
 // ErrFormat reports a malformed checkpoint file.
 var ErrFormat = errors.New("cemfmt: malformed checkpoint")
 
@@ -159,7 +165,11 @@ func HeaderLenFromPreamble(b []byte) (int64, error) {
 	if v := binary.LittleEndian.Uint32(b[8:]); v != Version {
 		return 0, fmt.Errorf("%w: unsupported version %d", ErrFormat, v)
 	}
-	return int64(binary.LittleEndian.Uint64(b[12:])), nil
+	n := binary.LittleEndian.Uint64(b[12:])
+	if n > maxHeaderLen {
+		return 0, fmt.Errorf("%w: header length %d exceeds %d", ErrFormat, n, maxHeaderLen)
+	}
+	return int64(n), nil
 }
 
 // Unmarshal decodes a header from the preamble plus payload bytes.
@@ -202,13 +212,25 @@ func Unmarshal(b []byte) (*Header, error) {
 		return nil, fmt.Errorf("%w: chunk table (%d chunks, %d bytes)", ErrFormat, nc, len(p))
 	}
 	h.ChunkBytes = make([]int64, nc)
+	var sum int64
 	for i := range h.ChunkBytes {
-		h.ChunkBytes[i] = int64(binary.LittleEndian.Uint64(p[8*i:]))
-		if h.ChunkBytes[i] < 0 {
+		c := int64(binary.LittleEndian.Uint64(p[8*i:]))
+		if c < 0 {
 			return nil, fmt.Errorf("%w: negative chunk size", ErrFormat)
 		}
+		if c > math.MaxInt64-sum {
+			return nil, fmt.Errorf("%w: chunk sizes overflow at chunk %d", ErrFormat, i)
+		}
+		h.ChunkBytes[i] = c
+		sum += c
 	}
-	return h.Freeze(), nil
+	h.Freeze()
+	// Every offset lies within the file, so the file's total size must
+	// fit an int64 too, or FieldOffset and ChunkOffset wrap negative.
+	if nf > 0 && sum > (math.MaxInt64-h.HeaderSize())/int64(nf)-blockHeaderSize {
+		return nil, fmt.Errorf("%w: %d fields of %d bytes overflow the file size", ErrFormat, nf, sum)
+	}
+	return h, nil
 }
 
 // BlockHeader encodes a field block header.

@@ -1,6 +1,9 @@
 package cemfmt
 
 import (
+	"encoding/binary"
+	"errors"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -98,20 +101,64 @@ func TestChunkOffsetsDisjointCover(t *testing.T) {
 	}
 }
 
+// negativeLenHeader is a header whose preamble declares a payload length
+// with bit 63 set: read as an int64 it is negative, and sizing a read by
+// it once panicked the checkpoint reader.
+func negativeLenHeader() []byte {
+	b := sampleHeader().Marshal()
+	binary.LittleEndian.PutUint64(b[12:], 1<<63|5)
+	return b
+}
+
+// overflowChunksHeader is a header whose chunk sizes sum past MaxInt64,
+// which would wrap every later chunk offset negative.
+func overflowChunksHeader() []byte {
+	return (&Header{App: "x", Fields: []string{"a"}, ChunkBytes: []int64{math.MaxInt64, 1}}).Marshal()
+}
+
+// overflowFileHeader is a header whose chunk sizes fit an int64 but whose
+// field blocks together do not.
+func overflowFileHeader() []byte {
+	return (&Header{App: "x", Fields: []string{"a", "b"}, ChunkBytes: []int64{math.MaxInt64 / 2}}).Marshal()
+}
+
+// TestUnmarshalRejectsCorruption feeds each corrupt header to Unmarshal
+// and, as a whole file, to Validate: both must fail with ErrFormat, and
+// Validate must not read at a negative offset or length on the way.
 func TestUnmarshalRejectsCorruption(t *testing.T) {
 	good := sampleHeader().Marshal()
 
 	cases := map[string][]byte{
-		"empty":       {},
-		"short":       good[:10],
-		"bad magic":   append([]byte("WRONGMAG"), good[8:]...),
-		"bad version": func() []byte { b := append([]byte{}, good...); b[8] = 99; return b }(),
-		"truncated":   good[:len(good)-5],
+		"empty":                {},
+		"short":                good[:10],
+		"bad magic":            append([]byte("WRONGMAG"), good[8:]...),
+		"bad version":          func() []byte { b := append([]byte{}, good...); b[8] = 99; return b }(),
+		"truncated":            good[:len(good)-5],
+		"negative length":      negativeLenHeader(),
+		"chunk sizes overflow": overflowChunksHeader(),
+		"file size overflow":   overflowFileHeader(),
 	}
 	for name, b := range cases {
-		if _, err := Unmarshal(b); err == nil {
-			t.Errorf("%s: corrupt header accepted", name)
+		if _, err := Unmarshal(b); !errors.Is(err, ErrFormat) {
+			t.Errorf("%s: got %v, want ErrFormat", name, err)
 		}
+		if _, _, err := Validate(strictReader(t, b), int64(len(b))); !errors.Is(err, ErrFormat) {
+			t.Errorf("%s: Validate got %v, want ErrFormat", name, err)
+		}
+	}
+}
+
+func TestHeaderLenFromPreambleRejectsHugeLengths(t *testing.T) {
+	pre := sampleHeader().Marshal()[:PreambleSize]
+	for _, n := range []uint64{1 << 63, 1<<63 | 5, math.MaxUint64, maxHeaderLen + 1} {
+		binary.LittleEndian.PutUint64(pre[12:], n)
+		if got, err := HeaderLenFromPreamble(pre); !errors.Is(err, ErrFormat) {
+			t.Errorf("length %#x: got %d, %v; want ErrFormat", n, got, err)
+		}
+	}
+	binary.LittleEndian.PutUint64(pre[12:], maxHeaderLen)
+	if got, err := HeaderLenFromPreamble(pre); err != nil || got != maxHeaderLen {
+		t.Errorf("length at the cap: got %d, %v", got, err)
 	}
 }
 
@@ -186,6 +233,44 @@ func memReader(b []byte) ReaderAt {
 		}
 		return b[off : off+n], nil
 	}
+}
+
+// strictReader is memReader for untrusted input: a negative offset or
+// length fails the test (Validate must never compute one), and a range
+// past the end is an ErrFormat error.
+func strictReader(t testing.TB, b []byte) ReaderAt {
+	return func(off, n int64) ([]byte, error) {
+		if off < 0 || n < 0 {
+			t.Fatalf("Validate read [%d, +%d): negative offset or length", off, n)
+		}
+		if n > int64(len(b)) || off > int64(len(b))-n {
+			return nil, ErrFormat
+		}
+		return b[off : off+n], nil
+	}
+}
+
+// FuzzUnmarshal feeds arbitrary bytes to every decoder: each must either
+// succeed or fail with ErrFormat, and Validate must never read at a
+// negative offset or length.
+func FuzzUnmarshal(f *testing.F) {
+	f.Add(sampleHeader().Marshal())
+	f.Add(memFile(sampleHeader(), 7))
+	f.Add(negativeLenHeader())
+	f.Add(overflowChunksHeader())
+	f.Fuzz(func(t *testing.T, b []byte) {
+		check := func(op string, err error) {
+			if err != nil && !errors.Is(err, ErrFormat) {
+				t.Fatalf("%s: error %v is not ErrFormat", op, err)
+			}
+		}
+		_, err := Unmarshal(b)
+		check("Unmarshal", err)
+		_, _, err = ParseBlockHeader(b)
+		check("ParseBlockHeader", err)
+		_, _, err = Validate(strictReader(t, b), int64(len(b)))
+		check("Validate", err)
+	})
 }
 
 func TestValidateGoodFile(t *testing.T) {

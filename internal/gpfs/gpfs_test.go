@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -165,12 +166,23 @@ func TestSyntheticWrites(t *testing.T) {
 	})
 }
 
+// TestReadPastEOF pins that every read outside the file fails with an
+// error — including the ones a corrupt checkpoint header computes: a
+// negative length or offset, or a range whose end overflows int64.
 func TestReadPastEOF(t *testing.T) {
 	rig(t, 256, nil, func(p *sim.Proc, fs *FileSystem) {
 		h, _ := fs.Create(p, 0, "f")
 		h.WriteAt(p, 0, 0, data.Synthetic(100))
-		if _, err := h.ReadAt(p, 0, 50, 100); err == nil {
-			t.Fatal("read past EOF succeeded")
+		for _, r := range []struct{ off, n int64 }{
+			{50, 100},
+			{0, -1},
+			{-1, 10},
+			{0, math.MinInt64 + 5},
+			{math.MaxInt64, 10},
+		} {
+			if _, err := h.ReadAt(p, 0, r.off, r.n); err == nil {
+				t.Errorf("read of %d bytes at %d succeeded", r.n, r.off)
+			}
 		}
 	})
 }

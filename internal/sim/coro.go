@@ -1,0 +1,134 @@
+//go:build go1.23
+
+// The coroutine baton needs iter.Pull, which is Go 1.23, while go.mod says
+// go 1.22: raising it alone breaks the bench module's build, whose go line
+// must move with it. This constraint gives this one file 1.23 semantics
+// until then; drop it once both go.mod files say go 1.23.
+
+package sim
+
+import (
+	"fmt"
+	"iter"
+	"runtime/debug"
+	"sync"
+)
+
+// coroutine is a runtime coroutine (iter.Pull) that runs process bodies.
+// A driver resumes it; it runs its process until the process yields the
+// next process due (see handoff) or ends. At an end it yields procEnded,
+// and its driver releases it.
+type coroutine struct {
+	resume func() (*Proc, bool)
+	stop   func()
+	yield  func(*Proc) bool
+	p      *Proc // process whose body runs at the next resume, until run takes it
+	fn     func(*Proc)
+}
+
+// procEnded is what a coroutine yields when its process's body returned.
+var procEnded = new(Proc)
+
+// idleCoroutines holds released coroutines for reuse in race-enabled
+// builds, shared by every kernel in the program (kernels run on concurrent
+// goroutines, hence the lock). A coroutine that exits under the race
+// detector leaks the detector's per-goroutine state, about 4 KB, because
+// the runtime's coroutine exit skips racegoend (Go 1.24); one exit per
+// process runs a race-enabled test of millions of processes out of memory.
+// Other builds let released coroutines exit: an idle coroutine keeps its
+// grown stack, which the collector counts toward its heap goal, and
+// keeping them raised peak RSS by 35% on bbfleet-2k and 44% on
+// rbio-16k-sharded.
+var idleCoroutines struct {
+	sync.Mutex
+	list []*coroutine
+}
+
+// start gives p a coroutine to run fn on and schedules p's first resume.
+// The coroutine is created parked, so spawning costs no scheduler round
+// trip; fn first runs when a driver resumes p. When fn returns the process
+// ends, and its driver carries on with the context's dispatch loop (see
+// drive).
+func (k *Kernel) start(p *Proc, fn func(p *Proc)) *Proc {
+	p.co = newCoroutine()
+	p.co.p, p.co.fn = p, fn
+	k.AfterProc(0, p)
+	return p
+}
+
+// newCoroutine returns an idle coroutine (race-enabled builds) or a new
+// one.
+func newCoroutine() *coroutine {
+	if raceEnabled {
+		idle := &idleCoroutines
+		idle.Lock()
+		if n := len(idle.list); n > 0 {
+			c := idle.list[n-1]
+			idle.list[n-1] = nil
+			idle.list = idle.list[:n-1]
+			idle.Unlock()
+			return c
+		}
+		idle.Unlock()
+	}
+	c := new(coroutine)
+	c.resume, c.stop = iter.Pull(func(yield func(*Proc) bool) {
+		c.yield = yield
+		for {
+			c.run()
+			if !yield(procEnded) {
+				return
+			}
+		}
+	})
+	return c
+}
+
+// release retires c, parked after yielding procEnded: to the idle list in
+// race-enabled builds, otherwise by stopping it, which ends its goroutine.
+func (c *coroutine) release() {
+	if !raceEnabled {
+		c.stop()
+		return
+	}
+	idle := &idleCoroutines
+	idle.Lock()
+	idle.list = append(idle.list, c)
+	idle.Unlock()
+}
+
+// run runs the body c was handed. c forgets the body first, so an idle
+// coroutine pins neither the process nor anything the body captured. A
+// panic ends the coroutine, wrapped so it keeps its origin.
+func (c *coroutine) run() {
+	p, fn := c.p, c.fn
+	c.p, c.fn = nil, nil
+	defer func() {
+		// recover is nil during runtime.Goexit, which passes through.
+		if r := recover(); r != nil {
+			panic(&procPanic{name: p.name, value: r, stack: debug.Stack()})
+		}
+	}()
+	fn(p)
+	p.done = true
+}
+
+// procPanic is a process's panic on its way out of the coroutine. iter.Pull
+// re-raises it in the goroutine that resumed the process, where the
+// panicking stack is gone; the wrapper keeps the process name and that
+// stack, captured while the panicking frames were still live.
+type procPanic struct {
+	name  string
+	value any
+	stack []byte
+}
+
+func (e *procPanic) Error() string {
+	return fmt.Sprintf("sim: process %s panicked: %v\n\n%s", e.name, e.value, e.stack)
+}
+
+// Unwrap returns the original panic value when it is an error.
+func (e *procPanic) Unwrap() error {
+	err, _ := e.value.(error)
+	return err
+}

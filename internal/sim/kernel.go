@@ -2,14 +2,15 @@
 // simulation kernel.
 //
 // The kernel owns a calendar of timestamped events and a virtual clock.
-// Model code runs either as plain event callbacks or as processes: ordinary
-// goroutines that advance virtual time with Sleep and block on Signals and
-// Resources. Exactly one goroutine — the Run caller or a single process —
-// runs at any instant; the dispatch loop itself travels with that ownership
-// (see the baton protocol below), so waking a process is a single direct
-// goroutine handoff. This strict discipline makes every simulation
-// bit-reproducible regardless of GOMAXPROCS, at the cost of running the model
-// serially (which is what a discrete-event simulation does anyway).
+// Model code runs either as plain event callbacks or as processes:
+// coroutines that advance virtual time with Sleep and block on Signals and
+// Resources. Exactly one of them — a dispatch loop or a single process —
+// runs per execution context at any instant; the dispatch loop itself
+// travels with that ownership (see the baton protocol below), so waking a
+// process takes coroutine switches only, never a trip through the Go
+// scheduler. This strict discipline makes every simulation bit-reproducible
+// regardless of GOMAXPROCS, at the cost of running the model serially
+// (which is what a discrete-event simulation does anyway).
 //
 // Events at equal timestamps fire in scheduling order (a monotonically
 // increasing sequence number breaks ties), so the model never depends on
@@ -53,7 +54,6 @@ type Kernel struct {
 	nparked int     // processes currently parked
 	reg     []*Proc // every process ever spawned, for deadlock reporting
 	running bool
-	mainCh  chan struct{} // baton handoff back to the Run/RunUntil caller
 
 	rec    *trace.Recorder // nil = tracing disabled (the only cost: nil checks)
 	layer  trace.Layer     // layer attributed to events scheduled now
@@ -94,10 +94,7 @@ type event struct {
 
 // NewKernel returns a kernel with the clock at zero.
 func NewKernel() *Kernel {
-	return &Kernel{
-		horizon: math.Inf(1),
-		mainCh:  make(chan struct{}),
-	}
+	return &Kernel{horizon: math.Inf(1)}
 }
 
 // Now returns the current simulation time in seconds.
@@ -300,28 +297,25 @@ func (k *Kernel) RunUntil(t float64) {
 	}
 }
 
-// The baton protocol: exactly one goroutine — the Run/RunUntil caller
-// ("main") or one process — owns the kernel at any instant and is responsible
-// for dispatching events. Ownership moves over unbuffered channels: a token on
-// a process's channel means "your resume event was just popped; you own the
-// kernel, continue your model code", and a token on mainCh means "no event
-// remains within the horizon; Run/RunUntil is done". Waking a process
-// therefore hands the dispatch loop to it directly — one channel pair and one
-// goroutine switch per wakeup, with main out of the loop entirely — instead
-// of detouring every wakeup through a central scheduler goroutine. Every
-// channel operation is a happens-before edge over all kernel and model state,
-// which is what keeps the strict one-runnable-goroutine guarantee intact (and
-// lets `go test -race` verify it mechanically).
+// The baton protocol: every process runs on a coroutine (see start), and
+// each execution context — the serial kernel, the sharded exclusive lane,
+// one partition lane — has one goroutine driving it: the Run/RunUntil
+// caller, the coordinator, or a lane worker. Exactly one party per context
+// owns the kernel at any instant: the driver, or the one process it
+// resumed. A yielding process runs its context's dispatch loop itself and
+// yields the process that loop returned to the driver, which resumes it
+// (drive). Waking a process is therefore two coroutine switches on the
+// driver's thread — no goready, no wakeup of an idle P, no trip through the
+// Go scheduler — and the dispatch loop never detours through the driver
+// unless a process ends or the context runs dry. Every switch is a
+// happens-before edge over all kernel and model state, which keeps the
+// one-owner-per-context guarantee intact across goroutines (an admitted
+// shared section resumes a lane's process from the coordinator) and lets
+// `go test -race` verify it.
 
 // drain runs the serial kernel from the Run/RunUntil caller until no event
-// remains within the horizon: directly, or — once the baton has passed to a
-// process — until the out-of-work token arrives on mainCh.
-func (k *Kernel) drain() {
-	if p := k.next(nil); p != nil {
-		p.ch <- struct{}{}
-		<-k.mainCh
-	}
-}
+// remains within the horizon.
+func (k *Kernel) drain() { k.drive(k.next(nil)) }
 
 // next is the serial kernel's dispatch loop: it pops events within the
 // horizon, firing hooks inline, until one is a process to resume —
@@ -355,39 +349,43 @@ func (k *Kernel) next(self *Proc) *Proc {
 
 // nextFor runs the dispatch loop of the context driving p — the serial
 // kernel, p's partition lane, or the exclusive lane — and returns the
-// process to resume (nil: the context ran dry) with the channel that hands
-// the baton back to whoever runs that context: the Run caller, the
-// coordinator, or the lane worker.
-func (k *Kernel) nextFor(p, self *Proc) (*Proc, chan struct{}) {
+// process to resume (nil: the context ran dry).
+func (k *Kernel) nextFor(p, self *Proc) *Proc {
 	switch {
 	case k.sh == nil:
-		return k.next(self), k.mainCh
+		return k.next(self)
 	case p.OnLane():
-		return k.laneNext(p.part, self), p.part.mainCh
+		return k.laneNext(p.part, self)
 	}
-	return k.xNext(self), k.mainCh
+	return k.xNext(self)
+}
+
+// drive is the driver's half of the baton protocol: starting with p, it
+// resumes the process due until one yields nil — its context's dispatch
+// loop ran dry or, on a lane, it suspended into a shared section. When a
+// process ends instead, the driver releases its coroutine and runs the
+// dispatch loop of the context the process ended in.
+func (k *Kernel) drive(p *Proc) {
+	for p != nil {
+		next, _ := p.co.resume()
+		if next == procEnded {
+			p.co.release()
+			p.co = nil
+			next = k.nextFor(p, nil)
+		}
+		p = next
+	}
 }
 
 // handoff completes a yield of self (it scheduled its own resume, or
 // parked) given the process its context's dispatch loop returned. It
 // returns when self's model code should continue: at once when that is
-// self, otherwise once the baton has been passed on and has come back.
-func handoff(self, next *Proc, home chan struct{}) {
-	if next == self {
-		return
+// self, otherwise once self's coroutine has handed next to the driver and
+// been resumed again.
+func handoff(self, next *Proc) {
+	if next != self {
+		self.co.yield(next)
 	}
-	release(next, home)
-	<-self.ch
-}
-
-// release passes the baton on: to next, or — when the dispatch loop ran dry
-// — home to whoever runs the context.
-func release(next *Proc, home chan struct{}) {
-	if next == nil {
-		home <- struct{}{}
-		return
-	}
-	next.ch <- struct{}{}
 }
 
 // Pending reports the number of events still scheduled.

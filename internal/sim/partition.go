@@ -100,12 +100,11 @@ type partition struct {
 	now float64 // lane clock: the last local event time processed
 	rng *xrand.RNG
 
-	active bool          // a lane worker is currently running this partition
-	bound  event         // lane may dispatch strictly below this key (h nil)
-	mainCh chan struct{} // baton back to the lane worker frame
-	ctx    chainCtx      // origin-chain context of the running segment
-	nsusp  int           // suspended shared sections (0 or 1)
-	pend   []pendReq     // suspensions, collected by the coordinator at join
+	active bool      // a lane worker is currently running this partition
+	bound  event     // lane may dispatch strictly below this key (h nil)
+	ctx    chainCtx  // origin-chain context of the running segment
+	nsusp  int       // suspended shared sections (0 or 1)
+	pend   []pendReq // suspensions, collected by the coordinator at join
 
 	nparked int
 	reg     []*Proc
@@ -220,7 +219,6 @@ func (k *Kernel) EnableSharding(nparts, workers int, lookahead float64, seed uin
 			idx:     i,
 			now:     k.now,
 			rng:     root.Split(),
-			mainCh:  make(chan struct{}),
 			heapPos: -1,
 		}
 		pt.ctx.initRoot()
@@ -260,7 +258,7 @@ func (k *Kernel) GoPart(part int, name string, fn func(p *Proc)) *Proc {
 		return k.Go(name, fn)
 	}
 	pt := k.sh.parts[part]
-	p := &Proc{k: k, part: pt, name: name, ch: make(chan struct{})}
+	p := &Proc{k: k, part: pt, name: name}
 	pt.reg = append(pt.reg, p)
 	return k.start(p, fn)
 }
@@ -621,9 +619,8 @@ func (k *Kernel) runSharded() {
 			k.rerootChains()
 		}
 		if p := k.xNext(nil); p != nil {
-			// A process holds the baton; wait for it to hand back.
-			p.ch <- struct{}{}
-			<-k.mainCh
+			// A process is due: drive the exclusive lane until it runs dry.
+			k.drive(p)
 			continue
 		}
 		head, ok := k.heapMin()
@@ -806,18 +803,12 @@ func (k *Kernel) runLanes() {
 }
 
 // runLane dispatches one partition's events strictly below its bound. It
-// is the lane-side analogue of the serial drain: hooks fire inline, process
-// resumes hand the baton over and wait for it back on the lane channel.
+// is the lane-side analogue of the serial drain: hooks fire inline, and
+// the calling worker drives the lane's processes until the lane runs dry
+// or one suspends into a shared section.
 func (k *Kernel) runLane(pt *partition) {
 	pt.active = true
-	for pt.nsusp == 0 {
-		p := k.laneNext(pt, nil)
-		if p == nil {
-			break
-		}
-		p.ch <- struct{}{}
-		<-pt.mainCh
-	}
+	k.drive(k.laneNext(pt, nil))
 	pt.active = false
 }
 

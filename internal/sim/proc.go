@@ -6,19 +6,19 @@ import (
 	"repro/internal/trace"
 )
 
-// Proc is a simulation process: a goroutine that advances virtual time with
-// Sleep and blocks on Signals/Resources with Park. Control moves between
+// Proc is a simulation process: a body run on a coroutine, advancing virtual
+// time with Sleep and blocking on Signals/Resources with Park. Control moves between
 // processes under the kernel's baton protocol (see kernel.go): a yielding
-// process dispatches further events itself and hands the kernel directly to
-// the next process due, over a single unbuffered channel per process.
+// process dispatches further events itself and yields the next process due
+// to the goroutine driving its context, which resumes that process.
 //
-// All Proc methods must be called from the process's own goroutine; all other
-// goroutines interact with a process only via Unpark (typically indirectly,
+// All Proc methods must be called from the process's own code; all other
+// parties interact with a process only via Unpark (typically indirectly,
 // through Signal and Resource).
 type Proc struct {
 	k      *Kernel
 	name   string
-	ch     chan struct{} // resume token; receiving it = owning the kernel
+	co     *coroutine // runs p's body; nil once p ended
 	done   bool
 	parked bool
 
@@ -29,23 +29,9 @@ type Proc struct {
 // Go spawns fn as a new process starting at the current simulation time.
 // fn runs entirely inside the simulation; when it returns the process ends.
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, ch: make(chan struct{})}
+	p := &Proc{k: k, name: name}
 	k.reg = append(k.reg, p)
 	return k.start(p, fn)
-}
-
-// start launches p's goroutine and schedules its first resume. When fn
-// returns, the goroutine passes the baton on in whichever context the
-// process ended and exits.
-func (k *Kernel) start(p *Proc, fn func(p *Proc)) *Proc {
-	go func() {
-		<-p.ch
-		fn(p)
-		p.done = true
-		release(k.nextFor(p, nil))
-	}()
-	k.AfterProc(0, p)
-	return p
 }
 
 // Fire implements Hook so a *Proc can sit directly in an event. The dispatch
@@ -103,8 +89,10 @@ func (p *Proc) Rec() *trace.Recorder {
 // messaging). In sharded mode, when called from the partition's lane, it
 // suspends the lane and re-runs the process on the globally-ordered
 // exclusive lane at the segment's origin key — exactly where the serial
-// kernel would have dispatched this code. Nested calls and serial mode
-// are no-ops; every EnterShared must be paired with an ExitShared.
+// kernel would have dispatched this code: the process yields nil, which
+// ends its lane's drive for this window, and the coordinator resumes it
+// when it admits the section. Nested calls and serial mode are no-ops;
+// every EnterShared must be paired with an ExitShared.
 func (p *Proc) EnterShared() {
 	p.sharedDepth++
 	if p.sharedDepth > 1 {
@@ -120,8 +108,7 @@ func (p *Proc) EnterShared() {
 	}
 	pt.nsusp++
 	pt.pend = append(pt.pend, pendReq{t: pt.ctx.segT, node: pt.ctx.segNode(), nextIdx: pt.ctx.nextIdx, p: p})
-	pt.mainCh <- struct{}{}
-	<-p.ch
+	p.co.yield(nil)
 }
 
 // ExitShared closes an EnterShared region. The process keeps running on
@@ -139,7 +126,7 @@ func (p *Proc) ExitShared() {
 // Fast path: when no pending event precedes the wake-up time, yielding to the
 // kernel would pop exactly this process's resume event and hand control
 // straight back, so the process advances the clock itself and keeps running —
-// no scheduling, no channel operations, no goroutine switches. This elides
+// no scheduling, no coroutine switches. This elides
 // the entire handoff during serialized phases (one active timeline) and is
 // exactly order-preserving: the relative (t, seq) order of all other events
 // is untouched.
@@ -165,7 +152,7 @@ func (p *Proc) Sleep(d float64) {
 		}
 	}
 	k.insert(t, p)
-	handoff(p, k.next(p), k.mainCh)
+	handoff(p, k.next(p))
 }
 
 // sleepSharded is Sleep for the partitioned kernel, with the fast path
@@ -193,7 +180,7 @@ func (p *Proc) sleepSharded(d float64) {
 			}
 		}
 		k.insertLocal(pt, t, p)
-		handoff(p, k.laneNext(pt, p), pt.mainCh)
+		handoff(p, k.laneNext(pt, p))
 		return
 	}
 	// Exclusive context: the fast path must clear every calendar — the
@@ -212,7 +199,7 @@ func (p *Proc) sleepSharded(d float64) {
 		return
 	}
 	k.insertProcSharded(t, p)
-	handoff(p, k.xNext(p), k.mainCh)
+	handoff(p, k.xNext(p))
 }
 
 // SleepUntil suspends the process until absolute simulation time t. Times in
@@ -236,8 +223,7 @@ func (p *Proc) Park() {
 	} else {
 		p.k.nparked++
 	}
-	next, home := p.k.nextFor(p, p)
-	handoff(p, next, home)
+	handoff(p, p.k.nextFor(p, p))
 }
 
 // Unpark schedules a parked process to resume at the current simulation

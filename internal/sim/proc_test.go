@@ -1,8 +1,12 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 )
 
 func TestProcSleepAdvancesTime(t *testing.T) {
@@ -233,4 +237,100 @@ func TestSleepUntilPastIsNoop(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// explodeInHelper is the panicking frame TestProcPanicKeepsOrigin looks for.
+func explodeInHelper(v any) { panic(v) }
+
+// runRecovering runs k and returns what its Run panicked with, if anything.
+func runRecovering(k *Kernel) (got any) {
+	defer func() { got = recover() }()
+	k.Run()
+	return nil
+}
+
+// TestProcPanicKeepsOrigin pins that a process panic reaches the Run caller
+// carrying the panic value, the process name and the stack it panicked on:
+// the coroutine re-raises it in the driver, where that stack is gone.
+func TestProcPanicKeepsOrigin(t *testing.T) {
+	k := NewKernel()
+	k.Go("bomber", func(p *Proc) {
+		p.Sleep(1)
+		explodeInHelper("helper exploded")
+	})
+	msg := fmt.Sprint(runRecovering(k))
+	for _, want := range []string{"helper exploded", "bomber", "explodeInHelper"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("panic message lacks %q:\n%s", want, msg)
+		}
+	}
+
+	// An error value stays reachable through errors.Is.
+	sentinel := errors.New("sentinel")
+	k = NewKernel()
+	k.Go("erring", func(p *Proc) { explodeInHelper(sentinel) })
+	if err, _ := runRecovering(k).(error); !errors.Is(err, sentinel) {
+		t.Errorf("recovered %v, want an error wrapping the sentinel", err)
+	}
+}
+
+// TestProcGoexitPassesThrough pins that runtime.Goexit in a process (what
+// t.FailNow does) ends the driving goroutine rather than turning into a
+// panic.
+func TestProcGoexitPassesThrough(t *testing.T) {
+	k := NewKernel()
+	k.Go("quitter", func(p *Proc) {
+		p.Sleep(1)
+		runtime.Goexit()
+	})
+	var returned bool
+	var recovered any
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer func() { recovered = recover() }()
+		k.Run()
+		returned = true
+	}()
+	<-done
+	if returned || recovered != nil {
+		t.Fatalf("Run returned=%v, recovered %v; want the goroutine to exit", returned, recovered)
+	}
+}
+
+type finalized struct{ buf [64]byte }
+
+// spawnHolder spawns a process whose body captures a finalized object and
+// closes collected once that object is garbage collected.
+func spawnHolder(k *Kernel, collected chan struct{}) {
+	obj := &finalized{}
+	runtime.SetFinalizer(obj, func(*finalized) { close(collected) })
+	k.Go("holder", func(p *Proc) {
+		p.Sleep(1)
+		obj.buf[0]++
+	})
+}
+
+// TestFinishedProcReleasesBody pins that a finished process's body is
+// dropped: the kernel keeps every *Proc for deadlock reports, and under the
+// race detector its coroutine lives on, idle, to run another process, so
+// either holding the body would pin everything it captured.
+func TestFinishedProcReleasesBody(t *testing.T) {
+	k := NewKernel()
+	collected := make(chan struct{})
+	spawnHolder(k, collected)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			runtime.KeepAlive(k)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	runtime.KeepAlive(k)
+	t.Fatal("a finished process still pins its body's captures")
 }

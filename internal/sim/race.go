@@ -1,0 +1,6 @@
+//go:build race
+
+package sim
+
+// raceEnabled reports a build with the race detector (see idleCoroutines).
+const raceEnabled = true

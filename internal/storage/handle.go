@@ -144,12 +144,16 @@ func (h *Handle) WriteAt(p *sim.Proc, rank int, off int64, buf data.Buf) error {
 
 // ReadAt reads n bytes at offset off, charging the data path's return path.
 // It returns real bytes where the file holds content and a synthetic payload
-// otherwise. Reads past EOF return an error.
+// otherwise. Reads past EOF, or at a negative offset or length, return an
+// error.
 func (h *Handle) ReadAt(p *sim.Proc, rank int, off, n int64) (data.Buf, error) {
 	if h.closed {
 		return data.Buf{}, h.c.errClosed()
 	}
-	if off+n > h.f.store.Size() {
+	if off < 0 || n < 0 {
+		return data.Buf{}, fmt.Errorf("%s: read of %d bytes at offset %d of %s", h.c.name, n, off, h.f.name)
+	}
+	if off > h.f.store.Size()-n {
 		return data.Buf{}, fmt.Errorf("%s: read [%d,%d) beyond EOF %d of %s", h.c.name, off, off+n, h.f.store.Size(), h.f.name)
 	}
 	c := h.c
