@@ -149,7 +149,7 @@ func build(o Options, sc scenario) (*env, error) {
 		return nil, err
 	}
 	if serial, _ := sc.serial(o.Shards, m.NumPsets()); !serial {
-		k.EnableSharding(m.NumPsets(), o.Shards, m.Lookahead(), o.seed())
+		k.EnableSharding(m.NumPsets(), o.Shards, mpi.Lookahead(m), o.seed())
 	}
 	fs, err := sc.mount(o, m)
 	if err != nil {

@@ -832,6 +832,13 @@ func (c *Comm) nextCollTag(r *Rank) int {
 // barrier network (~1.3us once the last rank arrives).
 const HWBarrierLatency = 1.3e-6
 
+// Lookahead returns the conservative lookahead for running worlds on m's
+// pset-partitioned kernel: the smallest virtual latency of the two
+// channels between psets, the torus (the machine's Lookahead) and the
+// barrier network, whose release reaches a pset-spanning barrier's waiters
+// HWBarrierLatency after the last arrival.
+func Lookahead(m *machine.Machine) float64 { return min(m.Lookahead(), HWBarrierLatency) }
+
 // Barrier blocks until every rank of the communicator has entered it. Blue
 // Gene/P has a dedicated tree-based collective network for barriers, so the
 // model charges a small constant once the last rank arrives instead of

@@ -24,7 +24,7 @@ func newMachine(t *testing.T, ranks, workers int) *machine.Machine {
 		t.Fatalf("%d ranks span %d psets, want at least 4", ranks, m.NumPsets())
 	}
 	if workers > 0 {
-		k.EnableSharding(m.NumPsets(), workers, m.Lookahead(), 1)
+		k.EnableSharding(m.NumPsets(), workers, Lookahead(m), 1)
 	}
 	return m
 }
@@ -242,5 +242,51 @@ func TestShardedTenantWorlds(t *testing.T) {
 			fmt.Fprintf(&out, "tenant %d\n%s", i, log)
 		}
 		return out.String()
+	})
+}
+
+// TestShardedBarrierReleaseGap pins the release of a pset-spanning barrier
+// whose last rank arrives while the first waiter's pset keeps running:
+// rank 0 waits in a two-rank barrier with rank 256 (the next pset), which
+// arrives 10 µs later, and rank 1 keeps pset 0's lane busy in 0.1 µs steps
+// across the release. The window that suspends rank 256's arrival lets
+// pset 0 run up to one lookahead past it, so the lookahead must not exceed
+// the barrier network's release latency: a longer one puts pset 0's clock
+// past rank 0's release, and rank 0's next Sleep lands in its partition's
+// past. (sim's TestShardedNowOffLane pins what rank 0 reads meanwhile.)
+func TestShardedBarrierReleaseGap(t *testing.T) {
+	const ranks = 1024
+	assertShardedMatchesSerial(t, func(workers int) string {
+		w := NewWorld(newMachine(t, ranks, workers), DefaultConfig())
+		log := make(rankLog, ranks)
+		err := w.Run(func(c *Comm, r *Rank) {
+			me := c.Rank(r)
+			color := int64(1)
+			if me == 0 || me == 256 {
+				color = 0
+			}
+			pair := c.Split(r, color, int64(me))
+			c.Barrier(r) // every rank leaves at one instant
+			switch me {
+			case 256:
+				r.Proc().Sleep(10e-6)
+				fallthrough
+			case 0:
+				pair.Barrier(r)
+				log.add(r, 0, "released")
+				r.Proc().Sleep(1e-7)
+				log.add(r, 0, "slept")
+			case 1:
+				r.Proc().Sleep(10e-6)
+				for i := 0; i < 100; i++ {
+					r.Proc().Sleep(1e-7)
+				}
+				log.add(r, 0, "done")
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return log.String()
 	})
 }

@@ -27,11 +27,12 @@
 //
 //   - Window: when the minimal key is a partition-local event, all lanes
 //     with work below bound = min(G + L, next exclusive key) run in
-//     parallel, where G is the global minimum and L the machine-derived
+//     parallel, where G is the global minimum and L the model-derived
 //     lookahead (the minimum virtual latency any cross-partition effect
 //     pays). Lane events of different partitions touch disjoint state, so
 //     their relative order is unobservable; within a lane the order is
-//     exactly the serial projection.
+//     exactly the serial projection. The coordinator shares a window's
+//     lanes with helper goroutines through an atomic handoff (crew.go).
 //
 // A process that reaches shared state from a lane (EnterShared) suspends
 // its whole lane and re-runs on the exclusive lane at its segment-origin
@@ -48,8 +49,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/trace"
 	"repro/internal/xrand"
@@ -117,13 +116,15 @@ type partition struct {
 
 	heapPos int   // index in the coordinator's head heap, -1 if absent
 	head    event // calendar head as of the last heapFix: the heap key
+
+	panicked any // a process panic on this lane, until the window's join re-raises it
 }
 
 // shard holds the kernel's sharded-mode state.
 type shard struct {
 	parts     []*partition
 	lookahead float64 // min virtual latency of any cross-partition effect
-	workers   int     // lane worker goroutines per window
+	workers   int     // lane workers per window: the coordinator and its helpers
 	inWindow  bool    // lanes are (or may be) running concurrently
 	heap      []*partition
 	pends     []pendReq  // pending shared sections, min-heap by key
@@ -131,14 +132,10 @@ type shard struct {
 	advClock  float64    // global attribution replay frontier (tracing only)
 
 	// Window scratch, reused across windows: the eligible lanes in
-	// partition-index order, the heap-walk stack, the next lane a worker
-	// claims, the helper workers' wake-up channel (live during a run) and
-	// their join.
+	// partition-index order and the heap-walk stack.
 	active []*partition
 	stack  []int
-	next   atomic.Int64
-	start  chan struct{}
-	wg     sync.WaitGroup
+	crew   crew // helper lane workers, live during a run (see crew.go)
 
 	windows, parallel, suspensions uint64 // see ShardStats
 }
@@ -181,14 +178,16 @@ func (k *Kernel) NumPartitions() int {
 }
 
 // EnableSharding switches the kernel into partitioned mode with nparts
-// partitions, at most workers lane goroutines per window, and the given
-// conservative lookahead (seconds; the minimum virtual latency any
-// cross-partition effect pays, see the machine package's Lookahead). Each
-// partition gets an independent xrand stream split from seed. Must be
-// called before Run and before any process is spawned; events already
-// scheduled stay on the shared (exclusive) calendar. When a trace recorder
-// is attached the window workers are capped at one so instrumented model
-// layers may share recorders; dispatch order is identical either way.
+// partitions, at most workers lane workers per window (the coordinator
+// and up to workers-1 helper goroutines, no more than GOMAXPROCS in all),
+// and the given conservative lookahead (seconds; the minimum virtual
+// latency any cross-partition effect pays, see the mpi package's
+// Lookahead). Each partition gets an independent xrand stream split from
+// seed. Must be called before Run and before any process is spawned;
+// events already scheduled stay on the shared (exclusive) calendar. When a
+// trace recorder is attached the window workers are capped at one so
+// instrumented model layers may share recorders; dispatch order is
+// identical either way.
 func (k *Kernel) EnableSharding(nparts, workers int, lookahead float64, seed uint64) {
 	if k.running {
 		panic("sim: EnableSharding while running")
@@ -595,23 +594,10 @@ func (k *Kernel) runSharded() {
 	for _, pt := range sh.parts {
 		k.heapFix(pt)
 	}
-	if sh.workers > 1 {
-		// Helper lane workers live for this run: closing start stops them,
-		// and the run returns only once they have exited.
-		var exited sync.WaitGroup
-		sh.start = make(chan struct{})
-		for w := 1; w < sh.workers; w++ {
-			exited.Add(1)
-			go func() {
-				defer exited.Done()
-				k.laneWorker(sh.start)
-			}()
-		}
-		defer func() {
-			close(sh.start)
-			exited.Wait()
-		}()
-	}
+	// Helper lane workers live for this run, which returns only once they
+	// have exited.
+	k.startCrew()
+	defer k.stopCrew()
 	for iter := uint64(0); ; iter++ {
 		if iter&255 == 0 && k.chainMade() > chainRerootGoal {
 			// Quiescent point: no lane running, no process holding the
@@ -735,7 +721,7 @@ func (k *Kernel) runWindow(head float64, xk event, xkind int) {
 	if len(active) > 1 {
 		sh.parallel++
 	}
-	if len(active) == 1 || sh.workers == 1 {
+	if len(active) == 1 || len(sh.crew.helpers) == 0 {
 		for _, pt := range active {
 			sh.curPart = pt
 			k.runLane(pt)
@@ -743,15 +729,11 @@ func (k *Kernel) runWindow(head float64, xk event, xkind int) {
 		sh.curPart = nil
 	} else {
 		sh.inWindow = true
-		sh.next.Store(0)
-		n := min(sh.workers, len(active))
-		sh.wg.Add(n - 1)
-		for w := 1; w < n; w++ {
-			sh.start <- struct{}{}
-		}
-		k.runLanes()
-		sh.wg.Wait()
+		sh.crew.openWindow(len(active))
+		k.claimLanes()
+		sh.crew.joinWindow()
 		sh.inWindow = false
+		raiseLanePanic(active)
 	}
 	// Join: collect suspended sections and refresh heads.
 	for _, pt := range active {
@@ -777,29 +759,6 @@ func (k *Kernel) eligible(bound event) []*partition {
 	slices.SortFunc(active, func(a, b *partition) int { return a.idx - b.idx })
 	k.sh.active = active
 	return active
-}
-
-// laneWorker is a helper goroutine of one run: each token on start sends
-// it to claim window lanes beside the coordinator.
-func (k *Kernel) laneWorker(start <-chan struct{}) {
-	for range start {
-		k.runLanes()
-		k.sh.wg.Done()
-	}
-}
-
-// runLanes claims the window's lanes one at a time until none is left.
-// Lanes of one window touch disjoint state, so which worker runs which
-// lane cannot change a result.
-func (k *Kernel) runLanes() {
-	sh := k.sh
-	for {
-		i := int(sh.next.Add(1) - 1)
-		if i >= len(sh.active) {
-			return
-		}
-		k.runLane(sh.active[i])
-	}
 }
 
 // runLane dispatches one partition's events strictly below its bound. It

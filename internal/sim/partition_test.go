@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // shardScript runs a small partitioned model — per-partition workers that
@@ -148,6 +149,49 @@ func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 		runtime.GOMAXPROCS(prev)
 		if got != base || gotStats != baseStats {
 			t.Fatalf("tied=%v GOMAXPROCS=1 history diverged", tied)
+		}
+	}
+}
+
+// TestShardedNowOffLane pins Proc.Now off the lane: a process woken inside
+// a shared section reads the exclusive clock, although the window that
+// suspended its waker let the process's own partition run up to a
+// lookahead past the wake.
+func TestShardedNowOffLane(t *testing.T) {
+	run := func(workers int) string {
+		k := NewKernel()
+		if workers > 0 {
+			k.EnableSharding(2, workers, 1e-6, 1)
+		}
+		var log []string
+		waiter := k.GoPart(0, "waiter", func(p *Proc) {
+			p.EnterShared()
+			p.Park()
+			log = append(log, fmt.Sprintf("woken %.9f", p.Now()))
+			p.Sleep(2e-6)
+			p.ExitShared()
+			log = append(log, fmt.Sprintf("left %.9f", p.Now()))
+		})
+		k.GoPart(0, "busy", func(p *Proc) {
+			for i := 0; i < 100; i++ {
+				p.Sleep(1e-7)
+			}
+		})
+		k.GoPart(1, "waker", func(p *Proc) {
+			p.Sleep(5e-6)
+			p.EnterShared()
+			waiter.Unpark()
+			p.ExitShared()
+		})
+		if err := k.Run(); err != nil {
+			t.Fatalf("workers=%d: run: %v", workers, err)
+		}
+		return strings.Join(log, "\n")
+	}
+	ref := run(0)
+	for _, workers := range []int{1, 2} {
+		if got := run(workers); got != ref {
+			t.Fatalf("workers=%d:\n%s\nvs serial\n%s", workers, got, ref)
 		}
 	}
 }
@@ -324,5 +368,122 @@ func TestSerialUnaffected(t *testing.T) {
 	}
 	if k.Now() != 4 {
 		t.Fatalf("now=%v, want 4", k.Now())
+	}
+}
+
+// TestShardedLanePanicReachesRun pins that a process panic on a lane
+// reaches Run's caller whichever worker ran the lane: odd partitions panic
+// in the same window, a few windows in, once the helpers are polling, and
+// every worker count re-raises partition 1's panic, the one a one-worker
+// run meets first. Repeated so that helpers run panicking lanes too.
+func TestShardedLanePanicReachesRun(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, workers := range []int{1, 2, 4} {
+		for rep := 0; rep < 20; rep++ {
+			k := NewKernel()
+			k.EnableSharding(8, workers, 1e-6, 1)
+			for part := 0; part < 8; part++ {
+				part := part
+				k.GoPart(part, fmt.Sprintf("p%d", part), func(p *Proc) {
+					for i := 0; i < 25; i++ {
+						p.Sleep(1e-7)
+					}
+					if part%2 == 1 {
+						panic(fmt.Sprintf("boom %d", part))
+					}
+					p.Sleep(1e-7)
+				})
+			}
+			got, ok := runRecovering(k).(*procPanic)
+			if !ok || got.name != "p1" || got.value != "boom 1" {
+				t.Fatalf("workers=%d: Run panicked with %v, want p1's panic", workers, got)
+			}
+			if st, _ := k.ShardStats(); workers > 1 && st.ParallelWindows == 0 {
+				t.Fatalf("workers=%d: no parallel window: %+v", workers, st)
+			}
+		}
+	}
+}
+
+// lifecycleScript runs two busy processes per partition on eight
+// partitions in five RunUntil slices and returns their shared-section
+// history and dispatch counters, the most helper goroutines seen from a
+// shared section, and how often helpers parked. After each slice it
+// requires the goroutine count back at its value before the first.
+func lifecycleScript(t *testing.T, workers int) (history string, st ShardStats, helpers int, parks uint64) {
+	t.Helper()
+	k := NewKernel()
+	k.EnableSharding(8, workers, 1e-6, 3)
+	var log []string
+	var base int
+	for part := 0; part < 8; part++ {
+		rng := k.PartRNG(part)
+		for w := 0; w < 2; w++ {
+			k.GoPart(part, fmt.Sprintf("p%d.w%d", part, w), func(p *Proc) {
+				for i := 0; i < 400; i++ {
+					p.Sleep(rng.Exp(2e-7))
+					if i%9 == w {
+						p.EnterShared()
+						log = append(log, fmt.Sprintf("%.9f %s %d", p.Now(), p.Name(), i))
+						helpers = max(helpers, runtime.NumGoroutine()-base)
+						p.ExitShared()
+					}
+				}
+			})
+		}
+	}
+	base = runtime.NumGoroutine() // includes the processes' coroutines
+	for i := 1; i <= 5; i++ {
+		k.RunUntil(float64(i) * 1e-5)
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Fatalf("workers=%d: %d goroutines after RunUntil %d, want %d", workers, n, i, base)
+		}
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	st, _ = k.ShardStats()
+	if st.ParallelWindows == 0 {
+		t.Fatalf("workers=%d: no parallel window: %+v", workers, st)
+	}
+	return strings.Join(log, "\n"), st, helpers, k.sh.crew.parks.Load()
+}
+
+// TestShardedHandoffLifecycle pins the window handoff's lifecycle: a run
+// spawns min(workers, GOMAXPROCS)-1 helpers, and none outlives its
+// RunUntil. Under GOMAXPROCS=1 no helper exists, so nothing polls; with
+// the poll budget at zero every helper wait takes the park path. Every
+// history matches the one-worker run's.
+func TestShardedHandoffLifecycle(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	ref, refStats, _, _ := lifecycleScript(t, 1)
+	for _, c := range []struct {
+		name                  string
+		procs, workers, polls int
+		wantHelpers           int
+	}{
+		{"polling", 4, 4, helperPolls, 3},
+		{"capped by GOMAXPROCS", 2, 8, helperPolls, 1},
+		{"GOMAXPROCS=1", 1, 4, helperPolls, 0},
+		{"park only", 4, 4, 0, 3},
+	} {
+		runtime.GOMAXPROCS(c.procs)
+		prev := helperPolls
+		helperPolls = c.polls
+		got, gotStats, helpers, parks := lifecycleScript(t, c.workers)
+		helperPolls = prev
+		if got != ref || gotStats != refStats {
+			t.Fatalf("%s: history or stats diverged from workers=1: %+v vs %+v", c.name, gotStats, refStats)
+		}
+		if helpers != c.wantHelpers {
+			t.Errorf("%s: %d helpers during the run, want %d", c.name, helpers, c.wantHelpers)
+		}
+		if c.polls == 0 && parks == 0 {
+			t.Errorf("%s: no helper parked", c.name)
+		}
 	}
 }

@@ -46,10 +46,12 @@ func (p *Proc) Name() string { return p.name }
 func (p *Proc) Kernel() *Kernel { return p.k }
 
 // Now returns the current simulation time as seen by this process: its
-// partition's clock for a partitioned process (the two coincide while it
-// runs a shared section), the kernel clock otherwise.
+// partition's clock while it runs on its lane, the kernel (exclusive) clock
+// otherwise. Off the lane the partition clock may be ahead: the window that
+// suspended the shared section which woke p can have run p's partition up
+// to a lookahead past the wake.
 func (p *Proc) Now() float64 {
-	if p.part != nil {
+	if p.OnLane() {
 		return p.part.now
 	}
 	return p.k.now
