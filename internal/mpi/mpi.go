@@ -1,8 +1,8 @@
 // Package mpi implements a message-passing runtime over the simulated Blue
 // Gene/P: ranks as simulation processes, communicators, eager point-to-point
-// transfers routed over the torus fabric, and the log-P collective
-// algorithms (dissemination barrier, binomial broadcast/gather) that MPI
-// implementations use.
+// transfers routed over the torus fabric, the binomial-tree broadcast and
+// gather that MPI implementations build their collectives from, and a
+// barrier charged at the latency of BG/P's dedicated tree network.
 //
 // Semantics follow the subset of MPI the paper's I/O strategies need:
 //
@@ -22,7 +22,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"repro/internal/data"
@@ -104,6 +103,7 @@ type laneMPI struct {
 	msgPool    []*message    // free list of consumed messages
 	sendPool   []*sendHook   // free list of fired send hooks
 	wakePool   []*wakeHook   // free list of fired wake hooks
+	collPool   []*coll       // free list of finished collective calls
 	port       *machine.Port // lane-private route scratch; nil on the shared set
 	safe       bool          // pset's internal routes touch no other pset's links
 }
@@ -286,7 +286,7 @@ type Rank struct {
 	proc *sim.Proc
 
 	inbox   []*message
-	want    *recvWant
+	want    recvWant  // the one receive a rank can have outstanding
 	collSeq []commSeq // per-comm collective sequence numbers
 
 	// SendBusyUntil tracks when this rank's messaging layer finishes
@@ -429,17 +429,20 @@ type timeoutHook func()
 
 func (f timeoutHook) Fire() { f() }
 
+// recvWant is a rank's posted receive. A rank blocks in at most one
+// receive at a time, so each rank owns one, reused by every receive.
 type recvWant struct {
 	src      int // world rank or AnySource
 	tag      int
 	comm     int
-	got      *message
-	timedOut bool // RecvTimeout's deadline fired before a match
+	got      *message // the matched message, once delivered
+	gen      uint32   // bumped per posting, so a stale timer can tell it is stale
+	posted   bool     // a receive is waiting for its match
+	timedOut bool     // RecvTimeout's deadline fired before a match
 }
 
-func (m *message) matches(want *recvWant) bool {
-	return m.comm == want.comm && m.tag == want.tag &&
-		(want.src == AnySource || want.src == m.src)
+func (m *message) matches(comm, src, tag int) bool {
+	return m.comm == comm && m.tag == tag && (src == AnySource || src == m.src)
 }
 
 // deliver runs in kernel context when a message arrives at r. A rank blocked
@@ -447,17 +450,84 @@ func (m *message) matches(want *recvWant) bool {
 // would only sleep through them before touching any shared state, so folding
 // them into the wake halves the handoffs per matched receive.
 func (r *Rank) deliver(m *message) {
-	if r.want != nil && m.matches(r.want) {
-		r.want.got = m
-		r.want = nil
-		cfg := r.w.cfg
+	if w := &r.want; w.posted && m.matches(w.comm, w.src, w.tag) {
+		w.got = m
+		w.posted = false
 		h := r.w.poolFor(r.proc).getWakeHook()
-		*h = wakeHook{w: r.w, p: r.proc,
-			d: cfg.RecvOverhead + float64(m.buf.Len())/cfg.LocalCopyBW}
+		*h = wakeHook{w: r.w, p: r.proc, d: r.recvCost(m.buf.Len())}
 		r.w.K.AfterHookCtx(r.proc, 0, h)
 		return
 	}
 	r.inbox = append(r.inbox, m)
+}
+
+// recvCost is the time a receive of n bytes occupies its rank once the
+// message is there: the software overhead and the copy out of the
+// messaging layer.
+func (r *Rank) recvCost(n int64) float64 {
+	cfg := r.w.cfg
+	return cfg.RecvOverhead + float64(n)/cfg.LocalCopyBW
+}
+
+// take removes and returns the earliest-arrived inbox message matching
+// (comm, src, tag), nil if none has arrived.
+func (r *Rank) take(comm, src, tag int) *message {
+	for i, m := range r.inbox {
+		if m.matches(comm, src, tag) {
+			r.inbox = append(r.inbox[:i], r.inbox[i+1:]...)
+			return m
+		}
+	}
+	return nil
+}
+
+// post registers r's receive of (comm, src, tag) for deliver to match.
+func (r *Rank) post(comm, src, tag int) {
+	w := &r.want
+	w.src, w.tag, w.comm = src, tag, comm
+	w.gen++
+	w.posted = true
+}
+
+// delivered returns the message deliver matched to r's posted receive.
+func (r *Rank) delivered() *message {
+	m := r.want.got
+	r.want.got = nil
+	return m
+}
+
+// putMsg returns a consumed message to the pool of r's execution context.
+func (r *Rank) putMsg(m *message) { r.w.poolFor(r.proc).putMsg(m) }
+
+// opBegin opens one of r's point-to-point operations for tracing: it makes
+// MPI the current layer and returns the layer to restore and the start
+// time. Tracing off, it does nothing.
+func (r *Rank) opBegin() (trace.Layer, float64) {
+	if r.w.rec == nil {
+		return 0, 0
+	}
+	return r.w.K.SetLayer(trace.LayerMPI), r.Now()
+}
+
+// recvDone closes a receive of n bytes opened by opBegin.
+func (r *Rank) recvDone(prev trace.Layer, t0 float64, n int64) {
+	if r.w.rec == nil {
+		return
+	}
+	r.proc.Rec().Span(trace.LayerMPI, "mpi.recv", r.id, t0, r.Now(), n)
+	r.w.K.SetLayer(prev)
+}
+
+// sendDone closes a blocking send of n bytes opened by opBegin.
+func (r *Rank) sendDone(prev trace.Layer, t0 float64, n int64) {
+	if r.w.rec == nil {
+		return
+	}
+	rec := r.proc.Rec()
+	rec.Span(trace.LayerMPI, "mpi.send", r.id, t0, r.Now(), n)
+	rec.Add(trace.LayerMPI, "mpi.msgs", 1)
+	rec.Add(trace.LayerMPI, "mpi.bytes", n)
+	r.w.K.SetLayer(prev)
 }
 
 // commSeq is one (communicator, counter) entry. A rank belongs to a handful
@@ -652,12 +722,7 @@ func (c *Comm) send(r *Rank, dst, tag int, buf data.Buf, val any) {
 	if dst < 0 || dst >= len(c.members) {
 		panic(fmt.Sprintf("mpi: Send to rank %d of %d-rank comm", dst, len(c.members)))
 	}
-	var prevLayer trace.Layer
-	var t0 float64
-	if r.w.rec != nil {
-		prevLayer = r.w.K.SetLayer(trace.LayerMPI)
-		t0 = r.Now()
-	}
+	prev, t0 := r.opBegin()
 	dstRank := r.w.rankOf(c.members[dst])
 	port := r.w.lanePort(r, dstRank)
 	// A message the lanes may not carry runs in a shared section: the hook
@@ -666,6 +731,18 @@ func (c *Comm) send(r *Rank, dst, tag int, buf data.Buf, val any) {
 	if shared {
 		r.proc.EnterShared()
 	}
+	r.postSend(c, dstRank, port, tag, buf, val)
+	r.proc.Park() // the hook resumes us at localDone
+	if shared {
+		r.proc.ExitShared()
+	}
+	r.sendDone(prev, t0, buf.Len())
+}
+
+// postSend charges a blocking send's software overhead and buffer handoff
+// on r's own clock and posts the sendHook that moves the payload at the
+// overhead's end and wakes r at local completion.
+func (r *Rank) postSend(c *Comm, dst *Rank, port *machine.Port, tag int, buf data.Buf, val any) {
 	cfg := r.w.cfg
 	tCall := r.Now() + cfg.SendOverhead
 	copyStart := tCall
@@ -676,22 +753,11 @@ func (c *Comm) send(r *Rank, dst, tag int, buf data.Buf, val any) {
 	r.sendBusyUntil = localDone
 	h := r.w.poolFor(r.proc).getSendHook()
 	*h = sendHook{
-		w: r.w, sender: r.proc, srcNode: r.node, dst: dstRank,
+		w: r.w, sender: r.proc, srcNode: r.node, dst: dst,
 		localDone: localDone, resume: localDone - tCall, port: port,
 		src: r.id, tag: tag, comm: c.id, buf: buf, val: val,
 	}
 	r.w.K.AtHookCtx(r.proc, tCall, h)
-	r.proc.Park() // the hook resumes us at localDone
-	if shared {
-		r.proc.ExitShared()
-	}
-	if r.w.rec != nil {
-		rec := r.proc.Rec()
-		rec.Span(trace.LayerMPI, "mpi.send", r.id, t0, r.Now(), buf.Len())
-		rec.Add(trace.LayerMPI, "mpi.msgs", 1)
-		rec.Add(trace.LayerMPI, "mpi.bytes", buf.Len())
-		r.w.K.SetLayer(prevLayer)
-	}
 }
 
 // RecvRequest is an outstanding non-blocking receive posted with Irecv.
@@ -743,15 +809,10 @@ func (c *Comm) RecvTimeout(r *Rank, src, tag int, timeout float64) (data.Buf, in
 // shared section on any communicator: deliveries into r come from r's own
 // lane or the exclusive lane, which never run at once.
 func (c *Comm) recv(r *Rank, src, tag int, timeout float64) (buf data.Buf, from int, val any, ok bool) {
-	if r.want != nil {
+	if r.want.posted {
 		panic("mpi: rank has a receive already outstanding")
 	}
-	var prevLayer trace.Layer
-	var t0 float64
-	if r.w.rec != nil {
-		prevLayer = r.w.K.SetLayer(trace.LayerMPI)
-		t0 = r.Now()
-	}
+	prev, t0 := r.opBegin()
 	srcWorld := AnySource
 	if src != AnySource {
 		if src < 0 || src >= len(c.members) {
@@ -759,51 +820,40 @@ func (c *Comm) recv(r *Rank, src, tag int, timeout float64) (buf data.Buf, from 
 		}
 		srcWorld = c.members[src]
 	}
-	want := &recvWant{src: srcWorld, tag: tag, comm: c.id}
-	var got *message
 	// First match against already-arrived messages, in arrival order.
-	for i, m := range r.inbox {
-		if m.matches(want) {
-			got = m
-			r.inbox = append(r.inbox[:i], r.inbox[i+1:]...)
-			break
-		}
-	}
-	if got != nil {
+	if got := r.take(c.id, srcWorld, tag); got != nil {
 		buf, srcWorld, val = got.buf, got.src, got.val
-		r.w.poolFor(r.proc).putMsg(got) // consumed: back to the pool before yielding
-		cfg := r.w.cfg
-		r.proc.Sleep(cfg.RecvOverhead + float64(buf.Len())/cfg.LocalCopyBW)
+		r.putMsg(got) // consumed: back to the pool before yielding
+		r.proc.Sleep(r.recvCost(buf.Len()))
 	} else {
-		r.want = want
+		r.post(c.id, srcWorld, tag)
 		if timeout >= 0 {
+			gen := r.want.gen
 			r.w.K.AfterHookCtx(r.proc, timeout, timeoutHook(func() {
 				// Only cancel if this exact receive is still posted: the
-				// pointer compare keeps a stale timer from touching a later
+				// generation keeps a stale timer from touching a later
 				// receive.
-				if r.want == want {
-					r.want = nil
-					want.timedOut = true
+				if r.want.posted && r.want.gen == gen {
+					r.want.posted = false
+					r.want.timedOut = true
 					r.proc.Unpark()
 				}
 			}))
 		}
 		r.proc.Park() // deliver's wakeHook resumes us past overhead and copy
-		if want.timedOut {
+		if r.want.timedOut {
+			r.want.timedOut = false
 			if r.w.rec != nil {
 				r.proc.Rec().Span(trace.LayerMPI, "mpi.recv.timeout", r.id, t0, r.Now(), 0)
-				r.w.K.SetLayer(prevLayer)
+				r.w.K.SetLayer(prev)
 			}
 			return data.Buf{}, -1, nil, false
 		}
-		got = want.got
+		got := r.delivered()
 		buf, srcWorld, val = got.buf, got.src, got.val
-		r.w.poolFor(r.proc).putMsg(got)
+		r.putMsg(got)
 	}
-	if r.w.rec != nil {
-		r.proc.Rec().Span(trace.LayerMPI, "mpi.recv", r.id, t0, r.Now(), buf.Len())
-		r.w.K.SetLayer(prevLayer)
-	}
+	r.recvDone(prev, t0, buf.Len())
 	return buf, c.rankOfWorld(srcWorld), val, true
 }
 
@@ -882,71 +932,6 @@ func (c *Comm) Barrier(r *Rank) {
 	}
 }
 
-// Bcast broadcasts buf from root to all ranks (binomial tree) and returns
-// each rank's copy.
-func (c *Comm) Bcast(r *Rank, root int, buf data.Buf) data.Buf {
-	buf, _ = c.bcast(r, root, buf, nil)
-	return buf
-}
-
-// bcast is the binomial-tree broadcast behind Bcast and BcastValueSized:
-// the root's host object val rides every tree message with the payload.
-func (c *Comm) bcast(r *Rank, root int, buf data.Buf, val any) (data.Buf, any) {
-	n := len(c.members)
-	if n == 1 {
-		return buf, val
-	}
-	me := c.mustRank(r)
-	tag := c.nextCollTag(r)
-	vrank := (me - root + n) % n
-	// Receive from parent (unless root).
-	if vrank != 0 {
-		mask := 1
-		for mask < n {
-			if vrank&mask != 0 {
-				parent := ((vrank - mask) + root) % n
-				buf, _, val, _ = c.recv(r, parent, tag, -1)
-				break
-			}
-			mask <<= 1
-		}
-	}
-	// Forward to children.
-	mask := 1
-	for mask < n {
-		if vrank&mask != 0 {
-			break
-		}
-		mask <<= 1
-	}
-	for m := mask >> 1; m >= 1; m >>= 1 {
-		child := vrank + m
-		if child < n {
-			c.send(r, (child+root)%n, tag, buf, val)
-		}
-	}
-	return buf, val
-}
-
-// BcastValue broadcasts an arbitrary Go value from root to every rank,
-// charging the communication cost of a small broadcast. It exists because a
-// real MPI program's ranks obtain shared objects (file handles, plans) from
-// the same library call, while in the simulation the object lives on one
-// rank; the value rides the broadcast's own messages, whose tag is the
-// communicator's synchronized collective sequence number, so overlapping
-// broadcasts cannot cross.
-func (c *Comm) BcastValue(r *Rank, root int, v any) any {
-	return c.BcastValueSized(r, root, v, 64)
-}
-
-// BcastValueSized is BcastValue charging the broadcast cost of a payload of
-// the given byte size. Receivers share the root's object: treat it as
-// read-only.
-func (c *Comm) BcastValueSized(r *Rank, root int, v any, size int64) any {
-	_, v = c.bcast(r, root, data.Synthetic(size), v)
-	return v
-}
-
 // Shared returns a value computed once per (communicator, call-site
 // sequence). Rank code that derives an identical pure function of
 // collectively-known data on every rank (layout headers, file-domain
@@ -976,129 +961,6 @@ func (c *Comm) Shared(r *Rank, compute func() any) any {
 	}
 	c.exit(r)
 	return e.v
-}
-
-// GatherInt64 gathers one int64 from every rank to root (binomial tree).
-// Root receives the full slice indexed by comm rank; others receive nil.
-func (c *Comm) GatherInt64(r *Rank, root int, v int64) []int64 {
-	n := len(c.members)
-	me := c.mustRank(r)
-	tag := c.nextCollTag(r)
-	vrank := (me - root + n) % n
-	// Each node owns the contiguous region [vrank, vrank+len(vals)) of the
-	// virtual ranks: a child at vrank+mask contributes exactly the adjacent
-	// region, so the working set is a slice, not a sparse map, and the wire
-	// encoding (ascending keys) is unchanged.
-	vals := make([]int64, 1, 2)
-	vals[0] = v
-	mask := 1
-	for mask < n {
-		if vrank&mask != 0 {
-			// Send everything owned to parent and stop.
-			parent := ((vrank - mask) + root) % n
-			c.Send(r, parent, tag, encodeInt64Range(vrank, vals))
-			return nil
-		}
-		// Receive from child vrank+mask if it exists.
-		if vrank+mask < n {
-			buf, _ := c.Recv(r, (vrank+mask+root)%n, tag)
-			vals = appendInt64Range(vals, vrank+len(vals), buf)
-		}
-		mask <<= 1
-	}
-	out := make([]int64, n)
-	for i, val := range vals {
-		out[(vrank+i+root)%n] = val
-	}
-	return out
-}
-
-// AllgatherInt64 gathers one int64 from every rank to every rank. All ranks
-// receive the same backing slice (the broadcast is charged at full size but
-// the decoded object is shared): treat the result as read-only.
-func (c *Comm) AllgatherInt64(r *Rank, v int64) []int64 {
-	vals := c.GatherInt64(r, 0, v)
-	out := c.BcastValueSized(r, 0, vals, 8*int64(len(c.members)))
-	return out.([]int64)
-}
-
-// AllgatherBytes gathers each rank's byte slice to every rank, indexed by
-// comm rank (a variable-length allgatherv).
-func (c *Comm) AllgatherBytes(r *Rank, b []byte) [][]byte {
-	n := len(c.members)
-	me := c.mustRank(r)
-	tag := c.nextCollTag(r)
-	// Binomial gather to rank 0 of contiguous (rank, bytes) regions; as in
-	// GatherInt64, each node's region [me, me+len(vals)) is a slice and the
-	// sorted-key wire encoding is unchanged.
-	vals := make([][]byte, 1, 2)
-	vals[0] = b
-	mask := 1
-	gatherDone := false
-	for mask < n {
-		if me&mask != 0 {
-			c.Send(r, me-mask, tag, data.FromBytes(encodeBytesRange(me, vals)))
-			gatherDone = true
-			break
-		}
-		if me+mask < n {
-			buf, _ := c.Recv(r, me+mask, tag)
-			vals = appendBytesRange(vals, me+len(vals), buf.Bytes())
-		}
-		mask <<= 1
-	}
-	var out [][]byte
-	var total int64
-	if !gatherDone && me == 0 {
-		out = make([][]byte, n)
-		for i, v := range vals {
-			if i < n {
-				out[i] = v
-				total += int64(len(v)) + 8
-			}
-		}
-	}
-	// Receivers share the root's slices; treat the result as read-only.
-	shared := c.BcastValueSized(r, 0, out, total)
-	return shared.([][]byte)
-}
-
-// encodeBytesRange serializes the contiguous (index, bytes) pairs
-// (base+i, vals[i]) — byte-identical to the former sparse-map encoding.
-func encodeBytesRange(base int, vals [][]byte) []byte {
-	var b []byte
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(vals)))
-	for i, v := range vals {
-		b = binary.LittleEndian.AppendUint32(b, uint32(base+i))
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(v)))
-		b = append(b, v...)
-	}
-	return b
-}
-
-// appendBytesRange decodes a contiguous run encoded by encodeBytesRange and
-// appends its byte slices (aliasing the buffer) to vals.
-func appendBytesRange(vals [][]byte, base int, b []byte) [][]byte {
-	if len(b) < 4 {
-		return vals
-	}
-	n := int(binary.LittleEndian.Uint32(b))
-	p := b[4:]
-	for i := 0; i < n && len(p) >= 8; i++ {
-		k := int(binary.LittleEndian.Uint32(p))
-		l := int(binary.LittleEndian.Uint32(p[4:]))
-		p = p[8:]
-		if l > len(p) {
-			break
-		}
-		if k != base {
-			panic(fmt.Sprintf("mpi: gather region starts at %d, want %d", k, base))
-		}
-		vals = append(vals, p[:l])
-		p = p[l:]
-		base++
-	}
-	return vals
 }
 
 // ReduceOp is a binary reduction operator.
@@ -1140,87 +1002,10 @@ func (c *Comm) ExscanInt64(r *Rank, v int64) int64 {
 	return sum
 }
 
-// Split partitions the communicator by color, ordering each new
-// communicator by (key, old rank), exactly like MPI_Comm_split. Every rank
-// must call it; ranks with the same color receive the same *Comm.
-//
-// Deviation from MPI: the new communicator is always ordered by world rank
-// regardless of key (Comm.Rank relies on sorted membership). The paper's
-// strategies only split with key == parent rank, where the two orderings
-// coincide.
-func (c *Comm) Split(r *Rank, color int64, key int64) *Comm {
-	// The physical cost is an allgather of (color, key). Comm rank 0 builds
-	// every child once the keys reach it, and the child table rides the
-	// keys' broadcast back, so a split touches no registry.
-	colors := c.AllgatherInt64(r, color)
-	c.GatherInt64(r, 0, key)
-	var children map[int64]*Comm
-	if c.mustRank(r) == 0 {
-		children = c.children(r, colors)
-	}
-	children = c.BcastValueSized(r, 0, children, 8*int64(len(c.members))).(map[int64]*Comm)
-	return children[color]
-}
-
-// children builds one communicator per color, minting ids in ascending
-// color order from the namespace of r's pset.
-func (c *Comm) children(r *Rank, colors []int64) map[int64]*Comm {
-	groups := make(map[int64][]int)
-	var order []int64
-	for i, col := range colors {
-		if _, seen := groups[col]; !seen {
-			order = append(order, col)
-		}
-		// Parent members ascend, so every group does too.
-		groups[col] = append(groups[col], c.members[i])
-	}
-	slices.Sort(order)
-	out := make(map[int64]*Comm, len(order))
-	for _, col := range order {
-		members := groups[col]
-		off, ident := identOff(members)
-		out[col] = &Comm{
-			w: c.w, id: c.w.newCommID(r), members: members,
-			ident: ident, off: off, part: c.w.commPart(members),
-		}
-	}
-	return out
-}
-
 func (c *Comm) mustRank(r *Rank) int {
 	me := c.Rank(r)
 	if me < 0 {
 		panic(fmt.Sprintf("mpi: rank %d is not a member of comm %d", r.id, c.id))
 	}
 	return me
-}
-
-// encodeInt64Range serializes the contiguous (index, value) pairs
-// (base+i, vals[i]) — byte-identical to the former sparse-map encoding,
-// whose sorted keys were always this contiguous run.
-func encodeInt64Range(base int, vals []int64) data.Buf {
-	b := make([]byte, 0, 16*len(vals))
-	var tmp [8]byte
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(tmp[:], uint64(base+i))
-		b = append(b, tmp[:]...)
-		binary.LittleEndian.PutUint64(tmp[:], uint64(v))
-		b = append(b, tmp[:]...)
-	}
-	return data.FromBytes(b)
-}
-
-// appendInt64Range decodes a contiguous run encoded by encodeInt64Range and
-// appends its values to vals. The run must start at index base — gather
-// regions are adjacent by construction.
-func appendInt64Range(vals []int64, base int, buf data.Buf) []int64 {
-	b := buf.Bytes()
-	for i := 0; i+16 <= len(b); i += 16 {
-		if k := int(binary.LittleEndian.Uint64(b[i:])); k != base {
-			panic(fmt.Sprintf("mpi: gather region starts at %d, want %d", k, base))
-		}
-		vals = append(vals, int64(binary.LittleEndian.Uint64(b[i+8:])))
-		base++
-	}
-	return vals
 }

@@ -340,6 +340,9 @@ func (k *Kernel) next(self *Proc) *Proc {
 		if p.done {
 			panic("sim: resuming finished process " + p.name)
 		}
+		if !p.resumes() {
+			continue
+		}
 		if p != self {
 			k.nwoken++
 		}

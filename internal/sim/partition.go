@@ -653,6 +653,9 @@ func (k *Kernel) xNext(self *Proc) *Proc {
 			// causally sound.
 			p.part.now = ev.t
 		}
+		if !p.resumes() {
+			continue
+		}
 		if p != self {
 			k.nwoken++
 		}
@@ -794,6 +797,9 @@ func (k *Kernel) laneNext(pt *partition, self *Proc) *Proc {
 		}
 		if p.done {
 			panic("sim: resuming finished process " + p.name)
+		}
+		if !p.resumes() {
+			continue
 		}
 		if p != self {
 			pt.nwoken++

@@ -16,14 +16,15 @@ import (
 // parties interact with a process only via Unpark (typically indirectly,
 // through Signal and Resource).
 type Proc struct {
-	k      *Kernel
-	name   string
-	co     *coroutine // runs p's body; nil once p ended
-	done   bool
-	parked bool
+	k    *Kernel
+	name string
+	co   *coroutine // runs p's body; nil once p ended
+	part *partition // owning partition in sharded mode, nil otherwise
+	cont Cont       // runs in the slot of p's resumes while set (see Await)
 
-	part        *partition // owning partition in sharded mode, nil otherwise
-	sharedDepth int        // EnterShared nesting; > 0 routes resumes exclusively
+	sharedDepth int32 // EnterShared nesting; > 0 routes resumes exclusively
+	done        bool
+	parked      bool
 }
 
 // Go spawns fn as a new process starting at the current simulation time.
@@ -133,33 +134,43 @@ func (p *Proc) ExitShared() {
 // exactly order-preserving: the relative (t, seq) order of all other events
 // is untouched.
 func (p *Proc) Sleep(d float64) {
+	if p.SleepFast(d) {
+		return
+	}
+	p.k.AfterProc(d, p)
+	handoff(p, p.k.nextFor(p, p))
+}
+
+// SleepFast takes Sleep(d)'s fast path when it applies — the clock advances
+// in place and SleepFast returns true — and otherwise returns false having
+// changed nothing, leaving the caller to schedule its own resume.
+func (p *Proc) SleepFast(d float64) bool {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative sleep %v", d))
 	}
 	k := p.k
 	if k.sh != nil {
-		p.sleepSharded(d)
-		return
+		return p.sleepFastSharded(d)
 	}
 	t := k.now + d
-	if t <= k.horizon {
-		if next, ok := k.cal.peek(); !ok || next.t > t {
-			if k.rec != nil && t > k.now {
-				// The elided handoff advances the clock without an event;
-				// attribute it to the layer that would have tagged one.
-				k.rec.Advance(k.layer, k.now, t)
-			}
-			k.now = t
-			return
-		}
+	if t > k.horizon {
+		return false
 	}
-	k.insert(t, p)
-	handoff(p, k.next(p))
+	if next, ok := k.cal.peek(); ok && next.t <= t {
+		return false
+	}
+	if k.rec != nil && t > k.now {
+		// The elided handoff advances the clock without an event; attribute
+		// it to the layer that would have tagged one.
+		k.rec.Advance(k.layer, k.now, t)
+	}
+	k.now = t
+	return true
 }
 
-// sleepSharded is Sleep for the partitioned kernel, with the fast path
-// adapted to the context the process runs in.
-func (p *Proc) sleepSharded(d float64) {
+// sleepFastSharded is SleepFast for the partitioned kernel, with the fast
+// path adapted to the context the process runs in.
+func (p *Proc) sleepFastSharded(d float64) bool {
 	k := p.k
 	if pt := p.part; pt != nil && pt.active {
 		// Lane context: the fast path may advance the lane clock when no
@@ -171,37 +182,35 @@ func (p *Proc) sleepSharded(d float64) {
 		// skipped — or the exclusive lane would run the section out of
 		// global order.
 		t := pt.now + d
-		if t < pt.bound.t {
-			if next, ok := pt.cal.peek(); !ok || next.t > t {
-				pt.ctx.elide(t)
-				if k.rec != nil && t > pt.now {
-					pt.advLog = append(pt.advLog, advRec{t: t, layer: pt.layer})
-				}
-				pt.now = t
-				return
-			}
+		if t >= pt.bound.t {
+			return false
 		}
-		k.insertLocal(pt, t, p)
-		handoff(p, k.laneNext(pt, p))
-		return
+		if next, ok := pt.cal.peek(); ok && next.t <= t {
+			return false
+		}
+		pt.ctx.elide(t)
+		if k.rec != nil && t > pt.now {
+			pt.advLog = append(pt.advLog, advRec{t: t, layer: pt.layer})
+		}
+		pt.now = t
+		return true
 	}
 	// Exclusive context: the fast path must clear every calendar — the
 	// shared head, pending sections, and all partition heads — exactly
 	// the serial kernel's single-calendar check, split across shards.
 	t := k.now + d
-	if t <= k.horizon && k.noEarlierExclusive(t) {
-		k.ctx.elide(t)
-		if k.rec != nil && t > k.now {
-			k.advLog = append(k.advLog, advRec{t: t, layer: k.layer})
-		}
-		k.now = t
-		if p.part != nil && t > p.part.now {
-			p.part.now = t
-		}
-		return
+	if t > k.horizon || !k.noEarlierExclusive(t) {
+		return false
 	}
-	k.insertProcSharded(t, p)
-	handoff(p, k.xNext(p))
+	k.ctx.elide(t)
+	if k.rec != nil && t > k.now {
+		k.advLog = append(k.advLog, advRec{t: t, layer: k.layer})
+	}
+	k.now = t
+	if p.part != nil && t > p.part.now {
+		p.part.now = t
+	}
+	return true
 }
 
 // SleepUntil suspends the process until absolute simulation time t. Times in
@@ -219,13 +228,22 @@ func (p *Proc) SleepUntil(t float64) {
 // (a Signal's or Resource's wait list) that will eventually unpark it; the
 // kernel reports a deadlock otherwise.
 func (p *Proc) Park() {
-	p.parked = true
-	if p.part != nil {
-		p.part.nparked++
-	} else {
-		p.k.nparked++
-	}
+	p.setParked(true)
 	handoff(p, p.k.nextFor(p, p))
+}
+
+// setParked moves p in or out of its context's parked count.
+func (p *Proc) setParked(on bool) {
+	p.parked = on
+	n := &p.k.nparked
+	if p.part != nil {
+		n = &p.part.nparked
+	}
+	if on {
+		*n++
+	} else {
+		*n--
+	}
 }
 
 // Unpark schedules a parked process to resume at the current simulation
@@ -245,12 +263,57 @@ func (p *Proc) UnparkAfter(d float64) {
 		panic("sim: Unpark of non-parked process " + p.name)
 	}
 	p.k.AfterProc(d, p)
-	p.parked = false
-	if p.part != nil {
-		p.part.nparked--
-	} else {
-		p.k.nparked--
+	p.setParked(false)
+}
+
+// Cont is a continuation: the rest of a waiting process's work, written as
+// steps the kernel runs in the dispatch slot of each of the process's
+// resumes instead of switching to its coroutine (see Await).
+type Cont interface {
+	// Continue runs in the slot of one of the process's resumes, in
+	// whichever dispatch loop pops it, with the process parked. It returns
+	// true to resume the process in that very slot. It returns false once
+	// it has arranged the process's next wake exactly as the process's own
+	// code would have — a wait list, or UnparkAfter for a fixed delay — and
+	// the process stays parked.
+	Continue() bool
+}
+
+// Await parks p with c as its continuation. Every later resume of p runs
+// c.Continue in the resume's own (t, seq) slot, so a process whose work
+// between waits needs no coroutine of its own — a tree collective's hops —
+// waits through any number of wakes and is switched to once, when c
+// resumes it. The wakers need not know: they Unpark p as usual.
+func (p *Proc) Await(c Cont) {
+	p.cont = c
+	p.Park()
+}
+
+// AwaitAfter is Sleep(d) with c as p's continuation from the wake-up on:
+// p's resume is scheduled exactly where Sleep schedules it, and runs
+// c.Continue in its slot. It takes no fast path; callers try SleepFast
+// first.
+func (p *Proc) AwaitAfter(d float64, c Cont) {
+	p.cont = c
+	p.k.AfterProc(d, p)
+	handoff(p, p.k.nextFor(p, p))
+}
+
+// resumes reports whether the resume of p just popped hands p the baton:
+// always for a plain process, and for one with a continuation only when
+// the continuation asks for it. A continuation that waits on returns p to
+// the parked state it acts in.
+func (p *Proc) resumes() bool {
+	if p.cont == nil {
+		return true
 	}
+	p.setParked(true)
+	if !p.cont.Continue() {
+		return false
+	}
+	p.cont = nil
+	p.setParked(false)
+	return true
 }
 
 // Yield gives other events scheduled at the current instant a chance to run

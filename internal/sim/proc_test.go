@@ -334,3 +334,79 @@ func TestFinishedProcReleasesBody(t *testing.T) {
 	runtime.KeepAlive(k)
 	t.Fatal("a finished process still pins its body's captures")
 }
+
+// countCont lets its process wait through n wakes, logging each one, and
+// resumes it at the last.
+type countCont struct {
+	p    *Proc
+	log  *[]string
+	left int
+}
+
+func (c *countCont) Continue() bool {
+	*c.log = append(*c.log, fmt.Sprintf("wake at %v", c.p.Now()))
+	c.left--
+	return c.left == 0
+}
+
+// TestAwaitRunsContinuationInResumeSlot pins the continuation contract: a
+// process awaiting a continuation through three wakes logs exactly what a
+// process parking three times logs — each wake in its own resume's slot,
+// behind an event scheduled earlier at the same instant and ahead of one
+// scheduled later — and is switched to once instead of three times. It
+// holds on the serial kernel, on a partition lane and on the exclusive
+// lane.
+func TestAwaitRunsContinuationInResumeSlot(t *testing.T) {
+	run := func(mode string, await bool) (string, uint64) {
+		k := NewKernel()
+		spawn := k.Go
+		if mode != "serial" {
+			k.EnableSharding(2, 1, 1e-6, 1)
+		}
+		if mode == "lane" {
+			spawn = func(name string, fn func(p *Proc)) *Proc { return k.GoPart(0, name, fn) }
+		}
+		var log []string
+		a := spawn("a", func(p *Proc) {
+			if await {
+				p.Await(&countCont{p: p, log: &log, left: 3})
+			} else {
+				for i := 0; i < 3; i++ {
+					p.Park()
+					log = append(log, fmt.Sprintf("wake at %v", p.Now()))
+				}
+			}
+			log = append(log, fmt.Sprintf("a resumed at %v", p.Now()))
+		})
+		spawn("early", func(p *Proc) {
+			p.Sleep(3)
+			log = append(log, "early at 3")
+		})
+		spawn("waker", func(p *Proc) {
+			for i := 1; i <= 3; i++ {
+				p.SleepUntil(float64(i))
+				a.Unpark()
+			}
+			p.Yield()
+			log = append(log, "late at 3")
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return strings.Join(log, "\n"), k.Woken()
+	}
+	const want = "wake at 1\nwake at 2\nearly at 3\nwake at 3\na resumed at 3\nlate at 3"
+	for _, mode := range []string{"serial", "lane", "exclusive"} {
+		parkLog, parkWoken := run(mode, false)
+		awaitLog, awaitWoken := run(mode, true)
+		if parkLog != want || awaitLog != want {
+			t.Errorf("%s: log\n%s\nwith Park, and\n%s\nwith Await; want\n%s", mode, parkLog, awaitLog, want)
+		}
+		// a's two intermediate resumes are gone. A waker whose own Sleep
+		// dispatched a's wake may keep the baton too, so the saving can be
+		// larger.
+		if awaitWoken+2 > parkWoken {
+			t.Errorf("%s: %d resumes with Await, %d with Park; want at least two fewer", mode, awaitWoken, parkWoken)
+		}
+	}
+}
