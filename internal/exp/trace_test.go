@@ -163,3 +163,40 @@ func TestTraceParallelDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceShardedMatchesSerial runs the traced Figure 5 grid at np 2048
+// on the serial and on the partitioned kernel and requires one account of
+// where the time went: every layer's attributed time within 1e-9 s, and
+// every span aggregate's count, bytes, min and max equal.
+func TestTraceShardedMatchesSerial(t *testing.T) {
+	run := func(shards int) []TraceEntry {
+		tc := &TraceCollector{}
+		if _, err := Headline(Options{NPs: []int{2048}, Shards: shards, Trace: tc}); err != nil {
+			t.Fatal(err)
+		}
+		return tc.Entries()
+	}
+	serial, sharded := run(1), run(4)
+	if len(serial) != 5 || len(sharded) != len(serial) {
+		t.Fatalf("collected %d serial and %d sharded traces, want 5 each", len(serial), len(sharded))
+	}
+	for i, s := range serial {
+		h := sharded[i]
+		for l := trace.Layer(0); l < trace.NumLayers; l++ {
+			if d := math.Abs(s.Rec.LayerTime(l) - h.Rec.LayerTime(l)); d > 1e-9 {
+				t.Errorf("%s: %s time %.9f serial, %.9f sharded", s.Label, l, s.Rec.LayerTime(l), h.Rec.LayerTime(l))
+			}
+		}
+		ss, hs := s.Rec.Snapshot("", s.Makespan).Spans, h.Rec.Snapshot("", h.Makespan).Spans
+		if len(ss) != len(hs) {
+			t.Errorf("%s: %d span rows serial, %d sharded", s.Label, len(ss), len(hs))
+			continue
+		}
+		for j, a := range ss {
+			b := hs[j]
+			if a.Layer != b.Layer || a.Name != b.Name || a.Count != b.Count || a.Bytes != b.Bytes || a.Min != b.Min || a.Max != b.Max {
+				t.Errorf("%s: span %+v serial, %+v sharded", s.Label, a, b)
+			}
+		}
+	}
+}

@@ -83,6 +83,11 @@ func (ic *Interconnect) Inject(now float64, src int, size int64) (injectDone flo
 // between a node and itself pay only injection (handled by the caller) and a
 // single hop latency for the local loopback.
 func (ic *Interconnect) Transfer(start float64, src, dst int, size int64) (arrival float64) {
+	return ic.transfer(&ic.routeBuf, start, src, dst, size)
+}
+
+// transfer is Transfer with the route computed into *routeBuf.
+func (ic *Interconnect) transfer(routeBuf *[]int, start float64, src, dst int, size int64) (arrival float64) {
 	if ic.rec != nil {
 		ic.rec.Add(trace.LayerFabric, ic.msgsCtr, 1)
 		ic.rec.Add(trace.LayerFabric, ic.bytesCtr, size)
@@ -90,8 +95,8 @@ func (ic *Interconnect) Transfer(start float64, src, dst int, size int64) (arriv
 	if src == dst {
 		return start + ic.cfg.HopLatency
 	}
-	ic.routeBuf = ic.topo.AppendRoute(ic.routeBuf[:0], src, dst)
-	return ic.priceRoute(ic.routeBuf, start, size)
+	*routeBuf = ic.topo.AppendRoute((*routeBuf)[:0], src, dst)
+	return ic.priceRoute(*routeBuf, start, size)
 }
 
 // priceRoute runs the contention arithmetic over an already-computed route.
@@ -147,16 +152,7 @@ func (p *Port) Inject(now float64, src int, size int64) (injectDone float64) {
 // scratch. Counter tracing is safe here: the kernel runs lanes on a single
 // worker whenever a recorder is attached.
 func (p *Port) Transfer(start float64, src, dst int, size int64) (arrival float64) {
-	ic := p.ic
-	if ic.rec != nil {
-		ic.rec.Add(trace.LayerFabric, ic.msgsCtr, 1)
-		ic.rec.Add(trace.LayerFabric, ic.bytesCtr, size)
-	}
-	if src == dst {
-		return start + ic.cfg.HopLatency
-	}
-	p.routeBuf = ic.topo.AppendRoute(p.routeBuf[:0], src, dst)
-	return ic.priceRoute(p.routeBuf, start, size)
+	return p.ic.transfer(&p.routeBuf, start, src, dst, size)
 }
 
 // SetLinkDegrade scales link idx's effective bandwidth by factor for future

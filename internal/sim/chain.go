@@ -176,18 +176,16 @@ func (c *chainCtx) elide(t float64) {
 var chainRerootGoal uint64 = 4 << 20
 
 // chainMade sums nodes materialized since the last re-root.
-func (k *Kernel) chainMade() uint64 {
-	n := k.ctx.made
-	for _, pt := range k.sh.parts {
-		n += pt.ctx.made
-	}
+func (k *Kernel) chainMade() (n uint64) {
+	k.eachLane(func(ln *lane) { n += ln.ctx.made })
 	return n
 }
 
 // rerootChains re-stamps every pending event and suspended shared section
 // as a root-level entry, ranked by its current (t, genealogy) key, and
 // drops all chain history. Must run at a coordinator-quiescent point: no
-// lane active, no process holding the baton. Safe because
+// lane active, no process holding the baton, no advance record awaiting
+// its replay (it orders by the genealogy dropped here). Safe because
 // (a) rank order reproduces key order, so every cross-calendar comparison
 // is preserved; (b) calendar-internal (t, seq) orders are untouched;
 // (c) every context re-begins from a (re-stamped) dispatch or adoption
@@ -203,10 +201,7 @@ func (k *Kernel) rerootChains() {
 	collect := func(ev *event) {
 		all = append(all, entry{ev: ev, key: *ev})
 	}
-	k.cal.forEach(collect)
-	for _, pt := range sh.parts {
-		pt.cal.forEach(collect)
-	}
+	k.eachLane(func(ln *lane) { ln.cal.forEach(collect) })
 	for i := range sh.pends {
 		p := &sh.pends[i]
 		all = append(all, entry{pend: p, key: event{t: p.t, parent: p.node.parent, idx: p.node.idx}})
@@ -223,12 +218,12 @@ func (k *Kernel) rerootChains() {
 		// but the node becomes a root entry at its rank.
 		*e.pend.node = chainNode{parent: nil, t: e.pend.t, idx: idx}
 	}
-	k.ctx.initRoot()
+	k.eachLane(func(ln *lane) {
+		ln.ctx.initRoot()
+		ln.ctx.made = 0
+	})
 	k.ctx.nextIdx = uint64(len(all)) + 1
-	k.ctx.made = 0
 	for _, pt := range sh.parts {
-		pt.ctx.initRoot()
-		pt.ctx.made = 0
 		// The cached heap key holds a copy of the head's old stamp; times
 		// are unchanged, so refreshing it keeps the heap valid.
 		pt.head, _ = pt.cal.peek()

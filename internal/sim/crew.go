@@ -70,10 +70,17 @@ type helper struct {
 	wake   chan struct{} // capacity 1, so the coordinator never blocks
 }
 
-// startCrew spawns the run's helpers, min(workers, GOMAXPROCS)-1 of them.
+// startCrew spawns the run's helpers, min(workers, GOMAXPROCS)-1 of them,
+// or none when a trace recorder is attached: lanes then run one at a time
+// in the coordinator, under the kernel's one current layer and into its
+// one recorder. The rule is applied here, at run start, so it holds
+// whenever the recorder was attached.
 func (k *Kernel) startCrew() {
 	c := &k.sh.crew
 	n := min(k.sh.workers, runtime.GOMAXPROCS(0)) - 1
+	if k.rec != nil {
+		n = 0
+	}
 	c.done.Store(0)
 	c.target = 0
 	c.word.Store(c.epoch << epochShift)

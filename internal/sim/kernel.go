@@ -23,9 +23,11 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/trace"
 )
@@ -47,22 +49,31 @@ const (
 // Kernel is a discrete-event simulation engine. The zero value is not usable;
 // call NewKernel.
 type Kernel struct {
-	now     float64
-	seq     uint64
-	cal     calQueue
+	lane // the serial kernel's context, or the partitioned kernel's exclusive lane
+
 	horizon float64 // Sleep may not advance the clock past this (RunUntil bound)
-	nparked int     // processes currently parked
-	reg     []*Proc // every process ever spawned, for deadlock reporting
 	running bool
 
-	rec    *trace.Recorder // nil = tracing disabled (the only cost: nil checks)
-	layer  trace.Layer     // layer attributed to events scheduled now
-	ndisp  uint64          // events dispatched (serial: only while tracing; sharded: exclusive lane, always)
-	nwoken uint64          // process resumes dispatched
+	rec   *trace.Recorder // nil = tracing disabled (the only cost: nil checks)
+	layer trace.Layer     // layer attributed to events scheduled now
 
-	sh     *shard   // nil = serial mode (see partition.go)
-	advLog []advRec // exclusive-lane clock advances, for the sharded merge
-	ctx    chainCtx // exclusive-lane origin-chain context (sharded mode only)
+	sh *shard // nil = serial mode (see partition.go)
+}
+
+// lane is one execution context's dispatch state: the kernel's own (the
+// serial kernel, or the partitioned kernel's exclusive lane) and each
+// partition's. Every context runs the same dispatch body over it (see
+// dispatch); they differ only in which events they may dispatch.
+type lane struct {
+	cal     calQueue
+	seq     uint64   // events ever inserted, the low bits of their keys
+	now     float64  // the context's clock: the last event time it dispatched
+	ctx     chainCtx // origin-chain context of the running segment (partitioned kernel only)
+	ndisp   uint64   // events dispatched
+	nwoken  uint64   // process resumes dispatched
+	nparked int      // processes of this context currently parked
+	reg     []*Proc  // every process spawned into this context, for deadlock reporting
+	advLog  []advRec // clock-advance attributions awaiting the replay (traced partitioned kernel only)
 }
 
 // Hook is a pre-allocated event action. Hot schedulers (the MPI transport's
@@ -114,16 +125,10 @@ func (k *Kernel) Recorder() *trace.Recorder { return k.rec }
 // notice, returning the previous layer so callers can restore it on exit.
 // Layer entry points (an MPI operation, a storage write, a checkpoint
 // phase) bracket themselves with it; everything in between — including
-// events their callees schedule — is attributed to that layer.
+// events their callees schedule — is attributed to that layer. The layer
+// is the kernel's on every context: a traced partitioned kernel runs its
+// lanes one at a time (see startCrew).
 func (k *Kernel) SetLayer(l trace.Layer) trace.Layer {
-	if k.sh != nil && k.sh.curPart != nil {
-		// Sharded lane running in the coordinator goroutine (tracing caps
-		// window workers at one): layer state is per-partition.
-		pt := k.sh.curPart
-		prev := pt.layer
-		pt.layer = l
-		return prev
-	}
 	prev := k.layer
 	k.layer = l
 	return prev
@@ -133,26 +138,26 @@ func (k *Kernel) SetLayer(l trace.Layer) trace.Layer {
 // past panics: the model has a causality bug. In sharded mode the event
 // goes to the shared (exclusive) calendar, so lane code must schedule
 // through AtHookCtx or from a shared section.
-func (k *Kernel) At(t float64, fn func()) { k.insertAny(t, funcHook(fn)) }
+func (k *Kernel) At(t float64, fn func()) { k.insert(t, funcHook(fn)) }
 
 // After schedules fn to run d seconds from now.
 func (k *Kernel) After(d float64, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	k.insertAny(k.now+d, funcHook(fn))
+	k.insert(k.now+d, funcHook(fn))
 }
 
 // AtHook schedules h to fire at absolute simulation time t without
 // allocating: the caller owns (and may pool) the Hook.
-func (k *Kernel) AtHook(t float64, h Hook) { k.insertAny(t, h) }
+func (k *Kernel) AtHook(t float64, h Hook) { k.insert(t, h) }
 
 // AfterHook schedules h to fire d seconds from now.
 func (k *Kernel) AfterHook(d float64, h Hook) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	k.insertAny(k.now+d, h)
+	k.insert(k.now+d, h)
 }
 
 // AfterProc schedules process p to resume d seconds from now: the
@@ -164,52 +169,48 @@ func (k *Kernel) AfterProc(d float64, p *Proc) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	if k.sh == nil {
-		k.insert(k.now+d, p)
+	t := p.Now() + d
+	if p.part == nil || p.sharedDepth > 0 {
+		// Exclusive-lane processes and processes inside shared sections
+		// resume on the exclusive lane, so an in-section wake — a barrier
+		// release, a commit completion — can never land in a partition's
+		// past.
+		k.insert(t, p)
 		return
 	}
-	base := k.now
-	if p.part != nil && p.part.active {
-		base = p.part.now
-	}
-	k.insertProcSharded(base+d, p)
+	k.insertLocal(p.part, t, p)
 }
 
-// insertAny routes a plain (non-process) insert: the single calendar in
-// serial mode, the shared calendar in sharded mode.
-func (k *Kernel) insertAny(t float64, h Hook) {
-	if k.sh == nil {
-		k.insert(t, h)
-		return
-	}
-	k.insertShared(t, h)
-}
-
+// insert places an event in the kernel's own calendar: the serial
+// kernel's, or the partitioned kernel's shared (exclusive) one, which lane
+// code may not reach.
 func (k *Kernel) insert(t float64, h Hook) {
-	if t < k.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
+	if k.sh != nil && k.sh.inWindow {
+		panic("sim: un-partitioned insert from lane context; schedule through AtHookCtx or a shared section")
+	}
+	k.push(&k.lane, 0, &k.ctx, t, h)
+}
+
+// push files h at t in ln's calendar under ln's next sequence number,
+// packed with the partition tag and the current layer. On the partitioned
+// kernel the event is also stamped with the origin chain of ctx, the
+// inserting context's.
+func (k *Kernel) push(ln *lane, tag uint64, ctx *chainCtx, t float64, h Hook) {
+	if t < ln.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, ln.now))
 	}
 	if math.IsNaN(t) {
 		panic("sim: scheduling event at NaN time")
 	}
-	k.seq++
-	k.cal.push(event{t: t, seq: k.seq | uint64(k.layer)<<layerShift, h: h})
-}
-
-// observe is the tracing-enabled half of a dispatch: attribute the clock
-// advance to the popped event's layer, adopt that layer as current, and
-// sample the calendar depth. Split out so the disabled hot path pays one
-// nil check and nothing else.
-func (k *Kernel) observe(ev event) {
-	lay := trace.Layer(ev.seq >> layerShift)
-	if ev.t > k.now {
-		k.rec.Advance(lay, k.now, ev.t)
+	ln.seq++
+	ev := event{t: t, seq: ln.seq | tag | uint64(k.layer)<<layerShift, h: h}
+	if k.sh != nil {
+		if ln.seq > localMask {
+			panic("sim: sequence counter overflow")
+		}
+		ev.parent, ev.idx = ctx.stamp()
 	}
-	k.layer = lay
-	k.ndisp++
-	if k.ndisp&4095 == 0 {
-		k.rec.Counter(trace.LayerKernel, "cal.depth", 0, ev.t, float64(k.cal.len()))
-	}
+	ln.cal.push(ev)
 }
 
 // DeadlockError reports processes still blocked when the event calendar
@@ -238,6 +239,36 @@ func partLabel(part int) string {
 	return fmt.Sprintf("[part %d]", part)
 }
 
+// deadlock reports the processes still parked on every lane, sorted by
+// name, or nil when there are none.
+func (k *Kernel) deadlock() error {
+	var stuck []*Proc
+	k.eachLane(func(ln *lane) {
+		if ln.nparked == 0 {
+			return
+		}
+		for _, p := range ln.reg {
+			if p.parked {
+				stuck = append(stuck, p)
+			}
+		}
+	})
+	if len(stuck) == 0 {
+		return nil
+	}
+	slices.SortFunc(stuck, func(a, b *Proc) int {
+		return cmp.Or(strings.Compare(a.name, b.name), a.Part()-b.Part())
+	})
+	e := &DeadlockError{}
+	for _, p := range stuck {
+		e.Procs = append(e.Procs, p.name)
+		if k.sh != nil {
+			e.Parts = append(e.Parts, p.Part())
+		}
+	}
+	return e
+}
+
 // Run executes events until the calendar is empty. It returns a
 // *DeadlockError if any process is still parked afterwards — that means the
 // model blocked a process on a condition nothing will ever fire.
@@ -248,53 +279,24 @@ func (k *Kernel) Run() error {
 	k.running = true
 	k.horizon = math.Inf(1)
 	defer func() { k.running = false }()
-	if k.sh != nil {
-		k.runSharded()
-		k.finishSharded()
-		return k.shardedDeadlock()
-	}
 	k.drain()
-	if k.nparked > 0 {
-		names := make([]string, 0, k.nparked)
-		for _, p := range k.reg {
-			if p.parked {
-				names = append(names, p.name)
-			}
-		}
-		sort.Strings(names)
-		return &DeadlockError{Procs: names}
-	}
-	return nil
+	k.settle()
+	return k.deadlock()
 }
 
 // RunUntil executes events with timestamps <= t, then sets the clock to t.
 func (k *Kernel) RunUntil(t float64) {
 	prev := k.horizon
 	k.horizon = t
-	if k.sh != nil {
-		k.runSharded()
-		k.horizon = prev
-		k.finishSharded()
-		if t > k.now {
-			if k.rec != nil && t > k.sh.advClock {
-				k.rec.Advance(trace.LayerKernel, k.sh.advClock, t)
-				k.sh.advClock = t
-			}
-			k.now = t
-			for _, pt := range k.sh.parts {
-				pt.now = t
-			}
-		}
-		return
-	}
 	k.drain()
 	k.horizon = prev
 	if t > k.now {
 		if k.rec != nil {
-			k.rec.Advance(trace.LayerKernel, k.now, t)
+			k.advance(&k.lane, trace.LayerKernel, t)
 		}
 		k.now = t
 	}
+	k.settle()
 }
 
 // The baton protocol: every process runs on a coroutine (see start), and
@@ -313,41 +315,103 @@ func (k *Kernel) RunUntil(t float64) {
 // shared section resumes a lane's process from the coordinator) and lets
 // `go test -race` verify it.
 
-// drain runs the serial kernel from the Run/RunUntil caller until no event
-// remains within the horizon.
-func (k *Kernel) drain() { k.drive(k.next(nil)) }
+// drain runs the kernel from the Run/RunUntil caller until no event
+// remains within the horizon, and leaves the kernel clock at the latest
+// lane clock.
+func (k *Kernel) drain() {
+	if k.sh == nil {
+		k.drive(k.next(nil))
+		return
+	}
+	k.runSharded()
+	for _, pt := range k.sh.parts {
+		if pt.now > k.now {
+			k.now = pt.now
+		}
+	}
+}
 
-// next is the serial kernel's dispatch loop: it pops events within the
-// horizon, firing hooks inline, until one is a process to resume —
-// returned, possibly self — or none is left (nil). xNext and laneNext are
-// its exclusive-lane and partition-lane counterparts.
+// next is the serial kernel's dispatch loop: it dispatches events within
+// the horizon until one resumes a process — returned, possibly self — or
+// none is left (nil). xNext and laneNext are its exclusive-lane and
+// partition-lane counterparts.
 func (k *Kernel) next(self *Proc) *Proc {
 	for {
 		ev, ok := k.cal.peek()
 		if !ok || ev.t > k.horizon {
 			return nil
 		}
-		k.cal.pop()
-		if k.rec != nil {
-			k.observe(ev)
+		if p := k.dispatch(&k.lane, ev, self); p != nil {
+			return p
 		}
-		k.now = ev.t
-		p, isProc := ev.h.(*Proc)
-		if !isProc {
-			ev.h.Fire()
-			continue
-		}
-		if p.done {
-			panic("sim: resuming finished process " + p.name)
-		}
-		if !p.resumes() {
-			continue
-		}
-		if p != self {
-			k.nwoken++
-		}
-		return p
 	}
+}
+
+// dispatch pops ev, ln's calendar head, and runs it, the body every
+// context's dispatch loop shares: a hook fires inline (nil is returned), a
+// process resume returns the process, unless its continuation keeps it
+// waiting (nil). The loops keep only the check of whether the head may
+// run, and hand over the head they peeked: pop's own copy goes unused.
+func (k *Kernel) dispatch(ln *lane, ev event, self *Proc) *Proc {
+	ln.cal.pop()
+	ln.ndisp++
+	if k.sh != nil {
+		ln.ctx.begin(ev.parent, ev.t, ev.idx)
+	}
+	if k.rec != nil {
+		k.observe(ln, ev)
+	}
+	ln.now = ev.t
+	p, isProc := ev.h.(*Proc)
+	if !isProc {
+		ev.h.Fire()
+		return nil
+	}
+	if p.done {
+		panic("sim: resuming finished process " + p.name)
+	}
+	if p.part != nil && ev.t > p.part.now {
+		// An exclusive resume moves the owning partition's clock too —
+		// including a self-resume, or the process's own Now() would lag
+		// its kernel clock — so its later lane-local inserts are causally
+		// sound.
+		p.part.now = ev.t
+	}
+	if !p.resumes() {
+		return nil
+	}
+	if p != self {
+		ln.nwoken++
+	}
+	return p
+}
+
+// observe is the tracing-enabled half of a dispatch: attribute the clock
+// advance to the popped event's layer, adopt that layer as current, and
+// on the serial kernel sample the calendar depth. Split out so the
+// disabled hot path pays one nil check and nothing else.
+func (k *Kernel) observe(ln *lane, ev event) {
+	lay := trace.Layer(ev.seq >> layerShift)
+	k.advance(ln, lay, ev.t)
+	k.layer = lay
+	if k.sh == nil && ln.ndisp&4095 == 0 {
+		k.rec.Counter(trace.LayerKernel, "cal.depth", 0, ev.t, float64(ln.cal.len()))
+	}
+}
+
+// advance attributes ln's clock moving to t to layer l: at once on the
+// serial kernel; on the partitioned one through ln's advance log, stamped
+// with the running segment's origin (the dispatched event's, or the
+// elided resume's), which replay orders against the other lanes' logs.
+func (k *Kernel) advance(ln *lane, l trace.Layer, t float64) {
+	if t <= ln.now {
+		return
+	}
+	if k.sh == nil {
+		k.rec.Advance(l, ln.now, t)
+		return
+	}
+	ln.advLog = append(ln.advLog, advRec{t: t, layer: l, parent: ln.ctx.segParent, idx: ln.ctx.segIdx})
 }
 
 // nextFor runs the dispatch loop of the context driving p — the serial
@@ -391,41 +455,42 @@ func handoff(self, next *Proc) {
 	}
 }
 
-// Pending reports the number of events still scheduled.
-func (k *Kernel) Pending() int {
+// eachLane calls f on the kernel's own lane, then on every partition's in
+// index order.
+func (k *Kernel) eachLane(f func(ln *lane)) {
+	f(&k.lane)
 	if k.sh != nil {
-		return k.shardedPending()
+		for _, pt := range k.sh.parts {
+			f(&pt.lane)
+		}
 	}
-	return k.cal.len()
+}
+
+// Pending reports the number of events still scheduled.
+func (k *Kernel) Pending() (n int) {
+	k.eachLane(func(ln *lane) { n += ln.cal.len() })
+	return n
 }
 
 // Events reports the total number of events ever scheduled — the natural
 // denominator for events-per-second throughput measurements. In sharded
-// mode this sums the shared calendar's counter with every partition's;
-// the total is identical to the serial run's (the same inserts happen,
-// only their routing differs).
-func (k *Kernel) Events() uint64 {
-	if k.sh != nil {
-		return k.shardedEvents()
-	}
-	return k.seq
+// mode it sums every lane's count, which can exceed the serial run's: a
+// lane's Sleep fast path stops at the window bound, so the partitioned
+// kernel schedules some resumes the serial one elides.
+func (k *Kernel) Events() (n uint64) {
+	k.eachLane(func(ln *lane) { n += ln.seq })
+	return n
 }
 
-// Dispatched reports events popped and fired. The serial kernel maintains
-// it only while a recorder is attached (zero otherwise); the partitioned
-// kernel always does (see ShardStats).
-func (k *Kernel) Dispatched() uint64 {
-	if k.sh != nil {
-		return k.shardedDispatched()
-	}
-	return k.ndisp
+// Dispatched reports events popped and dispatched, on every lane.
+func (k *Kernel) Dispatched() (n uint64) {
+	k.eachLane(func(ln *lane) { n += ln.ndisp })
+	return n
 }
 
 // Woken reports process resumes dispatched through the baton protocol.
 // Sleep's handoff-eliding fast path does not count: no resume event fires.
-func (k *Kernel) Woken() uint64 {
-	if k.sh != nil {
-		return k.shardedWoken()
-	}
-	return k.nwoken
+func (k *Kernel) Woken() (n uint64) {
+	k.eachLane(func(ln *lane) { n += ln.nwoken })
+	return n
 }

@@ -48,7 +48,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/trace"
 	"repro/internal/xrand"
@@ -68,13 +67,18 @@ const (
 )
 
 // advRec is one clock-advance attribution record: a lane (or the exclusive
-// dispatcher) moved its clock to t on behalf of layer. Per-stream logs are
-// merged at the end of the run and replayed against a single global clock,
-// which restores the telescoping property — attributed layer time sums
-// exactly to the makespan — that independent per-lane clocks break.
+// dispatcher) moved its clock to t on behalf of layer, dispatching the
+// event with origin stamp (parent, idx) or eliding its resume. The lanes'
+// logs are replayed against a single global clock in (t, stamp) order, the
+// serial dispatch order (see replay), which restores the telescoping
+// property — attributed layer time sums exactly to the makespan — that
+// independent per-lane clocks break, and charges each interval to the
+// layer the serial kernel charges it to.
 type advRec struct {
-	t     float64
-	layer trace.Layer
+	t      float64
+	layer  trace.Layer
+	parent *chainNode
+	idx    uint64
 }
 
 // pendReq is a suspended shared section: process p reached EnterShared
@@ -82,37 +86,27 @@ type advRec struct {
 // segment-origin key (t, chain) — the dispatch position where the serial
 // kernel would have executed the same code inline. node is the segment's
 // chainNode (the admission adopts it so inserts before and after the
-// suspension share one origin) and nextIdx the surviving insert rank.
+// suspension share one origin), nextIdx the surviving insert rank and
+// layer the current layer at the suspension, which the admission restores.
 type pendReq struct {
 	t       float64
 	node    *chainNode
 	nextIdx uint64
+	layer   trace.Layer
 	p       *Proc
 }
 
-// partition is one shard of the kernel: a private calendar, sequence
-// counter, clock, and RNG stream, plus the lane bookkeeping.
+// partition is one shard of the kernel: a lane of its own (calendar,
+// sequence counter, clock) and RNG stream, plus the window bookkeeping.
 type partition struct {
+	lane
 	idx int
-	cal calQueue
-	seq uint64  // local sequence counter (low partShift bits of keys)
-	now float64 // lane clock: the last local event time processed
 	rng *xrand.RNG
 
 	active bool      // a lane worker is currently running this partition
 	bound  event     // lane may dispatch strictly below this key (h nil)
-	ctx    chainCtx  // origin-chain context of the running segment
 	nsusp  int       // suspended shared sections (0 or 1)
 	pend   []pendReq // suspensions, collected by the coordinator at join
-
-	nparked int
-	reg     []*Proc
-
-	nwoken uint64
-	ndisp  uint64   // events dispatched on this lane
-	advLog []advRec // clock-advance attributions (tracing only)
-	layer  trace.Layer
-	rec    *trace.Recorder // per-partition recorder (tracing only, lazy)
 
 	heapPos int   // index in the coordinator's head heap, -1 if absent
 	head    event // calendar head as of the last heapFix: the heap key
@@ -125,11 +119,11 @@ type shard struct {
 	parts     []*partition
 	lookahead float64 // min virtual latency of any cross-partition effect
 	workers   int     // lane workers per window: the coordinator and its helpers
-	inWindow  bool    // lanes are (or may be) running concurrently
+	inWindow  bool    // a window's lanes are running
 	heap      []*partition
-	pends     []pendReq  // pending shared sections, min-heap by key
-	curPart   *partition // lane running in the coordinator goroutine, if any
-	advClock  float64    // global attribution replay frontier (tracing only)
+	pends     []pendReq // pending shared sections, min-heap by key
+	advClock  float64   // global attribution replay frontier (tracing only)
+	rerootDue bool      // the origin chains await a re-root (see runSharded)
 
 	// Window scratch, reused across windows: the eligible lanes in
 	// partition-index order and the heap-walk stack.
@@ -184,10 +178,9 @@ func (k *Kernel) NumPartitions() int {
 // latency any cross-partition effect pays, see the mpi package's
 // Lookahead). Each partition gets an independent xrand stream split from
 // seed. Must be called before Run and before any process is spawned;
-// events already scheduled stay on the shared (exclusive) calendar. When a
-// trace recorder is attached the window workers are capped at one so
-// instrumented model layers may share recorders; dispatch order is
-// identical either way.
+// events already scheduled stay on the shared (exclusive) calendar. A run
+// with a trace recorder attached uses one window worker whatever workers
+// says (see startCrew); dispatch order is identical either way.
 func (k *Kernel) EnableSharding(nparts, workers int, lookahead float64, seed uint64) {
 	if k.running {
 		panic("sim: EnableSharding while running")
@@ -207,24 +200,12 @@ func (k *Kernel) EnableSharding(nparts, workers int, lookahead float64, seed uin
 	if workers < 1 {
 		workers = 1
 	}
-	if k.rec != nil {
-		workers = 1
-	}
 	root := xrand.New(seed)
-	sh := &shard{lookahead: lookahead, workers: workers}
-	sh.parts = make([]*partition, nparts)
-	for i := range sh.parts {
-		pt := &partition{
-			idx:     i,
-			now:     k.now,
-			rng:     root.Split(),
-			heapPos: -1,
-		}
-		pt.ctx.initRoot()
-		sh.parts[i] = pt
+	k.sh = &shard{lookahead: lookahead, workers: workers, parts: make([]*partition, nparts)}
+	for i := range k.sh.parts {
+		k.sh.parts[i] = &partition{lane: lane{now: k.now}, idx: i, rng: root.Split(), heapPos: -1}
 	}
-	k.ctx.initRoot()
-	k.sh = sh
+	k.eachLane(func(ln *lane) { ln.ctx.initRoot() })
 }
 
 // PartRNG returns partition part's private xrand stream, so partitioned
@@ -234,31 +215,16 @@ func (k *Kernel) PartRNG(part int) *xrand.RNG {
 	return k.sh.parts[part].rng
 }
 
-// PartRecorder returns the trace recorder lane code of partition part must
-// emit to: the partition's private recorder in sharded mode (merged
-// deterministically into the main recorder when the run ends), the
-// kernel's recorder otherwise. Nil when tracing is off.
-func (k *Kernel) PartRecorder(part int) *trace.Recorder {
-	if k.sh == nil || k.rec == nil {
-		return k.rec
-	}
-	pt := k.sh.parts[part]
-	if pt.rec == nil {
-		pt.rec = &trace.Recorder{MaxEvents: k.rec.MaxEvents}
-	}
-	return pt.rec
-}
-
 // GoPart spawns fn as a process owned by partition part: its resumes live
 // in that partition's calendar and run on its lane. In serial mode (or
 // with part < 0) it is exactly Go.
 func (k *Kernel) GoPart(part int, name string, fn func(p *Proc)) *Proc {
-	if k.sh == nil || part < 0 {
-		return k.Go(name, fn)
+	p := &Proc{k: k, name: name}
+	if k.sh != nil && part >= 0 {
+		p.part = k.sh.parts[part]
 	}
-	pt := k.sh.parts[part]
-	p := &Proc{k: k, part: pt, name: name}
-	pt.reg = append(pt.reg, p)
+	home := p.home()
+	home.reg = append(home.reg, p)
 	return k.start(p, fn)
 }
 
@@ -269,15 +235,11 @@ func (k *Kernel) GoPart(part int, name string, fn func(p *Proc)) *Proc {
 // calendar otherwise. One call site is thereby correct from lane,
 // exclusive, and serial contexts alike.
 func (k *Kernel) AtHookCtx(p *Proc, t float64, h Hook) {
-	if k.sh == nil {
-		k.insert(t, h)
+	if p.OnLane() {
+		k.insertLocal(p.part, t, h)
 		return
 	}
-	if pt := p.part; pt != nil && pt.active {
-		k.insertLocal(pt, t, h)
-		return
-	}
-	k.insertShared(t, h)
+	k.insert(t, h)
 }
 
 // AfterHookCtx schedules h d seconds past the clock of the execution
@@ -286,15 +248,7 @@ func (k *Kernel) AfterHookCtx(p *Proc, d float64, h Hook) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	if k.sh == nil {
-		k.insert(k.now+d, h)
-		return
-	}
-	if pt := p.part; pt != nil && pt.active {
-		k.insertLocal(pt, pt.now+d, h)
-		return
-	}
-	k.insertShared(k.now+d, h)
+	k.AtHookCtx(p, p.Now()+d, h)
 }
 
 // insertLocal places an event in a partition's calendar with a key packed
@@ -304,26 +258,14 @@ func (k *Kernel) AfterHookCtx(p *Proc, d float64, h Hook) {
 // insert only into its own partition: another lane may be running ahead of
 // t, so a cross-partition effect must come from a shared section.
 func (k *Kernel) insertLocal(pt *partition, t float64, h Hook) {
-	if !pt.active && (k.sh.inWindow || k.sh.curPart != nil) {
+	if !pt.active && k.sh.inWindow {
 		panic(fmt.Sprintf("sim: lane insert into partition %d; cross-partition effects must run in a shared section", pt.idx))
 	}
-	if t < pt.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before partition %d clock %v", t, pt.idx, pt.now))
-	}
-	if math.IsNaN(t) {
-		panic("sim: scheduling event at NaN time")
-	}
-	pt.seq++
-	if pt.seq > localMask {
-		panic("sim: partition sequence counter overflow")
-	}
-	ctx, lay := &k.ctx, k.layer
+	ctx := &k.ctx
 	if pt.active {
-		ctx, lay = &pt.ctx, pt.layer
+		ctx = &pt.ctx
 	}
-	parent, idx := ctx.stamp()
-	pt.cal.push(event{t: t, seq: pt.seq | uint64(pt.idx+1)<<partShift | uint64(lay)<<layerShift, h: h,
-		parent: parent, idx: idx})
+	k.push(&pt.lane, uint64(pt.idx+1)<<partShift, ctx, t, h)
 	if !pt.active && (pt.heapPos < 0 || t < pt.head.t) {
 		// Exclusive context: the lane head may have moved; keep the
 		// coordinator's heap current. The new event carries the partition's
@@ -332,37 +274,6 @@ func (k *Kernel) insertLocal(pt *partition, t float64, h Hook) {
 		// to the join.
 		k.heapFix(pt)
 	}
-}
-
-// insertShared places an event in the shared (exclusive) calendar.
-func (k *Kernel) insertShared(t float64, h Hook) {
-	if t < k.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
-	}
-	if math.IsNaN(t) {
-		panic("sim: scheduling event at NaN time")
-	}
-	if k.sh.inWindow || k.sh.curPart != nil {
-		panic("sim: un-partitioned insert from lane context; schedule through AtHookCtx or a shared section")
-	}
-	k.seq++
-	if k.seq > localMask {
-		panic("sim: shared sequence counter overflow")
-	}
-	parent, idx := k.ctx.stamp()
-	k.cal.push(event{t: t, seq: k.seq | uint64(k.layer)<<layerShift, h: h, parent: parent, idx: idx})
-}
-
-// insertProcSharded routes a process resume: exclusive-lane processes and
-// processes inside shared sections resume on the exclusive lane (so an
-// in-section wake — a barrier release, a commit completion — can never
-// land in a partition's past); everything else resumes in its partition.
-func (k *Kernel) insertProcSharded(t float64, p *Proc) {
-	if p.part == nil || p.sharedDepth > 0 {
-		k.insertShared(t, p)
-		return
-	}
-	k.insertLocal(p.part, t, p)
 }
 
 // ---- coordinator head heap -------------------------------------------------
@@ -566,21 +477,19 @@ func (k *Kernel) xMin() (event, int) {
 	return ev, kind
 }
 
-// noEarlierExclusive reports whether the whole simulation holds no pending
-// item at or before t — the sharded analogue of the serial Sleep fast
-// path's single peek. Must only be called from exclusive context (lanes
-// quiescent) so the heap and pend state are stable.
-func (k *Kernel) noEarlierExclusive(t float64) bool {
-	if ev, ok := k.cal.peek(); ok && ev.t <= t {
-		return false
+// frontier returns the earliest pending item's time — shared calendar,
+// suspended sections and partition heads — or +Inf when there is none.
+// Must only be called from exclusive context (lanes quiescent), so the
+// heap and pend state are stable.
+func (k *Kernel) frontier() float64 {
+	t := math.Inf(1)
+	if xk, kind := k.xMin(); kind != 0 {
+		t = xk.t
 	}
-	if len(k.sh.pends) > 0 && k.sh.pends[0].t <= t {
-		return false
+	if h, ok := k.heapMin(); ok && h < t {
+		t = h
 	}
-	if head, ok := k.heapMin(); ok && head <= t {
-		return false
-	}
-	return true
+	return t
 }
 
 // ---- sharded run loop -------------------------------------------------------
@@ -599,10 +508,19 @@ func (k *Kernel) runSharded() {
 	k.startCrew()
 	defer k.stopCrew()
 	for iter := uint64(0); ; iter++ {
-		if iter&255 == 0 && k.chainMade() > chainRerootGoal {
+		if iter&255 == 0 || sh.rerootDue {
 			// Quiescent point: no lane running, no process holding the
-			// baton. Compact the origin chains before they accumulate.
-			k.rerootChains()
+			// baton. Replay the advance records that became final, and
+			// compact the origin chains before they accumulate — at the
+			// first such point where no record awaits its replay.
+			if k.rec != nil {
+				k.replay(k.frontier())
+			}
+			sh.rerootDue = k.chainMade() > chainRerootGoal
+			if sh.rerootDue && k.unreplayed() == 0 {
+				k.rerootChains()
+				sh.rerootDue = false
+			}
 		}
 		if p := k.xNext(nil); p != nil {
 			// A process is due: drive the exclusive lane until it runs dry.
@@ -618,10 +536,10 @@ func (k *Kernel) runSharded() {
 	}
 }
 
-// xNext dispatches exclusive items, firing hooks inline, until one is a
-// process to resume — returned, possibly self — or no exclusive item may
-// run: the global minimum is partition-local (a window is due) or nothing
-// remains within the horizon, and it returns nil.
+// xNext dispatches exclusive items until one resumes a process —
+// returned, possibly self — or no exclusive item may run: the global
+// minimum is partition-local (a window is due) or nothing remains within
+// the horizon, and it returns nil.
 func (k *Kernel) xNext(self *Proc) *Proc {
 	for {
 		xk, xkind := k.xMin()
@@ -631,35 +549,9 @@ func (k *Kernel) xNext(self *Proc) *Proc {
 		if xkind == 2 {
 			return k.admit()
 		}
-		ev := k.cal.pop()
-		k.ctx.begin(ev.parent, ev.t, ev.idx)
-		if k.rec != nil {
-			k.observeSharded(ev)
+		if p := k.dispatch(&k.lane, xk, self); p != nil {
+			return p
 		}
-		k.now = ev.t
-		k.ndisp++
-		p, isProc := ev.h.(*Proc)
-		if !isProc {
-			ev.h.Fire()
-			continue
-		}
-		if p.done {
-			panic("sim: resuming finished process " + p.name)
-		}
-		if p.part != nil && ev.t > p.part.now {
-			// An exclusive resume moves the owning partition's clock too —
-			// including a self-resume, or the process's own Now() would lag
-			// its kernel clock — so its later lane-local inserts are
-			// causally sound.
-			p.part.now = ev.t
-		}
-		if !p.resumes() {
-			continue
-		}
-		if p != self {
-			k.nwoken++
-		}
-		return p
 	}
 }
 
@@ -674,6 +566,7 @@ func (k *Kernel) canExclusive(xk event, xkind int) bool {
 func (k *Kernel) admit() *Proc {
 	req := k.pendPop()
 	k.ctx.adopt(req.node, req.nextIdx)
+	k.layer = req.layer
 	pt := req.p.part
 	pt.nsusp--
 	// The process continues at its own (lane) clock; the window bound
@@ -684,17 +577,6 @@ func (k *Kernel) admit() *Proc {
 	k.sh.suspensions++
 	k.nwoken++
 	return req.p
-}
-
-// observeSharded logs an exclusive dispatch's clock-advance attribution
-// into the shared advance log (merged and replayed at the end of the run)
-// and adopts the popped event's layer, mirroring the serial observe.
-func (k *Kernel) observeSharded(ev event) {
-	lay := trace.Layer(ev.seq >> layerShift)
-	if ev.t > k.now {
-		k.advLog = append(k.advLog, advRec{t: ev.t, layer: lay})
-	}
-	k.layer = lay
 }
 
 // runWindow computes the conservative bound from the earliest partition
@@ -724,20 +606,18 @@ func (k *Kernel) runWindow(head float64, xk event, xkind int) {
 	if len(active) > 1 {
 		sh.parallel++
 	}
+	sh.inWindow = true
 	if len(active) == 1 || len(sh.crew.helpers) == 0 {
 		for _, pt := range active {
-			sh.curPart = pt
 			k.runLane(pt)
 		}
-		sh.curPart = nil
 	} else {
-		sh.inWindow = true
 		sh.crew.openWindow(len(active))
 		k.claimLanes()
 		sh.crew.joinWindow()
-		sh.inWindow = false
 		raiseLanePanic(active)
 	}
+	sh.inWindow = false
 	// Join: collect suspended sections and refresh heads.
 	for _, pt := range active {
 		for _, req := range pt.pend {
@@ -775,86 +655,56 @@ func (k *Kernel) runLane(pt *partition) {
 }
 
 // laneNext is xNext for a lane: it dispatches pt's events below the window
-// bound, firing hooks inline, until one is a process to resume — returned,
-// possibly self — or the lane is done for this window (nil).
+// bound until one resumes a process — returned, possibly self — or the
+// lane is done for this window (nil).
 func (k *Kernel) laneNext(pt *partition, self *Proc) *Proc {
 	for {
 		ev, ok := pt.cal.peek()
 		if !ok || !keyLess(ev, pt.bound) {
 			return nil
 		}
-		pt.cal.pop()
-		pt.ctx.begin(ev.parent, ev.t, ev.idx)
-		if k.rec != nil {
-			pt.observe(ev)
+		if p := k.dispatch(&pt.lane, ev, self); p != nil {
+			return p
 		}
-		pt.now = ev.t
-		pt.ndisp++
-		p, isProc := ev.h.(*Proc)
-		if !isProc {
-			ev.h.Fire()
-			continue
-		}
-		if p.done {
-			panic("sim: resuming finished process " + p.name)
-		}
-		if !p.resumes() {
-			continue
-		}
-		if p != self {
-			pt.nwoken++
-		}
-		return p
 	}
 }
 
-// observe is the lane-side tracing half of a dispatch: log the advance for
-// the merge replay and adopt the popped event's layer.
-func (pt *partition) observe(ev event) {
-	lay := trace.Layer(ev.seq >> layerShift)
-	if ev.t > pt.now {
-		pt.advLog = append(pt.advLog, advRec{t: ev.t, layer: lay})
-	}
-	pt.layer = lay
-}
-
-// finishSharded raises every clock to the run's end and, when tracing,
-// merges the per-partition recorders and advance logs into the main
-// recorder so attributed layer time again sums exactly to the makespan.
-// Safe to call after every Run/RunUntil: the replay frontier persists.
-func (k *Kernel) finishSharded() {
+// settle ends a Run or RunUntil: on the partitioned kernel it raises every
+// partition clock to the kernel's and, when tracing, replays every advance
+// record still logged (see replay). Safe after every Run/RunUntil: the
+// replay frontier persists.
+func (k *Kernel) settle() {
 	sh := k.sh
-	for _, pt := range sh.parts {
-		if pt.now > k.now {
-			k.now = pt.now
-		}
+	if sh == nil {
+		return
 	}
 	for _, pt := range sh.parts {
 		if pt.now < k.now {
 			pt.now = k.now
 		}
 	}
-	if k.rec == nil {
-		return
+	if k.rec != nil {
+		k.replay(math.Inf(1))
 	}
-	// Replay every advance record against one global clock, in key-order
-	// convention (exclusive stream first at ties, then partitions
-	// ascending). Each record charges its layer for the portion of global
-	// time it newly uncovered, so the totals telescope to the final clock.
-	streams := make([][]advRec, 0, len(sh.parts)+1)
-	streams = append(streams, k.advLog)
-	for _, pt := range sh.parts {
-		streams = append(streams, pt.advLog)
-	}
+}
+
+// replay charges every logged clock advance earlier than limit to its
+// layer against one global clock, in (t, stamp) order: each record charges
+// the portion of global time it newly uncovers, so attributed layer time
+// telescopes to the final clock, and of records at one time the one the
+// serial kernel dispatched first takes the charge. Later records stay
+// logged. A record is final once limit, the earliest pending item's time,
+// has passed it: every later dispatch or elided sleep happens at or after
+// limit.
+func (k *Kernel) replay(limit float64) {
+	var streams [][]advRec
+	k.eachLane(func(ln *lane) { streams = append(streams, ln.advLog) })
 	pos := make([]int, len(streams))
-	g := sh.advClock
+	g := k.sh.advClock
 	for {
 		best := -1
 		for i, s := range streams {
-			if pos[i] >= len(s) {
-				continue
-			}
-			if best < 0 || s[pos[i]].t < streams[best][pos[best]].t {
+			if pos[i] < len(s) && s[pos[i]].t < limit && (best < 0 || advLess(s[pos[i]], streams[best][pos[best]])) {
 				best = i
 			}
 		}
@@ -868,85 +718,23 @@ func (k *Kernel) finishSharded() {
 			g = r.t
 		}
 	}
-	sh.advClock = g
-	k.advLog = k.advLog[:0]
-	recs := make([]*trace.Recorder, 0, len(sh.parts))
-	for _, pt := range sh.parts {
-		if pt.rec != nil {
-			recs = append(recs, pt.rec)
-		}
-		pt.advLog = pt.advLog[:0]
-	}
-	trace.MergeInto(k.rec, recs...)
-	for _, pt := range sh.parts {
-		pt.rec = nil
-	}
+	k.sh.advClock = g
+	i := 0
+	k.eachLane(func(ln *lane) {
+		ln.advLog = append(ln.advLog[:0], ln.advLog[pos[i]:]...)
+		i++
+	})
 }
 
-// ---- sharded stat aggregation ----------------------------------------------
-
-func (k *Kernel) shardedEvents() uint64 {
-	n := k.seq
-	for _, pt := range k.sh.parts {
-		n += pt.seq
-	}
+// unreplayed counts the advance records awaiting their replay.
+func (k *Kernel) unreplayed() (n int) {
+	k.eachLane(func(ln *lane) { n += len(ln.advLog) })
 	return n
 }
 
-func (k *Kernel) shardedWoken() uint64 {
-	n := k.nwoken
-	for _, pt := range k.sh.parts {
-		n += pt.nwoken
+func advLess(a, b advRec) bool {
+	if a.t != b.t {
+		return a.t < b.t
 	}
-	return n
-}
-
-func (k *Kernel) shardedDispatched() uint64 {
-	n := k.ndisp
-	for _, pt := range k.sh.parts {
-		n += pt.ndisp
-	}
-	return n
-}
-
-func (k *Kernel) shardedPending() int {
-	n := k.cal.len()
-	for _, pt := range k.sh.parts {
-		n += pt.cal.len()
-	}
-	return n
-}
-
-// shardedDeadlock aggregates parked processes across the exclusive lane
-// and every partition, recording each process's partition.
-func (k *Kernel) shardedDeadlock() error {
-	total := k.nparked
-	for _, pt := range k.sh.parts {
-		total += pt.nparked
-	}
-	if total == 0 {
-		return nil
-	}
-	names := make([]string, 0, total)
-	parts := make(map[string]int, total)
-	for _, p := range k.reg {
-		if p.parked {
-			names = append(names, p.name)
-			parts[p.name] = -1
-		}
-	}
-	for _, pt := range k.sh.parts {
-		for _, p := range pt.reg {
-			if p.parked {
-				names = append(names, p.name)
-				parts[p.name] = pt.idx
-			}
-		}
-	}
-	sort.Strings(names)
-	partOf := make([]int, len(names))
-	for i, n := range names {
-		partOf[i] = parts[n]
-	}
-	return &DeadlockError{Procs: names, Parts: partOf}
+	return chainLess(a.parent, a.idx, b.parent, b.idx)
 }

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/trace"
 )
 
 // shardScript runs a small partitioned model — per-partition workers that
@@ -485,5 +487,113 @@ func TestShardedHandoffLifecycle(t *testing.T) {
 		if c.polls == 0 && parks == 0 {
 			t.Errorf("%s: no helper parked", c.name)
 		}
+	}
+}
+
+// tracedScript runs a traced partitioned model whose partitions keep one
+// beat, so events of different partitions, scheduled under different
+// layers, tie at every step; now and then a worker sleeps in a shared
+// section, under its own layer (whatever ran on the exclusive lane since
+// it suspended) and then under storage. workers == 0 runs it on the serial
+// kernel. It returns the attributed time per layer and the makespan.
+func tracedScript(t *testing.T, nparts, workers int) ([trace.NumLayers]float64, float64) {
+	t.Helper()
+	k := NewKernel()
+	if workers > 0 {
+		k.EnableSharding(nparts, workers, 1e-6, 5)
+	}
+	rec := trace.NewRecorder()
+	k.SetRecorder(rec)
+	for part := 0; part < nparts; part++ {
+		for w := 0; w < 2; w++ {
+			lay := trace.Layer(1 + (part+2*w)%(int(trace.NumLayers)-1))
+			k.GoPart(part, fmt.Sprintf("p%d.w%d", part, w), func(p *Proc) {
+				k.SetLayer(lay)
+				for i := 0; i < 400; i++ {
+					p.Sleep(3e-7)
+					if i%(5+part) == w {
+						p.EnterShared()
+						p.Sleep(1e-7)
+						k.SetLayer(trace.LayerStorage)
+						p.Sleep(1e-7)
+						k.SetLayer(lay)
+						p.ExitShared()
+					}
+				}
+			})
+		}
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var lt [trace.NumLayers]float64
+	for l := range lt {
+		lt[l] = rec.LayerTime(trace.Layer(l))
+	}
+	return lt, k.Now()
+}
+
+// TestShardedAttributionMatchesSerial pins that a traced partitioned run
+// charges simulated time to the layers the serial kernel charges it to,
+// exactly: lanes run one at a time under the kernel's one current layer,
+// a shared section resumes under the layer it suspended with, and the
+// lanes' advance logs replay in serial dispatch order — also at timestamp
+// ties across partitions and across origin-chain re-roots.
+func TestShardedAttributionMatchesSerial(t *testing.T) {
+	prev := chainRerootGoal
+	defer func() { chainRerootGoal = prev }()
+	ref, refNow := tracedScript(t, 4, 0)
+	var sum float64
+	for _, v := range ref {
+		sum += v
+	}
+	if math.Abs(sum-refNow) > 1e-12 {
+		t.Fatalf("serial attribution %v does not sum to the makespan %v", sum, refNow)
+	}
+	for _, goal := range []uint64{prev, 0, 8} {
+		chainRerootGoal = goal
+		for _, workers := range []int{1, 4} {
+			if got, _ := tracedScript(t, 4, workers); got != ref {
+				t.Errorf("goal=%d workers=%d: attribution %v, serial %v", goal, workers, got, ref)
+			}
+		}
+	}
+}
+
+// TestShardedTracedRunsOneWorker pins when the one-worker rule for traced
+// runs applies: at run start, so a recorder attached after EnableSharding
+// still keeps every lane on the coordinator. Lanes write the recorder, so
+// under -race a helper running one concurrently would be reported.
+func TestShardedTracedRunsOneWorker(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	k := NewKernel()
+	k.EnableSharding(4, 4, 1e-6, 9)
+	rec := trace.NewRecorder()
+	k.SetRecorder(rec)
+	helpers := -1
+	for part := 0; part < 4; part++ {
+		k.GoPart(part, fmt.Sprintf("p%d", part), func(p *Proc) {
+			for i := 0; i < 200; i++ {
+				p.Sleep(1e-7)
+				p.Rec().Add(trace.LayerKernel, "lane.steps", 1)
+				if i%50 == 0 {
+					p.EnterShared()
+					helpers = max(helpers, len(k.sh.crew.helpers))
+					p.ExitShared()
+				}
+			}
+		})
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if helpers != 0 {
+		t.Fatalf("traced run spawned %d helpers, want 0", helpers)
+	}
+	if st, _ := k.ShardStats(); st.ParallelWindows == 0 {
+		t.Fatalf("no window had more than one lane: %+v", st)
+	}
+	if m := rec.Snapshot("", k.Now()); len(m.Counters) != 1 || m.Counters[0].Value != 800 {
+		t.Fatalf("lane counter %+v, want 800", m.Counters)
 	}
 }

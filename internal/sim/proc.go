@@ -29,11 +29,7 @@ type Proc struct {
 
 // Go spawns fn as a new process starting at the current simulation time.
 // fn runs entirely inside the simulation; when it returns the process ends.
-func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name}
-	k.reg = append(k.reg, p)
-	return k.start(p, fn)
-}
+func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc { return k.GoPart(-1, name, fn) }
 
 // Fire implements Hook so a *Proc can sit directly in an event. The dispatch
 // loops recognize processes by type assertion and hand them the baton instead
@@ -77,14 +73,15 @@ func (p *Proc) OnLane() bool {
 	return p.part != nil && p.part.active
 }
 
-// Rec returns the trace recorder this process's model code must emit to:
-// its partition's recorder in sharded mode, the kernel's otherwise. Nil
-// when tracing is off.
-func (p *Proc) Rec() *trace.Recorder {
+// Rec returns the kernel's trace recorder, nil when tracing is off.
+func (p *Proc) Rec() *trace.Recorder { return p.k.rec }
+
+// home returns the lane p belongs to: its partition's, or the kernel's own.
+func (p *Proc) home() *lane {
 	if p.part != nil {
-		return p.k.PartRecorder(p.part.idx)
+		return &p.part.lane
 	}
-	return p.k.rec
+	return &p.k.lane
 }
 
 // EnterShared marks the start of a code region that reads or writes state
@@ -110,7 +107,7 @@ func (p *Proc) EnterShared() {
 		return // already on the exclusive lane
 	}
 	pt.nsusp++
-	pt.pend = append(pt.pend, pendReq{t: pt.ctx.segT, node: pt.ctx.segNode(), nextIdx: pt.ctx.nextIdx, p: p})
+	pt.pend = append(pt.pend, pendReq{t: pt.ctx.segT, node: pt.ctx.segNode(), nextIdx: pt.ctx.nextIdx, layer: k.layer, p: p})
 	p.co.yield(nil)
 }
 
@@ -144,69 +141,45 @@ func (p *Proc) Sleep(d float64) {
 // SleepFast takes Sleep(d)'s fast path when it applies — the clock advances
 // in place and SleepFast returns true — and otherwise returns false having
 // changed nothing, leaving the caller to schedule its own resume.
+//
+// On a lane the fast path may advance the lane clock when no local event
+// precedes the wake-up and the wake-up time stays strictly below the
+// window bound. Elsewhere it must clear every calendar: on the partitioned
+// kernel the shared head, pending sections and all partition heads —
+// exactly the serial kernel's single-calendar check, split across shards.
+// On the partitioned kernel the elided resume still opens a new
+// origin-chain segment (ctx.elide): if the process later suspends into a
+// shared section, it must do so at the key its resume would have held —
+// not at the stale origin of a sleep it skipped — or the exclusive lane
+// would run the section out of global order.
 func (p *Proc) SleepFast(d float64) bool {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative sleep %v", d))
 	}
 	k := p.k
-	if k.sh != nil {
-		return p.sleepFastSharded(d)
-	}
+	ln := &k.lane
 	t := k.now + d
-	if t > k.horizon {
+	if p.OnLane() {
+		ln = &p.part.lane
+		t = ln.now + d
+		if t >= p.part.bound.t {
+			return false
+		}
+	} else if t > k.horizon || k.sh != nil && k.frontier() <= t {
 		return false
 	}
-	if next, ok := k.cal.peek(); ok && next.t <= t {
+	if next, ok := ln.cal.peek(); ok && next.t <= t {
 		return false
 	}
-	if k.rec != nil && t > k.now {
+	if k.sh != nil {
+		ln.ctx.elide(t)
+	}
+	if k.rec != nil {
 		// The elided handoff advances the clock without an event; attribute
 		// it to the layer that would have tagged one.
-		k.rec.Advance(k.layer, k.now, t)
+		k.advance(ln, k.layer, t)
 	}
-	k.now = t
-	return true
-}
-
-// sleepFastSharded is SleepFast for the partitioned kernel, with the fast
-// path adapted to the context the process runs in.
-func (p *Proc) sleepFastSharded(d float64) bool {
-	k := p.k
-	if pt := p.part; pt != nil && pt.active {
-		// Lane context: the fast path may advance the lane clock when no
-		// local event precedes the wake-up and the wake-up time stays
-		// strictly below the window bound. The elided resume still opens a
-		// new origin-chain segment (ctx.elide): if the process later
-		// suspends into a shared section, it must do so at the key its
-		// resume would have held — not at the stale origin of a sleep it
-		// skipped — or the exclusive lane would run the section out of
-		// global order.
-		t := pt.now + d
-		if t >= pt.bound.t {
-			return false
-		}
-		if next, ok := pt.cal.peek(); ok && next.t <= t {
-			return false
-		}
-		pt.ctx.elide(t)
-		if k.rec != nil && t > pt.now {
-			pt.advLog = append(pt.advLog, advRec{t: t, layer: pt.layer})
-		}
-		pt.now = t
-		return true
-	}
-	// Exclusive context: the fast path must clear every calendar — the
-	// shared head, pending sections, and all partition heads — exactly
-	// the serial kernel's single-calendar check, split across shards.
-	t := k.now + d
-	if t > k.horizon || !k.noEarlierExclusive(t) {
-		return false
-	}
-	k.ctx.elide(t)
-	if k.rec != nil && t > k.now {
-		k.advLog = append(k.advLog, advRec{t: t, layer: k.layer})
-	}
-	k.now = t
+	ln.now = t
 	if p.part != nil && t > p.part.now {
 		p.part.now = t
 	}
@@ -232,17 +205,14 @@ func (p *Proc) Park() {
 	handoff(p, p.k.nextFor(p, p))
 }
 
-// setParked moves p in or out of its context's parked count.
+// setParked moves p in or out of its lane's parked count.
 func (p *Proc) setParked(on bool) {
 	p.parked = on
-	n := &p.k.nparked
-	if p.part != nil {
-		n = &p.part.nparked
-	}
+	ln := p.home()
 	if on {
-		*n++
+		ln.nparked++
 	} else {
-		*n--
+		ln.nparked--
 	}
 }
 

@@ -44,20 +44,22 @@ func TestDisabledTracingAllocFree(t *testing.T) {
 // TestEnabledTracingAttributes is the control for the test above: the
 // same workload with a recorder installed must attribute every clock
 // advance, proving the nil check is the only thing separating the paths.
+// Dispatched counts every dispatch, traced or not.
 func TestEnabledTracingAttributes(t *testing.T) {
-	k := NewKernel()
-	rec := trace.NewRecorder()
-	k.SetRecorder(rec)
-	h := &tickHook{k: k, dt: 1e-6, remaining: 1000}
-	k.AtHook(h.dt, h)
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := rec.AttributedTotal(); got == 0 {
-		t.Fatal("recorder attributed no time with tracing enabled")
-	}
-	if k.Dispatched() != 1000 {
-		t.Fatalf("dispatched %d events, want 1000", k.Dispatched())
+	for _, rec := range []*trace.Recorder{trace.NewRecorder(), nil} {
+		k := NewKernel()
+		k.SetRecorder(rec)
+		h := &tickHook{k: k, dt: 1e-6, remaining: 1000}
+		k.AtHook(h.dt, h)
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if rec != nil && rec.AttributedTotal() == 0 {
+			t.Fatal("recorder attributed no time with tracing enabled")
+		}
+		if k.Dispatched() != 1000 {
+			t.Fatalf("traced=%v: dispatched %d events, want 1000", rec != nil, k.Dispatched())
+		}
 	}
 }
 

@@ -63,24 +63,10 @@ func (r *Recorder) Snapshot(label string, makespan float64) Metrics {
 	for l := Layer(0); l < NumLayers; l++ {
 		m.Layers = append(m.Layers, LayerTime{Layer: l.String(), Seconds: r.LayerTime(l)})
 	}
-	keys := append([]spanKey(nil), r.counterOrder...)
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].layer != keys[j].layer {
-			return keys[i].layer < keys[j].layer
-		}
-		return keys[i].name < keys[j].name
-	})
-	for _, k := range keys {
+	for _, k := range sortedKeys(r.counters) {
 		m.Counters = append(m.Counters, CounterStat{Layer: k.layer.String(), Name: k.name, Value: r.counters[k]})
 	}
-	keys = append(keys[:0], r.spanOrder...)
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].layer != keys[j].layer {
-			return keys[i].layer < keys[j].layer
-		}
-		return keys[i].name < keys[j].name
-	})
-	for _, k := range keys {
+	for _, k := range sortedKeys(r.spans) {
 		st := r.spans[k]
 		m.Spans = append(m.Spans, SpanRow{
 			Layer: k.layer.String(), Name: k.name,
@@ -89,6 +75,21 @@ func (r *Recorder) Snapshot(label string, makespan float64) Metrics {
 		})
 	}
 	return m
+}
+
+// sortedKeys returns m's keys ordered by (layer, name).
+func sortedKeys[V any](m map[spanKey]V) []spanKey {
+	keys := make([]spanKey, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].layer != keys[j].layer {
+			return keys[i].layer < keys[j].layer
+		}
+		return keys[i].name < keys[j].name
+	})
+	return keys
 }
 
 // Table renders the metrics as aligned text: the attributed-time split

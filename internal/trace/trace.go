@@ -189,11 +189,8 @@ type Recorder struct {
 
 	layerTime [NumLayers]kacc
 
-	spans     map[spanKey]*SpanStat
-	spanOrder []spanKey
-
-	counters     map[spanKey]int64
-	counterOrder []spanKey
+	spans    map[spanKey]*SpanStat
+	counters map[spanKey]int64
 
 	// tenants/tenantAggs drive per-tenant span attribution in multi-tenant
 	// sessions (see tenant.go); nil — costing one pointer compare per
@@ -253,7 +250,6 @@ func (r *Recorder) spanStat(l Layer, name string) *SpanStat {
 		}
 		st = &SpanStat{}
 		r.spans[k] = st
-		r.spanOrder = append(r.spanOrder, k)
 	}
 	return st
 }
@@ -287,14 +283,10 @@ func (r *Recorder) Add(l Layer, name string, delta int64) {
 }
 
 func (r *Recorder) bump(l Layer, name string, delta int64) {
-	k := spanKey{l, name}
-	if _, ok := r.counters[k]; !ok {
-		if r.counters == nil {
-			r.counters = make(map[spanKey]int64)
-		}
-		r.counterOrder = append(r.counterOrder, k)
+	if r.counters == nil {
+		r.counters = make(map[spanKey]int64)
 	}
-	r.counters[k] += delta
+	r.counters[spanKey{l, name}] += delta
 }
 
 // Advance attributes a clock advance [from, to] of the simulation to a
