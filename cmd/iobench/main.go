@@ -114,7 +114,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", d.Name, err)
 			os.Exit(1)
 		}
-		fmt.Printf("(%s wall)\n\n", time.Since(t0).Round(time.Millisecond))
+		fmt.Printf("(%s)\n\n", hostCost(time.Since(t0)))
 	}
 
 	if c.metrics && tc != nil {
@@ -129,6 +129,17 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "trace: wrote %s (load at ui.perfetto.dev or chrome://tracing)\n", c.traceOut)
 	}
+}
+
+// hostCost renders what an experiment cost the host: its wall time and the
+// process's peak RSS so far, e.g. "3.9s wall, 569 MB peak RSS". The line
+// always contains "wall", so output diffs drop it with grep -v wall.
+func hostCost(wall time.Duration) string {
+	s := wall.Round(time.Millisecond).String() + " wall"
+	if rss := perf.PeakRSS(); rss > 0 {
+		s += fmt.Sprintf(", %d MB peak RSS", rss>>20)
+	}
+	return s
 }
 
 // resolve validates the command line before any simulation is built and

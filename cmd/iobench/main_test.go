@@ -3,8 +3,10 @@ package main
 import (
 	"errors"
 	"flag"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/bbuf"
 	"repro/internal/cluster"
@@ -145,5 +147,17 @@ func TestValidateLifecycleFlags(t *testing.T) {
 					c.epochs, c.work, c.set, err, c.wantErr)
 			}
 		})
+	}
+}
+
+// TestHostCostLine pins the per-experiment cost line: it carries "wall",
+// which every output diff greps away, and on Linux the peak RSS.
+func TestHostCostLine(t *testing.T) {
+	got := hostCost(3940 * time.Millisecond)
+	if !strings.HasPrefix(got, "3.94s wall") {
+		t.Errorf("cost line %q, want it to start with %q", got, "3.94s wall")
+	}
+	if runtime.GOOS == "linux" && !strings.HasSuffix(got, " MB peak RSS") {
+		t.Errorf("cost line %q lacks the peak RSS", got)
 	}
 }

@@ -378,10 +378,12 @@ func (pl *rbPlan) commitIndependent(env *Env, r *mpi.Rank, cp *Checkpoint, chunk
 	env.log(r.ID(), iolog.OpWrite, t1, r.Now(), hdr.HeaderSize())
 
 	// Consecutive field blocks are contiguous in the file, so buffered
-	// fields flush as one large write — the nf=ng advantage.
+	// fields flush as one large write — the nf=ng advantage. run holds at
+	// most every field's block header and gs chunks.
+	gs := pl.group.Size()
 	var (
 		runStart = int64(-1)
-		run      []data.Buf
+		run      = make([]data.Buf, 0, len(cp.Fields)*(gs+1))
 		buffered int64
 	)
 	flush := func() error {

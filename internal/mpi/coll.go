@@ -208,7 +208,13 @@ func (st *coll) gatherPass() (collStatus, float64) {
 			if st.pass > 0 {
 				v = st.v1
 			}
-			st.ival = append(make([]int64, 0, 2), v)
+			// Sized to the region the node ends up owning, so folding its
+			// children's runs never regrows it.
+			region := n
+			if st.vrank != 0 {
+				region = min(st.vrank&-st.vrank, n-st.vrank)
+			}
+			st.ival = append(make([]int64, 0, region), v)
 		}
 	}
 	for st.mask < n {
@@ -244,6 +250,9 @@ func (st *coll) gatherPass() (collStatus, float64) {
 	if bytes {
 		st.bval = slices.Clip(st.bval)
 		return collNext, 0
+	}
+	if st.root == 0 {
+		return collNext, 0 // virtual ranks are the ranks
 	}
 	out := make([]int64, n)
 	for i, v := range st.ival {

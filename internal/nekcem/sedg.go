@@ -309,7 +309,7 @@ func (s *State) ChunkBytes() int64 {
 // one block per field component, each carrying PayloadFactor words per
 // point (value first, auxiliary payload after).
 func (s *State) Checkpoint() *ckpt.Checkpoint {
-	cp := &ckpt.Checkpoint{Step: s.step, SimTime: s.time}
+	cp := &ckpt.Checkpoint{Step: s.step, SimTime: s.time, Fields: make([]ckpt.Field, 0, NumFields)}
 	for f, name := range FieldNames {
 		var buf data.Buf
 		if s.synth {

@@ -32,13 +32,16 @@ import (
 // Pop order is the global (t, seq&seqMask) order, the exact order a binary
 // heap yields, so simulated results are bit-identical by construction.
 //
-// Buckets store events by value and keep their capacity when drained, so
-// steady-state churn allocates nothing; a drained bucket far larger than
-// the queue's live population is released (see keep).
+// Every list of events — cur and each b[j] — is a FIFO chain of fixed-size
+// blocks (see calList), so no storage ever grows by copying. Blocks come
+// from, and drained ones return to, a free list owned by the calendar: a
+// refill hands the drained bucket's blocks to the buckets it fills. Each
+// list keeps its last block when it empties, so a sparse calendar moves no
+// block for a push or pop, and steady-state churn allocates nothing.
 type calQueue struct {
-	cur  []event     // events at the base time, seq order, live from head on
-	head int         // next event of cur to pop
-	b    [64][]event // b[j]: keys whose highest bit differing from base is j
+	cur  calList     // events at the base time, seq order
+	b    [64]calList // b[j]: keys whose highest bit differing from base is j
+	free *calBlock   // drained blocks, linked through next
 	full uint64      // bit j set when b[j] is non-empty
 	base uint64      // key of the last popped time
 	n    int         // events queued
@@ -51,11 +54,43 @@ type calQueue struct {
 	hasMin bool
 }
 
+// calBlockLen is the number of events in one calendar block: 64 events of
+// 48 bytes, 3 KB.
+const calBlockLen = 64
+
+// calBlock is one fixed-size run of a calendar list's storage.
+type calBlock struct {
+	ev   [calBlockLen]event
+	next *calBlock // the list's next block, or the free list's
+}
+
+// calList is a FIFO chain of blocks holding head.ev[lo:], every block after
+// head, and tail.ev[:hi] — head.ev[lo:hi] when head == tail. Only cur pops
+// from its head; a bucket drains whole, so its lo stays 0. A list that
+// empties keeps its tail block and fills it again from the start. Slots
+// are indexed modulo calBlockLen, which costs a mask and spares the
+// bounds check.
+type calList struct {
+	head, tail *calBlock
+	lo, hi     uint
+}
+
+func (l *calList) empty() bool { return l.lo == l.hi && l.head == l.tail }
+
+// span returns the live events of blk, one of l's blocks.
+func (l *calList) span(blk *calBlock) []event {
+	lo, hi := uint(0), uint(calBlockLen)
+	if blk == l.head {
+		lo = l.lo
+	}
+	if blk == l.tail {
+		hi = l.hi
+	}
+	return blk.ev[lo:hi]
+}
+
 // infKey is the key of +Inf, the largest time a calendar accepts.
 const infKey = 0x7ff << 52
-
-// calKeepCap is the capacity a drained bucket may always keep.
-const calKeepCap = 256
 
 // timeKey maps an event time to its radix key. -0.0 and +0.0 are the same
 // time, so both map to key 0; the event itself keeps its t.
@@ -74,15 +109,20 @@ func (c *calQueue) len() int { return c.n }
 // re-stamp origin chains in place; callers must never mutate t or seq, so
 // the calendar's internal (t, seq) order is unaffected.
 func (c *calQueue) forEach(fn func(*event)) {
-	for i := c.head; i < len(c.cur); i++ {
-		fn(&c.cur[i])
-	}
+	c.cur.forEach(fn)
 	for j := range c.b {
-		for i := range c.b[j] {
-			fn(&c.b[j][i])
-		}
+		c.b[j].forEach(fn)
 	}
 	c.hasMin = false // the cached copy holds the old parent/idx
+}
+
+func (l *calList) forEach(fn func(*event)) {
+	for blk := l.head; blk != nil; blk = blk.next {
+		evs := l.span(blk)
+		for i := range evs {
+			fn(&evs[i])
+		}
+	}
 }
 
 // eventLess orders by (time, scheduling order). The top bits of seq carry
@@ -105,38 +145,65 @@ func (c *calQueue) push(ev event) {
 		c.min = ev
 	}
 	if k == c.base {
-		if c.head > 0 && len(c.cur) == cap(c.cur) && 2*c.head >= len(c.cur) {
-			// Full, and at least half of it already popped: slide the live
-			// run to the front instead of growing.
-			n := copy(c.cur, c.cur[c.head:])
-			clear(c.cur[n:])
-			c.cur, c.head = c.cur[:n], 0
-		}
-		c.cur = append(c.cur, ev)
+		*c.slot(&c.cur) = ev
 		return
 	}
 	j := bits.Len64(k^c.base) - 1
-	c.b[j] = append(c.b[j], ev)
+	*c.slot(&c.b[j]) = ev
 	c.full |= 1 << j
+}
+
+// slot returns the next free slot at the end of l, which must belong to c.
+// Callers store the event straight into it.
+func (c *calQueue) slot(l *calList) *event {
+	if l.hi == calBlockLen || l.tail == nil {
+		c.grow(l)
+	}
+	l.hi++
+	return &l.tail.ev[(l.hi-1)%calBlockLen]
+}
+
+// grow links a block from the free list, or a new one, after l's tail.
+func (c *calQueue) grow(l *calList) {
+	blk := c.free
+	if blk != nil {
+		c.free, blk.next = blk.next, nil
+	} else {
+		blk = new(calBlock)
+	}
+	if l.tail == nil {
+		l.head = blk
+	} else {
+		l.tail.next = blk
+	}
+	l.tail, l.hi = blk, 0
+}
+
+// release puts a drained block on the free list.
+func (c *calQueue) release(blk *calBlock) {
+	blk.next, c.free = c.free, blk
 }
 
 // peek returns the global (t, seq) minimum without removing it.
 func (c *calQueue) peek() (event, bool) {
-	if c.head < len(c.cur) {
-		return c.cur[c.head], true
+	if !c.cur.empty() {
+		return c.cur.head.ev[c.cur.lo%calBlockLen], true
 	}
 	if c.n == 0 {
 		return event{}, false
 	}
 	if !c.hasMin {
-		lo := c.b[bits.TrailingZeros64(c.full)]
-		c.min = lo[0]
-		for _, ev := range lo[1:] {
-			if eventLess(ev, c.min) {
-				c.min = ev
+		lo := &c.b[bits.TrailingZeros64(c.full)]
+		m := &lo.head.ev[0]
+		for blk := lo.head; blk != nil; blk = blk.next {
+			evs := lo.span(blk)
+			for i := range evs {
+				if eventLess(evs[i], *m) {
+					m = &evs[i]
+				}
 			}
 		}
-		c.hasMin = true
+		c.min, c.hasMin = *m, true
 	}
 	return c.min, true
 }
@@ -144,18 +211,36 @@ func (c *calQueue) peek() (event, bool) {
 // pop removes and returns the global (t, seq) minimum. Callers guarantee the
 // queue is non-empty.
 func (c *calQueue) pop() event {
-	if c.head == len(c.cur) {
+	if c.cur.empty() {
 		c.refill()
 	}
-	ev := c.cur[c.head]
-	c.cur[c.head] = event{} // clear the slot so the hook can be collected
-	c.head++
-	c.n--
-	if c.head == len(c.cur) {
-		c.cur, c.head = c.keep(c.cur[:0]), 0
+	blk := c.cur.head
+	i := c.cur.lo % calBlockLen
+	ev := blk.ev[i]
+	blk.ev[i] = event{} // clear the slot so the hook can be collected
+	c.cur.lo++
+	if c.cur.lo == c.cur.hi || c.cur.lo == calBlockLen {
+		c.nextBlock()
 	}
+	c.n--
 	c.hasMin = false
 	return ev
+}
+
+// nextBlock steps cur past a used-up head block, to the next block, or
+// rewinds cur to the start of the block it keeps when it has emptied.
+func (c *calQueue) nextBlock() {
+	blk := c.cur.head
+	if blk == c.cur.tail {
+		if c.cur.lo == c.cur.hi {
+			c.cur.lo, c.cur.hi = 0, 0
+		}
+		return
+	}
+	if c.cur.lo == calBlockLen {
+		c.cur.head, c.cur.lo = blk.next, 0
+		c.release(blk)
+	}
 }
 
 // refill moves the base to the earliest queued time and redistributes the
@@ -164,41 +249,39 @@ func (c *calQueue) pop() event {
 //
 // cur comes out in seq order without a sort. Events of one time share a
 // key, so they always share a bucket; a push appends the largest seq yet,
-// and a refill moves a bucket's events in their slice order into buckets
+// and a refill moves a bucket's events in their list order into buckets
 // that held none of that time. Within every bucket, then, the events of
 // each time are a seq-ordered subsequence.
+//
+// Each drained block except the bucket's last goes to the free list at
+// once, so the lists being filled reuse it within the same refill.
 func (c *calQueue) refill() {
 	j := bits.TrailingZeros64(c.full)
-	src := c.b[j]
-	if c.hasMin {
-		c.base = timeKey(c.min.t)
-	} else {
-		c.base = timeKey(src[0].t)
-		for _, ev := range src[1:] {
-			c.base = min(c.base, timeKey(ev.t))
-		}
+	src := &c.b[j]
+	if !c.hasMin {
+		c.peek()
 	}
+	c.base = timeKey(c.min.t)
 	c.full &^= 1 << j
-	for _, ev := range src {
-		k := timeKey(ev.t)
-		if k == c.base {
-			c.cur = append(c.cur, ev)
-			continue
+	for blk := src.head; ; {
+		evs := src.span(blk)
+		for i := range evs {
+			k := timeKey(evs[i].t)
+			if k == c.base {
+				*c.slot(&c.cur) = evs[i]
+				continue
+			}
+			d := bits.Len64(k^c.base) - 1
+			*c.slot(&c.b[d]) = evs[i]
+			c.full |= 1 << d
 		}
-		i := bits.Len64(k^c.base) - 1
-		c.b[i] = append(c.b[i], ev)
-		c.full |= 1 << i
+		clear(evs)
+		if blk == src.tail {
+			break
+		}
+		next := blk.next
+		c.release(blk)
+		blk = next
 	}
-	clear(src)
-	c.b[j] = c.keep(src[:0])
-}
-
-// keep returns a drained bucket for reuse, or nil when its capacity is far
-// above the live population: after a wave of tens of thousands of events
-// drains, its buckets must not pin that memory for the rest of the run.
-func (c *calQueue) keep(s []event) []event {
-	if cap(s) > calKeepCap && cap(s) > 4*c.n {
-		return nil
-	}
-	return s
+	src.head, src.hi = src.tail, 0
 }

@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -21,12 +24,20 @@ func popAll(t *testing.T, c *calQueue) []event {
 	return out
 }
 
-// capacity sums the slots the calendar holds allocated, live or not.
-func (c *calQueue) capacity() int {
-	n := cap(c.cur)
-	for _, b := range c.b {
-		n += cap(b)
+// slots counts the event slots the calendar holds in blocks: its lists'
+// and its free list's.
+func (c *calQueue) slots() int {
+	n := 0
+	count := func(blk *calBlock) {
+		for ; blk != nil; blk = blk.next {
+			n += calBlockLen
+		}
 	}
+	count(c.cur.head)
+	for j := range c.b {
+		count(c.b[j].head)
+	}
+	count(c.free)
 	return n
 }
 
@@ -119,33 +130,117 @@ func TestCalQueueSameTimestampFIFO(t *testing.T) {
 	}
 }
 
-// TestCalQueueShrinkAfterWave checks that the calendar releases a wave's
-// capacity once it drains: a barrier releasing 10000 ranks at the current
-// instant must not pin 10000 slots for the rest of the run. A sparse tail
-// still orders correctly afterwards.
-func TestCalQueueShrinkAfterWave(t *testing.T) {
+// calWave releases a barrier of 10,000 ranks at 1+r/1024 and drains what it
+// schedules: ties at the barrier instant and later wakeups in runs of about
+// 160 events at one time, longer than a block, all before the next wave's
+// barrier. The barrier's low mantissa bits are zero, so every wave files
+// into the buckets the same way; only the barrier event itself lands in a
+// bucket that depends on r (on the trailing zeros of r). It returns the
+// number of events the wave held at its peak.
+func calWave(t *testing.T, c *calQueue, r int, seq *uint64) int {
+	at := 1 + float64(r)*0x1p-10
+	*seq++
+	c.push(event{t: at, seq: *seq})
+	c.pop() // the barrier's last arrival: the clock is now at
+	for i := 0; i < 10000; i++ {
+		*seq++
+		f := float64(i%61)/61 + float64(i%3)*0x1p-40
+		c.push(event{t: at + f*0x1p-11, seq: *seq})
+	}
+	peak := c.len()
+	last := event{t: at}
+	for c.len() > 0 {
+		ev := c.pop()
+		if ev.t < last.t || ev.t == last.t && ev.seq < last.seq {
+			t.Fatalf("wave %d: pop %v after %v", r, ev, last)
+		}
+		last = ev
+	}
+	return peak
+}
+
+// mallocs reports the heap allocations fn makes.
+func mallocs(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestCalQueueWaveReusesBlocks pins the calendar's storage contract: a
+// drained wave's blocks stay on the free list for the next wave, so a
+// repeated identical wave allocates nothing, and what the calendar keeps
+// afterwards is bounded by the wave's peak rounded up to whole blocks plus
+// the one block each list keeps.
+func TestCalQueueWaveReusesBlocks(t *testing.T) {
+	var c calQueue
+	var seq uint64
+	peak := calWave(t, &c, 1, &seq)
+	lists := 1 + len(c.b)
+	bound := (peak+calBlockLen-1)/calBlockLen*calBlockLen + lists*calBlockLen
+	if got := c.slots(); got > bound {
+		t.Errorf("%d slots kept after a %d-event wave drained, want <= %d", got, peak, bound)
+	}
+	// By wave 8 every list waves 9..15 use holds the block it keeps
+	// (wave r's barrier files by the trailing zeros of r).
+	for r := 2; r <= 8; r++ {
+		calWave(t, &c, r, &seq)
+	}
+	if n := mallocs(func() {
+		for r := 9; r <= 15; r++ {
+			calWave(t, &c, r, &seq)
+		}
+	}); n != 0 {
+		t.Errorf("repeated waves allocate: %d allocs over 7 waves", n)
+	}
+	if got := c.slots(); got > bound {
+		t.Errorf("%d slots kept after 15 waves, want <= %d", got, bound)
+	}
+}
+
+// TestCalQueueSparseChurnKeepsBlocks checks the sparse end: alternating
+// push and pop with one event queued — a lone process sleeping — moves no
+// block. Each list reuses the block it keeps when it empties, so after a
+// warm-up nothing is allocated and the free list stays empty.
+func TestCalQueueSparseChurnKeepsBlocks(t *testing.T) {
 	var c calQueue
 	c.push(event{t: 1, seq: 1})
-	c.pop() // the barrier's last arrival: the clock is now 1
-	seq := uint64(1)
-	for i := 0; i < 10000; i++ {
-		seq++
-		c.push(event{t: 1, seq: seq})
-	}
-	for i := 0; i < 9990; i++ {
+	c.pop()
+	// The k-th push lands in bucket 32+tz(k); the warm-up reaches every
+	// bucket the measured steps use.
+	k := uint64(1)
+	step := func() {
+		k++
+		c.push(event{t: 1 + float64(k)*0x1p-20, seq: k})
 		c.pop()
 	}
-	if got := c.capacity(); got < 10000 {
-		t.Fatalf("capacity %d while the wave drains, want >= 10000", got)
+	for k < 4096 {
+		step()
 	}
-	seq++
-	c.push(event{t: 100, seq: seq})
-	out := popAll(t, &c)
-	if out[len(out)-1].t != 100 {
-		t.Fatalf("tail event lost: last pop %v", out[len(out)-1])
+	var heads [65]*calBlock
+	heads[0] = c.cur.head
+	for j := range c.b {
+		heads[j+1] = c.b[j].head
 	}
-	if got := c.capacity(); got > calKeepCap {
-		t.Errorf("capacity %d after the wave drained, want <= %d", got, calKeepCap)
+	slots := c.slots()
+	if n := mallocs(func() {
+		for i := 0; i < 1000; i++ {
+			step()
+		}
+	}); n != 0 {
+		t.Errorf("sparse churn allocates: %d allocs over 1000 push/pops", n)
+	}
+	if c.free != nil || c.slots() != slots {
+		t.Errorf("sparse churn moved blocks: free list %p, %d slots (was %d)", c.free, c.slots(), slots)
+	}
+	if c.cur.head != heads[0] {
+		t.Errorf("cur changed blocks")
+	}
+	for j := range c.b {
+		if c.b[j].head != heads[j+1] {
+			t.Errorf("bucket %d changed blocks", j)
+		}
 	}
 }
 
@@ -307,6 +402,18 @@ func FuzzCalendar(f *testing.F) {
 	f.Add([]byte{0, 8, 0, 0, 0, 8, 3, 3, 3})                            // -0.0 and +0.0
 	f.Add([]byte{0, 0x24, 0, 0x2c, 2, 4, 2, 3, 3})                      // forEach after peek
 	f.Add([]byte{0, 0x7a, 0, 0x3b, 1, 0x7c, 3, 0, 0x0b, 4, 3, 3, 3})    // mixed scales
+	// Across block boundaries: a same-time run longer than a block filed
+	// in a bucket, refilled into cur; a multi-block bucket of mixed times
+	// refilled into cur and lower buckets; forEach over a multi-block cur
+	// after partial pops.
+	long := calBlockLen + 6
+	f.Add(slices.Concat(bytes.Repeat([]byte{0, 0xfc}, long), []byte{3, 3, 4, 2, 0, 0, 3}))
+	var mixed []byte
+	for i := 0; i < long; i++ {
+		mixed = append(mixed, 0, byte(16+i%16)<<3|4) // t in [16/31, 1]
+	}
+	f.Add(slices.Concat(mixed, []byte{2, 3, 4, 3, 2, 3}))
+	f.Add(slices.Concat(bytes.Repeat([]byte{0, 0}, long), bytes.Repeat([]byte{3}, 10), []byte{4, 2, 3, 3, 3, 3, 3}))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		var c calQueue
 		var ref []event // the queued events in (t, seq) order

@@ -36,10 +36,14 @@
 //
 // Chains grow one node per dispatch generation, so long runs re-root: when
 // the live node population passes chainRerootGoal, the coordinator (at a
-// quiescent point) collects every pending event and suspended section,
-// sorts them by their current keys, and re-stamps them as pre-run-style
-// root entries in rank order. Relative order is preserved by construction
-// and whole retired chains become garbage at once.
+// quiescent point) cuts every chain at the pending frontier G, the earliest
+// time anything is still pending. No later dispatch is earlier than G, so a
+// node before G is only ever compared with another node before G at its
+// own time; the cut replaces each such node still referenced by a root
+// proxy carrying its time and its rank among them, and the history above
+// it becomes garbage at once. Nodes at or after G keep their genealogy:
+// lanes run ahead of G inside windows, and what they dispatched there may
+// still tie with dispatches to come.
 package sim
 
 import (
@@ -181,48 +185,69 @@ func (k *Kernel) chainMade() (n uint64) {
 	return n
 }
 
-// rerootChains re-stamps every pending event and suspended shared section
-// as a root-level entry, ranked by its current (t, genealogy) key, and
-// drops all chain history. Must run at a coordinator-quiescent point: no
-// lane active, no process holding the baton, no advance record awaiting
-// its replay (it orders by the genealogy dropped here). Safe because
-// (a) rank order reproduces key order, so every cross-calendar comparison
-// is preserved; (b) calendar-internal (t, seq) orders are untouched;
-// (c) every context re-begins from a (re-stamped) dispatch or adoption
-// before its next insert, so no stale segment state survives.
+// rerootChains cuts every origin chain at the pending frontier g and
+// drops the history before it. Every holder of a chain — pending events,
+// suspended shared sections, the contexts' segments — is re-pointed: a
+// node at or after g stays as it is, with its parent re-pointed in turn,
+// and a node before g is replaced by a root proxy {nil, t, rank}, rank
+// its place among the replaced nodes in (t, genealogy) order. Every
+// comparison keyLess can still make is unchanged: a dispatch to come is
+// at or after g, so any comparison that climbs to a node before g meets
+// another node before g at the same time, which is a proxy as well, and
+// the ranks order the two exactly as their chains did.
+//
+// Must run at a coordinator-quiescent point: no lane active, no process
+// holding the baton, no advance record awaiting its replay (records hold
+// chains too). Nodes before g are never mutated, so ranking them walks
+// intact chains.
 func (k *Kernel) rerootChains() {
 	sh := k.sh
-	type entry struct {
-		ev   *event   // pending calendar event, or
-		pend *pendReq // suspended shared section
-		key  event
-	}
-	var all []entry
-	collect := func(ev *event) {
-		all = append(all, entry{ev: ev, key: *ev})
-	}
-	k.eachLane(func(ln *lane) { ln.cal.forEach(collect) })
-	for i := range sh.pends {
-		p := &sh.pends[i]
-		all = append(all, entry{pend: p, key: event{t: p.t, parent: p.node.parent, idx: p.node.idx}})
-	}
-	sort.Slice(all, func(i, j int) bool { return keyLess(all[i].key, all[j].key) })
-	for rank, e := range all {
-		idx := uint64(rank) + 1 // keep the (nil, 0) sentinel first
-		if e.ev != nil {
-			e.ev.parent, e.ev.idx = nil, idx
-			continue
+	g := k.frontier()
+	lifted := map[*chainNode]*chainNode{}
+	var cut []*chainNode
+	var lift func(n *chainNode) *chainNode
+	lift = func(n *chainNode) *chainNode {
+		if n == nil {
+			return nil
 		}
-		// A suspended section keeps its node pointer identity (its earlier
-		// children were just re-rooted; later children need the same node),
-		// but the node becomes a root entry at its rank.
-		*e.pend.node = chainNode{parent: nil, t: e.pend.t, idx: idx}
+		if m, ok := lifted[n]; ok {
+			return m
+		}
+		if n.t >= g {
+			lifted[n] = n
+			n.parent = lift(n.parent)
+			return n
+		}
+		p := &chainNode{t: n.t}
+		lifted[n] = p
+		cut = append(cut, n)
+		return p
 	}
 	k.eachLane(func(ln *lane) {
-		ln.ctx.initRoot()
+		ln.cal.forEach(func(ev *event) { ev.parent = lift(ev.parent) })
+		if ln.ctx.haveSeg {
+			ln.ctx.seg = lift(ln.ctx.segNode())
+		}
 		ln.ctx.made = 0
 	})
-	k.ctx.nextIdx = uint64(len(all)) + 1
+	for i := range sh.pends {
+		sh.pends[i].node = lift(sh.pends[i].node)
+	}
+	sort.Slice(cut, func(i, j int) bool {
+		a, b := cut[i], cut[j]
+		if a.t != b.t {
+			return a.t < b.t
+		}
+		return chainLess(a.parent, a.idx, b.parent, b.idx)
+	})
+	for rank, n := range cut {
+		lifted[n].idx = uint64(rank)
+	}
+	k.eachLane(func(ln *lane) {
+		if ln.ctx.haveSeg {
+			ln.ctx.adopt(ln.ctx.seg, ln.ctx.nextIdx)
+		}
+	})
 	for _, pt := range sh.parts {
 		// The cached heap key holds a copy of the head's old stamp; times
 		// are unchanged, so refreshing it keeps the heap valid.

@@ -21,7 +21,9 @@ import (
 // workers keep the ticker's beat, so heads of different partitions and of
 // the exclusive lane meet at equal times and only genealogy orders them;
 // workers == 0 then runs the script on the serial kernel, the reference
-// order.
+// order. A tied partition also runs more workers than a calendar block
+// holds, so every beat is a same-time wave spanning two blocks of its
+// calendar, which re-roots re-stamp in place.
 func shardScript(t *testing.T, nparts, workers int, tied bool) (string, ShardStats, float64) {
 	t.Helper()
 	k := NewKernel()
@@ -77,7 +79,11 @@ func shardScript(t *testing.T, nparts, workers int, tied bool) (string, ShardSta
 				}
 			})
 		}
-		for w := 0; w < 3; w++ {
+		perPart := 3
+		if tied {
+			perPart = calBlockLen + 6
+		}
+		for w := 0; w < perPart; w++ {
 			w := w
 			k.GoPart(part, fmt.Sprintf("p%d.w%d", part, w), func(p *Proc) {
 				pause := func() float64 { return 3e-7 }
