@@ -16,7 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"repro/internal/iolog"
 	"repro/internal/table"
@@ -57,27 +56,20 @@ func main() {
 	}
 	log, err := iolog.ReadJSON(f)
 	f.Close()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	exitBad(err)
+	n := *ranks
+	if n == 0 {
+		n = log.Ranks()
 	}
+	times, err := log.PerRankTime(n)
+	exitBad(err)
+	bins, err := log.Activity(*dt, iolog.OpWrite)
+	exitBad(err)
 
 	s := log.Summarize()
 	fmt.Printf("trace: %d records, %.2f GB written, %.2f GB read, span [%.2f, %.2f] s, write bandwidth %.2f GB/s\n\n",
 		s.Ops, float64(s.BytesWritten)/1e9, float64(s.BytesRead)/1e9, s.FirstStart, s.LastEnd, s.Bandwidth/1e9)
 
-	n := *ranks
-	if n == 0 {
-		for _, rec := range log.Records {
-			if rec.Rank >= n {
-				n = rec.Rank + 1
-			}
-		}
-	}
-
-	times := log.PerRankTime(n)
-	sorted := append([]float64(nil), times...)
-	sort.Float64s(sorted)
 	qs := iolog.Quantiles(times, 0, 0.25, 0.5, 0.75, 0.95, 1)
 	fmt.Println("per-rank I/O time distribution (Figures 9-11 style):")
 	fmt.Println(table.Text(
@@ -90,7 +82,7 @@ func main() {
 
 	fmt.Println("write-activity timeline (Figure 12 style):")
 	rows := [][]string{}
-	for _, bin := range log.Activity(*dt, iolog.OpWrite) {
+	for _, bin := range bins {
 		rows = append(rows, []string{
 			fmt.Sprintf("%.2f", bin.T),
 			fmt.Sprint(bin.Writers),
@@ -98,4 +90,13 @@ func main() {
 		})
 	}
 	fmt.Println(table.Text([]string{"t (s)", "active writers", "MB/s"}, rows))
+}
+
+// exitBad exits 2 on a malformed log (iolog.ErrFormat) or a -ranks or -dt
+// out of range (iolog.ErrRange), before any output.
+func exitBad(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 }

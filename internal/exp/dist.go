@@ -140,8 +140,14 @@ func Fig12(o Options) ([]Fig12Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	rbAct := rb.Log.Activity(dt, iolog.OpWrite)
-	coAct := co.Log.Activity(dt, iolog.OpWrite)
+	rbAct, err := rb.Log.Activity(dt, iolog.OpWrite)
+	if err != nil {
+		return nil, err
+	}
+	coAct, err := co.Log.Activity(dt, iolog.OpWrite)
+	if err != nil {
+		return nil, err
+	}
 	n := len(rbAct)
 	if len(coAct) > n {
 		n = len(coAct)

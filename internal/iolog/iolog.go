@@ -9,10 +9,29 @@ package iolog
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"sort"
+)
+
+// ErrFormat reports a log ReadJSON rejects: undecodable JSON, or a record
+// no run writes (see Record.check).
+var ErrFormat = errors.New("iolog: malformed log")
+
+// ErrRange reports an analysis parameter out of range: a rank count
+// outside [0, MaxRanks], or a bin width that is not a positive finite
+// number or that would cut the timeline into more than MaxBins bins.
+var ErrRange = errors.New("iolog: parameter out of range")
+
+const (
+	// MaxRanks bounds a log's ranks: four times the largest run the
+	// simulator targets (2^20 ranks), and a 32 MB per-rank time vector.
+	MaxRanks = 1 << 22
+	// MaxBins bounds an activity timeline's bins: 2^16 bins are nine hours
+	// at the default half second.
+	MaxBins = 1 << 16
 )
 
 // Op classifies a logged operation.
@@ -67,6 +86,25 @@ type Record struct {
 	Bytes int64   `json:"bytes,omitempty"`
 }
 
+// check returns why no run could have logged r, nil when one could: its
+// rank lies in [0, MaxRanks), its times are finite, non-negative and
+// ordered, and its byte count is non-negative.
+func (r Record) check() error {
+	switch {
+	case r.Rank < 0 || r.Rank >= MaxRanks:
+		return fmt.Errorf("rank %d outside [0, %d)", r.Rank, MaxRanks)
+	case math.IsInf(r.Start, 0) || math.IsNaN(r.Start) || math.IsInf(r.End, 0) || math.IsNaN(r.End):
+		return fmt.Errorf("non-finite time [%v, %v]", r.Start, r.End)
+	case r.Start < 0:
+		return fmt.Errorf("negative start %v", r.Start)
+	case r.End < r.Start:
+		return fmt.Errorf("end %v before start %v", r.End, r.Start)
+	case r.Bytes < 0:
+		return fmt.Errorf("negative bytes %d", r.Bytes)
+	}
+	return nil
+}
+
 // Log accumulates records for one experiment.
 type Log struct {
 	Records []Record `json:"records"`
@@ -88,10 +126,24 @@ func (l *Log) Len() int {
 	return len(l.Records)
 }
 
+// Ranks returns one past the highest rank logged: the rank count of the
+// run that wrote the log.
+func (l *Log) Ranks() int {
+	n := 0
+	for _, r := range l.Records {
+		n = max(n, r.Rank+1)
+	}
+	return n
+}
+
 // PerRankTime returns each rank's total logged time (seconds), indexed by
 // rank, counting only the given ops (all ops if none given). This is the
-// quantity scattered in the paper's Figures 9-11.
-func (l *Log) PerRankTime(ranks int, ops ...Op) []float64 {
+// quantity scattered in the paper's Figures 9-11. A rank count outside
+// [0, MaxRanks] is an ErrRange error.
+func (l *Log) PerRankTime(ranks int, ops ...Op) ([]float64, error) {
+	if ranks < 0 || ranks > MaxRanks {
+		return nil, fmt.Errorf("%w: %d ranks, want [0, %d]", ErrRange, ranks, MaxRanks)
+	}
 	want := opSet(ops)
 	out := make([]float64, ranks)
 	for _, r := range l.Records {
@@ -100,7 +152,7 @@ func (l *Log) PerRankTime(ranks int, ops ...Op) []float64 {
 		}
 		out[r.Rank] += r.End - r.Start
 	}
-	return out
+	return out, nil
 }
 
 func opSet(ops []Op) [numOps]bool {
@@ -126,10 +178,12 @@ type ActivityBin struct {
 
 // Activity produces a Figure-12-style timeline: for each bin of width dt,
 // how many ranks were actively performing the given ops and how many bytes
-// moved. The timeline spans the records' full time range.
-func (l *Log) Activity(dt float64, ops ...Op) []ActivityBin {
-	if len(l.Records) == 0 || dt <= 0 {
-		return nil
+// moved. The timeline spans the records' full time range. A dt that is not
+// a positive finite number, or that needs more than MaxBins bins, is an
+// ErrRange error.
+func (l *Log) Activity(dt float64, ops ...Op) ([]ActivityBin, error) {
+	if !(dt > 0) || math.IsInf(dt, 1) {
+		return nil, fmt.Errorf("%w: bin width %v s, want a positive finite number", ErrRange, dt)
 	}
 	want := opSet(ops)
 	lo, hi := math.Inf(1), math.Inf(-1)
@@ -145,7 +199,10 @@ func (l *Log) Activity(dt float64, ops ...Op) []ActivityBin {
 		}
 	}
 	if hi <= lo {
-		return nil
+		return nil, nil
+	}
+	if (hi-lo)/dt >= MaxBins {
+		return nil, fmt.Errorf("%w: span %v s at %v s bins needs more than %d bins", ErrRange, hi-lo, dt, MaxBins)
 	}
 	n := int((hi-lo)/dt) + 1
 	bins := make([]ActivityBin, n)
@@ -174,7 +231,7 @@ func (l *Log) Activity(dt float64, ops ...Op) []ActivityBin {
 	for i := range bins {
 		bins[i].Writers = len(counts[i])
 	}
-	return bins
+	return bins, nil
 }
 
 // Summary aggregates a log.
@@ -234,11 +291,17 @@ func (l *Log) WriteJSON(w io.Writer) error {
 	return enc.Encode(l)
 }
 
-// ReadJSON deserializes a log.
+// ReadJSON deserializes a log. Undecodable input and a record no run could
+// have logged are ErrFormat errors.
 func ReadJSON(r io.Reader) (*Log, error) {
 	var l Log
 	if err := json.NewDecoder(r).Decode(&l); err != nil {
-		return nil, fmt.Errorf("iolog: decoding log: %w", err)
+		return nil, fmt.Errorf("%w: %w", ErrFormat, err)
+	}
+	for i, rec := range l.Records {
+		if err := rec.check(); err != nil {
+			return nil, fmt.Errorf("%w: record %d: %v", ErrFormat, i, err)
+		}
 	}
 	return &l, nil
 }

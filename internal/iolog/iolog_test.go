@@ -2,7 +2,9 @@ package iolog
 
 import (
 	"bytes"
+	"errors"
 	"math"
+	"os"
 	"strings"
 	"testing"
 )
@@ -19,7 +21,10 @@ func sampleLog() *Log {
 
 func TestPerRankTimeAllOps(t *testing.T) {
 	l := sampleLog()
-	times := l.PerRankTime(3)
+	times, err := l.PerRankTime(3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := []float64{2.5, 1.2, 0.1}
 	for i := range want {
 		if math.Abs(times[i]-want[i]) > 1e-12 {
@@ -30,7 +35,10 @@ func TestPerRankTimeAllOps(t *testing.T) {
 
 func TestPerRankTimeFiltered(t *testing.T) {
 	l := sampleLog()
-	times := l.PerRankTime(3, OpWrite)
+	times, err := l.PerRankTime(3, OpWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if times[0] != 2.0 || times[1] != 1.0 || times[2] != 0 {
 		t.Fatalf("filtered times %v", times)
 	}
@@ -38,8 +46,8 @@ func TestPerRankTimeFiltered(t *testing.T) {
 
 func TestActivityCountsConcurrentWriters(t *testing.T) {
 	l := sampleLog()
-	bins := l.Activity(1.0, OpWrite)
-	if len(bins) < 2 {
+	bins, err := l.Activity(1.0, OpWrite)
+	if err != nil || len(bins) < 2 {
 		t.Fatalf("bins %v", bins)
 	}
 	// In bin [0.5, ...) starting at t=0.5... bins start at lo=0.5 (first
@@ -205,4 +213,96 @@ func TestPercentile(t *testing.T) {
 	if Percentile(nil, 0.5) != 0 {
 		t.Fatal("empty percentile not zero")
 	}
+}
+
+// TestReadJSONRejectsMalformed pins that ReadJSON refuses, with ErrFormat,
+// undecodable input and every record no run could have logged.
+func TestReadJSONRejectsMalformed(t *testing.T) {
+	for _, in := range []string{
+		`{"records":[{"rank":4000000000000,"op":"write","start":0,"end":1}]}`,
+		`{"records":[{"rank":1e30,"op":"write","start":0,"end":1}]}`,
+		`{"records":[{"rank":-1,"op":"write","start":0,"end":1}]}`,
+		`{"records":[{"rank":0,"op":"write","start":-1,"end":1}]}`,
+		`{"records":[{"rank":0,"op":"write","start":2,"end":1}]}`,
+		`{"records":[{"rank":0,"op":"write","start":0,"end":1e400}]}`,
+		`{"records":[{"rank":0,"op":"write","start":0,"end":1,"bytes":-5}]}`,
+		`{"records":[{"rank":0,"op":"bogus","start":0,"end":1}]}`,
+		`{"records":[`,
+		`not json`,
+	} {
+		if _, err := ReadJSON(strings.NewReader(in)); !errors.Is(err, ErrFormat) {
+			t.Errorf("ReadJSON(%s) = %v, want ErrFormat", in, err)
+		}
+	}
+}
+
+// TestAnalysisRejectsOutOfRange pins ErrRange for a rank count or bin
+// width out of range, and for a span that needs more than MaxBins bins.
+func TestAnalysisRejectsOutOfRange(t *testing.T) {
+	l := sampleLog()
+	for _, ranks := range []int{-3, MaxRanks + 1} {
+		if _, err := l.PerRankTime(ranks); !errors.Is(err, ErrRange) {
+			t.Errorf("PerRankTime(%d) = %v, want ErrRange", ranks, err)
+		}
+	}
+	for _, dt := range []float64{0, -1, math.NaN(), math.Inf(1), 1e-300} {
+		if _, err := l.Activity(dt); !errors.Is(err, ErrRange) {
+			t.Errorf("Activity(%v) = %v, want ErrRange", dt, err)
+		}
+	}
+	long, err := ReadJSON(strings.NewReader(`{"records":[{"rank":0,"op":"write","start":0,"end":1e300}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := long.Activity(0.5, OpWrite); !errors.Is(err, ErrRange) {
+		t.Errorf("Activity over a 1e300 s span = %v, want ErrRange", err)
+	}
+	// The sample's writes span 2 s.
+	if bins, err := l.Activity(2.0/(MaxBins-1), OpWrite); err != nil || len(bins) > MaxBins {
+		t.Errorf("Activity at the bin cap: %d bins, %v", len(bins), err)
+	}
+}
+
+// FuzzReadJSON decodes arbitrary input and runs every analysis on what it
+// accepts: each step must fail with ErrFormat or ErrRange or complete, and
+// never panic. ranks 0 infers the rank count, as cmd/iolog does.
+func FuzzReadJSON(f *testing.F) {
+	nek, err := os.ReadFile("testdata/nekcem-np4-rbio.json") // nekcem -np 4 -ckpt rbio -steps 20 -log
+	if err != nil {
+		f.Fatal(err)
+	}
+	var sample bytes.Buffer
+	if err := sampleLog().WriteJSON(&sample); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(nek, 0, 0.5)
+	f.Add([]byte(`{"records":[{"rank":0,"op":"write","start":0,"end":1e300,"bytes":1}]}`), 0, 0.5)
+	f.Add([]byte(`{"records":[{"rank":4000000000000,"op":"write","start":0,"end":1}]}`), 0, 0.5)
+	f.Add(sample.Bytes(), -3, 0.5)
+	f.Add(sample.Bytes(), 0, math.NaN())
+	f.Add(sample.Bytes(), 0, 1e-300)
+	f.Fuzz(func(t *testing.T, b []byte, ranks int, dt float64) {
+		l, err := ReadJSON(bytes.NewReader(b))
+		if err != nil {
+			if !errors.Is(err, ErrFormat) {
+				t.Fatalf("ReadJSON: error %v is not ErrFormat", err)
+			}
+			return
+		}
+		l.Summarize()
+		l.BuildReport()
+		if ranks == 0 {
+			ranks = l.Ranks()
+		}
+		if times, err := l.PerRankTime(ranks); err != nil && !errors.Is(err, ErrRange) {
+			t.Fatalf("PerRankTime(%d): error %v is not ErrRange", ranks, err)
+		} else if err == nil && len(times) != ranks {
+			t.Fatalf("PerRankTime(%d): %d times", ranks, len(times))
+		}
+		if bins, err := l.Activity(dt, OpWrite); err != nil && !errors.Is(err, ErrRange) {
+			t.Fatalf("Activity(%v): error %v is not ErrRange", dt, err)
+		} else if len(bins) > MaxBins {
+			t.Fatalf("Activity(%v): %d bins, cap %d", dt, len(bins), MaxBins)
+		}
+	})
 }

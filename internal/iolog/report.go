@@ -33,11 +33,7 @@ func (l *Log) BuildReport() *Report {
 		agg[i].Op = Op(i)
 		agg[i].MinSec = math.Inf(1)
 	}
-	maxRank := -1
 	for _, r := range l.Records {
-		if r.Rank > maxRank {
-			maxRank = r.Rank
-		}
 		a := &agg[r.Op]
 		dur := r.End - r.Start
 		a.Count++
@@ -50,7 +46,7 @@ func (l *Log) BuildReport() *Report {
 			a.MaxSec = dur
 		}
 	}
-	rep.Ranks = maxRank + 1
+	rep.Ranks = l.Ranks()
 	for _, a := range agg {
 		if a.Count == 0 {
 			continue

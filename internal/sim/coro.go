@@ -15,19 +15,25 @@ import (
 )
 
 // coroutine is a runtime coroutine (iter.Pull) that runs process bodies.
-// A driver resumes it; it runs its process until the process yields the
-// next process due (see handoff) or ends. At an end it yields procEnded,
-// and its driver releases it.
+// A driver resumes it; it runs its process until the process yields its
+// status to the driver (see drive), which releases it once its process
+// ended.
 type coroutine struct {
-	resume func() (*Proc, bool)
+	resume func() (status, bool)
 	stop   func()
-	yield  func(*Proc) bool
+	yield  func(status) bool
 	p      *Proc // process whose body runs at the next resume, until run takes it
 	fn     func(*Proc)
 }
 
-// procEnded is what a coroutine yields when its process's body returned.
-var procEnded = new(Proc)
+// status is what a process yields to its driver.
+type status uint8
+
+const (
+	waiting   status = iota // its resume is scheduled, or it parked
+	suspended               // it left its lane for a shared section (EnterShared)
+	ended                   // its body returned
+)
 
 // idleCoroutines holds released coroutines for reuse in race-enabled
 // builds, shared by every kernel in the program (kernels run on concurrent
@@ -47,8 +53,7 @@ var idleCoroutines struct {
 // start gives p a coroutine to run fn on and schedules p's first resume.
 // The coroutine is created parked, so spawning costs no scheduler round
 // trip; fn first runs when a driver resumes p. When fn returns the process
-// ends, and its driver carries on with the context's dispatch loop (see
-// drive).
+// ends, and its driver releases the coroutine (see drive).
 func (k *Kernel) start(p *Proc, fn func(p *Proc)) *Proc {
 	p.co = newCoroutine()
 	p.co.p, p.co.fn = p, fn
@@ -72,11 +77,11 @@ func newCoroutine() *coroutine {
 		idle.Unlock()
 	}
 	c := new(coroutine)
-	c.resume, c.stop = iter.Pull(func(yield func(*Proc) bool) {
+	c.resume, c.stop = iter.Pull(func(yield func(status) bool) {
 		c.yield = yield
 		for {
 			c.run()
-			if !yield(procEnded) {
+			if !yield(ended) {
 				return
 			}
 		}
@@ -84,7 +89,7 @@ func newCoroutine() *coroutine {
 	return c
 }
 
-// release retires c, parked after yielding procEnded: to the idle list in
+// release retires c, parked after yielding ended: to the idle list in
 // race-enabled builds, otherwise by stopping it, which ends its goroutine.
 func (c *coroutine) release() {
 	if !raceEnabled {

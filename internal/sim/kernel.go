@@ -4,9 +4,9 @@
 // The kernel owns a calendar of timestamped events and a virtual clock.
 // Model code runs either as plain event callbacks or as processes:
 // coroutines that advance virtual time with Sleep and block on Signals and
-// Resources. Exactly one of them — a dispatch loop or a single process —
-// runs per execution context at any instant; the dispatch loop itself
-// travels with that ownership (see the baton protocol below), so waking a
+// Resources. Exactly one of them — the context's driver running its
+// dispatch loop, or a single process it resumed — runs per execution
+// context at any instant (see the baton protocol below), so waking a
 // process takes coroutine switches only, never a trip through the Go
 // scheduler. This strict discipline makes every simulation bit-reproducible
 // regardless of GOMAXPROCS, at the cost of running the model serially
@@ -304,23 +304,25 @@ func (k *Kernel) RunUntil(t float64) {
 // one partition lane — has one goroutine driving it: the Run/RunUntil
 // caller, the coordinator, or a lane worker. Exactly one party per context
 // owns the kernel at any instant: the driver, or the one process it
-// resumed. A yielding process runs its context's dispatch loop itself and
-// yields the process that loop returned to the driver, which resumes it
-// (drive). Waking a process is therefore two coroutine switches on the
+// resumed. A process only yields its status back (see drive); the driver
+// runs its own context's dispatch loop, so hooks and continuations run on
+// the driver's stack, never on a process's, and resumes the process that
+// loop returns. Waking a process is therefore two coroutine switches on the
 // driver's thread — no goready, no wakeup of an idle P, no trip through the
-// Go scheduler — and the dispatch loop never detours through the driver
-// unless a process ends or the context runs dry. Every switch is a
-// happens-before edge over all kernel and model state, which keeps the
-// one-owner-per-context guarantee intact across goroutines (an admitted
-// shared section resumes a lane's process from the coordinator) and lets
-// `go test -race` verify it.
+// Go scheduler. A process whose own resume is the next one due pays the
+// same two switches: 2.8% of resumes for coIO nf=1 at 16K ranks, 0.16% for
+// rbIO, 8.4% for 1PFPP; Sleep's fast path elides its common case. Every
+// switch is a happens-before edge over all kernel and model state, which
+// keeps the one-owner-per-context guarantee intact across goroutines (an
+// admitted shared section resumes a lane's process from the coordinator)
+// and lets `go test -race` verify it.
 
 // drain runs the kernel from the Run/RunUntil caller until no event
 // remains within the horizon, and leaves the kernel clock at the latest
 // lane clock.
 func (k *Kernel) drain() {
 	if k.sh == nil {
-		k.drive(k.next(nil))
+		k.drive(nil, k.next(nil))
 		return
 	}
 	k.runSharded()
@@ -332,9 +334,10 @@ func (k *Kernel) drain() {
 }
 
 // next is the serial kernel's dispatch loop: it dispatches events within
-// the horizon until one resumes a process — returned, possibly self — or
-// none is left (nil). xNext and laneNext are its exclusive-lane and
-// partition-lane counterparts.
+// the horizon until one resumes a process — returned, possibly self, the
+// process the driver resumed last — or none is left (nil). xNext and
+// laneNext are its exclusive-lane and partition-lane counterparts. Only
+// drivers call them.
 func (k *Kernel) next(self *Proc) *Proc {
 	for {
 		ev, ok := k.cal.peek()
@@ -414,44 +417,28 @@ func (k *Kernel) advance(ln *lane, l trace.Layer, t float64) {
 	ln.advLog = append(ln.advLog, advRec{t: t, layer: l, parent: ln.ctx.segParent, idx: ln.ctx.segIdx})
 }
 
-// nextFor runs the dispatch loop of the context driving p — the serial
-// kernel, p's partition lane, or the exclusive lane — and returns the
-// process to resume (nil: the context ran dry).
-func (k *Kernel) nextFor(p, self *Proc) *Proc {
-	switch {
-	case k.sh == nil:
-		return k.next(self)
-	case p.OnLane():
-		return k.laneNext(p.part, self)
-	}
-	return k.xNext(self)
-}
-
-// drive is the driver's half of the baton protocol: starting with p, it
-// resumes the process due until one yields nil — its context's dispatch
-// loop ran dry or, on a lane, it suspended into a shared section. When a
-// process ends instead, the driver releases its coroutine and runs the
-// dispatch loop of the context the process ended in.
-func (k *Kernel) drive(p *Proc) {
+// drive is the driver's half of the baton protocol on lane pt, or with pt
+// nil on the kernel's own context: starting with p, it resumes a process
+// and runs the context's dispatch loop for the next, until the loop runs
+// dry or a process suspends into a shared section. The loop is handed the
+// process just resumed, whose own resume next is then no wake.
+func (k *Kernel) drive(pt *partition, p *Proc) {
 	for p != nil {
-		next, _ := p.co.resume()
-		if next == procEnded {
+		switch st, _ := p.co.resume(); st {
+		case suspended:
+			return
+		case ended:
 			p.co.release()
 			p.co = nil
-			next = k.nextFor(p, nil)
 		}
-		p = next
-	}
-}
-
-// handoff completes a yield of self (it scheduled its own resume, or
-// parked) given the process its context's dispatch loop returned. It
-// returns when self's model code should continue: at once when that is
-// self, otherwise once self's coroutine has handed next to the driver and
-// been resumed again.
-func handoff(self, next *Proc) {
-	if next != self {
-		self.co.yield(next)
+		switch {
+		case pt != nil:
+			p = k.laneNext(pt, p)
+		case k.sh != nil:
+			p = k.xNext(p)
+		default:
+			p = k.next(p)
+		}
 	}
 }
 
@@ -488,7 +475,8 @@ func (k *Kernel) Dispatched() (n uint64) {
 	return n
 }
 
-// Woken reports process resumes dispatched through the baton protocol.
+// Woken reports process resumes dispatched through the baton protocol,
+// other than a process's resume following straight on its own yield.
 // Sleep's handoff-eliding fast path does not count: no resume event fires.
 func (k *Kernel) Woken() (n uint64) {
 	k.eachLane(func(ln *lane) { n += ln.nwoken })

@@ -524,7 +524,7 @@ func (k *Kernel) runSharded() {
 		}
 		if p := k.xNext(nil); p != nil {
 			// A process is due: drive the exclusive lane until it runs dry.
-			k.drive(p)
+			k.drive(nil, p)
 			continue
 		}
 		head, ok := k.heapMin()
@@ -650,7 +650,7 @@ func (k *Kernel) eligible(bound event) []*partition {
 // or one suspends into a shared section.
 func (k *Kernel) runLane(pt *partition) {
 	pt.active = true
-	k.drive(k.laneNext(pt, nil))
+	k.drive(pt, k.laneNext(pt, nil))
 	pt.active = false
 }
 

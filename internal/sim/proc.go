@@ -7,10 +7,10 @@ import (
 )
 
 // Proc is a simulation process: a body run on a coroutine, advancing virtual
-// time with Sleep and blocking on Signals/Resources with Park. Control moves between
-// processes under the kernel's baton protocol (see kernel.go): a yielding
-// process dispatches further events itself and yields the next process due
-// to the goroutine driving its context, which resumes that process.
+// time with Sleep and blocking on Signals/Resources with Park. Control moves
+// between processes under the kernel's baton protocol (see kernel.go): a
+// yielding process hands control back to the goroutine driving its context,
+// which dispatches further events and resumes the next process due.
 //
 // All Proc methods must be called from the process's own code; all other
 // parties interact with a process only via Unpark (typically indirectly,
@@ -32,8 +32,9 @@ type Proc struct {
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc { return k.GoPart(-1, name, fn) }
 
 // Fire implements Hook so a *Proc can sit directly in an event. The dispatch
-// loops recognize processes by type assertion and hand them the baton instead
-// of calling Fire; reaching it means an event bypassed dispatch.
+// loops recognize processes by type assertion and return them to their
+// driver to resume instead of calling Fire; reaching it means an event
+// bypassed dispatch.
 func (p *Proc) Fire() { panic("sim: Proc.Fire called outside dispatch") }
 
 // Name returns the process name given at spawn.
@@ -89,9 +90,9 @@ func (p *Proc) home() *lane {
 // messaging). In sharded mode, when called from the partition's lane, it
 // suspends the lane and re-runs the process on the globally-ordered
 // exclusive lane at the segment's origin key — exactly where the serial
-// kernel would have dispatched this code: the process yields nil, which
-// ends its lane's drive for this window, and the coordinator resumes it
-// when it admits the section. Nested calls and serial mode are no-ops;
+// kernel would have dispatched this code: the process yields suspended,
+// which ends its lane's drive for this window, and the coordinator resumes
+// it when it admits the section. Nested calls and serial mode are no-ops;
 // every EnterShared must be paired with an ExitShared.
 func (p *Proc) EnterShared() {
 	p.sharedDepth++
@@ -108,7 +109,7 @@ func (p *Proc) EnterShared() {
 	}
 	pt.nsusp++
 	pt.pend = append(pt.pend, pendReq{t: pt.ctx.segT, node: pt.ctx.segNode(), nextIdx: pt.ctx.nextIdx, layer: k.layer, p: p})
-	p.co.yield(nil)
+	p.co.yield(suspended)
 }
 
 // ExitShared closes an EnterShared region. The process keeps running on
@@ -135,7 +136,7 @@ func (p *Proc) Sleep(d float64) {
 		return
 	}
 	p.k.AfterProc(d, p)
-	handoff(p, p.k.nextFor(p, p))
+	p.co.yield(waiting)
 }
 
 // SleepFast takes Sleep(d)'s fast path when it applies — the clock advances
@@ -202,7 +203,7 @@ func (p *Proc) SleepUntil(t float64) {
 // kernel reports a deadlock otherwise.
 func (p *Proc) Park() {
 	p.setParked(true)
-	handoff(p, p.k.nextFor(p, p))
+	p.co.yield(waiting)
 }
 
 // setParked moves p in or out of its lane's parked count.
@@ -266,7 +267,7 @@ func (p *Proc) Await(c Cont) {
 func (p *Proc) AwaitAfter(d float64, c Cont) {
 	p.cont = c
 	p.k.AfterProc(d, p)
-	handoff(p, p.k.nextFor(p, p))
+	p.co.yield(waiting)
 }
 
 // resumes reports whether the resume of p just popped hands p the baton:

@@ -274,6 +274,65 @@ func TestProcPanicKeepsOrigin(t *testing.T) {
 	}
 }
 
+// TestHookAcrossSleepRunsOnDriver runs a process that sleeps across a hook
+// on the serial kernel, a partition lane and the exclusive lane. The hook
+// runs on the driver's stack, not the sleeping process's, so its panic
+// reaches Run's caller as itself, not wrapped as the process's. Woken is
+// exact: when the hook wakes nobody, the sleeper's own resume is the next
+// one due and is no wake; when the hook wakes the parked process, the
+// sleeper's resume after it is one.
+func TestHookAcrossSleepRunsOnDriver(t *testing.T) {
+	cases := []struct {
+		name      string
+		wake      bool // the hook, not the sleeper after its sleep, unparks the parked process
+		boom      bool // the hook panics
+		woken     uint64
+		wantPanic any
+	}{
+		// Both spawns and the parked process's wake.
+		{name: "quiet", woken: 3},
+		// Those three, and the sleeper's resume after the parked process.
+		{name: "wakes", wake: true, woken: 4},
+		{name: "panics", boom: true, wantPanic: "hook boom"},
+	}
+	for _, tc := range cases {
+		for _, mode := range []string{"serial", "lane", "exclusive"} {
+			k := NewKernel()
+			spawn := k.Go
+			if mode != "serial" {
+				// A lookahead past the run keeps the lane's events in one
+				// window, under one drive.
+				k.EnableSharding(2, 1, 10, 1)
+			}
+			if mode == "lane" {
+				spawn = func(name string, fn func(p *Proc)) *Proc { return k.GoPart(0, name, fn) }
+			}
+			parked := spawn("parked", func(p *Proc) { p.Park() })
+			spawn("innocent", func(p *Proc) {
+				p.Kernel().AfterHookCtx(p, 0.5, funcHook(func() {
+					if tc.boom {
+						panic("hook boom")
+					}
+					if tc.wake {
+						parked.Unpark()
+					}
+				}))
+				p.Sleep(1)
+				if !tc.wake {
+					parked.Unpark()
+				}
+			})
+			if got := runRecovering(k); got != tc.wantPanic {
+				t.Errorf("%s/%s: Run panicked with %v, want %v", tc.name, mode, got, tc.wantPanic)
+				continue
+			}
+			if w := k.Woken(); tc.wantPanic == nil && w != tc.woken {
+				t.Errorf("%s/%s: %d resumes counted as woken, want %d", tc.name, mode, w, tc.woken)
+			}
+		}
+	}
+}
+
 // TestProcGoexitPassesThrough pins that runtime.Goexit in a process (what
 // t.FailNow does) ends the driving goroutine rather than turning into a
 // panic.
