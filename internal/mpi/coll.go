@@ -28,6 +28,7 @@ const (
 	opGather         collOp = iota // GatherInt64
 	opBcast                        // Bcast, BcastValue, BcastValueSized
 	opAllgather                    // AllgatherInt64: gather to 0, broadcast of the result
+	opAllgatherPair                // AllgatherInt64Pair: two AllgatherInt64s
 	opAllgatherBytes               // AllgatherBytes: gather to 0, broadcast of the table
 	opSplit                        // Split: allgather of colors, gather of keys, broadcast of the children
 )
@@ -45,6 +46,7 @@ var collPasses = [...][]passKind{
 	opGather:         {passGather},
 	opBcast:          {passBcast},
 	opAllgather:      {passGather, passBcast},
+	opAllgatherPair:  {passGather, passBcast, passGather, passBcast},
 	opAllgatherBytes: {passGatherBytes, passBcast},
 	opSplit:          {passGather, passBcast, passGather, passBcast},
 }
@@ -309,11 +311,18 @@ func (st *coll) endPass() {
 	n := int64(len(st.c.members))
 	root := st.vrank == 0
 	switch {
-	case st.op == opAllgather && st.pass == 0, st.op == opSplit && st.pass == 0:
+	case st.pass == 0 && (st.op == opAllgather || st.op == opAllgatherPair || st.op == opSplit):
 		// All ranks receive the root's slice (the broadcast is charged at
 		// full size but the decoded object is shared).
 		if root {
 			st.val = st.ival
+		}
+		st.buf = data.Synthetic(8 * n)
+	case st.op == opAllgatherPair && st.pass == 2:
+		// The second broadcast carries both results: every rank holds the
+		// root's first slice already, so sharing it again changes nothing.
+		if root {
+			st.val = [2][]int64{st.val.([]int64), st.ival}
 		}
 		st.buf = data.Synthetic(8 * n)
 	case st.op == opAllgatherBytes && st.pass == 0:
@@ -479,6 +488,19 @@ func (c *Comm) AllgatherInt64(r *Rank, v int64) []int64 {
 	out := st.val.([]int64)
 	st.release()
 	return out
+}
+
+// AllgatherInt64Pair is AllgatherInt64(r, a) followed by AllgatherInt64(r,
+// b) as one call: the same messages, times and results, with the rank
+// waiting through both as one continuation, so its process resumes once
+// instead of twice. Treat the results as read-only.
+func (c *Comm) AllgatherInt64Pair(r *Rank, a, b int64) (as, bs []int64) {
+	st := c.startColl(r, opAllgatherPair, 0)
+	st.v0, st.v1 = a, b
+	st.run()
+	out := st.val.([2][]int64)
+	st.release()
+	return out[0], out[1]
 }
 
 // AllgatherBytes gathers each rank's byte slice to every rank, indexed by

@@ -43,6 +43,9 @@ var treeCalls = []struct {
 	{"AllgatherInt64", func(c *Comm, r *Rank) string {
 		return fmt.Sprint(c.AllgatherInt64(r, int64(c.Rank(r)*c.Rank(r))))
 	}},
+	{"AllgatherInt64Pair", func(c *Comm, r *Rank) string {
+		return fmt.Sprint(c.AllgatherInt64Pair(r, int64(c.Rank(r)), int64(c.Rank(r)%3)))
+	}},
 	{"Split", func(c *Comm, r *Rank) string {
 		me := c.Rank(r)
 		s := c.Split(r, int64(me%3), int64(me))

@@ -104,6 +104,7 @@ type laneMPI struct {
 	sendPool   []*sendHook   // free list of fired send hooks
 	wakePool   []*wakeHook   // free list of fired wake hooks
 	collPool   []*coll       // free list of finished collective calls
+	isendPool  []*isendOp    // free list of finished IsendWait calls
 	port       *machine.Port // lane-private route scratch; nil on the shared set
 	safe       bool          // pset's internal routes touch no other pset's links
 }
@@ -292,6 +293,8 @@ type Rank struct {
 	// SendBusyUntil tracks when this rank's messaging layer finishes
 	// injecting its queued sends; consecutive Isends serialize on it.
 	sendBusyUntil float64
+
+	bar barrierWait // the rank's continuation while it waits in a barrier
 }
 
 // ID returns the world rank number.
@@ -654,60 +657,159 @@ func (c *Comm) WorldRank(commRank int) int { return c.members[commRank] }
 // request completes when the payload has been handed off locally. The
 // payload arrives at the destination after traversing the torus.
 func (c *Comm) Isend(r *Rank, dst, tag int, buf data.Buf) *Request {
-	doneAt, start := c.isend(r, dst, tag, buf)
-	return &Request{doneAt: doneAt, start: start, rank: r.id}
+	var op isendOp
+	op.begin(c, r, dst, tag, buf)
+	// The call itself costs the software overhead.
+	r.proc.Sleep(r.w.cfg.SendOverhead)
+	op.post()
+	return &Request{doneAt: op.doneAt, start: op.start, rank: r.id}
 }
 
-func (c *Comm) isend(r *Rank, dst, tag int, buf data.Buf) (doneAt, start float64) {
+// IsendWait is Isend followed by Wait on its request, returning the
+// request's LocalTime: the same times, events and spans, at one resume of
+// the rank instead of two. When the software overhead cannot be slept
+// through in place, the rank waits parked with the call as its
+// continuation: the overhead's end runs the rest of the Isend and the start
+// of the Wait in the slot the rank would have resumed in, and the rank's
+// process resumes once, at local completion.
+func (c *Comm) IsendWait(r *Rank, dst, tag int, buf data.Buf) float64 {
+	p := r.proc
+	op := r.w.poolFor(p).getIsend()
+	op.begin(c, r, dst, tag, buf)
+	if p.SleepFast(r.w.cfg.SendOverhead) {
+		op.post()
+		op.waitBegin()
+		p.SleepUntil(op.doneAt)
+	} else {
+		p.AwaitAfter(r.w.cfg.SendOverhead, op)
+	}
+	op.waitEnd()
+	local := op.doneAt - op.start
+	pool := r.w.poolFor(p)
+	*op = isendOp{}
+	pool.isendPool = append(pool.isendPool, op)
+	return local
+}
+
+// isendOp is one Isend's state across its software overhead, and for
+// IsendWait across the wait that follows.
+type isendOp struct {
+	r      *Rank
+	c      *Comm
+	dst    *Rank
+	port   *machine.Port
+	tag    int
+	buf    data.Buf
+	shared bool        // the send runs in a shared section
+	prev   trace.Layer // the caller's layer, restored on return
+	start  float64     // the call's start
+	doneAt float64     // local completion, once posted
+	t0     float64     // start of IsendWait's wait (tracing only)
+	posted bool        // IsendWait: the payload moved; the next wake ends the wait
+}
+
+func (ln *laneMPI) getIsend() *isendOp {
+	if n := len(ln.isendPool); n > 0 {
+		op := ln.isendPool[n-1]
+		ln.isendPool = ln.isendPool[:n-1]
+		return op
+	}
+	return &isendOp{}
+}
+
+// begin opens the call: it routes the message and, when the lanes may not
+// carry it, enters a shared section before the call's start is read.
+func (op *isendOp) begin(c *Comm, r *Rank, dst, tag int, buf data.Buf) {
 	if dst < 0 || dst >= len(c.members) {
 		panic(fmt.Sprintf("mpi: Isend to rank %d of %d-rank comm", dst, len(c.members)))
 	}
-	var prevLayer trace.Layer
+	op.r, op.c, op.tag, op.buf = r, c, tag, buf
 	if r.w.rec != nil {
-		prevLayer = r.w.K.SetLayer(trace.LayerMPI)
+		op.prev = r.w.K.SetLayer(trace.LayerMPI)
 	}
-	dstRank := r.w.rankOf(c.members[dst])
-	port := r.w.lanePort(r, dstRank)
-	shared := port == nil && r.w.lanes != nil
-	if shared {
+	op.dst = r.w.rankOf(c.members[dst])
+	op.port = r.w.lanePort(r, op.dst)
+	op.shared = op.port == nil && r.w.lanes != nil
+	if op.shared {
 		r.proc.EnterShared()
 	}
-	start = r.Now()
+	op.start = r.Now()
+}
+
+// post runs the rest of the call once the overhead ended: the buffer
+// handoff, DMA injection and the fabric, then closes the call.
+func (op *isendOp) post() {
+	r, n := op.r, op.buf.Len()
 	cfg := r.w.cfg
-	// The call itself costs the software overhead.
-	r.proc.Sleep(cfg.SendOverhead)
 	// Buffer handoff: consecutive sends from one rank serialize on the
 	// local messaging pipeline.
 	copyStart := r.Now()
 	if r.sendBusyUntil > copyStart {
 		copyStart = r.sendBusyUntil
 	}
-	localDone := copyStart + float64(buf.Len())/cfg.LocalCopyBW
+	localDone := copyStart + float64(n)/cfg.LocalCopyBW
 	r.sendBusyUntil = localDone
+	op.doneAt = localDone
 
 	// Physical movement: DMA injection, then the fabric.
 	var injDone, arrival float64
-	if port != nil {
-		injDone = port.Inject(localDone, r.node, buf.Len())
-		arrival = port.Transfer(injDone, r.node, dstRank.node, buf.Len())
+	if op.port != nil {
+		injDone = op.port.Inject(localDone, r.node, n)
+		arrival = op.port.Transfer(injDone, r.node, op.dst.node, n)
 	} else {
-		injDone = r.w.M.Net.Inject(localDone, r.node, buf.Len())
-		arrival = r.w.M.Net.Transfer(injDone, r.node, dstRank.node, buf.Len())
+		injDone = r.w.M.Net.Inject(localDone, r.node, n)
+		arrival = r.w.M.Net.Transfer(injDone, r.node, op.dst.node, n)
 	}
 	msg := r.w.poolFor(r.proc).getMsg()
-	*msg = message{src: r.id, tag: tag, comm: c.id, buf: buf, dst: dstRank}
-	r.w.K.AtHookCtx(dstRank.proc, arrival, msg)
-	if shared {
+	*msg = message{src: r.id, tag: op.tag, comm: op.c.id, buf: op.buf, dst: op.dst}
+	r.w.K.AtHookCtx(op.dst.proc, arrival, msg)
+	if op.shared {
 		r.proc.ExitShared()
 	}
 	if r.w.rec != nil {
 		rec := r.proc.Rec()
-		rec.Span(trace.LayerMPI, "mpi.isend", r.id, start, localDone, buf.Len())
+		rec.Span(trace.LayerMPI, "mpi.isend", r.id, op.start, localDone, n)
 		rec.Add(trace.LayerMPI, "mpi.msgs", 1)
-		rec.Add(trace.LayerMPI, "mpi.bytes", buf.Len())
-		r.w.K.SetLayer(prevLayer)
+		rec.Add(trace.LayerMPI, "mpi.bytes", n)
+		r.w.K.SetLayer(op.prev)
 	}
-	return localDone, start
+}
+
+// waitBegin opens IsendWait's wait the way Request.Wait opens it.
+func (op *isendOp) waitBegin() {
+	if op.r.w.rec != nil {
+		op.r.w.K.SetLayer(trace.LayerMPI)
+		op.t0 = op.r.Now()
+	}
+}
+
+// waitEnd closes IsendWait's wait the way Request.Wait closes it.
+func (op *isendOp) waitEnd() {
+	if r := op.r; r.w.rec != nil {
+		r.proc.Rec().Span(trace.LayerMPI, "mpi.wait", r.id, op.t0, r.Now(), 0)
+		r.w.K.SetLayer(op.prev)
+	}
+}
+
+// Continue runs in the slot of the overhead's end (sim.Cont): it posts the
+// payload and opens the wait there, then ends the wait exactly as
+// SleepUntil would — in the slot when local completion is due or Sleep's
+// fast path allows, otherwise with the resume the rank's own Sleep would
+// schedule.
+func (op *isendOp) Continue() bool {
+	if op.posted {
+		return true
+	}
+	op.posted = true
+	op.post()
+	op.waitBegin()
+	p := op.r.proc
+	d := op.doneAt - p.Now()
+	if d <= 0 || p.SleepFast(d) {
+		return true
+	}
+	p.UnparkAfter(d)
+	return false
 }
 
 // Send is a blocking send: semantically Isend followed by Wait, costed
@@ -921,15 +1023,36 @@ func (c *Comm) Barrier(r *Rank) {
 	if st.arrived == n {
 		delete(reg.barriers, key) // complete; reclaim
 		st.done.Fire()
+		r.proc.Sleep(HWBarrierLatency)
 	} else {
-		st.done.Wait(r.proc)
+		r.bar.p, r.bar.released = r.proc, false
+		st.done.Await(r.proc, &r.bar)
 	}
-	r.proc.Sleep(HWBarrierLatency)
 	c.exit(r)
 	if r.w.rec != nil {
 		r.proc.Rec().Span(trace.LayerMPI, "mpi.barrier", r.id, t0, r.Now(), 0)
 		r.w.K.SetLayer(prevLayer)
 	}
+}
+
+// barrierWait is the continuation a rank waits in a barrier on. The release
+// wakes it in the slot Signal.Fire drew for it, where the rank's own code
+// would sleep through the barrier network's latency: it schedules the
+// rank's resume exactly where that Sleep would, and the rank's process is
+// switched to once, after the latency. That Sleep never takes the fast
+// path: the last arriver's own resume is already queued for that instant.
+type barrierWait struct {
+	p        *sim.Proc
+	released bool // the release wake ran; the next wake resumes the rank
+}
+
+func (b *barrierWait) Continue() bool {
+	if b.released {
+		return true
+	}
+	b.released = true
+	b.p.UnparkAfter(HWBarrierLatency)
+	return false
 }
 
 // Shared returns a value computed once per (communicator, call-site

@@ -194,8 +194,7 @@ func (f *File) WriteAtAllBegin(r *mpi.Rank, off int64, buf data.Buf) error {
 
 	// Phase 0: everyone learns everyone's access range (ROMIO's
 	// ADIOI_Calc_others_req allgather).
-	offs := c.AllgatherInt64(r, off)
-	lens := c.AllgatherInt64(r, buf.Len())
+	offs, lens := c.AllgatherInt64Pair(r, off, buf.Len())
 
 	// Every rank derives the same extent, domain table and exchange plan
 	// from the allgathered ranges; compute them once per collective.
@@ -306,8 +305,7 @@ func (f *File) ReadAtAll(r *mpi.Rank, off, n int64) (data.Buf, error) {
 	me := c.Rank(r)
 	nranks := c.Size()
 
-	offs := c.AllgatherInt64(r, off)
-	lens := c.AllgatherInt64(r, n)
+	offs, lens := c.AllgatherInt64Pair(r, off, n)
 
 	plan := c.Shared(r, func() any {
 		lo, hi := int64(1<<62), int64(0)

@@ -310,8 +310,9 @@ func (k *Kernel) RunUntil(t float64) {
 // loop returns. Waking a process is therefore two coroutine switches on the
 // driver's thread — no goready, no wakeup of an idle P, no trip through the
 // Go scheduler. A process whose own resume is the next one due pays the
-// same two switches: 2.8% of resumes for coIO nf=1 at 16K ranks, 0.16% for
-// rbIO, 8.4% for 1PFPP; Sleep's fast path elides its common case. Every
+// same two switches: 4.0% of resumes for coIO nf=1 at 16K ranks, 0.20% for
+// rbIO, 7.9% for 1PFPP (the folded waits removed other resumes, not these);
+// Sleep's fast path elides its common case. Every
 // switch is a happens-before edge over all kernel and model state, which
 // keeps the one-owner-per-context guarantee intact across goroutines (an
 // admitted shared section resumes a lane's process from the coordinator)

@@ -309,6 +309,17 @@ func (s *Signal) Wait(p *Proc) {
 	p.Park()
 }
 
+// Await is Wait with c as p's continuation (see Proc.Await): the wake Fire
+// schedules for p runs c.Continue in its slot. The signal must not have
+// fired yet.
+func (s *Signal) Await(p *Proc, c Cont) {
+	if s.fired {
+		panic("sim: Await on a fired signal")
+	}
+	s.waiters = append(s.waiters, p)
+	p.Await(c)
+}
+
 // Fire wakes all waiters (in wait order) and makes future Waits return
 // immediately. Firing twice panics.
 func (s *Signal) Fire() {

@@ -92,6 +92,36 @@ func TestSignalAlreadyFired(t *testing.T) {
 	}
 }
 
+// TestSignalAwaitRunsContinuationInWakeSlot checks Signal.Await: Fire's
+// wake of an awaiting process runs its continuation in that wake's slot,
+// ahead of an event scheduled after Fire at the same instant, and Await on
+// a fired signal panics.
+func TestSignalAwaitRunsContinuationInWakeSlot(t *testing.T) {
+	k := NewKernel()
+	var sig Signal
+	var log []string
+	k.Go("a", func(p *Proc) {
+		sig.Await(p, &countCont{p: p, log: &log, left: 1})
+		log = append(log, fmt.Sprintf("a resumed at %v", p.Now()))
+	})
+	k.At(7, func() {
+		sig.Fire()
+		k.At(7, func() { log = append(log, "later at 7") })
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(log, "\n"), "wake at 7\na resumed at 7\nlater at 7"; got != want {
+		t.Fatalf("log\n%s\nwant\n%s", got, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Await on a fired signal did not panic")
+		}
+	}()
+	sig.Await(nil, nil)
+}
+
 func TestDeadlockDetected(t *testing.T) {
 	k := NewKernel()
 	var sig Signal

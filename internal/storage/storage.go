@@ -35,6 +35,7 @@ package storage
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/data"
@@ -253,7 +254,9 @@ func (f *File) Store() *fsys.Store { return &f.store }
 func (f *File) Stream(client int, bw float64) *fabric.Pipe {
 	s, ok := f.streams[client]
 	if !ok {
-		s = fabric.NewPipe(fmt.Sprintf("%s/c%d", f.name, client), 0, bw)
+		// Concatenation, not Sprintf: this runs on the client's own
+		// coroutine stack, which Sprintf's frames would grow.
+		s = fabric.NewPipe(f.name+"/c"+strconv.Itoa(client), 0, bw)
 		f.streams[client] = s
 	}
 	return s

@@ -3,6 +3,7 @@ package trace
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -104,12 +105,17 @@ type FileEvent struct {
 	Args json.RawMessage `json:"args,omitempty"`
 }
 
+// ErrFormat reports a trace ReadFile or Validate rejects: undecodable JSON,
+// or a record outside the trace_event schema subset WriteJSON emits.
+var ErrFormat = errors.New("trace: malformed trace")
+
 // ReadFile decodes an exported trace, for cmd/iolog and the schema tests.
+// Every error it returns is an ErrFormat.
 func ReadFile(r io.Reader) (*File, error) {
 	var f File
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&f); err != nil {
-		return nil, fmt.Errorf("trace: invalid trace JSON: %w", err)
+		return nil, fmt.Errorf("%w: invalid JSON: %w", ErrFormat, err)
 	}
 	return &f, nil
 }
@@ -117,36 +123,36 @@ func ReadFile(r io.Reader) (*File, error) {
 // Validate checks the decoded trace against the trace_event schema subset
 // this package emits: every record must carry a known phase, a name, and —
 // for spans — a non-negative duration. It returns the number of non-
-// metadata events.
+// metadata events; every error is an ErrFormat.
 func (f *File) Validate() (int, error) {
 	n := 0
 	for i, ev := range f.TraceEvents {
 		switch ev.Ph {
 		case "M":
 			if ev.Name != "process_name" && ev.Name != "process_sort_index" {
-				return n, fmt.Errorf("trace: event %d: unknown metadata %q", i, ev.Name)
+				return n, fmt.Errorf("%w: event %d: unknown metadata %q", ErrFormat, i, ev.Name)
 			}
 			continue
 		case "X":
 			if ev.Dur < 0 {
-				return n, fmt.Errorf("trace: event %d: negative duration", i)
+				return n, fmt.Errorf("%w: event %d: negative duration", ErrFormat, i)
 			}
 		case "i":
 			if ev.S == "" {
-				return n, fmt.Errorf("trace: event %d: instant without scope", i)
+				return n, fmt.Errorf("%w: event %d: instant without scope", ErrFormat, i)
 			}
 		case "C":
 			if len(ev.Args) == 0 {
-				return n, fmt.Errorf("trace: event %d: counter without args", i)
+				return n, fmt.Errorf("%w: event %d: counter without args", ErrFormat, i)
 			}
 		default:
-			return n, fmt.Errorf("trace: event %d: unknown phase %q", i, ev.Ph)
+			return n, fmt.Errorf("%w: event %d: unknown phase %q", ErrFormat, i, ev.Ph)
 		}
 		if ev.Name == "" {
-			return n, fmt.Errorf("trace: event %d: missing name", i)
+			return n, fmt.Errorf("%w: event %d: missing name", ErrFormat, i)
 		}
 		if ev.Ts < 0 {
-			return n, fmt.Errorf("trace: event %d: negative timestamp", i)
+			return n, fmt.Errorf("%w: event %d: negative timestamp", ErrFormat, i)
 		}
 		n++
 	}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/big"
 	"strings"
@@ -178,4 +179,45 @@ func TestLayerString(t *testing.T) {
 		}
 		seen[s] = true
 	}
+}
+
+// FuzzReadFile decodes arbitrary input, validates what it accepts and
+// renders its metrics tables, as iolog -metrics does: each step must fail
+// with ErrFormat or complete, and never panic.
+func FuzzReadFile(f *testing.F) {
+	r := NewRecorder()
+	r.Span(LayerMPI, "mpi.send", 3, 0.001, 0.002, 4096)
+	r.Span(LayerStorage, "gpfs.commit", 7, 0.002, 12, 1<<20)
+	r.Instant(LayerStorage, "retry", 0, 0.005)
+	r.Counter(LayerKernel, "cal.depth", 0, 0.004, 17)
+	r.Add(LayerMPI, "mpi.msgs", 1)
+	r.Advance(LayerStorage, 0, 12)
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf, []RunTrace{{Label: "run", Makespan: 12, Rec: r}}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte(`{"traceEvents":[{"ph":"X","name":"s","ts":1,"dur":-1}]}`))
+	f.Add([]byte(`{"traceEvents":[{"ph":"C","name":"c","ts":-1,"args":{}}]}`))
+	f.Add([]byte(`{"metrics":[{"makespan":-0,"layers":[{"seconds":1e308}],"spans":[{"hist":[1,2,3,4,5,6,7,8,9,10,11,12]}]}]}`))
+	f.Add([]byte(`{"traceEvents":null} trailing`))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		tf, err := ReadFile(bytes.NewReader(b))
+		if err != nil {
+			if !errors.Is(err, ErrFormat) {
+				t.Fatalf("ReadFile: error %v is not ErrFormat", err)
+			}
+			return
+		}
+		n, err := tf.Validate()
+		if err != nil && !errors.Is(err, ErrFormat) {
+			t.Fatalf("Validate: error %v is not ErrFormat", err)
+		}
+		if n < 0 || n > len(tf.TraceEvents) {
+			t.Fatalf("Validate counted %d of %d events", n, len(tf.TraceEvents))
+		}
+		for _, m := range tf.Metrics {
+			m.Table()
+		}
+	})
 }
