@@ -1,6 +1,8 @@
 package meshgen
 
 import (
+	"bytes"
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -203,6 +205,58 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, err := DecodeRea(bad); err == nil {
 		t.Fatal("out-of-range connectivity accepted")
 	}
+}
+
+// FuzzDecodeRea feeds arbitrary bytes to DecodeRea: it must fail with
+// ErrFormat or return a mesh whose element indices all fall inside its
+// vertex table and which re-encodes to the bytes it was decoded from.
+func FuzzDecodeRea(f *testing.F) {
+	enc := Box(2, 2, 1, 1, 1, 1).EncodeRea()
+	f.Add(enc)
+	f.Add(enc[:len(enc)-4])
+	f.Add(append(enc, 0))
+	f.Add([]byte(reaMagic + "\xff\xff\xff\xff\x01\x00\x00\x00"))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		m, err := DecodeRea(b)
+		if err != nil {
+			if !errors.Is(err, ErrFormat) {
+				t.Fatalf("error %v is not ErrFormat", err)
+			}
+			return
+		}
+		for e, h := range m.Elems {
+			for _, vi := range h {
+				if vi < 0 || vi >= len(m.Verts) {
+					t.Fatalf("element %d references vertex %d of %d", e, vi, len(m.Verts))
+				}
+			}
+		}
+		if got := m.EncodeRea(); !bytes.Equal(got, b[:len(got)]) {
+			t.Fatal("decoded mesh does not re-encode to its input")
+		}
+	})
+}
+
+// FuzzDecodeMap feeds arbitrary bytes to DecodeMap: it must fail with
+// ErrFormat or return an assignment that re-encodes to the bytes it was
+// decoded from.
+func FuzzDecodeMap(f *testing.F) {
+	enc := EncodeMap([]int{3, 1, 4, 1, 5})
+	f.Add(enc)
+	f.Add(enc[:len(enc)-1])
+	f.Add([]byte(mapMagic + "\xff\xff\xff\xff"))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		part, err := DecodeMap(b)
+		if err != nil {
+			if !errors.Is(err, ErrFormat) {
+				t.Fatalf("error %v is not ErrFormat", err)
+			}
+			return
+		}
+		if got := EncodeMap(part); !bytes.Equal(got, b[:len(got)]) {
+			t.Fatal("decoded map does not re-encode to its input")
+		}
+	})
 }
 
 func TestMeshFileSizeTracksPaperModel(t *testing.T) {

@@ -13,13 +13,15 @@ import (
 // — a gather to a root, a broadcast from one — run by one per-rank state
 // machine, coll. A rank runs its steps in its own process until the first
 // wait, then awaits the call as its continuation (sim.Proc.Await): each
-// later wake of the rank — the wakeHook of a matched receive, the sendHook
-// of a completed send, the resume of a receive that found its message
-// waiting — runs the next steps in the wake's own calendar slot instead of
-// switching to the rank's coroutine, and the rank resumes once, in the slot
-// of its last step. Every message, time and scheduling point is the one a
-// rank blocking in Send and Recv at each hop would produce; only the
-// coroutine switches between hops are saved (DESIGN §5).
+// later wake of the rank — a matched receive's delivery, the end of a
+// receive's cost, the end of a send's software overhead, a send's local
+// completion — runs the next steps in the wake's own calendar slot instead
+// of switching to the rank's coroutine, and the rank resumes once, in the
+// slot of its last step. A send hop runs the sendOp Send runs, and a
+// receive hop pays its cost where Recv does, so every message, time and
+// scheduling point is the one a rank blocking in Send and Recv at each hop
+// would produce; only the coroutine switches between hops are saved
+// (DESIGN §5).
 
 // collOp names a collective call: a fixed sequence of passes (collPasses).
 type collOp uint8
@@ -68,8 +70,9 @@ type collWaitOn uint8
 const (
 	waitNone     collWaitOn = iota
 	waitRecv                // a posted receive; the wake carries the message
-	waitRecvCost            // a receive that found its message waiting
-	waitSend                // a blocking send's local completion
+	waitRecvCost            // a receive's overhead and copy
+	waitSendPost            // a send's software overhead; its end moves the payload
+	waitSend                // a send's local completion
 )
 
 // coll is one rank's progress through one tree collective call. It is
@@ -83,13 +86,14 @@ type coll struct {
 	began  bool  // the current pass has taken its tag and tree position
 	inProc bool  // steps run in the rank's process, not as its continuation
 	wait   collWaitOn
-	prev   trace.Layer // layer to restore when the pending operation ends
+	prev   trace.Layer // layer to restore when the pending receive ends
 	root   int         // the root of every pass
 	vrank  int         // the rank's position in the current pass's tree
 	mask   int         // the current pass's next hop
 	tag    int         // the current pass's tag
-	t0     float64     // start of the pending operation (tracing only)
-	opLen  int64       // payload size of the pending operation
+	t0     float64     // start of the pending receive (tracing only)
+	opLen  int64       // payload size of the pending receive
+	snd    *sendOp     // the pending send
 	v0, v1 int64       // the int64 inputs of the call's gather passes, in order
 	ival   []int64     // int64 gather: the owned run, then the root's result
 	bval   [][]byte    // byte gather: the owned run, then the root's result
@@ -164,8 +168,8 @@ func (st *coll) Continue() bool {
 // step completes the operation the rank waited for and advances through
 // the passes until the next wait or the end of the call.
 func (st *coll) step() (collStatus, float64) {
-	if st.wait != waitNone {
-		st.finishWait()
+	if s, d := st.finishWait(); s != collNext {
+		return s, d
 	}
 	for {
 		passes := collPasses[st.op]
@@ -357,21 +361,17 @@ func (st *coll) procHop(dst int) bool {
 }
 
 // send sends the pass's message to comm rank dst: exactly Send, with the
-// wait for local completion left to the caller. A hop that needs a shared
-// section runs the blocking Send itself, from the rank's own process.
+// waits left to the caller. A hop that needs a shared section runs the
+// whole Send from the rank's own process.
 func (st *coll) send(dst int, buf data.Buf, val any) (collStatus, float64) {
-	r := st.r
-	dstRank := r.w.rankOf(st.c.members[dst])
-	port := r.w.lanePort(r, dstRank)
-	if port == nil && r.w.lanes != nil {
-		st.c.send(r, dst, st.tag, buf, val)
+	op := st.c.newSend(st.r, dst, st.tag, buf, val, true)
+	if op.shared {
+		op.wait()
 		return collNext, 0
 	}
-	st.prev, st.t0 = r.opBegin()
-	st.opLen = buf.Len()
-	r.postSend(st.c, dstRank, port, st.tag, buf, val)
-	st.wait = waitSend
-	return collWait, 0
+	st.snd = op
+	st.wait = waitSendPost
+	return collSleep, st.r.w.cfg.SendOverhead
 }
 
 // recv receives the pass's message from comm rank src: exactly Recv, with
@@ -414,20 +414,29 @@ func (st *coll) fold(m *message) {
 	st.r.putMsg(m)
 }
 
-// finishWait completes the operation the rank waited for, at the instant
-// the rank's own code would have returned from it.
-func (st *coll) finishWait() {
+// finishWait completes the wait the rank was woken from, at the instant
+// the rank's own code would have returned from it, and reports whether a
+// further wait of the same operation follows: a delivered message's
+// receive cost, or a send's local completion.
+func (st *coll) finishWait() (collStatus, float64) {
 	r := st.r
 	switch st.wait {
 	case waitRecv:
 		st.fold(r.delivered())
-		r.recvDone(st.prev, st.t0, st.opLen)
+		st.wait = waitRecvCost
+		return collSleep, r.recvCost(st.opLen)
 	case waitRecvCost:
 		r.recvDone(st.prev, st.t0, st.opLen)
+	case waitSendPost:
+		st.snd.Continue()
+		st.wait = waitSend
+		return collWait, 0
 	case waitSend:
-		r.sendDone(st.prev, st.t0, st.opLen)
+		st.snd.end()
+		st.snd = nil
 	}
 	st.wait = waitNone
+	return collNext, 0
 }
 
 // Bcast broadcasts buf from root to all ranks (binomial tree) and returns

@@ -133,7 +133,7 @@ func refBcast(c *Comm, r *Rank, root int, buf data.Buf, val any) (data.Buf, any)
 	}
 	for m := mask >> 1; m >= 1; m >>= 1 {
 		if child := vrank + m; child < n {
-			c.send(r, (child+root)%n, tag, buf, val)
+			c.newSend(r, (child+root)%n, tag, buf, val, true).wait()
 		}
 	}
 	return buf, val

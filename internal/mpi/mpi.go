@@ -22,6 +22,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/data"
@@ -101,10 +102,8 @@ type laneMPI struct {
 	values     map[collKey]*valueEntry
 	nextCommID int
 	msgPool    []*message    // free list of consumed messages
-	sendPool   []*sendHook   // free list of fired send hooks
-	wakePool   []*wakeHook   // free list of fired wake hooks
 	collPool   []*coll       // free list of finished collective calls
-	isendPool  []*isendOp    // free list of finished IsendWait calls
+	sendPool   []*sendOp     // free list of finished sends
 	port       *machine.Port // lane-private route scratch; nil on the shared set
 	safe       bool          // pset's internal routes touch no other pset's links
 }
@@ -154,6 +153,7 @@ func buildWorld(m *machine.Machine, cfg Config, base, size int) *World {
 	for i := range w.ranks {
 		node := m.NodeOfRank(base + i)
 		w.ranks[i] = &Rank{w: w, id: base + i, node: node, pset: m.PsetOfNode(node)}
+		w.ranks[i].want.r = w.ranks[i]
 		members[i] = base + i
 	}
 	w.world = &Comm{w: w, id: 0, members: members, ident: true, off: base, part: w.commPart(members)}
@@ -341,127 +341,75 @@ func (ln *laneMPI) putMsg(m *message) {
 	ln.msgPool = append(ln.msgPool, m)
 }
 
-// sendHook performs a blocking send's physical movement — DMA injection,
-// torus traversal, scheduling the delivery — at the instant the sender's
-// software overhead ends. Running it as an event instead of inline after a
-// Sleep lets Send yield exactly once (straight to local completion); the
-// shared fabric state is still read and written at the same simulated time,
-// in the same tie-break position, as the inline Isend path.
-type sendHook struct {
-	w         *World
-	sender    *sim.Proc
-	srcNode   int
-	dst       *Rank
-	localDone float64
-	resume    float64 // localDone - fire time, precomputed at post time
-	port      *machine.Port
-	src       int
-	tag       int
-	comm      int
-	buf       data.Buf
-	val       any
-}
-
-// Fire mirrors, operation for operation, what the sender used to execute
-// inline after its overhead sleep: inject, route, schedule the delivery, then
-// schedule its own resume at local completion. Each step draws its sequence
-// number at the same instant as the inline code did, so every same-timestamp
-// tie-break is preserved bit for bit. The resume delay is precomputed — the
-// hook always fires exactly at the send-call instant, so localDone minus the
-// clock is a constant the poster already knows, and not reading the clock
-// here keeps the hook correct on a partition lane.
-func (h *sendHook) Fire() {
-	w := h.w
-	var injDone, arrival float64
-	if h.port != nil {
-		injDone = h.port.Inject(h.localDone, h.srcNode, h.buf.Len())
-		arrival = h.port.Transfer(injDone, h.srcNode, h.dst.node, h.buf.Len())
-	} else {
-		injDone = w.M.Net.Inject(h.localDone, h.srcNode, h.buf.Len())
-		arrival = w.M.Net.Transfer(injDone, h.srcNode, h.dst.node, h.buf.Len())
-	}
-	msg := w.poolFor(h.dst.proc).getMsg()
-	*msg = message{src: h.src, tag: h.tag, comm: h.comm, buf: h.buf, val: h.val, dst: h.dst}
-	w.K.AtHookCtx(h.dst.proc, arrival, msg)
-	h.sender.UnparkAfter(h.resume)
-	pool := w.poolFor(h.sender)
-	*h = sendHook{}
-	pool.sendPool = append(pool.sendPool, h)
-}
-
-func (ln *laneMPI) getSendHook() *sendHook {
-	if n := len(ln.sendPool); n > 0 {
-		h := ln.sendPool[n-1]
-		ln.sendPool = ln.sendPool[:n-1]
-		return h
-	}
-	return &sendHook{}
-}
-
-// wakeHook resumes a parked process after a fixed process-private delay.
-// Scheduled exactly where the old code scheduled the process's intermediate
-// wake, it fires inline in whichever dispatch loop pops it and assigns the
-// final resume's sequence number at the same instant the woken process's own
-// Sleep call used to — same tie-breaks, one handoff instead of two.
-type wakeHook struct {
-	w *World
-	p *sim.Proc
-	d float64
-}
-
-func (h *wakeHook) Fire() {
-	h.p.UnparkAfter(h.d)
-	pool := h.w.poolFor(h.p)
-	*h = wakeHook{}
-	pool.wakePool = append(pool.wakePool, h)
-}
-
-func (ln *laneMPI) getWakeHook() *wakeHook {
-	if n := len(ln.wakePool); n > 0 {
-		h := ln.wakePool[n-1]
-		ln.wakePool = ln.wakePool[:n-1]
-		return h
-	}
-	return &wakeHook{}
-}
-
-// timeoutHook adapts a closure to sim.Hook for the receive-deadline timer,
-// so the timer can be scheduled on the calendar of the receiver's own
-// execution context.
-type timeoutHook func()
-
-func (f timeoutHook) Fire() { f() }
-
 // recvWant is a rank's posted receive. A rank blocks in at most one
-// receive at a time, so each rank owns one, reused by every receive.
+// receive at a time, so each rank owns one, reused by every receive. It is
+// also the continuation a rank waits in Recv on (sim.Cont) and the Hook of
+// RecvTimeout's deadline timers.
 type recvWant struct {
+	r        *Rank
 	src      int // world rank or AnySource
 	tag      int
 	comm     int
-	got      *message // the matched message, once delivered
-	gen      uint32   // bumped per posting, so a stale timer can tell it is stale
-	posted   bool     // a receive is waiting for its match
-	timedOut bool     // RecvTimeout's deadline fired before a match
+	got      *message  // the matched message, once delivered
+	timers   []float64 // deadlines of the armed timers yet to fire, in arming order
+	posted   bool      // a receive is waiting for its match
+	timed    bool      // the posted receive armed the last of timers
+	timedOut bool      // RecvTimeout's deadline fired before a match
+	paid     bool      // the delivery's wake scheduled the resume past the receive's cost
 }
 
 func (m *message) matches(comm, src, tag int) bool {
 	return m.comm == comm && m.tag == tag && (src == AnySource || src == m.src)
 }
 
-// deliver runs in kernel context when a message arrives at r. A rank blocked
-// in Recv is woken directly past the receive overhead and copy time — it
-// would only sleep through them before touching any shared state, so folding
-// them into the wake halves the handoffs per matched receive.
+// deliver runs in kernel context when a message arrives at r. A message
+// r's posted receive matches wakes r; its continuation — Recv's recvWant
+// or a collective's coll — pays the receive's cost in that wake's slot.
+// Any other message waits in the inbox.
 func (r *Rank) deliver(m *message) {
 	if w := &r.want; w.posted && m.matches(w.comm, w.src, w.tag) {
 		w.got = m
 		w.posted = false
-		h := r.w.poolFor(r.proc).getWakeHook()
-		*h = wakeHook{w: r.w, p: r.proc, d: r.recvCost(m.buf.Len())}
-		r.w.K.AfterHookCtx(r.proc, 0, h)
+		r.proc.Unpark()
 		return
 	}
 	r.inbox = append(r.inbox, m)
+}
+
+// Continue runs in the slot of each wake of a rank waiting in Recv. The
+// delivery's wake schedules the resume past the receive's overhead and
+// copy, where the rank would only have slept through them; that resume,
+// or a deadline's wake, hands the rank the baton.
+func (w *recvWant) Continue() bool {
+	if w.got == nil || w.paid {
+		return true
+	}
+	w.paid = true
+	w.r.proc.UnparkAfter(w.r.recvCost(w.got.buf.Len()))
+	return false
+}
+
+// arm sets RecvTimeout's deadline timeout seconds from now.
+func (w *recvWant) arm(timeout float64) {
+	t := w.r.Now() + timeout
+	w.timers = append(w.timers, t)
+	w.timed = true
+	w.r.w.K.AtHookCtx(w.r.proc, t, w)
+}
+
+// Fire is a RecvTimeout deadline. A rank's timers are never withdrawn and
+// fire in deadline order, ties in arming order, so the one firing is the
+// first armed for this instant. It cancels the posted receive only when
+// that receive armed it, as the last timer: a timer left by a receive that
+// completed in time is stale and changes nothing.
+func (w *recvWant) Fire() {
+	i := slices.Index(w.timers, w.r.Now())
+	w.timers = slices.Delete(w.timers, i, i+1)
+	if i == len(w.timers) && w.timed && w.posted {
+		w.posted = false
+		w.timedOut = true
+		w.r.proc.Unpark()
+	}
 }
 
 // recvCost is the time a receive of n bytes occupies its rank once the
@@ -488,14 +436,15 @@ func (r *Rank) take(comm, src, tag int) *message {
 func (r *Rank) post(comm, src, tag int) {
 	w := &r.want
 	w.src, w.tag, w.comm = src, tag, comm
-	w.gen++
 	w.posted = true
+	w.timed = false
 }
 
 // delivered returns the message deliver matched to r's posted receive.
 func (r *Rank) delivered() *message {
 	m := r.want.got
 	r.want.got = nil
+	r.want.paid = false
 	return m
 }
 
@@ -518,18 +467,6 @@ func (r *Rank) recvDone(prev trace.Layer, t0 float64, n int64) {
 		return
 	}
 	r.proc.Rec().Span(trace.LayerMPI, "mpi.recv", r.id, t0, r.Now(), n)
-	r.w.K.SetLayer(prev)
-}
-
-// sendDone closes a blocking send of n bytes opened by opBegin.
-func (r *Rank) sendDone(prev trace.Layer, t0 float64, n int64) {
-	if r.w.rec == nil {
-		return
-	}
-	rec := r.proc.Rec()
-	rec.Span(trace.LayerMPI, "mpi.send", r.id, t0, r.Now(), n)
-	rec.Add(trace.LayerMPI, "mpi.msgs", 1)
-	rec.Add(trace.LayerMPI, "mpi.bytes", n)
 	r.w.K.SetLayer(prev)
 }
 
@@ -657,12 +594,13 @@ func (c *Comm) WorldRank(commRank int) int { return c.members[commRank] }
 // request completes when the payload has been handed off locally. The
 // payload arrives at the destination after traversing the torus.
 func (c *Comm) Isend(r *Rank, dst, tag int, buf data.Buf) *Request {
-	var op isendOp
-	op.begin(c, r, dst, tag, buf)
+	op := c.newSend(r, dst, tag, buf, nil, false)
 	// The call itself costs the software overhead.
 	r.proc.Sleep(r.w.cfg.SendOverhead)
 	op.post()
-	return &Request{doneAt: op.doneAt, start: op.start, rank: r.id}
+	req := &Request{doneAt: op.doneAt, start: op.start, rank: r.id}
+	op.release()
+	return req
 }
 
 // IsendWait is Isend followed by Wait on its request, returning the
@@ -674,8 +612,7 @@ func (c *Comm) Isend(r *Rank, dst, tag int, buf data.Buf) *Request {
 // process resumes once, at local completion.
 func (c *Comm) IsendWait(r *Rank, dst, tag int, buf data.Buf) float64 {
 	p := r.proc
-	op := r.w.poolFor(p).getIsend()
-	op.begin(c, r, dst, tag, buf)
+	op := c.newSend(r, dst, tag, buf, nil, false)
 	if p.SleepFast(r.w.cfg.SendOverhead) {
 		op.post()
 		op.waitBegin()
@@ -685,45 +622,50 @@ func (c *Comm) IsendWait(r *Rank, dst, tag int, buf data.Buf) float64 {
 	}
 	op.waitEnd()
 	local := op.doneAt - op.start
-	pool := r.w.poolFor(p)
-	*op = isendOp{}
-	pool.isendPool = append(pool.isendPool, op)
+	op.release()
 	return local
 }
 
-// isendOp is one Isend's state across its software overhead, and for
-// IsendWait across the wait that follows.
-type isendOp struct {
+// Send is a blocking send: Isend followed by Wait, costed identically. Its
+// two waits — the software overhead, then local completion — are one
+// resume of the rank, with the call as its continuation. Unlike
+// IsendWait it always waits through the calendar: a send whose local
+// completion falls at the overhead's end resumes behind the events
+// already due then, where IsendWait carries on at once.
+func (c *Comm) Send(r *Rank, dst, tag int, buf data.Buf) {
+	c.newSend(r, dst, tag, buf, nil, true).wait()
+}
+
+// sendOp is one send — Isend's, IsendWait's, Send's or a collective hop's
+// — from the call's start through its software overhead, and for all but
+// Isend through the wait for local completion that follows.
+type sendOp struct {
 	r      *Rank
-	c      *Comm
 	dst    *Rank
 	port   *machine.Port
+	comm   int
 	tag    int
 	buf    data.Buf
+	val    any         // host object riding the payload (BcastValueSized), else nil
+	block  bool        // a blocking send: Send or a collective hop
 	shared bool        // the send runs in a shared section
+	posted bool        // the payload moved; the next wake ends the wait
 	prev   trace.Layer // the caller's layer, restored on return
 	start  float64     // the call's start
 	doneAt float64     // local completion, once posted
 	t0     float64     // start of IsendWait's wait (tracing only)
-	posted bool        // IsendWait: the payload moved; the next wake ends the wait
 }
 
-func (ln *laneMPI) getIsend() *isendOp {
-	if n := len(ln.isendPool); n > 0 {
-		op := ln.isendPool[n-1]
-		ln.isendPool = ln.isendPool[:n-1]
-		return op
-	}
-	return &isendOp{}
-}
-
-// begin opens the call: it routes the message and, when the lanes may not
-// carry it, enters a shared section before the call's start is read.
-func (op *isendOp) begin(c *Comm, r *Rank, dst, tag int, buf data.Buf) {
+// newSend opens a send of buf to communicator rank dst with a send op from
+// the pool of r's execution context: it routes the message and, when the
+// lanes may not carry it, enters a shared section before the call's start
+// is read.
+func (c *Comm) newSend(r *Rank, dst, tag int, buf data.Buf, val any, block bool) *sendOp {
 	if dst < 0 || dst >= len(c.members) {
-		panic(fmt.Sprintf("mpi: Isend to rank %d of %d-rank comm", dst, len(c.members)))
+		panic(fmt.Sprintf("mpi: send to rank %d of %d-rank comm", dst, len(c.members)))
 	}
-	op.r, op.c, op.tag, op.buf = r, c, tag, buf
+	op := r.w.poolFor(r.proc).getSend()
+	op.r, op.comm, op.tag, op.buf, op.val, op.block = r, c.id, tag, buf, val, block
 	if r.w.rec != nil {
 		op.prev = r.w.K.SetLayer(trace.LayerMPI)
 	}
@@ -734,41 +676,65 @@ func (op *isendOp) begin(c *Comm, r *Rank, dst, tag int, buf data.Buf) {
 		r.proc.EnterShared()
 	}
 	op.start = r.Now()
+	return op
 }
 
-// post runs the rest of the call once the overhead ended: the buffer
-// handoff, DMA injection and the fabric, then closes the call.
-func (op *isendOp) post() {
-	r, n := op.r, op.buf.Len()
-	cfg := r.w.cfg
-	// Buffer handoff: consecutive sends from one rank serialize on the
-	// local messaging pipeline.
-	copyStart := r.Now()
-	if r.sendBusyUntil > copyStart {
-		copyStart = r.sendBusyUntil
+func (ln *laneMPI) getSend() *sendOp {
+	if n := len(ln.sendPool); n > 0 {
+		op := ln.sendPool[n-1]
+		ln.sendPool = ln.sendPool[:n-1]
+		return op
 	}
-	localDone := copyStart + float64(n)/cfg.LocalCopyBW
-	r.sendBusyUntil = localDone
-	op.doneAt = localDone
+	return &sendOp{}
+}
 
-	// Physical movement: DMA injection, then the fabric.
+// release returns a finished send op to the pool.
+func (op *sendOp) release() {
+	pool := op.r.w.poolFor(op.r.proc)
+	*op = sendOp{}
+	pool.sendPool = append(pool.sendPool, op)
+}
+
+// transmit moves the payload once the software overhead ended: the buffer
+// handoff, serialized on r's local messaging pipeline, then DMA injection,
+// the fabric, and the delivery at the destination. It is the one place a
+// payload enters the fabric.
+func (op *sendOp) transmit() {
+	r, n := op.r, op.buf.Len()
+	copyStart := max(r.Now(), r.sendBusyUntil)
+	op.doneAt = copyStart + float64(n)/r.w.cfg.LocalCopyBW
+	r.sendBusyUntil = op.doneAt
 	var injDone, arrival float64
 	if op.port != nil {
-		injDone = op.port.Inject(localDone, r.node, n)
+		injDone = op.port.Inject(op.doneAt, r.node, n)
 		arrival = op.port.Transfer(injDone, r.node, op.dst.node, n)
 	} else {
-		injDone = r.w.M.Net.Inject(localDone, r.node, n)
+		injDone = r.w.M.Net.Inject(op.doneAt, r.node, n)
 		arrival = r.w.M.Net.Transfer(injDone, r.node, op.dst.node, n)
 	}
 	msg := r.w.poolFor(r.proc).getMsg()
-	*msg = message{src: r.id, tag: op.tag, comm: op.c.id, buf: op.buf, dst: op.dst}
+	*msg = message{src: r.id, tag: op.tag, comm: op.comm, buf: op.buf, val: op.val, dst: op.dst}
 	r.w.K.AtHookCtx(op.dst.proc, arrival, msg)
+}
+
+// post runs the rest of Isend once the overhead ended: it moves the
+// payload, then closes the call.
+func (op *sendOp) post() {
+	op.transmit()
+	op.close("mpi.isend", op.doneAt)
+}
+
+// close ends the call: it leaves the call's shared section and records the
+// call as span name from its start to end.
+func (op *sendOp) close(name string, end float64) {
+	r := op.r
 	if op.shared {
 		r.proc.ExitShared()
 	}
 	if r.w.rec != nil {
+		n := op.buf.Len()
 		rec := r.proc.Rec()
-		rec.Span(trace.LayerMPI, "mpi.isend", r.id, op.start, localDone, n)
+		rec.Span(trace.LayerMPI, name, r.id, op.start, end, n)
 		rec.Add(trace.LayerMPI, "mpi.msgs", 1)
 		rec.Add(trace.LayerMPI, "mpi.bytes", n)
 		r.w.K.SetLayer(op.prev)
@@ -776,7 +742,7 @@ func (op *isendOp) post() {
 }
 
 // waitBegin opens IsendWait's wait the way Request.Wait opens it.
-func (op *isendOp) waitBegin() {
+func (op *sendOp) waitBegin() {
 	if op.r.w.rec != nil {
 		op.r.w.K.SetLayer(trace.LayerMPI)
 		op.t0 = op.r.Now()
@@ -784,106 +750,52 @@ func (op *isendOp) waitBegin() {
 }
 
 // waitEnd closes IsendWait's wait the way Request.Wait closes it.
-func (op *isendOp) waitEnd() {
+func (op *sendOp) waitEnd() {
 	if r := op.r; r.w.rec != nil {
 		r.proc.Rec().Span(trace.LayerMPI, "mpi.wait", r.id, op.t0, r.Now(), 0)
 		r.w.K.SetLayer(op.prev)
 	}
 }
 
-// Continue runs in the slot of the overhead's end (sim.Cont): it posts the
-// payload and opens the wait there, then ends the wait exactly as
-// SleepUntil would — in the slot when local completion is due or Sleep's
-// fast path allows, otherwise with the resume the rank's own Sleep would
-// schedule.
-func (op *isendOp) Continue() bool {
+// wait runs a blocking send from the rank's own process: the rank waits
+// out both of the send's waits parked with op as its continuation, then
+// the call closes.
+func (op *sendOp) wait() {
+	op.r.proc.AwaitAfter(op.r.w.cfg.SendOverhead, op)
+	op.end()
+}
+
+// end closes a blocking send at local completion and frees op.
+func (op *sendOp) end() {
+	op.close("mpi.send", op.r.Now())
+	op.release()
+}
+
+// Continue runs in the slot of the overhead's end (sim.Cont) and moves the
+// payload there. A blocking send then schedules the rank's resume at local
+// completion, always through the calendar. IsendWait closes the Isend and
+// opens the wait, then ends the wait exactly as SleepUntil would: in the
+// slot when local completion is due or Sleep's fast path allows,
+// otherwise with the resume the rank's own Sleep would schedule.
+func (op *sendOp) Continue() bool {
 	if op.posted {
 		return true
 	}
 	op.posted = true
+	p := op.r.proc
+	if op.block {
+		op.transmit()
+		p.UnparkAfter(op.doneAt - p.Now())
+		return false
+	}
 	op.post()
 	op.waitBegin()
-	p := op.r.proc
 	d := op.doneAt - p.Now()
 	if d <= 0 || p.SleepFast(d) {
 		return true
 	}
 	p.UnparkAfter(d)
 	return false
-}
-
-// Send is a blocking send: semantically Isend followed by Wait, costed
-// identically. Every input to the send pipeline — overhead end, buffer
-// handoff, local completion — depends only on rank-private state, so Send
-// computes them up front, posts a pooled sendHook to touch the fabric at the
-// overhead-end instant, and yields once, straight to local completion.
-func (c *Comm) Send(r *Rank, dst, tag int, buf data.Buf) { c.send(r, dst, tag, buf, nil) }
-
-// send is Send with a host object riding the payload to the receiver.
-func (c *Comm) send(r *Rank, dst, tag int, buf data.Buf, val any) {
-	if dst < 0 || dst >= len(c.members) {
-		panic(fmt.Sprintf("mpi: Send to rank %d of %d-rank comm", dst, len(c.members)))
-	}
-	prev, t0 := r.opBegin()
-	dstRank := r.w.rankOf(c.members[dst])
-	port := r.w.lanePort(r, dstRank)
-	// A message the lanes may not carry runs in a shared section: the hook
-	// then fires on the exclusive lane, at the key the serial hook holds.
-	shared := port == nil && r.w.lanes != nil
-	if shared {
-		r.proc.EnterShared()
-	}
-	r.postSend(c, dstRank, port, tag, buf, val)
-	r.proc.Park() // the hook resumes us at localDone
-	if shared {
-		r.proc.ExitShared()
-	}
-	r.sendDone(prev, t0, buf.Len())
-}
-
-// postSend charges a blocking send's software overhead and buffer handoff
-// on r's own clock and posts the sendHook that moves the payload at the
-// overhead's end and wakes r at local completion.
-func (r *Rank) postSend(c *Comm, dst *Rank, port *machine.Port, tag int, buf data.Buf, val any) {
-	cfg := r.w.cfg
-	tCall := r.Now() + cfg.SendOverhead
-	copyStart := tCall
-	if r.sendBusyUntil > copyStart {
-		copyStart = r.sendBusyUntil
-	}
-	localDone := copyStart + float64(buf.Len())/cfg.LocalCopyBW
-	r.sendBusyUntil = localDone
-	h := r.w.poolFor(r.proc).getSendHook()
-	*h = sendHook{
-		w: r.w, sender: r.proc, srcNode: r.node, dst: dst,
-		localDone: localDone, resume: localDone - tCall, port: port,
-		src: r.id, tag: tag, comm: c.id, buf: buf, val: val,
-	}
-	r.w.K.AtHookCtx(r.proc, tCall, h)
-}
-
-// RecvRequest is an outstanding non-blocking receive posted with Irecv.
-type RecvRequest struct {
-	c   *Comm
-	r   *Rank
-	src int // comm rank or AnySource
-	tag int
-}
-
-// Irecv posts a non-blocking receive. The simulation's eager transport
-// buffers arrivals in the rank's inbox, so posting early does not change
-// matching; Irecv exists so rank code can be written in MPI's
-// post-then-wait style. Complete it with Wait.
-func (c *Comm) Irecv(r *Rank, src, tag int) *RecvRequest {
-	if src != AnySource && (src < 0 || src >= len(c.members)) {
-		panic(fmt.Sprintf("mpi: Irecv from rank %d of %d-rank comm", src, len(c.members)))
-	}
-	return &RecvRequest{c: c, r: r, src: src, tag: tag}
-}
-
-// Wait completes the receive, blocking until the matching message arrives.
-func (rr *RecvRequest) Wait() (data.Buf, int) {
-	return rr.c.Recv(rr.r, rr.src, rr.tag)
 }
 
 // Recv blocks until a message with the given source (comm rank, or
@@ -930,19 +842,9 @@ func (c *Comm) recv(r *Rank, src, tag int, timeout float64) (buf data.Buf, from 
 	} else {
 		r.post(c.id, srcWorld, tag)
 		if timeout >= 0 {
-			gen := r.want.gen
-			r.w.K.AfterHookCtx(r.proc, timeout, timeoutHook(func() {
-				// Only cancel if this exact receive is still posted: the
-				// generation keeps a stale timer from touching a later
-				// receive.
-				if r.want.posted && r.want.gen == gen {
-					r.want.posted = false
-					r.want.timedOut = true
-					r.proc.Unpark()
-				}
-			}))
+			r.want.arm(timeout)
 		}
-		r.proc.Park() // deliver's wakeHook resumes us past overhead and copy
+		r.proc.Await(&r.want)
 		if r.want.timedOut {
 			r.want.timedOut = false
 			if r.w.rec != nil {

@@ -513,16 +513,17 @@ func TestWorldRankTranslation(t *testing.T) {
 	}
 }
 
-func TestIrecvPostThenWait(t *testing.T) {
+// TestRecvPostedBeforeSends has rank 0 wait for rank 2's message before
+// either sender has sent, while rank 1's arrives first: the early arrival
+// waits in the inbox for the later receive, and each receive matches its
+// own source's message.
+func TestRecvPostedBeforeSends(t *testing.T) {
 	w := newWorld(t, 64)
 	err := w.Run(func(c *Comm, r *Rank) {
 		switch r.ID() {
 		case 0:
-			// Post receives before the sends exist, MPI style.
-			reqA := c.Irecv(r, 1, 5)
-			reqB := c.Irecv(r, 2, 5)
-			bufB, srcB := reqB.Wait()
-			bufA, srcA := reqA.Wait()
+			bufB, srcB := c.Recv(r, 2, 5)
+			bufA, srcA := c.Recv(r, 1, 5)
 			if srcA != 1 || srcB != 2 {
 				t.Errorf("sources %d/%d", srcA, srcB)
 			}
@@ -542,17 +543,19 @@ func TestIrecvPostThenWait(t *testing.T) {
 	}
 }
 
-func TestIrecvAnySource(t *testing.T) {
+// TestRecvAnySourcePosted has an AnySource receive posted before its one
+// sender sends: the wake reports the sender's comm rank.
+func TestRecvAnySourcePosted(t *testing.T) {
 	w := newWorld(t, 64)
 	err := w.Run(func(c *Comm, r *Rank) {
 		switch r.ID() {
 		case 0:
-			req := c.Irecv(r, AnySource, 6)
-			_, src := req.Wait()
+			_, src := c.Recv(r, AnySource, 6)
 			if src != 3 {
 				t.Errorf("src %d", src)
 			}
 		case 3:
+			r.Proc().Sleep(0.5)
 			c.Send(r, 0, 6, data.Synthetic(16))
 		}
 	})
@@ -561,7 +564,7 @@ func TestIrecvAnySource(t *testing.T) {
 	}
 }
 
-func TestIrecvBadSourcePanics(t *testing.T) {
+func TestRecvBadSourcePanics(t *testing.T) {
 	w := newWorld(t, 64)
 	err := w.Run(func(c *Comm, r *Rank) {
 		if r.ID() != 0 {
@@ -569,10 +572,10 @@ func TestIrecvBadSourcePanics(t *testing.T) {
 		}
 		defer func() {
 			if recover() == nil {
-				t.Error("Irecv from out-of-range rank did not panic")
+				t.Error("Recv from out-of-range rank did not panic")
 			}
 		}()
-		c.Irecv(r, 99, 1)
+		c.Recv(r, 99, 1)
 	})
 	if err != nil {
 		t.Fatal(err)

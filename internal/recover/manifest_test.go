@@ -1,6 +1,7 @@
 package recover
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -115,6 +116,26 @@ func TestManifestDeterministicAndVerify(t *testing.T) {
 	if err := l1.VerifyManifest(e1, m1[:len(m1)-1]); err == nil {
 		t.Fatal("verify accepted a truncated manifest")
 	}
+}
+
+// FuzzVerifyManifest feeds arbitrary bytes to VerifyManifest against a
+// sealed epoch: the epoch's own manifest must verify, and every other byte
+// string must be rejected with an error, never a panic.
+func FuzzVerifyManifest(f *testing.F) {
+	l := NewLog(9, 3)
+	sealEpoch(l.StartSegment("ckpt/a000", 0, 0), ckpt.LevelGlobal, 4, 3, 1)
+	e := l.Epoch(ckpt.LevelGlobal, 4)
+	m := l.Manifest(e)
+	f.Add(m)
+	f.Add(m[:len(m)-1])
+	f.Add(append(append([]byte(nil), m...), '\n'))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		err := l.VerifyManifest(e, b)
+		if ok := bytes.Equal(b, m); ok != (err == nil) {
+			t.Fatalf("manifest match %v, verify error %v", ok, err)
+		}
+	})
 }
 
 func TestBufferLossTearsUnverifiedEpochs(t *testing.T) {
