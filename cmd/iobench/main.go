@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/metrics"
 	"time"
 
 	"repro/internal/bbuf"
@@ -131,15 +132,23 @@ func main() {
 	}
 }
 
-// hostCost renders what an experiment cost the host: its wall time and the
-// process's peak RSS so far, e.g. "3.9s wall, 569 MB peak RSS". The line
-// always contains "wall", so output diffs drop it with grep -v wall.
+// hostCost renders what an experiment cost the host: its wall time, the
+// process's peak RSS so far, the memory goroutine stacks hold now and the
+// runtime's starting stack size, e.g. "3.9s wall, 141 MB peak RSS, 3 MB
+// stacks, 2 KB start stack". Stacks of exited ranks stay held when their
+// size is the starting size (DESIGN.md §5). The line always contains
+// "wall", so output diffs drop it with grep -v wall.
 func hostCost(wall time.Duration) string {
 	s := wall.Round(time.Millisecond).String() + " wall"
 	if rss := perf.PeakRSS(); rss > 0 {
 		s += fmt.Sprintf(", %d MB peak RSS", rss>>20)
 	}
-	return s
+	m := []metrics.Sample{
+		{Name: "/memory/classes/heap/stacks:bytes"},
+		{Name: "/gc/stack/starting-size:bytes"},
+	}
+	metrics.Read(m)
+	return s + fmt.Sprintf(", %d MB stacks, %d KB start stack", m[0].Value.Uint64()>>20, m[1].Value.Uint64()>>10)
 }
 
 // resolve validates the command line before any simulation is built and

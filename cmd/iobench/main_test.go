@@ -3,6 +3,7 @@ package main
 import (
 	"errors"
 	"flag"
+	"regexp"
 	"runtime"
 	"strings"
 	"testing"
@@ -151,13 +152,15 @@ func TestValidateLifecycleFlags(t *testing.T) {
 }
 
 // TestHostCostLine pins the per-experiment cost line: it carries "wall",
-// which every output diff greps away, and on Linux the peak RSS.
+// which every output diff greps away, on Linux the peak RSS, and the stack
+// memory and starting stack size.
 func TestHostCostLine(t *testing.T) {
 	got := hostCost(3940 * time.Millisecond)
-	if !strings.HasPrefix(got, "3.94s wall") {
-		t.Errorf("cost line %q, want it to start with %q", got, "3.94s wall")
+	want := `^3\.94s wall, (\d+ MB peak RSS, )?\d+ MB stacks, (2|4|8|16|32) KB start stack$`
+	if runtime.GOOS == "linux" {
+		want = `^3\.94s wall, \d+ MB peak RSS, \d+ MB stacks, (2|4|8|16|32) KB start stack$`
 	}
-	if runtime.GOOS == "linux" && !strings.HasSuffix(got, " MB peak RSS") {
-		t.Errorf("cost line %q lacks the peak RSS", got)
+	if !regexp.MustCompile(want).MatchString(got) {
+		t.Errorf("cost line %q, want it to match %s", got, want)
 	}
 }

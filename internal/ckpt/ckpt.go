@@ -183,6 +183,11 @@ func (e *Env) log(rank int, op iolog.Op, start, end float64, bytes int64) {
 	e.Log.Add(iolog.Record{Rank: rank, Op: op, Start: start, End: end, Bytes: bytes})
 }
 
+// indivisible reports a rank count a strategy cannot lay out.
+//
+//go:noinline // keeps fmt's argument array out of the frame of build, parked under its splits
+func indivisible(format string, np, n int) error { return fmt.Errorf(format, np, n) }
+
 // Strategy is a checkpointing I/O approach. Plan is collective over the
 // communicator and must be called once by every rank before the first
 // checkpoint (communicator setup happens here, as in NekCEM's presetup).

@@ -32,28 +32,26 @@ func (s CoIO) Name() string {
 	return fmt.Sprintf("coIO(nf=%d)", s.NumFiles)
 }
 
-// Plan implements Strategy: split the communicator into nf groups.
+// Plan implements Strategy: split the communicator into nf groups. Like
+// RbIO.Plan, it is a shim inlined into the interface call's pointer
+// wrapper.
 func (s CoIO) Plan(c *mpi.Comm, r *mpi.Rank) (Plan, error) {
+	return (&coPlan{c: c, hints: s.Hints}).build(r, s.NumFiles)
+}
+
+// build splits pl.c into nf groups, one file each.
+func (pl *coPlan) build(r *mpi.Rank, nf int) (Plan, error) {
+	c := pl.c
 	np := c.Size()
-	nf := s.NumFiles
-	if nf < 1 {
-		nf = 1
-	}
-	if nf > np {
-		nf = np
-	}
+	nf = min(max(nf, 1), np)
 	if np%nf != 0 {
-		return nil, fmt.Errorf("ckpt/coio: %d ranks not divisible into %d files", np, nf)
+		return nil, indivisible("ckpt/coio: %d ranks not divisible into %d files", np, nf)
 	}
 	groupSize := np / nf
 	me := c.Rank(r)
-	group := c.Split(r, int64(me/groupSize), int64(me))
-	return &coPlan{
-		c:        c,
-		group:    group,
-		groupIdx: me / groupSize,
-		hints:    s.Hints,
-	}, nil
+	pl.group = c.Split(r, int64(me/groupSize), int64(me))
+	pl.groupIdx = me / groupSize
+	return pl, nil
 }
 
 type coPlan struct {
@@ -63,76 +61,127 @@ type coPlan struct {
 	hints    mpiio.Hints
 }
 
-// Write implements Plan.
-func (pl *coPlan) Write(env *Env, r *mpi.Rank, cp *Checkpoint) (Stats, error) {
+// Write implements Plan. Each phase runs in a method of a coStep on
+// Write's stack, so the frames parked under the collective writes stay
+// small (see DESIGN.md §5).
+func (pl *coPlan) Write(env *Env, r *mpi.Rank, cp *Checkpoint) (st Stats, err error) {
+	s := coStep{pl: pl, env: env, cp: cp}
+	if err = s.open(r); err != nil {
+		return
+	}
+	for fi := range cp.Fields {
+		if err = s.field(r, fi); err != nil {
+			return
+		}
+	}
+	err = s.close(r, &st)
+	return
+}
+
+// coStep is one rank's coIO checkpoint step in flight.
+type coStep struct {
+	pl    *coPlan
+	env   *Env
+	cp    *Checkpoint
+	start float64
+	me    int // group rank
+	path  string
+	f     *mpiio.File
+	hdr   *cemfmt.Header
+	isAgg bool // the rank aggregates for the collective writes
+}
+
+// open creates the group file, derives the shared header from the
+// allgathered chunk sizes, and has group rank 0 write it.
+func (s *coStep) open(r *mpi.Rank) error {
+	pl, env, cp := s.pl, s.env, s.cp
 	chunk, err := cp.ChunkBytes()
 	if err != nil {
-		return Stats{}, err
+		return err
 	}
-	start := r.Now()
-	me := pl.group.Rank(r)
-	path := groupFile(env.Dir, cp.Step, pl.groupIdx)
+	s.start = r.Now()
+	s.me = pl.group.Rank(r)
+	s.path = groupFile(env.Dir, cp.Step, pl.groupIdx)
 
 	t0 := r.Now()
-	f, err := mpiio.Open(pl.group, r, env.FS, path, true, pl.hints)
+	s.f, err = mpiio.Open(pl.group, r, env.FS, s.path, true, pl.hints)
 	if err != nil {
-		return Stats{}, fmt.Errorf("ckpt/coio: %w", err)
+		return fmt.Errorf("ckpt/coio: %w", err)
 	}
 	env.log(r.ID(), iolog.OpCreate, t0, r.Now(), 0)
 
 	// Chunk sizes across the group define the layout. Every rank derives
 	// the same header from the allgathered sizes; compute it once.
 	sizes := pl.group.AllgatherInt64(r, chunk)
-	hdr := pl.group.Shared(r, func() any { return buildHeader(cp, sizes) }).(*cemfmt.Header)
+	s.hdr = pl.group.Shared(r, func() any { return buildHeader(cp, sizes) }).(*cemfmt.Header)
 
 	// Group rank 0 writes the master header independently (small).
-	if me == 0 {
+	if s.me == 0 {
 		t1 := r.Now()
-		if err := f.WriteAt(r, 0, data.FromBytes(hdr.Marshal())); err != nil {
-			return Stats{}, err
+		if err := s.f.WriteAt(r, 0, data.FromBytes(s.hdr.Marshal())); err != nil {
+			return err
 		}
-		env.log(r.ID(), iolog.OpWrite, t1, r.Now(), hdr.HeaderSize())
+		env.log(r.ID(), iolog.OpWrite, t1, r.Now(), s.hdr.HeaderSize())
 	}
-
-	// All processors commit data by fields (paper, Section V-B): one
-	// collective write per field; rank 0's contribution carries the field's
-	// block header, which directly precedes its chunk. For the Darshan-style
-	// log, only the aggregators perform file system writes — the other
-	// ranks' time is the exchange phase.
-	isAgg := false
-	for _, a := range f.Aggregators() {
-		if a == me {
-			isAgg = true
+	for _, a := range s.f.Aggregators() {
+		if a == s.me {
+			s.isAgg = true
 			break
 		}
 	}
-	for fi, fd := range cp.Fields {
-		var off int64
-		var payload data.Buf
-		if me == 0 {
-			off = hdr.FieldOffset(fi)
-			payload = data.Concat(data.FromBytes(cemfmt.BlockHeader(fd.Name, hdr.FieldBytes())), fd.Data)
-		} else {
-			off = hdr.ChunkOffset(fi, me)
-			payload = fd.Data
-		}
-		t2 := r.Now()
-		if err := f.WriteAtAll(r, off, payload); err != nil {
-			return Stats{}, err
-		}
-		env.epochBlock(LevelGlobal, cp.Step, r.ID(), path, off, payload.Len(), r.Now())
-		if isAgg {
-			// An aggregator commits its whole file domain, not just its own
-			// contribution.
-			env.log(r.ID(), iolog.OpWrite, t2, r.Now(), hdr.FieldBytes()/int64(len(f.Aggregators())))
-		} else {
-			env.log(r.ID(), iolog.OpExchange, t2, r.Now(), payload.Len())
-		}
-	}
+	return nil
+}
 
+// field commits field fi with one collective write (paper, Section V-B):
+// all processors commit data by fields. Rank 0's contribution carries the
+// field's block header, which directly precedes its chunk. The write runs
+// as its split halves, so a rank waits in the end's barrier without
+// WriteAtAll's frame.
+func (s *coStep) field(r *mpi.Rank, fi int) error {
+	off, payload := s.payload(fi)
+	t := r.Now()
+	if err := s.f.WriteAtAllBegin(r, off, payload); err != nil {
+		return err
+	}
+	if err := s.f.WriteAtAllEnd(r); err != nil {
+		return err
+	}
+	s.logField(r, off, payload.Len(), t)
+	return nil
+}
+
+// payload returns the rank's contribution to field fi and its offset. It
+// returns before the write, so its frame is not parked with field's.
+func (s *coStep) payload(fi int) (int64, data.Buf) {
+	fd := s.cp.Fields[fi]
+	if s.me == 0 {
+		return s.hdr.FieldOffset(fi), data.Concat(data.FromBytes(cemfmt.BlockHeader(fd.Name, s.hdr.FieldBytes())), fd.Data)
+	}
+	return s.hdr.ChunkOffset(fi, s.me), fd.Data
+}
+
+// logField records a committed field of n bytes at off, written from t. For
+// the Darshan-style log, only the aggregators perform file system writes —
+// the other ranks' time is the exchange phase.
+func (s *coStep) logField(r *mpi.Rank, off, n int64, t float64) {
+	env := s.env
+	env.epochBlock(LevelGlobal, s.cp.Step, r.ID(), s.path, off, n, r.Now())
+	if s.isAgg {
+		// An aggregator commits its whole file domain, not just its own
+		// contribution.
+		env.log(r.ID(), iolog.OpWrite, t, r.Now(), s.hdr.FieldBytes()/int64(len(s.f.Aggregators())))
+	} else {
+		env.log(r.ID(), iolog.OpExchange, t, r.Now(), n)
+	}
+}
+
+// close closes the group file, seals the rank's epoch contribution and
+// fills in the step's stats.
+func (s *coStep) close(r *mpi.Rank, st *Stats) error {
+	env, cp := s.env, s.cp
 	t3 := r.Now()
-	if err := f.Close(r); err != nil {
-		return Stats{}, err
+	if err := s.f.Close(r); err != nil {
+		return err
 	}
 	env.log(r.ID(), iolog.OpClose, t3, r.Now(), 0)
 
@@ -145,14 +194,15 @@ func (pl *coPlan) Write(env *Env, r *mpi.Rank, cp *Checkpoint) (Stats, error) {
 	} else {
 		env.epochCommit(LevelGlobal, cp.Step, r.ID(), len(cp.Fields), end)
 	}
-	return Stats{
+	*st = Stats{
 		Role:      RoleAll,
-		Start:     start,
+		Start:     s.start,
 		End:       end,
-		Perceived: end - start,
+		Perceived: end - s.start,
 		Bytes:     cp.TotalBytes(),
 		Durable:   end,
-	}, nil
+	}
+	return nil
 }
 
 // Read implements Plan: the group restores collectively — one open, shared

@@ -61,40 +61,35 @@ func (s RbIO) Name() string {
 }
 
 // Plan implements Strategy: build the worker groups and the writers'
-// communicator (NekCEM does this once, at presetup).
+// communicator (NekCEM does this once, at presetup). It is a shim the
+// compiler inlines into the pointer wrapper an interface call goes
+// through, so a rank parked in build's splits carries one frame for both.
 func (s RbIO) Plan(c *mpi.Comm, r *mpi.Rank) (Plan, error) {
+	return (&rbPlan{cfg: s, c: c}).build(r)
+}
+
+// build splits pl.c into the worker groups and the writers' communicator.
+func (pl *rbPlan) build(r *mpi.Rank) (Plan, error) {
+	c := pl.c
 	np := c.Size()
-	gs := s.GroupSize
-	if gs < 1 {
-		gs = 1
-	}
-	if gs > np {
-		gs = np
-	}
+	gs := min(max(pl.cfg.GroupSize, 1), np)
 	if np%gs != 0 {
-		return nil, fmt.Errorf("ckpt/rbio: %d ranks not divisible into groups of %d", np, gs)
+		return nil, indivisible("ckpt/rbio: %d ranks not divisible into groups of %d", np, gs)
 	}
 	me := c.Rank(r)
-	group := c.Split(r, int64(me/gs), int64(me))
-	isWriter := group.Rank(r) == 0
+	pl.group = c.Split(r, int64(me/gs), int64(me))
+	pl.groupIdx = me / gs
+	pl.isWriter = pl.group.Rank(r) == 0
 	writerColor := int64(1)
-	if isWriter {
+	if pl.isWriter {
 		writerColor = 0
 	}
-	writers := c.Split(r, writerColor, int64(me))
-	wb := s.WriterBuffer
-	if wb <= 0 {
-		wb = 512 << 20
+	pl.writers = c.Split(r, writerColor, int64(me))
+	pl.buffer = pl.cfg.WriterBuffer
+	if pl.buffer <= 0 {
+		pl.buffer = 512 << 20
 	}
-	return &rbPlan{
-		cfg:      s,
-		c:        c,
-		group:    group,
-		groupIdx: me / gs,
-		writers:  writers,
-		isWriter: isWriter,
-		buffer:   wb,
-	}, nil
+	return pl, nil
 }
 
 type rbPlan struct {

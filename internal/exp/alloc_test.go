@@ -1,8 +1,13 @@
 package exp
 
 import (
+	"runtime"
+	"runtime/debug"
 	"runtime/metrics"
 	"testing"
+
+	"repro/internal/ckpt"
+	"repro/internal/nekcem"
 )
 
 // heapAllocBytes reads the cumulative bytes the process has allocated on
@@ -17,7 +22,9 @@ func heapAllocBytes() uint64 {
 // allocates: on runs that collect only a few times, allocation volume sets
 // peak RSS. With block-recycled calendar storage and gather runs,
 // checkpoint fields and rbIO commit runs sized up front, the run allocates
-// 16–19 MB; the budget leaves about 5 MB for other growth.
+// 18–21 MB, of which 1.6 MB is the ranks' solver states, kept on the heap
+// since they left the rank body's frame; the budget leaves about 3 MB for
+// other growth.
 func TestRbIOAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("np=4096 simulation")
@@ -68,6 +75,104 @@ func TestResumeBudget(t *testing.T) {
 		}
 		if got := have["kernel.woken"]; got > tc.woken {
 			t.Errorf("%s: kernel.woken = %d, budget %d", tc.ckpt, got, tc.woken)
+		}
+	}
+}
+
+// stackSample is what one forced collection saw: the average stack in use
+// per live goroutine and the starting stack size the runtime chose from it.
+type stackSample struct {
+	avg, start uint64
+}
+
+// collect forces a collection and reads its stack scan.
+func collect() stackSample {
+	runtime.GC()
+	s := []metrics.Sample{
+		{Name: "/gc/scan/stack:bytes"},
+		{Name: "/sched/goroutines:goroutines"},
+		{Name: "/gc/stack/starting-size:bytes"},
+	}
+	metrics.Read(s)
+	return stackSample{avg: s[0].Value.Uint64() / s[1].Value.Uint64(), start: s[2].Value.Uint64()}
+}
+
+// TestRankStackBudget pins how deep a parked rank's stack is. At every
+// collection the runtime sets the starting stack of new goroutines to the
+// average stack in use it scanned plus a 928-byte guard, rounded up to a
+// power of two, and an exiting goroutine keeps its stack on the runtime's
+// free list when that stack has the starting size. An average above
+// 1,120 bytes makes the start 4 KB, and every rank grown to 4 KB then keeps
+// its stack after it exits (64 MB at np=16384). The test collects twice on
+// the serial kernel at np=4096, with every rank alive: while every rank is
+// parked in its first collective, and halfway to the first rank's return
+// from the checkpoint step. Each collection must scan at most 1 KB per
+// goroutine and leave the start at 2 KB.
+//
+// The exception is coIO's checkpoint: its ranks wait out each field's
+// collective write in the write's closing barrier, under the solver's and
+// the strategy's frames, about 1.35 KB deep, so the start is 4 KB there.
+// That depth is pinned so it can only fall.
+func TestRankStackBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("np=4096 simulations")
+	}
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("the race detector's instrumented frames are deeper")
+			}
+		}
+	}
+	const np, budget, start = 4096, 1024, 2048
+	for _, tc := range []struct {
+		ckpt       string
+		ckptBudget uint64
+	}{
+		{"rbio", budget},
+		{"coio1", 1376},
+	} {
+		d, err := ckpt.Lookup(tc.ckpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j := Job{NP: np, Strategy: d.New(np)}
+		run := func(at ...float64) (*nekcem.RunResult, []stackSample) {
+			e, err := build(Options{Seed: 1, Parallel: 1}, scenario{NP: np, Job: j})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []stackSample
+			for _, when := range at {
+				e.K.At(when, func() { got = append(got, collect()) })
+			}
+			res, err := e.solve(paperRun(np, j.Strategy, 1, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res, got
+		}
+		// A first run times the checkpoint step. The second collects just
+		// after time 0, when every rank has parked in its first collective,
+		// and halfway to the first rank's return from the step.
+		res, _ := run()
+		first := res.PerRank[0].Blocked
+		for _, rc := range res.PerRank {
+			first = min(first, rc.Blocked)
+		}
+		_, got := run(1e-9, res.Checkpoints[0].Start+first/2)
+		for i, s := range got {
+			at, limit := "first collective", uint64(budget)
+			if i == 1 {
+				at, limit = "checkpoint", tc.ckptBudget
+			}
+			t.Logf("%s %s: %d B scanned per goroutine, start stack %d B", tc.ckpt, at, s.avg, s.start)
+			if s.avg > limit {
+				t.Errorf("%s %s: %d B scanned per goroutine, budget %d B", tc.ckpt, at, s.avg, limit)
+			}
+			if limit <= budget && s.start != start {
+				t.Errorf("%s %s: starting stack size %d B, want %d", tc.ckpt, at, s.start, start)
+			}
 		}
 	}
 }

@@ -539,6 +539,14 @@ func (c *Comm) Split(r *Rank, color int64, key int64) *Comm {
 	st := c.startColl(r, opSplit, 0)
 	st.v0, st.v1 = color, key
 	st.run()
+	return st.child(color)
+}
+
+// child returns the new communicator of color and releases the call's
+// state.
+//
+//go:noinline // keeps the lookup's frame out of Split's, parked under the call
+func (st *coll) child(color int64) *Comm {
 	out := st.val.(map[int64]*Comm)[color]
 	st.release()
 	return out

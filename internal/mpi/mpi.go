@@ -898,23 +898,50 @@ func Lookahead(m *machine.Machine) float64 { return min(m.Lookahead(), HWBarrier
 // model charges a small constant once the last rank arrives instead of
 // simulating a software message pattern.
 func (c *Comm) Barrier(r *Rank) {
-	n := len(c.members)
-	if n == 1 {
+	if len(c.members) == 1 {
 		return
 	}
-	var prevLayer trace.Layer
-	var t0 float64
 	if r.w.rec != nil {
-		prevLayer = r.w.K.SetLayer(trace.LayerMPI)
-		t0 = r.Now()
+		c.tracedBarrier(r)
+		return
 	}
+	c.barrier(r)
+}
+
+// tracedBarrier is Barrier on a traced world: the wait is attributed to the
+// MPI layer and spanned. A function of its own, so untraced waits park
+// without the span's frame.
+func (c *Comm) tracedBarrier(r *Rank) {
+	prevLayer := r.w.K.SetLayer(trace.LayerMPI)
+	t0 := r.Now()
+	c.barrier(r)
+	r.proc.Rec().Span(trace.LayerMPI, "mpi.barrier", r.id, t0, r.Now(), 0)
+	r.w.K.SetLayer(prevLayer)
+}
+
+// barrier is Barrier's wait. Its frame is what a rank parks in a barrier
+// with, so the bookkeeping runs in arrive.
+func (c *Comm) barrier(r *Rank) {
 	c.mustRank(r)
-	key := collKey{parent: c.id, seq: bump(&r.collSeq, c.id)}
 	// The section spans the wait and the release latency: a pset-spanning
 	// barrier's release fires from the exclusive lane, and a zero-delay wake
 	// into a lane could land in that lane's past, so the waiters resume on
 	// the exclusive lane and leave it only after the latency.
 	c.enter(r)
+	if st := c.arrive(r); st != nil {
+		r.bar.p, r.bar.released = r.proc, false
+		st.done.Await(r.proc, &r.bar)
+	} else {
+		r.proc.Sleep(HWBarrierLatency)
+	}
+	c.exit(r)
+}
+
+// arrive counts r into its next barrier on c. The last arrival completes
+// the barrier, releases the waiters and gets nil; every other arrival gets
+// the barrier to wait on.
+func (c *Comm) arrive(r *Rank) *barrierState {
+	key := collKey{parent: c.id, seq: bump(&r.collSeq, c.id)}
 	reg := c.w.regFor(c)
 	st, ok := reg.barriers[key]
 	if !ok {
@@ -922,19 +949,12 @@ func (c *Comm) Barrier(r *Rank) {
 		reg.barriers[key] = st
 	}
 	st.arrived++
-	if st.arrived == n {
-		delete(reg.barriers, key) // complete; reclaim
-		st.done.Fire()
-		r.proc.Sleep(HWBarrierLatency)
-	} else {
-		r.bar.p, r.bar.released = r.proc, false
-		st.done.Await(r.proc, &r.bar)
+	if st.arrived < len(c.members) {
+		return st
 	}
-	c.exit(r)
-	if r.w.rec != nil {
-		r.proc.Rec().Span(trace.LayerMPI, "mpi.barrier", r.id, t0, r.Now(), 0)
-		r.w.K.SetLayer(prevLayer)
-	}
+	delete(reg.barriers, key) // complete; reclaim
+	st.done.Fire()
+	return nil
 }
 
 // barrierWait is the continuation a rank waits in a barrier on. The release

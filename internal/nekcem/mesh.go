@@ -78,11 +78,6 @@ func (m Mesh) PointsOnRank(rank, np int) int64 {
 	return int64(m.ElemsOnRank(rank, np)) * int64(m.PointsPerElement())
 }
 
-// ChunkBytesOnRank returns the per-field checkpoint bytes of one rank.
-func (m Mesh) ChunkBytesOnRank(rank, np int) int64 {
-	return 8 * m.PointsOnRank(rank, np)
-}
-
 // MeshFileBytes approximates the size of the global input files (*.rea and
 // *.map): vertex coordinates, connectivity and processor mapping per
 // element.

@@ -202,9 +202,16 @@ func (rr *RunResult) TotalCheckpoint() float64 {
 // drive it once, then Finish each.
 type Pending struct {
 	w   *mpi.World
+	fs  fsys.System
 	cfg RunConfig
+	env *ckpt.Env
 	res *RunResult
 
+	// Ranks on different partition lanes of a sharded kernel run on
+	// different OS threads; everything they merge into across ranks is
+	// guarded by mu. Every merged quantity commutes (min/max, integer
+	// sums), so the aggregate is identical whatever order lanes reach it
+	// in.
 	mu       sync.Mutex
 	firstErr error
 	aggs     map[int64]*CkptAgg
@@ -236,192 +243,257 @@ func Launch(w *mpi.World, fs fsys.System, cfg RunConfig) (*Pending, error) {
 	np := w.Size()
 	pe := &Pending{
 		w:    w,
+		fs:   fs,
 		cfg:  cfg,
+		env:  &ckpt.Env{FS: fs, Dir: cfg.Dir, Log: cfg.Log, RankUp: cfg.RankUp, PeerTimeout: cfg.PeerTimeout, Epochs: cfg.Epochs},
 		res:  &RunResult{PerRank: make([]RankCkpt, np)},
 		aggs: map[int64]*CkptAgg{},
 		left: np,
 	}
-	res := pe.res
-	env := &ckpt.Env{FS: fs, Dir: cfg.Dir, Log: cfg.Log, RankUp: cfg.RankUp, PeerTimeout: cfg.PeerTimeout, Epochs: cfg.Epochs}
-	// Ranks on different partition lanes of a sharded kernel run on
-	// different OS threads; everything they merge into across ranks is
-	// guarded by one mutex. Every merged quantity commutes (min/max,
-	// integer sums), so the aggregate is identical whatever order lanes
-	// reach it in.
-	mu := &pe.mu
-	fail := func(err error) {
-		mu.Lock()
-		if pe.firstErr == nil {
-			pe.firstErr = err
-		}
-		mu.Unlock()
-	}
 
 	// Mesh input files pre-exist on the file system.
-	meshPath := cfg.Dir + "/waveguide.rea"
 	if !cfg.SkipPresetup {
-		fs.Preload(meshPath, cfg.Mesh.MeshFileBytes())
+		fs.Preload(pe.meshPath(), cfg.Mesh.MeshFileBytes())
 	}
 
-	aggs := pe.aggs
-
+	// The rank body keeps a small frame: every wait of the rank parks with
+	// this frame on its stack, and the runtime sizes new goroutine stacks
+	// from the average parked depth (see DESIGN.md §5). Each phase that
+	// needs more room runs in a helper that has returned before the next
+	// phase parks.
 	w.Spawn(func(c *mpi.Comm, r *mpi.Rank) {
-		p := r.Proc()
-		defer pe.rankDone(r)
+		growStack()
+		cfg := &pe.cfg
 		if cfg.StartAt > 0 {
-			p.SleepUntil(cfg.StartAt)
+			r.Proc().SleepUntil(cfg.StartAt)
 		}
 		if c.Rank(r) == 0 {
-			res.Started = r.Now()
+			pe.res.Started = r.Now()
 		}
 		var plan ckpt.Plan
 		if cfg.Strategy != nil {
 			var err error
-			plan, err = cfg.Strategy.Plan(c, r)
-			if err != nil {
-				fail(err)
+			if plan, err = cfg.Strategy.Plan(c, r); err != nil {
+				pe.fail(err)
+				pe.rankDone(r)
 				return
 			}
 		}
-
-		// Presetup: rank 0 reads the global mesh, parses it, and broadcasts;
-		// every rank then builds its local element data.
-		if !cfg.SkipPresetup {
-			if c.Rank(r) == 0 {
-				h, err := fs.Open(p, r.ID(), meshPath)
-				if err != nil {
-					fail(err)
-					return
-				}
-				buf, err := h.ReadAt(p, r.ID(), 0, cfg.Mesh.MeshFileBytes())
-				if err != nil {
-					fail(err)
-					return
-				}
-				if err := h.Close(p, r.ID()); err != nil {
-					fail(err)
-					return
-				}
-				p.Sleep(45e-6 * float64(cfg.Mesh.E)) // global parse / genmap assignment
-				c.Bcast(r, 0, buf)
-			} else {
-				c.Bcast(r, 0, data.Buf{})
-			}
-			p.Sleep(2e-6 * float64(cfg.Mesh.ElemsOnRank(c.Rank(r), np))) // local setup
-			c.Barrier(r)
-			if c.Rank(r) == 0 {
-				res.Presetup = r.Now()
+		if st := pe.setup(c, r, plan); st != nil && pe.steps(c, r, plan, st) {
+			if ap, ok := plan.(ckpt.AsyncPlan); ok {
+				pe.drain(r, ap)
 			}
 		}
-
-		var st *State
-		if cfg.Synthetic {
-			st = NewSyntheticState(cfg.Mesh, c.Rank(r), np)
-		} else {
-			st = NewState(cfg.Mesh, c.Rank(r), np)
-			st.InitWaveguide()
-		}
-		st.PayloadFactor = cfg.PayloadFactor
-
-		if cfg.RestartStep > 0 && plan != nil {
-			cp, err := plan.Read(env, r, cfg.RestartStep)
-			if err != nil {
-				fail(fmt.Errorf("nekcem: restart: %w", err))
-				return
-			}
-			if err := st.Restore(cp); err != nil {
-				fail(err)
-				return
-			}
-			if c.Rank(r) == 0 {
-				res.Restored = true
-			}
-		}
-
-		stepTime := cfg.Compute.StepTime(st.Mesh.PointsOnRank(c.Rank(r), np))
-		if c.Rank(r) == 0 {
-			res.ComputeStep = stepTime
-		}
-
-		rec := w.M.K.Recorder()
-		for step := 1; step <= cfg.Steps; step++ {
-			st.Advance(cfg.DT) // real kernel in content mode, counters otherwise
-			if rec != nil {
-				prev := w.M.K.SetLayer(trace.LayerCompute)
-				p.Sleep(stepTime)
-				w.M.K.SetLayer(prev)
-			} else {
-				p.Sleep(stepTime)
-			}
-			if cfg.CheckpointEvery > 0 && step%cfg.CheckpointEvery == 0 {
-				cp := st.Checkpoint()
-				up := cfg.RankUp == nil || cfg.RankUp(r.ID())
-				var prevLayer trace.Layer
-				var ct0 float64
-				if rec != nil {
-					prevLayer = w.M.K.SetLayer(trace.LayerCkpt)
-					ct0 = r.Now()
-				}
-				stats, err := plan.Write(env, r, cp)
-				if rec != nil {
-					p.Rec().Span(trace.LayerCkpt, "ckpt.step", r.ID(), ct0, r.Now(), cp.TotalBytes())
-					w.M.K.SetLayer(prevLayer)
-				}
-				if err != nil {
-					fail(err)
-					return
-				}
-				if cfg.RankUp != nil && (!up || !cfg.RankUp(r.ID())) {
-					// The rank's node was down at checkpoint entry, or died
-					// before the write finished (the second query runs at
-					// stats.End, the rank's current time): either way its
-					// state is not durably complete. This also covers
-					// strategies without a fault-aware path (coIO), whose
-					// dead ranks ghost through the collectives. The size of
-					// this window is each strategy's real exposure — a full
-					// write for 1PFPP/coIO, only the hand-off for rbIO
-					// workers.
-					stats.DeadRank = true
-				}
-				mu.Lock()
-				agg, ok := aggs[cp.Step]
-				if !ok {
-					agg = &CkptAgg{Step: cp.Step, Start: stats.Start}
-					aggs[cp.Step] = agg
-					pe.order = append(pe.order, cp.Step)
-				}
-				mergeStats(agg, stats)
-				mu.Unlock()
-				res.PerRank[c.Rank(r)] = RankCkpt{Role: stats.Role, Blocked: stats.Blocked(), Perceived: stats.Perceived}
-			}
-		}
-
-		// Close the async lifecycle: every snapshot this rank contributed
-		// must be durable (or known lost) before its body may end, so the
-		// run's makespan honestly includes the flush tail.
-		if ap, ok := plan.(ckpt.AsyncPlan); ok {
-			var dt0 float64
-			if rec != nil {
-				dt0 = r.Now()
-			}
-			flushes, err := ap.WaitDurable(env, r)
-			if err != nil {
-				fail(err)
-				return
-			}
-			if rec != nil && r.Now() > dt0 {
-				p.Rec().Span(trace.LayerAsync, "ckpt.drain", r.ID(), dt0, r.Now(), 0)
-			}
-			mu.Lock()
-			for _, fst := range flushes {
-				if agg := aggs[fst.Step]; agg != nil {
-					mergeFlush(agg, fst)
-				}
-			}
-			mu.Unlock()
-		}
+		pe.rankDone(r)
 	})
 	return pe, nil
+}
+
+// growStack grows a rank's stack to 4 KB at its start, where the copy
+// walks only a few frames. A 2 KB stack holds a rank's parks (DESIGN.md §5)
+// but not its active paths: an allocation inside its first collective
+// already overflows it, and growing there copies twenty frames.
+//
+//go:noinline // inlined, the pad would join the rank body's frame, kept under every park
+func growStack() {
+	var pad [1024]byte
+	keep(pad[:])
+}
+
+// keep uses b, so growStack's pad is not optimized away.
+//
+//go:noinline // inlined, an empty body would let the compiler drop the pad
+func keep(b []byte) {}
+
+func (pe *Pending) meshPath() string { return pe.cfg.Dir + "/waveguide.rea" }
+
+// fail records a rank's application-level error; the first one wins.
+func (pe *Pending) fail(err error) {
+	pe.mu.Lock()
+	if pe.firstErr == nil {
+		pe.firstErr = err
+	}
+	pe.mu.Unlock()
+}
+
+// setup runs the presetup phase and builds the rank's solver state,
+// restored from cfg.RestartStep when set. It returns nil after recording a
+// failure.
+func (pe *Pending) setup(c *mpi.Comm, r *mpi.Rank, plan ckpt.Plan) *State {
+	cfg := &pe.cfg
+	if !cfg.SkipPresetup && !pe.presetup(c, r) {
+		return nil
+	}
+	np := c.Size()
+	var st *State
+	if cfg.Synthetic {
+		st = NewSyntheticState(cfg.Mesh, c.Rank(r), np)
+	} else {
+		st = NewState(cfg.Mesh, c.Rank(r), np)
+		st.InitWaveguide()
+	}
+	st.PayloadFactor = cfg.PayloadFactor
+	if cfg.RestartStep > 0 && plan != nil {
+		cp, err := plan.Read(pe.env, r, cfg.RestartStep)
+		if err != nil {
+			pe.fail(fmt.Errorf("nekcem: restart: %w", err))
+			return nil
+		}
+		if err := st.Restore(cp); err != nil {
+			pe.fail(err)
+			return nil
+		}
+		if c.Rank(r) == 0 {
+			pe.res.Restored = true
+		}
+	}
+	return st
+}
+
+// presetup reads the global mesh on rank 0, which parses and broadcasts
+// it; every rank then builds its local element data. It reports false
+// after recording a failure.
+func (pe *Pending) presetup(c *mpi.Comm, r *mpi.Rank) bool {
+	p, cfg, fs := r.Proc(), &pe.cfg, pe.fs
+	if c.Rank(r) == 0 {
+		h, err := fs.Open(p, r.ID(), pe.meshPath())
+		if err != nil {
+			pe.fail(err)
+			return false
+		}
+		buf, err := h.ReadAt(p, r.ID(), 0, cfg.Mesh.MeshFileBytes())
+		if err != nil {
+			pe.fail(err)
+			return false
+		}
+		if err := h.Close(p, r.ID()); err != nil {
+			pe.fail(err)
+			return false
+		}
+		p.Sleep(45e-6 * float64(cfg.Mesh.E)) // global parse / genmap assignment
+		c.Bcast(r, 0, buf)
+	} else {
+		c.Bcast(r, 0, data.Buf{})
+	}
+	p.Sleep(2e-6 * float64(cfg.Mesh.ElemsOnRank(c.Rank(r), c.Size()))) // local setup
+	c.Barrier(r)
+	if c.Rank(r) == 0 {
+		pe.res.Presetup = r.Now()
+	}
+	return true
+}
+
+// steps runs the time-step loop, checkpointing every cfg.CheckpointEvery
+// steps. It reports false after recording a failure.
+func (pe *Pending) steps(c *mpi.Comm, r *mpi.Rank, plan ckpt.Plan, st *State) bool {
+	cfg, k := &pe.cfg, pe.w.M.K
+	stepTime := cfg.Compute.StepTime(st.Mesh.PointsOnRank(c.Rank(r), c.Size()))
+	if c.Rank(r) == 0 {
+		pe.res.ComputeStep = stepTime
+	}
+	for step := 1; step <= cfg.Steps; step++ {
+		st.Advance(cfg.DT) // real kernel in content mode, counters otherwise
+		if k.Recorder() != nil {
+			prev := k.SetLayer(trace.LayerCompute)
+			r.Proc().Sleep(stepTime)
+			k.SetLayer(prev)
+		} else {
+			r.Proc().Sleep(stepTime)
+		}
+		if cfg.CheckpointEvery > 0 && step%cfg.CheckpointEvery == 0 && !pe.checkpoint(c, r, plan, st) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkpoint writes one checkpoint step of st through plan and merges the
+// rank's outcome into the step's aggregate. It reports false after
+// recording a failure.
+func (pe *Pending) checkpoint(c *mpi.Comm, r *mpi.Rank, plan ckpt.Plan, st *State) bool {
+	s := ckptStep{cp: st.Checkpoint(), up: pe.cfg.RankUp == nil || pe.cfg.RankUp(r.ID())}
+	if k := pe.w.M.K; k.Recorder() != nil {
+		s.prev = k.SetLayer(trace.LayerCkpt)
+		s.t0 = r.Now()
+	}
+	s.stats, s.err = plan.Write(pe.env, r, s.cp)
+	return pe.record(c, r, &s)
+}
+
+// ckptStep is one rank's checkpoint step in flight. checkpoint keeps it in
+// one stack slot, so the frame parked under the strategy's Write holds
+// little else.
+type ckptStep struct {
+	cp    *ckpt.Checkpoint
+	up    bool        // the rank's node was up at checkpoint entry
+	prev  trace.Layer // the layer to restore when tracing
+	t0    float64     // the step's entry time when tracing
+	stats ckpt.Stats
+	err   error
+}
+
+// record closes a checkpoint step: it traces the step, then merges the
+// rank's outcome into the step's aggregate, or records the step's error
+// and reports false. It runs after Write returns, so its frame is never
+// parked.
+func (pe *Pending) record(c *mpi.Comm, r *mpi.Rank, s *ckptStep) bool {
+	if k := pe.w.M.K; k.Recorder() != nil {
+		r.Proc().Rec().Span(trace.LayerCkpt, "ckpt.step", r.ID(), s.t0, r.Now(), s.cp.TotalBytes())
+		k.SetLayer(s.prev)
+	}
+	if s.err != nil {
+		pe.fail(s.err)
+		return false
+	}
+	stats := &s.stats
+	if rankUp := pe.cfg.RankUp; rankUp != nil && (!s.up || !rankUp(r.ID())) {
+		// The rank's node was down at checkpoint entry, or died before the
+		// write finished (the second query runs at stats.End, the rank's
+		// current time): either way its state is not durably complete.
+		// This also covers strategies without a fault-aware path (coIO),
+		// whose dead ranks ghost through the collectives. The size of this
+		// window is each strategy's real exposure — a full write for
+		// 1PFPP/coIO, only the hand-off for rbIO workers.
+		stats.DeadRank = true
+	}
+	step := s.cp.Step
+	pe.mu.Lock()
+	agg, ok := pe.aggs[step]
+	if !ok {
+		agg = &CkptAgg{Step: step, Start: stats.Start}
+		pe.aggs[step] = agg
+		pe.order = append(pe.order, step)
+	}
+	mergeStats(agg, *stats)
+	pe.mu.Unlock()
+	pe.res.PerRank[c.Rank(r)] = RankCkpt{Role: stats.Role, Blocked: stats.Blocked(), Perceived: stats.Perceived}
+	return true
+}
+
+// drain closes the async lifecycle: every snapshot this rank contributed
+// must be durable (or known lost) before its body may end, so the run's
+// makespan honestly includes the flush tail.
+func (pe *Pending) drain(r *mpi.Rank, ap ckpt.AsyncPlan) {
+	rec := pe.w.M.K.Recorder()
+	var dt0 float64
+	if rec != nil {
+		dt0 = r.Now()
+	}
+	flushes, err := ap.WaitDurable(pe.env, r)
+	if err != nil {
+		pe.fail(err)
+		return
+	}
+	if rec != nil && r.Now() > dt0 {
+		r.Proc().Rec().Span(trace.LayerAsync, "ckpt.drain", r.ID(), dt0, r.Now(), 0)
+	}
+	pe.mu.Lock()
+	for _, fst := range flushes {
+		if agg := pe.aggs[fst.Step]; agg != nil {
+			mergeFlush(agg, fst)
+		}
+	}
+	pe.mu.Unlock()
 }
 
 // mergeFlush folds one rank's deferred flush outcome into its step's

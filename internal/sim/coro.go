@@ -22,7 +22,7 @@ type coroutine struct {
 	resume func() (status, bool)
 	stop   func()
 	yield  func(status) bool
-	p      *Proc // process whose body runs at the next resume, until run takes it
+	p      *Proc // process whose body runs at the next resume, until the body loop takes it
 	fn     func(*Proc)
 }
 
@@ -77,10 +77,28 @@ func newCoroutine() *coroutine {
 		idle.Unlock()
 	}
 	c := new(coroutine)
+	// The body runs every process on this coroutine in its own frame, with
+	// no call between it and the process: a parked process keeps these
+	// frames on its stack, and their depth sets the starting stack size
+	// (see DESIGN.md §5).
 	c.resume, c.stop = iter.Pull(func(yield func(status) bool) {
 		c.yield = yield
+		var p *Proc // the process running
+		defer func() {
+			// A panic ends the coroutine, wrapped so it keeps its origin.
+			// recover is nil during runtime.Goexit, which passes through.
+			if r := recover(); r != nil {
+				panic(&procPanic{name: p.name, value: r, stack: debug.Stack()})
+			}
+		}()
 		for {
-			c.run()
+			// Forget the body first, so an idle coroutine pins neither the
+			// process nor anything the body captured.
+			var fn func(*Proc)
+			p, fn, c.p, c.fn = c.p, c.fn, nil, nil
+			fn(p)
+			p.done = true
+			p = nil
 			if !yield(ended) {
 				return
 			}
@@ -100,22 +118,6 @@ func (c *coroutine) release() {
 	idle.Lock()
 	idle.list = append(idle.list, c)
 	idle.Unlock()
-}
-
-// run runs the body c was handed. c forgets the body first, so an idle
-// coroutine pins neither the process nor anything the body captured. A
-// panic ends the coroutine, wrapped so it keeps its origin.
-func (c *coroutine) run() {
-	p, fn := c.p, c.fn
-	c.p, c.fn = nil, nil
-	defer func() {
-		// recover is nil during runtime.Goexit, which passes through.
-		if r := recover(); r != nil {
-			panic(&procPanic{name: p.name, value: r, stack: debug.Stack()})
-		}
-	}()
-	fn(p)
-	p.done = true
 }
 
 // procPanic is a process's panic on its way out of the coroutine. iter.Pull

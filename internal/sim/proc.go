@@ -313,11 +313,18 @@ func (s *Signal) Wait(p *Proc) {
 // schedules for p runs c.Continue in its slot. The signal must not have
 // fired yet.
 func (s *Signal) Await(p *Proc, c Cont) {
+	s.enlist(p)
+	p.Await(c)
+}
+
+// enlist adds p to the waiters.
+//
+//go:noinline // keeps the append's frame out of the caller's, which parks right after
+func (s *Signal) enlist(p *Proc) {
 	if s.fired {
 		panic("sim: Await on a fired signal")
 	}
 	s.waiters = append(s.waiters, p)
-	p.Await(c)
 }
 
 // Fire wakes all waiters (in wait order) and makes future Waits return
@@ -332,9 +339,6 @@ func (s *Signal) Fire() {
 	}
 	s.waiters = nil
 }
-
-// Fired reports whether Fire has been called.
-func (s *Signal) Fired() bool { return s.fired }
 
 // Resource is a FIFO resource with fixed capacity (e.g. a server with a
 // bounded number of service slots). Processes Acquire a unit, hold it for

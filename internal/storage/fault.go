@@ -16,9 +16,6 @@ var (
 	ErrTimeout    = fsys.ErrTimeout
 )
 
-// IsUnavailable reports whether err is a fault-injection storage failure.
-func IsUnavailable(err error) bool { return fsys.Unavailable(err) }
-
 // FaultPolicy is how the storage client side reacts to unresponsive
 // servers: how long detection takes, how retries back off, and whether the
 // striped layout fails writes over to surviving servers.

@@ -372,12 +372,6 @@ func (c *Core) funnelIn(p *sim.Proc, rank int, size int64) float64 {
 	return end
 }
 
-// ServerFor returns the server storing block/stripe b of f (round-robin
-// striping with a per-file starting offset).
-func (c *Core) ServerFor(f *File, b int64) *Server {
-	return c.servers[(int64(f.stripe)+b)%int64(len(c.servers))]
-}
-
 // NoiseFactor returns the burst-concurrency amplification of the spike
 // probability at the current moment.
 func (c *Core) NoiseFactor() float64 {

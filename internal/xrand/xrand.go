@@ -98,12 +98,6 @@ func (r *RNG) Normal(mu, sigma float64) float64 {
 	return mu + sigma*math.Sqrt(-2*math.Log(u1))*math.Cos(2*math.Pi*u2)
 }
 
-// LogNormal returns exp(Normal(mu, sigma)). mu and sigma parameterize the
-// underlying normal, not the resulting distribution's mean.
-func (r *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(r.Normal(mu, sigma))
-}
-
 // Pareto returns a Pareto(xm, alpha) heavy-tailed value, xm the scale
 // (minimum) and alpha the tail index: smaller alpha means heavier tail.
 func (r *RNG) Pareto(xm, alpha float64) float64 {

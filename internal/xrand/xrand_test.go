@@ -153,15 +153,6 @@ func TestParetoHeavyTail(t *testing.T) {
 	}
 }
 
-func TestLogNormalPositive(t *testing.T) {
-	r := New(23)
-	for i := 0; i < 10000; i++ {
-		if v := r.LogNormal(0, 1); v <= 0 {
-			t.Fatalf("LogNormal non-positive: %v", v)
-		}
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw)%64 + 1
