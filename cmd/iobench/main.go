@@ -26,6 +26,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/metrics"
@@ -164,11 +165,22 @@ func (c *cli) resolve() (exp.Options, []exp.Descriptor, error) {
 	if err := validateMachine(c.machName, c.mapName, c.np); err != nil {
 		return o, nil, err
 	}
-	if c.shards < 0 {
-		return o, nil, &flagError{"shards", c.shards, "want >= 0; 0 or 1 = serial kernel"}
+	for _, f := range []struct {
+		name  string
+		value int
+		why   string
+	}{
+		{"shards", c.shards, "want >= 0; 0 or 1 = serial kernel"},
+		{"tenants", c.tenants, "want >= 1; 0 = default 2"},
+		{"parallel", c.parallel, "want >= 1; 0 = one worker per CPU"},
+		{"trace-events", c.traceEvents, "want >= 1; 0 = default 1M"},
+	} {
+		if f.value < 0 {
+			return o, nil, &flagError{f.name, f.value, f.why}
+		}
 	}
-	if c.tenants < 0 {
-		return o, nil, &flagError{"tenants", c.tenants, "want >= 1; 0 = default 2"}
+	if !(c.mtbf > 0) || math.IsInf(c.mtbf, 1) {
+		return o, nil, &flagError{"mtbf", c.mtbf, "want a finite number of hours > 0"}
 	}
 	if err := validateLifecycleFlags(c.epochs, c.work, setFlags(c.fs)); err != nil {
 		return o, nil, err
@@ -225,11 +237,11 @@ func (c *cli) resolve() (exp.Options, []exp.Descriptor, error) {
 // flagError reports a numeric flag value out of range.
 type flagError struct {
 	Flag  string
-	Value int
+	Value any
 	Why   string
 }
 
-func (e *flagError) Error() string { return fmt.Sprintf("invalid -%s %d (%s)", e.Flag, e.Value, e.Why) }
+func (e *flagError) Error() string { return fmt.Sprintf("invalid -%s %v (%s)", e.Flag, e.Value, e.Why) }
 
 // validateMachine checks -machine, -np and -map together: np must be >= 0,
 // and the preset's partition with the placement override must validate at

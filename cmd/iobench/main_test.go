@@ -66,6 +66,12 @@ func TestResolveRejectsBadFlags(t *testing.T) {
 		{[]string{"-tenants", "-2"}, "", "tenants"},
 		{[]string{"-epochs", "0"}, "", "epochs"},
 		{[]string{"-work", "-5"}, "", "work"},
+		{[]string{"-mtbf", "-1"}, "", "mtbf"},
+		{[]string{"-mtbf", "0"}, "", "mtbf"},
+		{[]string{"-mtbf", "NaN"}, "", "mtbf"},
+		{[]string{"-mtbf", "+Inf"}, "", "mtbf"},
+		{[]string{"-trace-events", "-5"}, "", "trace-events"},
+		{[]string{"-parallel", "-3"}, "", "parallel"},
 	} {
 		_, err := resolveArgs(t, tc.args...)
 		var ue *registry.UnknownError

@@ -41,10 +41,7 @@ func main() {
 	if *metrics {
 		tf, err := trace.ReadFile(f)
 		f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		exitBad(err)
 		if len(tf.Metrics) == 0 {
 			fmt.Fprintln(os.Stderr, "iolog: no metrics in trace (written by an older iobench?)")
 			os.Exit(1)
@@ -92,8 +89,9 @@ func main() {
 	fmt.Println(table.Text([]string{"t (s)", "active writers", "MB/s"}, rows))
 }
 
-// exitBad exits 2 on a malformed log (iolog.ErrFormat) or a -ranks or -dt
-// out of range (iolog.ErrRange), before any output.
+// exitBad exits 2 on a malformed log (iolog.ErrFormat), a malformed -metrics
+// trace (trace.ErrFormat, the only error trace.ReadFile returns) or a -ranks
+// or -dt out of range (iolog.ErrRange), before any output.
 func exitBad(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

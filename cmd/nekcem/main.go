@@ -158,7 +158,7 @@ func (c *cli) resolve() (exp.Options, ckpt.Strategy, error) {
 	for _, f := range []struct {
 		name  string
 		value int
-	}{{"steps", c.steps}, {"ckpt-every", c.every}, {"nf", c.nf}} {
+	}{{"steps", c.steps}, {"ckpt-every", c.every}, {"nf", c.nf}, {"elements", c.elems}, {"order", c.order}} {
 		if f.value < 0 {
 			return o, nil, &flagError{f.name, f.value, "want >= 0"}
 		}

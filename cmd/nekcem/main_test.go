@@ -82,6 +82,8 @@ func TestResolveRejectsBadFlags(t *testing.T) {
 		{[]string{"-ckpt", "rbio", "-nf", "3", "-np", "64"}, "", "nf"},
 		{[]string{"-ckpt", "coio", "-nf", "3", "-np", "64"}, "", "nf"},
 		{[]string{"-epochs", "0"}, "", "epochs"},
+		{[]string{"-elements", "-5"}, "", "elements"},
+		{[]string{"-order", "-2"}, "", "order"},
 	} {
 		fs := flag.NewFlagSet("nekcem", flag.ContinueOnError)
 		c := newCLI(fs)

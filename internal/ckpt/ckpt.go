@@ -392,27 +392,3 @@ func readChunk(env *Env, r *mpi.Rank, path string, chunkIdx int) (*Checkpoint, e
 	env.log(r.ID(), iolog.OpClose, t2, r.Now(), 0)
 	return cp, nil
 }
-
-// ValidateFile structurally verifies a written checkpoint file on the
-// simulated file system: master header, advertised size, and (in content
-// mode) every field's block header. It returns the parsed header and how
-// many block headers were materialized and checked.
-func ValidateFile(env *Env, r *mpi.Rank, path string) (*cemfmt.Header, int, error) {
-	p := r.Proc()
-	h, err := env.FS.Open(p, r.ID(), path)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer h.Close(p, r.ID())
-	read := func(off, n int64) ([]byte, error) {
-		buf, err := h.ReadAt(p, r.ID(), off, n)
-		if err != nil {
-			return nil, err
-		}
-		if !buf.Real() {
-			return nil, nil // synthetic region: structure not inspectable
-		}
-		return buf.Bytes(), nil
-	}
-	return cemfmt.Validate(read, h.Size())
-}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/bgp"
+	"repro/internal/cemfmt"
 	"repro/internal/data"
 	"repro/internal/gpfs"
 	"repro/internal/iolog"
@@ -522,7 +523,7 @@ func TestWrittenFilesValidate(t *testing.T) {
 					return
 				}
 				for _, path := range paths[strat.Name()] {
-					hdr, checked, err := ValidateFile(env, r, path)
+					hdr, checked, err := validateFile(env, r, path)
 					if err != nil {
 						t.Errorf("%s: %v", path, err)
 						continue
@@ -537,4 +538,28 @@ func TestWrittenFilesValidate(t *testing.T) {
 			})
 		})
 	}
+}
+
+// validateFile structurally verifies a written checkpoint file on the
+// simulated file system: master header, advertised size, and (in content
+// mode) every field's block header. It returns the parsed header and how
+// many block headers were materialized and checked.
+func validateFile(env *Env, r *mpi.Rank, path string) (*cemfmt.Header, int, error) {
+	p := r.Proc()
+	h, err := env.FS.Open(p, r.ID(), path)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer h.Close(p, r.ID())
+	read := func(off, n int64) ([]byte, error) {
+		buf, err := h.ReadAt(p, r.ID(), off, n)
+		if err != nil {
+			return nil, err
+		}
+		if !buf.Real() {
+			return nil, nil // synthetic region: structure not inspectable
+		}
+		return buf.Bytes(), nil
+	}
+	return cemfmt.Validate(read, h.Size())
 }

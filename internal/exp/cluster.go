@@ -10,7 +10,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/recover"
 	"repro/internal/sim"
-	"repro/internal/storage"
 	"repro/internal/table"
 	"repro/internal/trace"
 )
@@ -130,46 +129,23 @@ func (cs *clusterSession) collect(jobs []*cluster.Job) error {
 	return cluster.Collect(jobs, cs.K.Run())
 }
 
-// ClusterRun is one multi-tenant session's outcome.
-type ClusterRun struct {
-	Jobs     []*cluster.Job
-	Rec      *trace.Recorder
-	Capacity int     // shared machine size in ranks
-	Makespan float64 // kernel time when the session drained
-	Events   uint64
-	FSStats  storage.Stats
-}
-
-// RunCluster hosts the tenants together on one machine and runs them to
-// completion. queued selects dynamic admission (arrive, wait for capacity,
-// place, retire — serial kernel only); otherwise every tenant is admitted up
-// front, which supports the sharded kernel and per-tenant attribution.
-func RunCluster(o Options, tenants []cluster.Tenant, queued bool) (*ClusterRun, error) {
-	capRanks, err := clusterCapacity(o, tenants)
+// runStatic admits every tenant up front on a fresh session over a machine
+// of capRanks ranks, runs them to completion and finishes the trace under
+// label.
+func runStatic(o Options, capRanks int, tenants []cluster.Tenant, label string) ([]*cluster.Job, *trace.Recorder, error) {
+	cs, err := newClusterSession(o, scenario{NP: capRanks})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	cs, err := newClusterSession(o, scenario{NP: capRanks, Queued: queued})
+	jobs, err := cs.launch(tenants)
 	if err != nil {
-		return nil, err
-	}
-	var jobs []*cluster.Job
-	if queued {
-		jobs, err = cs.Sess.LaunchQueued(cs.tenantDefaults(tenants))
-	} else {
-		jobs, err = cs.launch(tenants)
-	}
-	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := cs.collect(jobs); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	cs.finish("cluster")
-	return &ClusterRun{
-		Jobs: jobs, Rec: cs.Rec, Capacity: cs.NP,
-		Makespan: cs.K.Now(), Events: cs.K.Events(), FSStats: *cs.Stats,
-	}, nil
+	cs.finish(label)
+	return jobs, cs.Rec, nil
 }
 
 // stormTenants builds nt identical tenants of np ranks each. Drain
@@ -258,19 +234,7 @@ func CkptStorm(o Options, np, nt int) (*CkptStormResult, error) {
 	res := &CkptStormResult{NP: np, Tenants: nt, Capacity: capRanks}
 
 	arm := func(sname, label string, tenants []cluster.Tenant) ([]*cluster.Job, *trace.Recorder, error) {
-		cs, err := newClusterSession(o, scenario{NP: capRanks})
-		if err != nil {
-			return nil, nil, err
-		}
-		jobs, err := cs.launch(tenants)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := cs.collect(jobs); err != nil {
-			return nil, nil, err
-		}
-		cs.finish("ckptstorm/" + sname + "/" + label)
-		return jobs, cs.Rec, nil
+		return runStatic(o, capRanks, tenants, "ckptstorm/"+sname+"/"+label)
 	}
 
 	for _, strat := range stormStrategies(np) {

@@ -10,6 +10,18 @@ import (
 	"repro/internal/table"
 )
 
+// runCluster hosts the tenants together on one machine sized for all of
+// them, admits every one up front and runs them to completion: the nt=1
+// golden tests' route into the cluster composition.
+func runCluster(o Options, tenants []cluster.Tenant) ([]*cluster.Job, error) {
+	capRanks, err := clusterCapacity(o, tenants)
+	if err != nil {
+		return nil, err
+	}
+	jobs, _, err := runStatic(o, capRanks, tenants, "cluster")
+	return jobs, err
+}
+
 // clusterHeadline reproduces the headline grid through the multi-tenant
 // session at nt=1: one tenant per approach, each filling a machine of
 // exactly its own size, writing to the single-tenant "ckpt" directory.
@@ -17,13 +29,13 @@ func clusterHeadline(t *testing.T, o Options, np int) []HeadlineRow {
 	t.Helper()
 	var rows []HeadlineRow
 	for ai, strat := range Approaches(np) {
-		cr, err := RunCluster(o, []cluster.Tenant{
+		jobs, err := runCluster(o, []cluster.Tenant{
 			{Name: "t0", NP: np, Strategy: strat, Dir: "ckpt"},
-		}, false)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := cr.Jobs[0].Res
+		res := jobs[0].Res
 		agg := res.Checkpoints[0]
 		step := agg.StepTime()
 		rows = append(rows, HeadlineRow{
@@ -65,12 +77,12 @@ func TestClusterSingleTenantGoldenIdentity(t *testing.T) {
 					var rows []FSRow
 					for _, fsName := range FileSystems {
 						for _, strat := range strategies {
-							cr, err := RunCluster(Options{Seed: seed, FS: fsName, Shards: shards},
-								[]cluster.Tenant{{Name: "t0", NP: np, Strategy: strat, Dir: "ckpt"}}, false)
+							jobs, err := runCluster(Options{Seed: seed, FS: fsName, Shards: shards},
+								[]cluster.Tenant{{Name: "t0", NP: np, Strategy: strat, Dir: "ckpt"}})
 							if err != nil {
 								t.Fatal(err)
 							}
-							agg := cr.Jobs[0].Res.Checkpoints[0]
+							agg := jobs[0].Res.Checkpoints[0]
 							rows = append(rows, FSRow{
 								FS: string(fsName), Strategy: strat.Name(), NP: np,
 								GBps: GB(agg.Bandwidth()), StepSec: agg.StepTime(),
@@ -222,12 +234,12 @@ func TestRunWorkloadQueued(t *testing.T) {
 // psets and rank ranges and that their default checkpoint directories never
 // collide.
 func TestClusterTenantIsolation(t *testing.T) {
-	cr, err := RunCluster(Options{Seed: 1}, stormTenants(256, 3, ckpt.DefaultRbIO()), false)
+	jobs, err := runCluster(Options{Seed: 1}, stormTenants(256, 3, ckpt.DefaultRbIO()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	seenPsets := map[int]string{}
-	for _, j := range cr.Jobs {
+	for _, j := range jobs {
 		lo, hi := j.Alloc.Psets()
 		for p := lo; p < hi; p++ {
 			if owner, dup := seenPsets[p]; dup {

@@ -146,32 +146,6 @@ func TestOpJSONNames(t *testing.T) {
 	}
 }
 
-func TestBuildReport(t *testing.T) {
-	l := sampleLog()
-	rep := l.BuildReport()
-	if rep.Ranks != 3 {
-		t.Fatalf("ranks %d", rep.Ranks)
-	}
-	byOp := map[Op]OpStats{}
-	for _, a := range rep.PerOp {
-		byOp[a.Op] = a
-	}
-	w := byOp[OpWrite]
-	if w.Count != 2 || w.Bytes != 3000 {
-		t.Fatalf("write stats %+v", w)
-	}
-	if w.MinSec != 1.0 || w.MaxSec != 2.0 || w.AvgSec != 1.5 {
-		t.Fatalf("write durations %+v", w)
-	}
-	if _, ok := byOp[OpRead]; ok {
-		t.Fatal("report invented reads")
-	}
-	s := rep.String()
-	if !strings.Contains(s, "write") || !strings.Contains(s, "ranks: 3") {
-		t.Fatalf("report rendering:\n%s", s)
-	}
-}
-
 func TestScatterRendersBands(t *testing.T) {
 	// Two bands: first half near zero, second half near 10.
 	values := make([]float64, 100)
@@ -202,16 +176,6 @@ func TestScatterDegenerate(t *testing.T) {
 	}
 	if Scatter([]float64{0, 0, 0}, 10, 5) == "" {
 		t.Fatal("all-zero scatter should still render a frame")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	vals := []float64{5, 1, 9, 3, 7}
-	if Percentile(vals, 0) != 1 || Percentile(vals, 1) != 9 || Percentile(vals, 0.5) != 5 {
-		t.Fatal("percentiles wrong")
-	}
-	if Percentile(nil, 0.5) != 0 {
-		t.Fatal("empty percentile not zero")
 	}
 }
 
@@ -290,7 +254,6 @@ func FuzzReadJSON(f *testing.F) {
 			return
 		}
 		l.Summarize()
-		l.BuildReport()
 		if ranks == 0 {
 			ranks = l.Ranks()
 		}

@@ -27,8 +27,7 @@ import (
 type collOp uint8
 
 const (
-	opGather         collOp = iota // GatherInt64
-	opBcast                        // Bcast, BcastValue, BcastValueSized
+	opBcast          collOp = iota // Bcast, BcastValue, BcastValueSized
 	opAllgather                    // AllgatherInt64: gather to 0, broadcast of the result
 	opAllgatherPair                // AllgatherInt64Pair: two AllgatherInt64s
 	opAllgatherBytes               // AllgatherBytes: gather to 0, broadcast of the table
@@ -45,7 +44,6 @@ const (
 )
 
 var collPasses = [...][]passKind{
-	opGather:         {passGather},
 	opBcast:          {passBcast},
 	opAllgather:      {passGather, passBcast},
 	opAllgatherPair:  {passGather, passBcast, passGather, passBcast},
@@ -255,16 +253,9 @@ func (st *coll) gatherPass() (collStatus, float64) {
 	}
 	if bytes {
 		st.bval = slices.Clip(st.bval)
-		return collNext, 0
 	}
-	if st.root == 0 {
-		return collNext, 0 // virtual ranks are the ranks
-	}
-	out := make([]int64, n)
-	for i, v := range st.ival {
-		out[(i+st.root)%n] = v
-	}
-	st.ival = out
+	// Only Bcast takes a root: every gather pass roots at comm rank 0, so
+	// the virtual ranks are the ranks and the root's run is the result.
 	return collNext, 0
 }
 
@@ -474,17 +465,6 @@ func (c *Comm) BcastValue(r *Rank, root int, v any) any {
 func (c *Comm) BcastValueSized(r *Rank, root int, v any, size int64) any {
 	_, v = c.bcast(r, root, data.Synthetic(size), v)
 	return v
-}
-
-// GatherInt64 gathers one int64 from every rank to root (binomial tree).
-// Root receives the full slice indexed by comm rank; others receive nil.
-func (c *Comm) GatherInt64(r *Rank, root int, v int64) []int64 {
-	st := c.startColl(r, opGather, root)
-	st.v0 = v
-	st.run()
-	out := st.ival
-	st.release()
-	return out
 }
 
 // AllgatherInt64 gathers one int64 from every rank to every rank. All ranks

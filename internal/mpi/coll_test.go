@@ -25,14 +25,12 @@ func subComm(w *World, n int) *Comm {
 }
 
 // treeCalls are the tree collectives, each called once with inputs that
-// vary by rank (and a root other than 0 where the call takes one).
+// vary by rank (and a root other than 0 for Bcast, the one call that takes
+// one).
 var treeCalls = []struct {
 	name string
 	call func(c *Comm, r *Rank) string
 }{
-	{"GatherInt64", func(c *Comm, r *Rank) string {
-		return fmt.Sprint(c.GatherInt64(r, c.Size()/3, int64(3*c.Rank(r)+1)))
-	}},
 	{"Bcast", func(c *Comm, r *Rank) string {
 		var buf data.Buf
 		if c.Rank(r) == c.Size()-1 {
@@ -95,26 +93,21 @@ func TestTreeCollectivesResumeOncePerCall(t *testing.T) {
 // built from blocking Send and Recv, each rank's process resuming at every
 // hop.
 
-func refGather(c *Comm, r *Rank, root int, v int64) []int64 {
-	n := c.Size()
+func refGather(c *Comm, r *Rank, v int64) []int64 {
+	n, me := c.Size(), c.Rank(r)
 	tag := c.nextCollTag(r)
-	vrank := (c.Rank(r) - root + n) % n
 	vals := []int64{v}
 	for mask := 1; mask < n; mask <<= 1 {
-		if vrank&mask != 0 {
-			c.Send(r, (vrank-mask+root)%n, tag, encodeInt64Range(vrank, vals))
+		if me&mask != 0 {
+			c.Send(r, me-mask, tag, encodeInt64Range(me, vals))
 			return nil
 		}
-		if vrank+mask < n {
-			buf, _ := c.Recv(r, (vrank+mask+root)%n, tag)
-			vals = appendInt64Range(vals, vrank+len(vals), buf)
+		if me+mask < n {
+			buf, _ := c.Recv(r, me+mask, tag)
+			vals = appendInt64Range(vals, me+len(vals), buf)
 		}
 	}
-	out := make([]int64, n)
-	for i, val := range vals {
-		out[(vrank+i+root)%n] = val
-	}
-	return out
+	return vals
 }
 
 func refBcast(c *Comm, r *Rank, root int, buf data.Buf, val any) (data.Buf, any) {
@@ -140,7 +133,7 @@ func refBcast(c *Comm, r *Rank, root int, buf data.Buf, val any) (data.Buf, any)
 }
 
 func refAllgather(c *Comm, r *Rank, v int64) []int64 {
-	vals := refGather(c, r, 0, v)
+	vals := refGather(c, r, v)
 	_, out := refBcast(c, r, 0, data.Synthetic(8*int64(c.Size())), vals)
 	return out.([]int64)
 }
@@ -173,7 +166,7 @@ func refAllgatherBytes(c *Comm, r *Rank, b []byte) [][]byte {
 
 func refSplit(c *Comm, r *Rank, color, key int64) *Comm {
 	colors := refAllgather(c, r, color)
-	refGather(c, r, 0, key)
+	refGather(c, r, key)
 	var children map[int64]*Comm
 	if c.Rank(r) == 0 {
 		children = c.children(r, colors)
@@ -184,7 +177,6 @@ func refSplit(c *Comm, r *Rank, color, key int64) *Comm {
 
 // treeAPI is one implementation of the tree collectives.
 type treeAPI struct {
-	gather         func(c *Comm, r *Rank, root int, v int64) []int64
 	bcast          func(c *Comm, r *Rank, root int, buf data.Buf, val any) (data.Buf, any)
 	allgather      func(c *Comm, r *Rank, v int64) []int64
 	allgatherBytes func(c *Comm, r *Rank, b []byte) [][]byte
@@ -192,8 +184,8 @@ type treeAPI struct {
 }
 
 var (
-	liveAPI = treeAPI{(*Comm).GatherInt64, (*Comm).bcast, (*Comm).AllgatherInt64, (*Comm).AllgatherBytes, (*Comm).Split}
-	refAPI  = treeAPI{refGather, refBcast, refAllgather, refAllgatherBytes, refSplit}
+	liveAPI = treeAPI{(*Comm).bcast, (*Comm).AllgatherInt64, (*Comm).AllgatherBytes, (*Comm).Split}
+	refAPI  = treeAPI{refBcast, refAllgather, refAllgatherBytes, refSplit}
 )
 
 // treeScenario runs every tree collective in turn on a group of np ranks,
@@ -232,9 +224,6 @@ func treeScenario(t *testing.T, api treeAPI, ranks, np, workers int) (log, spans
 			buf, src := c.Recv(r, left, step)
 			lines.add(r, w.Base(), "p2p %d: %d bytes from %d", step, buf.Len(), src)
 		}
-		p2p()
-		lines.add(r, w.Base(), "gather %v", api.gather(c, r, np/3, int64(3*me+1)))
-		settle()
 		p2p()
 		buf, val := data.Buf{}, any(nil)
 		if me == np-1 {

@@ -19,9 +19,7 @@
 package mpi
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 
@@ -1006,45 +1004,6 @@ func (c *Comm) Shared(r *Rank, compute func() any) any {
 	}
 	c.exit(r)
 	return e.v
-}
-
-// ReduceOp is a binary reduction operator.
-type ReduceOp func(a, b float64) float64
-
-// Standard reduction operators.
-var (
-	Sum ReduceOp = func(a, b float64) float64 { return a + b }
-	Max ReduceOp = func(a, b float64) float64 { return math.Max(a, b) }
-	Min ReduceOp = func(a, b float64) float64 { return math.Min(a, b) }
-)
-
-// AllreduceFloat64 reduces v across all ranks with op and returns the result
-// on every rank (gather-reduce + broadcast).
-func (c *Comm) AllreduceFloat64(r *Rank, op ReduceOp, v float64) float64 {
-	vals := c.GatherInt64(r, 0, int64(math.Float64bits(v)))
-	var buf data.Buf
-	if c.mustRank(r) == 0 {
-		acc := math.Float64frombits(uint64(vals[0]))
-		for _, bits := range vals[1:] {
-			acc = op(acc, math.Float64frombits(uint64(bits)))
-		}
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(acc))
-		buf = data.FromBytes(b[:])
-	}
-	buf = c.Bcast(r, 0, buf)
-	return math.Float64frombits(binary.LittleEndian.Uint64(buf.Bytes()))
-}
-
-// ExscanInt64 returns the exclusive prefix sum of v by comm rank: rank i
-// gets sum of v over ranks < i (0 on rank 0). Used to compute file offsets.
-func (c *Comm) ExscanInt64(r *Rank, v int64) int64 {
-	all := c.AllgatherInt64(r, v)
-	var sum int64
-	for i := 0; i < c.mustRank(r); i++ {
-		sum += all[i]
-	}
-	return sum
 }
 
 func (c *Comm) mustRank(r *Rank) int {

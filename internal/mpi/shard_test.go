@@ -3,6 +3,7 @@ package mpi
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -188,7 +189,7 @@ func worldCollectives(w *World, log rankLog) func(c *Comm, r *Rank) {
 
 		// A pset-local child: its registries live on its lane.
 		local := c.Split(r, int64(r.pset), int64(me))
-		max := local.AllreduceFloat64(r, Max, float64(me))
+		max := slices.Max(local.AllgatherInt64(r, int64(me)))
 		log.add(r, w.Base(), "local %d of %d max %v", local.Rank(r), local.Size(), max)
 		local.Barrier(r)
 		log.add(r, w.Base(), "local barrier")

@@ -39,12 +39,6 @@ const NumFields = 6
 // FieldNames lists the checkpointed components in file order.
 var FieldNames = []string{"Ex", "Ey", "Ez", "Hx", "Hy", "Hz"}
 
-// CheckpointBytes returns S: the bytes one checkpoint step writes across
-// all ranks (six float64 fields over all grid points).
-func (m Mesh) CheckpointBytes() int64 {
-	return NumFields * 8 * m.GlobalPoints()
-}
-
 // PaperPayloadFactor scales each component block for the auxiliary
 // per-point payload NekCEM's vtk checkpoint carries. The paper reports
 // (n, S) = (275M, 39 GB), i.e. ~144 bytes per grid point = 18 float64
@@ -54,8 +48,9 @@ func (m Mesh) CheckpointBytes() int64 {
 // 39/78/156 GB.
 const PaperPayloadFactor = 3
 
-// CheckpointBytesFactor returns S when each component block carries factor
-// words per grid point.
+// CheckpointBytesFactor returns S, the bytes one checkpoint step writes
+// across all ranks, when each component block carries factor float64 words
+// per grid point (1: the six fields alone).
 func (m Mesh) CheckpointBytesFactor(factor int) int64 {
 	return int64(NumFields*factor) * 8 * m.GlobalPoints()
 }

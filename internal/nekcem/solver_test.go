@@ -31,7 +31,7 @@ func TestMeshArithmetic(t *testing.T) {
 		t.Fatalf("global points %d", got)
 	}
 	// S = 48n: the paper's 39 GB at 16K ranks.
-	s := m.CheckpointBytes()
+	s := m.CheckpointBytesFactor(1)
 	if s != 48*m.GlobalPoints() {
 		t.Fatalf("checkpoint bytes %d", s)
 	}
@@ -64,8 +64,8 @@ func TestPaperMeshSizes(t *testing.T) {
 		}
 	}
 	// Weak scaling: bytes per rank constant.
-	b16 := PaperMesh(16384).CheckpointBytes() / 16384
-	b64 := PaperMesh(65536).CheckpointBytes() / 65536
+	b16 := PaperMesh(16384).CheckpointBytesFactor(1) / 16384
+	b64 := PaperMesh(65536).CheckpointBytesFactor(1) / 65536
 	if b16 != b64 {
 		t.Fatalf("weak scaling violated: %d vs %d bytes/rank", b16, b64)
 	}
@@ -242,7 +242,7 @@ func TestSyntheticRunNoMemoryBlowup(t *testing.T) {
 	if len(res.Checkpoints) != 1 {
 		t.Fatal("missing checkpoint")
 	}
-	wantBytes := PaperMesh(1024).CheckpointBytes()
+	wantBytes := PaperMesh(1024).CheckpointBytesFactor(1)
 	got := res.Checkpoints[0].Bytes
 	if got < wantBytes*99/100 || got > wantBytes*101/100 {
 		t.Fatalf("synthetic checkpoint carried %d bytes, want ~%d", got, wantBytes)

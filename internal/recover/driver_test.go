@@ -207,8 +207,8 @@ func TestMultilevelKillRollsBackToGlobal(t *testing.T) {
 	}
 	// The crashed attempt's local epochs at newer steps must not have been
 	// trusted: the pick is strictly older than the torn global epoch.
-	if p := log.PickRestart(mid, true); p == nil || p.Step != int64(ce*seg) {
-		t.Fatalf("PickRestart(requireGlobal) = %+v, want step %d", p, ce*seg)
+	if p := log.NewestSealed(ckpt.LevelGlobal, mid); p == nil || p.Step != int64(ce*seg) {
+		t.Fatalf("NewestSealed(global) = %+v, want step %d", p, ce*seg)
 	}
 }
 

@@ -68,10 +68,6 @@ func (e *Epoch) Sealed() bool {
 // started: a restart scanner must not trust its bytes.
 func (e *Epoch) Torn() bool { return !e.Sealed() }
 
-// Verified reports whether a scan has read this epoch's manifest back
-// through the storage stack and checked its checksums.
-func (e *Epoch) Verified() bool { return e.verified }
-
 // Lost returns the ranks recorded lost, sorted, with reasons.
 func (e *Epoch) LostRanks() []string {
 	out := make([]string, 0, len(e.lost))
@@ -85,9 +81,6 @@ func (e *Epoch) LostRanks() []string {
 	}
 	return out
 }
-
-// Committed returns how many contributors have committed.
-func (e *Epoch) Committed() int { return len(e.committed) }
 
 // Invalid returns the invalidation reason ("" when none).
 func (e *Epoch) Invalid() string { return e.invalid }
@@ -359,26 +352,6 @@ func (l *Log) StalenessAt(level ckpt.Level, t float64) float64 {
 		return t
 	}
 	return t - e.SealedAt
-}
-
-// PickRestart chooses the rollback epoch after a failure: the newest sealed
-// epoch across levels, with the fast local level preferred at equal steps —
-// unless requireGlobal (a node was lost, so RAM-disk state is gone), in
-// which case only global epochs qualify. This is the multilevel
-// rollback-to-level decision.
-func (l *Log) PickRestart(before float64, requireGlobal bool) *Epoch {
-	g := l.NewestSealed(ckpt.LevelGlobal, before)
-	if requireGlobal {
-		return g
-	}
-	lo := l.NewestSealed(ckpt.LevelLocal, before)
-	switch {
-	case lo == nil:
-		return g
-	case g == nil || lo.Step >= g.Step:
-		return lo
-	}
-	return g
 }
 
 // Manifest renders the epoch's deterministic manifest bytes: a header line,

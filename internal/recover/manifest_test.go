@@ -167,11 +167,10 @@ func TestBufferLossTearsUnverifiedEpochs(t *testing.T) {
 	}
 }
 
-// TestPickRestartLevels pins the multilevel rollback-to-level decision:
-// prefer the newest (usually local) sealed epoch, but fall to the global
-// level when the fast level's epoch is torn or when node loss makes local
-// state untrustworthy.
-func TestPickRestartLevels(t *testing.T) {
+// TestNewestSealedLevels pins the rollback pick: the newest sealed epoch of
+// the asked level, skipping a torn one and any sealed after the failure
+// instant.
+func TestNewestSealedLevels(t *testing.T) {
 	l := NewLog(1, 2)
 	s := l.StartSegment("ckpt/a000", 0, 0)
 	sealEpoch(s, ckpt.LevelGlobal, 4, 2, 1.0)
@@ -182,21 +181,14 @@ func TestPickRestartLevels(t *testing.T) {
 	sealEpoch(s, ckpt.LevelLocal, 8, 2, 3.0)
 	s.EpochLost(ckpt.LostRecord{Level: ckpt.LevelLocal, Step: 8, Rank: 0, Reason: "node down", Time: 3.1})
 
-	p := l.PickRestart(0, false)
-	if p == nil || p.Level != ckpt.LevelLocal || p.Step != 6 {
-		t.Fatalf("PickRestart skipped past the torn local epoch wrong: %+v", p)
+	if p := l.NewestSealed(ckpt.LevelLocal, 0); p == nil || p.Step != 6 {
+		t.Fatalf("NewestSealed(local) skipped past the torn epoch wrong: %+v", p)
 	}
-	g := l.PickRestart(0, true)
-	if g == nil || g.Level != ckpt.LevelGlobal || g.Step != 4 {
-		t.Fatalf("PickRestart(requireGlobal) = %+v, want the global step-4 epoch", g)
-	}
-	// Equal steps prefer the fast local level.
-	sealEpoch(s, ckpt.LevelGlobal, 6, 2, 2.0)
-	if p := l.PickRestart(0, false); p.Level != ckpt.LevelLocal || p.Step != 6 {
-		t.Fatalf("equal-step pick = %+v, want local step 6", p)
+	if g := l.NewestSealed(ckpt.LevelGlobal, 0); g == nil || g.Level != ckpt.LevelGlobal || g.Step != 4 {
+		t.Fatalf("NewestSealed(global) = %+v, want the global step-4 epoch", g)
 	}
 	// A time bound excludes epochs sealed after the failure instant.
-	if p := l.PickRestart(1.9, false); p.Level != ckpt.LevelLocal || p.Step != 4 {
+	if p := l.NewestSealed(ckpt.LevelLocal, 1.9); p == nil || p.Step != 4 {
 		t.Fatalf("bounded pick = %+v, want local step 4", p)
 	}
 }

@@ -97,7 +97,7 @@ func TestUnparkResumeAlreadyScheduledPanics(t *testing.T) {
 	var target *Proc
 	target = k.Go("target", func(p *Proc) { p.Park() })
 	k.Go("waker", func(p *Proc) {
-		p.Yield() // let target park first
+		p.Sleep(0) // let target park first
 		target.Unpark()
 		defer func() {
 			if recover() == nil {

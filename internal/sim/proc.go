@@ -287,10 +287,6 @@ func (p *Proc) resumes() bool {
 	return true
 }
 
-// Yield gives other events scheduled at the current instant a chance to run
-// before the process continues.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // Signal is a broadcast condition: processes Wait on it and a later Fire
 // wakes all of them. Once fired, Wait returns immediately. A Signal must
 // only be used from inside one simulation.

@@ -208,12 +208,14 @@ func TestReleaseIdleResourcePanics(t *testing.T) {
 	NewResource(1).Release()
 }
 
+// TestYieldLetsSameTimeEventsRun: a zero Sleep yields, so other events at
+// the current instant run before the process continues.
 func TestYieldLetsSameTimeEventsRun(t *testing.T) {
 	k := NewKernel()
 	var order []string
 	k.Go("a", func(p *Proc) {
 		order = append(order, "a1")
-		p.Yield()
+		p.Sleep(0)
 		order = append(order, "a2")
 	})
 	k.Go("b", func(p *Proc) {
@@ -476,7 +478,7 @@ func TestAwaitRunsContinuationInResumeSlot(t *testing.T) {
 				p.SleepUntil(float64(i))
 				a.Unpark()
 			}
-			p.Yield()
+			p.Sleep(0)
 			log = append(log, "late at 3")
 		})
 		if err := k.Run(); err != nil {

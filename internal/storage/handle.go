@@ -41,9 +41,6 @@ func (c *Core) newHandle(f *File) *Handle {
 // File returns the handle's file.
 func (h *Handle) File() *File { return h.f }
 
-// Outstanding returns the client's in-flight commit count on this handle.
-func (h *Handle) Outstanding(client int) int { return h.outstanding[client] }
-
 // TotalOutstanding returns the handle's in-flight commit count across all
 // clients.
 func (h *Handle) TotalOutstanding() int { return h.total }

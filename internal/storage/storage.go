@@ -316,9 +316,6 @@ func (c *Core) Kernel() *sim.Kernel { return c.m.K }
 // BlockSize implements fsys.System: the striping/locking granularity.
 func (c *Core) BlockSize() int64 { return c.cfg.BlockSize }
 
-// PsetOf returns the pset (== ION, == storage client) of an MPI rank.
-func (c *Core) PsetOf(rank int) int { return c.m.PsetOfRank(rank) }
-
 // Servers returns the striped server array.
 func (c *Core) Servers() []*Server { return c.servers }
 

@@ -17,11 +17,8 @@ type TenantRange struct {
 
 // tenantAgg is one attribution row: per-layer summed span busy time (ranks
 // of a tenant overlap in time, so this is aggregate busy time, not wall
-// time) plus summed span payload bytes.
-type tenantAgg struct {
-	time  [NumLayers]kacc
-	bytes int64
-}
+// time).
+type tenantAgg [NumLayers]kacc
 
 // SetTenants installs the attribution table. Spans recorded from then on
 // are credited to the tenant whose window contains the span's track — rank
@@ -49,14 +46,12 @@ func (r *Recorder) Tenants() []TenantRange {
 
 // attributeSpan credits a span to its tenant; called by Span when a table
 // is installed.
-func (r *Recorder) attributeSpan(l Layer, name string, track int, d float64, bytes int64) {
+func (r *Recorder) attributeSpan(l Layer, name string, track int, d float64) {
 	i := r.tenantOf(l, name, track)
 	if i < 0 {
 		i = len(r.tenants) // shared row
 	}
-	a := &r.tenantAggs[i]
-	a.time[l].add(d)
-	a.bytes += bytes
+	r.tenantAggs[i][l].add(d)
 }
 
 // tenantOf resolves a span's track to a tenant index, or -1 for shared
@@ -93,14 +88,5 @@ func (r *Recorder) TenantSpanTime(i int, l Layer) float64 {
 	if r == nil || r.tenantAggs == nil || i < 0 || i >= len(r.tenantAggs) {
 		return 0
 	}
-	return r.tenantAggs[i].time[l].value()
-}
-
-// TenantSpanBytes returns the summed span payload bytes credited to tenant
-// i. i == len(Tenants()) addresses the shared row.
-func (r *Recorder) TenantSpanBytes(i int) int64 {
-	if r == nil || r.tenantAggs == nil || i < 0 || i >= len(r.tenantAggs) {
-		return 0
-	}
-	return r.tenantAggs[i].bytes
+	return r.tenantAggs[i][l].value()
 }

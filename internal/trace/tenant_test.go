@@ -52,15 +52,6 @@ func TestTenantAttributionRouting(t *testing.T) {
 	if got := r.TenantSpanTime(shared, LayerStorage); got != 13 {
 		t.Errorf("shared storage time %v, want 13", got)
 	}
-	if got, want := r.TenantSpanBytes(0), int64(100+800); got != want {
-		t.Errorf("t0 bytes %d, want %d", got, want)
-	}
-	if got, want := r.TenantSpanBytes(1), int64(200+400); got != want {
-		t.Errorf("t1 bytes %d, want %d", got, want)
-	}
-	if got, want := r.TenantSpanBytes(shared), int64(1600+3200+6400); got != want {
-		t.Errorf("shared bytes %d, want %d", got, want)
-	}
 }
 
 // TestTenantAttributionAccumulates checks repeated spans sum per tenant.
@@ -71,9 +62,6 @@ func TestTenantAttributionAccumulates(t *testing.T) {
 	}
 	if got := r.TenantSpanTime(0, LayerCkpt); got != 5 {
 		t.Errorf("accumulated time %v, want 5", got)
-	}
-	if got := r.TenantSpanBytes(0); got != 100 {
-		t.Errorf("accumulated bytes %d, want 100", got)
 	}
 }
 
@@ -86,7 +74,7 @@ func TestTenantNilSafety(t *testing.T) {
 	if nilRec.Tenants() != nil {
 		t.Error("nil recorder holds a tenant table")
 	}
-	if nilRec.TenantSpanTime(0, LayerCkpt) != 0 || nilRec.TenantSpanBytes(0) != 0 {
+	if nilRec.TenantSpanTime(0, LayerCkpt) != 0 {
 		t.Error("nil recorder attributes time")
 	}
 
@@ -99,8 +87,5 @@ func TestTenantNilSafety(t *testing.T) {
 	r = tenantTestRecorder()
 	if r.TenantSpanTime(-1, LayerCkpt) != 0 || r.TenantSpanTime(99, LayerCkpt) != 0 {
 		t.Error("out-of-range tenant index attributes time")
-	}
-	if r.TenantSpanBytes(-1) != 0 || r.TenantSpanBytes(99) != 0 {
-		t.Error("out-of-range tenant index attributes bytes")
 	}
 }

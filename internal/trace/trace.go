@@ -236,7 +236,7 @@ func (r *Recorder) Span(l Layer, name string, track int, start, end float64, byt
 	}
 	st.Hist[histBucket(d)]++
 	if r.tenantAggs != nil {
-		r.attributeSpan(l, name, track, d, bytes)
+		r.attributeSpan(l, name, track, d)
 	}
 	r.push(Event{Layer: l, Kind: KindSpan, Track: int32(track), Name: name, T: start, Dur: d, Value: float64(bytes)})
 }

@@ -88,16 +88,6 @@ func (r *RNG) Weibull(scale, shape float64) float64 {
 	return scale * math.Pow(-math.Log(u), 1/shape)
 }
 
-// Normal returns a normally distributed value via Box-Muller.
-func (r *RNG) Normal(mu, sigma float64) float64 {
-	u1 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
-	}
-	u2 := r.Float64()
-	return mu + sigma*math.Sqrt(-2*math.Log(u1))*math.Cos(2*math.Pi*u2)
-}
-
 // Pareto returns a Pareto(xm, alpha) heavy-tailed value, xm the scale
 // (minimum) and alpha the tail index: smaller alpha means heavier tail.
 func (r *RNG) Pareto(xm, alpha float64) float64 {

@@ -108,25 +108,6 @@ func TestExpNonNegative(t *testing.T) {
 	}
 }
 
-func TestNormalMoments(t *testing.T) {
-	r := New(13)
-	const n = 200000
-	sum, sumsq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		v := r.Normal(3, 2)
-		sum += v
-		sumsq += v * v
-	}
-	mean := sum / n
-	variance := sumsq/n - mean*mean
-	if math.Abs(mean-3) > 0.05 {
-		t.Fatalf("Normal mean %v, want ~3", mean)
-	}
-	if math.Abs(variance-4) > 0.2 {
-		t.Fatalf("Normal variance %v, want ~4", variance)
-	}
-}
-
 func TestParetoMinimum(t *testing.T) {
 	r := New(17)
 	for i := 0; i < 10000; i++ {
