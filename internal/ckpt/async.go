@@ -146,6 +146,7 @@ type asyncPlan struct {
 
 	pending []*asyncFlight // flights this rank contributed to, oldest first
 	drained []FlushStats   // outcomes collected since the last WaitDurable
+	snap    asyncSnap      // the rank's snapshot while it awaits it
 }
 
 // nodePipe returns the snapshot pipe of the calling rank's node, so a
@@ -168,12 +169,12 @@ func (pl *asyncPlan) nodePipe(r *mpi.Rank) *fabric.Pipe {
 	return pipe
 }
 
-// Write implements Plan: the blocking phase is the node-local snapshot.
+// Write implements Plan: the blocking phase is the node-local snapshot,
+// which runs as the rank's continuation (asyncSnap) past the backpressure.
 func (pl *asyncPlan) Write(env *Env, r *mpi.Rank, cp *Checkpoint) (Stats, error) {
 	if _, err := cp.ChunkBytes(); err != nil {
 		return Stats{}, err
 	}
-	p := r.Proc()
 	start := r.Now()
 	// Backpressure: only slots steps may be in background flight; past
 	// that, Write blocks on the oldest flush like a sync strategy would.
@@ -182,16 +183,51 @@ func (pl *asyncPlan) Write(env *Env, r *mpi.Rank, cp *Checkpoint) (Stats, error)
 			return Stats{}, err
 		}
 	}
-	if env.FaultAware() && !env.Up(r.ID()) {
-		// A dead rank snapshots nothing, but still "arrives" so the pset's
-		// flight completes and the agent can fire; its chunk is recorded
-		// lost at flush time.
-		now := r.Now()
-		pl.arrive(env, r, cp, now, "node down")
-		return Stats{Role: RoleAll, Start: now, End: now, Skipped: true, DeadRank: true}, nil
+	sn := &pl.snap
+	sn.pl, sn.env, sn.r, sn.cp, sn.start = pl, env, r, cp, start
+	r.Proc().AwaitNow(sn)
+	stats := sn.stats
+	*sn = asyncSnap{}
+	return stats, nil
+}
+
+// asyncSnap is a rank's node-local snapshot as its continuation
+// (sim.Cont): the snapshot pipe's transfer and the flight bookkeeping run
+// on the driver's stack, where they cannot grow the rank's. It lives in
+// the rank's plan, so a step allocates nothing.
+type asyncSnap struct {
+	pl      *asyncPlan
+	env     *Env
+	r       *mpi.Rank
+	cp      *Checkpoint
+	start   float64 // Write's entry, before the backpressure
+	copying bool    // the snapshot's transfer is under way
+	stats   Stats
+}
+
+// Continue runs the snapshot in its slot, at the await and at the end of
+// the transfer, and resumes the rank once the snapshot arrived.
+func (sn *asyncSnap) Continue() bool {
+	pl, env, r, cp := sn.pl, sn.env, sn.r, sn.cp
+	p := r.Proc()
+	if !sn.copying {
+		if env.FaultAware() && !env.Up(r.ID()) {
+			// A dead rank snapshots nothing, but still "arrives" so the
+			// pset's flight completes and the agent can fire; its chunk is
+			// recorded lost at flush time.
+			now := r.Now()
+			pl.arrive(env, r, cp, now, "node down")
+			sn.stats = Stats{Role: RoleAll, Start: now, End: now, Skipped: true, DeadRank: true}
+			return true
+		}
+		_, end := pl.nodePipe(r).Transfer(r.Now(), cp.TotalBytes())
+		if d := end - r.Now(); d > 0 && !p.SleepFast(d) {
+			sn.copying = true
+			p.UnparkAfter(d)
+			return false
+		}
 	}
-	_, end := pl.nodePipe(r).Transfer(r.Now(), cp.TotalBytes())
-	p.SleepUntil(end)
+	start := sn.start
 	if rec := p.Rec(); rec != nil {
 		rec.Span(trace.LayerAsync, "async.snapshot", r.ID(), start, r.Now(), cp.TotalBytes())
 	}
@@ -199,14 +235,15 @@ func (pl *asyncPlan) Write(env *Env, r *mpi.Rank, cp *Checkpoint) (Stats, error)
 	fl := pl.arrive(env, r, cp, r.Now(), "")
 	pl.pending = append(pl.pending, fl)
 	now := r.Now()
-	return Stats{
+	sn.stats = Stats{
 		Role:      RoleAll,
 		Start:     start,
 		End:       now,
 		Perceived: now - start,
 		Bytes:     cp.TotalBytes(),
 		Async:     true,
-	}, nil
+	}
+	return true
 }
 
 // arrive records this rank's contribution to the step's flight; the last

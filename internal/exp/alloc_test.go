@@ -80,9 +80,10 @@ func TestResumeBudget(t *testing.T) {
 }
 
 // stackSample is what one forced collection saw: the average stack in use
-// per live goroutine and the starting stack size the runtime chose from it.
+// per live goroutine, the starting stack size the runtime chose from it,
+// and the stack memory allocated.
 type stackSample struct {
-	avg, start uint64
+	avg, start, stacks uint64
 }
 
 // collect forces a collection and reads its stack scan.
@@ -92,9 +93,11 @@ func collect() stackSample {
 		{Name: "/gc/scan/stack:bytes"},
 		{Name: "/sched/goroutines:goroutines"},
 		{Name: "/gc/stack/starting-size:bytes"},
+		{Name: "/memory/classes/heap/stacks:bytes"},
 	}
 	metrics.Read(s)
-	return stackSample{avg: s[0].Value.Uint64() / s[1].Value.Uint64(), start: s[2].Value.Uint64()}
+	n := s[1].Value.Uint64()
+	return stackSample{avg: s[0].Value.Uint64() / n, start: s[2].Value.Uint64(), stacks: s[3].Value.Uint64()}
 }
 
 // TestRankStackBudget pins how deep a parked rank's stack is. At every
@@ -107,7 +110,14 @@ func collect() stackSample {
 // the serial kernel at np=4096, with every rank alive: while every rank is
 // parked in its first collective, and halfway to the first rank's return
 // from the checkpoint step. Each collection must scan at most 1 KB per
-// goroutine and leave the start at 2 KB.
+// goroutine and leave the start at 2 KB. For rbIO each rank's stack must
+// also average at most 2,176 B: its 2 KB start, the writers (one in 64)
+// grown to 4 KB, and some slack: a rank's collective steps and its
+// checkpoint's payload run on the driver's stack (sim.Proc.AwaitNow), not
+// on the rank's. The stack
+// memory allocated is read against a collection at time 0, when every
+// rank has its starting stack and none has run, so the free stacks the
+// runtime caches per P and earlier tests left behind cancel out.
 //
 // The exception is coIO's checkpoint: its ranks wait out each field's
 // collective write in the write's closing barrier, under the solver's and
@@ -128,9 +138,10 @@ func TestRankStackBudget(t *testing.T) {
 	for _, tc := range []struct {
 		ckpt       string
 		ckptBudget uint64
+		held       uint64 // stack allocated per rank; 0 = unchecked
 	}{
-		{"rbio", budget},
-		{"coio1", 1376},
+		{"rbio", budget, 2176},
+		{"coio1", 1376, 0},
 	} {
 		d, err := ckpt.Lookup(tc.ckpt)
 		if err != nil {
@@ -138,6 +149,10 @@ func TestRankStackBudget(t *testing.T) {
 		}
 		j := Job{NP: np, Strategy: d.New(np)}
 		run := func(at ...float64) (*nekcem.RunResult, []stackSample) {
+			// The ranks start in stacks of the size the last collection
+			// chose, which an earlier run may have left at 4 KB: collect
+			// while no rank lives.
+			runtime.GC()
 			e, err := build(Options{Seed: 1, Parallel: 1}, scenario{NP: np, Job: j})
 			if err != nil {
 				t.Fatal(err)
@@ -152,23 +167,32 @@ func TestRankStackBudget(t *testing.T) {
 			}
 			return res, got
 		}
-		// A first run times the checkpoint step. The second collects just
-		// after time 0, when every rank has parked in its first collective,
-		// and halfway to the first rank's return from the step.
+		// A first run times the checkpoint step. The second collects at
+		// time 0, before any rank ran, just after, when every rank has
+		// parked in its first collective, and halfway to the first rank's
+		// return from the step.
 		res, _ := run()
 		first := res.PerRank[0].Blocked
 		for _, rc := range res.PerRank {
 			first = min(first, rc.Blocked)
 		}
-		_, got := run(1e-9, res.Checkpoints[0].Start+first/2)
-		for i, s := range got {
+		_, got := run(0, 1e-9, res.Checkpoints[0].Start+first/2)
+		base := got[0]
+		if base.start != start {
+			t.Fatalf("%s: ranks spawned with %d B stacks, want %d", tc.ckpt, base.start, start)
+		}
+		for i, s := range got[1:] {
 			at, limit := "first collective", uint64(budget)
 			if i == 1 {
 				at, limit = "checkpoint", tc.ckptBudget
 			}
-			t.Logf("%s %s: %d B scanned per goroutine, start stack %d B", tc.ckpt, at, s.avg, s.start)
+			held := start + (s.stacks-base.stacks)/np
+			t.Logf("%s %s: %d B scanned per goroutine, start stack %d B, %d B of stack allocated per rank", tc.ckpt, at, s.avg, s.start, held)
 			if s.avg > limit {
 				t.Errorf("%s %s: %d B scanned per goroutine, budget %d B", tc.ckpt, at, s.avg, limit)
+			}
+			if tc.held > 0 && held > tc.held {
+				t.Errorf("%s %s: %d B of stack allocated per rank, budget %d B", tc.ckpt, at, held, tc.held)
 			}
 			if limit <= budget && s.start != start {
 				t.Errorf("%s %s: starting stack size %d B, want %d", tc.ckpt, at, s.start, start)

@@ -11,13 +11,13 @@ import (
 
 // Tree collectives. Every one is a fixed sequence of binomial-tree passes
 // — a gather to a root, a broadcast from one — run by one per-rank state
-// machine, coll. A rank runs its steps in its own process until the first
-// wait, then awaits the call as its continuation (sim.Proc.Await): each
-// later wake of the rank — a matched receive's delivery, the end of a
-// receive's cost, the end of a send's software overhead, a send's local
-// completion — runs the next steps in the wake's own calendar slot instead
-// of switching to the rank's coroutine, and the rank resumes once, in the
-// slot of its last step. A send hop runs the sendOp Send runs, and a
+// machine, coll. A rank awaits the call as its continuation from the start
+// (sim.Proc.AwaitNow), so its driver runs the steps up to the first wait on
+// the driver's stack, not the rank's. Each later wake of the rank — a
+// matched receive's delivery, the end of a receive's cost, the end of a
+// send's software overhead, a send's local completion — runs the next
+// steps in the wake's own calendar slot instead of switching to the rank's
+// coroutine, and the rank resumes once, in the slot of its last step. A send hop runs the sendOp Send runs, and a
 // receive hop pays its cost where Recv does, so every message, time and
 // scheduling point is the one a rank blocking in Send and Recv at each hop
 // would produce; only the coroutine switches between hops are saved
@@ -83,6 +83,7 @@ type coll struct {
 	pass   uint8 // index into collPasses[op]
 	began  bool  // the current pass has taken its tag and tree position
 	inProc bool  // steps run in the rank's process, not as its continuation
+	done   bool  // the call finished (not a hop left for the process)
 	wait   collWaitOn
 	prev   trace.Layer // layer to restore when the pending receive ends
 	root   int         // the root of every pass
@@ -125,13 +126,15 @@ func (st *coll) release() {
 	pool.collPool = append(pool.collPool, st)
 }
 
-// run drives the call from the rank's own process: steps run inline until
-// the first wait, then the process awaits st as its continuation, which
-// resumes it once the call finished — or earlier, for a hop only the
-// process can make, after which the steps go on inline.
+// run drives the call from the rank's own process. The process awaits st
+// at once (sim.Proc.AwaitNow), so even the steps before the first wait run
+// on the driver's stack, not the rank's, and it resumes once the call
+// finished — or earlier, for a hop only the process can make, after which
+// the steps go on inline.
 func (st *coll) run() {
 	p := st.r.proc
-	for {
+	p.AwaitNow(st)
+	for !st.done {
 		st.inProc = true
 		s, d := st.step()
 		st.inProc = false
@@ -147,11 +150,19 @@ func (st *coll) run() {
 }
 
 // Continue runs the call's next steps in the slot of one of the rank's
-// wakes (sim.Cont). It resumes the rank when the call finished or the next
-// hop needs a shared section; otherwise the rank waits on, parked. A
-// receive that found its message waiting schedules the rank's resume
-// through the receive's cost where the rank's own Sleep would have.
+// wakes (sim.Cont), or at the call's start. It resumes the rank when the
+// call finished or the next hop needs a shared section; otherwise the rank
+// waits on, parked. A receive that found its message waiting schedules the
+// rank's resume through the receive's cost where the rank's own Sleep
+// would have.
 func (st *coll) Continue() bool {
+	if st.pass == 0 && !st.began {
+		// The call's start, on the driver's stack: leave the next call a
+		// state to take, so a rank's own stack rarely allocates one.
+		if pool := st.r.w.poolFor(st.r.proc); len(pool.collPool) == 0 {
+			pool.collPool = append(pool.collPool, &coll{})
+		}
+	}
 	s, d := st.step()
 	switch s {
 	case collWait:
@@ -160,6 +171,7 @@ func (st *coll) Continue() bool {
 		st.r.proc.UnparkAfter(d)
 		return false
 	}
+	st.done = s == collDone
 	return true
 }
 
@@ -199,8 +211,9 @@ func (st *coll) begin() {
 // gatherPass is the binomial gather: each node owns the contiguous region
 // [vrank, vrank+len) of the virtual ranks, takes its children's adjacent
 // regions in mask order and sends the whole to its parent; the root ends
-// up with every value. The wire encoding is contiguous (index, value)
-// runs.
+// up with every value. An int64 run travels as the message's value, sized
+// as its (index, value) pairs; a byte run is encoded as (index, bytes)
+// pairs.
 func (st *coll) gatherPass() (collStatus, float64) {
 	n := len(st.c.members)
 	bytes := collPasses[st.op][st.pass] == passGatherBytes
@@ -228,13 +241,16 @@ func (st *coll) gatherPass() (collStatus, float64) {
 				return collShared, 0
 			}
 			st.mask = n // the send to the parent ends the pass
-			var payload data.Buf
+			var s collStatus
+			var d float64
 			if bytes {
-				payload = data.FromBytes(encodeBytesRange(st.vrank, st.bval))
+				s, d = st.send(parent, data.FromBytes(encodeBytesRange(st.vrank, st.bval)), nil)
 			} else {
-				payload = encodeInt64Range(st.vrank, st.ival)
+				// The run rides the message as its value; the wire carries
+				// its (index, value) pairs' size.
+				s, d = st.send(parent, data.Synthetic(16*int64(len(st.ival))), st.ival)
 			}
-			if s, d := st.send(parent, payload, nil); s != collNext {
+			if s != collNext {
 				return s, d
 			}
 			break
@@ -396,7 +412,12 @@ func (st *coll) fold(m *message) {
 	st.opLen = m.buf.Len()
 	switch collPasses[st.op][st.pass] {
 	case passGather:
-		st.ival = appendInt64Range(st.ival, st.vrank+len(st.ival), m.buf)
+		// Gather regions are adjacent by construction: the run starts at
+		// the sender's index, which is its comm rank (gathers root at 0).
+		if k, want := st.c.rankOfWorld(m.src), st.vrank+len(st.ival); k != want {
+			panic(fmt.Sprintf("mpi: gather region starts at %d, want %d", k, want))
+		}
+		st.ival = append(st.ival, m.val.([]int64)...)
 	case passGatherBytes:
 		st.bval = appendBytesRange(st.bval, st.vrank+len(st.bval), m.buf.Bytes())
 	case passBcast:
@@ -555,36 +576,6 @@ func (c *Comm) children(r *Rank, colors []int64) map[int64]*Comm {
 		}
 	}
 	return out
-}
-
-// encodeInt64Range serializes the contiguous (index, value) pairs
-// (base+i, vals[i]) — byte-identical to the former sparse-map encoding,
-// whose sorted keys were always this contiguous run.
-func encodeInt64Range(base int, vals []int64) data.Buf {
-	b := make([]byte, 0, 16*len(vals))
-	var tmp [8]byte
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(tmp[:], uint64(base+i))
-		b = append(b, tmp[:]...)
-		binary.LittleEndian.PutUint64(tmp[:], uint64(v))
-		b = append(b, tmp[:]...)
-	}
-	return data.FromBytes(b)
-}
-
-// appendInt64Range decodes a contiguous run encoded by encodeInt64Range and
-// appends its values to vals. The run must start at index base — gather
-// regions are adjacent by construction.
-func appendInt64Range(vals []int64, base int, buf data.Buf) []int64 {
-	b := buf.Bytes()
-	for i := 0; i+16 <= len(b); i += 16 {
-		if k := int(binary.LittleEndian.Uint64(b[i:])); k != base {
-			panic(fmt.Sprintf("mpi: gather region starts at %d, want %d", k, base))
-		}
-		vals = append(vals, int64(binary.LittleEndian.Uint64(b[i+8:])))
-		base++
-	}
-	return vals
 }
 
 // encodeBytesRange serializes the contiguous (index, bytes) pairs

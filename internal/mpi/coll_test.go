@@ -99,12 +99,12 @@ func refGather(c *Comm, r *Rank, v int64) []int64 {
 	vals := []int64{v}
 	for mask := 1; mask < n; mask <<= 1 {
 		if me&mask != 0 {
-			c.Send(r, me-mask, tag, encodeInt64Range(me, vals))
+			c.newSend(r, me-mask, tag, data.Synthetic(16*int64(len(vals))), vals, true).wait()
 			return nil
 		}
 		if me+mask < n {
-			buf, _ := c.Recv(r, me+mask, tag)
-			vals = appendInt64Range(vals, me+len(vals), buf)
+			_, _, run, _ := c.recv(r, me+mask, tag, -1)
+			vals = append(vals, run.([]int64)...)
 		}
 	}
 	return vals

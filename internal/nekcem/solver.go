@@ -262,7 +262,6 @@ func Launch(w *mpi.World, fs fsys.System, cfg RunConfig) (*Pending, error) {
 	// needs more room runs in a helper that has returned before the next
 	// phase parks.
 	w.Spawn(func(c *mpi.Comm, r *mpi.Rank) {
-		growStack()
 		cfg := &pe.cfg
 		if cfg.StartAt > 0 {
 			r.Proc().SleepUntil(cfg.StartAt)
@@ -288,22 +287,6 @@ func Launch(w *mpi.World, fs fsys.System, cfg RunConfig) (*Pending, error) {
 	})
 	return pe, nil
 }
-
-// growStack grows a rank's stack to 4 KB at its start, where the copy
-// walks only a few frames. A 2 KB stack holds a rank's parks (DESIGN.md §5)
-// but not its active paths: an allocation inside its first collective
-// already overflows it, and growing there copies twenty frames.
-//
-//go:noinline // inlined, the pad would join the rank body's frame, kept under every park
-func growStack() {
-	var pad [1024]byte
-	keep(pad[:])
-}
-
-// keep uses b, so growStack's pad is not optimized away.
-//
-//go:noinline // inlined, an empty body would let the compiler drop the pad
-func keep(b []byte) {}
 
 func (pe *Pending) meshPath() string { return pe.cfg.Dir + "/waveguide.rea" }
 
@@ -411,13 +394,32 @@ func (pe *Pending) steps(c *mpi.Comm, r *mpi.Rank, plan ckpt.Plan, st *State) bo
 // rank's outcome into the step's aggregate. It reports false after
 // recording a failure.
 func (pe *Pending) checkpoint(c *mpi.Comm, r *mpi.Rank, plan ckpt.Plan, st *State) bool {
-	s := ckptStep{cp: st.Checkpoint(), up: pe.cfg.RankUp == nil || pe.cfg.RankUp(r.ID())}
+	r.Proc().AwaitNow((*snapshot)(st))
+	s := ckptStep{cp: st.snap, up: pe.cfg.RankUp == nil || pe.cfg.RankUp(r.ID())}
+	st.snap = nil
 	if k := pe.w.M.K; k.Recorder() != nil {
 		s.prev = k.SetLayer(trace.LayerCkpt)
 		s.t0 = r.Now()
 	}
 	s.stats, s.err = plan.Write(pe.env, r, s.cp)
+	if rankUp := pe.cfg.RankUp; rankUp != nil && s.up && s.err == nil {
+		// Did the node die before the write finished? Asked here, not in
+		// record, whose frame would carry the query past 2 KB of stack.
+		s.up = rankUp(r.ID())
+	}
 	return pe.record(c, r, &s)
+}
+
+// snapshot is a rank's State awaited as the rank's continuation
+// (sim.Proc.AwaitNow): it builds the checkpoint into State.snap on the
+// driver's stack. Under the solver's frames the payload's allocations were
+// the deepest calls a worker rank made, and they grew its stack past 2 KB.
+type snapshot State
+
+func (s *snapshot) Continue() bool {
+	st := (*State)(s)
+	st.snap = st.Checkpoint()
+	return true
 }
 
 // ckptStep is one rank's checkpoint step in flight. checkpoint keeps it in
@@ -425,7 +427,7 @@ func (pe *Pending) checkpoint(c *mpi.Comm, r *mpi.Rank, plan ckpt.Plan, st *Stat
 // little else.
 type ckptStep struct {
 	cp    *ckpt.Checkpoint
-	up    bool        // the rank's node was up at checkpoint entry
+	up    bool        // the rank's node was up at checkpoint entry and, once Write returned, at its end
 	prev  trace.Layer // the layer to restore when tracing
 	t0    float64     // the step's entry time when tracing
 	stats ckpt.Stats
@@ -446,9 +448,9 @@ func (pe *Pending) record(c *mpi.Comm, r *mpi.Rank, s *ckptStep) bool {
 		return false
 	}
 	stats := &s.stats
-	if rankUp := pe.cfg.RankUp; rankUp != nil && (!s.up || !rankUp(r.ID())) {
+	if pe.cfg.RankUp != nil && !s.up {
 		// The rank's node was down at checkpoint entry, or died before the
-		// write finished (the second query runs at stats.End, the rank's
+		// write finished (the second query ran at stats.End, the rank's
 		// current time): either way its state is not durably complete.
 		// This also covers strategies without a fault-aware path (coIO),
 		// whose dead ranks ghost through the collectives. The size of this

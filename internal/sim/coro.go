@@ -30,9 +30,10 @@ type coroutine struct {
 type status uint8
 
 const (
-	waiting   status = iota // its resume is scheduled, or it parked
-	suspended               // it left its lane for a shared section (EnterShared)
-	ended                   // its body returned
+	waiting    status = iota // its resume is scheduled, or it parked
+	continuing               // its continuation runs at once (AwaitNow)
+	suspended                // it left its lane for a shared section (EnterShared)
+	ended                    // its body returned
 )
 
 // idleCoroutines holds released coroutines for reuse in race-enabled

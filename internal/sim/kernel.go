@@ -421,11 +421,18 @@ func (k *Kernel) advance(ln *lane, l trace.Layer, t float64) {
 // drive is the driver's half of the baton protocol on lane pt, or with pt
 // nil on the kernel's own context: starting with p, it resumes a process
 // and runs the context's dispatch loop for the next, until the loop runs
-// dry or a process suspends into a shared section. The loop is handed the
-// process just resumed, whose own resume next is then no wake.
+// dry or a process suspends into a shared section. A process that yields
+// continuing (AwaitNow) has its continuation run here, before anything is
+// dispatched, and is resumed again at once, uncounted, if the continuation
+// asks for it. The loop is handed the process just resumed, whose own
+// resume next is then no wake.
 func (k *Kernel) drive(pt *partition, p *Proc) {
 	for p != nil {
 		switch st, _ := p.co.resume(); st {
+		case continuing:
+			if p.resumes() {
+				continue
+			}
 		case suspended:
 			return
 		case ended:

@@ -260,6 +260,18 @@ func (p *Proc) Await(c Cont) {
 	p.Park()
 }
 
+// AwaitNow parks p with c as its continuation and runs c.Continue at
+// once, on the driver's stack: p yields, and its driver runs the
+// continuation before it dispatches anything else, at the same instant and
+// on the same state p's own code would have. A continuation that returns
+// true resumes p there and then, with no event and no wake; one that
+// waits leaves p waiting as it arranged. Code that would grow p's stack —
+// a collective's first hops — thus runs on the driver's instead.
+func (p *Proc) AwaitNow(c Cont) {
+	p.cont = c
+	p.co.yield(continuing)
+}
+
 // AwaitAfter is Sleep(d) with c as p's continuation from the wake-up on:
 // p's resume is scheduled exactly where Sleep schedules it, and runs
 // c.Continue in its slot. It takes no fast path; callers try SleepFast
