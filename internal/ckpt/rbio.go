@@ -32,12 +32,12 @@ import (
 //     which forces a field-by-field commit cadence.
 type RbIO struct {
 	GroupSize int // np:ng ratio (64 in the paper's headline runs)
-	// SingleFile selects nf=1 (collective writers) instead of nf=ng.
-	SingleFile bool
 	// WriterBuffer is the writer's aggregation buffer capacity in bytes
 	// (default 512 MiB — half of a BG/P node's 2 GiB shared by 4 ranks,
 	// generously rounded for the dedicated writer).
 	WriterBuffer int64
+	// SingleFile selects nf=1 (collective writers) instead of nf=ng.
+	SingleFile bool
 	// BufferFields lets a writer hold several completed fields before
 	// committing (only meaningful for nf=ng). Disabling it is the ablation
 	// for the paper's buffering argument.
@@ -78,29 +78,56 @@ func (pl *rbPlan) build(r *mpi.Rank) (Plan, error) {
 	}
 	me := c.Rank(r)
 	pl.group = c.Split(r, int64(me/gs), int64(me))
-	pl.groupIdx = me / gs
-	pl.isWriter = pl.group.Rank(r) == 0
 	writerColor := int64(1)
-	if pl.isWriter {
+	if pl.isWriter(r) {
 		writerColor = 0
 	}
-	pl.writers = c.Split(r, writerColor, int64(me))
-	pl.buffer = pl.cfg.WriterBuffer
-	if pl.buffer <= 0 {
-		pl.buffer = 512 << 20
+	writers := c.Split(r, writerColor, int64(me))
+	if pl.isWriter(r) {
+		pl.wr = &rbWriter{writers: writers}
+	}
+	if pl.cfg.WriterBuffer <= 0 {
+		pl.cfg.WriterBuffer = 512 << 20
 	}
 	return pl, nil
 }
 
 type rbPlan struct {
-	cfg      RbIO
-	c        *mpi.Comm
-	group    *mpi.Comm
-	groupIdx int
-	writers  *mpi.Comm // only meaningful on writer ranks
-	isWriter bool
-	buffer   int64
+	cfg   RbIO // WriterBuffer defaulted
+	c     *mpi.Comm
+	group *mpi.Comm
+
+	// The checkpoint in flight, for the hand-off (mpi.SendSeq) and the
+	// aggregation (mpi.RecvSeq), which run as the rank's continuation.
+	env       *Env
+	cp        *Checkpoint
+	perceived float64 // the worker's blocking time so far
+
+	// wr is a writer's own state: set at plan time on a group's writer,
+	// at its first write on a fault-aware group's re-elected one.
+	wr *rbWriter
 }
+
+// rbWriter is what only a writer keeps: the writers' communicator, and
+// its progress through receiving its group's chunks, field-major:
+// fieldData[fi][w] with w == group rank.
+type rbWriter struct {
+	writers *mpi.Comm // nil on a re-elected writer
+
+	chunkBytes []int64
+	missing    []bool // fault-aware: peers given up on; nil otherwise
+	fieldData  [][]data.Buf
+	me         int     // the writer's group rank
+	fi, w      int     // the receive in flight: field fi from group rank w
+	timeout    float64 // each receive's deadline; negative for none
+	err        error   // a chunk of the wrong size, which ends the receives
+}
+
+// groupIdx is the index of r's group, and of its file under nf=ng.
+func (pl *rbPlan) groupIdx(r *mpi.Rank) int { return pl.c.Rank(r) / pl.group.Size() }
+
+// isWriter reports whether r is its group's dedicated writer.
+func (pl *rbPlan) isWriter(r *mpi.Rank) bool { return pl.group.Rank(r) == 0 }
 
 // fieldTag builds the message tag for field fi of a step; steps are folded
 // so tags stay below the MPI-IO collective tag spaces (1<<18 and up) while
@@ -122,7 +149,7 @@ func (pl *rbPlan) Write(env *Env, r *mpi.Rank, cp *Checkpoint) (Stats, error) {
 		// accounted at the aggregate level.
 		return pl.writeFT(env, r, cp)
 	}
-	if pl.isWriter {
+	if pl.isWriter(r) {
 		return pl.writeWriter(env, r, cp)
 	}
 	return pl.writeWorkerTo(env, r, cp, 0)
@@ -140,7 +167,7 @@ func (pl *rbPlan) writeFT(env *Env, r *mpi.Rank, cp *Checkpoint) (Stats, error) 
 	if !env.Up(r.ID()) {
 		now := r.Now()
 		role := RoleWorker
-		if pl.isWriter {
+		if pl.isWriter(r) {
 			role = RoleWriter
 		}
 		env.epochLost(LevelGlobal, cp.Step, r.ID(), "node down", now)
@@ -166,32 +193,129 @@ func (pl *rbPlan) writeFT(env *Env, r *mpi.Rank, cp *Checkpoint) (Stats, error) 
 // hand-off is fire-and-forget, so the failure only shows when the transport
 // gives up on the dead node).
 func (pl *rbPlan) writeWorkerTo(env *Env, r *mpi.Rank, cp *Checkpoint, writer int) (Stats, error) {
-	p := r.Proc()
 	start := r.Now()
-	perceived := 0.0
+	pl.perceived = 0
 	if writer != 0 {
 		d := env.peerTimeout()
-		p.Sleep(d)
-		perceived += d
+		r.Proc().Sleep(d)
+		pl.perceived += d
 	}
-	rec := p.Rec()
-	for fi, f := range cp.Fields {
-		t0 := r.Now()
-		// Isend, then Wait: completes at local hand-off, microseconds.
-		perceived += pl.group.IsendWait(r, writer, fieldTag(cp.Step, fi), f.Data)
-		if rec != nil {
-			rec.Span(trace.LayerCkpt, "rbio.handoff", r.ID(), t0, r.Now(), f.Data.Len())
-		}
-		env.log(r.ID(), iolog.OpSend, t0, r.Now(), f.Data.Len())
-	}
+	// Isend, then Wait, per field: each completes at local hand-off,
+	// microseconds.
+	pl.env, pl.cp = env, cp
+	pl.group.IsendWaitSeq(r, writer, len(cp.Fields), pl)
+	pl.env, pl.cp = nil, nil // the plan outlives the step; its payload need not
 	end := r.Now()
 	return Stats{
 		Role:      RoleWorker,
 		Start:     start,
 		End:       end,
-		Perceived: perceived,
+		Perceived: pl.perceived,
 		Bytes:     cp.TotalBytes(),
 	}, nil
+}
+
+// SendMsg implements mpi.SendSeq: the worker's send i ships field i.
+func (pl *rbPlan) SendMsg(_ *mpi.Rank, i int) (int, data.Buf) {
+	return fieldTag(pl.cp.Step, i), pl.cp.Fields[i].Data
+}
+
+// Sent implements mpi.SendSeq: it counts the field's hand-off into the
+// worker's blocking time and records it.
+func (pl *rbPlan) Sent(r *mpi.Rank, i int, start, local float64) {
+	pl.perceived += local
+	n := pl.cp.Fields[i].Data.Len()
+	if rec := r.Proc().Rec(); rec != nil {
+		rec.Span(trace.LayerCkpt, "rbio.handoff", r.ID(), start, r.Now(), n)
+	}
+	pl.env.log(r.ID(), iolog.OpSend, start, r.Now(), n)
+}
+
+// receive takes the group's chunks into fieldData, field-major, as one
+// mpi.RecvSeq: the writer me holds its own chunks, and with missing set
+// (fault-aware) it skips dead peers and gives each receive timeout
+// seconds.
+func (pl *rbPlan) receive(env *Env, r *mpi.Rank, cp *Checkpoint, me int, missing []bool, timeout float64) (chunkBytes []int64, fieldData [][]data.Buf, err error) {
+	if pl.wr == nil {
+		pl.wr = &rbWriter{}
+	}
+	g := pl.wr
+	gs := pl.group.Size()
+	*g = rbWriter{
+		writers:    g.writers,
+		chunkBytes: make([]int64, gs),
+		missing:    missing,
+		fieldData:  make([][]data.Buf, len(cp.Fields)),
+		me:         me,
+		fi:         -1,
+		w:          gs,
+		timeout:    timeout,
+	}
+	g.chunkBytes[me] = cp.Fields[0].Data.Len()
+	pl.env, pl.cp = env, cp
+	pl.group.RecvSeq(r, pl)
+	pl.env, pl.cp = nil, nil
+	chunkBytes, fieldData, err = g.chunkBytes, g.fieldData, g.err
+	*g = rbWriter{writers: g.writers} // the commit holds the chunks only while it needs them
+	return chunkBytes, fieldData, err
+}
+
+// NextRecv implements mpi.RecvSeq: the next chunk to receive, field by
+// field and group rank by group rank. A fault-aware writer skips the peers
+// it gave up on and the ones it knows are dead.
+func (pl *rbPlan) NextRecv(*mpi.Rank) (src, tag int, timeout float64, ok bool) {
+	g, cp := pl.wr, pl.cp
+	if g.err != nil {
+		return 0, 0, 0, false
+	}
+	gs := pl.group.Size()
+	for {
+		if g.w++; g.w >= gs {
+			if g.fi++; g.fi == len(cp.Fields) {
+				return 0, 0, 0, false
+			}
+			g.fieldData[g.fi] = make([]data.Buf, gs)
+			g.fieldData[g.fi][g.me] = cp.Fields[g.fi].Data
+			g.w = 0
+		}
+		if g.w == g.me {
+			continue
+		}
+		if g.missing != nil {
+			if g.missing[g.w] {
+				continue
+			}
+			if !pl.env.Up(pl.group.WorldRank(g.w)) {
+				// Known dead: no point waiting a timeout on it.
+				g.missing[g.w] = true
+				continue
+			}
+		}
+		return g.w, fieldTag(cp.Step, g.fi), g.timeout, true
+	}
+}
+
+// Recvd implements mpi.RecvSeq: it files the chunk, checking its size
+// against the sender's first, or gives a fault-aware writer's peer up.
+func (pl *rbPlan) Recvd(r *mpi.Rank, start float64, buf data.Buf, ok bool) {
+	g := pl.wr
+	if !ok {
+		g.missing[g.w] = true
+		return
+	}
+	pl.env.log(r.ID(), iolog.OpRecv, start, r.Now(), buf.Len())
+	first := g.fi == 0
+	if g.missing != nil {
+		first = g.chunkBytes[g.w] == 0
+	}
+	if first {
+		g.chunkBytes[g.w] = buf.Len()
+	} else if buf.Len() != g.chunkBytes[g.w] {
+		g.err = fmt.Errorf("ckpt/rbio: worker %d field %d sent %d bytes, want %d",
+			g.w, g.fi, buf.Len(), g.chunkBytes[g.w])
+		return
+	}
+	g.fieldData[g.fi][g.w] = buf
 }
 
 // writeWriterFT aggregates what the surviving group can deliver and commits
@@ -210,37 +334,10 @@ func (pl *rbPlan) writeWriterFT(env *Env, r *mpi.Rank, cp *Checkpoint, me int) (
 		p.Sleep(timeout)
 	}
 
-	chunkBytes := make([]int64, gs)
-	chunkBytes[me] = cp.Fields[0].Data.Len()
 	missing := make([]bool, gs)
-	fieldData := make([][]data.Buf, len(cp.Fields))
-	for fi := range cp.Fields {
-		fieldData[fi] = make([]data.Buf, gs)
-		fieldData[fi][me] = cp.Fields[fi].Data
-		for w := 0; w < gs; w++ {
-			if w == me || missing[w] {
-				continue
-			}
-			if !env.Up(pl.group.WorldRank(w)) {
-				// Known dead: no point waiting a timeout on it.
-				missing[w] = true
-				continue
-			}
-			t0 := r.Now()
-			buf, _, ok := pl.group.RecvTimeout(r, w, fieldTag(cp.Step, fi), timeout)
-			if !ok {
-				missing[w] = true
-				continue
-			}
-			env.log(r.ID(), iolog.OpRecv, t0, r.Now(), buf.Len())
-			if chunkBytes[w] == 0 {
-				chunkBytes[w] = buf.Len()
-			} else if buf.Len() != chunkBytes[w] {
-				return Stats{}, fmt.Errorf("ckpt/rbio: worker %d field %d sent %d bytes, want %d",
-					w, fi, buf.Len(), chunkBytes[w])
-			}
-			fieldData[fi][w] = buf
-		}
+	chunkBytes, fieldData, err := pl.receive(env, r, cp, me, missing, timeout)
+	if err != nil {
+		return Stats{}, err
 	}
 	// A missing member's chunk is recorded zero-length in the header: the
 	// file stays structurally valid and restart knows exactly which ranks
@@ -300,29 +397,11 @@ func (pl *rbPlan) writeWriter(env *Env, r *mpi.Rank, cp *Checkpoint) (Stats, err
 	start := r.Now()
 	gs := pl.group.Size()
 
-	// Receive every worker's chunk, field-major: fieldData[fi][w] with
-	// w == group rank (the writer itself is chunk 0).
-	chunkBytes := make([]int64, gs)
-	chunkBytes[0] = cp.Fields[0].Data.Len()
-	fieldData := make([][]data.Buf, len(cp.Fields))
-	for fi := range cp.Fields {
-		fieldData[fi] = make([]data.Buf, gs)
-		fieldData[fi][0] = cp.Fields[fi].Data
-		for w := 1; w < gs; w++ {
-			t0 := r.Now()
-			buf, _ := pl.group.Recv(r, w, fieldTag(cp.Step, fi))
-			env.log(r.ID(), iolog.OpRecv, t0, r.Now(), buf.Len())
-			if fi == 0 {
-				chunkBytes[w] = buf.Len()
-			} else if buf.Len() != chunkBytes[w] {
-				return Stats{}, fmt.Errorf("ckpt/rbio: worker %d field %d sent %d bytes, want %d",
-					w, fi, buf.Len(), chunkBytes[w])
-			}
-			fieldData[fi][w] = buf
-		}
+	// Receive every worker's chunk (the writer itself is chunk 0).
+	chunkBytes, fieldData, err := pl.receive(env, r, cp, 0, nil, -1)
+	if err != nil {
+		return Stats{}, err
 	}
-
-	var err error
 	if pl.cfg.SingleFile {
 		err = pl.commitCollective(env, r, cp, chunkBytes, fieldData)
 	} else {
@@ -356,7 +435,7 @@ func (pl *rbPlan) writeWriter(env *Env, r *mpi.Rank, cp *Checkpoint) (Stats, err
 // commitIndependent is the nf=ng path: the writer owns its file outright.
 func (pl *rbPlan) commitIndependent(env *Env, r *mpi.Rank, cp *Checkpoint, chunkBytes []int64, fieldData [][]data.Buf) error {
 	p := r.Proc()
-	path := groupFile(env.Dir, cp.Step, pl.groupIdx)
+	path := groupFile(env.Dir, cp.Step, pl.groupIdx(r))
 	t0 := r.Now()
 	h, err := env.FS.Create(p, r.ID(), path)
 	if err != nil {
@@ -400,7 +479,7 @@ func (pl *rbPlan) commitIndependent(env *Env, r *mpi.Rank, cp *Checkpoint, chunk
 		run = append(run, data.FromBytes(cemfmt.BlockHeader(f.Name, hdr.FieldBytes())))
 		run = append(run, fieldData[fi]...)
 		buffered += cemfmt.BlockHeaderSize + hdr.FieldBytes()
-		if !pl.cfg.BufferFields || buffered >= pl.buffer {
+		if !pl.cfg.BufferFields || buffered >= pl.cfg.WriterBuffer {
 			if err := flush(); err != nil {
 				return err
 			}
@@ -431,7 +510,7 @@ func (pl *rbPlan) commitCollective(env *Env, r *mpi.Rank, cp *Checkpoint, chunkB
 	for i, cb := range chunkBytes {
 		binary.LittleEndian.PutUint64(enc[8*i:], uint64(cb))
 	}
-	tables := pl.writers.AllgatherBytes(r, enc)
+	tables := pl.wr.writers.AllgatherBytes(r, enc)
 	all := make([]int64, 0, np)
 	for _, tb := range tables {
 		for i := 0; i+8 <= len(tb); i += 8 {
@@ -442,17 +521,17 @@ func (pl *rbPlan) commitCollective(env *Env, r *mpi.Rank, cp *Checkpoint, chunkB
 		return fmt.Errorf("ckpt/rbio: chunk tables cover %d ranks, want %d", len(all), np)
 	}
 	// All writers derive the same global header; compute it once.
-	hdr := pl.writers.Shared(r, func() any { return buildHeader(cp, all) }).(*cemfmt.Header)
+	hdr := pl.wr.writers.Shared(r, func() any { return buildHeader(cp, all) }).(*cemfmt.Header)
 
 	path := groupFile(env.Dir, cp.Step, 0)
 	t0 := r.Now()
-	f, err := mpiio.Open(pl.writers, r, env.FS, path, true, pl.cfg.Hints)
+	f, err := mpiio.Open(pl.wr.writers, r, env.FS, path, true, pl.cfg.Hints)
 	if err != nil {
 		return fmt.Errorf("ckpt/rbio: %w", err)
 	}
 	env.log(r.ID(), iolog.OpCreate, t0, r.Now(), 0)
 
-	if pl.writers.Rank(r) == 0 {
+	if pl.wr.writers.Rank(r) == 0 {
 		t1 := r.Now()
 		if err := f.WriteAt(r, 0, data.FromBytes(hdr.Marshal())); err != nil {
 			return err
@@ -460,11 +539,11 @@ func (pl *rbPlan) commitCollective(env *Env, r *mpi.Rank, cp *Checkpoint, chunkB
 		env.log(r.ID(), iolog.OpWrite, t1, r.Now(), hdr.HeaderSize())
 	}
 
-	firstChunk := pl.groupIdx * gs
+	firstChunk := pl.groupIdx(r) * gs
 	for fi, fd := range cp.Fields {
 		payload := data.Concat(fieldData[fi]...)
 		off := hdr.ChunkOffset(fi, firstChunk)
-		if pl.writers.Rank(r) == 0 {
+		if pl.wr.writers.Rank(r) == 0 {
 			payload = data.Concat(data.FromBytes(cemfmt.BlockHeader(fd.Name, hdr.FieldBytes())), payload)
 			off = hdr.FieldOffset(fi)
 		}
@@ -491,5 +570,5 @@ func (pl *rbPlan) Read(env *Env, r *mpi.Rank, step int64) (*Checkpoint, error) {
 	if pl.cfg.SingleFile {
 		return readChunkCollective(env, pl.c, r, pl.cfg.Hints, groupFile(env.Dir, step, 0), pl.c.Rank(r))
 	}
-	return readChunkCollective(env, pl.group, r, pl.cfg.Hints, groupFile(env.Dir, step, pl.groupIdx), pl.group.Rank(r))
+	return readChunkCollective(env, pl.group, r, pl.cfg.Hints, groupFile(env.Dir, step, pl.groupIdx(r)), pl.group.Rank(r))
 }

@@ -48,14 +48,16 @@ func TestRbIOAllocBudget(t *testing.T) {
 // optimization may add or drop an event. kernel.woken, the coroutine
 // resumes, may only fall: the folded waits (the barrier's release and
 // latency, mpiio's paired allgathers, rbIO's Isend-then-Wait) took coio1
-// from 22,984 to 15,816 and rbio from 11,168 to 8,149.
+// from 22,984 to 15,816 and rbio from 11,168 to 8,149, and rbIO's hand-off
+// and aggregation as one sequence each (mpi.IsendWaitSeq, mpi.RecvSeq)
+// took rbio to 2,612.
 func TestResumeBudget(t *testing.T) {
 	for _, tc := range []struct {
 		ckpt          string
 		events, woken int64
 	}{
 		{"coio1", 99384, 15816},
-		{"rbio", 35432, 8149},
+		{"rbio", 35432, 2612},
 	} {
 		trc := &TraceCollector{}
 		o := Options{Seed: 1, NPs: []int{512}, Ckpt: tc.ckpt, Parallel: 1, Trace: trc}

@@ -371,7 +371,7 @@ func (st *coll) procHop(dst int) bool {
 // waits left to the caller. A hop that needs a shared section runs the
 // whole Send from the rank's own process.
 func (st *coll) send(dst int, buf data.Buf, val any) (collStatus, float64) {
-	op := st.c.newSend(st.r, dst, st.tag, buf, val, true)
+	op := st.c.newSend(st.r, dst, st.tag, buf, val)
 	if op.shared {
 		op.wait()
 		return collNext, 0
@@ -393,7 +393,7 @@ func (st *coll) recv(src int) (collStatus, float64) {
 	srcWorld := st.c.members[src]
 	m := r.take(st.c.id, srcWorld, st.tag)
 	if m == nil {
-		r.post(st.c.id, srcWorld, st.tag)
+		r.post(st.c, srcWorld, st.tag)
 		st.wait = waitRecv
 		return collWait, 0
 	}

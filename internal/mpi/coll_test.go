@@ -99,7 +99,7 @@ func refGather(c *Comm, r *Rank, v int64) []int64 {
 	vals := []int64{v}
 	for mask := 1; mask < n; mask <<= 1 {
 		if me&mask != 0 {
-			c.newSend(r, me-mask, tag, data.Synthetic(16*int64(len(vals))), vals, true).wait()
+			c.newSend(r, me-mask, tag, data.Synthetic(16*int64(len(vals))), vals).wait()
 			return nil
 		}
 		if me+mask < n {
@@ -126,7 +126,7 @@ func refBcast(c *Comm, r *Rank, root int, buf data.Buf, val any) (data.Buf, any)
 	}
 	for m := mask >> 1; m >= 1; m >>= 1 {
 		if child := vrank + m; child < n {
-			c.newSend(r, (child+root)%n, tag, buf, val, true).wait()
+			c.newSend(r, (child+root)%n, tag, buf, val).wait()
 		}
 	}
 	return buf, val

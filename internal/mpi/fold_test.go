@@ -14,8 +14,9 @@ import (
 	"repro/internal/xrand"
 )
 
-// Folded waits (DESIGN §5): Barrier, AllgatherInt64Pair and IsendWait each
-// wait through two back-to-back wakes with one resume of the rank. These
+// Folded waits (DESIGN §5): Barrier and AllgatherInt64Pair each wait
+// through two back-to-back wakes with one resume of the rank, and
+// IsendWaitSeq and RecvSeq through a whole run of sends or receives. These
 // tests check each against the unfolded sequence it replaces: every
 // result, time, event, span and counter must be equal; only Woken moves.
 
@@ -251,37 +252,57 @@ func TestAllgatherPairMatchesTwoAllgathers(t *testing.T) {
 	}
 }
 
-// sendScenario ships fields the way an rbIO worker does — IsendWait, or
-// Isend then Wait — from every rank of a group of np to the next rank of
-// the group, dst ranks apart, and logs each call's local time. Sizes vary
-// by rank and include empty sends, which complete locally at the
-// overhead's end, and back-to-back sends serialize on the messaging
-// pipeline. All ranks call at once, so neither wait can take Sleep's fast
-// path.
-func sendScenario(folded bool, np, dst int) foldBody {
+// logSends is a SendSeq shipping sizes[i] bytes with tag i and logging
+// each send's start and local time, as the reference loop logs them.
+type logSends struct {
+	log   rankLog
+	sizes []int64
+}
+
+func (s *logSends) SendMsg(_ *Rank, i int) (int, data.Buf) { return i, data.Synthetic(s.sizes[i]) }
+
+func (s *logSends) Sent(r *Rank, i int, start, local float64) { logSent(s.log, r, i, start, local) }
+
+func logSent(log rankLog, r *Rank, i int, start, local float64) {
+	log.add(r, 0, "send %d from %v: local time %v", i, start, local)
+}
+
+// sendAll ships sizes to communicator rank to: as one IsendWaitSeq, or as
+// the loop of Isend then Wait it replaces.
+func sendAll(folded bool, c *Comm, r *Rank, to int, sizes []int64, log rankLog) {
+	if folded {
+		c.IsendWaitSeq(r, to, len(sizes), &logSends{log: log, sizes: sizes})
+		return
+	}
+	for i, n := range sizes {
+		start := r.Now()
+		req := c.Isend(r, to, i, data.Synthetic(n))
+		req.Wait(r.Proc())
+		logSent(log, r, i, start, req.LocalTime())
+	}
+}
+
+// sendScenario ships n fields the way an rbIO worker does — one
+// IsendWaitSeq, or Isend then Wait per field — from every rank of a group
+// of np to the next rank of the group, dst ranks apart. Sizes vary by rank
+// and include empty sends, which complete locally at the overhead's end,
+// and back-to-back sends serialize on the messaging pipeline. All ranks
+// call at once, so neither wait can take Sleep's fast path.
+func sendScenario(folded bool, np, dst, n int) foldBody {
 	return func(c *Comm, r *Rank, log rankLog) {
 		me := c.Rank(r)
 		if me >= np*dst || me%dst != 0 {
 			return
 		}
-		to := (me + dst) % (np * dst)
-		for field := 0; field < 3; field++ {
-			size := int64(400 << 10 >> (2 * ((me/dst + field) % 4)))
+		sizes := make([]int64, n)
+		for field := range sizes {
+			sizes[field] = int64(400 << 10 >> (2 * ((me/dst + field) % 4)))
 			if (me/dst+field)%5 == 4 {
-				size = 0
+				sizes[field] = 0
 			}
-			buf := data.Synthetic(size)
-			var local float64
-			if folded {
-				local = c.IsendWait(r, to, field, buf)
-			} else {
-				req := c.Isend(r, to, field, buf)
-				req.Wait(r.Proc())
-				local = req.LocalTime()
-			}
-			log.add(r, 0, "field %d: local time %v", field, local)
 		}
-		for field := 0; field < 3; field++ {
+		sendAll(folded, c, r, (me+dst)%(np*dst), sizes, log)
+		for field := 0; field < n; field++ {
 			buf, src := c.Recv(r, (me+(np-1)*dst)%(np*dst), field)
 			log.add(r, 0, "got %d bytes from %d", buf.Len(), src)
 		}
@@ -291,31 +312,24 @@ func sendScenario(folded bool, np, dst int) foldBody {
 // loneSender has rank 0 send three fields to rank 512 back to back once
 // every other rank has ended. Nothing else is due before the first
 // message lands, so Sleep's fast path applies to every overhead and every
-// wait. mode 0 sends nothing, 1 is Isend then Wait, 2 is IsendWait.
+// wait. mode 0 sends nothing, 1 is Isend then Wait, 2 is IsendWaitSeq.
 func loneSender(mode int) foldBody {
 	return func(c *Comm, r *Rank, log rankLog) {
 		if c.Rank(r) != 0 {
 			return
 		}
 		r.Proc().SleepUntil(1e-3)
-		for field := 0; field < 3; field++ {
-			buf := data.Synthetic(int64(400 << 10 >> (4 * field)))
-			switch mode {
-			case 1:
-				req := c.Isend(r, 512, field, buf)
-				req.Wait(r.Proc())
-				log.add(r, 0, "field %d: local time %v", field, req.LocalTime())
-			case 2:
-				log.add(r, 0, "field %d: local time %v", field, c.IsendWait(r, 512, field, buf))
-			}
+		if mode > 0 {
+			sendAll(mode == 2, c, r, 512, []int64{400 << 10, 400 << 6, 400 << 2}, log)
 		}
 	}
 }
 
-// TestIsendWaitMatchesIsendThenWait checks IsendWait against Isend then
-// Wait, with Sleep's fast path taken (a lone sender) and not (a group whose
-// ranks all call at once): equal local times, return times, events, and
-// the mpi.isend and mpi.wait spans both recorded, equal.
+// TestIsendWaitMatchesIsendThenWait checks IsendWaitSeq against a loop of
+// Isend then Wait, with Sleep's fast path taken (a lone sender) and not (a
+// group whose ranks all call at once), for sequences of one send and of
+// three: equal local times, return times, events, and the mpi.isend and
+// mpi.wait spans both recorded, equal.
 func TestIsendWaitMatchesIsendThenWait(t *testing.T) {
 	const ranks = 1024
 	ref := runFold(t, ranks, 0, ranks, loneSender(1))
@@ -325,12 +339,14 @@ func TestIsendWaitMatchesIsendThenWait(t *testing.T) {
 		t.Errorf("lone sender: %d events and %d resumes, want the idle run's %d plus the 3 deliveries and its %d: the fast path schedules nothing",
 			got.events, got.woken, idle.events, idle.woken)
 	}
-	for _, np := range []int{2, 3, 64} {
-		name := fmt.Sprintf("np=%d", np)
-		ref = runFold(t, ranks, 0, ranks, sendScenario(false, np, 1))
-		got = runFold(t, ranks, 0, ranks, sendScenario(true, np, 1))
-		if saved := assertFoldMatches(t, name, ref, got); saved == 0 {
-			t.Errorf("%s: the fold saved no resume", name)
+	for _, n := range []int{1, 3} {
+		for _, np := range []int{2, 3, 64} {
+			name := fmt.Sprintf("np=%d n=%d", np, n)
+			ref = runFold(t, ranks, 0, ranks, sendScenario(false, np, 1, n))
+			got = runFold(t, ranks, 0, ranks, sendScenario(true, np, 1, n))
+			if saved := assertFoldMatches(t, name, ref, got); saved == 0 {
+				t.Errorf("%s: the fold saved no resume", name)
+			}
 		}
 	}
 	for _, span := range []string{"mpi.isend rank", "mpi.wait rank"} {
@@ -342,16 +358,179 @@ func TestIsendWaitMatchesIsendThenWait(t *testing.T) {
 
 // TestIsendWaitShardedMatchesIsendThenWait runs the comparison on the
 // partitioned kernel, with sends inside a pset (on its lane) and sends 300
-// ranks apart, which cross psets and run in a shared section: the
-// continuation leaves the section on the exclusive lane, where the rank's
-// own code would have.
+// ranks apart, which cross psets and need a shared section: the sequence
+// resumes the process to enter it, and the rest of the send runs as the
+// continuation on the exclusive lane, where the rank's own code would have.
 func TestIsendWaitShardedMatchesIsendThenWait(t *testing.T) {
 	const ranks = 1024
 	for _, dst := range []int{1, 300} {
+		for _, n := range []int{1, 3} {
+			assertShardedMatchesSerial(t, func(workers int) string {
+				ref := runFold(t, ranks, workers, ranks, sendScenario(false, 3, dst, n))
+				got := runFold(t, ranks, workers, ranks, sendScenario(true, 3, dst, n))
+				assertFoldMatches(t, fmt.Sprintf("dst=%d n=%d workers=%d", dst, n, workers), ref, got)
+				return got.log
+			})
+		}
+	}
+}
+
+// recvStep is one receive of a RecvSeq scenario: field from member k.
+type recvStep struct {
+	k, field int
+	timeout  float64
+}
+
+// logRecvs is a RecvSeq over steps on a group whose members sit gap ranks
+// apart. It logs each result as the reference loop does and stops after
+// stop results, when stop > 0.
+type logRecvs struct {
+	log   rankLog
+	gap   int
+	steps []recvStep
+	i     int
+	stop  int
+}
+
+func (s *logRecvs) NextRecv(*Rank) (int, int, float64, bool) {
+	if s.i == len(s.steps) || s.stop > 0 && s.i == s.stop {
+		return 0, 0, 0, false
+	}
+	st := s.steps[s.i]
+	return st.k * s.gap, st.field, st.timeout, true
+}
+
+func (s *logRecvs) Recvd(r *Rank, start float64, buf data.Buf, ok bool) {
+	logRecvd(s.log, r, s.steps[s.i], start, buf, ok)
+	s.i++
+}
+
+func logRecvd(log rankLog, r *Rank, st recvStep, start float64, buf data.Buf, ok bool) {
+	log.add(r, 0, "field %d from member %d, posted at %v: %d bytes, ok %v", st.field, st.k, start, buf.Len(), ok)
+}
+
+// recvAll takes steps: as one RecvSeq, or as the loop of receives it
+// replaces. It stops after stop receives when stop > 0 and returns the
+// steps not taken.
+func recvAll(folded bool, c *Comm, r *Rank, gap int, steps []recvStep, stop int, log rankLog) []recvStep {
+	if folded {
+		seq := &logRecvs{log: log, gap: gap, steps: steps, stop: stop}
+		c.RecvSeq(r, seq)
+		return steps[seq.i:]
+	}
+	for i, st := range steps {
+		if stop > 0 && i == stop {
+			return steps[i:]
+		}
+		start := r.Now()
+		buf, _, _, ok := c.recv(r, st.k*gap, st.field, st.timeout)
+		logRecvd(log, r, st, start, buf, ok)
+	}
+	return nil
+}
+
+// recvScenario has member 0 of a group of np ranks, gap ranks apart, take
+// three fields from every other member the way an rbIO writer does — one
+// RecvSeq per phase, or the loop of receives each replaces — while the
+// members send them with Isend then Wait:
+//   - field 0 with a 1 ms deadline per receive. Member k sends at k·20 µs,
+//     so the writer's receives are posted before their messages arrive or
+//     find them waiting. Member 2 sends at 0.6 ms, and its message beats
+//     the deadline. The last member (when np > 3) never sends, and its
+//     deadline expires. Every receive that completes leaves a stale timer.
+//   - field 1, sent right after field 0, with the same deadline. Its
+//     messages wait in the inbox, while other ranks' events and the stale
+//     timers keep Sleep's fast path from applying.
+//   - field 2, taken after every other rank ended, when the inbox hits
+//     take the fast path, in a sequence that stops after two receives and
+//     one that takes the rest.
+func recvScenario(folded bool, np, gap int) foldBody {
+	const deadline = 1e-3
+	return func(c *Comm, r *Rank, log rankLog) {
+		me := c.Rank(r)
+		if me >= np*gap || me%gap != 0 {
+			return
+		}
+		k := me / gap
+		if k != 0 {
+			p := r.Proc()
+			for field := 0; field < 3; field++ {
+				if field == 0 && np > 3 && k == np-1 {
+					continue
+				}
+				if field == 0 {
+					p.SleepUntil(float64(k) * 20e-6)
+					if k == 2 {
+						p.SleepUntil(0.6e-3)
+					}
+				}
+				size := int64(400 << 10 >> (2 * ((k + field) % 4)))
+				if (k+field)%5 == 4 {
+					size = 0
+				}
+				c.Isend(r, 0, field, data.Synthetic(size)).Wait(p)
+			}
+			return
+		}
+		var steps [3][]recvStep
+		for field := range steps {
+			for k := 1; k < np; k++ {
+				st := recvStep{k: k, field: field, timeout: -1}
+				if field < 2 {
+					st.timeout = deadline
+				}
+				steps[field] = append(steps[field], st)
+			}
+		}
+		recvAll(folded, c, r, gap, steps[0], 0, log)
+		recvAll(folded, c, r, gap, steps[1], 0, log)
+		r.Proc().SleepUntil(10e-3)
+		rest := recvAll(folded, c, r, gap, steps[2], 2, log)
+		recvAll(folded, c, r, gap, rest, 0, log)
+	}
+}
+
+// TestRecvSeqMatchesRecvLoop checks RecvSeq against a loop of blocking
+// receives (Comm.recv, with the same deadlines) on the serial kernel:
+// posted receives, inbox hits with and without Sleep's fast path,
+// deadlines that expire and ones the message beats, stale timers, and a
+// sequence that stops early. Results, return times, events, spans and
+// counters are equal, and the sequence saves resumes.
+func TestRecvSeqMatchesRecvLoop(t *testing.T) {
+	const ranks = 1024
+	for _, np := range []int{2, 3, 5, 64} {
+		name := fmt.Sprintf("np=%d", np)
+		ref := runFold(t, ranks, 0, ranks, recvScenario(false, np, 1))
+		got := runFold(t, ranks, 0, ranks, recvScenario(true, np, 1))
+		saved := assertFoldMatches(t, name, ref, got)
+		if np > 2 && saved == 0 {
+			t.Errorf("%s: the sequence saved no resume", name)
+		}
+		for _, want := range []string{"mpi.recv rank 0", "ok false", "ok true"} {
+			if np > 3 && !strings.Contains(got.trace+got.log, want) {
+				t.Errorf("%s: no %q in the run", name, want)
+			}
+		}
+		if np > 3 && !strings.Contains(got.trace, "mpi.recv.timeout rank 0") {
+			t.Errorf("%s: no deadline expired", name)
+		}
+	}
+}
+
+// TestRecvSeqShardedMatchesRecvLoop runs the comparison on the partitioned
+// kernel: a group inside one pset, and one whose members sit 300 ranks
+// apart, so every send crosses psets in a shared section and the delivery
+// wakes the writer from the exclusive lane.
+func TestRecvSeqShardedMatchesRecvLoop(t *testing.T) {
+	const ranks = 1024
+	for _, tc := range []struct{ np, gap int }{{64, 1}, {4, 300}} {
 		assertShardedMatchesSerial(t, func(workers int) string {
-			ref := runFold(t, ranks, workers, ranks, sendScenario(false, 3, dst))
-			got := runFold(t, ranks, workers, ranks, sendScenario(true, 3, dst))
-			assertFoldMatches(t, fmt.Sprintf("dst=%d workers=%d", dst, workers), ref, got)
+			ref := runFold(t, ranks, workers, ranks, recvScenario(false, tc.np, tc.gap))
+			got := runFold(t, ranks, workers, ranks, recvScenario(true, tc.np, tc.gap))
+			name := fmt.Sprintf("np=%d gap=%d workers=%d", tc.np, tc.gap, workers)
+			if saved := assertFoldMatches(t, name, ref, got); saved == 0 {
+				t.Errorf("%s: the sequence saved no resume", name)
+			}
 			return got.log
 		})
 	}

@@ -291,8 +291,6 @@ type Rank struct {
 	// SendBusyUntil tracks when this rank's messaging layer finishes
 	// injecting its queued sends; consecutive Isends serialize on it.
 	sendBusyUntil float64
-
-	bar barrierWait // the rank's continuation while it waits in a barrier
 }
 
 // ID returns the world rank number.
@@ -341,19 +339,23 @@ func (ln *laneMPI) putMsg(m *message) {
 
 // recvWant is a rank's posted receive. A rank blocks in at most one
 // receive at a time, so each rank owns one, reused by every receive. It is
-// also the continuation a rank waits in Recv on (sim.Cont) and the Hook of
-// RecvTimeout's deadline timers.
+// also the continuation a rank waits in Recv and RecvSeq on (sim.Cont), the
+// Hook of the receives' deadline timers, and, as barrierWait, the
+// continuation a rank waits in a barrier on.
 type recvWant struct {
 	r        *Rank
-	src      int // world rank or AnySource
-	tag      int
-	comm     int
-	got      *message  // the matched message, once delivered
-	timers   []float64 // deadlines of the armed timers yet to fire, in arming order
-	posted   bool      // a receive is waiting for its match
-	timed    bool      // the posted receive armed the last of timers
-	timedOut bool      // RecvTimeout's deadline fired before a match
-	paid     bool      // the delivery's wake scheduled the resume past the receive's cost
+	src      int         // world rank or AnySource
+	tag      int         // the posted receive's tag
+	c        *Comm       // the posted receive's communicator
+	got      *message    // the matched message, once delivered
+	seq      RecvSeq     // the sequence the rank awaits, nil in Recv
+	t0       float64     // start of RecvSeq's receive in flight
+	timers   []float64   // deadlines of the armed timers yet to fire, in arming order
+	posted   bool        // a receive is waiting for its match
+	timed    bool        // the posted receive armed the last of timers
+	timedOut bool        // the posted receive's deadline fired before a match
+	paid     bool        // the resume past the receive's cost, or a barrier's latency, is scheduled
+	prev     trace.Layer // the layer RecvSeq's receive in flight restores
 }
 
 func (m *message) matches(comm, src, tag int) bool {
@@ -361,11 +363,11 @@ func (m *message) matches(comm, src, tag int) bool {
 }
 
 // deliver runs in kernel context when a message arrives at r. A message
-// r's posted receive matches wakes r; its continuation — Recv's recvWant
-// or a collective's coll — pays the receive's cost in that wake's slot.
-// Any other message waits in the inbox.
+// r's posted receive matches wakes r; its continuation — recvWant or a
+// collective's coll — pays the receive's cost in that wake's slot. Any
+// other message waits in the inbox.
 func (r *Rank) deliver(m *message) {
-	if w := &r.want; w.posted && m.matches(w.comm, w.src, w.tag) {
+	if w := &r.want; w.posted && m.matches(w.c.id, w.src, w.tag) {
 		w.got = m
 		w.posted = false
 		r.proc.Unpark()
@@ -374,20 +376,24 @@ func (r *Rank) deliver(m *message) {
 	r.inbox = append(r.inbox, m)
 }
 
-// Continue runs in the slot of each wake of a rank waiting in Recv. The
-// delivery's wake schedules the resume past the receive's overhead and
-// copy, where the rank would only have slept through them; that resume,
-// or a deadline's wake, hands the rank the baton.
+// Continue runs in the slot of each wake of a rank waiting in Recv or
+// RecvSeq. The delivery's wake schedules the resume past the receive's
+// overhead and copy, where the rank would only have slept through them;
+// that resume, or a deadline's wake, ends the receive. Recv's rank resumes
+// there; RecvSeq's goes on to its next receive.
 func (w *recvWant) Continue() bool {
-	if w.got == nil || w.paid {
+	if w.got != nil && !w.paid {
+		w.paid = true
+		w.r.proc.UnparkAfter(w.r.recvCost(w.got.buf.Len()))
+		return false
+	}
+	if w.seq == nil {
 		return true
 	}
-	w.paid = true
-	w.r.proc.UnparkAfter(w.r.recvCost(w.got.buf.Len()))
-	return false
+	return w.next()
 }
 
-// arm sets RecvTimeout's deadline timeout seconds from now.
+// arm sets the posted receive's deadline timeout seconds from now.
 func (w *recvWant) arm(timeout float64) {
 	t := w.r.Now() + timeout
 	w.timers = append(w.timers, t)
@@ -395,7 +401,7 @@ func (w *recvWant) arm(timeout float64) {
 	w.r.w.K.AtHookCtx(w.r.proc, t, w)
 }
 
-// Fire is a RecvTimeout deadline. A rank's timers are never withdrawn and
+// Fire is a receive's deadline. A rank's timers are never withdrawn and
 // fire in deadline order, ties in arming order, so the one firing is the
 // first armed for this instant. It cancels the posted receive only when
 // that receive armed it, as the last timer: a timer left by a receive that
@@ -430,10 +436,10 @@ func (r *Rank) take(comm, src, tag int) *message {
 	return nil
 }
 
-// post registers r's receive of (comm, src, tag) for deliver to match.
-func (r *Rank) post(comm, src, tag int) {
+// post registers r's receive of (src, tag) on c for deliver to match.
+func (r *Rank) post(c *Comm, src, tag int) {
 	w := &r.want
-	w.src, w.tag, w.comm = src, tag, comm
+	w.src, w.tag, w.c = src, tag, c
 	w.posted = true
 	w.timed = false
 }
@@ -465,6 +471,15 @@ func (r *Rank) recvDone(prev trace.Layer, t0 float64, n int64) {
 		return
 	}
 	r.proc.Rec().Span(trace.LayerMPI, "mpi.recv", r.id, t0, r.Now(), n)
+	r.w.K.SetLayer(prev)
+}
+
+// recvExpired closes a receive opened by opBegin whose deadline passed.
+func (r *Rank) recvExpired(prev trace.Layer, t0 float64) {
+	if r.w.rec == nil {
+		return
+	}
+	r.proc.Rec().Span(trace.LayerMPI, "mpi.recv.timeout", r.id, t0, r.Now(), 0)
 	r.w.K.SetLayer(prev)
 }
 
@@ -592,7 +607,7 @@ func (c *Comm) WorldRank(commRank int) int { return c.members[commRank] }
 // request completes when the payload has been handed off locally. The
 // payload arrives at the destination after traversing the torus.
 func (c *Comm) Isend(r *Rank, dst, tag int, buf data.Buf) *Request {
-	op := c.newSend(r, dst, tag, buf, nil, false)
+	op := c.newSend(r, dst, tag, buf, nil)
 	// The call itself costs the software overhead.
 	r.proc.Sleep(r.w.cfg.SendOverhead)
 	op.post()
@@ -601,80 +616,72 @@ func (c *Comm) Isend(r *Rank, dst, tag int, buf data.Buf) *Request {
 	return req
 }
 
-// IsendWait is Isend followed by Wait on its request, returning the
-// request's LocalTime: the same times, events and spans, at one resume of
-// the rank instead of two. When the software overhead cannot be slept
-// through in place, the rank waits parked with the call as its
-// continuation: the overhead's end runs the rest of the Isend and the start
-// of the Wait in the slot the rank would have resumed in, and the rank's
-// process resumes once, at local completion.
-func (c *Comm) IsendWait(r *Rank, dst, tag int, buf data.Buf) float64 {
-	p := r.proc
-	op := c.newSend(r, dst, tag, buf, nil, false)
-	if p.SleepFast(r.w.cfg.SendOverhead) {
-		op.post()
-		op.waitBegin()
-		p.SleepUntil(op.doneAt)
-	} else {
-		p.AwaitAfter(r.w.cfg.SendOverhead, op)
-	}
-	op.waitEnd()
-	local := op.doneAt - op.start
-	op.release()
-	return local
-}
-
 // Send is a blocking send: Isend followed by Wait, costed identically. Its
 // two waits — the software overhead, then local completion — are one
 // resume of the rank, with the call as its continuation. Unlike
-// IsendWait it always waits through the calendar: a send whose local
+// IsendWaitSeq it always waits through the calendar: a send whose local
 // completion falls at the overhead's end resumes behind the events
-// already due then, where IsendWait carries on at once.
+// already due then, where IsendWaitSeq carries on at once.
 func (c *Comm) Send(r *Rank, dst, tag int, buf data.Buf) {
-	c.newSend(r, dst, tag, buf, nil, true).wait()
+	c.newSend(r, dst, tag, buf, nil).wait()
 }
 
-// sendOp is one send — Isend's, IsendWait's, Send's or a collective hop's
-// — from the call's start through its software overhead, and for all but
-// Isend through the wait for local completion that follows.
+// sendOp is one send — Isend's, Send's or a collective hop's — from the
+// call's start through its software overhead, and for all but Isend
+// through the wait for local completion that follows. For IsendWaitSeq it
+// is the whole sequence: each of its sends in turn (seq.go).
 type sendOp struct {
 	r      *Rank
 	dst    *Rank
-	port   *machine.Port
 	comm   int
-	tag    int
 	buf    data.Buf
 	val    any         // host object riding the payload (BcastValueSized), else nil
-	block  bool        // a blocking send: Send or a collective hop
+	seq    SendSeq     // IsendWaitSeq's sends, else nil
+	i, n   int32       // IsendWaitSeq: the send in flight, of n
+	tag    int32       // every tag in use stays far below 1<<31
+	stage  seqStage    // IsendWaitSeq: how far the send in flight got
 	shared bool        // the send runs in a shared section
-	posted bool        // the payload moved; the next wake ends the wait
+	posted bool        // a blocking send's payload moved; the next wake ends the wait
 	prev   trace.Layer // the caller's layer, restored on return
 	start  float64     // the call's start
 	doneAt float64     // local completion, once posted
-	t0     float64     // start of IsendWait's wait (tracing only)
+	t0     float64     // start of IsendWaitSeq's wait (tracing only)
 }
 
 // newSend opens a send of buf to communicator rank dst with a send op from
 // the pool of r's execution context: it routes the message and, when the
 // lanes may not carry it, enters a shared section before the call's start
 // is read.
-func (c *Comm) newSend(r *Rank, dst, tag int, buf data.Buf, val any, block bool) *sendOp {
-	if dst < 0 || dst >= len(c.members) {
-		panic(fmt.Sprintf("mpi: send to rank %d of %d-rank comm", dst, len(c.members)))
-	}
-	op := r.w.poolFor(r.proc).getSend()
-	op.r, op.comm, op.tag, op.buf, op.val, op.block = r, c.id, tag, buf, val, block
-	if r.w.rec != nil {
-		op.prev = r.w.K.SetLayer(trace.LayerMPI)
-	}
-	op.dst = r.w.rankOf(c.members[dst])
-	op.port = r.w.lanePort(r, op.dst)
-	op.shared = op.port == nil && r.w.lanes != nil
+func (c *Comm) newSend(r *Rank, dst, tag int, buf data.Buf, val any) *sendOp {
+	op := c.getSend(r, dst)
+	op.tag, op.buf, op.val = int32(tag), buf, val
+	op.open()
 	if op.shared {
 		r.proc.EnterShared()
 	}
 	op.start = r.Now()
 	return op
+}
+
+// getSend takes a send op to communicator rank dst from the pool of r's
+// execution context and routes it.
+func (c *Comm) getSend(r *Rank, dst int) *sendOp {
+	if dst < 0 || dst >= len(c.members) {
+		panic(fmt.Sprintf("mpi: send to rank %d of %d-rank comm", dst, len(c.members)))
+	}
+	op := r.w.poolFor(r.proc).getSend()
+	op.r, op.comm = r, c.id
+	op.dst = r.w.rankOf(c.members[dst])
+	op.shared = r.w.lanes != nil && r.w.lanePort(r, op.dst) == nil
+	return op
+}
+
+// open makes MPI the current layer for a call's span, remembering the
+// caller's.
+func (op *sendOp) open() {
+	if op.r.w.rec != nil {
+		op.prev = op.r.w.K.SetLayer(trace.LayerMPI)
+	}
 }
 
 func (ln *laneMPI) getSend() *sendOp {
@@ -703,15 +710,15 @@ func (op *sendOp) transmit() {
 	op.doneAt = copyStart + float64(n)/r.w.cfg.LocalCopyBW
 	r.sendBusyUntil = op.doneAt
 	var injDone, arrival float64
-	if op.port != nil {
-		injDone = op.port.Inject(op.doneAt, r.node, n)
-		arrival = op.port.Transfer(injDone, r.node, op.dst.node, n)
+	if port := r.w.lanePort(r, op.dst); port != nil {
+		injDone = port.Inject(op.doneAt, r.node, n)
+		arrival = port.Transfer(injDone, r.node, op.dst.node, n)
 	} else {
 		injDone = r.w.M.Net.Inject(op.doneAt, r.node, n)
 		arrival = r.w.M.Net.Transfer(injDone, r.node, op.dst.node, n)
 	}
 	msg := r.w.poolFor(r.proc).getMsg()
-	*msg = message{src: r.id, tag: op.tag, comm: op.comm, buf: op.buf, val: op.val, dst: op.dst}
+	*msg = message{src: r.id, tag: int(op.tag), comm: op.comm, buf: op.buf, val: op.val, dst: op.dst}
 	r.w.K.AtHookCtx(op.dst.proc, arrival, msg)
 }
 
@@ -739,22 +746,6 @@ func (op *sendOp) close(name string, end float64) {
 	}
 }
 
-// waitBegin opens IsendWait's wait the way Request.Wait opens it.
-func (op *sendOp) waitBegin() {
-	if op.r.w.rec != nil {
-		op.r.w.K.SetLayer(trace.LayerMPI)
-		op.t0 = op.r.Now()
-	}
-}
-
-// waitEnd closes IsendWait's wait the way Request.Wait closes it.
-func (op *sendOp) waitEnd() {
-	if r := op.r; r.w.rec != nil {
-		r.proc.Rec().Span(trace.LayerMPI, "mpi.wait", r.id, op.t0, r.Now(), 0)
-		r.w.K.SetLayer(op.prev)
-	}
-}
-
 // wait runs a blocking send from the rank's own process: the rank waits
 // out both of the send's waits parked with op as its continuation, then
 // the call closes.
@@ -769,30 +760,21 @@ func (op *sendOp) end() {
 	op.release()
 }
 
-// Continue runs in the slot of the overhead's end (sim.Cont) and moves the
-// payload there. A blocking send then schedules the rank's resume at local
-// completion, always through the calendar. IsendWait closes the Isend and
-// opens the wait, then ends the wait exactly as SleepUntil would: in the
-// slot when local completion is due or Sleep's fast path allows,
-// otherwise with the resume the rank's own Sleep would schedule.
+// Continue runs in the slot of one of the rank's wakes (sim.Cont). For a
+// blocking send that is the overhead's end: it moves the payload there and
+// schedules the rank's resume at local completion, always through the
+// calendar. IsendWaitSeq's op runs the sequence on from the wake (next).
 func (op *sendOp) Continue() bool {
+	if op.seq != nil {
+		return op.next()
+	}
 	if op.posted {
 		return true
 	}
 	op.posted = true
 	p := op.r.proc
-	if op.block {
-		op.transmit()
-		p.UnparkAfter(op.doneAt - p.Now())
-		return false
-	}
-	op.post()
-	op.waitBegin()
-	d := op.doneAt - p.Now()
-	if d <= 0 || p.SleepFast(d) {
-		return true
-	}
-	p.UnparkAfter(d)
+	op.transmit()
+	p.UnparkAfter(op.doneAt - p.Now())
 	return false
 }
 
@@ -803,21 +785,10 @@ func (c *Comm) Recv(r *Rank, src, tag int) (data.Buf, int) {
 	return buf, from
 }
 
-// RecvTimeout is Recv with a deadline: it blocks until a matching message
-// arrives or timeout simulated seconds pass, whichever is first. ok reports
-// whether a message arrived; on timeout the posted receive is cancelled, so
-// a message that shows up later simply lands in the inbox for a future
-// receive to match (tags that encode the step keep strays harmless).
-// Fault-aware checkpoint protocols use it to detect dead peers without
-// deadlocking the group.
-func (c *Comm) RecvTimeout(r *Rank, src, tag int, timeout float64) (data.Buf, int, bool) {
-	buf, from, _, ok := c.recv(r, src, tag, timeout)
-	return buf, from, ok
-}
-
-// recv is the receive behind Recv (timeout < 0: none) and RecvTimeout, also
-// returning the host object the message carried. It touches only
-// rank-private state — the inbox and the posted want — so it needs no
+// recv is the receive behind Recv, also returning the host object the
+// message carried. With timeout >= 0 it gives up after that many seconds,
+// returning ok false, the way each of RecvSeq's receives does. It touches
+// only rank-private state — the inbox and the posted want — so it needs no
 // shared section on any communicator: deliveries into r come from r's own
 // lane or the exclusive lane, which never run at once.
 func (c *Comm) recv(r *Rank, src, tag int, timeout float64) (buf data.Buf, from int, val any, ok bool) {
@@ -825,30 +796,21 @@ func (c *Comm) recv(r *Rank, src, tag int, timeout float64) (buf data.Buf, from 
 		panic("mpi: rank has a receive already outstanding")
 	}
 	prev, t0 := r.opBegin()
-	srcWorld := AnySource
-	if src != AnySource {
-		if src < 0 || src >= len(c.members) {
-			panic(fmt.Sprintf("mpi: receive from rank %d of %d-rank comm", src, len(c.members)))
-		}
-		srcWorld = c.members[src]
-	}
+	srcWorld := c.srcWorld(src)
 	// First match against already-arrived messages, in arrival order.
 	if got := r.take(c.id, srcWorld, tag); got != nil {
 		buf, srcWorld, val = got.buf, got.src, got.val
 		r.putMsg(got) // consumed: back to the pool before yielding
 		r.proc.Sleep(r.recvCost(buf.Len()))
 	} else {
-		r.post(c.id, srcWorld, tag)
+		r.post(c, srcWorld, tag)
 		if timeout >= 0 {
 			r.want.arm(timeout)
 		}
 		r.proc.Await(&r.want)
 		if r.want.timedOut {
 			r.want.timedOut = false
-			if r.w.rec != nil {
-				r.proc.Rec().Span(trace.LayerMPI, "mpi.recv.timeout", r.id, t0, r.Now(), 0)
-				r.w.K.SetLayer(prev)
-			}
+			r.recvExpired(prev, t0)
 			return data.Buf{}, -1, nil, false
 		}
 		got := r.delivered()
@@ -857,6 +819,18 @@ func (c *Comm) recv(r *Rank, src, tag int, timeout float64) (buf data.Buf, from 
 	}
 	r.recvDone(prev, t0, buf.Len())
 	return buf, c.rankOfWorld(srcWorld), val, true
+}
+
+// srcWorld translates a receive's source comm rank, or AnySource, to a
+// world rank.
+func (c *Comm) srcWorld(src int) int {
+	if src == AnySource {
+		return AnySource
+	}
+	if src < 0 || src >= len(c.members) {
+		panic(fmt.Sprintf("mpi: receive from rank %d of %d-rank comm", src, len(c.members)))
+	}
+	return c.members[src]
 }
 
 func (c *Comm) rankOfWorld(world int) int {
@@ -927,8 +901,7 @@ func (c *Comm) barrier(r *Rank) {
 	// the exclusive lane and leave it only after the latency.
 	c.enter(r)
 	if st := c.arrive(r); st != nil {
-		r.bar.p, r.bar.released = r.proc, false
-		st.done.Await(r.proc, &r.bar)
+		st.done.Await(r.proc, (*barrierWait)(&r.want))
 	} else {
 		r.proc.Sleep(HWBarrierLatency)
 	}
@@ -955,23 +928,23 @@ func (c *Comm) arrive(r *Rank) *barrierState {
 	return nil
 }
 
-// barrierWait is the continuation a rank waits in a barrier on. The release
-// wakes it in the slot Signal.Fire drew for it, where the rank's own code
-// would sleep through the barrier network's latency: it schedules the
-// rank's resume exactly where that Sleep would, and the rank's process is
-// switched to once, after the latency. That Sleep never takes the fast
+// barrierWait is the continuation a rank waits in a barrier on: the rank's
+// recvWant under another name, since a rank waiting in a barrier has no
+// receive outstanding, with paid marking the release wake as run. The
+// release wakes it in the slot Signal.Fire drew for it, where the rank's
+// own code would sleep through the barrier network's latency: it schedules
+// the rank's resume exactly where that Sleep would, and the rank's process
+// is switched to once, after the latency. That Sleep never takes the fast
 // path: the last arriver's own resume is already queued for that instant.
-type barrierWait struct {
-	p        *sim.Proc
-	released bool // the release wake ran; the next wake resumes the rank
-}
+type barrierWait recvWant
 
 func (b *barrierWait) Continue() bool {
-	if b.released {
+	if b.paid {
+		b.paid = false
 		return true
 	}
-	b.released = true
-	b.p.UnparkAfter(HWBarrierLatency)
+	b.paid = true
+	b.r.proc.UnparkAfter(HWBarrierLatency)
 	return false
 }
 

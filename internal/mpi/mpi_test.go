@@ -536,6 +536,9 @@ func TestRecvBadSourcePanics(t *testing.T) {
 	}
 }
 
+// TestRecvTimeoutExpires checks a RecvSeq receive whose deadline passes
+// with no sender: it ends with no payload and ok false, no earlier than
+// the deadline.
 func TestRecvTimeoutExpires(t *testing.T) {
 	w := newWorld(t, 256)
 	err := w.Run(func(c *Comm, r *Rank) {
@@ -543,12 +546,12 @@ func TestRecvTimeoutExpires(t *testing.T) {
 			return
 		}
 		t0 := r.Now()
-		buf, src, ok := c.RecvTimeout(r, 0, 9, 0.75) // nobody ever sends
+		buf, ok := recvOne(c, r, 0, 9, 0.75) // nobody ever sends
 		if ok {
-			t.Errorf("timed-out receive reported ok (src %d, %d bytes)", src, buf.Len())
+			t.Errorf("timed-out receive reported ok (%d bytes)", buf.Len())
 		}
-		if src != -1 || buf.Len() != 0 {
-			t.Errorf("timed-out receive returned src=%d len=%d, want -1/0", src, buf.Len())
+		if buf.Len() != 0 {
+			t.Errorf("timed-out receive returned %d bytes, want 0", buf.Len())
 		}
 		if got := r.Now() - t0; got < 0.75 {
 			t.Errorf("timeout returned after %.3fs, want >= 0.75s", got)
@@ -559,6 +562,8 @@ func TestRecvTimeoutExpires(t *testing.T) {
 	}
 }
 
+// TestRecvTimeoutDeliveredInTime checks a RecvSeq receive whose message
+// beats its deadline: it returns the payload with ok true.
 func TestRecvTimeoutDeliveredInTime(t *testing.T) {
 	w := newWorld(t, 256)
 	err := w.Run(func(c *Comm, r *Rank) {
@@ -566,12 +571,12 @@ func TestRecvTimeoutDeliveredInTime(t *testing.T) {
 		case 0:
 			c.Send(r, 3, 9, data.Synthetic(2048))
 		case 3:
-			buf, src, ok := c.RecvTimeout(r, 0, 9, 5.0)
+			buf, ok := recvOne(c, r, 0, 9, 5.0)
 			if !ok {
 				t.Error("receive timed out despite a prompt send")
 			}
-			if src != 0 || buf.Len() != 2048 {
-				t.Errorf("got src=%d len=%d, want 0/2048", src, buf.Len())
+			if buf.Len() != 2048 {
+				t.Errorf("got len=%d, want 2048", buf.Len())
 			}
 		}
 	})
@@ -580,10 +585,11 @@ func TestRecvTimeoutDeliveredInTime(t *testing.T) {
 	}
 }
 
-// TestRecvTimeoutStaleTimerHarmless pins the pointer-compare cancellation: a
-// timer from a receive that completed must not cancel a later receive, and a
-// message that arrives after its window landed in the inbox, where the next
-// matching receive finds it.
+// TestRecvTimeoutStaleTimerHarmless pins the deadline cancellation rule: a
+// timer from a receive that completed must not cancel a later receive, and
+// a message that arrives after its window landed in the inbox, where the
+// next matching receive finds it. Both receives are RecvSeq sequences, so
+// the stale timer fires into the rank's recvWant between sequences.
 func TestRecvTimeoutStaleTimerHarmless(t *testing.T) {
 	w := newWorld(t, 256)
 	err := w.Run(func(c *Comm, r *Rank) {
@@ -592,14 +598,14 @@ func TestRecvTimeoutStaleTimerHarmless(t *testing.T) {
 			c.Send(r, 3, 9, data.Synthetic(1024)) // arrives promptly
 			c.Send(r, 3, 11, data.Synthetic(512)) // tag 11 arrives while rank 3 sleeps
 		case 3:
-			if _, _, ok := c.RecvTimeout(r, 0, 9, 2.0); !ok {
+			if _, ok := recvOne(c, r, 0, 9, 2.0); !ok {
 				t.Fatal("first receive should complete well inside its window")
 			}
 			// Sleep past the first receive's timer so it fires while no
 			// receive is posted, then receive the second message: the stale
 			// timer must not have disturbed anything.
 			r.Proc().Sleep(3.0)
-			buf, _, ok := c.RecvTimeout(r, 0, 11, 2.0)
+			buf, ok := recvOne(c, r, 0, 11, 2.0)
 			if !ok || buf.Len() != 512 {
 				t.Errorf("second receive after a stale timer: ok=%v len=%d", ok, buf.Len())
 			}

@@ -12,8 +12,8 @@ import (
 // differs from Isend then Wait: a zero-byte send on an idle pipeline
 // completes locally at its overhead's end. Rank 1 queues a wake for that
 // instant after rank 0 started its send. Send resumes through the
-// calendar, behind rank 1; IsendWait and Isend with Request.Wait carry on
-// in the overhead's own slot, ahead of it.
+// calendar, behind rank 1; IsendWaitSeq and Isend with Request.Wait carry
+// on in the overhead's own slot, ahead of it.
 func TestSendResumesBehindQueuedEvents(t *testing.T) {
 	overhead := DefaultConfig().SendOverhead
 	for _, tc := range []struct {
@@ -22,7 +22,7 @@ func TestSendResumesBehindQueuedEvents(t *testing.T) {
 		first int
 	}{
 		{"Send", func(c *Comm, r *Rank) { c.Send(r, 2, 1, data.Synthetic(0)) }, 1},
-		{"IsendWait", func(c *Comm, r *Rank) { c.IsendWait(r, 2, 1, data.Synthetic(0)) }, 0},
+		{"IsendWaitSeq", func(c *Comm, r *Rank) { c.IsendWaitSeq(r, 2, 1, &sizedSends{tag: 1, sizes: []int64{0}}) }, 0},
 		{"Isend+Wait", func(c *Comm, r *Rank) { c.Isend(r, 2, 1, data.Synthetic(0)).Wait(r.Proc()) }, 0},
 	} {
 		w := newWorld(t, 64)
@@ -58,9 +58,10 @@ func TestSendResumesBehindQueuedEvents(t *testing.T) {
 // finishes at t0 + SendOverhead + n/LocalCopyBW (local completion); the
 // payload arrives at localDone + InjectLat + n/InjectBW + hops·HopLatency
 // + n/LinkBW; the receiver finishes at max(arrival, post) + RecvOverhead +
-// n/LocalCopyBW. It covers Send and IsendWait against a receive posted
-// before the arrival, a RecvTimeout that the message beats, and an inbox
-// hit; and a RecvTimeout that expires at post + timeout.
+// n/LocalCopyBW. It covers Send and a one-send IsendWaitSeq against a
+// receive posted before the arrival, a one-receive RecvSeq whose deadline
+// the message beats, and an inbox hit; and a RecvSeq receive whose
+// deadline expires at post + timeout.
 func TestPointToPointClosedForm(t *testing.T) {
 	const (
 		src, dst = 0, 200 // on different nodes
@@ -104,13 +105,15 @@ func TestPointToPointClosedForm(t *testing.T) {
 						if blocking {
 							c.Send(r, dst, 3, data.Synthetic(n))
 						} else {
-							local = c.IsendWait(r, dst, 3, data.Synthetic(n))
+							seq := &sizedSends{tag: 3, sizes: []int64{n}}
+							c.IsendWaitSeq(r, dst, 1, seq)
+							local = seq.local[0]
 						}
 						sent = r.Now()
 					case dst:
 						r.Proc().SleepUntil(post)
 						if recv == "timeout" {
-							if _, _, ok := c.RecvTimeout(r, src, 3, timeout); !ok {
+							if _, ok := recvOne(c, r, src, 3, timeout); !ok {
 								t.Errorf("%s: timed out", name)
 							}
 						} else {
@@ -124,7 +127,7 @@ func TestPointToPointClosedForm(t *testing.T) {
 				}
 				near(name+": sender done", sent, localDone)
 				if !blocking {
-					near(name+": IsendWait local time", local, cfg.SendOverhead+copyTime)
+					near(name+": IsendWaitSeq local time", local, cfg.SendOverhead+copyTime)
 				}
 				near(name+": receiver done", got, max(arrival, post)+cfg.RecvOverhead+copyTime)
 			}
@@ -138,13 +141,51 @@ func TestPointToPointClosedForm(t *testing.T) {
 			return
 		}
 		r.Proc().SleepUntil(t0)
-		if _, _, ok := c.RecvTimeout(r, src, 3, timeout); ok {
-			t.Error("RecvTimeout with no sender reported a message")
+		if _, ok := recvOne(c, r, src, 3, timeout); ok {
+			t.Error("a receive with a deadline and no sender reported a message")
 		}
 		expired = r.Now()
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	near("RecvTimeout expiry", expired, t0+timeout)
+	near("deadline expiry", expired, t0+timeout)
+}
+
+// sizedSends is a SendSeq shipping sizes[i] bytes with tag tag and keeping
+// each send's local time.
+type sizedSends struct {
+	tag   int
+	sizes []int64
+	local []float64
+}
+
+func (s *sizedSends) SendMsg(_ *Rank, i int) (int, data.Buf) {
+	return s.tag, data.Synthetic(s.sizes[i])
+}
+
+func (s *sizedSends) Sent(_ *Rank, _ int, _, local float64) { s.local = append(s.local, local) }
+
+// oneRecv is a RecvSeq of one receive, keeping its result.
+type oneRecv struct {
+	src, tag int
+	timeout  float64
+	done, ok bool
+	buf      data.Buf
+}
+
+func (o *oneRecv) NextRecv(*Rank) (int, int, float64, bool) {
+	return o.src, o.tag, o.timeout, !o.done
+}
+
+func (o *oneRecv) Recvd(_ *Rank, _ float64, buf data.Buf, ok bool) {
+	o.done, o.buf, o.ok = true, buf, ok
+}
+
+// recvOne receives from src with tag as a one-receive RecvSeq, giving up
+// after timeout seconds when timeout >= 0.
+func recvOne(c *Comm, r *Rank, src, tag int, timeout float64) (data.Buf, bool) {
+	o := &oneRecv{src: src, tag: tag, timeout: timeout}
+	c.RecvSeq(r, o)
+	return o.buf, o.ok
 }
