@@ -1,132 +1,273 @@
 package repro_test
 
 import (
+	"encoding/json"
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
-	"io/fs"
+	"go/types"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// testOnlyAllow names the top-level functions and methods that no non-test
-// Go calls and that stay anyway, each with the reason it stays.
+// testOnlyAllow names, qualified by package and receiver, the top-level
+// functions and methods that no non-test Go uses and that stay anyway, each
+// with the reason it stays.
 var testOnlyAllow = map[string]string{
 	// Observers: tests read an invariant through them.
-	"BufferedBytes":    "tests observe the bytes a storage path still buffers",
-	"TotalOutstanding": "tests check that every commit drained",
-	"LostRanks":        "tests observe which ranks an epoch lost",
-	"Invalid":          "tests observe why an epoch was invalidated",
-	"Invalidated":      "tests count the epochs a loss invalidated",
-	"BusyTime":         "tests check a fabric link's busy-time conservation",
-	"NextFree":         "tests observe a fabric link's queue",
-	"LocalTime":        "tests check a request's local completion time",
-	"RunUntil":         "tests stop a kernel at a chosen time",
-	"AtHook":           "tests schedule a hook at an absolute time",
-	"Equal":            "tests compare payloads byte for byte",
-	"InUse":            "tests check that a resource drained",
-	"MaxLinkBusy":      "tests check the interconnect's link occupancy",
-	"Strategies":       "tests pin the strategy registry's order",
+	"bbuf.FileSystem.BufferedBytes":   "tests observe the bytes a burst buffer still holds",
+	"storage.Handle.TotalOutstanding": "tests check that every commit drained",
+	"recover.Epoch.LostRanks":         "tests observe which ranks an epoch lost",
+	"recover.Epoch.Invalid":           "tests observe why an epoch was invalidated",
+	"recover.Log.Invalidated":         "tests count the epochs a loss invalidated",
+	"fabric.Pipe.BusyTime":            "tests check a pipe's busy-time conservation",
+	"fabric.Pipe.NextFree":            "tests observe a pipe's queue",
+	"mpi.Request.LocalTime":           "tests check a request's local completion time",
+	"sim.Kernel.RunUntil":             "tests stop a kernel at a chosen time",
+	"sim.Kernel.AtHook":               "tests schedule a hook at an absolute time",
+	"data.Equal":                      "tests compare payloads byte for byte",
+	"sim.Resource.InUse":              "tests check that a resource drained",
+	"ckpt.Strategies":                 "tests pin the strategy registry's order",
 	// The machine's topology and allocator getters.
-	"Allocated":       "tests check the machine entered allocated mode",
-	"Allocs":          "tests check the allocator's live slices",
-	"BaseNode":        "tests check where the allocator placed a slice",
-	"ContainsRank":    "tests check a slice's rank window",
-	"Groups":          "tests check the dragonfly's shape",
-	"RoutersPerGroup": "tests check the dragonfly's shape",
-	"Leaves":          "tests check the fat tree's shape",
-	"Spines":          "tests check the fat tree's shape",
-	"Route":           "tests check every topology's routes",
-	"TopologyNames":   "tests sweep every topology",
-	"Cycles":          "tests pin the BG/P core clock",
-	"ToCycles":        "tests pin the BG/P core clock",
-	// Called by the standard library through an interface.
-	"MarshalJSON":   "encoding/json calls it",
-	"UnmarshalJSON": "encoding/json calls it",
-	"String":        "fmt calls it",
-	"Error":         "the error interface",
-	"Unwrap":        "errors.Is and errors.As call it",
+	"machine.Machine.Allocated":         "tests check the machine entered allocated mode",
+	"machine.Machine.Allocs":            "tests check the allocator's live slices",
+	"machine.Alloc.BaseNode":            "tests check where the allocator placed a slice",
+	"machine.Alloc.ContainsRank":        "tests check a slice's rank window",
+	"machine.Dragonfly.Groups":          "tests check the dragonfly's shape",
+	"machine.Dragonfly.RoutersPerGroup": "tests check the dragonfly's shape",
+	"machine.FatTree.Leaves":            "tests check the fat tree's shape",
+	"machine.FatTree.Spines":            "tests check the fat tree's shape",
+	"machine.Route":                     "tests check every topology's routes",
+	"machine.TopologyNames":             "tests sweep every topology",
 	// Leave with the partitioned kernel.
-	"AfterHookCtx": "the partitioned kernel's lane hooks",
-	"PartRNG":      "the partitioned kernel's per-partition streams",
+	"sim.Kernel.AfterHookCtx": "the partitioned kernel's lane hooks",
+	"sim.Kernel.PartRNG":      "the partitioned kernel's per-partition streams",
 	// perfbench's mpi.p2p_ns probe calls it.
-	"Send": "the blocking point-to-point send",
+	"mpi.Comm.Send": "the blocking point-to-point send",
+	// References and checkers that tests compare against.
+	"mpi.Request.Wait":    "Isend then Wait is the unfolded reference for IsendWaitSeq",
+	"cemfmt.Validate":     "tests check the files every strategy writes against the checkpoint format",
+	"trace.File.Validate": "tests check written trace files against the trace_event schema",
 }
 
-// TestNoTestOnlyAPI fails on a top-level function or method, declared in
-// non-test Go outside bench/, whose name no non-test Go in the module
-// references (bench/ and examples/ included), unless testOnlyAllow names it.
-// Such code only tests reach: move what it checks onto the live path, or
-// delete it.
+// stdlibIfaces are the standard-library interfaces through which the
+// standard library calls a method the module declares.
+var stdlibIfaces = [][2]string{
+	{"fmt", "Stringer"},
+	{"fmt", "Formatter"},
+	{"encoding/json", "Marshaler"},
+	{"encoding/json", "Unmarshaler"},
+}
+
+// goPackage is the part of `go list -json` output the scan reads.
+type goPackage struct {
+	Dir, ImportPath string
+	GoFiles         []string
+	Standard        bool
+}
+
+// goList lists the non-standard packages ./... depends on in dir's module,
+// each after the packages it imports.
+func goList(t *testing.T, dir string) []goPackage {
+	cmd := exec.Command("go", "list", "-deps", "-json", "./...")
+	cmd.Dir = dir
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list in %s: %v", dir, err)
+	}
+	var pkgs []goPackage
+	dec := json.NewDecoder(strings.NewReader(string(out)))
+	for dec.More() {
+		var p goPackage
+		if err := dec.Decode(&p); err != nil {
+			t.Fatal(err)
+		}
+		if !p.Standard {
+			pkgs = append(pkgs, p)
+		}
+	}
+	return pkgs
+}
+
+// moduleImporter returns the module's packages already checked and
+// type-checks the standard library from source.
+type moduleImporter struct {
+	checked map[string]*types.Package
+	std     types.Importer
+}
+
+func (m moduleImporter) Import(path string) (*types.Package, error) {
+	if p := m.checked[path]; p != nil {
+		return p, nil
+	}
+	return m.std.Import(path)
+}
+
+// lookupMethod returns the method m resolves to in t's method set.
+func lookupMethod(t types.Type, m *types.Func) (*types.Func, bool) {
+	obj, _, _ := types.LookupFieldOrMethod(t, false, m.Pkg(), m.Name())
+	fn, ok := obj.(*types.Func)
+	if !ok {
+		return nil, false
+	}
+	return fn.Origin(), true
+}
+
+// qualName names a function or method as package.Recv.Name.
+func qualName(f *types.Func) string {
+	name := f.Pkg().Name() + "." + f.Name()
+	if recv := f.Type().(*types.Signature).Recv(); recv != nil {
+		t := recv.Type()
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		if n, ok := t.(*types.Named); ok {
+			name = f.Pkg().Name() + "." + n.Obj().Name() + "." + f.Name()
+		}
+	}
+	return name
+}
+
+// TestNoTestOnlyAPI type-checks the non-test Go of the root module and of
+// bench/ and fails on a top-level function or method, declared outside
+// bench/, that no non-test Go uses, unless testOnlyAllow names it. Such code
+// only tests reach: move what it checks onto the live path, or delete it.
 //
-// Matching is by bare name, so a dead function whose name collides with a
-// live one (a method Foo on one type and a call of Foo on another) passes.
+// A function counts as used where non-test code names that exact object (a
+// generic one through its origin); a function's uses of itself keep nothing
+// alive. A method is used, too, when non-test code calls an interface method
+// it implements, or when the standard library calls it through one of
+// stdlibIfaces. Assigning a value to an interface keeps none of its methods
+// alive.
 func TestNoTestOnlyAPI(t *testing.T) {
-	type decl struct{ name, pos string }
-	var decls []decl
-	refs := map[string]bool{}
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		inBench := strings.HasPrefix(filepath.ToSlash(path), "bench/")
-		for _, dd := range f.Decls {
-			fd, ok := dd.(*ast.FuncDecl)
-			if !ok {
-				ast.Inspect(dd, func(n ast.Node) bool {
-					if id, ok := n.(*ast.Ident); ok {
-						refs[id.Name] = true
-					}
-					return true
-				})
+	imp := moduleImporter{map[string]*types.Package{}, importer.ForCompiler(fset, "source", nil)}
+	var decls []*types.Func
+	used := map[*types.Func]bool{}
+	// ifaceCalls holds every interface method non-test code calls.
+	type ifaceCall struct {
+		iface  *types.Interface
+		method *types.Func
+	}
+	ifaceCalls := map[ifaceCall]bool{}
+	for _, dir := range []string{".", "bench"} {
+		for _, p := range goList(t, dir) {
+			if imp.checked[p.ImportPath] != nil {
 				continue
 			}
-			name := fd.Name.Name
-			if !inBench && name != "main" && name != "init" && name != "_" {
-				decls = append(decls, decl{name, fset.Position(fd.Pos()).String()})
-			}
-			// A function's references to itself keep nothing alive.
-			ast.Inspect(fd, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok && id != fd.Name && id.Name != name {
-					refs[id.Name] = true
+			var files []*ast.File
+			for _, name := range p.GoFiles {
+				f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+				if err != nil {
+					t.Fatal(err)
 				}
-				return true
-			})
+				files = append(files, f)
+			}
+			info := &types.Info{
+				Defs: map[*ast.Ident]types.Object{},
+				Uses: map[*ast.Ident]types.Object{},
+			}
+			conf := types.Config{Importer: imp}
+			pkg, err := conf.Check(p.ImportPath, fset, files, info)
+			if err != nil {
+				t.Fatalf("type-check %s: %v", p.ImportPath, err)
+			}
+			imp.checked[p.ImportPath] = pkg
+			inBench := strings.HasPrefix(p.ImportPath, "repro/bench")
+			for _, f := range files {
+				for _, d := range f.Decls {
+					fd, _ := d.(*ast.FuncDecl)
+					var self *types.Func
+					if fd != nil {
+						self = info.Defs[fd.Name].(*types.Func)
+						if name := fd.Name.Name; !inBench && name != "main" && name != "init" && name != "_" {
+							decls = append(decls, self)
+						}
+					}
+					ast.Inspect(d, func(n ast.Node) bool {
+						id, ok := n.(*ast.Ident)
+						if !ok {
+							return true
+						}
+						fn, ok := info.Uses[id].(*types.Func)
+						if !ok {
+							return true
+						}
+						fn = fn.Origin()
+						if fn == self {
+							return true
+						}
+						used[fn] = true
+						if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+							if it, ok := recv.Type().Underlying().(*types.Interface); ok {
+								ifaceCalls[ifaceCall{it, fn}] = true
+							}
+						}
+						return true
+					})
+				}
+			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
+	for _, s := range stdlibIfaces {
+		pkg, err := imp.Import(s[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		it := pkg.Scope().Lookup(s[1]).Type().Underlying().(*types.Interface)
+		for i := 0; i < it.NumMethods(); i++ {
+			ifaceCalls[ifaceCall{it, it.Method(i)}] = true
+		}
+	}
+	// errors.Is and errors.As call Unwrap through an unnamed interface.
+	errType := types.Universe.Lookup("error").Type()
+	errIface := errType.Underlying().(*types.Interface)
+	unwrap := types.NewFunc(token.NoPos, nil, "Unwrap", types.NewSignatureType(nil, nil, nil, nil,
+		types.NewTuple(types.NewVar(token.NoPos, nil, "", errType)), false))
+	ifaceCalls[ifaceCall{errIface, errIface.Method(0)}] = true
+	ifaceCalls[ifaceCall{types.NewInterfaceType([]*types.Func{unwrap}, nil).Complete(), unwrap}] = true
+	// Every interface call keeps alive the method it reaches on each module
+	// type that implements the interface, a promoted method included.
+	var ptrs []types.Type
+	for _, pkg := range imp.checked {
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			// Implements is unspecified on uninstantiated generic types.
+			if n, ok := tn.Type().(*types.Named); ok && n.TypeParams().Len() == 0 && !types.IsInterface(n) {
+				ptrs = append(ptrs, types.NewPointer(n))
+			}
+		}
+	}
+	for c := range ifaceCalls {
+		for _, pt := range ptrs {
+			if !types.Implements(pt, c.iface) {
+				continue
+			}
+			if m, ok := lookupMethod(pt, c.method); ok {
+				used[m] = true
+			}
+		}
+	}
+	declared := map[string]bool{}
 	var dead []string
-	for _, d := range decls {
-		if !refs[d.name] && testOnlyAllow[d.name] == "" {
-			dead = append(dead, d.pos+": "+d.name)
+	for _, f := range decls {
+		name := qualName(f)
+		declared[name] = true
+		if !used[f] && testOnlyAllow[name] == "" {
+			dead = append(dead, fmt.Sprintf("%s: %s", fset.Position(f.Pos()), name))
 		}
 	}
 	sort.Strings(dead)
 	for _, d := range dead {
-		t.Errorf("%s: no non-test Go references it", d)
-	}
-	declared := map[string]bool{}
-	for _, d := range decls {
-		declared[d.name] = true
+		t.Errorf("%s: no non-test Go uses it", d)
 	}
 	for name := range testOnlyAllow {
 		if !declared[name] {

@@ -637,21 +637,24 @@ func BenchmarkMicroGPFSWrite(b *testing.B) {
 func BenchmarkStorageCommitPath(b *testing.B) {
 	arms := []struct {
 		name  string
-		mount func(m *machine.Machine) fsys.System
+		mount func(m *machine.Machine) (fsys.System, error)
 	}{
-		{"gpfs", func(m *machine.Machine) fsys.System { return gpfs.MustNew(m, gpfs.DefaultConfig()) }},
-		{"pvfs", func(m *machine.Machine) fsys.System { return pvfs.MustNew(m, pvfs.DefaultConfig()) }},
-		{"bbuf", func(m *machine.Machine) fsys.System {
+		{"gpfs", func(m *machine.Machine) (fsys.System, error) { return gpfs.New(m, gpfs.DefaultConfig()) }},
+		{"pvfs", func(m *machine.Machine) (fsys.System, error) { return pvfs.New(m, pvfs.DefaultConfig()) }},
+		{"bbuf", func(m *machine.Machine) (fsys.System, error) {
 			cfg := bbuf.DefaultConfig()
 			cfg.BufferPerION = 1 << 62
-			return bbuf.MustNew(m, cfg)
+			return bbuf.New(m, cfg)
 		}},
 	}
 	for _, arm := range arms {
 		b.Run(arm.name, func(b *testing.B) {
 			k := sim.NewKernel()
 			m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(256))
-			fs := arm.mount(m)
+			fs, err := arm.mount(m)
+			if err != nil {
+				b.Fatal(err)
+			}
 			k.Go("w", func(p *sim.Proc) {
 				h, err := fs.Create(p, 0, "bench")
 				if err != nil {

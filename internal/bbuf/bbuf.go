@@ -136,15 +136,6 @@ func New(m *machine.Machine, cfg Config) (*FileSystem, error) {
 	return &FileSystem{Core: core, path: path}, nil
 }
 
-// MustNew is New, panicking on error.
-func MustNew(m *machine.Machine, cfg Config) *FileSystem {
-	fs, err := New(m, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return fs
-}
-
 func init() {
 	fsys.Register("bbuf", func(m *machine.Machine, opt fsys.MountOptions) (fsys.System, error) {
 		cfg := DefaultConfig()
@@ -208,13 +199,6 @@ func (fs *FileSystem) BufferedBytes() int64 {
 	}
 	return total
 }
-
-// FleetNodes returns the resolved fleet size (NumPsets for the private
-// shape). Zero until the data path has been touched.
-func (fs *FileSystem) FleetNodes() int { return fs.path.n }
-
-// DrainPolicy returns the name of the active drain scheduler.
-func (fs *FileSystem) DrainPolicy() string { return fs.path.sched.Name() }
 
 // DrainHorizon implements fsys.DrainInfo: the time by which everything
 // absorbed so far is expected to have drained to the shared servers. The

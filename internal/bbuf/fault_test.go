@@ -23,7 +23,7 @@ func faultRig(t *testing.T, mod func(*Config), sched fault.Schedule, body func(p
 	if mod != nil {
 		mod(&cfg)
 	}
-	fs := MustNew(m, cfg)
+	fs := mustNew(t, m, cfg)
 	fs.EnableFaults(fault.NewInjector(k, sched), storage.DefaultFaultPolicy(), xrand.New(9))
 	k.Go("test", func(p *sim.Proc) { body(p, fs) })
 	if err := k.Run(); err != nil {

@@ -122,7 +122,7 @@ func TestFleetPlacement(t *testing.T) {
 	cfg.NoiseProb = 0
 	cfg.FleetNodes = 2
 	cfg.BufferPerION = chunk
-	fs := MustNew(m, cfg)
+	fs := mustNew(t, m, cfg)
 	d := fs.path
 	d.init(fs.Core)
 	if d.private {
@@ -159,7 +159,7 @@ func TestFleetPlacement(t *testing.T) {
 	pcfg := DefaultConfig()
 	pcfg.NoiseProb = 0
 	pcfg.BufferPerION = chunk
-	pfs := MustNew(pm, pcfg)
+	pfs := mustNew(t, pm, pcfg)
 	pd := pfs.path
 	pd.init(pfs.Core)
 	if !pd.private || pd.n != pm.NumPsets() {
@@ -180,15 +180,17 @@ func TestSharedFleetStripesAcrossNodes(t *testing.T) {
 	const chunk = 8 << 20
 	var st BufferStats
 	var fleetN int
-	var perNode [2]int64
+	var perNode, want [2]float64
 	rig(t, 1024, func(c *Config) { c.FleetNodes = 2 }, func(p *sim.Proc, fs *FileSystem) {
 		h, _ := fs.Create(p, 0, "f")
 		h.WriteAt(p, 0, 0, data.Synthetic(chunk))
 		h.WriteAt(p, 0, chunk, data.Synthetic(chunk))
 		st = fs.Buffer()
-		fleetN = fs.FleetNodes()
-		perNode[0] = fs.path.absorb[0].Bytes()
-		perNode[1] = fs.path.absorb[1].Bytes()
+		fleetN = fs.path.n
+		for i := range perNode {
+			perNode[i] = fs.path.absorb[i].BusyTime()
+			want[i] = chunk / fs.path.absorb[i].BW
+		}
 	})
 	if fleetN != 2 {
 		t.Fatalf("fleet resolved to %d nodes, want 2", fleetN)
@@ -196,8 +198,8 @@ func TestSharedFleetStripesAcrossNodes(t *testing.T) {
 	if st.AbsorbedBytes != 2*chunk || st.SpilledBytes != 0 {
 		t.Fatalf("absorbed %d spilled %d, want %d/0", st.AbsorbedBytes, st.SpilledBytes, int64(2*chunk))
 	}
-	if perNode[0] != chunk || perNode[1] != chunk {
-		t.Fatalf("absorb pipes carried %d/%d bytes, want one chunk each (striping)", perNode[0], perNode[1])
+	if perNode != want {
+		t.Fatalf("absorb pipes were busy %v s, want one chunk's %v s each (striping)", perNode, want)
 	}
 }
 

@@ -87,17 +87,6 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}
 }
 
-func TestCyclesRoundTrip(t *testing.T) {
-	m := build(t, 1024)
-	sec := m.Cycles(850e6)
-	if sec != 1.0 {
-		t.Fatalf("850e6 cycles = %v s, want 1", sec)
-	}
-	if got := m.ToCycles(2.0); got != 1.7e9 {
-		t.Fatalf("2 s = %v cycles, want 1.7e9", got)
-	}
-}
-
 func TestRankOutOfRangePanics(t *testing.T) {
 	m := build(t, 1024)
 	defer func() {

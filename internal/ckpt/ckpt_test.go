@@ -440,10 +440,13 @@ func runWorldPVFS(t *testing.T, ranks int, strat Strategy, body func(env *Env, p
 	m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(ranks))
 	cfg := pvfs.DefaultConfig()
 	cfg.NoiseProb = 0
-	fs := pvfs.MustNew(m, cfg)
+	fs, err := pvfs.New(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	env := &Env{FS: fs, Dir: "ckpt"}
 	w := mpi.NewWorld(m, mpi.DefaultConfig())
-	err := w.Run(func(c *mpi.Comm, r *mpi.Rank) {
+	err = w.Run(func(c *mpi.Comm, r *mpi.Rank) {
 		pl, err := strat.Plan(c, r)
 		if err != nil {
 			t.Errorf("rank %d plan: %v", r.ID(), err)

@@ -168,26 +168,3 @@ func (pl *mlPlan) Read(env *Env, r *mpi.Rank, step int64) (*Checkpoint, error) {
 	}
 	return pl.global.Read(env, r, step)
 }
-
-// DropLocal simulates the loss of a rank's node-local storage (a node
-// failure): subsequent reads must fall back to the global level.
-func (pl *mlPlan) DropLocal(rank int) { pl.sh.local[rank].cp = nil }
-
-// LocalStep reports which step a rank's local level currently holds
-// (-1 when empty), for tests and diagnostics.
-func (pl *mlPlan) LocalStep(rank int) int64 {
-	if cp := pl.sh.local[rank].cp; cp != nil {
-		return cp.Step
-	}
-	return -1
-}
-
-// MultiLevelPlan exposes the extension's extra operations (local-loss
-// injection) to callers holding a generic Plan.
-type MultiLevelPlan interface {
-	Plan
-	DropLocal(rank int)
-	LocalStep(rank int) int64
-}
-
-var _ MultiLevelPlan = (*mlPlan)(nil)

@@ -71,9 +71,8 @@ func TestMultiLevelReadPrefersLocal(t *testing.T) {
 			return
 		}
 		c.Barrier(r)
-		ml := pl.(MultiLevelPlan)
-		if ml.LocalStep(r.ID()) != 5 {
-			t.Errorf("rank %d local level holds step %d", r.ID(), ml.LocalStep(r.ID()))
+		if held := pl.(*mlPlan).sh.local[r.ID()].cp; held == nil || held.Step != 5 {
+			t.Errorf("rank %d local level does not hold step 5", r.ID())
 		}
 		t0 := r.Now()
 		got, err := pl.Read(env, r, 5)
@@ -101,12 +100,10 @@ func TestMultiLevelFallbackAfterNodeLoss(t *testing.T) {
 			return
 		}
 		c.Barrier(r)
-		ml := pl.(MultiLevelPlan)
-		ml.DropLocal(r.ID()) // the node died; RAM disk gone
-		if ml.LocalStep(r.ID()) != -1 {
-			t.Error("local level survived the drop")
-		}
-		got, err := pl.Read(env, r, 7) // must come from the PFS
+		// The node died: its RAM disk is gone, so the read must come from
+		// the PFS.
+		pl.(*mlPlan).sh.local[r.ID()].cp = nil
+		got, err := pl.Read(env, r, 7)
 		if err != nil {
 			t.Errorf("rank %d global fallback failed: %v", r.ID(), err)
 			return
@@ -128,8 +125,7 @@ func TestMultiLevelLocalOnlyNotGloballyReadable(t *testing.T) {
 			return
 		}
 		c.Barrier(r)
-		ml := pl.(MultiLevelPlan)
-		ml.DropLocal(r.ID())
+		pl.(*mlPlan).sh.local[r.ID()].cp = nil // the node died; RAM disk gone
 		if _, err := pl.Read(env, r, 1); err == nil {
 			t.Error("read of a lost local-only checkpoint succeeded")
 		}

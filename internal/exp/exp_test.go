@@ -95,6 +95,23 @@ func TestTableISmallScale(t *testing.T) {
 	}
 }
 
+// TestTableIUsesMachineClock pins Table I's cycle conversion to the clock of
+// the machine the run was built on: BG/L's 700 MHz, not Intrepid's 850.
+func TestTableIUsesMachineClock(t *testing.T) {
+	o := Options{Seed: 3, NPs: []int{512}, Machine: "bgl"}
+	rows, err := TableI(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs, err := RunSet(o, []Job{{NP: 512, Strategy: DefaultRbIOWithGroup(64)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := runs[0].Agg.MaxPerceived / 6 * 700e6; rows[0].SendCycles != want {
+		t.Fatalf("bgl send cycles %v, want %v (per-send seconds at 700 MHz)", rows[0].SendCycles, want)
+	}
+}
+
 func TestDistributionsSmallScale(t *testing.T) {
 	o := quickOpts()
 	d9, err := Fig9(o)

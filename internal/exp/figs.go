@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/ckpt"
+	"repro/internal/machine"
 	"repro/internal/table"
 )
 
@@ -154,6 +155,10 @@ type TableIRow struct {
 // worker was occupied handing its data off, expressed in CPU cycles per
 // field send and as an aggregate perceived bandwidth.
 func TableI(o Options) ([]TableIRow, error) {
+	d, err := machine.Lookup(o.Machine)
+	if err != nil {
+		return nil, err
+	}
 	var jobs []Job
 	for _, np := range o.nps() {
 		jobs = append(jobs, Job{NP: np, Strategy: DefaultRbIOWithGroup(64)})
@@ -165,11 +170,12 @@ func TableI(o Options) ([]TableIRow, error) {
 	var rows []TableIRow
 	for _, r := range runs {
 		// MaxPerceived sums the six per-field hand-offs of the slowest
-		// worker; the paper reports per-send cycles at 850 MHz.
+		// worker; the paper reports per-send cycles at Intrepid's 850 MHz,
+		// other machines at their own clock.
 		perSend := r.Agg.MaxPerceived / 6
 		rows = append(rows, TableIRow{
 			NP:            r.NP,
-			SendCycles:    perSend * 850e6,
+			SendCycles:    perSend * d.Config(r.NP).CPUHz,
 			PerceivedTBps: r.Agg.PerceivedBandwidth() / 1e12,
 		})
 	}

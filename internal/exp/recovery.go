@@ -95,7 +95,7 @@ func runRecoveryCell(o Options, np int, fam recoveryFamily, work, ce int, spec *
 		// log: epochs sealed but not yet verified at loss time are torn.
 		// The fleet aggregates a fault event's loss across its nodes, so
 		// ClassifyKills sees one consistent number per event.
-		b.OnLost(func(_ int, bytes int64, t float64) { log.BufferLoss(bytes, t) })
+		b.OnLost(func(_ int, _ int64, t float64) { log.BufferLoss(t) })
 	}
 	base := paperRun(np, fam.Strategy, 0, 0)
 	base.RankUp = e.rankUp()

@@ -33,8 +33,8 @@ func TestTraceMetricsSumToMakespan(t *testing.T) {
 			t.Errorf("%s: attributed %.12f vs makespan %.12f (|diff| %.3g > 1e-9)",
 				e.Label, got, e.Makespan, d)
 		}
-		if e.Rec.Dropped() > 0 {
-			t.Logf("%s: %d events dropped past the cap (aggregates complete)", e.Label, e.Rec.Dropped())
+		if d := e.Rec.Snapshot(e.Label, e.Makespan).Dropped; d > 0 {
+			t.Logf("%s: %d events dropped past the cap (aggregates complete)", e.Label, d)
 		}
 	}
 }

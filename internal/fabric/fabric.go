@@ -30,7 +30,6 @@ type Pipe struct {
 
 	nextFree float64
 	busy     float64 // cumulative seconds spent transmitting
-	bytes    int64   // cumulative bytes carried
 	degrade  float64 // bandwidth multiplier while degraded; 0 means healthy
 
 	// Tracing, set by Instrument; rec == nil (the default) disables it.
@@ -94,7 +93,6 @@ func (p *Pipe) Transfer(now float64, size int64) (start, end float64) {
 	end = start + dur
 	p.nextFree = end
 	p.busy += dur
-	p.bytes += size
 	if p.rec != nil {
 		p.rec.Span(p.recLayer, p.recSpan, p.recTrack, start, end, size)
 		if wait := start - now - p.Latency; wait > 0 {
@@ -108,13 +106,12 @@ func (p *Pipe) Transfer(now float64, size int64) (start, end float64) {
 // TransferExpress models a small transfer that interleaves with bulk
 // traffic at packet granularity instead of queueing behind whole messages
 // (control traffic, headers). It charges latency plus serialization and
-// records the bytes, but neither waits for nor advances the pipe's
+// counts the busy time, but neither waits for nor advances the pipe's
 // next-free time.
 func (p *Pipe) TransferExpress(now float64, size int64) (start, end float64) {
 	start = now + p.Latency
 	dur := float64(size) / p.bw()
 	p.busy += dur
-	p.bytes += size
 	if p.rec != nil {
 		p.rec.Span(p.recLayer, p.recSpan, p.recTrack, start, start+dur, size)
 	}
@@ -123,9 +120,6 @@ func (p *Pipe) TransferExpress(now float64, size int64) (start, end float64) {
 
 // BusyTime returns the cumulative transmission time carried by the pipe.
 func (p *Pipe) BusyTime() float64 { return p.busy }
-
-// Bytes returns the cumulative bytes carried by the pipe.
-func (p *Pipe) Bytes() int64 { return p.bytes }
 
 // NextFree returns the earliest time a new transfer could begin serializing.
 func (p *Pipe) NextFree() float64 { return p.nextFree }

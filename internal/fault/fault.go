@@ -13,9 +13,8 @@
 // Determinism contract: the schedule is fully determined by (seed, horizon,
 // rates) before the simulation starts, and all state queries are pure
 // functions of the schedule and a simulated time. With a nil *Injector (or
-// no events), every query short-circuits to "up, full bandwidth" with zero
-// RNG draws, so fault-free runs stay byte-identical to a build without this
-// package.
+// no events), every query short-circuits to "up" with zero RNG draws, so
+// fault-free runs stay byte-identical to a build without this package.
 package fault
 
 import (
@@ -201,13 +200,12 @@ type Counts struct {
 
 // Injector replays a Schedule on a kernel and answers liveness queries.
 // All methods are nil-safe: a nil *Injector means "no faults" and every
-// query returns up/full-bandwidth without touching an RNG.
+// query returns up without touching an RNG.
 type Injector struct {
 	k       *sim.Kernel
 	sched   Schedule
 	perComp map[compKey][]Event // time-sorted per-component history
 	down    map[compKey]bool
-	factor  map[compKey]float64 // links only; absent means 1
 	subs    []func(Event)
 	counts  Counts
 }
@@ -225,7 +223,6 @@ func NewInjector(k *sim.Kernel, sched Schedule) *Injector {
 		sched:   s,
 		perComp: make(map[compKey][]Event),
 		down:    make(map[compKey]bool),
-		factor:  make(map[compKey]float64),
 	}
 	for _, ev := range s {
 		key := compKey{ev.Class, ev.Index}
@@ -250,10 +247,8 @@ func (in *Injector) fire(ev Event) {
 		in.counts.Fails++
 	case Restore:
 		in.down[key] = false
-		delete(in.factor, key)
 		in.counts.Restores++
 	case Degrade:
-		in.factor[key] = ev.Factor
 		in.counts.Degrades++
 	}
 	for _, fn := range in.subs {
@@ -300,18 +295,6 @@ func (in *Injector) UpAt(cl Class, idx int, t float64) bool {
 	return up
 }
 
-// Factor returns the component's bandwidth multiplier at the current
-// simulated time: 1 unless a Degrade event is in effect.
-func (in *Injector) Factor(cl Class, idx int) float64 {
-	if in == nil {
-		return 1
-	}
-	if f, ok := in.factor[compKey{cl, idx}]; ok {
-		return f
-	}
-	return 1
-}
-
 // Schedule returns the injector's normalized schedule (shared slice; do not
 // mutate).
 func (in *Injector) Schedule() Schedule {
@@ -327,15 +310,6 @@ func (in *Injector) Counts() Counts {
 		return Counts{}
 	}
 	return in.counts
-}
-
-// Horizon returns the time of the last scheduled event, or 0 for an empty
-// schedule — useful for capping experiment windows.
-func (s Schedule) Horizon() float64 {
-	if len(s) == 0 {
-		return 0
-	}
-	return s[len(s)-1].Time
 }
 
 // FailsIn returns the class's Fail events with time in (t0, t1], in

@@ -291,7 +291,7 @@ func TestStripingSpreadsServers(t *testing.T) {
 		h.WriteAt(p, 0, 0, data.Synthetic(8<<20)) // exactly one block per server
 		busy := 0
 		for _, s := range fs.Servers() {
-			if s.Pipe().Bytes() > 0 {
+			if s.Pipe().BusyTime() > 0 {
 				busy++
 			}
 		}

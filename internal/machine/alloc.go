@@ -12,7 +12,6 @@ import (
 // injection, trace tracks) keeps working unchanged under multi-tenancy.
 type Alloc struct {
 	m        *Machine
-	name     string
 	baseNode int // first node of the reserved span
 	spanN    int // reserved nodes (a multiple of NodesPerPset)
 	usedN    int // nodes actually hosting ranks (= ranks / RanksPerNode)
@@ -20,9 +19,6 @@ type Alloc struct {
 	ranks    int
 	place    Placement // local table: NodeOf(localRank) in [0, usedN)
 }
-
-// Name returns the tenant label given at allocation.
-func (a *Alloc) Name() string { return a.name }
 
 // Machine returns the machine the slice was carved from.
 func (a *Alloc) Machine() *Machine { return a.m }
@@ -35,10 +31,6 @@ func (a *Alloc) Ranks() int { return a.ranks }
 
 // BaseNode returns the first global node of the reserved span.
 func (a *Alloc) BaseNode() int { return a.baseNode }
-
-// Nodes returns the reserved span size in nodes (pset-aligned, so it can
-// exceed Ranks/RanksPerNode when the job does not fill its last pset).
-func (a *Alloc) Nodes() int { return a.spanN }
 
 // Psets returns the half-open global pset range [lo, hi) the span covers.
 // Spans are pset-aligned, so no two live allocs ever share a pset: each
@@ -125,7 +117,6 @@ func (al *Allocator) Alloc(name string, ranks int, placement string, seed uint64
 	}
 	a := &Alloc{
 		m:        al.m,
-		name:     name,
 		baseNode: start,
 		spanN:    span,
 		usedN:    used,

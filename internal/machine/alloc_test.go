@@ -50,8 +50,8 @@ func TestAllocSpanRounding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Nodes() != 16 || a.BaseNode() != 0 || a.BaseRank() != 0 || a.Ranks() != 64 {
-		t.Fatalf("exact alloc: nodes=%d base=%d rank=%d ranks=%d", a.Nodes(), a.BaseNode(), a.BaseRank(), a.Ranks())
+	if a.spanN != 16 || a.BaseNode() != 0 || a.BaseRank() != 0 || a.Ranks() != 64 {
+		t.Fatalf("exact alloc: nodes=%d base=%d rank=%d ranks=%d", a.spanN, a.BaseNode(), a.BaseRank(), a.Ranks())
 	}
 	if lo, hi := a.Psets(); lo != 0 || hi != 1 {
 		t.Fatalf("exact alloc psets [%d,%d), want [0,1)", lo, hi)
@@ -63,8 +63,8 @@ func TestAllocSpanRounding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Nodes() != 32 || b.BaseNode() != 16 {
-		t.Fatalf("rounded alloc: nodes=%d base=%d, want 32 at 16", b.Nodes(), b.BaseNode())
+	if b.spanN != 32 || b.BaseNode() != 16 {
+		t.Fatalf("rounded alloc: nodes=%d base=%d, want 32 at 16", b.spanN, b.BaseNode())
 	}
 	if lo, hi := b.Psets(); lo != 1 || hi != 3 {
 		t.Fatalf("rounded alloc psets [%d,%d), want [1,3)", lo, hi)
@@ -120,8 +120,8 @@ func TestAllocFreeCoalescing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("coalesced span not reusable: %v", err)
 	}
-	if d.BaseNode() != 0 || d.Nodes() != 32 {
-		t.Fatalf("d at node %d span %d, want the coalesced [0,32)", d.BaseNode(), d.Nodes())
+	if d.BaseNode() != 0 || d.spanN != 32 {
+		t.Fatalf("d at node %d span %d, want the coalesced [0,32)", d.BaseNode(), d.spanN)
 	}
 	al.Free(c)
 	al.Free(d)

@@ -22,7 +22,6 @@ type Interconnect struct {
 
 	linkFree   []float64 // per directed link: time it next becomes free
 	injectFree []float64 // per node: injection DMA next free
-	linkBusy   []float64 // per directed link: cumulative occupancy
 
 	// Fault injection: per-link bandwidth multipliers (0 = healthy).
 	// degraded counts non-zero entries so the healthy fast path — bottleneck
@@ -45,23 +44,15 @@ func NewInterconnect(t Topology, cfg fabric.LinkConfig) *Interconnect {
 		cfg:         cfg,
 		linkFree:    make([]float64, t.NumLinks()),
 		injectFree:  make([]float64, t.Nodes()),
-		linkBusy:    make([]float64, t.NumLinks()),
 		linkDegrade: make([]float64, t.NumLinks()),
 		msgsCtr:     t.Name() + ".msgs",
 		bytesCtr:    t.Name() + ".bytes",
 	}
 }
 
-// Topology returns the topology the engine routes over.
-func (ic *Interconnect) Topology() Topology { return ic.topo }
-
-// Config returns the link physical parameters.
-func (ic *Interconnect) Config() fabric.LinkConfig { return ic.cfg }
-
 // Instrument attaches a trace recorder. Interconnect traffic is far too
 // dense for per-message spans (one per MPI message), so only aggregate
-// message/byte counters are kept, named after the topology ("torus.msgs");
-// per-link occupancy remains available via MaxLinkBusy.
+// message/byte counters are kept, named after the topology ("torus.msgs").
 func (ic *Interconnect) Instrument(rec *trace.Recorder) { ic.rec = rec }
 
 // Inject models the sender-side cost of handing size bytes to the network
@@ -122,7 +113,6 @@ func (ic *Interconnect) priceRoute(route []int, start float64, size int64) (arri
 	// The body occupies every traversed link for its serialization time.
 	for _, idx := range route {
 		ic.linkFree[idx] = arrival
-		ic.linkBusy[idx] += ser
 	}
 	return arrival
 }
@@ -172,16 +162,4 @@ func (ic *Interconnect) SetLinkDegrade(idx int, factor float64) {
 	case was && !is:
 		ic.degraded--
 	}
-}
-
-// MaxLinkBusy returns the highest cumulative occupancy across all links,
-// a congestion diagnostic.
-func (ic *Interconnect) MaxLinkBusy() float64 {
-	max := 0.0
-	for _, b := range ic.linkBusy {
-		if b > max {
-			max = b
-		}
-	}
-	return max
 }

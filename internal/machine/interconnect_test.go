@@ -94,24 +94,13 @@ func TestTransferArrivalNeverBeforeStart(t *testing.T) {
 	}
 }
 
-func TestMaxLinkBusyGrows(t *testing.T) {
-	tn, _ := torusNet(t, 4, 1, 1, fabric.LinkConfig{LinkBW: 1e6, HopLatency: 0, InjectBW: 1e12, InjectLat: 0})
-	if tn.MaxLinkBusy() != 0 {
-		t.Fatal("fresh interconnect has busy links")
-	}
-	tn.Transfer(0, 0, 2, 1e6)
-	if tn.MaxLinkBusy() != 1.0 {
-		t.Fatalf("busy %v, want 1.0", tn.MaxLinkBusy())
-	}
-}
-
 // TestLinkDegradeSlowsBottleneck checks the fault-injection hook: degrading
 // a route link stretches serialization by the factor, and restoring it
 // returns the engine to the exact healthy arithmetic.
 func TestLinkDegradeSlowsBottleneck(t *testing.T) {
 	cfg := fabric.LinkConfig{LinkBW: 1e6, HopLatency: 0, InjectBW: 1e12, InjectLat: 0}
 	tn, _ := torusNet(t, 8, 1, 1, cfg)
-	tp := tn.Topology()
+	tp := tn.topo
 	route := Route(tp, 0, 2)
 	healthy := tn.Transfer(0, 0, 2, 1e6)
 	if math.Abs(healthy-1.0) > 1e-9 {

@@ -132,9 +132,6 @@ func (m *Machine) NumNodes() int { return m.numNodes }
 // NumPsets returns the number of psets (== IONs) in the partition.
 func (m *Machine) NumPsets() int { return m.numPsets }
 
-// Placement returns the active rank→node mapping policy.
-func (m *Machine) Placement() Placement { return m.place }
-
 // NodeOfRank returns the compute node hosting an MPI rank, as decided by the
 // placement policy (the txyz default packs ranks onto nodes in order: VN
 // mode ranks 4k..4k+3 share node k, the default BG/P mapping).
@@ -169,9 +166,3 @@ func (m *Machine) PsetOfRank(rank int) int {
 func (m *Machine) RanksPerPset() int {
 	return m.Cfg.NodesPerPset * m.Cfg.RanksPerNode
 }
-
-// Cycles converts a CPU cycle count to seconds on this machine.
-func (m *Machine) Cycles(n float64) float64 { return n / m.Cfg.CPUHz }
-
-// ToCycles converts seconds to CPU cycles on this machine.
-func (m *Machine) ToCycles(sec float64) float64 { return sec * m.Cfg.CPUHz }

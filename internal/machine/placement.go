@@ -16,8 +16,6 @@ import (
 // population (and therefore ION load) stays uniform; what changes is which
 // ranks land together.
 type Placement interface {
-	// Name is the policy's registry tag ("txyz", "xyzt", ...).
-	Name() string
 	// NodeOf returns the compute node of a rank in [0, ranks).
 	NodeOf(rank int) int
 }
@@ -25,11 +23,9 @@ type Placement interface {
 // tablePlacement is a precomputed rank→node table; all policies compile to
 // one so NodeOf stays a single load on hot paths.
 type tablePlacement struct {
-	name string
 	node []int
 }
 
-func (p *tablePlacement) Name() string        { return p.name }
 func (p *tablePlacement) NodeOf(rank int) int { return p.node[rank] }
 
 // defaultPlacement is the policy the empty name selects: the Blue Gene
@@ -104,5 +100,5 @@ func NewPlacement(name string, ranks, nodes, rpn int, seed uint64) (Placement, e
 	if ranks != nodes*rpn {
 		return nil, fmt.Errorf("machine: placement %q: %d ranks != %d nodes * %d ranks/node", name, ranks, nodes, rpn)
 	}
-	return &tablePlacement{name: name, node: table(ranks, nodes, rpn, seed)}, nil
+	return &tablePlacement{node: table(ranks, nodes, rpn, seed)}, nil
 }

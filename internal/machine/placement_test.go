@@ -44,9 +44,6 @@ func TestPlacementDefaults(t *testing.T) {
 	const ranks, nodes, rpn = 64, 16, 4
 	// The empty name is txyz: rank/rpn, the mapping the goldens freeze.
 	def := mustPlacement(t, "", ranks, nodes, rpn, 0)
-	if def.Name() != "txyz" {
-		t.Fatalf("default policy %q", def.Name())
-	}
 	for r := 0; r < ranks; r++ {
 		if def.NodeOf(r) != r/rpn {
 			t.Fatalf("txyz: rank %d on node %d, want %d", r, def.NodeOf(r), r/rpn)

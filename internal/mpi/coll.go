@@ -27,7 +27,7 @@ import (
 type collOp uint8
 
 const (
-	opBcast          collOp = iota // Bcast, BcastValue, BcastValueSized
+	opBcast          collOp = iota // Bcast, BcastValueSized
 	opAllgather                    // AllgatherInt64: gather to 0, broadcast of the result
 	opAllgatherPair                // AllgatherInt64Pair: two AllgatherInt64s
 	opAllgatherBytes               // AllgatherBytes: gather to 0, broadcast of the table
@@ -469,20 +469,14 @@ func (c *Comm) bcast(r *Rank, root int, buf data.Buf, val any) (data.Buf, any) {
 	return buf, val
 }
 
-// BcastValue broadcasts an arbitrary Go value from root to every rank,
-// charging the communication cost of a small broadcast. It exists because a
-// real MPI program's ranks obtain shared objects (file handles, plans) from
-// the same library call, while in the simulation the object lives on one
-// rank; the value rides the broadcast's own messages, whose tag is the
-// communicator's synchronized collective sequence number, so overlapping
-// broadcasts cannot cross.
-func (c *Comm) BcastValue(r *Rank, root int, v any) any {
-	return c.BcastValueSized(r, root, v, 64)
-}
-
-// BcastValueSized is BcastValue charging the broadcast cost of a payload of
-// the given byte size. Receivers share the root's object: treat it as
-// read-only.
+// BcastValueSized broadcasts an arbitrary Go value from root to every rank,
+// charging the broadcast cost of a payload of the given byte size. It exists
+// because a real MPI program's ranks obtain shared objects (file handles,
+// plans) from the same library call, while in the simulation the object
+// lives on one rank; the value rides the broadcast's own messages, whose tag
+// is the communicator's synchronized collective sequence number, so
+// overlapping broadcasts cannot cross. Receivers share the root's object:
+// treat it as read-only.
 func (c *Comm) BcastValueSized(r *Rank, root int, v any, size int64) any {
 	_, v = c.bcast(r, root, data.Synthetic(size), v)
 	return v

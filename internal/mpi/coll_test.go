@@ -222,7 +222,7 @@ func treeScenario(t *testing.T, api treeAPI, ranks, np, workers int) (log, spans
 		}
 		settle := func() {
 			buf, src := c.Recv(r, left, step)
-			lines.add(r, w.Base(), "p2p %d: %d bytes from %d", step, buf.Len(), src)
+			lines.add(r, w.base, "p2p %d: %d bytes from %d", step, buf.Len(), src)
 		}
 		p2p()
 		buf, val := data.Buf{}, any(nil)
@@ -230,20 +230,20 @@ func treeScenario(t *testing.T, api treeAPI, ranks, np, workers int) (log, spans
 			buf, val = data.FromBytes([]byte("from the last rank")), "value"
 		}
 		buf, val = api.bcast(c, r, np-1, buf, val)
-		lines.add(r, w.Base(), "bcast %q %v", buf.Bytes(), val)
+		lines.add(r, w.base, "bcast %q %v", buf.Bytes(), val)
 		settle()
 		p2p()
-		lines.add(r, w.Base(), "allgather %v", api.allgather(c, r, int64(me*me)))
+		lines.add(r, w.base, "allgather %v", api.allgather(c, r, int64(me*me)))
 		c.Send(r, right, 100, data.Synthetic(8))
 		c.Recv(r, left, 100)
-		lines.add(r, w.Base(), "ring")
+		lines.add(r, w.base, "ring")
 		settle()
 		p2p()
 		s := api.split(c, r, int64(me%3), int64(me))
-		lines.add(r, w.Base(), "split %d of %d, comm %d", s.Rank(r), s.Size(), s.id)
+		lines.add(r, w.base, "split %d of %d, comm %d", s.Rank(r), s.Size(), s.id)
 		settle()
 		p2p()
-		lines.add(r, w.Base(), "allgatherBytes %q", api.allgatherBytes(c, r, []byte(strings.Repeat("y", me%4))))
+		lines.add(r, w.base, "allgatherBytes %q", api.allgatherBytes(c, r, []byte(strings.Repeat("y", me%4))))
 		settle()
 	})
 	if err != nil {

@@ -158,10 +158,6 @@ func buildWorld(m *machine.Machine, cfg Config, base, size int) *World {
 	return w
 }
 
-// Base returns the first global rank id of this world's slice (0 for a
-// whole-machine world).
-func (w *World) Base() int { return w.base }
-
 // commPart returns the pset every member of a prospective communicator
 // lives in, or -1 when the group spans psets or the kernel is not
 // pset-sharded.
@@ -245,9 +241,6 @@ func (w *World) newCommID(r *Rank) int {
 
 // Size returns the number of ranks.
 func (w *World) Size() int { return len(w.ranks) }
-
-// Comm returns the world communicator (MPI_COMM_WORLD).
-func (w *World) Comm() *Comm { return w.world }
 
 // Spawn starts every rank as a simulation process executing body, without
 // driving the kernel. Multi-tenant sessions spawn several worlds' ranks

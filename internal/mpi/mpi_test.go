@@ -302,7 +302,7 @@ func TestBcastValueSharesObject(t *testing.T) {
 		if r.ID() == 0 {
 			v = &payload{x: 42}
 		}
-		got := c.BcastValue(r, 0, v).(*payload)
+		got := c.BcastValueSized(r, 0, v, 64).(*payload)
 		if got.x != 42 {
 			t.Errorf("rank %d got %d", r.ID(), got.x)
 		}
@@ -313,14 +313,14 @@ func TestBcastValueSharesObject(t *testing.T) {
 	}
 	for _, p := range seen[1:] {
 		if p != seen[0] {
-			t.Fatal("BcastValue did not share one object")
+			t.Fatal("BcastValueSized did not share one object")
 		}
 	}
 }
 
 func TestBcastValueSequentialCallsDoNotCross(t *testing.T) {
-	// Two back-to-back BcastValues must deliver their own values even when
-	// ranks progress at different speeds.
+	// Two back-to-back BcastValueSized calls must deliver their own values
+	// even when ranks progress at different speeds.
 	w := newWorld(t, 32)
 	err := w.Run(func(c *Comm, r *Rank) {
 		var a, b any
@@ -330,8 +330,8 @@ func TestBcastValueSequentialCallsDoNotCross(t *testing.T) {
 		if r.ID()%3 == 1 {
 			r.Proc().Sleep(0.5) // stagger entry
 		}
-		got1 := c.BcastValue(r, 0, a)
-		got2 := c.BcastValue(r, 0, b)
+		got1 := c.BcastValueSized(r, 0, a, 64)
+		got2 := c.BcastValueSized(r, 0, b, 64)
 		if got1 != "first" || got2 != "second" {
 			t.Errorf("rank %d got %v/%v", r.ID(), got1, got2)
 		}

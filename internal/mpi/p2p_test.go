@@ -81,7 +81,7 @@ func TestPointToPointClosedForm(t *testing.T) {
 			for _, recv := range []string{"posted", "timeout", "inbox"} {
 				name := fmt.Sprintf("n=%d blocking=%v %s", n, blocking, recv)
 				w := newWorld(t, 256)
-				link := w.M.Net.Config()
+				link := w.M.Cfg.Link
 				hops := w.M.Topo.Distance(w.M.NodeOfRank(src), w.M.NodeOfRank(dst))
 				if hops == 0 {
 					t.Fatal("sender and receiver share a node")

@@ -151,8 +151,8 @@ func TestShardedTiedArrivals(t *testing.T) {
 	})
 }
 
-// worldCollectives runs Split, AllgatherInt64, BcastValue and Barrier on the
-// world communicator (every one spans psets), then point-to-point and
+// worldCollectives runs Split, AllgatherInt64, BcastValueSized and Barrier
+// on the world communicator (every one spans psets), then point-to-point and
 // collective traffic inside the pset-spanning and pset-local children, and
 // logs every rank's results and completion times.
 func worldCollectives(w *World, log rankLog) func(c *Comm, r *Rank) {
@@ -163,36 +163,36 @@ func worldCollectives(w *World, log rankLog) func(c *Comm, r *Rank) {
 			r.Proc().Sleep(float64(me%7) * 1e-6) // stagger arrivals
 		}
 		stripe := c.Split(r, int64(me%3), int64(me))
-		log.add(r, w.Base(), "stripe %d of %d", stripe.Rank(r), stripe.Size())
+		log.add(r, w.base, "stripe %d of %d", stripe.Rank(r), stripe.Size())
 		all := c.AllgatherInt64(r, int64(me*me))
 		var sum int64
 		for _, v := range all {
 			sum += v
 		}
-		log.add(r, w.Base(), "allgather sum %d", sum)
+		log.add(r, w.base, "allgather sum %d", sum)
 		var v any
 		root := c.Size() - 1
 		if me == root {
 			v = &token{s: "from the last pset"}
 		}
-		log.add(r, w.Base(), "bcast %q", c.BcastValue(r, root, v).(*token).s)
+		log.add(r, w.base, "bcast %q", c.BcastValueSized(r, root, v, 64).(*token).s)
 		c.Barrier(r)
-		log.add(r, w.Base(), "barrier")
+		log.add(r, w.base, "barrier")
 
 		// The stripe spans psets; ring-shift a message inside it.
 		n, sr := stripe.Size(), stripe.Rank(r)
 		stripe.Send(r, (sr+1)%n, 7, data.Synthetic(int64(64*(sr%4+1))))
 		buf, src := stripe.Recv(r, (sr+n-1)%n, 7)
-		log.add(r, w.Base(), "stripe ring got %d bytes from %d", buf.Len(), src)
+		log.add(r, w.base, "stripe ring got %d bytes from %d", buf.Len(), src)
 		stripe.Barrier(r)
-		log.add(r, w.Base(), "stripe barrier")
+		log.add(r, w.base, "stripe barrier")
 
 		// A pset-local child: its registries live on its lane.
 		local := c.Split(r, int64(r.pset), int64(me))
 		max := slices.Max(local.AllgatherInt64(r, int64(me)))
-		log.add(r, w.Base(), "local %d of %d max %v", local.Rank(r), local.Size(), max)
+		log.add(r, w.base, "local %d of %d max %v", local.Rank(r), local.Size(), max)
 		local.Barrier(r)
-		log.add(r, w.Base(), "local barrier")
+		log.add(r, w.base, "local barrier")
 	}
 }
 
@@ -229,7 +229,7 @@ func TestShardedTenantWorlds(t *testing.T) {
 				t.Fatal(err)
 			}
 			w := NewWorldOn(m, a, DefaultConfig())
-			if i == 1 && w.Base() == 0 {
+			if i == 1 && w.base == 0 {
 				t.Fatal("second tenant starts at base 0")
 			}
 			log := make(rankLog, size)

@@ -95,7 +95,7 @@ func Open(c *mpi.Comm, r *mpi.Rank, fs fsys.System, path string, create bool, hi
 		}
 		res.aggs = chooseAggregators(c, fs.Machine(), hints.AggRatio)
 	}
-	res = c.BcastValue(r, 0, res).(openResult)
+	res = c.BcastValueSized(r, 0, res, 64).(openResult)
 	if res.err != nil {
 		return nil, res.err
 	}
@@ -149,11 +149,6 @@ func (f *File) WriteAt(r *mpi.Rank, off int64, buf data.Buf) error {
 	return f.h.WriteAt(r.Proc(), r.ID(), off, buf)
 }
 
-// ReadAt performs an independent read from this rank.
-func (f *File) ReadAt(r *mpi.Rank, off, n int64) (data.Buf, error) {
-	return f.h.ReadAt(r.Proc(), r.ID(), off, n)
-}
-
 // piece is a fragment of a file domain received by an aggregator.
 type piece struct {
 	off int64
@@ -173,6 +168,38 @@ type exchangePlan struct {
 	perDomain [][]xfer // per domain: overlapping sources, by rank
 }
 
+// planExchange derives the extent, domain table and per-domain sources that
+// every rank computes identically from the allgathered ranges; Shared
+// computes them once per collective, so every rank calls it at the same
+// point in its collective sequence.
+func (f *File) planExchange(r *mpi.Rank, offs, lens []int64) *exchangePlan {
+	return f.c.Shared(r, func() any {
+		lo, hi := int64(1<<62), int64(0)
+		for i := range lens {
+			if lens[i] > 0 {
+				lo, hi = min(lo, offs[i]), max(hi, offs[i]+lens[i])
+			}
+		}
+		p := &exchangePlan{}
+		if hi <= lo {
+			return p // nothing to move anywhere
+		}
+		p.domains = f.fileDomains(lo, hi)
+		p.perDomain = make([][]xfer, len(p.domains))
+		for src := range lens {
+			if lens[src] == 0 {
+				continue
+			}
+			for _, di := range overlapDomains(p.domains, offs[src], offs[src]+lens[src]) {
+				d := p.domains[di]
+				x := xfer{src: src, lo: max(offs[src], d.lo), hi: min(offs[src]+lens[src], d.hi)}
+				p.perDomain[di] = append(p.perDomain[di], x)
+			}
+		}
+		return p
+	}).(*exchangePlan)
+}
+
 // WriteAtAll performs a collective write: every rank of the communicator
 // contributes (off, buf) — possibly empty — and all ranks return when the
 // aggregated write completes.
@@ -190,45 +217,12 @@ func (f *File) WriteAtAll(r *mpi.Rank, off int64, buf data.Buf) error {
 func (f *File) WriteAtAllBegin(r *mpi.Rank, off int64, buf data.Buf) error {
 	c := f.c
 	me := c.Rank(r)
-	n := c.Size()
 
 	// Phase 0: everyone learns everyone's access range (ROMIO's
 	// ADIOI_Calc_others_req allgather).
 	offs, lens := c.AllgatherInt64Pair(r, off, buf.Len())
 
-	// Every rank derives the same extent, domain table and exchange plan
-	// from the allgathered ranges; compute them once per collective.
-	plan := c.Shared(r, func() any {
-		lo, hi := int64(1<<62), int64(0)
-		for i := 0; i < n; i++ {
-			if lens[i] == 0 {
-				continue
-			}
-			if offs[i] < lo {
-				lo = offs[i]
-			}
-			if e := offs[i] + lens[i]; e > hi {
-				hi = e
-			}
-		}
-		p := &exchangePlan{}
-		if hi <= lo {
-			return p // nothing to write anywhere
-		}
-		p.domains = f.fileDomains(lo, hi)
-		p.perDomain = make([][]xfer, len(p.domains))
-		for src := 0; src < n; src++ {
-			if lens[src] == 0 {
-				continue
-			}
-			for _, di := range overlapDomains(p.domains, offs[src], offs[src]+lens[src]) {
-				d := p.domains[di]
-				pLo, pHi := maxi64(offs[src], d.lo), mini64(offs[src]+lens[src], d.hi)
-				p.perDomain[di] = append(p.perDomain[di], xfer{src: src, lo: pLo, hi: pHi})
-			}
-		}
-		return p
-	}).(*exchangePlan)
+	plan := f.planExchange(r, offs, lens)
 	domains := plan.domains
 	if len(domains) == 0 {
 		return nil
@@ -245,7 +239,7 @@ func (f *File) WriteAtAllBegin(r *mpi.Rank, off int64, buf data.Buf) error {
 	if buf.Len() > 0 {
 		for _, i := range overlapDomains(domains, off, off+buf.Len()) {
 			d := domains[i]
-			pLo, pHi := maxi64(off, d.lo), mini64(off+buf.Len(), d.hi)
+			pLo, pHi := max(off, d.lo), min(off+buf.Len(), d.hi)
 			part := buf.Slice(pLo-off, pHi-pLo)
 			if f.aggs[i] == me {
 				local = append(local, piece{off: pLo, buf: part})
@@ -278,7 +272,7 @@ func (f *File) WriteAtAllBegin(r *mpi.Rank, off int64, buf data.Buf) error {
 	// chunks.
 	for _, run := range coalesce(pieces) {
 		for chunk := int64(0); chunk < run.buf.Len(); chunk += f.hints.CBBufferSize {
-			sz := mini64(f.hints.CBBufferSize, run.buf.Len()-chunk)
+			sz := min(f.hints.CBBufferSize, run.buf.Len()-chunk)
 			if err := f.h.WriteAt(r.Proc(), r.ID(), run.off+chunk, run.buf.Slice(chunk, sz)); err != nil {
 				return err
 			}
@@ -303,41 +297,10 @@ func (f *File) WriteAtAllEnd(r *mpi.Rank) error {
 func (f *File) ReadAtAll(r *mpi.Rank, off, n int64) (data.Buf, error) {
 	c := f.c
 	me := c.Rank(r)
-	nranks := c.Size()
 
 	offs, lens := c.AllgatherInt64Pair(r, off, n)
 
-	plan := c.Shared(r, func() any {
-		lo, hi := int64(1<<62), int64(0)
-		for i := 0; i < nranks; i++ {
-			if lens[i] == 0 {
-				continue
-			}
-			if offs[i] < lo {
-				lo = offs[i]
-			}
-			if e := offs[i] + lens[i]; e > hi {
-				hi = e
-			}
-		}
-		p := &exchangePlan{}
-		if hi <= lo {
-			return p
-		}
-		p.domains = f.fileDomains(lo, hi)
-		p.perDomain = make([][]xfer, len(p.domains))
-		for src := 0; src < nranks; src++ {
-			if lens[src] == 0 {
-				continue
-			}
-			for _, di := range overlapDomains(p.domains, offs[src], offs[src]+lens[src]) {
-				d := p.domains[di]
-				pLo, pHi := maxi64(offs[src], d.lo), mini64(offs[src]+lens[src], d.hi)
-				p.perDomain[di] = append(p.perDomain[di], xfer{src: src, lo: pLo, hi: pHi})
-			}
-		}
-		return p
-	}).(*exchangePlan)
+	plan := f.planExchange(r, offs, lens)
 	if len(plan.domains) == 0 {
 		f.c.Barrier(r)
 		return data.Buf{}, nil
@@ -390,7 +353,7 @@ func (f *File) ReadAtAll(r *mpi.Rank, off, n int64) (data.Buf, error) {
 				continue // already satisfied locally
 			}
 			d := plan.domains[di]
-			pLo := maxi64(off, d.lo)
+			pLo := max(off, d.lo)
 			got, _ := c.Recv(r, f.aggs[di], tag+di)
 			parts = append(parts, piece{off: pLo, buf: got})
 		}
@@ -471,9 +434,6 @@ func coalesce(pieces []piece) []piece {
 	return out
 }
 
-// Sync flushes the caller's write-behind data.
-func (f *File) Sync(r *mpi.Rank) { f.h.Sync(r.Proc(), r.ID()) }
-
 // Close collectively closes the file: ranks synchronize and rank 0 releases
 // the handle.
 func (f *File) Close(r *mpi.Rank) error {
@@ -484,18 +444,4 @@ func (f *File) Close(r *mpi.Rank) error {
 	}
 	f.c.Barrier(r)
 	return err
-}
-
-func maxi64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func mini64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

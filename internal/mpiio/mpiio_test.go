@@ -252,7 +252,7 @@ func TestIndependentWriteAt(t *testing.T) {
 			if err := f.WriteAt(r, 100, data.FromBytes([]byte("abc"))); err != nil {
 				t.Error(err)
 			}
-			got, err := f.ReadAt(r, 100, 3)
+			got, err := f.Handle().ReadAt(r.Proc(), r.ID(), 100, 3)
 			if err != nil || string(got.Bytes()) != "abc" {
 				t.Errorf("read back %q, %v", got.Bytes(), err)
 			}

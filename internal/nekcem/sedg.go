@@ -151,14 +151,8 @@ func NewSyntheticState(m Mesh, rank, np int) *State {
 	return &State{Mesh: m, Rank: rank, NP: np, Elems: m.ElemsOnRank(rank, np), synth: true}
 }
 
-// Synthetic reports whether the state carries real field values.
-func (s *State) Synthetic() bool { return s.synth }
-
 // Step returns how many time steps have been advanced.
 func (s *State) StepCount() int64 { return s.step }
-
-// Time returns the physical time advanced so far.
-func (s *State) Time() float64 { return s.time }
 
 // InitWaveguide fills the fields with a smooth TE-like cylindrical
 // waveguide mode so that the solver evolves non-trivial data. Each element

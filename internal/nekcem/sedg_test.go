@@ -182,8 +182,8 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	if err := s2.Restore(cp); err != nil {
 		t.Fatal(err)
 	}
-	if s2.StepCount() != 2 || s2.Time() != s.Time() {
-		t.Fatalf("restored counters %d/%v", s2.StepCount(), s2.Time())
+	if s2.StepCount() != 2 || s2.time != s.time {
+		t.Fatalf("restored counters %d/%v", s2.StepCount(), s2.time)
 	}
 	if s2.Energy() != s.Energy() {
 		t.Fatalf("restored energy %v != %v", s2.Energy(), s.Energy())

@@ -84,15 +84,6 @@ func New(m *machine.Machine, cfg Config) (*FileSystem, error) {
 	return &FileSystem{Core: core}, nil
 }
 
-// MustNew is New, panicking on error.
-func MustNew(m *machine.Machine, cfg Config) *FileSystem {
-	fs, err := New(m, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return fs
-}
-
 func init() {
 	fsys.Register("pvfs", func(m *machine.Machine, opt fsys.MountOptions) (fsys.System, error) {
 		cfg := DefaultConfig()

@@ -24,7 +24,10 @@ func rig(t *testing.T, ranks int, mod func(*Config), body func(p *sim.Proc, fs *
 	if mod != nil {
 		mod(&cfg)
 	}
-	fs := MustNew(m, cfg)
+	fs, err := New(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	k.Go("test", func(p *sim.Proc) { body(p, fs) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -108,7 +111,12 @@ func TestDistributedMetadataBeatsGPFSOnCreateStorm(t *testing.T) {
 			}
 		}
 		if pv {
-			fs := MustNew(m, func() Config { c := DefaultConfig(); c.NoiseProb = 0; return c }())
+			cfg := DefaultConfig()
+			cfg.NoiseProb = 0
+			fs, err := New(m, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for r := 0; r < creates; r++ {
 				r := r
 				k.Go(fmt.Sprintf("c%d", r), func(p *sim.Proc) {

@@ -45,10 +45,10 @@ type Config struct {
 	// Nodes/IONs/Servers is the component census for crash detection and
 	// post-failure health waits.
 	Nodes, IONs, Servers int
-	// MaxSegments bounds the lifecycle against permanent outages
-	// (default 256 segments).
-	MaxSegments int
 }
+
+// maxSegments bounds the lifecycle against permanent outages.
+const maxSegments = 256
 
 // Result is the measured lifecycle outcome.
 type Result struct {
@@ -109,10 +109,6 @@ func drive(p *sim.Proc, cfg *Config, res *Result) error {
 	if cfg.Work <= 0 || cfg.CheckpointEvery <= 0 {
 		return fmt.Errorf("recover: need positive Work and CheckpointEvery")
 	}
-	maxSeg := cfg.MaxSegments
-	if maxSeg <= 0 {
-		maxSeg = 256
-	}
 	segCkpts := cfg.SegmentCkpts
 	if segCkpts <= 0 {
 		segCkpts = 1
@@ -123,9 +119,9 @@ func drive(p *sim.Proc, cfg *Config, res *Result) error {
 	completed := 0
 	var restart *Epoch
 	for completed < cfg.Work {
-		if res.Segments >= maxSeg {
+		if res.Segments >= maxSegments {
 			return fmt.Errorf("recover: lifecycle exceeded %d segments at step %d/%d (permanent outage?)",
-				maxSeg, completed, cfg.Work)
+				maxSegments, completed, cfg.Work)
 		}
 		if err := waitHealthy(p, cfg, res); err != nil {
 			return err
@@ -316,9 +312,6 @@ type KillStats struct {
 	// Idle kills hit between epochs (compute phases, waits).
 	Idle int
 }
-
-// Kills returns the total classified kills.
-func (k KillStats) Kills() int { return k.MidEpochTorn + k.MidEpochSealed + k.Idle }
 
 // String prints the three buckets as torn/sealed/idle, "1/0/2".
 func (k KillStats) String() string {

@@ -132,7 +132,7 @@ func TestMidEpochKillDetectedAndRecovered(t *testing.T) {
 	const np, work, ce = 64, 12, 4
 	// Fault-free probe: learn when epoch 2 (global step 8) is in flight.
 	_, probe, _ := lifecycle(t, np, ckpt.OnePFPP{}, 1, work, ce, nil)
-	e2 := probe.Epoch(ckpt.LevelGlobal, 8)
+	e2 := epoch(probe, ckpt.LevelGlobal, 8)
 	if e2 == nil || !e2.Sealed() {
 		t.Fatalf("probe run has no sealed epoch at step 8: %+v", e2)
 	}
@@ -166,8 +166,8 @@ func TestMidEpochKillDetectedAndRecovered(t *testing.T) {
 	}
 
 	ks := ClassifyKills(log, sched, res.End)
-	if ks.Kills() != 1 {
-		t.Fatalf("classified %d kills, schedule injected 1: %+v", ks.Kills(), ks)
+	if kills := ks.MidEpochTorn + ks.MidEpochSealed + ks.Idle; kills != 1 {
+		t.Fatalf("classified %d kills, schedule injected 1: %+v", kills, ks)
 	}
 	if ks.MidEpochTorn != 1 {
 		t.Fatalf("the mid-epoch kill must land in the torn bucket: %+v", ks)
@@ -184,7 +184,7 @@ func TestMultilevelKillRollsBackToGlobal(t *testing.T) {
 	seg := ml.GlobalEvery
 	work := 2 * ce * seg // two segments, one global flush each (steps 8, 16)
 	_, probe, _ := lifecycle(t, np, ml, seg, work, ce, nil)
-	g2 := probe.Epoch(ckpt.LevelGlobal, int64(2*ce*seg))
+	g2 := epoch(probe, ckpt.LevelGlobal, int64(2*ce*seg))
 	if g2 == nil || !g2.Sealed() {
 		t.Fatalf("probe run has no sealed global epoch at step %d", 2*ce*seg)
 	}
@@ -217,7 +217,7 @@ func TestMultilevelKillRollsBackToGlobal(t *testing.T) {
 func TestLifecycleDeterministic(t *testing.T) {
 	const np, work, ce = 64, 12, 4
 	_, probe, _ := lifecycle(t, np, ckpt.OnePFPP{}, 1, work, ce, nil)
-	e2 := probe.Epoch(ckpt.LevelGlobal, 8)
+	e2 := epoch(probe, ckpt.LevelGlobal, 8)
 	mid := (e2.FirstBlockAt + e2.SealedAt) / 2
 	sched := fault.Schedule{
 		{Time: mid, Class: fault.Node, Index: 0, Kind: fault.Fail},

@@ -102,9 +102,7 @@ type Log struct {
 	expected int
 	epochs   map[epochKey]*Epoch
 
-	// LostBufferBytes totals burst-buffer bytes reported via BufferLoss.
-	lostBufferBytes int64
-	invalidated     int
+	invalidated int
 
 	// gate, when set, maps a strategy-reported commit time to the durable
 	// commit time (SetCommitGate).
@@ -122,9 +120,6 @@ type epochKey struct {
 func NewLog(seed uint64, expected int) *Log {
 	return &Log{seed: seed, expected: expected, epochs: map[epochKey]*Epoch{}}
 }
-
-// Expected returns the per-epoch contributor count.
-func (l *Log) Expected() int { return l.expected }
 
 // Segment opens a recording window for one launched world: local steps are
 // offset into lifecycle-global steps, and records arriving after Close —
@@ -252,10 +247,9 @@ func blockSum(seed uint64, rec ckpt.BlockRecord) uint64 {
 // conservatively torn (its data may have been in the lost buffer). Epochs a
 // scan already read back through the servers are immune — their bytes
 // provably left the buffer tier.
-func (l *Log) BufferLoss(bytes int64, t float64) {
+func (l *Log) BufferLoss(t float64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.lostBufferBytes += bytes
 	for _, e := range l.epochs {
 		if e.Level != ckpt.LevelGlobal || e.verified || e.invalid != "" {
 			continue
@@ -287,25 +281,11 @@ func (l *Log) SetCommitGate(gate func(t float64) float64) {
 	l.mu.Unlock()
 }
 
-// LostBufferBytes returns the total burst-buffer bytes reported lost.
-func (l *Log) LostBufferBytes() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.lostBufferBytes
-}
-
 // Invalidated returns how many epochs BufferLoss tore.
 func (l *Log) Invalidated() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.invalidated
-}
-
-// Epoch returns the epoch at a lifecycle-global step (nil if never started).
-func (l *Log) Epoch(level ckpt.Level, step int64) *Epoch {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.epochs[epochKey{level, step}]
 }
 
 // Epochs returns the level's epochs sorted by ascending step.

@@ -8,6 +8,9 @@ import (
 	"repro/internal/ckpt"
 )
 
+// epoch returns the epoch at a lifecycle-global step (nil if never started).
+func epoch(l *Log, level ckpt.Level, step int64) *Epoch { return l.epochs[epochKey{level, step}] }
+
 // sealEpoch pushes a full two-phase epoch (blocks + commits for every rank)
 // through the segment at the given local step.
 func sealEpoch(s *Segment, level ckpt.Level, step int64, ranks int, t float64) {
@@ -28,7 +31,7 @@ func TestEpochTwoPhaseSeal(t *testing.T) {
 	for r := 0; r < 4; r++ {
 		s.EpochBlock(ckpt.BlockRecord{Level: ckpt.LevelGlobal, Step: 1, Rank: r, Path: "ckpt/f", Offset: int64(r), Bytes: 10, Time: 1.0})
 	}
-	e := l.Epoch(ckpt.LevelGlobal, 1)
+	e := epoch(l, ckpt.LevelGlobal, 1)
 	if e == nil || e.Sealed() {
 		t.Fatalf("epoch sealed after phase 1 only: %+v", e)
 	}
@@ -52,7 +55,7 @@ func TestEpochTwoPhaseSeal(t *testing.T) {
 	s2 := l.StartSegment("ckpt/a000", 0, 0)
 	sealEpoch(s2, ckpt.LevelGlobal, 2, 4, 3.0)
 	s2.EpochLost(ckpt.LostRecord{Level: ckpt.LevelGlobal, Step: 2, Rank: 1, Reason: "node down", Time: 3.2})
-	e2 := l.Epoch(ckpt.LevelGlobal, 2)
+	e2 := epoch(l, ckpt.LevelGlobal, 2)
 	if e2.Sealed() {
 		t.Fatal("epoch with a lost rank must be torn")
 	}
@@ -65,7 +68,7 @@ func TestSegmentOffsetAndClose(t *testing.T) {
 	l := NewLog(1, 2)
 	s := l.StartSegment("ckpt/a003", 40, 3)
 	sealEpoch(s, ckpt.LevelGlobal, 10, 2, 5.0)
-	e := l.Epoch(ckpt.LevelGlobal, 50)
+	e := epoch(l, ckpt.LevelGlobal, 50)
 	if e == nil {
 		t.Fatal("segment offset not applied: no epoch at global step 50")
 	}
@@ -76,7 +79,7 @@ func TestSegmentOffsetAndClose(t *testing.T) {
 	// After Close, records from the (abandoned) world are dropped.
 	s.Close()
 	sealEpoch(s, ckpt.LevelGlobal, 20, 2, 6.0)
-	if l.Epoch(ckpt.LevelGlobal, 60) != nil {
+	if epoch(l, ckpt.LevelGlobal, 60) != nil {
 		t.Fatal("closed segment still recorded an epoch")
 	}
 }
@@ -90,7 +93,7 @@ func TestManifestDeterministicAndVerify(t *testing.T) {
 			s.EpochBlock(ckpt.BlockRecord{Level: ckpt.LevelGlobal, Step: 4, Rank: r, Path: "ckpt/f", Offset: int64(r) * 64, Bytes: 64, Time: 1})
 			s.EpochCommit(ckpt.CommitRecord{Level: ckpt.LevelGlobal, Step: 4, Rank: r, Blocks: 1, Time: 2})
 		}
-		e := l.Epoch(ckpt.LevelGlobal, 4)
+		e := epoch(l, ckpt.LevelGlobal, 4)
 		return l, e, l.Manifest(e)
 	}
 	l1, e1, m1 := build(9)
@@ -124,7 +127,7 @@ func TestManifestDeterministicAndVerify(t *testing.T) {
 func FuzzVerifyManifest(f *testing.F) {
 	l := NewLog(9, 3)
 	sealEpoch(l.StartSegment("ckpt/a000", 0, 0), ckpt.LevelGlobal, 4, 3, 1)
-	e := l.Epoch(ckpt.LevelGlobal, 4)
+	e := epoch(l, ckpt.LevelGlobal, 4)
 	m := l.Manifest(e)
 	f.Add(m)
 	f.Add(m[:len(m)-1])
@@ -143,26 +146,26 @@ func TestBufferLossTearsUnverifiedEpochs(t *testing.T) {
 	s := l.StartSegment("ckpt/a000", 0, 0)
 	sealEpoch(s, ckpt.LevelGlobal, 1, 2, 1.0) // seals at 1.5
 	sealEpoch(s, ckpt.LevelGlobal, 2, 2, 2.0) // seals at 2.5
-	verified := l.Epoch(ckpt.LevelGlobal, 1)
+	verified := epoch(l, ckpt.LevelGlobal, 1)
 	l.markVerified(verified)
 
 	// Loss at t=3: both seals predate it, but the verified epoch's bytes
 	// provably left the buffer tier.
-	l.BufferLoss(1<<20, 3.0)
+	l.BufferLoss(3.0)
 	if !verified.Sealed() {
 		t.Fatal("verified epoch was invalidated by a later buffer loss")
 	}
-	e2 := l.Epoch(ckpt.LevelGlobal, 2)
+	e2 := epoch(l, ckpt.LevelGlobal, 2)
 	if e2.Sealed() {
 		t.Fatal("unverified epoch survived a buffer loss that may hold its bytes")
 	}
-	if e2.Invalid() == "" || l.Invalidated() != 1 || l.LostBufferBytes() != 1<<20 {
-		t.Fatalf("loss accounting: invalid=%q invalidated=%d bytes=%d", e2.Invalid(), l.Invalidated(), l.LostBufferBytes())
+	if e2.Invalid() == "" || l.Invalidated() != 1 {
+		t.Fatalf("loss accounting: invalid=%q invalidated=%d", e2.Invalid(), l.Invalidated())
 	}
 
 	// Epochs sealed after the loss are untouched.
 	sealEpoch(s, ckpt.LevelGlobal, 3, 2, 4.0)
-	if !l.Epoch(ckpt.LevelGlobal, 3).Sealed() {
+	if !epoch(l, ckpt.LevelGlobal, 3).Sealed() {
 		t.Fatal("epoch sealed after the loss must stay sealed")
 	}
 }
@@ -198,7 +201,7 @@ func TestLostRecordFirstReasonWins(t *testing.T) {
 	s := l.StartSegment("d", 0, 0)
 	s.EpochLost(ckpt.LostRecord{Level: ckpt.LevelGlobal, Step: 1, Rank: 0, Reason: "node down", Time: 1})
 	s.EpochLost(ckpt.LostRecord{Level: ckpt.LevelGlobal, Step: 1, Rank: 0, Reason: "chunk missing", Time: 2})
-	e := l.Epoch(ckpt.LevelGlobal, 1)
+	e := epoch(l, ckpt.LevelGlobal, 1)
 	if got := e.LostRanks(); len(got) != 1 || !strings.Contains(got[0], "node down") {
 		t.Fatalf("duplicate lost records not deduped first-wins: %v", got)
 	}

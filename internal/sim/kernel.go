@@ -461,12 +461,6 @@ func (k *Kernel) eachLane(f func(ln *lane)) {
 	}
 }
 
-// Pending reports the number of events still scheduled.
-func (k *Kernel) Pending() (n int) {
-	k.eachLane(func(ln *lane) { n += ln.cal.len() })
-	return n
-}
-
 // Events reports the total number of events ever scheduled — the natural
 // denominator for events-per-second throughput measurements. In sharded
 // mode it sums every lane's count, which can exceed the serial run's: a

@@ -88,8 +88,8 @@ func TestRunUntil(t *testing.T) {
 	if k.Now() != 3 {
 		t.Fatalf("clock %v, want 3", k.Now())
 	}
-	if k.Pending() != 1 {
-		t.Fatalf("pending %d, want 1", k.Pending())
+	if k.lane.cal.len() != 1 {
+		t.Fatalf("pending %d, want 1", k.lane.cal.len())
 	}
 }
 
@@ -165,13 +165,13 @@ func TestPendingCount(t *testing.T) {
 	k := NewKernel()
 	k.At(1, func() {})
 	k.At(2, func() {})
-	if k.Pending() != 2 {
-		t.Fatalf("pending %d", k.Pending())
+	if k.lane.cal.len() != 2 {
+		t.Fatalf("pending %d", k.lane.cal.len())
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if k.Pending() != 0 {
-		t.Fatalf("pending after run %d", k.Pending())
+	if k.lane.cal.len() != 0 {
+		t.Fatalf("pending after run %d", k.lane.cal.len())
 	}
 }

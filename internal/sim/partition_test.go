@@ -34,7 +34,7 @@ func shardScript(t *testing.T, nparts, workers int, tied bool) (string, ShardSta
 	var log []string
 	record := func(p *Proc, what string) {
 		p.EnterShared()
-		log = append(log, fmt.Sprintf("%.9f %s %s", p.Now(), p.Name(), what))
+		log = append(log, fmt.Sprintf("%.9f %s %s", p.Now(), p.name, what))
 		p.ExitShared()
 	}
 	// Each partition's sink parks on its lane until worker 0 of the
@@ -432,7 +432,7 @@ func lifecycleScript(t *testing.T, workers int) (history string, st ShardStats, 
 					p.Sleep(rng.Exp(2e-7))
 					if i%9 == w {
 						p.EnterShared()
-						log = append(log, fmt.Sprintf("%.9f %s %d", p.Now(), p.Name(), i))
+						log = append(log, fmt.Sprintf("%.9f %s %d", p.Now(), p.name, i))
 						helpers = max(helpers, runtime.NumGoroutine()-base)
 						p.ExitShared()
 					}

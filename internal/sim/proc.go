@@ -37,9 +37,6 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc { return k.GoPart(-1, n
 // bypassed dispatch.
 func (p *Proc) Fire() { panic("sim: Proc.Fire called outside dispatch") }
 
-// Name returns the process name given at spawn.
-func (p *Proc) Name() string { return p.name }
-
 // Kernel returns the kernel this process runs on.
 func (p *Proc) Kernel() *Kernel { return p.k }
 
@@ -361,7 +358,6 @@ type Resource struct {
 	ring     []*Proc // waiters; len(ring) is a power of two
 	head     int     // index of the longest-waiting process
 	qlen     int     // number of waiters
-	maxQueue int     // high-water mark of the wait queue, for diagnostics
 }
 
 // NewResource returns a resource with the given capacity (> 0).
@@ -383,9 +379,6 @@ func (r *Resource) Acquire(p *Proc) {
 	}
 	r.ring[(r.head+r.qlen)&(len(r.ring)-1)] = p
 	r.qlen++
-	if r.qlen > r.maxQueue {
-		r.maxQueue = r.qlen
-	}
 	p.Park()
 }
 
@@ -425,6 +418,3 @@ func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen reports the number of processes waiting.
 func (r *Resource) QueueLen() int { return r.qlen }
-
-// MaxQueue reports the highest number of simultaneous waiters observed.
-func (r *Resource) MaxQueue() int { return r.maxQueue }

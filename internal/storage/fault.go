@@ -49,9 +49,6 @@ func (c *Core) EnableFaults(in *fault.Injector, pol FaultPolicy, rng *xrand.RNG)
 	c.faults, c.fpol, c.frng = in, pol, rng
 }
 
-// Faults returns the attached injector (nil when fault injection is off).
-func (c *Core) Faults() *fault.Injector { return c.faults }
-
 // PlanServer resolves which server serves block b of f for an operation
 // issued at simulated time t under the fault schedule: the home stripe
 // server when it is up (the only case in a fault-free run — zero RNG draws,

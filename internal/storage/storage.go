@@ -243,12 +243,6 @@ type File struct {
 	streams map[int]*fabric.Pipe // per-client stream pipes, lazily created
 }
 
-// Name returns the file's path.
-func (f *File) Name() string { return f.name }
-
-// Store returns the file's sparse contents.
-func (f *File) Store() *fsys.Store { return &f.store }
-
 // Stream returns the client's streaming pipe for the file, modelling the
 // bounded per-stream flush pipeline of one client writing one file.
 func (f *File) Stream(client int, bw float64) *fabric.Pipe {

@@ -36,14 +36,6 @@ func (r *Recorder) SetTenants(ranges []TenantRange) {
 	r.tenantAggs = make([]tenantAgg, len(ranges)+1) // +1: the shared row
 }
 
-// Tenants returns the installed attribution table (nil when unset).
-func (r *Recorder) Tenants() []TenantRange {
-	if r == nil {
-		return nil
-	}
-	return r.tenants
-}
-
 // attributeSpan credits a span to its tenant; called by Span when a table
 // is installed.
 func (r *Recorder) attributeSpan(l Layer, name string, track int, d float64) {
@@ -83,7 +75,8 @@ func (r *Recorder) tenantOf(l Layer, name string, track int) int {
 }
 
 // TenantSpanTime returns the summed span busy time credited to tenant i on
-// one layer. i == len(Tenants()) addresses the shared row.
+// one layer. i equal to the number of ranges SetTenants installed addresses
+// the shared row.
 func (r *Recorder) TenantSpanTime(i int, l Layer) float64 {
 	if r == nil || r.tenantAggs == nil || i < 0 || i >= len(r.tenantAggs) {
 		return 0

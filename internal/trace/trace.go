@@ -334,11 +334,3 @@ func (r *Recorder) Events() []Event {
 	}
 	return r.events
 }
-
-// Dropped reports how many timeline events the cap discarded.
-func (r *Recorder) Dropped() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.dropped
-}

@@ -19,7 +19,7 @@ func TestNilRecorderSafe(t *testing.T) {
 	r.Counter(LayerMPI, "x", 0, 0, 1)
 	r.Add(LayerMPI, "x", 1)
 	r.Advance(LayerMPI, 0, 1)
-	if r.Events() != nil || r.Dropped() != 0 {
+	if r.Events() != nil || r.Snapshot("", 0).Dropped != 0 {
 		t.Fatal("nil recorder reported state")
 	}
 	if r.LayerTime(LayerMPI) != 0 || r.AttributedTotal() != 0 {
@@ -77,8 +77,8 @@ func TestEventCapDropsTimelineKeepsAggregates(t *testing.T) {
 	if len(r.Events()) != 10 {
 		t.Fatalf("retained %d events, want 10", len(r.Events()))
 	}
-	if r.Dropped() != 90 {
-		t.Fatalf("dropped %d, want 90", r.Dropped())
+	if r.dropped != 90 {
+		t.Fatalf("dropped %d, want 90", r.dropped)
 	}
 	m := r.Snapshot("t", 100)
 	if len(m.Spans) != 1 || m.Spans[0].Count != 100 {
