@@ -3,7 +3,6 @@ package ckpt
 import (
 	"fmt"
 
-	"repro/internal/cemfmt"
 	"repro/internal/data"
 	"repro/internal/fabric"
 	"repro/internal/fsys"
@@ -310,17 +309,15 @@ func (pl *asyncPlan) flush(env *Env, fp *sim.Proc, fl *asyncFlight) {
 			fl.lost[i] = "node lost before flush"
 		}
 		if fl.lost[i] != "" {
-			// Zero-length chunk: the file stays structurally valid and
-			// restart knows exactly which ranks lost their state.
-			fl.chunkBytes[i] = 0
-			for fi := range fl.fields {
-				fl.fields[fi][i] = data.Buf{}
-			}
+			dropChunk(fl.chunkBytes, fl.fields, i)
 			continue
 		}
 		total += fl.chunkBytes[i] * int64(len(fl.fields))
 	}
-	err := pl.commit(env, fp, fl)
+	// The agent writes as the pset's first member, on the members' behalf:
+	// one coalesced write per field holding every member's chunk.
+	err := writeFile(env, "ckpt/async", fp, ps.world[0], asyncFile(env.Dir, fl.step, pl.pset),
+		buildHeader(fl.hdrCp, fl.chunkBytes), fl.fields, 0)
 	now := fp.Now()
 	if err != nil {
 		if !fsys.Unavailable(err) {
@@ -355,47 +352,6 @@ func (pl *asyncPlan) flush(env *Env, fp *sim.Proc, fl *asyncFlight) {
 	if rec := fp.Rec(); rec != nil {
 		rec.Span(trace.LayerAsync, "async.flush", pl.pset, t0, now, total)
 	}
-}
-
-// commit writes the pset's aggregated file: one header, then one coalesced
-// write per field holding every member's chunk, reported as the agent (the
-// pset's first member) on the members' behalf.
-func (pl *asyncPlan) commit(env *Env, fp *sim.Proc, fl *asyncFlight) error {
-	agg := pl.ps.world[0]
-	path := asyncFile(env.Dir, fl.step, pl.pset)
-	t0 := fp.Now()
-	h, err := env.FS.Create(fp, agg, path)
-	if err != nil {
-		return fmt.Errorf("ckpt/async: %w", err)
-	}
-	env.log(agg, iolog.OpCreate, t0, fp.Now(), 0)
-
-	hdr := buildHeader(fl.hdrCp, fl.chunkBytes)
-	t1 := fp.Now()
-	if err := h.WriteAt(fp, agg, 0, data.FromBytes(hdr.Marshal())); err != nil {
-		return err
-	}
-	env.log(agg, iolog.OpWrite, t1, fp.Now(), hdr.HeaderSize())
-
-	for fi, name := range hdr.Fields {
-		payload := data.Concat(append(
-			[]data.Buf{data.FromBytes(cemfmt.BlockHeader(name, hdr.FieldBytes()))},
-			fl.fields[fi]...)...)
-		t2 := fp.Now()
-		if err := h.WriteAt(fp, agg, hdr.FieldOffset(fi), payload); err != nil {
-			return err
-		}
-		env.log(agg, iolog.OpWrite, t2, fp.Now(), payload.Len())
-		env.epochBlock(LevelGlobal, fl.step, agg, path, hdr.FieldOffset(fi),
-			cemfmt.BlockHeaderSize+hdr.FieldBytes(), fp.Now())
-	}
-
-	t3 := fp.Now()
-	if err := h.Close(fp, agg); err != nil {
-		return err
-	}
-	env.log(agg, iolog.OpClose, t3, fp.Now(), 0)
-	return nil
 }
 
 // drainOldest blocks on the oldest pending flight and banks its outcome.

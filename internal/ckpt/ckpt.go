@@ -29,6 +29,7 @@ import (
 	"repro/internal/iolog"
 	"repro/internal/mpi"
 	"repro/internal/mpiio"
+	"repro/internal/sim"
 )
 
 // App is the application name stamped into checkpoint headers.
@@ -150,18 +151,11 @@ type Env struct {
 	// nil means no fault injection: every rank is up and strategies take
 	// their exact fault-unaware code paths.
 	RankUp func(worldRank int) bool
-	// PeerTimeout is how long fault-aware strategies wait on a peer's
-	// message before declaring the peer dead (0: DefaultPeerTimeout).
-	PeerTimeout float64
 	// Epochs, when non-nil, receives two-phase epoch commit records (data
 	// blocks, per-rank commits, known losses) from every checkpoint step.
 	// Reporting is free in simulated time and draws no random numbers.
 	Epochs EpochSink
 }
-
-// DefaultPeerTimeout is the stock dead-peer detection window, comfortably
-// above any same-checkpoint message latency in the model.
-const DefaultPeerTimeout = 1.0
 
 // FaultAware reports whether fault injection is active for this run.
 func (e *Env) FaultAware() bool { return e.RankUp != nil }
@@ -170,13 +164,6 @@ func (e *Env) FaultAware() bool { return e.RankUp != nil }
 // injection).
 func (e *Env) Up(worldRank int) bool {
 	return e.RankUp == nil || e.RankUp(worldRank)
-}
-
-func (e *Env) peerTimeout() float64 {
-	if e.PeerTimeout > 0 {
-		return e.PeerTimeout
-	}
-	return DefaultPeerTimeout
 }
 
 func (e *Env) log(rank int, op iolog.Op, start, end float64, bytes int64) {
@@ -262,6 +249,8 @@ type AsyncPlan interface {
 }
 
 // rankFile names the 1PFPP output of one rank.
+//
+//go:noinline // keeps fmt's argument array out of the frame of onePlan.Write, parked under writeFile
 func rankFile(dir string, step int64, rank int) string {
 	return fmt.Sprintf("%s/step%06d.p%06d.nek", dir, step, rank)
 }
@@ -282,6 +271,89 @@ func buildHeader(cp *Checkpoint, chunkBytes []int64) *cemfmt.Header {
 		ChunkBytes: chunkBytes,
 	}
 	return h.Freeze()
+}
+
+// appendBlock appends field fi's part of a file, from chunk first on, to
+// run and returns the offset that part starts at: chunk 0 carries the
+// field's block header and lands at the field's offset, any other first
+// chunk lands at its own offset. The caller concatenates run once per
+// write, so a buffered run copies its bytes once.
+func appendBlock(run []data.Buf, hdr *cemfmt.Header, fi, first int, chunks ...data.Buf) ([]data.Buf, int64) {
+	if first != 0 {
+		return append(run, chunks...), hdr.ChunkOffset(fi, first)
+	}
+	run = append(run, data.FromBytes(cemfmt.BlockHeader(hdr.Fields[fi], hdr.FieldBytes())))
+	return append(run, chunks...), hdr.FieldOffset(fi)
+}
+
+// dropChunk records member w's chunk as lost: zero-length in the header, so
+// the file stays structurally valid and restart knows exactly which ranks
+// lost their state.
+func dropChunk(chunkBytes []int64, fields [][]data.Buf, w int) {
+	chunkBytes[w] = 0
+	for fi := range fields {
+		fields[fi][w] = data.Buf{}
+	}
+}
+
+// writeFile is the independent commit of a whole file, as rank on p: it
+// creates path, writes the master header hdr, then each field's block
+// header and chunks (fields[fi], in chunk order), and closes. Every op goes
+// to the op log and every field block to the epoch sink. Consecutive field
+// blocks are contiguous in the file, so they may share a write: blocks
+// accumulate until buffer bytes are held (0: one write per field). who
+// prefixes a create error.
+func writeFile(env *Env, who string, p *sim.Proc, rank int, path string, hdr *cemfmt.Header, fields [][]data.Buf, buffer int64) error {
+	t0 := p.Now()
+	h, err := env.FS.Create(p, rank, path)
+	if err != nil {
+		return fmt.Errorf("%s: %w", who, err)
+	}
+	env.log(rank, iolog.OpCreate, t0, p.Now(), 0)
+
+	t1 := p.Now()
+	if err := h.WriteAt(p, rank, 0, data.FromBytes(hdr.Marshal())); err != nil {
+		return err
+	}
+	env.log(rank, iolog.OpWrite, t1, p.Now(), hdr.HeaderSize())
+
+	block := cemfmt.BlockHeaderSize + hdr.FieldBytes()
+	// A run holds the fields it takes to fill buffer, at most all of them.
+	held := min(len(fields), 1+int(buffer/block))
+	run := make([]data.Buf, 0, held*(len(fields[0])+1))
+	var runStart, buffered int64
+	// A field's epoch block is recorded after the write it filled, but
+	// before the write of a run still held after the last field.
+	for fi := 0; fi <= len(fields); fi++ {
+		last := fi == len(fields)
+		if !last {
+			var off int64
+			run, off = appendBlock(run, hdr, fi, 0, fields[fi]...)
+			if buffered == 0 {
+				runStart = off
+			}
+			buffered += block
+		}
+		if buffered > 0 && (last || buffered >= buffer) {
+			payload := data.Concat(run...)
+			t := p.Now()
+			if err := h.WriteAt(p, rank, runStart, payload); err != nil {
+				return err
+			}
+			env.log(rank, iolog.OpWrite, t, p.Now(), payload.Len())
+			run, buffered = run[:0], 0
+		}
+		if !last {
+			env.epochBlock(LevelGlobal, hdr.Step, rank, path, hdr.FieldOffset(fi), block, p.Now())
+		}
+	}
+
+	t2 := p.Now()
+	if err := h.Close(p, rank); err != nil {
+		return err
+	}
+	env.log(rank, iolog.OpClose, t2, p.Now(), 0)
+	return nil
 }
 
 // headerResult carries a parsed master header (or the failure) from the

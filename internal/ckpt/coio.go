@@ -151,13 +151,15 @@ func (s *coStep) field(r *mpi.Rank, fi int) error {
 }
 
 // payload returns the rank's contribution to field fi and its offset. It
-// returns before the write, so its frame is not parked with field's.
+// returns before the write, so its frame is not parked with field's. Only
+// rank 0's chunk, which carries the block header, is copied.
 func (s *coStep) payload(fi int) (int64, data.Buf) {
-	fd := s.cp.Fields[fi]
-	if s.me == 0 {
-		return s.hdr.FieldOffset(fi), data.Concat(data.FromBytes(cemfmt.BlockHeader(fd.Name, s.hdr.FieldBytes())), fd.Data)
+	var parts [2]data.Buf
+	run, off := appendBlock(parts[:0], s.hdr, fi, s.me, s.cp.Fields[fi].Data)
+	if len(run) == 1 {
+		return off, run[0]
 	}
-	return s.hdr.ChunkOffset(fi, s.me), fd.Data
+	return off, data.Concat(run...)
 }
 
 // logField records a committed field of n bytes at off, written from t. For

@@ -1,12 +1,8 @@
 package ckpt
 
 import (
-	"fmt"
-
-	"repro/internal/cemfmt"
 	"repro/internal/data"
 	"repro/internal/fsys"
-	"repro/internal/iolog"
 	"repro/internal/mpi"
 )
 
@@ -35,16 +31,23 @@ func (pl *onePlan) Write(env *Env, r *mpi.Rank, cp *Checkpoint) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	p := r.Proc()
 	start := r.Now()
 	if env.FaultAware() && !env.Up(r.ID()) {
 		env.epochLost(LevelGlobal, cp.Step, r.ID(), "node down", start)
 		return Stats{Role: RoleAll, Start: start, End: start, Skipped: true, DeadRank: true}, nil
 	}
-	// Storage unavailability is an outcome of the step (the checkpoint is
-	// lost), not a simulation failure: report it in Stats and let the run
-	// continue.
-	failed := func(err error) (Stats, error) {
+	// The file is written by fields, as the paper describes: block header
+	// plus this rank's single chunk, per field.
+	chunks, fields := make([]data.Buf, len(cp.Fields)), make([][]data.Buf, len(cp.Fields))
+	for fi, f := range cp.Fields {
+		chunks[fi] = f.Data
+		fields[fi] = chunks[fi : fi+1]
+	}
+	if err := writeFile(env, "ckpt/1pfpp", r.Proc(), r.ID(), rankFile(env.Dir, cp.Step, pl.c.Rank(r)),
+		buildHeader(cp, []int64{chunk}), fields, 0); err != nil {
+		// Storage unavailability is an outcome of the step (the checkpoint
+		// is lost), not a simulation failure: report it in Stats and let
+		// the run continue.
 		if !fsys.Unavailable(err) {
 			return Stats{}, err
 		}
@@ -52,39 +55,6 @@ func (pl *onePlan) Write(env *Env, r *mpi.Rank, cp *Checkpoint) (Stats, error) {
 		env.epochLost(LevelGlobal, cp.Step, r.ID(), "storage unavailable", now)
 		return Stats{Role: RoleAll, Start: start, End: now, Perceived: now - start, Failed: true}, nil
 	}
-	path := rankFile(env.Dir, cp.Step, pl.c.Rank(r))
-
-	t0 := r.Now()
-	h, err := env.FS.Create(p, r.ID(), path)
-	if err != nil {
-		return failed(fmt.Errorf("ckpt/1pfpp: %w", err))
-	}
-	env.log(r.ID(), iolog.OpCreate, t0, r.Now(), 0)
-
-	hdr := buildHeader(cp, []int64{chunk})
-	t1 := r.Now()
-	if err := h.WriteAt(p, r.ID(), 0, data.FromBytes(hdr.Marshal())); err != nil {
-		return failed(err)
-	}
-	env.log(r.ID(), iolog.OpWrite, t1, r.Now(), hdr.HeaderSize())
-
-	// The file is written by fields, as the paper describes: block header
-	// plus this rank's single chunk, per field.
-	for fi, f := range cp.Fields {
-		payload := data.Concat(data.FromBytes(cemfmt.BlockHeader(f.Name, chunk)), f.Data)
-		t2 := r.Now()
-		if err := h.WriteAt(p, r.ID(), hdr.FieldOffset(fi), payload); err != nil {
-			return failed(err)
-		}
-		env.log(r.ID(), iolog.OpWrite, t2, r.Now(), payload.Len())
-		env.epochBlock(LevelGlobal, cp.Step, r.ID(), path, hdr.FieldOffset(fi), payload.Len(), r.Now())
-	}
-
-	t3 := r.Now()
-	if err := h.Close(p, r.ID()); err != nil {
-		return failed(err)
-	}
-	env.log(r.ID(), iolog.OpClose, t3, r.Now(), 0)
 
 	end := r.Now()
 	env.epochCommit(LevelGlobal, cp.Step, r.ID(), len(cp.Fields), end)

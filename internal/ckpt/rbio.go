@@ -129,6 +129,12 @@ func (pl *rbPlan) groupIdx(r *mpi.Rank) int { return pl.c.Rank(r) / pl.group.Siz
 // isWriter reports whether r is its group's dedicated writer.
 func (pl *rbPlan) isWriter(r *mpi.Rank) bool { return pl.group.Rank(r) == 0 }
 
+// peerTimeout is how long a fault-aware nf=ng group waits on a peer
+// before declaring it dead: a worker before it re-sends to a re-elected
+// writer, and the writer per chunk it receives. It is comfortably above
+// any same-checkpoint message latency in the model.
+const peerTimeout = 1.0
+
 // fieldTag builds the message tag for field fi of a step; steps are folded
 // so tags stay below the MPI-IO collective tag spaces (1<<18 and up) while
 // still separating the fields of adjacent checkpoints.
@@ -160,7 +166,7 @@ func (pl *rbPlan) Write(env *Env, r *mpi.Rank, cp *Checkpoint) (Stats, error) {
 // evaluates liveness at its own entry, so views can disagree across a
 // failure edge — the writer's per-peer receive timeouts keep every
 // disagreement deadlock-free, at worst costing a chunk recorded as
-// missing). The elected writer waits env.PeerTimeout per believed-alive
+// missing). The elected writer waits peerTimeout per believed-alive
 // peer before writing the group file with the missing chunks zero-length.
 func (pl *rbPlan) writeFT(env *Env, r *mpi.Rank, cp *Checkpoint) (Stats, error) {
 	me := pl.group.Rank(r)
@@ -196,9 +202,8 @@ func (pl *rbPlan) writeWorkerTo(env *Env, r *mpi.Rank, cp *Checkpoint, writer in
 	start := r.Now()
 	pl.perceived = 0
 	if writer != 0 {
-		d := env.peerTimeout()
-		r.Proc().Sleep(d)
-		pl.perceived += d
+		r.Proc().Sleep(peerTimeout)
+		pl.perceived += peerTimeout
 	}
 	// Isend, then Wait, per field: each completes at local hand-off,
 	// microseconds.
@@ -322,35 +327,26 @@ func (pl *rbPlan) Recvd(r *mpi.Rank, start float64, buf data.Buf, ok bool) {
 // it, recording dead or unresponsive peers' chunks as missing rather than
 // blocking forever on them.
 func (pl *rbPlan) writeWriterFT(env *Env, r *mpi.Rank, cp *Checkpoint, me int) (Stats, error) {
-	p := r.Proc()
 	start := r.Now()
 	gs := pl.group.Size()
-	timeout := env.peerTimeout()
 	if me != 0 {
 		// Re-elected writer: the workers spend one detection window
 		// discovering the original writer is dead before re-sending, so an
 		// elected writer opening its receive windows immediately would time
 		// out on the first live peer. It burns the same window.
-		p.Sleep(timeout)
+		r.Proc().Sleep(peerTimeout)
 	}
 
 	missing := make([]bool, gs)
-	chunkBytes, fieldData, err := pl.receive(env, r, cp, me, missing, timeout)
+	chunkBytes, fieldData, err := pl.receive(env, r, cp, me, missing, peerTimeout)
 	if err != nil {
 		return Stats{}, err
 	}
-	// A missing member's chunk is recorded zero-length in the header: the
-	// file stays structurally valid and restart knows exactly which ranks
-	// lost their state.
 	missingN := 0
 	for w := range missing {
-		if !missing[w] {
-			continue
-		}
-		missingN++
-		chunkBytes[w] = 0
-		for fi := range fieldData {
-			fieldData[fi][w] = data.Buf{}
+		if missing[w] {
+			missingN++
+			dropChunk(chunkBytes, fieldData, w)
 		}
 	}
 	if err := pl.commitIndependent(env, r, cp, chunkBytes, fieldData); err != nil {
@@ -433,70 +429,15 @@ func (pl *rbPlan) writeWriter(env *Env, r *mpi.Rank, cp *Checkpoint) (Stats, err
 }
 
 // commitIndependent is the nf=ng path: the writer owns its file outright.
+// With BufferFields it holds consecutive field blocks until WriterBuffer
+// fills and flushes them as one large write — the nf=ng advantage.
 func (pl *rbPlan) commitIndependent(env *Env, r *mpi.Rank, cp *Checkpoint, chunkBytes []int64, fieldData [][]data.Buf) error {
-	p := r.Proc()
-	path := groupFile(env.Dir, cp.Step, pl.groupIdx(r))
-	t0 := r.Now()
-	h, err := env.FS.Create(p, r.ID(), path)
-	if err != nil {
-		return fmt.Errorf("ckpt/rbio: %w", err)
+	var buffer int64
+	if pl.cfg.BufferFields {
+		buffer = pl.cfg.WriterBuffer
 	}
-	env.log(r.ID(), iolog.OpCreate, t0, r.Now(), 0)
-
-	hdr := buildHeader(cp, chunkBytes)
-	t1 := r.Now()
-	if err := h.WriteAt(p, r.ID(), 0, data.FromBytes(hdr.Marshal())); err != nil {
-		return err
-	}
-	env.log(r.ID(), iolog.OpWrite, t1, r.Now(), hdr.HeaderSize())
-
-	// Consecutive field blocks are contiguous in the file, so buffered
-	// fields flush as one large write — the nf=ng advantage. run holds at
-	// most every field's block header and gs chunks.
-	gs := pl.group.Size()
-	var (
-		runStart = int64(-1)
-		run      = make([]data.Buf, 0, len(cp.Fields)*(gs+1))
-		buffered int64
-	)
-	flush := func() error {
-		if len(run) == 0 {
-			return nil
-		}
-		payload := data.Concat(run...)
-		t := r.Now()
-		if err := h.WriteAt(p, r.ID(), runStart, payload); err != nil {
-			return err
-		}
-		env.log(r.ID(), iolog.OpWrite, t, r.Now(), payload.Len())
-		runStart, run, buffered = -1, run[:0], 0
-		return nil
-	}
-	for fi, f := range cp.Fields {
-		if runStart < 0 {
-			runStart = hdr.FieldOffset(fi)
-		}
-		run = append(run, data.FromBytes(cemfmt.BlockHeader(f.Name, hdr.FieldBytes())))
-		run = append(run, fieldData[fi]...)
-		buffered += cemfmt.BlockHeaderSize + hdr.FieldBytes()
-		if !pl.cfg.BufferFields || buffered >= pl.cfg.WriterBuffer {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-		env.epochBlock(LevelGlobal, cp.Step, r.ID(), path, hdr.FieldOffset(fi),
-			cemfmt.BlockHeaderSize+hdr.FieldBytes(), r.Now())
-	}
-	if err := flush(); err != nil {
-		return err
-	}
-
-	t2 := r.Now()
-	if err := h.Close(p, r.ID()); err != nil {
-		return err
-	}
-	env.log(r.ID(), iolog.OpClose, t2, r.Now(), 0)
-	return nil
+	return writeFile(env, "ckpt/rbio", r.Proc(), r.ID(), groupFile(env.Dir, cp.Step, pl.groupIdx(r)),
+		buildHeader(cp, chunkBytes), fieldData, buffer)
 }
 
 // commitCollective is the nf=1 path: all writers share one file and commit
@@ -540,13 +481,11 @@ func (pl *rbPlan) commitCollective(env *Env, r *mpi.Rank, cp *Checkpoint, chunkB
 	}
 
 	firstChunk := pl.groupIdx(r) * gs
-	for fi, fd := range cp.Fields {
-		payload := data.Concat(fieldData[fi]...)
-		off := hdr.ChunkOffset(fi, firstChunk)
-		if pl.wr.writers.Rank(r) == 0 {
-			payload = data.Concat(data.FromBytes(cemfmt.BlockHeader(fd.Name, hdr.FieldBytes())), payload)
-			off = hdr.FieldOffset(fi)
-		}
+	run := make([]data.Buf, 0, gs+1)
+	for fi := range cp.Fields {
+		var off int64
+		run, off = appendBlock(run[:0], hdr, fi, firstChunk, fieldData[fi]...)
+		payload := data.Concat(run...)
 		t2 := r.Now()
 		if err := f.WriteAtAll(r, off, payload); err != nil {
 			return err

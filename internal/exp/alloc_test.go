@@ -124,7 +124,9 @@ func collect() stackSample {
 // The exception is coIO's checkpoint: its ranks wait out each field's
 // collective write in the write's closing barrier, under the solver's and
 // the strategy's frames, about 1.35 KB deep, so the start is 4 KB there.
-// That depth is pinned so it can only fall.
+// 1PFPP's checkpoint is the other: its ranks wait in their own file's
+// create and writes under onePlan.Write and writeFile, about 1.7 KB deep.
+// Both depths are pinned so they can only fall.
 func TestRankStackBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("np=4096 simulations")
@@ -144,6 +146,7 @@ func TestRankStackBudget(t *testing.T) {
 	}{
 		{"rbio", budget, 2176},
 		{"coio1", 1376, 0},
+		{"1pfpp", 1720, 0},
 	} {
 		d, err := ckpt.Lookup(tc.ckpt)
 		if err != nil {

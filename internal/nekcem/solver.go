@@ -53,10 +53,6 @@ type RunConfig struct {
 	// the solver loop (the machine's compute procs are untouched); their
 	// checkpoint I/O is what disappears.
 	RankUp func(worldRank int) bool
-	// PeerTimeout is how long a fault-aware rbIO writer waits on an
-	// unresponsive peer before declaring its chunk missing (default
-	// ckpt.DefaultPeerTimeout).
-	PeerTimeout float64
 
 	// Epochs, when set, receives two-phase epoch commit records from every
 	// checkpoint step (see ckpt.EpochSink). Recording is free in simulated
@@ -245,7 +241,7 @@ func Launch(w *mpi.World, fs fsys.System, cfg RunConfig) (*Pending, error) {
 		w:    w,
 		fs:   fs,
 		cfg:  cfg,
-		env:  &ckpt.Env{FS: fs, Dir: cfg.Dir, Log: cfg.Log, RankUp: cfg.RankUp, PeerTimeout: cfg.PeerTimeout, Epochs: cfg.Epochs},
+		env:  &ckpt.Env{FS: fs, Dir: cfg.Dir, Log: cfg.Log, RankUp: cfg.RankUp, Epochs: cfg.Epochs},
 		res:  &RunResult{PerRank: make([]RankCkpt, np)},
 		aggs: map[int64]*CkptAgg{},
 		left: np,

@@ -22,8 +22,8 @@ type Config struct {
 	// are single-Spawn). Pure allocation — safe to call mid-run.
 	NewWorld func() *mpi.World
 	// Base is the RunConfig template (Mesh, Strategy, Compute, Synthetic,
-	// PayloadFactor, RankUp, PeerTimeout). Steps, CheckpointEvery, Dir,
-	// Epochs and OnComplete are overwritten per segment.
+	// PayloadFactor, RankUp). Steps, CheckpointEvery, Dir, Epochs and
+	// OnComplete are overwritten per segment.
 	Base nekcem.RunConfig
 	Log  *Log
 	// Work is the solver-step budget to complete.

@@ -159,8 +159,12 @@ func calWave(t *testing.T, c *calQueue, r int, seq *uint64) int {
 	return peak
 }
 
-// mallocs reports the heap allocations fn makes.
+// mallocs reports the heap allocations fn makes. The count is process-wide,
+// so it runs fn on one P, as testing.AllocsPerRun does: with a second P
+// the runtime's own work there now and then lands one 16-byte allocation
+// in the window (about once in 60 runs on two cores, never in 180 on one).
 func mallocs(fn func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	fn()
