@@ -10,7 +10,9 @@ import (
 	"go/types"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -155,6 +157,7 @@ func TestNoTestOnlyAPI(t *testing.T) {
 		method *types.Func
 	}
 	ifaceCalls := map[ifaceCall]bool{}
+	fields := newFieldScan()
 	for _, dir := range []string{".", "bench"} {
 		for _, p := range goList(t, dir) {
 			if imp.checked[p.ImportPath] != nil {
@@ -169,8 +172,9 @@ func TestNoTestOnlyAPI(t *testing.T) {
 				files = append(files, f)
 			}
 			info := &types.Info{
-				Defs: map[*ast.Ident]types.Object{},
-				Uses: map[*ast.Ident]types.Object{},
+				Defs:  map[*ast.Ident]types.Object{},
+				Uses:  map[*ast.Ident]types.Object{},
+				Types: map[ast.Expr]types.TypeAndValue{},
 			}
 			conf := types.Config{Importer: imp}
 			pkg, err := conf.Check(p.ImportPath, fset, files, info)
@@ -179,6 +183,7 @@ func TestNoTestOnlyAPI(t *testing.T) {
 			}
 			imp.checked[p.ImportPath] = pkg
 			inBench := strings.HasPrefix(p.ImportPath, "repro/bench")
+			fields.scan(fset, pkg, info, files, !inBench)
 			for _, f := range files {
 				for _, d := range f.Decls {
 					fd, _ := d.(*ast.FuncDecl)
@@ -272,6 +277,216 @@ func TestNoTestOnlyAPI(t *testing.T) {
 	for name := range testOnlyAllow {
 		if !declared[name] {
 			t.Errorf("allowlisted %s is declared nowhere outside bench/; drop it from testOnlyAllow", name)
+		}
+	}
+	fields.check(t, fset)
+}
+
+// fieldOnlyAllow names, qualified by package and struct, the fields that no
+// non-test Go writes or reads and that stay anyway, each with the reason.
+var fieldOnlyAllow = map[string]string{
+	"ckpt.CommitRecord.Blocks": "writeseq.golden hashes every epoch record's blocks",
+	"cluster.Tenant.Dir":       `the nt=1 golden-identity test writes to the single-tenant "ckpt" directory, and PVFS hashes paths to metadata servers`,
+	"exp.Run.Events":           "the root Fig5 benchmarks report events/s from it",
+	// Observers: tests check an invariant through them that no live output
+	// shows.
+	"bbuf.BufferStats.AbsorbedBytes": "tests check the fleet's byte conservation",
+	"bbuf.BufferStats.DrainedBytes":  "tests check the fleet's byte conservation",
+	"recover.Result.LostSegSteps":    "tests check a crashed segment's attempted steps are counted",
+	"recover.Result.ScanBytes":       "tests check restart scans read the manifests back",
+	"recover.Result.WaitTime":        "tests check repair waits are charged",
+	"storage.Stats.Creates":          "tests count the files each strategy creates",
+	"storage.Stats.Opens":            "tests count a backend's opens",
+	"storage.Stats.Closes":           "tests count a backend's closes",
+	"storage.Stats.BytesWritten":     "tests check the bytes a strategy wrote",
+	"storage.Stats.BytesRead":        "tests bound the bytes a read moved",
+	"storage.Stats.Retries":          "tests check fault handling probed the dead server",
+	"storage.Stats.FaultDelay":       "tests check fault handling charged its delay",
+}
+
+// fieldScan records, for every struct field declared outside bench/, whether
+// non-test Go writes it and whether it reads it.
+type fieldScan struct {
+	decl          map[*types.Var]string // field -> package.Struct.field
+	written, read map[*types.Var]bool
+}
+
+func newFieldScan() *fieldScan {
+	return &fieldScan{map[*types.Var]string{}, map[*types.Var]bool{}, map[*types.Var]bool{}}
+}
+
+// scan records the fields pkg declares, when declare is set, and every
+// write and read of a field in files.
+func (s *fieldScan) scan(fset *token.FileSet, pkg *types.Package, info *types.Info, files []*ast.File, declare bool) {
+	// writes holds the field selectors in a write position; addressed holds
+	// those whose address is taken, which code may also read through.
+	writes, addressed := map[*ast.Ident]bool{}, map[*ast.Ident]bool{}
+	write := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			writes[sel.Sel] = true
+		}
+	}
+	for _, f := range files {
+		if declare {
+			s.declare(fset, pkg, info, f)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					write(lhs)
+				}
+			case *ast.IncDecStmt:
+				write(n.X)
+			case *ast.UnaryExpr:
+				if sel, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok && n.Op == token.AND {
+					addressed[sel.Sel] = true
+				}
+			case *ast.RangeStmt:
+				if n.Tok == token.ASSIGN {
+					write(n.Key)
+					write(n.Value)
+				}
+			case *ast.CompositeLit:
+				st, ok := info.Types[n].Type.Underlying().(*types.Struct)
+				if !ok {
+					return true
+				}
+				for _, e := range n.Elts {
+					kv, ok := e.(*ast.KeyValueExpr)
+					if !ok {
+						// An unkeyed literal writes every field.
+						for i := 0; i < st.NumFields(); i++ {
+							s.written[st.Field(i).Origin()] = true
+						}
+						break
+					}
+					writes[kv.Key.(*ast.Ident)] = true
+				}
+			}
+			return true
+		})
+	}
+	for id, obj := range info.Uses {
+		if v, ok := obj.(*types.Var); ok && v.IsField() {
+			v = v.Origin()
+			s.written[v] = s.written[v] || writes[id] || addressed[id]
+			s.read[v] = s.read[v] || !writes[id]
+		}
+	}
+	// Map lookups compare every field of a struct key.
+	for _, tv := range info.Types {
+		if m, ok := tv.Type.Underlying().(*types.Map); ok {
+			s.readAll(m.Key())
+		}
+	}
+}
+
+// readAll marks every field of t, when t is a struct, read, nested structs
+// included.
+func (s *fieldScan) readAll(t types.Type) {
+	st, ok := t.Underlying().(*types.Struct)
+	if !ok {
+		return
+	}
+	for i := 0; i < st.NumFields(); i++ {
+		s.read[st.Field(i).Origin()] = true
+		s.readAll(st.Field(i).Type())
+	}
+}
+
+// declare records the named, non-embedded fields of every struct type in f,
+// each named after the type (or, for a struct outside a type declaration,
+// its file and line) and the fields it nests in.
+func (s *fieldScan) declare(fset *token.FileSet, pkg *types.Package, info *types.Info, f *ast.File) {
+	var walk func(prefix string, st *ast.StructType)
+	walk = func(prefix string, st *ast.StructType) {
+		for _, fl := range st.Fields.List {
+			var tag reflect.StructTag
+			if fl.Tag != nil {
+				raw, _ := strconv.Unquote(fl.Tag.Value)
+				tag = reflect.StructTag(raw)
+			}
+			for _, id := range fl.Names {
+				if id.Name == "_" {
+					continue
+				}
+				v := info.Defs[id].(*types.Var)
+				s.decl[v] = prefix + "." + id.Name
+				// Code uses a struct or array field's zero value in place.
+				switch v.Type().Underlying().(type) {
+				case *types.Struct, *types.Array:
+					s.written[v] = true
+				}
+				// table.Of and encoding/json reach tagged fields by reflection.
+				if _, ok := tag.Lookup("col"); ok {
+					s.read[v] = true
+				}
+				if _, ok := tag.Lookup("json"); ok {
+					s.read[v], s.written[v] = true, true
+				}
+			}
+			name := prefix
+			if len(fl.Names) > 0 {
+				name += "." + fl.Names[0].Name
+			}
+			ast.Inspect(fl.Type, func(n ast.Node) bool {
+				if nested, ok := n.(*ast.StructType); ok {
+					walk(name, nested)
+					return false
+				}
+				return true
+			})
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		var prefix string
+		var typ ast.Node
+		switch n := n.(type) {
+		case *ast.TypeSpec:
+			prefix, typ = pkg.Name()+"."+n.Name.Name, n.Type
+		case *ast.StructType:
+			pos := fset.Position(n.Pos())
+			prefix, typ = fmt.Sprintf("%s.struct@%s:%d", pkg.Name(), filepath.Base(pos.Filename), pos.Line), n
+		default:
+			return true
+		}
+		ast.Inspect(typ, func(m ast.Node) bool {
+			if st, ok := m.(*ast.StructType); ok {
+				walk(prefix, st)
+				return false
+			}
+			return true
+		})
+		return false
+	})
+}
+
+// check fails on every declared field that no non-test Go writes or reads,
+// unless fieldOnlyAllow names it.
+func (s *fieldScan) check(t *testing.T, fset *token.FileSet) {
+	declared := map[string]bool{}
+	var dead []string
+	for v, name := range s.decl {
+		declared[name] = true
+		if fieldOnlyAllow[name] != "" {
+			continue
+		}
+		pos := fset.Position(v.Pos())
+		if !s.written[v] {
+			dead = append(dead, fmt.Sprintf("%s: field %s: no non-test Go sets it", pos, name))
+		}
+		if !s.read[v] {
+			dead = append(dead, fmt.Sprintf("%s: field %s: no non-test Go reads it", pos, name))
+		}
+	}
+	sort.Strings(dead)
+	for _, d := range dead {
+		t.Error(d)
+	}
+	for name := range fieldOnlyAllow {
+		if !declared[name] {
+			t.Errorf("allowlisted field %s is declared nowhere outside bench/; drop it from fieldOnlyAllow", name)
 		}
 	}
 }

@@ -16,18 +16,20 @@ import (
 )
 
 // TestValidateCkptFlag pins the -ckpt exit-2 surface: empty (all headline
-// arms), registry names, and aliases pass; unknown names fail with the
-// registry's typed error.
+// arms) and registry names pass; unknown names fail with the registry's
+// typed error.
 func TestValidateCkptFlag(t *testing.T) {
-	for _, name := range []string{"", "rbio", "coio1", "async", "ml"} {
+	for _, name := range []string{"", "rbio", "coio1", "async", "multilevel"} {
 		if err := validateCkptFlag(name); err != nil {
 			t.Errorf("validateCkptFlag(%q) = %v", name, err)
 		}
 	}
-	err := validateCkptFlag("mpiio")
-	var ue *registry.UnknownError
-	if !errors.As(err, &ue) || ue.Kind != "ckpt strategy" {
-		t.Fatalf("unknown -ckpt returned %#v, want a ckpt strategy *registry.UnknownError", err)
+	for _, name := range []string{"mpiio", "ml"} {
+		err := validateCkptFlag(name)
+		var ue *registry.UnknownError
+		if !errors.As(err, &ue) || ue.Kind != "ckpt strategy" {
+			t.Fatalf("-ckpt %s returned %#v, want a ckpt strategy *registry.UnknownError", name, err)
+		}
 	}
 }
 
@@ -54,8 +56,10 @@ func TestResolveRejectsBadFlags(t *testing.T) {
 	}{
 		{[]string{"-exp", "nope"}, "exp experiment", ""},
 		{[]string{"-ckpt", "nope"}, "ckpt strategy", ""},
+		{[]string{"-ckpt", "ml"}, "ckpt strategy", ""},
 		{[]string{"-fs", "nope"}, "fsys backend", ""},
 		{[]string{"-machine", "nope"}, "machine machine", ""},
+		{[]string{"-machine", "bluegenel"}, "machine machine", ""},
 		{[]string{"-map", "nope"}, "machine placement", ""},
 		{[]string{"-map", "nope", "-np", "1024"}, "machine placement", ""},
 		{[]string{"-drain", "nope"}, "bbuf drain scheduler", ""},

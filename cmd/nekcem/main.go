@@ -278,6 +278,9 @@ func writeLog(log *iolog.Log, logPath string) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	f.Close()
+	if err := f.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	fmt.Printf("  I/O trace: %s (%d records)\n", logPath, log.Len())
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // TestResolveStrategy pins the -ckpt/-nf resolution the command exits 2
-// on: registry names and aliases build, -nf refines the file-count knob,
+// on: registry names build, -nf refines the file-count knob,
 // and unknown names surface the registry's typed error.
 func TestResolveStrategy(t *testing.T) {
 	s, err := resolveStrategy("", 4096, 0)
@@ -69,8 +69,10 @@ func TestResolveRejectsBadFlags(t *testing.T) {
 		flag string // or the flag a *flagError names
 	}{
 		{[]string{"-ckpt", "nope"}, "ckpt strategy", ""},
+		{[]string{"-ckpt", "ml"}, "ckpt strategy", ""},
 		{[]string{"-fs", "nope"}, "fsys backend", ""},
 		{[]string{"-machine", "nope"}, "machine machine", ""},
+		{[]string{"-machine", "bluegenel"}, "machine machine", ""},
 		{[]string{"-map", "nope"}, "machine placement", ""},
 		{[]string{"-drain", "nope"}, "bbuf drain scheduler", ""},
 		{[]string{"-np", "-4"}, "", "np"},

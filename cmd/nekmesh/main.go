@@ -18,31 +18,17 @@ import (
 )
 
 func main() {
-	var (
-		geom = flag.String("geom", "cyl", "geometry: box or cyl")
-		nx   = flag.Int("nx", 8, "box: elements in x")
-		ny   = flag.Int("ny", 8, "box: elements in y")
-		nzB  = flag.Int("nz", 8, "elements in z (both geometries)")
-		nr   = flag.Int("nr", 4, "cyl: radial element layers")
-		nt   = flag.Int("nt", 16, "cyl: angular element layers")
-		np   = flag.Int("np", 64, "ranks to partition for")
-		out  = flag.String("o", "mesh", "output basename (<o>.rea, <o>.map)")
-	)
+	c := newCLI(flag.CommandLine)
 	flag.Parse()
 
-	var mesh *meshgen.Mesh
-	switch *geom {
-	case "box":
-		mesh = meshgen.Box(*nx, *ny, *nzB, 1, 1, 1)
-	case "cyl":
-		mesh = meshgen.CylindricalWaveguide(*nr, *nt, *nzB, 1, 10)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown geometry %q\n", *geom)
+	mesh, err := c.build()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
-	part := mesh.Partition(*np)
-	loads := meshgen.Loads(part, *np)
+	part := mesh.Partition(c.np)
+	loads := meshgen.Loads(part, c.np)
 	minL, maxL := loads[0], loads[0]
 	for _, l := range loads {
 		if l < minL {
@@ -54,21 +40,69 @@ func main() {
 	}
 	rr := make([]int, mesh.NumElems())
 	for e := range rr {
-		rr[e] = e % *np
+		rr[e] = e % c.np
 	}
 
 	rea, mp := mesh.EncodeRea(), meshgen.EncodeMap(part)
-	if err := os.WriteFile(*out+".rea", rea, 0o644); err != nil {
+	if err := os.WriteFile(c.out+".rea", rea, 0o644); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	if err := os.WriteFile(*out+".map", mp, 0o644); err != nil {
+	if err := os.WriteFile(c.out+".map", mp, 0o644); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 
-	fmt.Printf("mesh: %s, E=%d elements, %d vertices\n", *geom, mesh.NumElems(), len(mesh.Verts))
-	fmt.Printf("partition: np=%d, load %d..%d elements/rank\n", *np, minL, maxL)
+	fmt.Printf("mesh: %s, E=%d elements, %d vertices\n", c.geom, mesh.NumElems(), len(mesh.Verts))
+	fmt.Printf("partition: np=%d, load %d..%d elements/rank\n", c.np, minL, maxL)
 	fmt.Printf("edge cut: RCB %d faces (round-robin would cut %d)\n", mesh.EdgeCut(part), mesh.EdgeCut(rr))
-	fmt.Printf("wrote %s.rea (%d bytes), %s.map (%d bytes)\n", *out, len(rea), *out, len(mp))
+	fmt.Printf("wrote %s.rea (%d bytes), %s.map (%d bytes)\n", c.out, len(rea), c.out, len(mp))
 }
+
+// cli holds nekmesh's flags.
+type cli struct {
+	geom, out              string
+	nx, ny, nz, nr, nt, np int
+}
+
+func newCLI(fs *flag.FlagSet) *cli {
+	c := &cli{}
+	fs.StringVar(&c.geom, "geom", "cyl", "geometry: box or cyl")
+	fs.IntVar(&c.nx, "nx", 8, "box: elements in x")
+	fs.IntVar(&c.ny, "ny", 8, "box: elements in y")
+	fs.IntVar(&c.nz, "nz", 8, "elements in z (both geometries)")
+	fs.IntVar(&c.nr, "nr", 4, "cyl: radial element layers")
+	fs.IntVar(&c.nt, "nt", 16, "cyl: angular element layers")
+	fs.IntVar(&c.np, "np", 64, "ranks to partition for")
+	fs.StringVar(&c.out, "o", "mesh", "output basename (<o>.rea, <o>.map)")
+	return c
+}
+
+// build checks every count, then generates the mesh. A count below 1 is a
+// *flagError, caught before meshgen, which panics on it.
+func (c *cli) build() (*meshgen.Mesh, error) {
+	for _, f := range []struct {
+		name  string
+		value int
+	}{{"np", c.np}, {"nx", c.nx}, {"ny", c.ny}, {"nz", c.nz}, {"nr", c.nr}, {"nt", c.nt}} {
+		if f.value < 1 {
+			return nil, &flagError{f.name, f.value, "want >= 1"}
+		}
+	}
+	switch c.geom {
+	case "box":
+		return meshgen.Box(c.nx, c.ny, c.nz, 1, 1, 1), nil
+	case "cyl":
+		return meshgen.CylindricalWaveguide(c.nr, c.nt, c.nz, 1, 10), nil
+	}
+	return nil, fmt.Errorf("unknown geometry %q", c.geom)
+}
+
+// flagError reports a numeric flag value out of range.
+type flagError struct {
+	Flag  string
+	Value int
+	Why   string
+}
+
+func (e *flagError) Error() string { return fmt.Sprintf("invalid -%s %d (%s)", e.Flag, e.Value, e.Why) }

@@ -151,13 +151,12 @@ func (d *fleet) place(ion int, n int64) int {
 	return -1
 }
 
-// tenant resolves the owning tenant and drain priority of a world rank.
-func (d *fleet) tenant(rank int) (tn, prio int) {
+// priority resolves the drain priority of a world rank's tenant.
+func (d *fleet) priority(rank int) int {
 	if d.tenantOf == nil {
-		return 0, 0
+		return 0
 	}
-	tn = d.tenantOf(rank)
-	return tn, d.prio[tn]
+	return d.prio[d.tenantOf(rank)]
 }
 
 // ionDown loses every fleet node hosted on the dead ION: everything
@@ -238,7 +237,7 @@ func (d *fleet) Commit(c *storage.Core, h *storage.Handle, rank int, streamEnd f
 	if rec, layer := c.Recorder(); rec != nil {
 		rec.Counter(layer, "bb.occupancy", node, absorbEnd, float64(d.used[node]))
 	}
-	d.submit(c, h, node, ion, rank, absorbEnd, off, n)
+	d.submit(c, h, node, rank, absorbEnd, off, n)
 	// Absorption counts as completion: drain failures are background loss,
 	// accounted in BufferStats, never surfaced to the writer.
 	return func(p *sim.Proc) error {
@@ -251,16 +250,15 @@ func (d *fleet) Commit(c *storage.Core, h *storage.Handle, rank int, streamEnd f
 // schedulers (FIFO) plan the drain immediately — the drain pipe's
 // arithmetic FIFO is the queue, exactly the legacy path. Reordering
 // schedulers append to the node's backlog and let the dispatcher pick.
-func (d *fleet) submit(c *storage.Core, h *storage.Handle, node, ion, rank int, ready float64, off, n int64) {
+func (d *fleet) submit(c *storage.Core, h *storage.Handle, node, rank int, ready float64, off, n int64) {
 	if !d.sched.Queued() {
 		d.drainOut(c, h, node, ready, off, n)
 		return
 	}
-	tn, prio := d.tenant(rank)
 	d.seq++
 	d.backlog[node] = append(d.backlog[node], pendingDrain{
 		req: Request{
-			Seq: d.seq, Node: node, ION: ion, Tenant: tn, Priority: prio,
+			Seq: d.seq, Priority: d.priority(rank),
 			Bytes: n, Ready: ready, Deadline: ready + d.cfg.DrainTarget,
 		},
 		h: h, off: off,

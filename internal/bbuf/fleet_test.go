@@ -54,10 +54,10 @@ func TestSchedulerPickOrdering(t *testing.T) {
 	// A seeded backlog where admission order, deadlines, and tenant
 	// priorities all disagree.
 	backlog := []Request{
-		{Seq: 1, Deadline: 9.0, Tenant: 0, Priority: 0},
-		{Seq: 2, Deadline: 3.0, Tenant: 1, Priority: 2},
-		{Seq: 3, Deadline: 3.0, Tenant: 0, Priority: 0},
-		{Seq: 4, Deadline: 5.0, Tenant: 2, Priority: 1},
+		{Seq: 1, Deadline: 9.0, Priority: 0},
+		{Seq: 2, Deadline: 3.0, Priority: 2},
+		{Seq: 3, Deadline: 3.0, Priority: 0},
+		{Seq: 4, Deadline: 5.0, Priority: 1},
 	}
 	cases := []struct {
 		sched Scheduler

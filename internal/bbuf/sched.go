@@ -8,9 +8,6 @@ import "repro/internal/registry"
 // stay inside the fleet.
 type Request struct {
 	Seq      int64 // fleet-wide admission order; the deterministic tie-break
-	Node     int   // fleet node holding the bytes
-	ION      int   // originating I/O node (pset)
-	Tenant   int   // owning tenant index (0 in single-tenant runs)
 	Priority int   // tenant drain priority; higher drains first under "tenant"
 	Bytes    int64
 	Ready    float64 // when absorption completed and the drain became eligible
@@ -104,6 +101,6 @@ func (TenantPriority) Pick(pending []Request) int {
 
 func init() {
 	for _, s := range []Scheduler{FIFO{}, Deadline{}, TenantPriority{}} {
-		schedulers.Register(s.Name(), nil, s)
+		schedulers.Register(s.Name(), s)
 	}
 }

@@ -56,20 +56,10 @@ func BlueGeneL(ranks int) machine.Config {
 }
 
 func init() {
-	machine.Register(machine.Descriptor{
-		Name:   "intrepid",
-		Doc:    "ANL Intrepid BG/P: 3-D torus, TXYZ, 64-node psets (default)",
-		Config: Intrepid,
-	})
-	machine.Register(machine.Descriptor{
-		Name:    "bgl",
-		Doc:     "Blue Gene/L: 2 ranks/node, 32-node psets, slower fabrics",
-		Aliases: []string{"bluegenel"},
-		Config:  BlueGeneL,
-	})
+	machine.Register(machine.Descriptor{Name: "intrepid", Config: Intrepid})
+	machine.Register(machine.Descriptor{Name: "bgl", Config: BlueGeneL})
 	machine.Register(machine.Descriptor{
 		Name: "fattree",
-		Doc:  "Intrepid compute/I/O parameters on a two-level fat tree",
 		Config: func(ranks int) machine.Config {
 			cfg := Intrepid(ranks)
 			cfg.Topology = "fattree"
@@ -78,7 +68,6 @@ func init() {
 	})
 	machine.Register(machine.Descriptor{
 		Name: "dragonfly",
-		Doc:  "Intrepid compute/I/O parameters on a dragonfly",
 		Config: func(ranks int) machine.Config {
 			cfg := Intrepid(ranks)
 			cfg.Topology = "dragonfly"

@@ -364,7 +364,6 @@ func (pl *asyncPlan) drainOldest(r *mpi.Rank) error {
 	}
 	fs := FlushStats{
 		Step:     fl.step,
-		Bytes:    fl.chunkBytes[pl.idx] * int64(len(fl.fields)),
 		SnapEnd:  fl.snapEnd[pl.idx],
 		Durable:  fl.durable,
 		QueueSec: fl.queueSec,

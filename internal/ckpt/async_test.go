@@ -75,7 +75,7 @@ func TestAsyncRoundTrip(t *testing.T) {
 			return
 		}
 		f := fst[0]
-		if f.Lost || f.Step != 3 || f.Bytes != 6*512 {
+		if f.Lost || f.Step != 3 || st.Bytes != 6*512 {
 			t.Errorf("rank %d flush stats %+v", r.ID(), f)
 		}
 		if f.Durable < st.End || f.FlushSec() <= 0 {

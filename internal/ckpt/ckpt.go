@@ -211,7 +211,6 @@ type Plan interface {
 // solver's back.
 type FlushStats struct {
 	Step    int64
-	Bytes   int64   // this rank's bytes the flush made durable
 	SnapEnd float64 // when the rank's blocking snapshot phase ended
 	Durable float64 // when the flush landed on storage (0 if lost)
 	// QueueSec is the drain-queue residency behind the durable point: when

@@ -17,10 +17,6 @@ type Descriptor struct {
 	// Label is the paper's legend string for headline tables ("rbIO,
 	// np:ng=64:1, nf=ng").
 	Label string
-	// Doc is a one-line description for CLI listings.
-	Doc string
-	// Aliases are alternative lookup names.
-	Aliases []string
 	// New builds the strategy for an np-rank run.
 	New func(np int) Strategy
 }
@@ -31,19 +27,19 @@ const DefaultStrategy = "rbio"
 
 var strategies = registry.New[Descriptor]("ckpt strategy", DefaultStrategy)
 
-// Register installs a strategy descriptor under its name and aliases. A nil
+// Register installs a strategy descriptor under its name. A nil
 // factory is a wiring bug and panics, like a colliding name.
 func Register(d Descriptor) {
 	if d.New == nil {
 		panic("ckpt: Register with nil factory for " + d.Name)
 	}
-	strategies.Register(d.Name, d.Aliases, d)
+	strategies.Register(d.Name, d)
 }
 
 // Strategies returns the registered descriptors in registration order.
 func Strategies() []Descriptor { return strategies.All() }
 
-// Lookup resolves a strategy name or alias to its descriptor. The empty
+// Lookup resolves a strategy name to its descriptor. The empty
 // string resolves to DefaultStrategy; an unregistered name returns a
 // *registry.UnknownError listing the valid choices.
 func Lookup(name string) (Descriptor, error) { return strategies.Lookup(name) }
@@ -75,13 +71,11 @@ func init() {
 	Register(Descriptor{
 		Name:  "1pfpp",
 		Label: "1PFPP",
-		Doc:   "1 POSIX file per processor: every rank writes its own file",
 		New:   func(int) Strategy { return OnePFPP{} },
 	})
 	Register(Descriptor{
 		Name:  "coio1",
 		Label: "coIO, nf=1",
-		Doc:   "collective MPI-IO, all ranks into one shared file",
 		New: func(int) Strategy {
 			return CoIO{NumFiles: 1, Hints: mpiio.DefaultHints()}
 		},
@@ -89,7 +83,6 @@ func init() {
 	Register(Descriptor{
 		Name:  "coio",
 		Label: "coIO, np:nf=64:1",
-		Doc:   "collective MPI-IO, one shared file per 64 ranks",
 		New: func(np int) Strategy {
 			return CoIO{NumFiles: np / 64, Hints: mpiio.DefaultHints()}
 		},
@@ -97,7 +90,6 @@ func init() {
 	Register(Descriptor{
 		Name:  "rbio1",
 		Label: "rbIO, np:ng=64:1, nf=1",
-		Doc:   "reduced-blocking I/O, 64:1 groups, writers share one file",
 		New: func(int) Strategy {
 			return RbIO{GroupSize: 64, SingleFile: true, WriterBuffer: 512 << 20, BufferFields: true, Hints: mpiio.DefaultHints()}
 		},
@@ -105,20 +97,16 @@ func init() {
 	Register(Descriptor{
 		Name:  "rbio",
 		Label: "rbIO, np:ng=64:1, nf=ng",
-		Doc:   "reduced-blocking I/O, 64:1 groups, one file per group (paper headline)",
 		New:   func(int) Strategy { return DefaultRbIO() },
 	})
 	Register(Descriptor{
-		Name:    "multilevel",
-		Label:   "multilevel, local+rbIO/4",
-		Doc:     "SCR-style: RAM-disk every step, rbIO to the PFS every 4th",
-		Aliases: []string{"ml"},
-		New:     func(int) Strategy { return DefaultMultiLevel() },
+		Name:  "multilevel",
+		Label: "multilevel, local+rbIO/4",
+		New:   func(int) Strategy { return DefaultMultiLevel() },
 	})
 	Register(Descriptor{
 		Name:  "async",
 		Label: "async, node-agg flush",
-		Doc:   "asynchronous aggregated: RAM snapshot, per-pset background flush",
 		New:   func(int) Strategy { return DefaultAsync() },
 	})
 }

@@ -37,37 +37,24 @@ func TestRegisterWiringBugsPanic(t *testing.T) {
 		{"empty ckpt strategy name", Descriptor{New: ok}},
 		{"nil factory", Descriptor{Name: "x-nilfactory"}},
 		{`duplicate ckpt strategy registration "rbio"`, Descriptor{Name: "rbio", New: ok}},
-		{`duplicate ckpt strategy registration "ml"`, Descriptor{Name: "ml", New: ok}},
-		{`duplicate ckpt strategy registration "rbio"`, Descriptor{Name: "x-alias1", New: ok, Aliases: []string{"rbio"}}},
-		{`duplicate ckpt strategy registration "ml"`, Descriptor{Name: "x-alias2", New: ok, Aliases: []string{"ml"}}},
-		{"empty ckpt strategy name or alias", Descriptor{Name: "x-alias3", New: ok, Aliases: []string{""}}},
+		{`duplicate ckpt strategy registration "multilevel"`, Descriptor{Name: "multilevel", New: ok}},
 	} {
 		mustPanicContains(t, tc.want, func() { Register(tc.d) })
 	}
-	for _, name := range []string{"x-nilfactory", "x-alias1", "x-alias2", "x-alias3"} {
-		if _, err := Lookup(name); err == nil {
-			t.Errorf("failed registration of %q left it in the registry", name)
-		}
+	if _, err := Lookup("x-nilfactory"); err == nil {
+		t.Error(`failed registration of "x-nilfactory" left it in the registry`)
 	}
 }
 
-// TestLookupDefaultAndAliases pins the resolution rules CLIs rely on: the
-// empty string means the paper's headline configuration, and aliases resolve
-// to their canonical descriptor.
-func TestLookupDefaultAndAliases(t *testing.T) {
+// TestLookupDefault pins the resolution rule CLIs rely on: the empty string
+// means the paper's headline configuration.
+func TestLookupDefault(t *testing.T) {
 	d, err := Lookup("")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d.Name != DefaultStrategy {
 		t.Fatalf("empty name resolved to %q, want %q", d.Name, DefaultStrategy)
-	}
-	d, err = Lookup("ml")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Name != "multilevel" {
-		t.Fatalf(`alias "ml" resolved to %q, want "multilevel"`, d.Name)
 	}
 }
 

@@ -39,8 +39,7 @@ type Tenant struct {
 	Strategy ckpt.Strategy // checkpoint strategy (nil: compute-only job)
 	Arrival  float64       // simulated arrival time
 
-	Steps           int // solver steps (0: one step)
-	CheckpointEvery int // (0: every step)
+	Steps int // solver steps (0: one step); each step checkpoints
 
 	// Dir is the tenant's checkpoint directory; "" derives "ckpt/<Name>" so
 	// concurrent tenants never collide on paths (Create fails on existing
@@ -93,13 +92,7 @@ type Job struct {
 type Session struct {
 	M     *machine.Machine
 	FS    fsys.System // the backend tenants do I/O through
-	MPI   mpi.Config
 	Alloc *machine.Allocator
-
-	// PayloadFactor scales checkpoint payloads (nekcem.PaperPayloadFactor
-	// for paper-scale bytes); Compute models the solver step.
-	PayloadFactor int
-	Compute       nekcem.ComputeModel
 
 	waiters []*sim.Proc // admission processes queued for capacity
 }
@@ -108,14 +101,7 @@ type Session struct {
 // tenant ranks call — pass a fsys.Guard-wrapped system when the kernel is
 // sharded, exactly as single-tenant runs do.
 func NewSession(m *machine.Machine, fs fsys.System) *Session {
-	return &Session{
-		M:             m,
-		FS:            fs,
-		MPI:           mpi.DefaultConfig(),
-		Alloc:         machine.NewAllocator(m),
-		PayloadFactor: nekcem.PaperPayloadFactor,
-		Compute:       nekcem.DefaultComputeModel(),
-	}
+	return &Session{M: m, FS: fs, Alloc: machine.NewAllocator(m)}
 }
 
 func (s *Session) runConfig(t Tenant, startAt float64, onComplete func(float64)) nekcem.RunConfig {
@@ -123,20 +109,16 @@ func (s *Session) runConfig(t Tenant, startAt float64, onComplete func(float64))
 	if steps == 0 && t.RestartStep == 0 {
 		steps = 1
 	}
-	every := t.CheckpointEvery
-	if every == 0 {
-		every = 1
-	}
 	return nekcem.RunConfig{
 		Mesh:            nekcem.PaperMesh(t.NP),
 		Strategy:        t.Strategy,
 		Dir:             t.dir(),
 		Steps:           steps,
-		CheckpointEvery: every,
+		CheckpointEvery: 1,
 		Synthetic:       true,
 		SkipPresetup:    true,
-		PayloadFactor:   s.PayloadFactor,
-		Compute:         s.Compute,
+		PayloadFactor:   nekcem.PaperPayloadFactor,
+		Compute:         nekcem.DefaultComputeModel(),
 		RestartStep:     t.RestartStep,
 		StartAt:         startAt,
 		OnComplete:      onComplete,
@@ -168,7 +150,7 @@ func (s *Session) Launch(tenants []Tenant) ([]*Job, error) {
 // the allocator — restart phases reuse a tenant's slice so the re-read runs
 // on the very nodes that wrote the checkpoint.
 func (s *Session) LaunchOn(a *machine.Alloc, t Tenant) (*Job, error) {
-	w := mpi.NewWorldOn(s.M, a, s.MPI)
+	w := mpi.NewWorldOn(s.M, a, mpi.DefaultConfig())
 	j := &Job{Tenant: t, Alloc: a, World: w, Admitted: t.Arrival}
 	pe, err := nekcem.Launch(w, s.FS, s.runConfig(t, t.Arrival, nil))
 	if err != nil {
@@ -228,7 +210,7 @@ func (s *Session) LaunchQueued(tenants []Tenant) ([]*Job, error) {
 			j := jobs[i]
 			j.Alloc = a
 			j.Admitted = p.Now()
-			j.World = mpi.NewWorldOn(s.M, a, s.MPI)
+			j.World = mpi.NewWorldOn(s.M, a, mpi.DefaultConfig())
 			pe, err := nekcem.Launch(j.World, s.FS, s.runConfig(t, 0, func(done float64) {
 				s.Alloc.Free(a)
 				s.wakeQueue()
@@ -277,7 +259,6 @@ func TenantRanges(jobs []*Job) []trace.TenantRange {
 	for i, j := range jobs {
 		lo, hi := j.Alloc.Psets()
 		rs[i] = trace.TenantRange{
-			Label:  j.Tenant.Name,
 			RankLo: j.Alloc.BaseRank(),
 			RankHi: j.Alloc.BaseRank() + j.Alloc.Ranks(),
 			PsetLo: lo,

@@ -16,10 +16,8 @@ type Eq1Result struct {
 	NC         int     `col:"nc"`
 	Ratio1PFPP float64 `col:"Ratio(1PFPP)" fmt:"%.0f"`
 	RatioRbIO  float64 `col:"Ratio(rbIO)" fmt:"%.0f"`
-	Formula    float64 `col:"Eq(1) improvement" fmt:"%.1fx"` // Equation (1)
-	Wall1PFPP  float64 // measured end-to-end production seconds
-	WallRbIO   float64
-	Measured   float64 `col:"measured end-to-end" fmt:"%.1fx"` // Wall1PFPP / WallRbIO
+	Formula    float64 `col:"Eq(1) improvement" fmt:"%.1fx"`   // Equation (1)
+	Measured   float64 `col:"measured end-to-end" fmt:"%.1fx"` // 1PFPP over rbIO production seconds
 }
 
 // production runs nc solver steps with a checkpoint at step nc and returns
@@ -46,8 +44,7 @@ func Eq1(o Options, np, nc int) (*Eq1Result, error) {
 	return &Eq1Result{
 		NP: np, NC: nc,
 		Ratio1PFPP: r1, RatioRbIO: r2,
-		Formula:   (r1 + float64(nc)) / (r2 + float64(nc)),
-		Wall1PFPP: w1, WallRbIO: w2,
+		Formula:  (r1 + float64(nc)) / (r2 + float64(nc)),
 		Measured: w1 / w2,
 	}, nil
 }

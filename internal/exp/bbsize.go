@@ -59,7 +59,6 @@ type BBFaultRow struct {
 
 // BBSizeResult is the bbsize experiment's output.
 type BBSizeResult struct {
-	NP      int
 	Rows    []BBSizeRow
 	Faulted []BBFaultRow
 }
@@ -140,7 +139,7 @@ func BBSize(o Options, np int, mtbfHours float64) (*BBSizeResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &BBSizeResult{NP: np}
+	res := &BBSizeResult{}
 	for i, r := range runs {
 		row := meta[i]
 		a := r.Agg

@@ -314,11 +314,9 @@ type RestartStormRow struct {
 // restart storm that follows a real machine-wide outage.
 type RestartStormResult struct {
 	NP, Tenants  int
-	Capacity     int
 	OutageSec    float64 // how long the servers stayed down
 	Rows         []RestartStormRow
 	StormPenalty float64      // worst tenant's storm/solo slowdown
-	Makespan     float64      // kernel time when the storm drained
 	FaultCounts  fault.Counts // injector events that fired
 	Torn         int          // torn epochs across every tenant's scan
 	ScanBytes    int64        // manifest bytes read back across the scans
@@ -348,7 +346,7 @@ func RestartStorm(o Options, np, nt int) (*RestartStormResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &RestartStormResult{NP: np, Tenants: nt, Capacity: capRanks, OutageSec: 60}
+	res := &RestartStormResult{NP: np, Tenants: nt, OutageSec: 60}
 
 	// Phase 1 — every tenant writes its checkpoint.
 	jobs, err := cs.launch(tenants)
@@ -398,7 +396,7 @@ func RestartStorm(o Options, np, nt int) (*RestartStormResult, error) {
 		var scanErr error
 		cs.K.Go("restartstorm.scan", func(p *sim.Proc) {
 			p.SleepUntil(at)
-			scans[idx], scanErr = recover.Scan(p, cs.FS, logs[idx], recover.ScanOptions{})
+			scans[idx], scanErr = recover.Scan(p, cs.FS, logs[idx], 0)
 		})
 		if err := cs.K.Run(); err != nil {
 			return nil, err
@@ -457,7 +455,6 @@ func RestartStorm(o Options, np, nt int) (*RestartStormResult, error) {
 			SoloSec: solo[i], StormSec: dur, Penalty: pen,
 		})
 	}
-	res.Makespan = cs.K.Now()
 	res.FaultCounts = inj.Counts()
 	cs.finish("restartstorm")
 	return res, nil

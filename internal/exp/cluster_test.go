@@ -41,7 +41,7 @@ func clusterHeadline(t *testing.T, o Options, np int) []HeadlineRow {
 		rows = append(rows, HeadlineRow{
 			NP: np, Approach: ApproachLabels[ai], S: agg.Bytes,
 			StepSec: step, GBps: GB(agg.Bandwidth()),
-			Ratio: step / res.ComputeStep, WorkerSec: agg.MaxWorker,
+			Ratio: step / res.ComputeStep,
 		})
 	}
 	return rows

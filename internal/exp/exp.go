@@ -167,7 +167,7 @@ func runCheckpoint(o Options, j Job) (*Run, error) {
 			// succeeded at measuring that.
 			e.finish(label)
 			return &Run{NP: np, FSStats: *e.Stats, Events: e.K.Events(), Fault: &FaultOutcome{
-				Lost: true, WriteError: err.Error(), Counts: e.Inj.Counts(),
+				Lost: true, Counts: e.Inj.Counts(),
 			}}, nil
 		}
 		return nil, fmt.Errorf("exp: %s on %s at np=%d: %w", j.Strategy.Name(), e.FS.Name(), np, err)
@@ -204,10 +204,7 @@ func (e *env) faultOutcome(j Job, r *Run) *FaultOutcome {
 	agg := r.Agg
 	fo := &FaultOutcome{
 		DeadRanks:     agg.DeadRanks,
-		SkippedRanks:  agg.SkippedRanks,
 		MissingChunks: agg.MissingChunks,
-		FailedRanks:   agg.FailedRanks,
-		Retries:       r.FSStats.Retries,
 		Failovers:     r.FSStats.Failovers,
 		CommitErrors:  r.FSStats.CommitErrors,
 		Counts:        e.Inj.Counts(),
@@ -219,7 +216,6 @@ func (e *env) faultOutcome(j Job, r *Run) *FaultOutcome {
 	if !j.Faults.TryRestart || fo.Lost {
 		return fo
 	}
-	fo.RestartAttempted = true
 	res2, err := e.solve(paperRestart(r.NP, j.Strategy))
 	fo.RestartOK = err == nil && res2.Restored
 	return fo

@@ -31,8 +31,6 @@ type FaultSpec struct {
 	Seed uint64
 	// Schedule, when non-nil, is used verbatim instead of sampling.
 	Schedule fault.Schedule
-	// Policy overrides the storage stack's retry/failover policy.
-	Policy *storage.FaultPolicy
 	// TryRestart, when the checkpoint survived, launches a fresh job that
 	// restores from it on the same (possibly still-degraded) storage.
 	TryRestart bool
@@ -43,21 +41,15 @@ type FaultOutcome struct {
 	Lost bool // some rank's state never reached durable storage
 
 	DeadRanks       int   // ranks whose node was down at checkpoint entry
-	SkippedRanks    int   // dead ranks that (being fault-aware) wrote nothing
 	MissingChunks   int   // rbIO group chunks the writer gave up waiting for
-	FailedRanks     int   // ranks whose storage commits exhausted the retries
 	LostBufferBytes int64 // burst-buffer bytes lost to ION deaths
 
-	Retries      int // storage commit retries across the run
 	Failovers    int // commits redirected to a surviving server
 	CommitErrors int // commits that exhausted the retry budget
 
-	WriteError string // non-fault-aware strategy aborted mid-collective
-
 	Counts fault.Counts // injector events that fired
 
-	RestartAttempted bool
-	RestartOK        bool
+	RestartOK bool
 }
 
 // attachFaults samples (or adopts) the spec's schedule, arms an injector on
@@ -84,9 +76,6 @@ func (e *env) attachFaults(spec *FaultSpec) (*fault.Injector, error) {
 	}
 	inj := fault.NewInjector(k, sched)
 	pol := storage.DefaultFaultPolicy()
-	if spec.Policy != nil {
-		pol = *spec.Policy
-	}
 	// The jitter stream is split from the fault seed, never from the
 	// machine's noise RNG: the storage core's RNG split order is frozen by
 	// the fault-free goldens.
@@ -250,9 +239,8 @@ type MakespanRow struct {
 	R             float64 `col:"R (s)" fmt:"%.1f"`         // measured restart read, seconds
 	TauOpt        float64 `col:"tau_opt (s)" fmt:"%.0f"`   // Young's optimum checkpoint interval, seconds
 	NumCkpts      float64 `col:"ckpts" fmt:"%.0f"`         // checkpoints over the workload at TauOpt
-	Makespan      float64 // expected wall seconds for the 24h workload
-	MakespanHours float64 `col:"makespan (h)" fmt:"%.2f"`
-	Overhead      float64 `col:"overhead" fmt:"%.1f%%"` // (makespan - work) / work, percent
+	MakespanHours float64 `col:"makespan (h)" fmt:"%.2f"`  // expected wall hours for the 24h workload
+	Overhead      float64 `col:"overhead" fmt:"%.1f%%"`    // (makespan - work) / work, percent
 }
 
 // makespanWork is the fault-free workload the study amortizes over: 24 hours
@@ -290,7 +278,6 @@ func Makespan(o Options, np int, mtbfHours float64) ([]MakespanRow, error) {
 				MTBFHours: mtbf, SysMTBF: M,
 				C: C, R: R, TauOpt: tau,
 				NumCkpts:      makespanWork / tau,
-				Makespan:      T,
 				MakespanHours: T / 3600,
 				Overhead:      100 * (T - makespanWork) / makespanWork,
 			})

@@ -10,13 +10,12 @@ import (
 
 // HeadlineRow is one (approach, np) measurement shared by Figures 5-7.
 type HeadlineRow struct {
-	NP        int
-	Approach  string
-	S         int64   // bytes per checkpoint step
-	StepSec   float64 // Figure 6: overall time per checkpoint step
-	GBps      float64 // Figure 5: write bandwidth
-	Ratio     float64 // Figure 7: checkpoint time / computation time per step
-	WorkerSec float64 // rbIO: slowest worker's blocking
+	NP       int
+	Approach string
+	S        int64   // bytes per checkpoint step
+	StepSec  float64 // Figure 6: overall time per checkpoint step
+	GBps     float64 // Figure 5: write bandwidth
+	Ratio    float64 // Figure 7: checkpoint time / computation time per step
 }
 
 // Headline runs the paper's five approaches across the weak-scaling points;
@@ -68,13 +67,12 @@ func headlineNamed(o Options) ([]HeadlineRow, error) {
 func headlineRow(r *Run, label string) HeadlineRow {
 	step := r.Agg.StepTime()
 	return HeadlineRow{
-		NP:        r.NP,
-		Approach:  label,
-		S:         r.S,
-		StepSec:   step,
-		GBps:      GB(r.Agg.Bandwidth()),
-		Ratio:     step / r.Result.ComputeStep,
-		WorkerSec: r.Agg.MaxWorker,
+		NP:       r.NP,
+		Approach: label,
+		S:        r.S,
+		StepSec:  step,
+		GBps:     GB(r.Agg.Bandwidth()),
+		Ratio:    step / r.Result.ComputeStep,
 	}
 }
 

@@ -16,20 +16,17 @@ type RecoveryRow struct {
 	NP        int     `col:"np"`
 	MTBFHours orDash  `col:"mtbf/comp (h)" fmt:"%.1f"` // per-component; 0 is the fault-free arm
 	SysMTBF   orDash  `col:"sys mtbf (s)" fmt:"%.0f"`  // seconds; 0 for the fault-free arm
-	Work      int     // solver-step budget
-	Tau       float64 // checkpoint interval, compute seconds
-	C         float64 `col:"C (s)" fmt:"%.2f"` // measured mean checkpoint cost, seconds
-	R         float64 `col:"R (s)" fmt:"%.2f"` // measured mean scan+restore per rollback, seconds
+	C         float64 `col:"C (s)" fmt:"%.2f"`         // measured mean checkpoint cost, seconds
+	R         float64 `col:"R (s)" fmt:"%.2f"`         // measured mean scan+restore per rollback, seconds
 
 	Makespan float64 `col:"measured (s)" fmt:"%.1f"` // measured lifecycle wall seconds
 	Daly     float64 `col:"daly (s)" fmt:"%.1f"`     // model prediction from (M, tau, C, R, W)
 	Ratio    float64 `col:"ratio" fmt:"%.2fx"`       // Makespan / Daly
 
 	Segments  int
-	Rollbacks int `col:"rollbacks"`
-	Torn      int `col:"torn"`   // torn epochs the restart scans detected
-	Rework    int `col:"rework"` // banked steps re-executed after rollbacks
-	WaitSec   float64
+	Rollbacks int               `col:"rollbacks"`
+	Torn      int               `col:"torn"`   // torn epochs the restart scans detected
+	Rework    int               `col:"rework"` // banked steps re-executed after rollbacks
 	Kills     recover.KillStats `col:"kills t/s/i"`
 }
 
@@ -186,8 +183,7 @@ func RecoveryStudy(o Options, np int, mtbfHours float64, work, epochs int) ([]Re
 		// checkpoint bill.
 		daly0 := workSec + float64(f.res.CkptCount)*c0
 		rows = append(rows, RecoveryRow{
-			Strategy: fam.Strategy.Name(), NP: np, Work: work,
-			Tau: tau, C: c0,
+			Strategy: fam.Strategy.Name(), NP: np, C: c0,
 			Makespan: f.res.Makespan, Daly: daly0, Ratio: f.res.Makespan / daly0,
 			Segments: f.res.Segments,
 		})
@@ -214,11 +210,11 @@ func RecoveryStudy(o Options, np int, mtbfHours float64, work, epochs int) ([]Re
 			rows = append(rows, RecoveryRow{
 				Strategy: fam.Strategy.Name(), NP: np,
 				MTBFHours: orDash(mtbfHours * mult), SysMTBF: orDash(M),
-				Work: work, Tau: tau, C: C, R: R,
+				C: C, R: R,
 				Makespan: r.Makespan, Daly: daly, Ratio: r.Makespan / daly,
 				Segments: r.Segments, Rollbacks: r.Rollbacks,
 				Torn: r.TornSeen, Rework: r.ReworkSteps,
-				WaitSec: r.WaitTime, Kills: cell.kills,
+				Kills: cell.kills,
 			})
 		}
 	}

@@ -28,7 +28,7 @@ type Descriptor struct {
 var experiments = registry.New[Descriptor]("exp experiment", "")
 
 // Register installs an experiment descriptor.
-func Register(d Descriptor) { experiments.Register(d.Name, nil, d) }
+func Register(d Descriptor) { experiments.Register(d.Name, d) }
 
 // Experiments returns the registered descriptors in registration order.
 func Experiments() []Descriptor { return experiments.All() }

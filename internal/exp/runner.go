@@ -16,10 +16,9 @@ type Job struct {
 	Strategy ckpt.Strategy
 	WithLog  bool         // collect per-op records (costs memory at 64K)
 	FS       fsys.Backend // storage backend; "" defers to Options.FS (default gpfs)
-	// Machine and Map override the machine preset and placement policy for
-	// this job only; "" defers to Options.Machine / Options.Map.
-	Machine string
-	Map     string
+	// Map overrides the placement policy for this job only; "" defers to
+	// Options.Map.
+	Map string
 	// NodesPerPset, when positive, overrides the preset's compute:ION ratio
 	// (the psetratio experiment's sweep variable).
 	NodesPerPset int

@@ -175,18 +175,14 @@ func build(o Options, sc scenario) (*env, error) {
 }
 
 // machineConfig composes the partition: the pinned config if any, else the
-// preset the job (or the options) selects with the placement and pset-ratio
-// overrides applied. The default composition — Intrepid, txyz — is pinned
-// by the machine_*.golden files.
+// preset the options select with the placement and pset-ratio overrides
+// applied. The default composition — Intrepid, txyz — is pinned by the
+// machine_*.golden files.
 func (sc scenario) machineConfig(o Options) (machine.Config, error) {
 	if sc.MachineCfg != nil {
 		return *sc.MachineCfg, nil
 	}
-	name := sc.Job.Machine
-	if name == "" {
-		name = o.Machine
-	}
-	d, err := machine.Lookup(name)
+	d, err := machine.Lookup(o.Machine)
 	if err != nil {
 		return machine.Config{}, err
 	}

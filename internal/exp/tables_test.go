@@ -21,7 +21,6 @@ func TestTableFormats(t *testing.T) {
 		{NP: 65536, Approach: "rbIO, nf=ng", S: 12_884_901_888, StepSec: 0.463, GBps: 13.049, Ratio: 1.49},
 	}
 	bb := &BBSizeResult{
-		NP: 2048,
 		Rows: []BBSizeRow{
 			{Strategy: "rbio", Ratio: 32, Psets: 16, Fleet: 4, Drain: "deadline", WriterSec: 0.0312, StepSec: 0.044,
 				DurableSec: 1.987, DrainTailSec: 1.943, QueueSec: 0, SpillBytes: 0, PeakBacklog: 201326592, DurableGBps: 0.2},
@@ -75,8 +74,8 @@ func TestTableFormats(t *testing.T) {
 			{Strategy: "rbio", FS: "bbuf", MTBFHours: 0.09375, Trials: 8, Lost: lossTally{3, 8}, RestartOK: restartTally{4, 5}, AvgFails: 2.125, AvgDeadRanks: 64, AvgMissing: 1.5, AvgFailovers: 0.375},
 		})},
 		{"makespan", table.Of([]MakespanRow{
-			{Strategy: "1pfpp", NP: 2048, MTBFHours: 1.5, SysMTBF: 2.1, C: 40.25, R: 12.5, TauOpt: 12.9, NumCkpts: 6700, Makespan: 1e7, MakespanHours: 1e7 / 3600, Overhead: 11474.1},
-			{Strategy: "rbio", NP: 2048, MTBFHours: 24, SysMTBF: 34.2, C: 0.46, R: 1.04, TauOpt: 5.6, NumCkpts: 15428.6, Makespan: 96336, MakespanHours: 96336.0 / 3600, Overhead: 11.5},
+			{Strategy: "1pfpp", NP: 2048, MTBFHours: 1.5, SysMTBF: 2.1, C: 40.25, R: 12.5, TauOpt: 12.9, NumCkpts: 6700, MakespanHours: 1e7 / 3600, Overhead: 11474.1},
+			{Strategy: "rbio", NP: 2048, MTBFHours: 24, SysMTBF: 34.2, C: 0.46, R: 1.04, TauOpt: 5.6, NumCkpts: 15428.6, MakespanHours: 96336.0 / 3600, Overhead: 11.5},
 		})},
 		{"bbsize", bb.Table()},
 		{"bbsize-faulted", bb.FaultTable()},
@@ -109,8 +108,8 @@ func TestTableFormats(t *testing.T) {
 			{T: 0.5, RbIOWriters: 3, RbIOMBps: 12.5, CoIOWriters: 256, CoIOMBps: 987.6},
 		})},
 		{"recovery", RecoveryTable([]RecoveryRow{
-			{Strategy: "rbio", NP: 256, Work: 120, Tau: 3.2, C: 0.045, Makespan: 40.25, Daly: 39.5, Ratio: 40.25 / 39.5, Segments: 1},
-			{Strategy: "rbio", NP: 256, MTBFHours: 1.5, SysMTBF: 16.875, Work: 120, Tau: 3.2, C: 0.05, R: 0.125,
+			{Strategy: "rbio", NP: 256, C: 0.045, Makespan: 40.25, Daly: 39.5, Ratio: 40.25 / 39.5, Segments: 1},
+			{Strategy: "rbio", NP: 256, MTBFHours: 1.5, SysMTBF: 16.875, C: 0.05, R: 0.125,
 				Makespan: 61, Daly: 44.2, Ratio: 61 / 44.2, Segments: 4, Rollbacks: 3, Torn: 1, Rework: 7,
 				Kills: recover.KillStats{MidEpochTorn: 1, MidEpochSealed: 0, Idle: 2}},
 		})},
@@ -118,7 +117,7 @@ func TestTableFormats(t *testing.T) {
 			{FS: "gpfs", Strategy: "rbio", NP: 2048, GBps: 4.5, StepSec: 0.46},
 			{FS: "pvfs", Strategy: "1pfpp", NP: 2048, GBps: 0.123, StepSec: 17.05},
 		})},
-		{"eq1", table.Of([]Eq1Result{{NP: 16384, NC: 20, Ratio1PFPP: 491.6, RatioRbIO: 1.49, Formula: 23.52, Wall1PFPP: 800, WallRbIO: 32, Measured: 25}})},
+		{"eq1", table.Of([]Eq1Result{{NP: 16384, NC: 20, Ratio1PFPP: 491.6, RatioRbIO: 1.49, Formula: 23.52, Measured: 25}})},
 		{"eq7", table.Of([]SpeedupResult{{NP: 16384, TcoIO: 123456.7, TrbIO: 0.04567, Measured: 2703196, BWcoIO: 1e9, BWrbIO: 1.3e10, Analytic: 832}})},
 		{"meshread", table.Of([]MeshReadRow{{E: 139264, NP: 32768, Seconds: 7.46}, {E: 559104, NP: 131072, Seconds: 28.05}})},
 		{"ablations", table.Of([]AblationRow{

@@ -24,7 +24,6 @@ import (
 // Pipe is a single shared FIFO channel with fixed bandwidth and per-transfer
 // latency: a tree-network uplink, an Ethernet NIC, a storage server port.
 type Pipe struct {
-	Name    string
 	Latency float64 // seconds added to every transfer
 	BW      float64 // bytes per second
 
@@ -40,12 +39,13 @@ type Pipe struct {
 	recBacklog string // counter name, precomputed so Transfer never concatenates
 }
 
-// NewPipe returns a pipe with the given latency (s) and bandwidth (B/s).
+// NewPipe returns a pipe with the given latency (s) and bandwidth (B/s);
+// name only labels the panic on a non-positive bandwidth.
 func NewPipe(name string, latency, bw float64) *Pipe {
 	if bw <= 0 {
 		panic(fmt.Sprintf("fabric: pipe %q with non-positive bandwidth", name))
 	}
-	return &Pipe{Name: name, Latency: latency, BW: bw}
+	return &Pipe{Latency: latency, BW: bw}
 }
 
 // SetDegrade scales the pipe's effective bandwidth by factor for future
@@ -172,13 +172,12 @@ func DefaultTreeConfig() TreeConfig {
 // Tree is the per-pset collective network: one shared funnel pipe per pset,
 // since all compute nodes of a pset reach their ION over the same tree link.
 type Tree struct {
-	cfg   TreeConfig
 	psets []*Pipe
 }
 
 // NewTree builds tree fabrics for n psets.
 func NewTree(n int, cfg TreeConfig) *Tree {
-	t := &Tree{cfg: cfg, psets: make([]*Pipe, n)}
+	t := &Tree{psets: make([]*Pipe, n)}
 	for i := range t.psets {
 		t.psets[i] = NewPipe(fmt.Sprintf("tree/pset%d", i), cfg.Latency, cfg.BW)
 	}

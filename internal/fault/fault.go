@@ -195,14 +195,12 @@ type compKey struct {
 type Counts struct {
 	Fails    int
 	Restores int
-	Degrades int
 }
 
 // Injector replays a Schedule on a kernel and answers liveness queries.
 // All methods are nil-safe: a nil *Injector means "no faults" and every
 // query returns up without touching an RNG.
 type Injector struct {
-	k       *sim.Kernel
 	sched   Schedule
 	perComp map[compKey][]Event // time-sorted per-component history
 	down    map[compKey]bool
@@ -219,7 +217,6 @@ func NewInjector(k *sim.Kernel, sched Schedule) *Injector {
 	copy(s, sched)
 	s.Sort()
 	in := &Injector{
-		k:       k,
 		sched:   s,
 		perComp: make(map[compKey][]Event),
 		down:    make(map[compKey]bool),
@@ -248,8 +245,6 @@ func (in *Injector) fire(ev Event) {
 	case Restore:
 		in.down[key] = false
 		in.counts.Restores++
-	case Degrade:
-		in.counts.Degrades++
 	}
 	for _, fn := range in.subs {
 		fn(ev)

@@ -135,8 +135,8 @@ func TestInjectorReplay(t *testing.T) {
 		}
 	}
 	c := in.Counts()
-	if c.Fails != 2 || c.Restores != 2 || c.Degrades != 1 {
-		t.Errorf("counts = %+v, want 2 fails, 2 restores, 1 degrade", c)
+	if c.Fails != 2 || c.Restores != 2 {
+		t.Errorf("counts = %+v, want 2 fails, 2 restores", c)
 	}
 	if !in.Up(Server, 1) || in.Up(Node, 2) {
 		t.Error("final live state wrong")

@@ -43,7 +43,7 @@ var backends = registry.New[MountFunc]("fsys backend", string(DefaultBackend))
 // Register installs a backend under its name. Backends self-register from
 // their package init, so importing internal/gpfs (etc.) is what makes a
 // backend mountable.
-func Register(b Backend, fn MountFunc) { backends.Register(string(b), nil, fn) }
+func Register(b Backend, fn MountFunc) { backends.Register(string(b), fn) }
 
 // Lookup resolves a backend name. The empty string resolves to
 // DefaultBackend; an unregistered name returns a *registry.UnknownError.

@@ -14,10 +14,9 @@ type Alloc struct {
 	m        *Machine
 	baseNode int // first node of the reserved span
 	spanN    int // reserved nodes (a multiple of NodesPerPset)
-	usedN    int // nodes actually hosting ranks (= ranks / RanksPerNode)
 	baseRank int
 	ranks    int
-	place    Placement // local table: NodeOf(localRank) in [0, usedN)
+	place    Placement // local table: NodeOf(localRank) in [0, ranks / RanksPerNode)
 }
 
 // Machine returns the machine the slice was carved from.
@@ -119,7 +118,6 @@ func (al *Allocator) Alloc(name string, ranks int, placement string, seed uint64
 		m:        al.m,
 		baseNode: start,
 		spanN:    span,
-		usedN:    used,
 		baseRank: start * cfg.RanksPerNode,
 		ranks:    ranks,
 		place:    place,

@@ -40,18 +40,18 @@ func init() {
 	// txyz is the Blue Gene default mapping this repo has always simulated:
 	// ranks fill a node's cores before moving to the next node, so a node's
 	// rpn ranks are consecutive.
-	placements.Register("txyz", nil, func(ranks, nodes, rpn int, _ uint64) []int {
+	placements.Register("txyz", func(ranks, nodes, rpn int, _ uint64) []int {
 		return buildTable(ranks, func(r int) int { return r / rpn })
 	})
 	// xyzt cycles ranks across nodes first: consecutive ranks land on
 	// consecutive nodes, wrapping every nodes ranks.
-	placements.Register("xyzt", nil, func(ranks, nodes, rpn int, _ uint64) []int {
+	placements.Register("xyzt", func(ranks, nodes, rpn int, _ uint64) []int {
 		return buildTable(ranks, func(r int) int { return r % nodes })
 	})
 	// blocked is block-cyclic with half-node blocks (max(1, rpn/2)): pairs
 	// of ranks stay together but node fills interleave, a middle ground
 	// between txyz and xyzt.
-	placements.Register("blocked", nil, func(ranks, nodes, rpn int, _ uint64) []int {
+	placements.Register("blocked", func(ranks, nodes, rpn int, _ uint64) []int {
 		blk := rpn / 2
 		if blk < 1 {
 			blk = 1
@@ -62,14 +62,14 @@ func init() {
 	// tori it lands on the same table as xyzt (both are rank mod nodes); it
 	// is registered separately because the two differ on machines whose
 	// node numbering is not row-major.
-	placements.Register("roundrobin", nil, func(ranks, nodes, rpn int, _ uint64) []int {
+	placements.Register("roundrobin", func(ranks, nodes, rpn int, _ uint64) []int {
 		return buildTable(ranks, func(r int) int { return r % nodes })
 	})
 	// random applies a seeded Fisher–Yates shuffle to the txyz assignment:
 	// capacity per node is preserved, locality is destroyed. The shuffle
 	// draws from its own xrand stream — never the machine RNG, whose split
 	// order is pinned by the determinism goldens.
-	placements.Register("random", nil, func(ranks, nodes, rpn int, seed uint64) []int {
+	placements.Register("random", func(ranks, nodes, rpn int, seed uint64) []int {
 		perm := xrand.New(seed | 1).Perm(ranks)
 		return buildTable(ranks, func(r int) int { return perm[r] / rpn })
 	})

@@ -29,17 +29,6 @@ func TestLookupDefault(t *testing.T) {
 	}
 }
 
-// TestLookupAlias checks alias resolution.
-func TestLookupAlias(t *testing.T) {
-	d, err := Lookup("bluegenel")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Name != "bgl" {
-		t.Fatalf("alias resolved to %q", d.Name)
-	}
-}
-
 // TestUnknownMachine checks the typed error and that its message lists the
 // valid presets.
 func TestUnknownMachine(t *testing.T) {
@@ -58,8 +47,8 @@ func TestUnknownMachine(t *testing.T) {
 }
 
 // TestDuplicateRegistrationPanics checks that machine presets go through the
-// registry's wiring-bug guard for names, aliases and name/alias collisions,
-// plus the nil-config guard.
+// registry's wiring-bug guard for empty and colliding names, plus the
+// nil-config guard.
 func TestDuplicateRegistrationPanics(t *testing.T) {
 	mustPanic := func(what string, d Descriptor) {
 		t.Helper()
@@ -72,14 +61,12 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 	}
 	cfg := func(ranks int) Config { return Config{} }
 	mustPanic("duplicate name", Descriptor{Name: "intrepid", Config: cfg})
-	mustPanic("name colliding with alias", Descriptor{Name: "bluegenel", Config: cfg})
-	mustPanic("alias colliding with name", Descriptor{Name: "zz-test", Aliases: []string{"bgl"}, Config: cfg})
 	mustPanic("empty name", Descriptor{Config: cfg})
 	mustPanic("nil config", Descriptor{Name: "zz-test2"})
 }
 
 // TestMachinesSorted checks the listing used by error messages and -machine
-// docs is sorted and alias-free.
+// docs is sorted.
 func TestMachinesSorted(t *testing.T) {
 	_, err := Lookup("cray")
 	var ue *registry.UnknownError
@@ -88,10 +75,5 @@ func TestMachinesSorted(t *testing.T) {
 	}
 	if !sort.StringsAreSorted(ue.Known) {
 		t.Fatalf("listing not sorted: %v", ue.Known)
-	}
-	for _, n := range ue.Known {
-		if n == "bluegenel" {
-			t.Fatal("alias leaked into the listing")
-		}
 	}
 }

@@ -64,9 +64,9 @@ func Route(t Topology, a, b int) []int {
 var topologies = registry.New[func(nodes int) Topology]("machine topology", "torus")
 
 func init() {
-	topologies.Register("torus", nil, func(n int) Topology { return TorusDims(n) })
-	topologies.Register("fattree", nil, func(n int) Topology { return NewFatTree(n) })
-	topologies.Register("dragonfly", nil, func(n int) Topology { return NewDragonfly(n) })
+	topologies.Register("torus", func(n int) Topology { return TorusDims(n) })
+	topologies.Register("fattree", func(n int) Topology { return NewFatTree(n) })
+	topologies.Register("dragonfly", func(n int) Topology { return NewDragonfly(n) })
 }
 
 // TopologyNames returns the valid Config.Topology values, sorted.

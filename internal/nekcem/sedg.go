@@ -111,7 +111,6 @@ const (
 type State struct {
 	Mesh  Mesh
 	Rank  int
-	NP    int
 	Elems int
 
 	// Fields[f] has Elems*(N+1)^3 values, element-major. Nil when synthetic.
@@ -135,7 +134,7 @@ type State struct {
 
 // NewState builds a rank's solver state with real field storage.
 func NewState(m Mesh, rank, np int) *State {
-	s := &State{Mesh: m, Rank: rank, NP: np, Elems: m.ElemsOnRank(rank, np)}
+	s := &State{Mesh: m, Rank: rank, Elems: m.ElemsOnRank(rank, np)}
 	pts := s.Elems * m.PointsPerElement()
 	for f := range s.Fields {
 		s.Fields[f] = make([]float64, pts)
@@ -148,7 +147,7 @@ func NewState(m Mesh, rank, np int) *State {
 
 // NewSyntheticState builds a sizes-only state for at-scale simulation.
 func NewSyntheticState(m Mesh, rank, np int) *State {
-	return &State{Mesh: m, Rank: rank, NP: np, Elems: m.ElemsOnRank(rank, np), synth: true}
+	return &State{Mesh: m, Rank: rank, Elems: m.ElemsOnRank(rank, np), synth: true}
 }
 
 // Step returns how many time steps have been advanced.

@@ -74,9 +74,8 @@ type RunConfig struct {
 // RankCkpt is a rank's condensed view of the final checkpoint, retained for
 // the per-rank distribution figures.
 type RankCkpt struct {
-	Role      ckpt.Role
-	Blocked   float64
-	Perceived float64
+	Role    ckpt.Role
+	Blocked float64
 }
 
 // CkptAgg aggregates one checkpoint step across all ranks.
@@ -464,7 +463,7 @@ func (pe *Pending) record(c *mpi.Comm, r *mpi.Rank, s *ckptStep) bool {
 	}
 	mergeStats(agg, *stats)
 	pe.mu.Unlock()
-	pe.res.PerRank[c.Rank(r)] = RankCkpt{Role: stats.Role, Blocked: stats.Blocked(), Perceived: stats.Perceived}
+	pe.res.PerRank[c.Rank(r)] = RankCkpt{Role: stats.Role, Blocked: stats.Blocked()}
 	return true
 }
 

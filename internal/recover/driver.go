@@ -56,7 +56,6 @@ type Result struct {
 	Makespan   float64 // End - Start
 	Segments   int     // worlds launched (compute segments only)
 	Rollbacks  int
-	Completed  int // solver steps banked (== Work on success)
 	// ReworkSteps counts banked steps that a rollback un-banked and the
 	// lifecycle had to execute again.
 	ReworkSteps int
@@ -200,7 +199,6 @@ func drive(p *sim.Proc, cfg *Config, res *Result) error {
 				res.CkptCount++
 			}
 			completed += steps
-			res.Completed = completed
 			res.End = segEnd
 			continue
 		}
@@ -215,7 +213,7 @@ func drive(p *sim.Proc, cfg *Config, res *Result) error {
 		if err := waitHealthy(p, cfg, res); err != nil {
 			return err
 		}
-		sres, err := Scan(p, cfg.FS, cfg.Log, ScanOptions{Before: crashAt})
+		sres, err := Scan(p, cfg.FS, cfg.Log, crashAt)
 		if err != nil {
 			return err
 		}
@@ -230,7 +228,6 @@ func drive(p *sim.Proc, cfg *Config, res *Result) error {
 		}
 		res.ReworkSteps += completed - newCompleted
 		completed = newCompleted
-		res.Completed = completed
 	}
 	res.Makespan = res.End - res.Start
 	return nil

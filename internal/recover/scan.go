@@ -9,20 +9,12 @@ import (
 	"repro/internal/trace"
 )
 
-// ScanOptions bound a manifest scan.
-type ScanOptions struct {
-	// Before restricts the pick to epochs sealed at or before this time —
-	// the failure instant — so a restart never trusts state younger than
-	// the crash (<= 0: no bound).
-	Before float64
-	// Rank is the world rank charged for the scan's metadata and read
-	// traffic (the recovering job's rank 0 by convention).
-	Rank int
-}
+// scanRank is the world rank charged for a scan's metadata and read
+// traffic: the recovering job's rank 0.
+const scanRank = 0
 
 // ScanResult summarizes one restart scan.
 type ScanResult struct {
-	Checked   int    // epochs examined, newest first
 	Torn      int    // epochs detected torn (missing or incomplete manifest)
 	Pick      *Epoch // newest fully-sealed epoch, nil when nothing survives
 	ReadBytes int64  // manifest bytes read back through the storage stack
@@ -37,34 +29,36 @@ type ScanResult struct {
 // epoch's final commit — is materialized on first access and then read back
 // with fully-charged traffic and checksum-verified. The newest sealed epoch
 // wins and is marked verified (immune to later conservative invalidation).
-func Scan(p *sim.Proc, fs fsys.System, l *Log, opts ScanOptions) (ScanResult, error) {
+// A positive before restricts the pick to epochs sealed at or before that
+// time — the failure instant — so a restart never trusts state younger than
+// the crash.
+func Scan(p *sim.Proc, fs fsys.System, l *Log, before float64) (ScanResult, error) {
 	res := ScanResult{Start: p.Now()}
 	rec := p.Rec()
 	epochs := l.Epochs(ckpt.LevelGlobal)
 	for i := len(epochs) - 1; i >= 0; i-- {
 		e := epochs[i]
-		if opts.Before > 0 && e.FirstBlockAt > opts.Before {
+		if before > 0 && e.FirstBlockAt > before {
 			// Epoch younger than the failure: it belongs to an abandoned
 			// attempt, not to the state being recovered.
 			continue
 		}
-		res.Checked++
 		path := e.ManifestPath()
 		if e.Torn() {
 			// The final commit never sealed this epoch, so the manifest does
 			// not exist; the failed open is how a real restart detects the
 			// tear.
 			t0 := p.Now()
-			if h, err := fs.Open(p, opts.Rank, path); err == nil {
-				h.Close(p, opts.Rank)
+			if h, err := fs.Open(p, scanRank, path); err == nil {
+				h.Close(p, scanRank)
 			}
 			if rec != nil {
-				rec.Span(trace.LayerRecovery, "recover.torn", opts.Rank, t0, p.Now(), 0)
+				rec.Span(trace.LayerRecovery, "recover.torn", scanRank, t0, p.Now(), 0)
 			}
 			res.Torn++
 			continue
 		}
-		if opts.Before > 0 && e.SealedAt > opts.Before {
+		if before > 0 && e.SealedAt > before {
 			continue
 		}
 		if !fs.Exists(path) {
@@ -74,16 +68,16 @@ func Scan(p *sim.Proc, fs fsys.System, l *Log, opts ScanOptions) (ScanResult, er
 			fs.PreloadBytes(path, l.Manifest(e))
 		}
 		t0 := p.Now()
-		h, err := fs.Open(p, opts.Rank, path)
+		h, err := fs.Open(p, scanRank, path)
 		if err != nil {
 			return res, fmt.Errorf("recover: scan open %s: %w", path, err)
 		}
-		buf, err := h.ReadAt(p, opts.Rank, 0, h.Size())
+		buf, err := h.ReadAt(p, scanRank, 0, h.Size())
 		if err != nil {
-			h.Close(p, opts.Rank)
+			h.Close(p, scanRank)
 			return res, fmt.Errorf("recover: scan read %s: %w", path, err)
 		}
-		if err := h.Close(p, opts.Rank); err != nil {
+		if err := h.Close(p, scanRank); err != nil {
 			return res, err
 		}
 		res.ReadBytes += buf.Len()
@@ -93,7 +87,7 @@ func Scan(p *sim.Proc, fs fsys.System, l *Log, opts ScanOptions) (ScanResult, er
 			}
 		}
 		if rec != nil {
-			rec.Span(trace.LayerRecovery, "recover.scan", opts.Rank, t0, p.Now(), buf.Len())
+			rec.Span(trace.LayerRecovery, "recover.scan", scanRank, t0, p.Now(), buf.Len())
 		}
 		l.markVerified(e)
 		res.Pick = e

@@ -1,9 +1,9 @@
 // Package registry is the one shape every named choice in the simulator
 // takes: checkpoint strategies, file-system backends, machine presets,
 // topologies, placements, drain schedulers and experiments. A Registry
-// holds values under canonical names and aliases, lists them in
-// registration order, resolves the empty name to a default, and reports an
-// unknown name with one typed error listing the valid choices.
+// holds values under names, lists them in registration order, resolves the
+// empty name to a default, and reports an unknown name with one typed error
+// listing the valid choices.
 package registry
 
 import (
@@ -18,8 +18,8 @@ import (
 type Registry[T any] struct {
 	kind  string
 	def   string
-	index map[string]int // canonical name or alias -> position in vals
-	names []string       // canonical names, registration order
+	index map[string]int // name -> position in vals
+	names []string       // names, registration order
 	vals  []T
 }
 
@@ -30,26 +30,21 @@ func New[T any](kind, def string) *Registry[T] {
 	return &Registry[T]{kind: kind, def: def, index: map[string]int{}}
 }
 
-// Register installs v under name and its aliases. It panics on an empty
-// name or alias and on a name or alias that is already taken, as either.
-func (r *Registry[T]) Register(name string, aliases []string, v T) {
-	keys := append([]string{name}, aliases...)
-	for i, k := range keys {
-		if k == "" {
-			panic(fmt.Sprintf("registry: empty %s name or alias (registering %q)", r.kind, name))
-		}
-		if _, taken := r.index[k]; taken || slices.Contains(keys[:i], k) {
-			panic(fmt.Sprintf("registry: duplicate %s registration %q", r.kind, k))
-		}
+// Register installs v under name. It panics on an empty name and on a name
+// that is already taken.
+func (r *Registry[T]) Register(name string, v T) {
+	if name == "" {
+		panic(fmt.Sprintf("registry: empty %s name", r.kind))
 	}
-	for _, k := range keys {
-		r.index[k] = len(r.vals)
+	if _, taken := r.index[name]; taken {
+		panic(fmt.Sprintf("registry: duplicate %s registration %q", r.kind, name))
 	}
+	r.index[name] = len(r.vals)
 	r.names = append(r.names, name)
 	r.vals = append(r.vals, v)
 }
 
-// Lookup resolves a name or alias to its value. The empty name resolves to
+// Lookup resolves a name to its value. The empty name resolves to
 // the default; a name nothing answers to returns an *UnknownError.
 func (r *Registry[T]) Lookup(name string) (T, error) {
 	if name == "" {
@@ -66,7 +61,7 @@ func (r *Registry[T]) Lookup(name string) (T, error) {
 // All returns the registered values in registration order.
 func (r *Registry[T]) All() []T { return slices.Clone(r.vals) }
 
-// Names returns the canonical names, sorted (aliases excluded).
+// Names returns the names, sorted.
 func (r *Registry[T]) Names() []string {
 	names := slices.Clone(r.names)
 	slices.Sort(names)
@@ -77,7 +72,7 @@ func (r *Registry[T]) Names() []string {
 type UnknownError struct {
 	Kind  string   // the registry's package-qualified kind, e.g. "ckpt strategy"
 	Name  string   // the name looked up
-	Known []string // the valid canonical names, sorted
+	Known []string // the valid names, sorted
 }
 
 // Error renders `<package>: unknown <noun> "<name>" (valid: a, b, ...)`,

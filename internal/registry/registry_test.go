@@ -10,39 +10,30 @@ import (
 
 // TestRegistry pins the contract every named choice relies on: wiring bugs
 // panic without touching the registry, the empty name resolves to the
-// default, aliases resolve to their entry, unknown names carry the sorted
-// canonical names, and All keeps registration order.
+// default, unknown names carry the sorted names, and All keeps registration
+// order.
 func TestRegistry(t *testing.T) {
 	r := New[int]("pkg widget", "b")
-	r.Register("c", nil, 3)
-	r.Register("b", []string{"bee", "bb"}, 2)
-	r.Register("a", nil, 1)
+	r.Register("c", 3)
+	r.Register("b", 2)
+	r.Register("a", 1)
 
-	for _, tc := range []struct {
-		want    string
-		name    string
-		aliases []string
-	}{
-		{"empty pkg widget", "", nil},
-		{"empty pkg widget", "x1", []string{""}},
-		{`duplicate pkg widget registration "c"`, "c", nil},
-		{`duplicate pkg widget registration "bee"`, "bee", nil},
-		{`duplicate pkg widget registration "a"`, "x2", []string{"a"}},
-		{`duplicate pkg widget registration "bb"`, "x3", []string{"bb"}},
-		{`duplicate pkg widget registration "x4"`, "x4", []string{"x4"}},
-		{`duplicate pkg widget registration "y"`, "x5", []string{"y", "y"}},
+	for _, tc := range []struct{ want, name string }{
+		{"empty pkg widget name", ""},
+		{`duplicate pkg widget registration "c"`, "c"},
+		{`duplicate pkg widget registration "b"`, "b"},
 	} {
 		func() {
 			defer func() {
 				if msg := fmt.Sprint(recover()); !strings.Contains(msg, tc.want) {
-					t.Errorf("Register(%q, %q) panicked with %q, want %q", tc.name, tc.aliases, msg, tc.want)
+					t.Errorf("Register(%q) panicked with %q, want %q", tc.name, msg, tc.want)
 				}
 			}()
-			r.Register(tc.name, tc.aliases, 0)
+			r.Register(tc.name, 0)
 		}()
 	}
 
-	for name, want := range map[string]int{"": 2, "a": 1, "b": 2, "bee": 2, "bb": 2, "c": 3} {
+	for name, want := range map[string]int{"": 2, "a": 1, "b": 2, "c": 3} {
 		if got, err := r.Lookup(name); err != nil || got != want {
 			t.Errorf("Lookup(%q) = %d, %v; want %d", name, got, err, want)
 		}

@@ -206,15 +206,14 @@ var _ fsys.System = (*Core)(nil)
 // policies never touch (token counters on a lock-free backend, for example)
 // simply stay zero.
 type Stats struct {
-	Creates       int
-	Opens         int
-	Closes        int
-	TokenGrants   int
-	TokenRevokes  int
-	BytesWritten  int64
-	BytesRead     int64
-	NoiseSpikes   int
-	NoiseSpikeSum float64 // total injected delay, seconds
+	Creates      int
+	Opens        int
+	Closes       int
+	TokenGrants  int
+	TokenRevokes int
+	BytesWritten int64
+	BytesRead    int64
+	NoiseSpikes  int
 
 	// Fault-handling activity (all zero in a fault-free run).
 	Retries      int     // unresponsive-server probe attempts
@@ -392,7 +391,6 @@ func (c *Core) DrawSpike(srv *Server, prob float64) float64 {
 	if srv.rng.Float64() < prob {
 		spike := srv.rng.Pareto(c.cfg.NoiseScale, c.cfg.NoiseAlpha)
 		c.Stats.NoiseSpikes++
-		c.Stats.NoiseSpikeSum += spike
 		return spike
 	}
 	return 0

@@ -8,7 +8,6 @@ import "strings"
 // a table of these on the run's recorder (SetTenants) so every span the
 // instrumented layers emit is credited to the tenant that caused it.
 type TenantRange struct {
-	Label  string
 	RankLo int
 	RankHi int
 	PsetLo int

@@ -7,8 +7,8 @@ import "testing"
 func tenantTestRecorder() *Recorder {
 	r := &Recorder{MaxEvents: 0}
 	r.SetTenants([]TenantRange{
-		{Label: "t0", RankLo: 0, RankHi: 64, PsetLo: 0, PsetHi: 1},
-		{Label: "t1", RankLo: 64, RankHi: 128, PsetLo: 1, PsetHi: 2},
+		{RankLo: 0, RankHi: 64, PsetLo: 0, PsetHi: 1},
+		{RankLo: 64, RankHi: 128, PsetLo: 1, PsetHi: 2},
 	})
 	return r
 }
@@ -70,7 +70,7 @@ func TestTenantAttributionAccumulates(t *testing.T) {
 // recorder without a table attributes nothing.
 func TestTenantNilSafety(t *testing.T) {
 	var nilRec *Recorder
-	nilRec.SetTenants([]TenantRange{{Label: "x"}})
+	nilRec.SetTenants([]TenantRange{{}})
 	if nilRec.TenantSpanTime(0, LayerCkpt) != 0 {
 		t.Error("nil recorder attributes time")
 	}
