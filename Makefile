@@ -11,14 +11,18 @@ build:
 test:
 	$(GO) test ./...
 
-# check is the CI gate: formatting, static analysis, a full build, and the
-# kernel + experiment-runner tests under the race detector (the parallel
-# fan-out and the baton protocol are exactly the code -race can falsify).
+# check is the CI gate: formatting, static analysis of both modules (bench/
+# is its own), a full build, and CI's three race steps: the experiment
+# runner, fault injection with the storage stack, and the kernel's coroutine
+# baton with MPI and the strategies on sharded lanes.
 check:
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 	$(GO) build ./...
-	$(GO) test -race ./internal/sim/... ./internal/exp/... ./internal/machine/...
+	$(GO) test -race ./internal/exp/...
+	$(GO) test -race ./internal/fault/... ./internal/storage/... ./internal/gpfs/... ./internal/pvfs/... ./internal/bbuf/...
+	$(GO) test -race ./internal/sim/... ./internal/mpi/... ./internal/ckpt/...
 
 # bench runs the perf-regression microbenchmarks (event calendar churn,
 # process handoff, resource ring).

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -304,15 +305,39 @@ var fieldOnlyAllow = map[string]string{
 	"storage.Stats.FaultDelay":       "tests check fault handling charged its delay",
 }
 
+// singleValueAllow names, qualified by package and struct, the fields that
+// every non-test write sets to one constant and that stay fields anyway, each
+// with the reason.
+var singleValueAllow = map[string]string{
+	"exp.PriorWorkRow.NP": "a printed col: column; every prior-work row reports the same rank count",
+}
+
 // fieldScan records, for every struct field declared outside bench/, whether
-// non-test Go writes it and whether it reads it.
+// non-test Go writes it, whether it reads it, and whether every write gives it
+// one constant value.
 type fieldScan struct {
 	decl          map[*types.Var]string // field -> package.Struct.field
 	written, read map[*types.Var]bool
+	// value holds the constant a field's writes give it; varied marks a field
+	// some write gives a non-constant or second value, or whose zero value a
+	// literal leaving it out uses.
+	value  map[*types.Var]constant.Value
+	varied map[*types.Var]bool
 }
 
 func newFieldScan() *fieldScan {
-	return &fieldScan{map[*types.Var]string{}, map[*types.Var]bool{}, map[*types.Var]bool{}}
+	return &fieldScan{map[*types.Var]string{}, map[*types.Var]bool{}, map[*types.Var]bool{},
+		map[*types.Var]constant.Value{}, map[*types.Var]bool{}}
+}
+
+// set records a write of val to field v; a nil val is not a constant.
+func (s *fieldScan) set(v *types.Var, val constant.Value) {
+	v = v.Origin()
+	if old, ok := s.value[v]; val == nil || ok && !constant.Compare(old, token.EQL, val) {
+		s.varied[v] = true
+		return
+	}
+	s.value[v] = val
 }
 
 // scan records the fields pkg declares, when declare is set, and every
@@ -321,9 +346,20 @@ func (s *fieldScan) scan(fset *token.FileSet, pkg *types.Package, info *types.In
 	// writes holds the field selectors in a write position; addressed holds
 	// those whose address is taken, which code may also read through.
 	writes, addressed := map[*ast.Ident]bool{}, map[*ast.Ident]bool{}
-	write := func(e ast.Expr) {
+	field := func(id *ast.Ident) *types.Var {
+		if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+			return v
+		}
+		return nil
+	}
+	// write records a write of val to e when e selects a field; a nil val
+	// is not a constant.
+	write := func(e ast.Expr, val constant.Value) {
 		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
 			writes[sel.Sel] = true
+			if v := field(sel.Sel); v != nil {
+				s.set(v, val)
+			}
 		}
 	}
 	for _, f := range files {
@@ -333,35 +369,54 @@ func (s *fieldScan) scan(fset *token.FileSet, pkg *types.Package, info *types.In
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.AssignStmt:
-				for _, lhs := range n.Lhs {
-					write(lhs)
+				for i, lhs := range n.Lhs {
+					var val constant.Value
+					if n.Tok == token.ASSIGN && len(n.Lhs) == len(n.Rhs) {
+						val = info.Types[n.Rhs[i]].Value
+					}
+					write(lhs, val)
 				}
 			case *ast.IncDecStmt:
-				write(n.X)
+				write(n.X, nil)
 			case *ast.UnaryExpr:
 				if sel, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok && n.Op == token.AND {
 					addressed[sel.Sel] = true
+					if v := field(sel.Sel); v != nil {
+						s.set(v, nil)
+					}
 				}
 			case *ast.RangeStmt:
 				if n.Tok == token.ASSIGN {
-					write(n.Key)
-					write(n.Value)
+					write(n.Key, nil)
+					write(n.Value, nil)
 				}
 			case *ast.CompositeLit:
 				st, ok := info.Types[n].Type.Underlying().(*types.Struct)
 				if !ok {
 					return true
 				}
-				for _, e := range n.Elts {
+				keyed := map[*types.Var]bool{}
+				for i, e := range n.Elts {
 					kv, ok := e.(*ast.KeyValueExpr)
 					if !ok {
 						// An unkeyed literal writes every field.
-						for i := 0; i < st.NumFields(); i++ {
-							s.written[st.Field(i).Origin()] = true
-						}
-						break
+						s.written[st.Field(i).Origin()] = true
+						s.set(st.Field(i), info.Types[e].Value)
+						continue
 					}
 					writes[kv.Key.(*ast.Ident)] = true
+					v := field(kv.Key.(*ast.Ident))
+					keyed[v] = true
+					s.set(v, info.Types[kv.Value].Value)
+				}
+				// A keyed or empty literal gives the fields it leaves out
+				// their zero value.
+				if len(n.Elts) == 0 || len(keyed) > 0 {
+					for i := 0; i < st.NumFields(); i++ {
+						if !keyed[st.Field(i)] {
+							s.set(st.Field(i), nil)
+						}
+					}
 				}
 			}
 			return true
@@ -423,7 +478,7 @@ func (s *fieldScan) declare(fset *token.FileSet, pkg *types.Package, info *types
 					s.read[v] = true
 				}
 				if _, ok := tag.Lookup("json"); ok {
-					s.read[v], s.written[v] = true, true
+					s.read[v], s.written[v], s.varied[v] = true, true, true
 				}
 			}
 			name := prefix
@@ -463,16 +518,20 @@ func (s *fieldScan) declare(fset *token.FileSet, pkg *types.Package, info *types
 }
 
 // check fails on every declared field that no non-test Go writes or reads,
-// unless fieldOnlyAllow names it.
+// unless fieldOnlyAllow names it, and on every field that every non-test
+// write sets to one constant, unless singleValueAllow names it.
 func (s *fieldScan) check(t *testing.T, fset *token.FileSet) {
 	declared := map[string]bool{}
 	var dead []string
 	for v, name := range s.decl {
 		declared[name] = true
+		pos := fset.Position(v.Pos())
+		if val, ok := s.value[v]; ok && !s.varied[v] && singleValueAllow[name] == "" {
+			dead = append(dead, fmt.Sprintf("%s: field %s: every non-test write sets it to %s; make it a constant", pos, name, val))
+		}
 		if fieldOnlyAllow[name] != "" {
 			continue
 		}
-		pos := fset.Position(v.Pos())
 		if !s.written[v] {
 			dead = append(dead, fmt.Sprintf("%s: field %s: no non-test Go sets it", pos, name))
 		}
@@ -487,6 +546,11 @@ func (s *fieldScan) check(t *testing.T, fset *token.FileSet) {
 	for name := range fieldOnlyAllow {
 		if !declared[name] {
 			t.Errorf("allowlisted field %s is declared nowhere outside bench/; drop it from fieldOnlyAllow", name)
+		}
+	}
+	for name := range singleValueAllow {
+		if !declared[name] {
+			t.Errorf("allowlisted field %s is declared nowhere outside bench/; drop it from singleValueAllow", name)
 		}
 	}
 }

@@ -86,7 +86,7 @@ func (c *cli) build() (*meshgen.Mesh, error) {
 		value int
 	}{{"np", c.np}, {"nx", c.nx}, {"ny", c.ny}, {"nz", c.nz}, {"nr", c.nr}, {"nt", c.nt}} {
 		if f.value < 1 {
-			return nil, &flagError{f.name, f.value, "want >= 1"}
+			return nil, &flagError{f.name, f.value}
 		}
 	}
 	switch c.geom {
@@ -98,11 +98,10 @@ func (c *cli) build() (*meshgen.Mesh, error) {
 	return nil, fmt.Errorf("unknown geometry %q", c.geom)
 }
 
-// flagError reports a numeric flag value out of range.
+// flagError reports a count flag below 1.
 type flagError struct {
 	Flag  string
 	Value int
-	Why   string
 }
 
-func (e *flagError) Error() string { return fmt.Sprintf("invalid -%s %d (%s)", e.Flag, e.Value, e.Why) }
+func (e *flagError) Error() string { return fmt.Sprintf("invalid -%s %d (want >= 1)", e.Flag, e.Value) }

@@ -27,20 +27,16 @@ import (
 )
 
 // Config holds the burst-buffer model parameters: the shared storage
-// mechanism behind the drain (the same DDN arrays as the PVFS volume), the
-// PVFS-style hashed metadata costs, and the ION-local buffer tier.
+// mechanism behind the drain (the same DDN arrays as the PVFS volume) and
+// the ION-local buffer tier. Metadata is PVFS-style hashed
+// (storage.HashedMDS, whose costs are constants).
 type Config struct {
 	storage.Config
 
-	CreateBase float64
-	OpenBase   float64
-	CloseBase  float64
-
 	// BufferPerION is each fleet node's buffer capacity. Writes that fit are
-	// absorbed at BufferBW and drained in the background; writes that no
+	// absorbed at bufferBW and drained in the background; writes that no
 	// node can hold spill to the synchronous path until drains free space.
 	BufferPerION int64
-	BufferBW     float64 // per-node absorption bandwidth (memory/NVRAM speed)
 	DrainBW      float64 // background drain rate per node toward the servers
 
 	// FleetNodes sizes the burst-buffer fleet. Zero (and, equivalently, a
@@ -54,10 +50,6 @@ type Config struct {
 	// ("" = fifo). FIFO is pass-through (the legacy path); "deadline" and
 	// "tenant" hold a per-node backlog an event-driven dispatcher reorders.
 	DrainPolicy string
-	// DrainTarget is the deadline-aware scheduler's residency target:
-	// each drain's deadline is its absorb completion plus this many
-	// seconds. Only the "deadline" policy reads it.
-	DrainTarget float64
 }
 
 // DefaultConfig returns the burst-buffer-on-Intrepid model parameters: a
@@ -72,13 +64,8 @@ func DefaultConfig() Config {
 	sc.ClientStreamBW = 300e6
 	return Config{
 		Config:       sc,
-		CreateBase:   0.8e-3,
-		OpenBase:     0.5e-3,
-		CloseBase:    0.2e-3,
 		BufferPerION: 2 << 30,
-		BufferBW:     2e9,
 		DrainBW:      250e6,
-		DrainTarget:  5,
 	}
 }
 
@@ -87,14 +74,11 @@ func (c Config) Validate() error {
 	if c.BufferPerION < 0 {
 		return fmt.Errorf("bbuf: buffer capacity must be non-negative")
 	}
-	if c.BufferBW <= 0 || c.DrainBW <= 0 {
-		return fmt.Errorf("bbuf: buffer bandwidths must be positive")
+	if c.DrainBW <= 0 {
+		return fmt.Errorf("bbuf: drain bandwidth must be positive")
 	}
 	if c.FleetNodes < 0 {
 		return fmt.Errorf("bbuf: fleet size must be non-negative (0 = one node per ION)")
-	}
-	if c.DrainTarget < 0 {
-		return fmt.Errorf("bbuf: drain target must be non-negative")
 	}
 	return nil
 }
@@ -120,13 +104,9 @@ func New(m *machine.Machine, cfg Config) (*FileSystem, error) {
 	}
 	path := &fleet{cfg: cfg, sched: sched}
 	core, err := storage.New(m, cfg.Config, storage.Backend{
-		Name:       "bbuf",
-		ServerName: "bbsrv",
-		Metadata: &storage.HashedMDS{
-			CreateBase: cfg.CreateBase,
-			OpenBase:   cfg.OpenBase,
-			CloseBase:  cfg.CloseBase,
-		},
+		Name:        "bbuf",
+		ServerName:  "bbsrv",
+		Metadata:    &storage.HashedMDS{},
 		Concurrency: storage.LockFree{},
 		Data:        path,
 	})
@@ -161,8 +141,8 @@ func init() {
 // aggregated into one loss report across the node's fleet — its pset's
 // writes spill to the synchronous path until it restores, and drains
 // retry/fail over against the shared servers like any other commit.
-func (fs *FileSystem) EnableFaults(in *fault.Injector, pol storage.FaultPolicy, rng *xrand.RNG) {
-	fs.Core.EnableFaults(in, pol, rng)
+func (fs *FileSystem) EnableFaults(in *fault.Injector, rng *xrand.RNG) {
+	fs.Core.EnableFaults(in, rng)
 	fs.path.init(fs.Core)
 	in.Subscribe(func(ev fault.Event) {
 		if ev.Class != fault.ION || ev.Index >= len(fs.path.originDead) {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/machine"
 	"repro/internal/sim"
-	"repro/internal/storage"
 	"repro/internal/xrand"
 )
 
@@ -24,7 +23,7 @@ func faultRig(t *testing.T, mod func(*Config), sched fault.Schedule, body func(p
 		mod(&cfg)
 	}
 	fs := mustNew(t, m, cfg)
-	fs.EnableFaults(fault.NewInjector(k, sched), storage.DefaultFaultPolicy(), xrand.New(9))
+	fs.EnableFaults(fault.NewInjector(k, sched), xrand.New(9))
 	k.Go("test", func(p *sim.Proc) { body(p, fs) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)

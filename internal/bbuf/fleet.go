@@ -8,6 +8,13 @@ import (
 	"repro/internal/storage"
 )
 
+// bufferBW is a fleet node's absorption bandwidth (memory/NVRAM speed).
+const bufferBW float64 = 2e9
+
+// drainTarget is the deadline-aware scheduler's residency target: each
+// drain's deadline is its absorb completion plus this many seconds.
+const drainTarget float64 = 5
+
 // fleet is the burst-buffer write-path policy: a set of buffer nodes on the
 // ION/storage side of the machine, each with its own capacity, absorption
 // pipe, and drain channel toward the shared servers. Two shapes exist:
@@ -116,7 +123,7 @@ func (d *fleet) init(c *storage.Core) {
 		return fmt.Sprintf("%s/node%d", prefix, i)
 	}
 	for i := 0; i < n; i++ {
-		d.absorb[i] = fabric.NewPipe(name("bb", i), 0, d.cfg.BufferBW)
+		d.absorb[i] = fabric.NewPipe(name("bb", i), 0, bufferBW)
 		d.drain[i] = fabric.NewPipe(name("bbdrain", i), 0, d.cfg.DrainBW)
 	}
 	if rec, layer := c.Recorder(); rec != nil {
@@ -259,7 +266,7 @@ func (d *fleet) submit(c *storage.Core, h *storage.Handle, node, rank int, ready
 	d.backlog[node] = append(d.backlog[node], pendingDrain{
 		req: Request{
 			Seq: d.seq, Priority: d.priority(rank),
-			Bytes: n, Ready: ready, Deadline: ready + d.cfg.DrainTarget,
+			Bytes: n, Ready: ready, Deadline: ready + drainTarget,
 		},
 		h: h, off: off,
 	})

@@ -11,7 +11,7 @@ type Request struct {
 	Priority int   // tenant drain priority; higher drains first under "tenant"
 	Bytes    int64
 	Ready    float64 // when absorption completed and the drain became eligible
-	Deadline float64 // Ready + Config.DrainTarget; the deadline-aware key
+	Deadline float64 // Ready + drainTarget; the deadline-aware key
 }
 
 // Scheduler is the drain-ordering policy seam: it decides which pending
@@ -57,7 +57,7 @@ func (FIFO) Queued() bool { return false }
 func (FIFO) Pick(pending []Request) int { return 0 }
 
 // Deadline is earliest-deadline-first: each request carries a drain
-// deadline (Ready + Config.DrainTarget) and the backlog serves the most
+// deadline (Ready + drainTarget) and the backlog serves the most
 // urgent one. Under a backlog this prioritizes the oldest absorbed data —
 // the bytes whose epochs have waited longest for durability — over
 // whatever happened to arrive first on this node.

@@ -30,35 +30,26 @@ import (
 // through AsyncPlan.WaitDurable. Epoch commits are issued by the agent at
 // flush completion, so an epoch seals only when the data is actually on
 // storage — a killed node's unflushed snapshot permanently tears its epoch.
+//
+// Snapshots go to node-local memory at localBW and localLatency, shared by
+// a node's ranks.
 type Async struct {
-	// LocalBW is the node-local snapshot bandwidth shared by a node's ranks
-	// (DDR2 share on BG/P-class hardware).
-	LocalBW float64
-	// LocalLatency is the per-snapshot local storage latency.
-	LocalLatency float64
-	// Slots is how many checkpoint steps a rank may keep in background
-	// flight before Write applies backpressure (blocks on the oldest
-	// flush). Zero means the default of 2.
-	Slots int
 	// Hints configure the collective restart read.
 	Hints mpiio.Hints
 }
 
+// asyncSlots is how many checkpoint steps a rank may keep in background
+// flight before Write applies backpressure (blocks on the oldest flush).
+const asyncSlots int = 2
+
 // DefaultAsync returns the headline configuration: RAM-disk-rate local
 // snapshots, two flush slots of lookahead per rank.
 func DefaultAsync() Async {
-	return Async{LocalBW: 1.4e9, LocalLatency: 20e-6, Slots: 2, Hints: mpiio.DefaultHints()}
+	return Async{Hints: mpiio.DefaultHints()}
 }
 
 // Name implements Strategy.
-func (s Async) Name() string { return fmt.Sprintf("async(agg,slots=%d)", s.slots()) }
-
-func (s Async) slots() int {
-	if s.Slots < 1 {
-		return 2
-	}
-	return s.Slots
-}
+func (s Async) Name() string { return fmt.Sprintf("async(agg,slots=%d)", asyncSlots) }
 
 // asyncFile names the aggregated output of one pset.
 func asyncFile(dir string, step int64, pset int) string {
@@ -154,15 +145,7 @@ func (pl *asyncPlan) nodePipe(r *mpi.Rank) *fabric.Pipe {
 	node := r.World().M.NodeOfRank(r.ID())
 	pipe := pl.ps.pipes[node]
 	if pipe == nil {
-		lat := pl.cfg.LocalLatency
-		if lat <= 0 {
-			lat = 20e-6
-		}
-		bw := pl.cfg.LocalBW
-		if bw <= 0 {
-			bw = 1.4e9
-		}
-		pipe = fabric.NewPipe(fmt.Sprintf("snap/n%d", node), lat, bw)
+		pipe = fabric.NewPipe(fmt.Sprintf("snap/n%d", node), localLatency, localBW)
 		pl.ps.pipes[node] = pipe
 	}
 	return pipe
@@ -175,9 +158,9 @@ func (pl *asyncPlan) Write(env *Env, r *mpi.Rank, cp *Checkpoint) (Stats, error)
 		return Stats{}, err
 	}
 	start := r.Now()
-	// Backpressure: only slots steps may be in background flight; past
+	// Backpressure: only asyncSlots steps may be in background flight; past
 	// that, Write blocks on the oldest flush like a sync strategy would.
-	for len(pl.pending) >= pl.cfg.slots() {
+	for len(pl.pending) >= asyncSlots {
 		if err := pl.drainOldest(r); err != nil {
 			return Stats{}, err
 		}
@@ -210,7 +193,7 @@ func (sn *asyncSnap) Continue() bool {
 	pl, env, r, cp := sn.pl, sn.env, sn.r, sn.cp
 	p := r.Proc()
 	if !sn.copying {
-		if env.FaultAware() && !env.Up(r.ID()) {
+		if !env.Up(r.ID()) {
 			// A dead rank snapshots nothing, but still "arrives" so the
 			// pset's flight completes and the agent can fire; its chunk is
 			// recorded lost at flush time.
@@ -305,7 +288,7 @@ func (pl *asyncPlan) flush(env *Env, fp *sim.Proc, fl *asyncFlight) {
 		// A member whose node died after snapshotting holds its only copy
 		// in dead RAM: genuinely lost, exactly the staleness async trades
 		// for its short blocked phase.
-		if fl.lost[i] == "" && env.FaultAware() && !env.Up(w) {
+		if fl.lost[i] == "" && !env.Up(w) {
 			fl.lost[i] = "node lost before flush"
 		}
 		if fl.lost[i] != "" {

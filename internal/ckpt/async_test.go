@@ -134,37 +134,37 @@ func TestAsyncSnapshotBarelyBlocks(t *testing.T) {
 	}
 }
 
-// TestAsyncBackpressure pins the Slots contract: with one flight slot, the
-// second Write must first drain the first step's flush — the solver feels
-// sync-like blocking exactly when it outruns the storage.
+// TestAsyncBackpressure pins the flight-slot contract: with two slots, the
+// second Write returns before the first step's flush lands, and the third
+// must first drain it — the solver feels sync-like blocking exactly when it
+// outruns the storage.
 func TestAsyncBackpressure(t *testing.T) {
-	s := DefaultAsync()
-	s.Slots = 1
-	runAsyncWorld(t, 64, s, plainEnv, func(env *Env, pl Plan, c *mpi.Comm, r *mpi.Rank) {
-		st1, err := pl.Write(env, r, makeCheckpoint(r.ID(), 0, 64<<10))
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		st2, err := pl.Write(env, r, makeCheckpoint(r.ID(), 1, 64<<10))
-		if err != nil {
-			t.Error(err)
-			return
+	runAsyncWorld(t, 64, DefaultAsync(), plainEnv, func(env *Env, pl Plan, c *mpi.Comm, r *mpi.Rank) {
+		var st [3]Stats
+		for i := range st {
+			var err error
+			if st[i], err = pl.Write(env, r, makeCheckpoint(r.ID(), int64(i), 64<<10)); err != nil {
+				t.Error(err)
+				return
+			}
 		}
 		fst, err := pl.(AsyncPlan).WaitDurable(env, r)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		if len(fst) != 2 || fst[0].Step != 0 || fst[1].Step != 1 {
-			t.Errorf("rank %d drained %+v, want steps 0 then 1", r.ID(), fst)
+		if len(fst) != 3 || fst[0].Step != 0 || fst[1].Step != 1 || fst[2].Step != 2 {
+			t.Errorf("rank %d drained %+v, want steps 0, 1 then 2", r.ID(), fst)
 			return
 		}
-		if fst[0].Durable > st2.End {
-			t.Errorf("rank %d: second Write returned at %v before slot drained at %v", r.ID(), st2.End, fst[0].Durable)
+		if st[1].End >= fst[0].Durable {
+			t.Errorf("rank %d: second Write returned at %v, not before the first flush landed at %v", r.ID(), st[1].End, fst[0].Durable)
 		}
-		if st2.Blocked() <= st1.Blocked() {
-			t.Errorf("rank %d: backpressured Write blocked %v, not above free Write %v", r.ID(), st2.Blocked(), st1.Blocked())
+		if fst[0].Durable > st[2].End {
+			t.Errorf("rank %d: third Write returned at %v before slot drained at %v", r.ID(), st[2].End, fst[0].Durable)
+		}
+		if st[2].Blocked() <= st[0].Blocked() {
+			t.Errorf("rank %d: backpressured Write blocked %v, not above free Write %v", r.ID(), st[2].Blocked(), st[0].Blocked())
 		}
 	})
 }

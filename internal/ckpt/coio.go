@@ -191,7 +191,7 @@ func (s *coStep) close(r *mpi.Rank, st *Stats) error {
 	// coIO is not fault-aware: a dead rank ghosts through the collective,
 	// but its data never really existed — its epoch contribution is lost,
 	// not committed.
-	if env.FaultAware() && !env.Up(r.ID()) {
+	if !env.Up(r.ID()) {
 		env.epochLost(LevelGlobal, cp.Step, r.ID(), "node down", end)
 	} else {
 		env.epochCommit(LevelGlobal, cp.Step, r.ID(), len(cp.Fields), end)

@@ -23,21 +23,22 @@ type MultiLevel struct {
 	Global Strategy
 	// GlobalEvery writes every k-th checkpoint globally (1 = every one).
 	GlobalEvery int
-	// LocalBW is the node-local RAM-disk bandwidth shared by a node's four
-	// ranks (DDR2 share on BG/P-class hardware).
-	LocalBW float64
-	// LocalLatency is the per-write local storage latency.
-	LocalLatency float64
 }
+
+// The node-local RAM disk that MultiLevel's local level and Async's
+// snapshots write to: its bandwidth, shared by a node's four ranks (DDR2
+// share on BG/P-class hardware), and its per-write latency.
+const (
+	localBW      float64 = 1.4e9
+	localLatency float64 = 20e-6
+)
 
 // DefaultMultiLevel wraps the paper's rbIO with a local level flushed
 // globally every 4th checkpoint.
 func DefaultMultiLevel() MultiLevel {
 	return MultiLevel{
-		Global:       DefaultRbIO(),
-		GlobalEvery:  4,
-		LocalBW:      1.4e9,
-		LocalLatency: 20e-6,
+		Global:      DefaultRbIO(),
+		GlobalEvery: 4,
 	}
 }
 
@@ -64,7 +65,7 @@ func (s MultiLevel) Plan(c *mpi.Comm, r *mpi.Rank) (Plan, error) {
 	}
 	// One RAM-disk pipe per compute node, shared by its ranks, so every rank
 	// of a node contends on it.
-	sh := c.Shared(r, func() any { return buildMLShared(s, c, r) }).(*mlShared)
+	sh := c.Shared(r, func() any { return buildMLShared(c, r) }).(*mlShared)
 	return &mlPlan{
 		cfg:    s,
 		global: gp,
@@ -83,22 +84,14 @@ type mlShared struct {
 	local map[int]*localCkpt   // world rank -> latest local checkpoint slot
 }
 
-func buildMLShared(s MultiLevel, c *mpi.Comm, r *mpi.Rank) *mlShared {
-	bw := s.LocalBW
-	if bw <= 0 {
-		bw = 1.4e9
-	}
-	lat := s.LocalLatency
-	if lat <= 0 {
-		lat = 20e-6
-	}
+func buildMLShared(c *mpi.Comm, r *mpi.Rank) *mlShared {
 	m := r.World().M
 	sh := &mlShared{pipes: map[int]*fabric.Pipe{}, local: map[int]*localCkpt{}}
 	for i := 0; i < c.Size(); i++ {
 		w := c.WorldRank(i)
 		sh.local[w] = &localCkpt{}
 		if node := m.NodeOfRank(w); sh.pipes[node] == nil {
-			sh.pipes[node] = fabric.NewPipe(fmt.Sprintf("ramdisk/n%d", node), lat, bw)
+			sh.pipes[node] = fabric.NewPipe(fmt.Sprintf("ramdisk/n%d", node), localLatency, localBW)
 		}
 	}
 	return sh
@@ -130,7 +123,7 @@ func (pl *mlPlan) Write(env *Env, r *mpi.Rank, cp *Checkpoint) (Stats, error) {
 	_, end := pl.nodePipe(r).Transfer(r.Now(), cp.TotalBytes())
 	r.Proc().SleepUntil(end)
 	pl.sh.local[r.ID()].cp = cp
-	if env.FaultAware() && !env.Up(r.ID()) {
+	if !env.Up(r.ID()) {
 		env.epochLost(LevelLocal, cp.Step, r.ID(), "node down", r.Now())
 	} else {
 		env.epochBlock(LevelLocal, cp.Step, r.ID(),

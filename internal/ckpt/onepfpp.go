@@ -32,7 +32,7 @@ func (pl *onePlan) Write(env *Env, r *mpi.Rank, cp *Checkpoint) (Stats, error) {
 		return Stats{}, err
 	}
 	start := r.Now()
-	if env.FaultAware() && !env.Up(r.ID()) {
+	if !env.Up(r.ID()) {
 		env.epochLost(LevelGlobal, cp.Step, r.ID(), "node down", start)
 		return Stats{Role: RoleAll, Start: start, End: start, Skipped: true, DeadRank: true}, nil
 	}

@@ -412,7 +412,7 @@ func (pl *rbPlan) writeWriter(env *Env, r *mpi.Rank, cp *Checkpoint) (Stats, err
 	// node is down is recorded lost, not committed.
 	for w := 0; w < gs; w++ {
 		wr := pl.group.WorldRank(w)
-		if env.FaultAware() && !env.Up(wr) {
+		if !env.Up(wr) {
 			env.epochLost(LevelGlobal, cp.Step, wr, "node down", end)
 		} else {
 			env.epochCommit(LevelGlobal, cp.Step, wr, len(cp.Fields), end)

@@ -314,13 +314,15 @@ type RestartStormRow struct {
 // restart storm that follows a real machine-wide outage.
 type RestartStormResult struct {
 	NP, Tenants  int
-	OutageSec    float64 // how long the servers stayed down
 	Rows         []RestartStormRow
 	StormPenalty float64      // worst tenant's storm/solo slowdown
 	FaultCounts  fault.Counts // injector events that fired
 	Torn         int          // torn epochs across every tenant's scan
 	ScanBytes    int64        // manifest bytes read back across the scans
 }
+
+// stormOutage is how long, in seconds, RestartStorm keeps the servers down.
+const stormOutage float64 = 60
 
 // RestartStorm runs the outage scenario on one kernel across four phases:
 // write, outage, solo-read baselines, storm. Fault injection mutates shared
@@ -346,7 +348,7 @@ func RestartStorm(o Options, np, nt int) (*RestartStormResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &RestartStormResult{NP: np, Tenants: nt, OutageSec: 60}
+	res := &RestartStormResult{NP: np, Tenants: nt}
 
 	// Phase 1 — every tenant writes its checkpoint.
 	jobs, err := cs.launch(tenants)
@@ -359,13 +361,13 @@ func RestartStorm(o Options, np, nt int) (*RestartStormResult, error) {
 	t1 := cs.K.Now()
 
 	// Phase 2 — system-wide outage: every file server fails one second
-	// after the writes drain and restores OutageSec later. The schedule is
+	// after the writes drain and restores stormOutage later. The schedule is
 	// explicit, so the scenario is exactly reproducible.
 	var sched fault.Schedule
 	for i := 0; i < numServers(cs.FS); i++ {
 		sched = append(sched,
 			fault.Event{Time: t1 + 1, Class: fault.Server, Index: i, Kind: fault.Fail},
-			fault.Event{Time: t1 + 1 + res.OutageSec, Class: fault.Server, Index: i, Kind: fault.Restore},
+			fault.Event{Time: t1 + 1 + stormOutage, Class: fault.Server, Index: i, Kind: fault.Restore},
 		)
 	}
 	sched.Sort()
@@ -373,7 +375,7 @@ func RestartStorm(o Options, np, nt int) (*RestartStormResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	restoreAt := t1 + 1 + res.OutageSec
+	restoreAt := t1 + 1 + stormOutage
 
 	// Phase 3 — solo baselines: each tenant first scans its manifest log
 	// through the shared storage (detecting any epoch the outage tore,
@@ -549,7 +551,7 @@ func registerClusterExperiments() {
 			if err != nil {
 				return err
 			}
-			s.printf("== restartstorm: %d tenants x np=%d, %vs outage ==\n%s\n", r.Tenants, r.NP, r.OutageSec, table.Of(r.Rows))
+			s.printf("== restartstorm: %d tenants x np=%d, %vs outage ==\n%s\n", r.Tenants, r.NP, stormOutage, table.Of(r.Rows))
 			s.printf("worst storm penalty %.2fx; fault events fired: %d fail, %d restore; manifest scans: %d torn epoch(s), %d B read\n",
 				r.StormPenalty, r.FaultCounts.Fails, r.FaultCounts.Restores, r.Torn, r.ScanBytes)
 			return nil

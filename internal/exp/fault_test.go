@@ -181,6 +181,23 @@ func TestFaultFreeSpecMatchesNoSpec(t *testing.T) {
 	}
 }
 
+// TestYoungInterval checks Young's interval against its closed form,
+// sqrt(2*C*M), and checks that it minimizes the first-order waste
+// C/tau + tau/(2*M).
+func TestYoungInterval(t *testing.T) {
+	if got := youngInterval(50, 3600); got != 600 {
+		t.Errorf("youngInterval(C=50, M=3600) = %v, want 600", got)
+	}
+	const C, M = 30.0, 5000.0
+	waste := func(tau float64) float64 { return C/tau + tau/(2*M) }
+	tau := youngInterval(C, M)
+	for _, f := range []float64{0.9, 0.99, 1.01, 1.1} {
+		if waste(tau*f) <= waste(tau) {
+			t.Errorf("waste at %v*tau = %v, not above the optimum's %v", f, waste(tau*f), waste(tau))
+		}
+	}
+}
+
 // TestDalyMakespan checks the Daly model against a hand-computed point and
 // against its large-MTBF limit, where failures vanish and the makespan is
 // the work plus one checkpoint per interval: work*(tau+C)/tau.

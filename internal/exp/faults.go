@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/fault"
-	"repro/internal/storage"
 	"repro/internal/xrand"
 )
 
@@ -75,15 +74,14 @@ func (e *env) attachFaults(spec *FaultSpec) (*fault.Injector, error) {
 		})
 	}
 	inj := fault.NewInjector(k, sched)
-	pol := storage.DefaultFaultPolicy()
 	// The jitter stream is split from the fault seed, never from the
 	// machine's noise RNG: the storage core's RNG split order is frozen by
 	// the fault-free goldens.
 	frng := xrand.New((spec.Seed ^ 0xda3e39cb94b95bdb) | 1)
 	if f, ok := fs.(interface {
-		EnableFaults(*fault.Injector, storage.FaultPolicy, *xrand.RNG)
+		EnableFaults(*fault.Injector, *xrand.RNG)
 	}); ok {
-		f.EnableFaults(inj, pol, frng)
+		f.EnableFaults(inj, frng)
 	}
 	inj.Subscribe(func(ev fault.Event) {
 		switch ev.Class {
@@ -271,7 +269,7 @@ func Makespan(o Options, np int, mtbfHours float64) ([]MakespanRow, error) {
 			mtbf := mtbfHours * mult
 			M := mtbf * 3600 / float64(ncomp)
 			C, R := r0.WriteSec, r0.RestartSec
-			tau := math.Sqrt(2 * C * M) // Young's first-order optimum
+			tau := youngInterval(C, M)
 			T := dalyMakespan(M, C, R, tau, makespanWork)
 			rows = append(rows, MakespanRow{
 				Strategy: r0.Strategy, NP: np,
@@ -284,6 +282,13 @@ func Makespan(o Options, np int, mtbfHours float64) ([]MakespanRow, error) {
 		}
 	}
 	return rows, nil
+}
+
+// youngInterval is Young's first-order optimum checkpoint interval for
+// checkpoint cost C at system MTBF M: sqrt(2*C*M), the tau that minimizes
+// the first-order waste per unit of work, C/tau + tau/(2*M).
+func youngInterval(C, M float64) float64 {
+	return math.Sqrt(2 * C * M)
 }
 
 // dalyMakespan is Daly's first-order expected makespan for work seconds of

@@ -101,8 +101,8 @@ func runRecoveryCell(o Options, np int, fam recoveryFamily, work, ce int, spec *
 		NewWorld: e.world,
 		Base:     base,
 		Log:      log, Work: work, CheckpointEvery: ce, SegmentCkpts: fam.SegCkpts,
-		Dir: "ckpt", Injector: e.Inj,
-		Nodes: e.M.NumNodes(), IONs: e.M.NumPsets(), Servers: numServers(e.FS),
+		Injector: e.Inj,
+		Nodes:    e.M.NumNodes(), IONs: e.M.NumPsets(), Servers: numServers(e.FS),
 	})
 	if err != nil {
 		return recoveryCellOut{err: err}

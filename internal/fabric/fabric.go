@@ -128,45 +128,49 @@ func (p *Pipe) NextFree() float64 { return p.nextFree }
 // links, consumed by machine.Interconnect over whatever topology the
 // machine composes.
 type LinkConfig struct {
-	LinkBW     float64 // bytes/s per direction per link (BG/P: 425 MB/s)
-	HopLatency float64 // per-hop router latency in seconds
-	InjectBW   float64 // node DMA injection bandwidth, bytes/s
-	InjectLat  float64 // software send overhead in seconds
+	LinkBW   float64 // bytes/s per direction per link (BG/P: 425 MB/s)
+	InjectBW float64 // node DMA injection bandwidth, bytes/s
 }
 
+// The compute interconnect's latencies, seconds, the same on every
+// topology.
+const (
+	HopLatency float64 = 100e-9 // per-hop router latency
+	InjectLat  float64 = 2e-6   // software send overhead
+)
+
 // MinLatency returns the smallest virtual latency any message crossing at
-// least hops links can experience under these parameters: the software
-// injection overhead plus the per-hop router delays. Serialization time
-// only adds to it, so this is a safe conservative-lookahead floor for the
-// partitioned simulation kernel.
-func (c LinkConfig) MinLatency(hops int) float64 {
+// least hops links can experience: the software injection overhead plus the
+// per-hop router delays. Serialization time only adds to it, so this is a
+// safe conservative-lookahead floor for the partitioned simulation kernel.
+func MinLatency(hops int) float64 {
 	if hops < 1 {
 		hops = 1
 	}
-	return c.InjectLat + float64(hops)*c.HopLatency
+	return InjectLat + float64(hops)*HopLatency
 }
 
 // DefaultLinkConfig returns Blue Gene/P torus parameters: 425 MB/s per link
-// direction, ~100ns per hop, and DMA injection near memory speed.
+// direction and DMA injection near memory speed.
 func DefaultLinkConfig() LinkConfig {
 	return LinkConfig{
-		LinkBW:     425e6,
-		HopLatency: 100e-9,
-		InjectBW:   3.4e9,
-		InjectLat:  2e-6,
+		LinkBW:   425e6,
+		InjectBW: 3.4e9,
 	}
 }
 
 // TreeConfig holds the collective-network parameters.
 type TreeConfig struct {
-	BW      float64 // per-pset tree bandwidth into the ION, bytes/s
-	Latency float64 // tree traversal latency, seconds
+	BW float64 // per-pset tree bandwidth into the ION, bytes/s
 }
+
+// treeLatency is the collective network's traversal latency, seconds.
+const treeLatency float64 = 4e-6
 
 // DefaultTreeConfig returns BG/P collective network parameters (~850 MB/s
 // per tree link; the link into the ION is the pset-wide funnel).
 func DefaultTreeConfig() TreeConfig {
-	return TreeConfig{BW: 850e6, Latency: 4e-6}
+	return TreeConfig{BW: 850e6}
 }
 
 // Tree is the per-pset collective network: one shared funnel pipe per pset,
@@ -179,7 +183,7 @@ type Tree struct {
 func NewTree(n int, cfg TreeConfig) *Tree {
 	t := &Tree{psets: make([]*Pipe, n)}
 	for i := range t.psets {
-		t.psets[i] = NewPipe(fmt.Sprintf("tree/pset%d", i), cfg.Latency, cfg.BW)
+		t.psets[i] = NewPipe(fmt.Sprintf("tree/pset%d", i), treeLatency, cfg.BW)
 	}
 	return t
 }
@@ -189,20 +193,22 @@ func (t *Tree) Pset(i int) *Pipe { return t.psets[i] }
 
 // EthernetConfig holds the ION-to-storage network parameters.
 type EthernetConfig struct {
-	IONBw   float64 // per-ION 10GbE bandwidth, bytes/s
-	IONLat  float64 // per-transfer latency
-	CoreBW  float64 // aggregate switch-core bandwidth, bytes/s
-	CoreLat float64
+	IONBw  float64 // per-ION 10GbE bandwidth, bytes/s
+	CoreBW float64 // aggregate switch-core bandwidth, bytes/s
 }
+
+// The ION-to-storage network's per-transfer latencies, seconds.
+const (
+	ionLat  float64 = 30e-6 // an ION NIC's
+	coreLat float64 = 10e-6 // the switching core's
+)
 
 // DefaultEthernetConfig returns Intrepid-like parameters: 10 GbE per ION and
 // a switching core comfortably above the storage system's 47 GB/s write peak.
 func DefaultEthernetConfig() EthernetConfig {
 	return EthernetConfig{
-		IONBw:   1.25e9,
-		IONLat:  30e-6,
-		CoreBW:  64e9,
-		CoreLat: 10e-6,
+		IONBw:  1.25e9,
+		CoreBW: 64e9,
 	}
 }
 
@@ -219,10 +225,10 @@ func NewEthernet(n int, cfg EthernetConfig) *Ethernet {
 	e := &Ethernet{
 		cfg:  cfg,
 		nics: make([]*Pipe, n),
-		core: NewPipe("eth/core", cfg.CoreLat, cfg.CoreBW),
+		core: NewPipe("eth/core", coreLat, cfg.CoreBW),
 	}
 	for i := range e.nics {
-		e.nics[i] = NewPipe(fmt.Sprintf("eth/ion%d", i), cfg.IONLat, cfg.IONBw)
+		e.nics[i] = NewPipe(fmt.Sprintf("eth/ion%d", i), ionLat, cfg.IONBw)
 	}
 	return e
 }
@@ -235,7 +241,7 @@ func (e *Ethernet) Transfer(now float64, ion int, size int64) (arrival float64) 
 	// core's queueing (if any) and latency on top.
 	_, coreDone := e.core.Transfer(nicDone-float64(size)/e.cfg.IONBw, size)
 	if coreDone < nicDone {
-		coreDone = nicDone + e.cfg.CoreLat
+		coreDone = nicDone + coreLat
 	}
 	return coreDone
 }

@@ -49,7 +49,7 @@ func TestPipeRejectsZeroBandwidth(t *testing.T) {
 }
 
 func TestTreeFunnelSharedPerPset(t *testing.T) {
-	tr := NewTree(2, TreeConfig{BW: 1e6, Latency: 0})
+	tr := NewTree(2, TreeConfig{BW: 1e6})
 	_, e1 := tr.Pset(0).Transfer(0, 1e6)
 	s2, _ := tr.Pset(0).Transfer(0, 1e6)
 	if s2 < e1 {
@@ -57,13 +57,13 @@ func TestTreeFunnelSharedPerPset(t *testing.T) {
 	}
 	// Other pset is independent.
 	s3, _ := tr.Pset(1).Transfer(0, 1e6)
-	if s3 != 0 {
-		t.Fatalf("other pset queued: start %v, want 0", s3)
+	if s3 != treeLatency {
+		t.Fatalf("other pset queued: start %v, want %v", s3, treeLatency)
 	}
 }
 
 func TestEthernetNICBottleneck(t *testing.T) {
-	e := NewEthernet(4, EthernetConfig{IONBw: 1e6, IONLat: 0, CoreBW: 1e9, CoreLat: 0})
+	e := NewEthernet(4, EthernetConfig{IONBw: 1e6, CoreBW: 1e9})
 	arr := e.Transfer(0, 0, 1e6)
 	if arr < 1.0-1e-9 {
 		t.Fatalf("transfer faster than NIC allows: %v", arr)
@@ -77,7 +77,7 @@ func TestEthernetNICBottleneck(t *testing.T) {
 
 func TestEthernetCoreContention(t *testing.T) {
 	// Core slower than the sum of NICs: many parallel IONs must queue.
-	e := NewEthernet(8, EthernetConfig{IONBw: 1e6, IONLat: 0, CoreBW: 2e6, CoreLat: 0})
+	e := NewEthernet(8, EthernetConfig{IONBw: 1e6, CoreBW: 2e6})
 	last := 0.0
 	for i := 0; i < 8; i++ {
 		if a := e.Transfer(0, i, 1e6); a > last {

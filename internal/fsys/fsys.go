@@ -23,24 +23,18 @@ var (
 	ErrClosed   = errors.New("handle is closed")
 )
 
-// Typed failures the storage models return under fault injection, defined
-// here so checkpoint strategies can classify errors without importing the
-// storage core. Backends wrap these with detail; match with errors.Is or
-// Unavailable.
-var (
-	// ErrServerDown reports that the file server owning the addressed
-	// stripe is down and no failover target survived.
-	ErrServerDown = errors.New("file server down")
-	// ErrTimeout reports that an operation exhausted its retry budget
-	// against unresponsive servers.
-	ErrTimeout = errors.New("storage operation timed out")
-)
+// ErrServerDown is the typed failure the storage models return under fault
+// injection: the file server owning the addressed stripe is down and no
+// failover target survived. It is defined here so checkpoint strategies can
+// classify errors without importing the storage core. Backends wrap it with
+// detail; match with errors.Is or Unavailable.
+var ErrServerDown = errors.New("file server down")
 
 // Unavailable reports whether err is a fault-injection storage failure —
 // one a fault-aware checkpoint strategy should absorb into loss accounting
 // rather than abort the run over.
 func Unavailable(err error) bool {
-	return errors.Is(err, ErrServerDown) || errors.Is(err, ErrTimeout)
+	return errors.Is(err, ErrServerDown)
 }
 
 // System is a mounted parallel file system shared by the whole machine.

@@ -16,8 +16,8 @@ import (
 
 // faultRig builds a small machine + file system with a fault schedule armed
 // and runs body as a single process.
-func faultRig(t *testing.T, mod func(*Config), sched fault.Schedule, pol *storage.FaultPolicy,
-	jitterSeed uint64, body func(p *sim.Proc, fs *FileSystem)) {
+func faultRig(t *testing.T, mod func(*Config), sched fault.Schedule, jitterSeed uint64,
+	body func(p *sim.Proc, fs *FileSystem)) {
 	t.Helper()
 	k := sim.NewKernel()
 	m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(256))
@@ -27,11 +27,7 @@ func faultRig(t *testing.T, mod func(*Config), sched fault.Schedule, pol *storag
 		mod(&cfg)
 	}
 	fs := MustNew(m, cfg)
-	p0 := storage.DefaultFaultPolicy()
-	if pol != nil {
-		p0 = *pol
-	}
-	fs.EnableFaults(fault.NewInjector(k, sched), p0, xrand.New(jitterSeed))
+	fs.EnableFaults(fault.NewInjector(k, sched), xrand.New(jitterSeed))
 	k.Go("test", func(p *sim.Proc) { body(p, fs) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -43,7 +39,7 @@ func faultRig(t *testing.T, mod func(*Config), sched fault.Schedule, pol *storag
 // redirecting the dead server's blocks, and the data reads back.
 func TestServerDeathFailsOverToSurvivors(t *testing.T) {
 	sched := fault.Schedule{{Time: 1e-9, Class: fault.Server, Index: 0, Kind: fault.Fail}}
-	faultRig(t, func(c *Config) { c.NumServers = 4; c.BlockSize = 1 << 20 }, sched, nil, 5,
+	faultRig(t, func(c *Config) { c.NumServers = 4; c.BlockSize = 1 << 20 }, sched, 5,
 		func(p *sim.Proc, fs *FileSystem) {
 			h, err := fs.Create(p, 0, "f")
 			if err != nil {
@@ -85,7 +81,7 @@ func TestAllServersDownSurfacesTypedError(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		sched = append(sched, fault.Event{Time: 1e-9, Class: fault.Server, Index: i, Kind: fault.Fail})
 	}
-	faultRig(t, func(c *Config) { c.NumServers = 4 }, sched, nil, 5,
+	faultRig(t, func(c *Config) { c.NumServers = 4 }, sched, 5,
 		func(p *sim.Proc, fs *FileSystem) {
 			h, err := fs.Create(p, 0, "f")
 			if err != nil {
@@ -123,63 +119,21 @@ func TestAllServersDownSurfacesTypedError(t *testing.T) {
 		})
 }
 
-// TestHomeRetryTimesOutTyped: with failover disabled and the home server
-// down past the whole retry budget, the operation errors with ErrTimeout.
-func TestHomeRetryTimesOutTyped(t *testing.T) {
-	sched := fault.Schedule{{Time: 1e-9, Class: fault.Server, Index: 0, Kind: fault.Fail}}
-	pol := storage.DefaultFaultPolicy()
-	pol.Failover = false
-	faultRig(t, func(c *Config) { c.NumServers = 4 }, sched, &pol, 5,
-		func(p *sim.Proc, fs *FileSystem) {
-			h, err := fs.Create(p, 0, "f")
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Small write: all of it lands on the file's first stripe server.
-			werr := h.WriteAt(p, 0, 0, data.Synthetic(1024))
-			if werr == nil {
-				h.Sync(p, 0)
-				werr = h.Err()
-			}
-			// The stripe start is file-dependent; retry until we find a file
-			// homed on the dead server (4 servers, so a handful of tries).
-			for i := 0; werr == nil && i < 16; i++ {
-				hn, err := fs.Create(p, 0, "f"+string(rune('a'+i)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				werr = hn.WriteAt(p, 0, 0, data.Synthetic(1024))
-				if werr == nil {
-					hn.Sync(p, 0)
-					werr = hn.Err()
-				}
-			}
-			if werr == nil {
-				t.Fatal("no write ever hit the dead home server")
-			}
-			if !errors.Is(werr, storage.ErrTimeout) {
-				t.Errorf("want ErrTimeout without failover, got %v", werr)
-			}
-		})
-}
-
 // TestRetryJitterReproducible: the backoff jitter comes from a dedicated
 // seeded stream, so the same schedule and seed give bit-identical timing and
 // fault accounting, while a different seed moves them.
 func TestRetryJitterReproducible(t *testing.T) {
-	// Home server down at the start, back after 3 s: no-failover retries
-	// must ride the jittered backoff across the outage.
+	// Both servers down at the start, server 0 back after 2 s: with no
+	// failover target the client rides the jittered backoff until server 0
+	// answers again, as home or as failover target.
 	sched := fault.Schedule{
 		{Time: 1e-9, Class: fault.Server, Index: 0, Kind: fault.Fail},
-		{Time: 3, Class: fault.Server, Index: 1, Kind: fault.Fail},
-		{Time: 4, Class: fault.Server, Index: 0, Kind: fault.Restore},
+		{Time: 1e-9, Class: fault.Server, Index: 1, Kind: fault.Fail},
+		{Time: 2, Class: fault.Server, Index: 0, Kind: fault.Restore},
 		{Time: 5, Class: fault.Server, Index: 1, Kind: fault.Restore},
 	}
-	pol := storage.DefaultFaultPolicy()
-	pol.Failover = false
-	pol.RetryMax = 16
 	run := func(seed uint64) (delay, end float64, retries int) {
-		faultRig(t, func(c *Config) { c.NumServers = 2 }, sched, &pol, seed,
+		faultRig(t, func(c *Config) { c.NumServers = 2 }, sched, seed,
 			func(p *sim.Proc, fs *FileSystem) {
 				h, err := fs.Create(p, 0, "f")
 				if err != nil {

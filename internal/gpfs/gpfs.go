@@ -39,29 +39,10 @@ import (
 var _ fsys.System = (*FileSystem)(nil)
 
 // Config holds the file system model parameters: the shared storage
-// mechanism plus the GPFS policies' costs. Times are seconds.
+// mechanism plus the GPFS write-behind switch. The GPFS policies' costs are
+// constants of storage.CentralizedMDS and storage.TokenManager.
 type Config struct {
 	storage.Config
-
-	// Metadata server costs. A create scans/locks the directory, so its cost
-	// grows with the current entry count; in addition the MDS thrashes under
-	// deep request queues (lock-manager and directory-block contention), so
-	// service time is multiplied by 1 + min((queue/MDSQueueRef)^2,
-	// MDSMaxSlowdown). A 64K-rank 1PFPP create storm queues tens of
-	// thousands of requests and collapses; a few thousand rbIO writer
-	// creates barely notice.
-	MDSCreateBase  float64
-	MDSOpenBase    float64
-	MDSCloseBase   float64
-	MDSEntryCost   float64 // extra create cost per existing directory entry
-	MDSQueueRef    float64 // queue depth at which MDS service doubles
-	MDSMaxSlowdown float64 // cap on the queue-induced multiplier
-
-	// Token (byte-range lock) manager: per-block grant cost, serialized at
-	// the file's metanode, plus the cost of revoking a token another client
-	// holds.
-	TokenGrant  float64
-	TokenRevoke float64
 
 	// WriteBehind enables the ION-side cache: WriteAt returns once data has
 	// reached the ION and tokens are held; the disk commit proceeds in the
@@ -80,16 +61,8 @@ func DefaultConfig() Config {
 	// "more files == more parallel streams" true, per Figure 8.
 	sc.ClientStreamBW = 50e6
 	return Config{
-		Config:         sc,
-		MDSCreateBase:  0.5e-3,
-		MDSOpenBase:    0.4e-3,
-		MDSCloseBase:   0.15e-3,
-		MDSEntryCost:   0.2e-6,
-		MDSQueueRef:    1870,
-		MDSMaxSlowdown: 30,
-		TokenGrant:     0.45e-3,
-		TokenRevoke:    5e-3,
-		WriteBehind:    true,
+		Config:      sc,
+		WriteBehind: true,
 	}
 }
 
@@ -102,17 +75,10 @@ type FileSystem struct {
 // New mounts a file system on the machine.
 func New(m *machine.Machine, cfg Config) (*FileSystem, error) {
 	core, err := storage.New(m, cfg.Config, storage.Backend{
-		Name:       "gpfs",
-		ServerName: "nsd",
-		Metadata: &storage.CentralizedMDS{
-			CreateBase:  cfg.MDSCreateBase,
-			OpenBase:    cfg.MDSOpenBase,
-			CloseBase:   cfg.MDSCloseBase,
-			EntryCost:   cfg.MDSEntryCost,
-			QueueRef:    cfg.MDSQueueRef,
-			MaxSlowdown: cfg.MDSMaxSlowdown,
-		},
-		Concurrency: &storage.TokenManager{Grant: cfg.TokenGrant, Revoke: cfg.TokenRevoke},
+		Name:        "gpfs",
+		ServerName:  "nsd",
+		Metadata:    &storage.CentralizedMDS{},
+		Concurrency: storage.TokenManager{},
 		Data:        &storage.BlockPipeline{WriteBehind: cfg.WriteBehind},
 	})
 	if err != nil {

@@ -60,7 +60,7 @@ func (ic *Interconnect) Instrument(rec *trace.Recorder) { ic.rec = rec }
 // completes — the moment a non-blocking send's buffer is reusable and
 // MPI_Isend-style calls are "perceived" as done by the application.
 func (ic *Interconnect) Inject(now float64, src int, size int64) (injectDone float64) {
-	start := now + ic.cfg.InjectLat
+	start := now + fabric.InjectLat
 	if ic.injectFree[src] > start {
 		start = ic.injectFree[src]
 	}
@@ -84,7 +84,7 @@ func (ic *Interconnect) transfer(routeBuf *[]int, start float64, src, dst int, s
 		ic.rec.Add(trace.LayerFabric, ic.bytesCtr, size)
 	}
 	if src == dst {
-		return start + ic.cfg.HopLatency
+		return start + fabric.HopLatency
 	}
 	*routeBuf = ic.topo.AppendRoute((*routeBuf)[:0], src, dst)
 	return ic.priceRoute(*routeBuf, start, size)
@@ -99,7 +99,7 @@ func (ic *Interconnect) priceRoute(route []int, start float64, size int64) (arri
 		if ic.linkFree[idx] > head {
 			head = ic.linkFree[idx]
 		}
-		head += ic.cfg.HopLatency
+		head += fabric.HopLatency
 	}
 	if ic.degraded > 0 {
 		for _, idx := range route {

@@ -19,24 +19,24 @@ func torusNet(t *testing.T, x, y, z int, cfg fabric.LinkConfig) (*Interconnect, 
 }
 
 func TestUncontendedLatency(t *testing.T) {
-	cfg := fabric.LinkConfig{LinkBW: 425e6, HopLatency: 100e-9, InjectBW: 3.4e9, InjectLat: 2e-6}
+	cfg := fabric.LinkConfig{LinkBW: 425e6, InjectBW: 3.4e9}
 	tn, tor := torusNet(t, 8, 8, 8, cfg)
 	src, dst := 0, tor.ID([3]int{3, 0, 0})
 	size := int64(1 << 20)
 	arr := tn.Transfer(0, src, dst, size)
-	want := 3*cfg.HopLatency + float64(size)/cfg.LinkBW
+	want := 3*fabric.HopLatency + float64(size)/cfg.LinkBW
 	if math.Abs(arr-want) > 1e-9 {
 		t.Fatalf("uncontended arrival %v, want %v", arr, want)
 	}
 }
 
 func TestContentionSharedLink(t *testing.T) {
-	tn, _ := torusNet(t, 8, 1, 1, fabric.LinkConfig{LinkBW: 1e6, HopLatency: 0, InjectBW: 1e12, InjectLat: 0})
+	tn, _ := torusNet(t, 8, 1, 1, fabric.LinkConfig{LinkBW: 1e6, InjectBW: 1e12})
 	// Two messages 0->2 share both links; second must wait for the first.
 	a1 := tn.Transfer(0, 0, 2, 1e6)
 	a2 := tn.Transfer(0, 0, 2, 1e6)
-	if math.Abs(a1-1.0) > 1e-9 {
-		t.Fatalf("first arrival %v, want 1.0", a1)
+	if want := 1.0 + 2*fabric.HopLatency; math.Abs(a1-want) > 1e-9 {
+		t.Fatalf("first arrival %v, want %v", a1, want)
 	}
 	if a2 < 2.0-1e-9 {
 		t.Fatalf("second arrival %v shows no contention (want >= 2.0)", a2)
@@ -44,11 +44,11 @@ func TestContentionSharedLink(t *testing.T) {
 }
 
 func TestDisjointPathsDoNotInterfere(t *testing.T) {
-	tn, tor := torusNet(t, 8, 8, 1, fabric.LinkConfig{LinkBW: 1e6, HopLatency: 0, InjectBW: 1e12, InjectLat: 0})
+	tn, tor := torusNet(t, 8, 8, 1, fabric.LinkConfig{LinkBW: 1e6, InjectBW: 1e12})
 	// 0->1 along X and a Y-only pair share no links.
 	a1 := tn.Transfer(0, 0, 1, 1e6)
 	a2 := tn.Transfer(0, tor.ID([3]int{0, 2, 0}), tor.ID([3]int{0, 3, 0}), 1e6)
-	if math.Abs(a1-1.0) > 1e-9 || math.Abs(a2-1.0) > 1e-9 {
+	if want := 1.0 + fabric.HopLatency; math.Abs(a1-want) > 1e-9 || math.Abs(a2-want) > 1e-9 {
 		t.Fatalf("disjoint transfers interfered: %v, %v", a1, a2)
 	}
 }
@@ -62,16 +62,17 @@ func TestSelfTransfer(t *testing.T) {
 }
 
 func TestInjectSerializesPerNode(t *testing.T) {
-	tn, _ := torusNet(t, 4, 1, 1, fabric.LinkConfig{LinkBW: 425e6, HopLatency: 0, InjectBW: 1e6, InjectLat: 0})
-	d1 := tn.Inject(0, 0, 1e6) // 1s at 1 MB/s
+	tn, _ := torusNet(t, 4, 1, 1, fabric.LinkConfig{LinkBW: 425e6, InjectBW: 1e6})
+	lat := fabric.InjectLat
+	d1 := tn.Inject(0, 0, 1e6) // 1s at 1 MB/s after the send overhead
 	d2 := tn.Inject(0, 0, 1e6)
-	if math.Abs(d1-1.0) > 1e-9 || math.Abs(d2-2.0) > 1e-9 {
-		t.Fatalf("injections [%v %v], want [1 2]", d1, d2)
+	if math.Abs(d1-(1.0+lat)) > 1e-9 || math.Abs(d2-(2.0+lat)) > 1e-9 {
+		t.Fatalf("injections [%v %v], want [%v %v]", d1, d2, 1.0+lat, 2.0+lat)
 	}
 	// A different node's injector is independent.
 	d3 := tn.Inject(0, 1, 1e6)
-	if math.Abs(d3-1.0) > 1e-9 {
-		t.Fatalf("independent node injection %v, want 1.0", d3)
+	if math.Abs(d3-(1.0+lat)) > 1e-9 {
+		t.Fatalf("independent node injection %v, want %v", d3, 1.0+lat)
 	}
 }
 
@@ -98,23 +99,24 @@ func TestTransferArrivalNeverBeforeStart(t *testing.T) {
 // a route link stretches serialization by the factor, and restoring it
 // returns the engine to the exact healthy arithmetic.
 func TestLinkDegradeSlowsBottleneck(t *testing.T) {
-	cfg := fabric.LinkConfig{LinkBW: 1e6, HopLatency: 0, InjectBW: 1e12, InjectLat: 0}
+	cfg := fabric.LinkConfig{LinkBW: 1e6, InjectBW: 1e12}
 	tn, _ := torusNet(t, 8, 1, 1, cfg)
 	tp := tn.topo
 	route := Route(tp, 0, 2)
+	hops := 2 * fabric.HopLatency // the route's head latency
 	healthy := tn.Transfer(0, 0, 2, 1e6)
-	if math.Abs(healthy-1.0) > 1e-9 {
-		t.Fatalf("healthy arrival %v, want 1.0", healthy)
+	if math.Abs(healthy-(1.0+hops)) > 1e-9 {
+		t.Fatalf("healthy arrival %v, want %v", healthy, 1.0+hops)
 	}
 	tn.SetLinkDegrade(route[0], 0.25) // quarter bandwidth on the first hop
 	slow := tn.Transfer(healthy, 0, 2, 1e6)
-	if math.Abs((slow-healthy)-4.0) > 1e-9 {
-		t.Fatalf("degraded transfer took %v, want 4.0", slow-healthy)
+	if math.Abs((slow-healthy)-(4.0+hops)) > 1e-9 {
+		t.Fatalf("degraded transfer took %v, want %v", slow-healthy, 4.0+hops)
 	}
 	tn.SetLinkDegrade(route[0], 0) // restore
 	again := tn.Transfer(slow, 0, 2, 1e6)
-	if math.Abs((again-slow)-1.0) > 1e-9 {
-		t.Fatalf("restored transfer took %v, want 1.0", again-slow)
+	if math.Abs((again-slow)-(1.0+hops)) > 1e-9 {
+		t.Fatalf("restored transfer took %v, want %v", again-slow, 1.0+hops)
 	}
 	// A degraded link off the route changes nothing.
 	tn.SetLinkDegrade(route[0]+3, 0.5)
@@ -122,7 +124,7 @@ func TestLinkDegradeSlowsBottleneck(t *testing.T) {
 	_ = off
 	tn.SetLinkDegrade(route[0]+3, 1) // factor >= 1 also restores
 	final := tn.Transfer(again+100, 0, 2, 1e6)
-	if math.Abs((final-(again+100))-1.0) > 1e-9 {
-		t.Fatalf("post-restore transfer took %v, want 1.0", final-(again+100))
+	if math.Abs((final-(again+100))-(1.0+hops)) > 1e-9 {
+		t.Fatalf("post-restore transfer took %v, want %v", final-(again+100), 1.0+hops)
 	}
 }

@@ -6,6 +6,8 @@ package machine
 // file extracts that bound from the composed Topology and link physics, and
 // decides which psets' internal traffic is safe to price from a lane at all.
 
+import "repro/internal/fabric"
+
 // Lookahead returns the conservative lookahead window for pset-partitioned
 // simulation: the smallest virtual latency any message between two nodes of
 // different psets can experience (software injection overhead plus the
@@ -13,7 +15,7 @@ package machine
 // Contention and serialization only add to it, so no cross-pset influence
 // scheduled at time t can take effect before t + Lookahead().
 func (m *Machine) Lookahead() float64 {
-	return m.Cfg.Link.MinLatency(m.minCrossPsetHops())
+	return fabric.MinLatency(m.minCrossPsetHops())
 }
 
 // minCrossPsetHops returns a lower bound on the number of links any

@@ -41,13 +41,12 @@ func TestLookaheadBoundsCrossPsetDeltas(t *testing.T) {
 			if la <= 0 {
 				t.Fatalf("lookahead %v not positive", la)
 			}
-			link := m.Cfg.Link
 			for a := 0; a < m.NumNodes(); a++ {
 				for b := 0; b < m.NumNodes(); b++ {
 					if m.PsetOfNode(a) == m.PsetOfNode(b) {
 						continue
 					}
-					min := link.InjectLat + float64(m.Topo.Distance(a, b))*link.HopLatency
+					min := fabric.InjectLat + float64(m.Topo.Distance(a, b))*fabric.HopLatency
 					if la > min {
 						t.Fatalf("lookahead %v exceeds analytic minimum %v for %d->%d", la, min, a, b)
 					}

@@ -378,7 +378,7 @@ func (st *coll) send(dst int, buf data.Buf, val any) (collStatus, float64) {
 	}
 	st.snd = op
 	st.wait = waitSendPost
-	return collSleep, st.r.w.cfg.SendOverhead
+	return collSleep, sendOverhead
 }
 
 // recv receives the pass's message from comm rank src: exactly Recv, with

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/bgp"
@@ -93,17 +94,36 @@ func TestTreeCollectivesResumeOncePerCall(t *testing.T) {
 // built from blocking Send and Recv, each rank's process resuming at every
 // hop.
 
+// refVals carries the reference collectives' host objects beside their
+// messages, since Recv returns only the payload. A sender stores the value
+// under its message's key before sending; the receiver takes it once Recv
+// returns.
+var refVals sync.Map
+
+type refKey struct{ comm, tag, src, dst int }
+
+func refSend(c *Comm, r *Rank, dst, tag int, buf data.Buf, val any) {
+	refVals.Store(refKey{c.id, tag, c.Rank(r), dst}, val)
+	c.newSend(r, dst, tag, buf, nil).wait()
+}
+
+func refRecv(c *Comm, r *Rank, src, tag int) (data.Buf, any) {
+	buf, _ := c.Recv(r, src, tag)
+	val, _ := refVals.LoadAndDelete(refKey{c.id, tag, src, c.Rank(r)})
+	return buf, val
+}
+
 func refGather(c *Comm, r *Rank, v int64) []int64 {
 	n, me := c.Size(), c.Rank(r)
 	tag := c.nextCollTag(r)
 	vals := []int64{v}
 	for mask := 1; mask < n; mask <<= 1 {
 		if me&mask != 0 {
-			c.newSend(r, me-mask, tag, data.Synthetic(16*int64(len(vals))), vals).wait()
+			refSend(c, r, me-mask, tag, data.Synthetic(16*int64(len(vals))), vals)
 			return nil
 		}
 		if me+mask < n {
-			_, _, run, _ := c.recv(r, me+mask, tag, -1)
+			_, run := refRecv(c, r, me+mask, tag)
 			vals = append(vals, run.([]int64)...)
 		}
 	}
@@ -122,11 +142,11 @@ func refBcast(c *Comm, r *Rank, root int, buf data.Buf, val any) (data.Buf, any)
 		mask <<= 1
 	}
 	if vrank != 0 {
-		buf, _, val, _ = c.recv(r, (vrank-mask+root)%n, tag, -1)
+		buf, val = refRecv(c, r, (vrank-mask+root)%n, tag)
 	}
 	for m := mask >> 1; m >= 1; m >>= 1 {
 		if child := vrank + m; child < n {
-			c.newSend(r, (child+root)%n, tag, buf, val).wait()
+			refSend(c, r, (child+root)%n, tag, buf, val)
 		}
 	}
 	return buf, val

@@ -410,8 +410,9 @@ func logRecvd(log rankLog, r *Rank, st recvStep, start float64, buf data.Buf, ok
 }
 
 // recvAll takes steps: as one RecvSeq, or as the loop of receives it
-// replaces. It stops after stop receives when stop > 0 and returns the
-// steps not taken.
+// replaces, each a blocking Recv or, with a deadline, a one-receive
+// RecvSeq. It stops after stop receives when stop > 0 and returns the steps
+// not taken.
 func recvAll(folded bool, c *Comm, r *Rank, gap int, steps []recvStep, stop int, log rankLog) []recvStep {
 	if folded {
 		seq := &logRecvs{log: log, gap: gap, steps: steps, stop: stop}
@@ -423,7 +424,12 @@ func recvAll(folded bool, c *Comm, r *Rank, gap int, steps []recvStep, stop int,
 			return steps[i:]
 		}
 		start := r.Now()
-		buf, _, _, ok := c.recv(r, st.k*gap, st.field, st.timeout)
+		buf, ok := data.Buf{}, true
+		if st.timeout < 0 {
+			buf, _ = c.Recv(r, st.k*gap, st.field)
+		} else {
+			buf, ok = recvOne(c, r, st.k*gap, st.field, st.timeout)
+		}
 		logRecvd(log, r, st, start, buf, ok)
 	}
 	return nil
@@ -490,8 +496,9 @@ func recvScenario(folded bool, np, gap int) foldBody {
 	}
 }
 
-// TestRecvSeqMatchesRecvLoop checks RecvSeq against a loop of blocking
-// receives (Comm.recv, with the same deadlines) on the serial kernel:
+// TestRecvSeqMatchesRecvLoop checks RecvSeq against a loop of receives
+// (Recv, or one-receive sequences with the same deadlines) on the serial
+// kernel:
 // posted receives, inbox hits with and without Sleep's fast path,
 // deadlines that expire and ones the message beats, stale timers, and a
 // sequence that stops early. Results, return times, events, spans and

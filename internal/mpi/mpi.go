@@ -32,10 +32,15 @@ import (
 // AnySource matches a message from any rank in Recv.
 const AnySource = -1
 
-// Config holds the software costs of the MPI layer.
+// The MPI layer's fixed software costs on BG/P's DCMF messaging layer,
+// seconds.
+const (
+	sendOverhead float64 = 2e-6 // per send
+	recvOverhead float64 = 1e-6 // per receive
+)
+
+// Config holds the rate-dependent software cost of the MPI layer.
 type Config struct {
-	SendOverhead float64 // fixed per-send software cost, seconds
-	RecvOverhead float64 // fixed per-receive software cost, seconds
 	// LocalCopyBW is the rate at which a non-blocking send hands its buffer
 	// to the messaging layer — the rate a worker "perceives". Calibrated so
 	// a 400 KB field send costs ~10^4 CPU cycles, per Table I.
@@ -44,11 +49,7 @@ type Config struct {
 
 // DefaultConfig returns costs calibrated for BG/P's DCMF messaging layer.
 func DefaultConfig() Config {
-	return Config{
-		SendOverhead: 2e-6,
-		RecvOverhead: 1e-6,
-		LocalCopyBW:  24e9,
-	}
+	return Config{LocalCopyBW: 24e9}
 }
 
 // World is an MPI job: one rank per core of its machine slice. A world
@@ -413,8 +414,7 @@ func (w *recvWant) Fire() {
 // message is there: the software overhead and the copy out of the
 // messaging layer.
 func (r *Rank) recvCost(n int64) float64 {
-	cfg := r.w.cfg
-	return cfg.RecvOverhead + float64(n)/cfg.LocalCopyBW
+	return recvOverhead + float64(n)/r.w.cfg.LocalCopyBW
 }
 
 // take removes and returns the earliest-arrived inbox message matching
@@ -602,7 +602,7 @@ func (c *Comm) WorldRank(commRank int) int { return c.members[commRank] }
 func (c *Comm) Isend(r *Rank, dst, tag int, buf data.Buf) *Request {
 	op := c.newSend(r, dst, tag, buf, nil)
 	// The call itself costs the software overhead.
-	r.proc.Sleep(r.w.cfg.SendOverhead)
+	r.proc.Sleep(sendOverhead)
 	op.post()
 	req := &Request{doneAt: op.doneAt, start: op.start, rank: r.id}
 	op.release()
@@ -743,7 +743,7 @@ func (op *sendOp) close(name string, end float64) {
 // out both of the send's waits parked with op as its continuation, then
 // the call closes.
 func (op *sendOp) wait() {
-	op.r.proc.AwaitAfter(op.r.w.cfg.SendOverhead, op)
+	op.r.proc.AwaitAfter(sendOverhead, op)
 	op.end()
 }
 
@@ -773,45 +773,30 @@ func (op *sendOp) Continue() bool {
 
 // Recv blocks until a message with the given source (comm rank, or
 // AnySource) and tag arrives, and returns its payload and source comm rank.
+// It touches only rank-private state — the inbox and the posted want — so
+// it needs no shared section on any communicator: deliveries into r come
+// from r's own lane or the exclusive lane, which never run at once.
 func (c *Comm) Recv(r *Rank, src, tag int) (data.Buf, int) {
-	buf, from, _, _ := c.recv(r, src, tag, -1)
-	return buf, from
-}
-
-// recv is the receive behind Recv, also returning the host object the
-// message carried. With timeout >= 0 it gives up after that many seconds,
-// returning ok false, the way each of RecvSeq's receives does. It touches
-// only rank-private state — the inbox and the posted want — so it needs no
-// shared section on any communicator: deliveries into r come from r's own
-// lane or the exclusive lane, which never run at once.
-func (c *Comm) recv(r *Rank, src, tag int, timeout float64) (buf data.Buf, from int, val any, ok bool) {
 	if r.want.posted {
 		panic("mpi: rank has a receive already outstanding")
 	}
 	prev, t0 := r.opBegin()
 	srcWorld := c.srcWorld(src)
+	var buf data.Buf
 	// First match against already-arrived messages, in arrival order.
 	if got := r.take(c.id, srcWorld, tag); got != nil {
-		buf, srcWorld, val = got.buf, got.src, got.val
+		buf, srcWorld = got.buf, got.src
 		r.putMsg(got) // consumed: back to the pool before yielding
 		r.proc.Sleep(r.recvCost(buf.Len()))
 	} else {
 		r.post(c, srcWorld, tag)
-		if timeout >= 0 {
-			r.want.arm(timeout)
-		}
 		r.proc.Await(&r.want)
-		if r.want.timedOut {
-			r.want.timedOut = false
-			r.recvExpired(prev, t0)
-			return data.Buf{}, -1, nil, false
-		}
 		got := r.delivered()
-		buf, srcWorld, val = got.buf, got.src, got.val
+		buf, srcWorld = got.buf, got.src
 		r.putMsg(got)
 	}
 	r.recvDone(prev, t0, buf.Len())
-	return buf, c.rankOfWorld(srcWorld), val, true
+	return buf, c.rankOfWorld(srcWorld)
 }
 
 // srcWorld translates a receive's source comm rank, or AnySource, to a

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/fabric"
 )
 
 // TestSendResumesBehindQueuedEvents pins the one place Send's wait rule
@@ -15,7 +16,7 @@ import (
 // calendar, behind rank 1; IsendWaitSeq and Isend with Request.Wait carry
 // on in the overhead's own slot, ahead of it.
 func TestSendResumesBehindQueuedEvents(t *testing.T) {
-	overhead := DefaultConfig().SendOverhead
+	overhead := sendOverhead
 	for _, tc := range []struct {
 		name  string
 		send  func(c *Comm, r *Rank)
@@ -55,9 +56,9 @@ func TestSendResumesBehindQueuedEvents(t *testing.T) {
 
 // TestPointToPointClosedForm checks uncontended point-to-point traffic on
 // an idle torus against the closed form of the cost chain: the sender
-// finishes at t0 + SendOverhead + n/LocalCopyBW (local completion); the
+// finishes at t0 + sendOverhead + n/LocalCopyBW (local completion); the
 // payload arrives at localDone + InjectLat + n/InjectBW + hops·HopLatency
-// + n/LinkBW; the receiver finishes at max(arrival, post) + RecvOverhead +
+// + n/LinkBW; the receiver finishes at max(arrival, post) + recvOverhead +
 // n/LocalCopyBW. It covers Send and a one-send IsendWaitSeq against a
 // receive posted before the arrival, a one-receive RecvSeq whose deadline
 // the message beats, and an inbox hit; and a RecvSeq receive whose
@@ -87,9 +88,9 @@ func TestPointToPointClosedForm(t *testing.T) {
 					t.Fatal("sender and receiver share a node")
 				}
 				copyTime := float64(n) / cfg.LocalCopyBW
-				localDone := t0 + cfg.SendOverhead + copyTime
-				arrival := localDone + link.InjectLat + float64(n)/link.InjectBW +
-					float64(hops)*link.HopLatency + float64(n)/link.LinkBW
+				localDone := t0 + sendOverhead + copyTime
+				arrival := localDone + fabric.InjectLat + float64(n)/link.InjectBW +
+					float64(hops)*fabric.HopLatency + float64(n)/link.LinkBW
 				post := 0.0
 				if recv == "inbox" {
 					post = late
@@ -127,9 +128,9 @@ func TestPointToPointClosedForm(t *testing.T) {
 				}
 				near(name+": sender done", sent, localDone)
 				if !blocking {
-					near(name+": IsendWaitSeq local time", local, cfg.SendOverhead+copyTime)
+					near(name+": IsendWaitSeq local time", local, sendOverhead+copyTime)
 				}
-				near(name+": receiver done", got, max(arrival, post)+cfg.RecvOverhead+copyTime)
+				near(name+": receiver done", got, max(arrival, post)+recvOverhead+copyTime)
 			}
 		}
 	}

@@ -74,7 +74,7 @@ func (c *Comm) IsendWaitSeq(r *Rank, dst, n int, seq SendSeq) {
 // Sleep's fast path allows. It returns true when the run ended or the
 // next send needs a shared section.
 func (op *sendOp) next() bool {
-	p, overhead := op.r.proc, op.r.w.cfg.SendOverhead
+	p := op.r.proc
 	for {
 		switch op.stage {
 		case seqNext:
@@ -91,8 +91,8 @@ func (op *sendOp) next() bool {
 			fallthrough
 		case seqEntered:
 			op.start = op.r.Now()
-			if !p.SleepFast(overhead) {
-				p.UnparkAfter(overhead)
+			if !p.SleepFast(sendOverhead) {
+				p.UnparkAfter(sendOverhead)
 				op.stage = seqOverhead
 				return false
 			}

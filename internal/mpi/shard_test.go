@@ -114,7 +114,7 @@ func TestShardedTiedArrivals(t *testing.T) {
 
 	// Confirm the tie on idle fabric with the transfer arithmetic itself.
 	cfg := DefaultConfig()
-	localDone := cfg.SendOverhead + 8/cfg.LocalCopyBW
+	localDone := sendOverhead + 8/cfg.LocalCopyBW
 	arrive := func(src int) float64 {
 		return probe.Net.Transfer(probe.Net.Inject(localDone, src, 8), src, recvNode, 8)
 	}

@@ -37,9 +37,6 @@ type Hints struct {
 	// AggRatio is one I/O aggregator per this many ranks (the
 	// "bgp_nodes_pset" knob; BG/P default in VN mode is 32).
 	AggRatio int
-	// CBBufferSize is the collective buffer per aggregator (ROMIO default
-	// 16 MiB); aggregators commit their file domain in chunks of this size.
-	CBBufferSize int64
 	// AlignDomains aligns file-domain boundaries to file system blocks,
 	// the BG/P ADIO optimization that avoids lock false sharing.
 	AlignDomains bool
@@ -47,8 +44,13 @@ type Hints struct {
 
 // DefaultHints returns the BG/P MPI-IO defaults.
 func DefaultHints() Hints {
-	return Hints{AggRatio: 32, CBBufferSize: 16 << 20, AlignDomains: true}
+	return Hints{AggRatio: 32, AlignDomains: true}
 }
+
+// cbBufferSize is the collective buffer per aggregator (the ROMIO default
+// cb_buffer_size); aggregators commit their file domain in chunks of this
+// size.
+const cbBufferSize int64 = 16 << 20
 
 func (h Hints) validate(commSize int) Hints {
 	if h.AggRatio <= 0 {
@@ -56,9 +58,6 @@ func (h Hints) validate(commSize int) Hints {
 	}
 	if h.AggRatio > commSize {
 		h.AggRatio = commSize
-	}
-	if h.CBBufferSize <= 0 {
-		h.CBBufferSize = 16 << 20
 	}
 	return h
 }
@@ -271,8 +270,8 @@ func (f *File) WriteAtAllBegin(r *mpi.Rank, off int64, buf data.Buf) error {
 	// Phase 3: coalesce contiguous pieces and commit in cb_buffer_size
 	// chunks.
 	for _, run := range coalesce(pieces) {
-		for chunk := int64(0); chunk < run.buf.Len(); chunk += f.hints.CBBufferSize {
-			sz := min(f.hints.CBBufferSize, run.buf.Len()-chunk)
+		for chunk := int64(0); chunk < run.buf.Len(); chunk += cbBufferSize {
+			sz := min(cbBufferSize, run.buf.Len()-chunk)
 			if err := f.h.WriteAt(r.Proc(), r.ID(), run.off+chunk, run.buf.Slice(chunk, sz)); err != nil {
 				return err
 			}

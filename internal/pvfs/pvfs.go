@@ -30,15 +30,11 @@ import (
 	"repro/internal/storage"
 )
 
-// Config holds the PVFS model parameters: the shared storage mechanism plus
-// the hashed metadata costs. PVFS metadata is distributed: creates hash to
-// one of NumServers metadata queues.
+// Config holds the PVFS model parameters: the shared storage mechanism. PVFS
+// metadata is distributed: creates hash to one of NumServers metadata queues
+// (storage.HashedMDS, whose costs are constants).
 type Config struct {
 	storage.Config
-
-	CreateBase float64
-	OpenBase   float64
-	CloseBase  float64
 }
 
 // DefaultConfig returns the PVFS-on-Intrepid model parameters.
@@ -49,12 +45,7 @@ func DefaultConfig() Config {
 	// caching there is no write-behind to hide round trips, so the
 	// effective per-stream rate is below the GPFS client's.
 	sc.ClientStreamBW = 35e6
-	return Config{
-		Config:     sc,
-		CreateBase: 0.8e-3,
-		OpenBase:   0.5e-3,
-		CloseBase:  0.2e-3,
-	}
+	return Config{Config: sc}
 }
 
 // FileSystem is a mounted PVFS volume: the shared storage core composed
@@ -68,13 +59,9 @@ var _ fsys.System = (*FileSystem)(nil)
 // New mounts a PVFS volume on the machine.
 func New(m *machine.Machine, cfg Config) (*FileSystem, error) {
 	core, err := storage.New(m, cfg.Config, storage.Backend{
-		Name:       "pvfs",
-		ServerName: "pvfs",
-		Metadata: &storage.HashedMDS{
-			CreateBase: cfg.CreateBase,
-			OpenBase:   cfg.OpenBase,
-			CloseBase:  cfg.CloseBase,
-		},
+		Name:        "pvfs",
+		ServerName:  "pvfs",
+		Metadata:    &storage.HashedMDS{},
 		Concurrency: storage.LockFree{},
 		Data:        storage.StripeSync{},
 	})

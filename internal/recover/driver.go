@@ -34,10 +34,6 @@ type Config struct {
 	// spans (default 1). Multi-level strategies need their GlobalEvery here
 	// so the periodic global flush actually happens within a segment.
 	SegmentCkpts int
-	// Dir is the base checkpoint directory; each segment writes into its
-	// own attempt subdirectory so re-executed steps never collide with the
-	// files of an abandoned attempt.
-	Dir string
 	// Injector, when set, is the armed fault injector. A Node Fail event
 	// inside a segment's window crashes the lifecycle (MPI dies with the
 	// node); ION/server kills only tear epochs or error the storage.
@@ -46,6 +42,11 @@ type Config struct {
 	// post-failure health waits.
 	Nodes, IONs, Servers int
 }
+
+// baseDir is the base checkpoint directory; each segment writes into its own
+// attempt subdirectory so re-executed steps never collide with the files of
+// an abandoned attempt.
+const baseDir = "ckpt"
 
 // maxSegments bounds the lifecycle against permanent outages.
 const maxSegments = 256
@@ -144,7 +145,7 @@ func drive(p *sim.Proc, cfg *Config, res *Result) error {
 			steps = cfg.Work - completed
 		}
 		segIdx := res.Segments
-		dir := fmt.Sprintf("%s/a%03d", cfg.Dir, segIdx)
+		dir := fmt.Sprintf("%s/a%03d", baseDir, segIdx)
 		seg := cfg.Log.StartSegment(dir, int64(completed), segIdx)
 		rcfg := cfg.Base
 		rcfg.Dir = dir

@@ -29,7 +29,7 @@ func lifecycle(t *testing.T, np int, strat ckpt.Strategy, segCkpts, work, ce int
 	var inj *fault.Injector
 	if sched != nil {
 		inj = fault.NewInjector(k, sched)
-		fs.EnableFaults(inj, storage.DefaultFaultPolicy(), xrand.New(9))
+		fs.EnableFaults(inj, xrand.New(9))
 	}
 	log := NewLog(1, np)
 	base := nekcem.RunConfig{
@@ -45,8 +45,8 @@ func lifecycle(t *testing.T, np int, strat ckpt.Strategy, segCkpts, work, ce int
 		NewWorld: func() *mpi.World { return mpi.NewWorld(m, mpi.DefaultConfig()) },
 		Base:     base,
 		Log:      log, Work: work, CheckpointEvery: ce, SegmentCkpts: segCkpts,
-		Dir: "ckpt", Injector: inj,
-		Nodes: m.NumNodes(), IONs: m.NumPsets(), Servers: numServers(fs),
+		Injector: inj,
+		Nodes:    m.NumNodes(), IONs: m.NumPsets(), Servers: numServers(fs),
 	})
 	if err != nil {
 		t.Fatalf("lifecycle: %v", err)

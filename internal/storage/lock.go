@@ -7,16 +7,19 @@ import "repro/internal/sim"
 // by another client must be revoked first — the nf=1 penalty (tens of
 // thousands of token requests against a single shared file serialize) and
 // the unaligned-write revocation storm both live here.
-type TokenManager struct {
-	Grant  float64 // per-block grant cost
-	Revoke float64 // cost of revoking a token another client holds
-}
+type TokenManager struct{}
 
-var _ Concurrency = (*TokenManager)(nil)
+var _ Concurrency = TokenManager{}
+
+// TokenManager costs, seconds.
+const (
+	tokenGrant  float64 = 0.45e-3 // per-block grant cost
+	tokenRevoke float64 = 5e-3    // cost of revoking a token another client holds
+)
 
 // AcquireWrite obtains byte-range tokens for [off, off+n) of f on behalf of
 // the rank's ION.
-func (t *TokenManager) AcquireWrite(p *sim.Proc, c *Core, rank int, f *File, off, n int64) {
+func (TokenManager) AcquireWrite(p *sim.Proc, c *Core, rank int, f *File, off, n int64) {
 	client := c.m.PsetOfRank(rank)
 	first := off / c.cfg.BlockSize
 	last := (off + n - 1) / c.cfg.BlockSize
@@ -34,7 +37,7 @@ func (t *TokenManager) AcquireWrite(p *sim.Proc, c *Core, rank int, f *File, off
 		return
 	}
 	f.tokenQ.Acquire(p)
-	p.Sleep(float64(grants)*t.Grant + float64(revokes)*(t.Grant+t.Revoke))
+	p.Sleep(float64(grants)*tokenGrant + float64(revokes)*(tokenGrant+tokenRevoke))
 	for b := first; b <= last; b++ {
 		f.tokens[b] = client
 	}

@@ -9,24 +9,32 @@ import "repro/internal/sim"
 // storm does not trap every close behind it. This is the 1PFPP failure
 // mode: np creates in one directory serialize here.
 type CentralizedMDS struct {
-	CreateBase  float64
-	OpenBase    float64
-	CloseBase   float64
-	EntryCost   float64 // extra create cost per existing directory entry
-	QueueRef    float64 // queue depth at which service time doubles
-	MaxSlowdown float64 // cap on the queue-induced multiplier
-
 	heavy *sim.Resource // directory-lock path (creates)
 	light *sim.Resource // lightweight path (opens, closes)
 }
 
+// CentralizedMDS costs, seconds, calibrated against the paper's Intrepid
+// GPFS measurements. A create's cost grows with the directory's entry count,
+// and under a deep request queue (lock-manager and directory-block
+// contention) its service time is multiplied by
+// 1 + min((queue/mdsQueueRef)^2, mdsMaxSlowdown): a 64K-rank 1PFPP create
+// storm queues tens of thousands of requests and collapses, while a few
+// thousand rbIO writer creates barely notice.
+const (
+	mdsCreateBase  float64 = 0.5e-3
+	mdsOpenBase    float64 = 0.4e-3
+	mdsCloseBase   float64 = 0.15e-3
+	mdsEntryCost   float64 = 0.2e-6 // extra create cost per existing directory entry
+	mdsQueueRef    float64 = 1870   // queue depth at which service time doubles
+	mdsMaxSlowdown float64 = 30     // cap on the queue-induced multiplier
+)
+
 var _ Metadata = (*CentralizedMDS)(nil)
 
-// op serializes the calling process through the metadata server. The
-// service time is computed by cost() after the request reaches the head of
-// the queue, because directory-dependent costs (create) must reflect the
-// directory's population at service time, not at issue time.
-func (m *CentralizedMDS) op(p *sim.Proc, c *Core, amplify bool, cost func() float64) {
+// op serializes the calling process through the metadata server for base
+// seconds of service, amplified on the create path by the queue it finds
+// when it reaches the head.
+func (m *CentralizedMDS) op(p *sim.Proc, c *Core, amplify bool, base float64) {
 	if m.heavy == nil {
 		m.heavy = sim.NewResource(1)
 		m.light = sim.NewResource(1)
@@ -36,12 +44,12 @@ func (m *CentralizedMDS) op(p *sim.Proc, c *Core, amplify bool, cost func() floa
 		res = m.heavy
 	}
 	res.Acquire(p)
-	service := cost()
-	if amplify && m.QueueRef > 0 {
-		q := float64(res.QueueLen()) / m.QueueRef
+	service := base
+	if amplify {
+		q := float64(res.QueueLen()) / mdsQueueRef
 		mult := q * q
-		if mult > m.MaxSlowdown {
-			mult = m.MaxSlowdown
+		if mult > mdsMaxSlowdown {
+			mult = mdsMaxSlowdown
 		}
 		service *= 1 + mult
 	}
@@ -56,18 +64,18 @@ func (m *CentralizedMDS) op(p *sim.Proc, c *Core, amplify bool, cost func() floa
 // is read at service time.
 func (m *CentralizedMDS) Create(p *sim.Proc, c *Core, path string) {
 	dir := DirOf(path)
-	m.op(p, c, true, func() float64 { return m.CreateBase })
-	p.Sleep(m.EntryCost * float64(c.DirEntries(dir)) * c.MDSJitter())
+	m.op(p, c, true, mdsCreateBase)
+	p.Sleep(mdsEntryCost * float64(c.DirEntries(dir)) * c.MDSJitter())
 }
 
 // Open implements Metadata.
 func (m *CentralizedMDS) Open(p *sim.Proc, c *Core, path string) {
-	m.op(p, c, false, func() float64 { return m.OpenBase })
+	m.op(p, c, false, mdsOpenBase)
 }
 
 // Close implements Metadata.
 func (m *CentralizedMDS) Close(p *sim.Proc, c *Core, path string) {
-	m.op(p, c, false, func() float64 { return m.CloseBase })
+	m.op(p, c, false, mdsCloseBase)
 }
 
 // HashedMDS is the PVFS-style metadata policy: file metadata is hashed
@@ -76,12 +84,15 @@ func (m *CentralizedMDS) Close(p *sim.Proc, c *Core, path string) {
 // scan is charged. 1PFPP degrades far more gracefully than under
 // CentralizedMDS.
 type HashedMDS struct {
-	CreateBase float64
-	OpenBase   float64
-	CloseBase  float64
-
 	queues []*sim.Resource // one per server, lazily sized from the core
 }
+
+// HashedMDS costs per request, seconds.
+const (
+	hashedCreateBase float64 = 0.8e-3
+	hashedOpenBase   float64 = 0.5e-3
+	hashedCloseBase  float64 = 0.2e-3
+)
 
 var _ Metadata = (*HashedMDS)(nil)
 
@@ -110,15 +121,15 @@ func (m *HashedMDS) op(p *sim.Proc, c *Core, path string, base float64) {
 
 // Create implements Metadata.
 func (m *HashedMDS) Create(p *sim.Proc, c *Core, path string) {
-	m.op(p, c, path, m.CreateBase)
+	m.op(p, c, path, hashedCreateBase)
 }
 
 // Open implements Metadata.
 func (m *HashedMDS) Open(p *sim.Proc, c *Core, path string) {
-	m.op(p, c, path, m.OpenBase)
+	m.op(p, c, path, hashedOpenBase)
 }
 
 // Close implements Metadata.
 func (m *HashedMDS) Close(p *sim.Proc, c *Core, path string) {
-	m.op(p, c, path, m.CloseBase)
+	m.op(p, c, path, hashedCloseBase)
 }

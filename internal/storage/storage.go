@@ -56,23 +56,30 @@ type Config struct {
 	BlockSize  int64
 	NumServers int     // striped file servers
 	ServerBW   float64 // per-server bandwidth available to this application
-	ServerLat  float64 // per-request server latency
 
 	// ClientStreamBW caps the throughput of one client writing one file:
 	// the bounded flush pipeline between a rank's ION proxy and the servers.
 	ClientStreamBW float64
 
-	// Noise models the shared, multi-user storage system. A server request
-	// suffers a heavy-tail delay with probability NoiseProb amplified by the
-	// number of distinct clients in the current I/O burst:
-	// p = NoiseProb * min((clients/NoiseConcRef)^NoiseGamma, NoiseMaxFactor).
-	NoiseProb      float64 // base spike probability per server request
-	NoiseAlpha     float64 // Pareto tail index of the spike size
-	NoiseScale     float64 // Pareto scale (minimum spike), seconds
-	NoiseConcRef   float64 // client-count knee of the amplification
-	NoiseGamma     float64 // steepness of the knee
-	NoiseMaxFactor float64 // cap on the amplification
+	// NoiseProb is the base probability that a server request suffers a
+	// heavy-tail delay of the shared, multi-user storage system; the noise
+	// constants below shape it.
+	NoiseProb float64
 }
+
+// serverLat is the per-request server latency, seconds.
+const serverLat float64 = 2e-3
+
+// The noise model: a server request suffers a Pareto delay with probability
+// NoiseProb amplified by the number of distinct clients in the current I/O
+// burst, p = NoiseProb * min((clients/noiseConcRef)^noiseGamma, noiseMaxFactor).
+const (
+	noiseAlpha     float64 = 1.9  // Pareto tail index of the spike size
+	noiseScale     float64 = 0.3  // Pareto scale (minimum spike), seconds
+	noiseConcRef   float64 = 5000 // client-count knee of the amplification
+	noiseGamma     float64 = 8    // steepness of the knee
+	noiseMaxFactor float64 = 20   // cap on the amplification
+)
 
 // DefaultConfig returns Intrepid's shared storage hardware, the same DDN
 // arrays behind every backend: 128 file servers giving this application
@@ -84,15 +91,9 @@ type Config struct {
 // BlockSize and ClientStreamBW on top.
 func DefaultConfig() Config {
 	return Config{
-		NumServers:     128,
-		ServerBW:       140e6,
-		ServerLat:      2e-3,
-		NoiseProb:      0.0015,
-		NoiseAlpha:     1.9,
-		NoiseScale:     0.3,
-		NoiseConcRef:   5000,
-		NoiseGamma:     8,
-		NoiseMaxFactor: 20,
+		NumServers: 128,
+		ServerBW:   140e6,
+		NoiseProb:  0.0015,
 	}
 }
 
@@ -165,7 +166,6 @@ type Core struct {
 	// Fault injection, attached by EnableFaults; nil faults means every
 	// PlanServer query short-circuits to the home server untouched.
 	faults *fault.Injector
-	fpol   FaultPolicy
 	frng   *xrand.RNG
 
 	files      map[string]*File
@@ -280,7 +280,7 @@ func New(m *machine.Machine, cfg Config, b Backend) (*Core, error) {
 	c.servers = make([]*Server, cfg.NumServers)
 	for i := range c.servers {
 		c.servers[i] = &Server{
-			pipe: fabric.NewPipe(fmt.Sprintf("%s%d", b.ServerName, i), cfg.ServerLat, cfg.ServerBW),
+			pipe: fabric.NewPipe(fmt.Sprintf("%s%d", b.ServerName, i), serverLat, cfg.ServerBW),
 			rng:  m.RNG.Split(),
 		}
 	}
@@ -365,16 +365,13 @@ func (c *Core) funnelIn(p *sim.Proc, rank int, size int64) float64 {
 // NoiseFactor returns the burst-concurrency amplification of the spike
 // probability at the current moment.
 func (c *Core) NoiseFactor() float64 {
-	if c.cfg.NoiseConcRef <= 0 {
-		return 1
-	}
-	x := float64(len(c.burstClients)) / c.cfg.NoiseConcRef
+	x := float64(len(c.burstClients)) / noiseConcRef
 	f := 1.0
-	for i := 0.0; i < c.cfg.NoiseGamma; i++ {
+	for i := 0.0; i < noiseGamma; i++ {
 		f *= x
 	}
-	if f > c.cfg.NoiseMaxFactor {
-		f = c.cfg.NoiseMaxFactor
+	if f > noiseMaxFactor {
+		f = noiseMaxFactor
 	}
 	if f < 1 {
 		f = 1
@@ -389,7 +386,7 @@ func (c *Core) SpikeProb() float64 { return c.cfg.NoiseProb * c.NoiseFactor() }
 // the heavy-tail delay to add (0 for no spike), updating the noise counters.
 func (c *Core) DrawSpike(srv *Server, prob float64) float64 {
 	if srv.rng.Float64() < prob {
-		spike := srv.rng.Pareto(c.cfg.NoiseScale, c.cfg.NoiseAlpha)
+		spike := srv.rng.Pareto(noiseScale, noiseAlpha)
 		c.Stats.NoiseSpikes++
 		return spike
 	}

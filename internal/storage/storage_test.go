@@ -23,14 +23,8 @@ func intrepid(block int64, stream float64) storage.Config {
 		BlockSize:      block,
 		NumServers:     128,
 		ServerBW:       140e6,
-		ServerLat:      2e-3,
 		ClientStreamBW: stream,
 		NoiseProb:      0.0015,
-		NoiseAlpha:     1.9,
-		NoiseScale:     0.3,
-		NoiseConcRef:   5000,
-		NoiseGamma:     8,
-		NoiseMaxFactor: 20,
 	}
 }
 
@@ -65,12 +59,7 @@ func TestBackends(t *testing.T) {
 		{
 			name: "gpfs",
 			got:  gpfs.DefaultConfig(),
-			want: gpfs.Config{
-				Config:        intrepid(4<<20, 50e6),
-				MDSCreateBase: 0.5e-3, MDSOpenBase: 0.4e-3, MDSCloseBase: 0.15e-3,
-				MDSEntryCost: 0.2e-6, MDSQueueRef: 1870, MDSMaxSlowdown: 30,
-				TokenGrant: 0.45e-3, TokenRevoke: 5e-3, WriteBehind: true,
-			},
+			want: gpfs.Config{Config: intrepid(4<<20, 50e6), WriteBehind: true},
 			mount: func(m *machine.Machine, mod func(*storage.Config)) (fsys.System, error) {
 				cfg := gpfs.DefaultConfig()
 				mod(&cfg.Config)
@@ -80,10 +69,7 @@ func TestBackends(t *testing.T) {
 		{
 			name: "pvfs",
 			got:  pvfs.DefaultConfig(),
-			want: pvfs.Config{
-				Config:     intrepid(64<<10, 35e6),
-				CreateBase: 0.8e-3, OpenBase: 0.5e-3, CloseBase: 0.2e-3,
-			},
+			want: pvfs.Config{Config: intrepid(64<<10, 35e6)},
 			mount: func(m *machine.Machine, mod func(*storage.Config)) (fsys.System, error) {
 				cfg := pvfs.DefaultConfig()
 				mod(&cfg.Config)
@@ -94,9 +80,8 @@ func TestBackends(t *testing.T) {
 			name: "bbuf",
 			got:  bbuf.DefaultConfig(),
 			want: bbuf.Config{
-				Config:     intrepid(4<<20, 300e6),
-				CreateBase: 0.8e-3, OpenBase: 0.5e-3, CloseBase: 0.2e-3,
-				BufferPerION: 2 << 30, BufferBW: 2e9, DrainBW: 250e6, DrainTarget: 5,
+				Config:       intrepid(4<<20, 300e6),
+				BufferPerION: 2 << 30, DrainBW: 250e6,
 			},
 			mount: func(m *machine.Machine, mod func(*storage.Config)) (fsys.System, error) {
 				cfg := bbuf.DefaultConfig()
