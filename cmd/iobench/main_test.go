@@ -41,13 +41,13 @@ func resolveArgs(t *testing.T, args ...string) ([]exp.Descriptor, error) {
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
-	_, run, err := c.resolve()
-	return run, err
+	return c.resolve()
 }
 
 // TestResolveRejectsBadFlags pins the exit-2 surface: every bad name is the
-// registry's typed error of the flag's kind, every bad number a *flagError
-// naming the flag, and all of it is caught before anything runs.
+// registry's typed error of the flag's kind, every bad number an
+// *exp.FlagError naming the flag, and all of it is caught before anything
+// runs.
 func TestResolveRejectsBadFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -68,6 +68,7 @@ func TestResolveRejectsBadFlags(t *testing.T) {
 		{[]string{"-np", "12", "-machine", "bgl"}, "", "np"},
 		{[]string{"-shards", "-1"}, "", "shards"},
 		{[]string{"-tenants", "-2"}, "", "tenants"},
+		{[]string{"-tenants", "0"}, "", "tenants"},
 		{[]string{"-epochs", "0"}, "", "epochs"},
 		{[]string{"-work", "-5"}, "", "work"},
 		{[]string{"-mtbf", "-1"}, "", "mtbf"},
@@ -79,12 +80,12 @@ func TestResolveRejectsBadFlags(t *testing.T) {
 	} {
 		_, err := resolveArgs(t, tc.args...)
 		var ue *registry.UnknownError
-		var fe *flagError
+		var fe *exp.FlagError
 		switch {
 		case tc.kind != "" && (!errors.As(err, &ue) || ue.Kind != tc.kind):
 			t.Errorf("%v: error %#v, want a %s *registry.UnknownError", tc.args, err, tc.kind)
 		case tc.flag != "" && (!errors.As(err, &fe) || fe.Flag != tc.flag):
-			t.Errorf("%v: error %#v, want a *flagError for -%s", tc.args, err, tc.flag)
+			t.Errorf("%v: error %#v, want an *exp.FlagError for -%s", tc.args, err, tc.flag)
 		}
 	}
 	// Malformed specs fail with their parser's typed error.
@@ -98,6 +99,9 @@ func TestResolveRejectsBadFlags(t *testing.T) {
 		{[]string{"-bb", "3y"}, new(*bbuf.SpecError)},
 		{[]string{"-bb", "8xNaN"}, new(*bbuf.SpecError)},
 		{[]string{"-bb", "8xInf"}, new(*bbuf.SpecError)},
+		// The default workload's jobs reach np=1024: a pinned 64-rank
+		// machine can never admit them.
+		{[]string{"-exp", "workload", "-np", "64"}, new(*cluster.CapacityError)},
 	} {
 		if _, err := resolveArgs(t, tc.args...); !errors.As(err, tc.want) {
 			t.Errorf("%v: error %#v, want %T", tc.args, err, tc.want)
@@ -127,35 +131,27 @@ func TestResolveSelectsExperiments(t *testing.T) {
 	}
 }
 
+// TestValidateLifecycleFlags pins -epochs/-work: their defaults and any
+// positive values pass, a value below 1 is rejected like any other bad
+// number.
 func TestValidateLifecycleFlags(t *testing.T) {
-	set := func(names ...string) map[string]bool {
-		m := map[string]bool{}
-		for _, n := range names {
-			m[n] = true
-		}
-		return m
-	}
 	cases := []struct {
 		name    string
-		epochs  int
-		work    int
-		set     map[string]bool
+		args    []string
 		wantErr bool
 	}{
-		{"defaults pass", 0, 0, set(), false},
-		{"positive values pass", 12, 120, set("epochs", "work"), false},
-		{"explicit zero epochs rejected", 0, 0, set("epochs"), true},
-		{"explicit negative epochs rejected", -3, 0, set("epochs"), true},
-		{"explicit zero work rejected", 0, 0, set("work"), true},
-		{"explicit negative work rejected", 0, -1, set("work"), true},
-		{"one bad one good still rejected", 12, -1, set("epochs", "work"), true},
+		{"defaults pass", nil, false},
+		{"positive values pass", []string{"-epochs", "12", "-work", "120"}, false},
+		{"explicit zero epochs rejected", []string{"-epochs", "0"}, true},
+		{"explicit negative epochs rejected", []string{"-epochs", "-3"}, true},
+		{"explicit zero work rejected", []string{"-work", "0"}, true},
+		{"explicit negative work rejected", []string{"-work", "-1"}, true},
+		{"one bad one good still rejected", []string{"-epochs", "12", "-work", "-1"}, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := validateLifecycleFlags(c.epochs, c.work, c.set)
-			if (err != nil) != c.wantErr {
-				t.Fatalf("validateLifecycleFlags(%d, %d, %v) = %v, wantErr %v",
-					c.epochs, c.work, c.set, err, c.wantErr)
+			if _, err := resolveArgs(t, c.args...); (err != nil) != c.wantErr {
+				t.Fatalf("%v: %v, wantErr %v", c.args, err, c.wantErr)
 			}
 		})
 	}

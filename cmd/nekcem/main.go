@@ -13,48 +13,35 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 
-	"repro/internal/bbuf"
 	"repro/internal/ckpt"
 	"repro/internal/exp"
-	"repro/internal/fsys"
 	"repro/internal/iolog"
-	"repro/internal/machine"
 	"repro/internal/nekcem"
-	"repro/internal/registry"
 )
 
-// cli is nekcem's command line.
+// cli is nekcem's command line: the flags every driver shares, and its
+// own.
 type cli struct {
-	fs *flag.FlagSet
+	fs     *flag.FlagSet
+	shared *exp.Flags
 
-	np, steps, every, nf, shards, elems, order, work, epochs int
-	ckptName, fsName, bbSpec, drain, machName, mapName       string
-	logPath                                                  string
-	seed                                                     uint64
-	quiet, content                                           bool
+	np, steps, every, nf, elems, order, work, epochs int
+	ckptName, logPath                                string
+	content                                          bool
 }
 
 // newCLI defines nekcem's flags on fs.
 func newCLI(fs *flag.FlagSet) *cli {
-	c := &cli{fs: fs}
+	c := &cli{fs: fs, shared: exp.DeclareFlags(fs)}
 	fs.IntVar(&c.np, "np", 4096, "MPI ranks (power-of-two nodes, 4 ranks/node)")
 	fs.IntVar(&c.steps, "steps", 20, "solver time steps")
 	fs.IntVar(&c.every, "ckpt-every", 20, "checkpoint every N steps (0: never)")
 	fs.StringVar(&c.ckptName, "ckpt", "", "checkpoint strategy from the ckpt registry: 1pfpp, coio1, coio, rbio1, rbio, multilevel, async (default rbio)")
-	fs.StringVar(&c.fsName, "fs", "gpfs", "storage backend from the fsys registry: gpfs, pvfs, bbuf")
-	fs.StringVar(&c.bbSpec, "bb", "", "burst-buffer fleet spec <nodes>x<gbps> for -fs bbuf (e.g. 8x0.25); \"\" = one private node per ION at the default bandwidth")
-	fs.StringVar(&c.drain, "drain", "", "burst-buffer drain-scheduler policy for -fs bbuf: fifo (default), deadline, tenant")
 	fs.IntVar(&c.nf, "nf", 0, "coio: number of files (default np/64); rbio: np/ng group count")
-	fs.Uint64Var(&c.seed, "seed", 1, "simulation seed")
-	fs.StringVar(&c.machName, "machine", "", "machine preset: intrepid (default), bgl, fattree, dragonfly")
-	fs.StringVar(&c.mapName, "map", "", "rank->node placement policy: txyz (default), xyzt, blocked, roundrobin, random")
-	fs.BoolVar(&c.quiet, "quiet", false, "disable shared-storage noise")
-	fs.IntVar(&c.shards, "shards", 0, "partitioned-kernel lane workers (0 or 1 = serial kernel; results are identical at any setting; ignored with -log)")
 	fs.BoolVar(&c.content, "content", false, "content mode: run the real SEDG kernel and verify restart bit-for-bit (small np)")
 	fs.StringVar(&c.logPath, "log", "", "write a Darshan-style I/O trace (JSON) to this file")
 	fs.IntVar(&c.elems, "elements", 0, "mesh elements (default: paper weak scaling, ~4.25/rank at N=15)")
@@ -142,84 +129,41 @@ func main() {
 	}
 
 	if log != nil {
-		writeLog(log, c.logPath)
+		if err := exp.WriteFile(c.logPath, log.WriteJSON); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		fmt.Printf("  I/O trace: %s (%d records)\n", c.logPath, log.Len())
 	}
 }
 
 // resolve validates the command line before anything is built and returns
 // the run's options and checkpoint strategy. Every rejection is typed: a
-// *registry.UnknownError for a name no registry holds, a *flagError for a
-// number out of range.
+// *registry.UnknownError for a name no registry holds, a *bbuf.SpecError
+// for a malformed -bb, an *exp.FlagError for a number out of range.
 func (c *cli) resolve() (exp.Options, ckpt.Strategy, error) {
-	var o exp.Options
-	if c.shards < 0 {
-		return o, nil, &flagError{"shards", c.shards, "want >= 0; 0 or 1 = serial kernel"}
-	}
 	for _, f := range []struct {
 		name  string
 		value int
 	}{{"steps", c.steps}, {"ckpt-every", c.every}, {"nf", c.nf}, {"elements", c.elems}, {"order", c.order}} {
 		if f.value < 0 {
-			return o, nil, &flagError{f.name, f.value, "want >= 0"}
-		}
-	}
-	backend, err := fsys.Lookup(c.fsName)
-	if err != nil {
-		return o, nil, err
-	}
-	bbNodes, bbGbps, err := bbuf.ParseFleetSpec(c.bbSpec)
-	if err != nil {
-		return o, nil, err
-	}
-	if c.drain != "" {
-		if _, err := bbuf.Lookup(c.drain); err != nil {
-			return o, nil, err
+			return exp.Options{}, nil, &exp.FlagError{Flag: f.name, Value: f.value, Why: "want >= 0"}
 		}
 	}
 	if err := validateLifecycleFlags(c.epochs, c.work, setFlags(c.fs)); err != nil {
+		return exp.Options{}, nil, err
+	}
+	o, err := c.shared.Options(c.np)
+	if err != nil {
 		return o, nil, err
 	}
 	strat, err := resolveStrategy(c.ckptName, c.np, c.nf)
 	if err != nil {
 		return o, nil, err
 	}
-	desc, err := machine.Lookup(c.machName)
-	if err != nil {
-		return o, nil, err
-	}
-	mcfg := desc.Config(c.np)
-	if c.mapName != "" {
-		mcfg.Placement = c.mapName
-	}
-	if err := mcfg.Validate(); err != nil {
-		var ue *registry.UnknownError
-		if !errors.As(err, &ue) {
-			err = &flagError{"np", c.np, err.Error()}
-		}
-		return o, nil, err
-	}
-	return exp.Options{
-		Seed:      c.seed,
-		FS:        backend,
-		Machine:   c.machName,
-		Map:       c.mapName,
-		Quiet:     c.quiet,
-		Shards:    c.shards,
-		BBNodes:   bbNodes,
-		BBDrainBW: bbGbps * 1e9,
-		Drain:     c.drain,
-		Manifests: c.work > 0 && c.epochs > 0,
-	}, strat, nil
+	o.Manifests = c.work > 0 && c.epochs > 0
+	return o, strat, nil
 }
-
-// flagError reports a numeric flag value out of range.
-type flagError struct {
-	Flag  string
-	Value int
-	Why   string
-}
-
-func (e *flagError) Error() string { return fmt.Sprintf("invalid -%s %d (%s)", e.Flag, e.Value, e.Why) }
 
 // resolveStrategy builds the run's checkpoint strategy from the -ckpt flag
 // via the ckpt registry. A positive -nf refines the registry configuration:
@@ -243,7 +187,7 @@ func resolveStrategy(name string, np, nf int) (ckpt.Strategy, error) {
 			return strat, nil
 		}
 		if np%nf != 0 {
-			return nil, &flagError{"nf", nf, fmt.Sprintf("want a divisor of -np %d", np)}
+			return nil, &exp.FlagError{Flag: "nf", Value: nf, Why: fmt.Sprintf("want a divisor of -np %d", np)}
 		}
 	}
 	return strat, nil
@@ -257,30 +201,19 @@ func setFlags(fs *flag.FlagSet) map[string]bool {
 }
 
 // validateLifecycleFlags rejects explicit non-positive -epochs/-work values
-// (their zero defaults leave -steps/-ckpt-every in charge).
+// (their zero defaults leave -steps/-ckpt-every in charge) and one of the
+// two set without the other, naming the missing one.
 func validateLifecycleFlags(epochs, work int, set map[string]bool) error {
-	if set["epochs"] && epochs <= 0 {
-		return &flagError{"epochs", epochs, "want >= 1"}
-	}
-	if set["work"] && work <= 0 {
-		return &flagError{"work", work, "want >= 1"}
+	for _, f := range []struct {
+		name, other string
+		value       int
+	}{{"epochs", "work", epochs}, {"work", "epochs", work}} {
+		if set[f.name] && f.value <= 0 {
+			return &exp.FlagError{Flag: f.name, Value: f.value, Why: "want >= 1"}
+		}
+		if set[f.other] && !set[f.name] {
+			return &exp.FlagError{Flag: f.name, Value: f.value, Why: "want >= 1 with -" + f.other}
+		}
 	}
 	return nil
-}
-
-func writeLog(log *iolog.Log, logPath string) {
-	f, err := os.Create(logPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if err := log.WriteJSON(f); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Printf("  I/O trace: %s (%d records)\n", logPath, log.Len())
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/bbuf"
 	"repro/internal/ckpt"
+	"repro/internal/exp"
 	"repro/internal/registry"
 )
 
@@ -60,8 +61,8 @@ func TestResolveStrategy(t *testing.T) {
 }
 
 // TestResolveRejectsBadFlags pins the exit-2 surface: every bad name is the
-// registry's typed error of the flag's kind and every bad number a
-// *flagError naming the flag, all caught before anything is built.
+// registry's typed error of the flag's kind and every bad number an
+// *exp.FlagError naming the flag, all caught before anything is built.
 func TestResolveRejectsBadFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -84,6 +85,9 @@ func TestResolveRejectsBadFlags(t *testing.T) {
 		{[]string{"-ckpt", "rbio", "-nf", "3", "-np", "64"}, "", "nf"},
 		{[]string{"-ckpt", "coio", "-nf", "3", "-np", "64"}, "", "nf"},
 		{[]string{"-epochs", "0"}, "", "epochs"},
+		// One lifecycle flag alone names the missing one.
+		{[]string{"-np", "64", "-work", "10"}, "", "epochs"},
+		{[]string{"-epochs", "3"}, "", "work"},
 		{[]string{"-elements", "-5"}, "", "elements"},
 		{[]string{"-order", "-2"}, "", "order"},
 	} {
@@ -94,12 +98,12 @@ func TestResolveRejectsBadFlags(t *testing.T) {
 		}
 		_, _, err := c.resolve()
 		var ue *registry.UnknownError
-		var fe *flagError
+		var fe *exp.FlagError
 		switch {
 		case tc.kind != "" && (!errors.As(err, &ue) || ue.Kind != tc.kind):
 			t.Errorf("%v: error %#v, want a %s *registry.UnknownError", tc.args, err, tc.kind)
 		case tc.flag != "" && (!errors.As(err, &fe) || fe.Flag != tc.flag):
-			t.Errorf("%v: error %#v, want a *flagError for -%s", tc.args, err, tc.flag)
+			t.Errorf("%v: error %#v, want an *exp.FlagError for -%s", tc.args, err, tc.flag)
 		}
 	}
 	// Malformed fleet specs fail with the parser's typed error.

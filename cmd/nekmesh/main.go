@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/exp"
 	"repro/internal/meshgen"
 )
 
@@ -79,14 +80,14 @@ func newCLI(fs *flag.FlagSet) *cli {
 }
 
 // build checks every count, then generates the mesh. A count below 1 is a
-// *flagError, caught before meshgen, which panics on it.
+// *exp.FlagError, caught before meshgen, which panics on it.
 func (c *cli) build() (*meshgen.Mesh, error) {
 	for _, f := range []struct {
 		name  string
 		value int
 	}{{"np", c.np}, {"nx", c.nx}, {"ny", c.ny}, {"nz", c.nz}, {"nr", c.nr}, {"nt", c.nt}} {
 		if f.value < 1 {
-			return nil, &flagError{f.name, f.value}
+			return nil, &exp.FlagError{Flag: f.name, Value: f.value, Why: "want >= 1"}
 		}
 	}
 	switch c.geom {
@@ -97,11 +98,3 @@ func (c *cli) build() (*meshgen.Mesh, error) {
 	}
 	return nil, fmt.Errorf("unknown geometry %q", c.geom)
 }
-
-// flagError reports a count flag below 1.
-type flagError struct {
-	Flag  string
-	Value int
-}
-
-func (e *flagError) Error() string { return fmt.Sprintf("invalid -%s %d (want >= 1)", e.Flag, e.Value) }

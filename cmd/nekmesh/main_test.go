@@ -4,6 +4,8 @@ import (
 	"errors"
 	"flag"
 	"testing"
+
+	"repro/internal/exp"
 )
 
 // buildArgs parses args as nekmesh's command line and builds the mesh.
@@ -22,7 +24,7 @@ func buildArgs(t *testing.T, args ...string) (int, error) {
 }
 
 // TestBuildRejectsBadCounts pins the exit-2 surface: a count below 1 is a
-// *flagError naming the flag, returned before meshgen (which panics on it)
+// *exp.FlagError naming the flag, returned before meshgen (which panics on it)
 // runs, and an unknown geometry is an error too.
 func TestBuildRejectsBadCounts(t *testing.T) {
 	for _, tc := range []struct {
@@ -38,9 +40,9 @@ func TestBuildRejectsBadCounts(t *testing.T) {
 		{[]string{"-geom", "box", "-ny", "-1"}, "ny"},
 	} {
 		_, err := buildArgs(t, tc.args...)
-		var fe *flagError
+		var fe *exp.FlagError
 		if !errors.As(err, &fe) || fe.Flag != tc.flag {
-			t.Errorf("%v: error %v, want a *flagError for -%s", tc.args, err, tc.flag)
+			t.Errorf("%v: error %v, want an *exp.FlagError for -%s", tc.args, err, tc.flag)
 		}
 	}
 	if _, err := buildArgs(t, "-geom", "sphere"); err == nil {

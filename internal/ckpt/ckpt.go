@@ -426,11 +426,11 @@ func parseHeader(env *Env, r *mpi.Rank, h fsys.Handle, path string) (*cemfmt.Hea
 	return cemfmt.Unmarshal(rest.Bytes())
 }
 
-// readChunk opens path and restores chunk chunkIdx for all fields with
+// readChunk opens path and restores its one chunk for all fields with
 // independent reads (the 1PFPP restart path). The master header is parsed
 // when real; with synthetic content the caller's layout knowledge (expected
 // chunk count) drives the offsets.
-func readChunk(env *Env, r *mpi.Rank, path string, chunkIdx int) (*Checkpoint, error) {
+func readChunk(env *Env, r *mpi.Rank, path string) (*Checkpoint, error) {
 	p := r.Proc()
 	t0 := r.Now()
 	h, err := env.FS.Open(p, r.ID(), path)
@@ -443,13 +443,13 @@ func readChunk(env *Env, r *mpi.Rank, path string, chunkIdx int) (*Checkpoint, e
 	if err != nil {
 		return nil, err
 	}
-	if chunkIdx < 0 || chunkIdx >= hdr.NumChunks() {
-		return nil, fmt.Errorf("ckpt: chunk %d not in %s (%d chunks)", chunkIdx, path, hdr.NumChunks())
+	if hdr.NumChunks() < 1 {
+		return nil, fmt.Errorf("ckpt: chunk 0 not in %s (0 chunks)", path)
 	}
 	cp := &Checkpoint{Step: hdr.Step, SimTime: hdr.SimTime}
 	for fi, name := range hdr.Fields {
 		t1 := r.Now()
-		buf, err := h.ReadAt(p, r.ID(), hdr.ChunkOffset(fi, chunkIdx), hdr.ChunkBytes[chunkIdx])
+		buf, err := h.ReadAt(p, r.ID(), hdr.ChunkOffset(fi, 0), hdr.ChunkBytes[0])
 		if err != nil {
 			return nil, fmt.Errorf("ckpt: reading field %s of %s: %w", name, path, err)
 		}

@@ -70,5 +70,5 @@ func (pl *onePlan) Write(env *Env, r *mpi.Rank, cp *Checkpoint) (Stats, error) {
 
 // Read implements Plan: each rank reopens its own file.
 func (pl *onePlan) Read(env *Env, r *mpi.Rank, step int64) (*Checkpoint, error) {
-	return readChunk(env, r, rankFile(env.Dir, step, pl.c.Rank(r)), 0)
+	return readChunk(env, r, rankFile(env.Dir, step, pl.c.Rank(r)))
 }

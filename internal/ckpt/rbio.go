@@ -156,7 +156,7 @@ func (pl *rbPlan) Write(env *Env, r *mpi.Rank, cp *Checkpoint) (Stats, error) {
 		return pl.writeFT(env, r, cp)
 	}
 	if pl.isWriter(r) {
-		return pl.writeWriter(env, r, cp)
+		return pl.writeWriter(env, r, cp, 0, false)
 	}
 	return pl.writeWorkerTo(env, r, cp, 0)
 }
@@ -189,7 +189,7 @@ func (pl *rbPlan) writeFT(env *Env, r *mpi.Rank, cp *Checkpoint) (Stats, error) 
 	if me != writer {
 		return pl.writeWorkerTo(env, r, cp, writer)
 	}
-	return pl.writeWriterFT(env, r, cp, me)
+	return pl.writeWriter(env, r, cp, me, true)
 }
 
 // writeWorkerTo ships the rank's fields to the group's writer with
@@ -323,22 +323,28 @@ func (pl *rbPlan) Recvd(r *mpi.Rank, start float64, buf data.Buf, ok bool) {
 	g.fieldData[g.fi][g.w] = buf
 }
 
-// writeWriterFT aggregates what the surviving group can deliver and commits
-// it, recording dead or unresponsive peers' chunks as missing rather than
-// blocking forever on them.
-func (pl *rbPlan) writeWriterFT(env *Env, r *mpi.Rank, cp *Checkpoint, me int) (Stats, error) {
+// writeWriter aggregates the group's data and commits it; me is its group
+// rank. A fault-aware writer (ft: nf=ng under fault injection) records dead
+// or unresponsive peers' chunks as missing rather than blocking forever on
+// them.
+func (pl *rbPlan) writeWriter(env *Env, r *mpi.Rank, cp *Checkpoint, me int, ft bool) (Stats, error) {
 	start := r.Now()
 	gs := pl.group.Size()
-	if me != 0 {
-		// Re-elected writer: the workers spend one detection window
-		// discovering the original writer is dead before re-sending, so an
-		// elected writer opening its receive windows immediately would time
-		// out on the first live peer. It burns the same window.
-		r.Proc().Sleep(peerTimeout)
+	var missing []bool
+	timeout := -1.0
+	if ft {
+		if me != 0 {
+			// Re-elected writer: the workers spend one detection window
+			// discovering the original writer is dead before re-sending, so
+			// an elected writer opening its receive windows immediately
+			// would time out on the first live peer. It burns the same
+			// window.
+			r.Proc().Sleep(peerTimeout)
+		}
+		missing, timeout = make([]bool, gs), peerTimeout
 	}
 
-	missing := make([]bool, gs)
-	chunkBytes, fieldData, err := pl.receive(env, r, cp, me, missing, peerTimeout)
+	chunkBytes, fieldData, err := pl.receive(env, r, cp, me, missing, timeout)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -349,30 +355,39 @@ func (pl *rbPlan) writeWriterFT(env *Env, r *mpi.Rank, cp *Checkpoint, me int) (
 			dropChunk(chunkBytes, fieldData, w)
 		}
 	}
-	if err := pl.commitIndependent(env, r, cp, chunkBytes, fieldData); err != nil {
-		if fsys.Unavailable(err) {
-			// The group's servers are gone too: the step completes but
-			// nothing from this group is durable.
-			now := r.Now()
-			for w := 0; w < gs; w++ {
-				if env.Up(pl.group.WorldRank(w)) {
-					env.epochLost(LevelGlobal, cp.Step, pl.group.WorldRank(w), "storage unavailable", now)
-				}
+	if pl.cfg.SingleFile {
+		err = pl.commitCollective(env, r, cp, chunkBytes, fieldData)
+	} else {
+		err = pl.commitIndependent(env, r, cp, chunkBytes, fieldData)
+	}
+	if ft && fsys.Unavailable(err) {
+		// The group's servers are gone too: the step completes but nothing
+		// from this group is durable.
+		now := r.Now()
+		for w := 0; w < gs; w++ {
+			if env.Up(pl.group.WorldRank(w)) {
+				env.epochLost(LevelGlobal, cp.Step, pl.group.WorldRank(w), "storage unavailable", now)
 			}
-			return Stats{Role: RoleWriter, Start: start, End: now, Perceived: now - start,
-				Failed: true, MissingChunks: missingN}, nil
 		}
+		return Stats{Role: RoleWriter, Start: start, End: now, Perceived: now - start,
+			Failed: true, MissingChunks: missingN}, nil
+	}
+	if err != nil {
 		return Stats{}, err
 	}
 	end := r.Now()
 	// The writer seals the whole group: a worker's hand-off alone does not
-	// make its data durable, so commits are issued here, and a chunk that
-	// never arrived permanently tears the epoch.
+	// make its data durable, so commits are issued here. A fault-aware
+	// writer's missing chunk permanently tears the epoch; without fault
+	// awareness (nf=1) a dead rank ghost-participates in the collective, so
+	// a member whose node is down is recorded lost, not committed.
 	for w := 0; w < gs; w++ {
 		wr := pl.group.WorldRank(w)
 		switch {
-		case missing[w]:
+		case ft && missing[w]:
 			env.epochLost(LevelGlobal, cp.Step, wr, "chunk missing", end)
+		case !ft && !env.Up(wr):
+			env.epochLost(LevelGlobal, cp.Step, wr, "node down", end)
 		default:
 			env.epochCommit(LevelGlobal, cp.Step, wr, len(cp.Fields), end)
 		}
@@ -385,46 +400,6 @@ func (pl *rbPlan) writeWriterFT(env *Env, r *mpi.Rank, cp *Checkpoint, me int) (
 		Bytes:         cp.TotalBytes(), // own share; workers report theirs
 		Durable:       end,
 		MissingChunks: missingN,
-	}, nil
-}
-
-// writeWriter aggregates the group's data and commits it.
-func (pl *rbPlan) writeWriter(env *Env, r *mpi.Rank, cp *Checkpoint) (Stats, error) {
-	start := r.Now()
-	gs := pl.group.Size()
-
-	// Receive every worker's chunk (the writer itself is chunk 0).
-	chunkBytes, fieldData, err := pl.receive(env, r, cp, 0, nil, -1)
-	if err != nil {
-		return Stats{}, err
-	}
-	if pl.cfg.SingleFile {
-		err = pl.commitCollective(env, r, cp, chunkBytes, fieldData)
-	} else {
-		err = pl.commitIndependent(env, r, cp, chunkBytes, fieldData)
-	}
-	if err != nil {
-		return Stats{}, err
-	}
-	end := r.Now()
-	// Seal the group. Under fault injection nf=1 is not fault-aware — a
-	// dead rank ghost-participates in the collective — so a member whose
-	// node is down is recorded lost, not committed.
-	for w := 0; w < gs; w++ {
-		wr := pl.group.WorldRank(w)
-		if !env.Up(wr) {
-			env.epochLost(LevelGlobal, cp.Step, wr, "node down", end)
-		} else {
-			env.epochCommit(LevelGlobal, cp.Step, wr, len(cp.Fields), end)
-		}
-	}
-	return Stats{
-		Role:      RoleWriter,
-		Start:     start,
-		End:       end,
-		Perceived: end - start,
-		Bytes:     cp.TotalBytes(),
-		Durable:   end,
 	}, nil
 }
 

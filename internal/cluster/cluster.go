@@ -172,6 +172,17 @@ func (e *CapacityError) Error() string {
 	return fmt.Sprintf("cluster: tenant %q needs np=%d but the machine has only %d ranks", e.Tenant, e.NP, e.Capacity)
 }
 
+// CheckCapacity returns a *CapacityError for the first tenant that asks for
+// more than ranks, the machine's size.
+func CheckCapacity(tenants []Tenant, ranks int) error {
+	for _, t := range tenants {
+		if t.NP > ranks {
+			return &CapacityError{Tenant: t.Name, NP: t.NP, Capacity: ranks}
+		}
+	}
+	return nil
+}
+
 // LaunchQueued spawns one admission process per tenant (dynamic
 // scheduling): sleep to arrival, queue until capacity frees, place, run,
 // and retire the allocation on completion. Serial kernel only. The
@@ -183,10 +194,8 @@ func (s *Session) LaunchQueued(tenants []Tenant) ([]*Job, error) {
 	if s.M.K.Sharded() {
 		return nil, fmt.Errorf("cluster: queued admission needs the serial kernel (admission mutates shared allocator state mid-run)")
 	}
-	for _, t := range tenants {
-		if t.NP > s.M.Cfg.Ranks {
-			return nil, &CapacityError{Tenant: t.Name, NP: t.NP, Capacity: s.M.Cfg.Ranks}
-		}
+	if err := CheckCapacity(tenants, s.M.Cfg.Ranks); err != nil {
+		return nil, err
 	}
 	jobs := make([]*Job, len(tenants))
 	for i, t := range tenants {

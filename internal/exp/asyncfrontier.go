@@ -6,7 +6,6 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/fault"
 	"repro/internal/fsys"
-	"repro/internal/table"
 )
 
 // frontierNames are the asyncfrontier arms: the two strongest blocking
@@ -193,20 +192,4 @@ func runFrontierCell(o Options, np int, name string, spec *FaultSpec) (*frontier
 		cell.lost = cell.lost || c.Lost()
 	}
 	return probe(cell, res.Wall), nil
-}
-
-func init() {
-	Register(Descriptor{
-		Name:  "asyncfrontier",
-		Doc:   "async vs rbIO vs coIO: blocked time, makespan, staleness at failure",
-		Flags: "-mtbf, -np",
-		Run: func(s *Session) error {
-			rows, err := AsyncFrontier(s.Opts, s.NPOr(2048), s.mtbf(), 0)
-			if err != nil {
-				return err
-			}
-			s.printf("== Extension: asynchronous checkpoint frontier ==\n%s\n", table.Of(rows))
-			return nil
-		},
-	})
 }

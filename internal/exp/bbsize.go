@@ -212,20 +212,3 @@ func (r *BBSizeResult) Table() string { return table.Of(r.Rows) }
 
 // FaultTable renders the faulted arm.
 func (r *BBSizeResult) FaultTable() string { return table.Of(r.Faulted) }
-
-func init() {
-	Register(Descriptor{
-		Name:  "bbsize",
-		Doc:   "burst-buffer fleet sizing: fleet nodes x drain policy x pset ratio",
-		Flags: "-bb, -drain, -mtbf, -np",
-		Run: func(s *Session) error {
-			r, err := BBSize(s.Opts, s.NPOr(2048), s.mtbf())
-			if err != nil {
-				return err
-			}
-			s.printf("== Extension: burst-buffer fleet sizing ==\n%s\n", r.Table())
-			s.printf("== bbsize: faulted arm (accelerated MTBF) ==\n%s\n", r.FaultTable())
-			return nil
-		},
-	})
-}

@@ -523,55 +523,3 @@ func (r *WorkloadResult) Table() string {
 	}
 	return table.Text([]string{"job", "np", "strategy", "arrival", "admitted", "waited", "done"}, rows)
 }
-
-// registerClusterExperiments wires the multi-tenant experiments into the
-// registry; registry.go's init calls it so registration order stays stable.
-func registerClusterExperiments() {
-	Register(Descriptor{
-		Name:  "ckptstorm",
-		Doc:   "tenant interference: colliding vs staggered checkpoints on shared storage",
-		Flags: "-tenants, -np",
-		Run: func(s *Session) error {
-			r, err := CkptStorm(s.Opts, s.NPOr(2048), s.tenants())
-			if err != nil {
-				return err
-			}
-			s.printf("== ckptstorm: %d tenants x np=%d on a %d-rank machine ==\n%s\n%s\n", r.Tenants, r.NP, r.Capacity, table.Of(r.Rows), table.Of(r.Summaries))
-			w := r.WorstColliding()
-			s.printf("worst colliding penalty %.2fx (%s); staggering recovers it\n", w.CollidingPenalty, w.Strategy)
-			return nil
-		},
-	})
-	Register(Descriptor{
-		Name:  "restartstorm",
-		Doc:   "system-wide outage, then every tenant restarts at once",
-		Flags: "-tenants, -np",
-		Run: func(s *Session) error {
-			r, err := RestartStorm(s.Opts, s.NPOr(2048), s.tenants())
-			if err != nil {
-				return err
-			}
-			s.printf("== restartstorm: %d tenants x np=%d, %vs outage ==\n%s\n", r.Tenants, r.NP, stormOutage, table.Of(r.Rows))
-			s.printf("worst storm penalty %.2fx; fault events fired: %d fail, %d restore; manifest scans: %d torn epoch(s), %d B read\n",
-				r.StormPenalty, r.FaultCounts.Fails, r.FaultCounts.Restores, r.Torn, r.ScanBytes)
-			return nil
-		},
-	})
-	Register(Descriptor{
-		Name:  "workload",
-		Doc:   "queued multi-tenant workload on an undersized machine",
-		Flags: "-workload, -np",
-		Run: func(s *Session) error {
-			wk, err := cluster.ParseWorkload(s.Workload)
-			if err != nil {
-				return err
-			}
-			r, err := RunWorkload(s.Opts, wk)
-			if err != nil {
-				return err
-			}
-			s.printf("== workload: %d jobs on a %d-rank machine ==\n%s\nmakespan %.2fs\n", len(r.Jobs), r.Capacity, r.Table(), r.Makespan)
-			return nil
-		},
-	})
-}

@@ -3,15 +3,13 @@ package exp
 import (
 	"repro/internal/ckpt"
 	"repro/internal/machine"
-	"repro/internal/table"
 )
 
 // sweepStrategies are the three-approach subset the machine-shape sweeps
 // use: the paper's strongest strategy, the collective baseline, and the
 // naive one — enough to see whether a machine knob reorders them.
-func sweepStrategies(np int) ([]ckpt.Strategy, []string) {
-	return strategiesByName(np, "rbio", "coio", "1pfpp"),
-		[]string{"rbIO", "coIO", "1PFPP"}
+func sweepStrategies(np int) []ckpt.Strategy {
+	return strategiesByName(np, "rbio", "coio", "1pfpp")
 }
 
 // MapRow is one (placement policy, strategy) measurement of the rank-mapping
@@ -30,7 +28,7 @@ type MapRow struct {
 // fixed. Each cell is an independent simulation on the worker pool, so the
 // table is identical at any -parallel setting.
 func MapSweep(o Options, np int) ([]MapRow, error) {
-	strategies, _ := sweepStrategies(np)
+	strategies := sweepStrategies(np)
 	policies := machine.PlacementNames()
 	var jobs []Job
 	for _, pol := range policies {
@@ -71,7 +69,7 @@ var PsetRatios = []int{16, 32, 64, 128}
 // given processor count. Ratios needing more psets than the partition has
 // nodes are skipped.
 func PsetRatio(o Options, np int) ([]PsetRatioRow, error) {
-	strategies, _ := sweepStrategies(np)
+	strategies := sweepStrategies(np)
 	var jobs []Job
 	for _, ratio := range PsetRatios {
 		d, err := machine.Lookup(o.Machine)
@@ -98,31 +96,4 @@ func PsetRatio(o Options, np int) ([]PsetRatioRow, error) {
 		}
 	}
 	return rows, nil
-}
-
-func init() {
-	Register(Descriptor{
-		Name: "mapsweep", Doc: "checkpoint performance across rank-placement policies",
-		Flags: "-machine -map",
-		Run: func(s *Session) error {
-			rows, err := MapSweep(s.Opts, s.NPOr(2048))
-			if err != nil {
-				return err
-			}
-			s.printf("== Extension: rank-placement (mapping) sweep ==\n%s\n", table.Of(rows))
-			return nil
-		},
-	})
-	Register(Descriptor{
-		Name: "psetratio", Doc: "checkpoint performance across compute:ION pset ratios",
-		Flags: "-machine",
-		Run: func(s *Session) error {
-			rows, err := PsetRatio(s.Opts, s.NPOr(2048))
-			if err != nil {
-				return err
-			}
-			s.printf("== Extension: compute:ION pset-ratio sweep ==\n%s\n", table.Of(rows))
-			return nil
-		},
-	})
 }
