@@ -389,7 +389,7 @@ func (st *coll) send(dst int, buf data.Buf, val any) (collStatus, float64) {
 // found.
 func (st *coll) recv(src int) (collStatus, float64) {
 	r := st.r
-	st.prev, st.t0 = r.opBegin()
+	st.prev, st.t0 = r.proc.Enter(trace.LayerMPI)
 	srcWorld := st.c.members[src]
 	m := r.take(st.c.id, srcWorld, st.tag)
 	if m == nil {
@@ -400,7 +400,7 @@ func (st *coll) recv(src int) (collStatus, float64) {
 	st.fold(m)
 	d := r.recvCost(st.opLen)
 	if r.proc.SleepFast(d) {
-		r.recvDone(st.prev, st.t0, st.opLen)
+		r.proc.Leave(st.prev, trace.LayerMPI, "mpi.recv", r.id, st.t0, st.opLen)
 		return collNext, 0
 	}
 	st.wait = waitRecvCost
@@ -438,7 +438,7 @@ func (st *coll) finishWait() (collStatus, float64) {
 		st.wait = waitRecvCost
 		return collSleep, r.recvCost(st.opLen)
 	case waitRecvCost:
-		r.recvDone(st.prev, st.t0, st.opLen)
+		r.proc.Leave(st.prev, trace.LayerMPI, "mpi.recv", r.id, st.t0, st.opLen)
 	case waitSendPost:
 		st.snd.Continue()
 		st.wait = waitSend

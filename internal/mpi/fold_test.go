@@ -93,7 +93,7 @@ func refBarrier(c *Comm, r *Rank) {
 	if n == 1 {
 		return
 	}
-	prev, t0 := r.opBegin()
+	prev, t0 := r.proc.Enter(trace.LayerMPI)
 	key := collKey{parent: c.id, seq: bump(&r.collSeq, c.id)}
 	c.enter(r)
 	reg := c.w.regFor(c)
@@ -111,10 +111,7 @@ func refBarrier(c *Comm, r *Rank) {
 	}
 	r.proc.Sleep(HWBarrierLatency)
 	c.exit(r)
-	if r.w.rec != nil {
-		r.proc.Rec().Span(trace.LayerMPI, "mpi.barrier", r.id, t0, r.Now(), 0)
-		r.w.K.SetLayer(prev)
-	}
+	r.proc.Leave(prev, trace.LayerMPI, "mpi.barrier", r.id, t0, 0)
 }
 
 // barrierScenario runs rounds of barriers on the group with point-to-point

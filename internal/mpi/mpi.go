@@ -448,34 +448,6 @@ func (r *Rank) delivered() *message {
 // putMsg returns a consumed message to the pool of r's execution context.
 func (r *Rank) putMsg(m *message) { r.w.poolFor(r.proc).putMsg(m) }
 
-// opBegin opens one of r's point-to-point operations for tracing: it makes
-// MPI the current layer and returns the layer to restore and the start
-// time. Tracing off, it does nothing.
-func (r *Rank) opBegin() (trace.Layer, float64) {
-	if r.w.rec == nil {
-		return 0, 0
-	}
-	return r.w.K.SetLayer(trace.LayerMPI), r.Now()
-}
-
-// recvDone closes a receive of n bytes opened by opBegin.
-func (r *Rank) recvDone(prev trace.Layer, t0 float64, n int64) {
-	if r.w.rec == nil {
-		return
-	}
-	r.proc.Rec().Span(trace.LayerMPI, "mpi.recv", r.id, t0, r.Now(), n)
-	r.w.K.SetLayer(prev)
-}
-
-// recvExpired closes a receive opened by opBegin whose deadline passed.
-func (r *Rank) recvExpired(prev trace.Layer, t0 float64) {
-	if r.w.rec == nil {
-		return
-	}
-	r.proc.Rec().Span(trace.LayerMPI, "mpi.recv.timeout", r.id, t0, r.Now(), 0)
-	r.w.K.SetLayer(prev)
-}
-
 // commSeq is one (communicator, counter) entry. A rank belongs to a handful
 // of communicators at most, so a linear scan of a small slice beats the map
 // these counters used to live in — they are bumped on every collective call.
@@ -507,17 +479,9 @@ type Request struct {
 
 // Wait blocks until the operation completes locally.
 func (req *Request) Wait(p *sim.Proc) {
-	rec := p.Rec()
-	if rec == nil {
-		p.SleepUntil(req.doneAt)
-		return
-	}
-	k := p.Kernel()
-	t0 := p.Now()
-	prev := k.SetLayer(trace.LayerMPI)
+	prev, t0 := p.Enter(trace.LayerMPI)
 	p.SleepUntil(req.doneAt)
-	rec.Span(trace.LayerMPI, "mpi.wait", req.rank, t0, p.Now(), 0)
-	k.SetLayer(prev)
+	p.Leave(prev, trace.LayerMPI, "mpi.wait", req.rank, t0, 0)
 }
 
 // LocalTime returns the duration the operation occupied the caller — the
@@ -648,7 +612,7 @@ type sendOp struct {
 func (c *Comm) newSend(r *Rank, dst, tag int, buf data.Buf, val any) *sendOp {
 	op := c.getSend(r, dst)
 	op.tag, op.buf, op.val = int32(tag), buf, val
-	op.open()
+	op.prev, _ = r.proc.Enter(trace.LayerMPI)
 	if op.shared {
 		r.proc.EnterShared()
 	}
@@ -667,14 +631,6 @@ func (c *Comm) getSend(r *Rank, dst int) *sendOp {
 	op.dst = r.w.rankOf(c.members[dst])
 	op.shared = r.w.lanes != nil && r.w.lanePort(r, op.dst) == nil
 	return op
-}
-
-// open makes MPI the current layer for a call's span, remembering the
-// caller's.
-func (op *sendOp) open() {
-	if op.r.w.rec != nil {
-		op.prev = op.r.w.K.SetLayer(trace.LayerMPI)
-	}
 }
 
 func (ln *laneMPI) getSend() *sendOp {
@@ -780,7 +736,7 @@ func (c *Comm) Recv(r *Rank, src, tag int) (data.Buf, int) {
 	if r.want.posted {
 		panic("mpi: rank has a receive already outstanding")
 	}
-	prev, t0 := r.opBegin()
+	prev, t0 := r.proc.Enter(trace.LayerMPI)
 	srcWorld := c.srcWorld(src)
 	var buf data.Buf
 	// First match against already-arrived messages, in arrival order.
@@ -795,7 +751,7 @@ func (c *Comm) Recv(r *Rank, src, tag int) (data.Buf, int) {
 		buf, srcWorld = got.buf, got.src
 		r.putMsg(got)
 	}
-	r.recvDone(prev, t0, buf.Len())
+	r.proc.Leave(prev, trace.LayerMPI, "mpi.recv", r.id, t0, buf.Len())
 	return buf, c.rankOfWorld(srcWorld)
 }
 
@@ -862,11 +818,9 @@ func (c *Comm) Barrier(r *Rank) {
 // MPI layer and spanned. A function of its own, so untraced waits park
 // without the span's frame.
 func (c *Comm) tracedBarrier(r *Rank) {
-	prevLayer := r.w.K.SetLayer(trace.LayerMPI)
-	t0 := r.Now()
+	prev, t0 := r.proc.Enter(trace.LayerMPI)
 	c.barrier(r)
-	r.proc.Rec().Span(trace.LayerMPI, "mpi.barrier", r.id, t0, r.Now(), 0)
-	r.w.K.SetLayer(prevLayer)
+	r.proc.Leave(prev, trace.LayerMPI, "mpi.barrier", r.id, t0, 0)
 }
 
 // barrier is Barrier's wait. Its frame is what a rank parks in a barrier

@@ -83,7 +83,7 @@ func (op *sendOp) next() bool {
 			}
 			tag, buf := op.seq.SendMsg(op.r, int(op.i))
 			op.tag, op.buf = int32(tag), buf
-			op.open()
+			op.prev, _ = p.Enter(trace.LayerMPI)
 			if op.shared {
 				op.stage = seqEntered
 				return true
@@ -99,7 +99,7 @@ func (op *sendOp) next() bool {
 			fallthrough
 		case seqOverhead:
 			op.post()
-			op.waitBegin()
+			op.prev, op.t0 = p.Enter(trace.LayerMPI) // as Request.Wait
 			if d := op.doneAt - p.Now(); d > 0 && !p.SleepFast(d) {
 				p.UnparkAfter(d)
 				op.stage = seqLocal
@@ -107,27 +107,11 @@ func (op *sendOp) next() bool {
 			}
 			fallthrough
 		case seqLocal:
-			op.waitEnd()
+			p.Leave(op.prev, trace.LayerMPI, "mpi.wait", op.r.id, op.t0, 0)
 			op.seq.Sent(op.r, int(op.i), op.start, op.doneAt-op.start)
 			op.i++
 			op.stage = seqNext
 		}
-	}
-}
-
-// waitBegin opens a send's wait the way Request.Wait opens it.
-func (op *sendOp) waitBegin() {
-	if op.r.w.rec != nil {
-		op.r.w.K.SetLayer(trace.LayerMPI)
-		op.t0 = op.r.Now()
-	}
-}
-
-// waitEnd closes a send's wait the way Request.Wait closes it.
-func (op *sendOp) waitEnd() {
-	if r := op.r; r.w.rec != nil {
-		r.proc.Rec().Span(trace.LayerMPI, "mpi.wait", r.id, op.t0, r.Now(), 0)
-		r.w.K.SetLayer(op.prev)
 	}
 }
 
@@ -156,11 +140,11 @@ func (w *recvWant) next() bool {
 			r.delivered()
 			buf := m.buf
 			r.putMsg(m)
-			r.recvDone(w.prev, w.t0, buf.Len())
+			r.proc.Leave(w.prev, trace.LayerMPI, "mpi.recv", r.id, w.t0, buf.Len())
 			w.seq.Recvd(r, w.t0, buf, true)
 		} else if w.timedOut {
 			w.timedOut = false
-			r.recvExpired(w.prev, w.t0)
+			r.proc.Leave(w.prev, trace.LayerMPI, "mpi.recv.timeout", r.id, w.t0, 0)
 			w.seq.Recvd(r, w.t0, data.Buf{}, false)
 		}
 		src, tag, timeout, ok := w.seq.NextRecv(r)
@@ -168,7 +152,7 @@ func (w *recvWant) next() bool {
 			w.seq, w.c = nil, nil
 			return true
 		}
-		w.prev, _ = r.opBegin()
+		w.prev, _ = r.proc.Enter(trace.LayerMPI)
 		w.t0 = r.Now()
 		srcWorld := w.c.srcWorld(src)
 		if m := r.take(w.c.id, srcWorld, tag); m != nil {

@@ -392,10 +392,7 @@ func (pe *Pending) checkpoint(c *mpi.Comm, r *mpi.Rank, plan ckpt.Plan, st *Stat
 	r.Proc().AwaitNow((*snapshot)(st))
 	s := ckptStep{cp: st.snap, up: pe.cfg.RankUp == nil || pe.cfg.RankUp(r.ID())}
 	st.snap = nil
-	if k := pe.w.M.K; k.Recorder() != nil {
-		s.prev = k.SetLayer(trace.LayerCkpt)
-		s.t0 = r.Now()
-	}
+	s.prev, s.t0 = r.Proc().Enter(trace.LayerCkpt)
 	s.stats, s.err = plan.Write(pe.env, r, s.cp)
 	if rankUp := pe.cfg.RankUp; rankUp != nil && s.up && s.err == nil {
 		// Did the node die before the write finished? Asked here, not in
@@ -434,10 +431,7 @@ type ckptStep struct {
 // and reports false. It runs after Write returns, so its frame is never
 // parked.
 func (pe *Pending) record(c *mpi.Comm, r *mpi.Rank, s *ckptStep) bool {
-	if k := pe.w.M.K; k.Recorder() != nil {
-		r.Proc().Rec().Span(trace.LayerCkpt, "ckpt.step", r.ID(), s.t0, r.Now(), s.cp.TotalBytes())
-		k.SetLayer(s.prev)
-	}
+	r.Proc().Leave(s.prev, trace.LayerCkpt, "ckpt.step", r.ID(), s.t0, s.cp.TotalBytes())
 	if s.err != nil {
 		pe.fail(s.err)
 		return false

@@ -74,6 +74,28 @@ func (p *Proc) OnLane() bool {
 // Rec returns the kernel's trace recorder, nil when tracing is off.
 func (p *Proc) Rec() *trace.Recorder { return p.k.rec }
 
+// Enter opens one of p's traced operations: it makes l the current layer
+// and returns the layer to restore and the operation's start, for Leave.
+// Tracing off, it does nothing and returns zeros. Enter and Leave are the
+// one protocol of layer entry outside the kernel (DESIGN §9).
+func (p *Proc) Enter(l trace.Layer) (prev trace.Layer, t0 float64) {
+	if p.k.rec == nil {
+		return 0, 0
+	}
+	return p.k.SetLayer(l), p.Now()
+}
+
+// Leave closes an operation opened by Enter: it records a span of bytes
+// named name on layer l and track from t0 to now, then restores prev.
+// Tracing off, it does nothing.
+func (p *Proc) Leave(prev, l trace.Layer, name string, track int, t0 float64, bytes int64) {
+	if p.k.rec == nil {
+		return
+	}
+	p.k.rec.Span(l, name, track, t0, p.Now(), bytes)
+	p.k.layer = prev
+}
+
 // home returns the lane p belongs to: its partition's, or the kernel's own.
 func (p *Proc) home() *lane {
 	if p.part != nil {

@@ -115,3 +115,49 @@ func BenchmarkSleep(b *testing.B) {
 		})
 	}
 }
+
+// TestEnterLeave pins the traced-operation bracket. Tracing off, Enter and
+// Leave allocate nothing and leave the layer alone. Tracing on, Leave
+// records the span from Enter's start to now and restores the caller's
+// layer.
+func TestEnterLeave(t *testing.T) {
+	for _, rec := range []*trace.Recorder{nil, trace.NewRecorder()} {
+		k := NewKernel()
+		k.SetRecorder(rec)
+		outer := k.layer
+		k.Go("op", func(p *Proc) {
+			p.Sleep(1)
+			prev, t0 := p.Enter(trace.LayerMPI)
+			want := outer
+			if rec != nil {
+				want = trace.LayerMPI
+			}
+			if k.layer != want {
+				t.Errorf("traced=%v: layer %v inside the operation, want %v", rec != nil, k.layer, want)
+			}
+			p.Sleep(2)
+			p.Leave(prev, trace.LayerMPI, "op", 3, t0, 64)
+			if k.layer != outer {
+				t.Errorf("traced=%v: layer %v after Leave, want %v", rec != nil, k.layer, outer)
+			}
+			if rec == nil {
+				if avg := testing.AllocsPerRun(100, func() {
+					prev, t0 := p.Enter(trace.LayerMPI)
+					p.Leave(prev, trace.LayerMPI, "op", 3, t0, 64)
+				}); avg != 0 {
+					t.Errorf("untraced Enter/Leave allocate: %.1f allocs per call", avg)
+				}
+			}
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if rec == nil {
+			continue
+		}
+		want := trace.Event{Layer: trace.LayerMPI, Kind: trace.KindSpan, Track: 3, Name: "op", T: 1, Dur: 2, Value: 64}
+		if evs := rec.Events(); len(evs) != 1 || evs[0] != want {
+			t.Errorf("recorded %+v, want one span %+v", evs, want)
+		}
+	}
+}

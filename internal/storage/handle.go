@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Handle is an open file descriptor. Handles may be shared across ranks
@@ -94,12 +93,7 @@ func (h *Handle) WriteAt(p *sim.Proc, rank int, off int64, buf data.Buf) error {
 	c := h.c
 	c.TrackBurst(rank)
 
-	var prevLayer trace.Layer
-	var t0 float64
-	if c.rec != nil {
-		prevLayer = c.m.K.SetLayer(c.recLayer)
-		t0 = p.Now()
-	}
+	prev, t0 := p.Enter(c.recLayer)
 
 	// 1. Data cuts through the pset funnel into the ION packet by packet
 	// while the client stream drains it toward the servers.
@@ -132,10 +126,7 @@ func (h *Handle) WriteAt(p *sim.Proc, rank int, off int64, buf data.Buf) error {
 	c.Stats.BytesWritten += buf.Len()
 
 	err := wait(p)
-	if c.rec != nil {
-		c.rec.Span(c.recLayer, "fs.write", rank, t0, p.Now(), buf.Len())
-		c.m.K.SetLayer(prevLayer)
-	}
+	p.Leave(prev, c.recLayer, "fs.write", rank, t0, buf.Len())
 	return err
 }
 
@@ -154,17 +145,9 @@ func (h *Handle) ReadAt(p *sim.Proc, rank int, off, n int64) (data.Buf, error) {
 		return data.Buf{}, fmt.Errorf("%s: read [%d,%d) beyond EOF %d of %s", h.c.name, off, off+n, h.f.store.Size(), h.f.name)
 	}
 	c := h.c
-	var prevLayer trace.Layer
-	var t0 float64
-	if c.rec != nil {
-		prevLayer = c.m.K.SetLayer(c.recLayer)
-		t0 = p.Now()
-	}
+	prev, t0 := p.Enter(c.recLayer)
 	err := c.path.Read(p, c, h, rank, off, n)
-	if c.rec != nil {
-		c.rec.Span(c.recLayer, "fs.read", rank, t0, p.Now(), n)
-		c.m.K.SetLayer(prevLayer)
-	}
+	p.Leave(prev, c.recLayer, "fs.read", rank, t0, n)
 	if err != nil {
 		return data.Buf{}, err
 	}
@@ -190,22 +173,14 @@ func (h *Handle) Close(p *sim.Proc, rank int) error {
 		return h.c.errClosed()
 	}
 	c := h.c
-	var prevLayer trace.Layer
-	var t0 float64
-	if c.rec != nil {
-		prevLayer = c.m.K.SetLayer(c.recLayer)
-		t0 = p.Now()
-	}
+	prev, t0 := p.Enter(c.recLayer)
 	for h.total > 0 {
 		h.closeWait = append(h.closeWait, p)
 		p.Park()
 	}
 	h.c.ShipToION(p, rank, 256)
 	h.c.meta.Close(p, h.c, h.f.name)
-	if c.rec != nil {
-		c.rec.Span(c.recLayer, "md.close", rank, t0, p.Now(), 0)
-		c.m.K.SetLayer(prevLayer)
-	}
+	p.Leave(prev, c.recLayer, "md.close", rank, t0, 0)
 	h.closed = true
 	h.c.Stats.Closes++
 	// Surface any asynchronous commit loss the way fsync/close would: the

@@ -443,18 +443,10 @@ func (c *Core) errClosed() error { return fmt.Errorf("%s: %w", c.name, fsys.ErrC
 // through the rank's pset funnel and whatever queueing the metadata policy
 // models; the namespace mutation itself is mechanism.
 func (c *Core) Create(p *sim.Proc, rank int, path string) (fsys.Handle, error) {
-	var prevLayer trace.Layer
-	var t0 float64
-	if c.rec != nil {
-		prevLayer = c.m.K.SetLayer(c.recLayer)
-		t0 = p.Now()
-	}
+	prev, t0 := p.Enter(c.recLayer)
 	c.ShipToION(p, rank, 512)
 	c.meta.Create(p, c, path)
-	if c.rec != nil {
-		c.rec.Span(c.recLayer, "md.create", rank, t0, p.Now(), 0)
-		c.m.K.SetLayer(prevLayer)
-	}
+	p.Leave(prev, c.recLayer, "md.create", rank, t0, 0)
 	if _, ok := c.files[path]; ok {
 		return nil, fmt.Errorf("%s: %w: %s", c.name, fsys.ErrExists, path)
 	}
@@ -467,18 +459,10 @@ func (c *Core) Create(p *sim.Proc, rank int, path string) (fsys.Handle, error) {
 
 // Open implements fsys.System.
 func (c *Core) Open(p *sim.Proc, rank int, path string) (fsys.Handle, error) {
-	var prevLayer trace.Layer
-	var t0 float64
-	if c.rec != nil {
-		prevLayer = c.m.K.SetLayer(c.recLayer)
-		t0 = p.Now()
-	}
+	prev, t0 := p.Enter(c.recLayer)
 	c.ShipToION(p, rank, 512)
 	c.meta.Open(p, c, path)
-	if c.rec != nil {
-		c.rec.Span(c.recLayer, "md.open", rank, t0, p.Now(), 0)
-		c.m.K.SetLayer(prevLayer)
-	}
+	p.Leave(prev, c.recLayer, "md.open", rank, t0, 0)
 	f, ok := c.files[path]
 	if !ok {
 		return nil, fmt.Errorf("%s: %w: %s", c.name, fsys.ErrNotExist, path)
