@@ -159,6 +159,7 @@ func TestNoTestOnlyAPI(t *testing.T) {
 	}
 	ifaceCalls := map[ifaceCall]bool{}
 	fields := newFieldScan()
+	consts := newConstScan()
 	for _, dir := range []string{".", "bench"} {
 		for _, p := range goList(t, dir) {
 			if imp.checked[p.ImportPath] != nil {
@@ -185,6 +186,7 @@ func TestNoTestOnlyAPI(t *testing.T) {
 			imp.checked[p.ImportPath] = pkg
 			inBench := strings.HasPrefix(p.ImportPath, "repro/bench")
 			fields.scan(fset, pkg, info, files, !inBench)
+			consts.scan(pkg, info, files, !inBench)
 			for _, f := range files {
 				for _, d := range f.Decls {
 					fd, _ := d.(*ast.FuncDecl)
@@ -281,6 +283,7 @@ func TestNoTestOnlyAPI(t *testing.T) {
 		}
 	}
 	fields.check(t, fset)
+	consts.check(t, fset)
 }
 
 // fieldOnlyAllow names, qualified by package and struct, the fields that no
@@ -551,6 +554,98 @@ func (s *fieldScan) check(t *testing.T, fset *token.FileSet) {
 	for name := range singleValueAllow {
 		if !declared[name] {
 			t.Errorf("allowlisted field %s is declared nowhere outside bench/; drop it from singleValueAllow", name)
+		}
+	}
+}
+
+// constOnlyAllow names, qualified by package, the typed constants that
+// non-test Go only compares against and that stay anyway, each with the
+// reason.
+var constOnlyAllow = map[string]string{
+	"exp.streamScaled": "the zero value: scenario literals that leave Stream out produce it",
+	"fault.numClasses": "the bound of the loop over every fault class",
+}
+
+// constScan records, for every package-level constant of a named type
+// declared outside bench/, whether non-test Go produces it: uses it other
+// than as an operand of a comparison or a case of an expression switch.
+type constScan struct {
+	decl     map[*types.Const]string // constant -> package.name
+	produced map[*types.Const]bool
+}
+
+func newConstScan() *constScan {
+	return &constScan{map[*types.Const]string{}, map[*types.Const]bool{}}
+}
+
+// scan records the constants pkg declares, when declare is set, and every
+// use in files that produces a constant.
+func (s *constScan) scan(pkg *types.Package, info *types.Info, files []*ast.File, declare bool) {
+	if declare {
+		for _, name := range pkg.Scope().Names() {
+			if c, ok := pkg.Scope().Lookup(name).(*types.Const); ok {
+				if _, named := c.Type().(*types.Named); named {
+					s.decl[c] = pkg.Name() + "." + name
+				}
+			}
+		}
+	}
+	// compared holds the identifiers that only take part in a comparison.
+	compared := map[*ast.Ident]bool{}
+	mark := func(e ast.Expr) {
+		switch e := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			compared[e] = true
+		case *ast.SelectorExpr:
+			compared[e.Sel] = true
+		}
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.BinaryExpr:
+				switch n.Op {
+				case token.EQL, token.NEQ, token.LSS, token.LEQ, token.GTR, token.GEQ:
+					mark(n.X)
+					mark(n.Y)
+				}
+			case *ast.SwitchStmt:
+				if n.Tag != nil {
+					for _, cc := range n.Body.List {
+						for _, e := range cc.(*ast.CaseClause).List {
+							mark(e)
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+	for id, obj := range info.Uses {
+		if c, ok := obj.(*types.Const); ok && !compared[id] {
+			s.produced[c] = true
+		}
+	}
+}
+
+// check fails on every declared constant that no non-test Go produces,
+// unless constOnlyAllow names it.
+func (s *constScan) check(t *testing.T, fset *token.FileSet) {
+	declared := map[string]bool{}
+	var dead []string
+	for c, name := range s.decl {
+		declared[name] = true
+		if !s.produced[c] && constOnlyAllow[name] == "" {
+			dead = append(dead, fmt.Sprintf("%s: constant %s: no non-test Go produces it, only compares against it", fset.Position(c.Pos()), name))
+		}
+	}
+	sort.Strings(dead)
+	for _, d := range dead {
+		t.Error(d)
+	}
+	for name := range constOnlyAllow {
+		if !declared[name] {
+			t.Errorf("allowlisted constant %s is declared nowhere outside bench/; drop it from constOnlyAllow", name)
 		}
 	}
 }

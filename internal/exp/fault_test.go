@@ -61,6 +61,33 @@ func TestRbIOWriterDeathReelection(t *testing.T) {
 	}
 }
 
+// TestRbIOWriterTimesOutOnRevivedNode reaches the fault-aware writer's
+// receive timeout. Group 0's writer (node 0) dies for good, and node 2
+// (ranks 8-11) is down when the ranks enter the step, at about 0.25 s, so
+// its ranks skip. Node 2 is back at 0.75 s, before the re-elected writer
+// (rank 4) has waited out its detection window, so the writer believes
+// ranks 8-11 alive, waits one timeout on each, and records their chunks as
+// missing.
+func TestRbIOWriterTimesOutOnRevivedNode(t *testing.T) {
+	r := faultedRun(t, 256, DefaultRbIOWithGroup(64), fault.Schedule{
+		{Time: 1e-9, Class: fault.Node, Index: 0, Kind: fault.Fail},
+		{Time: 1e-9, Class: fault.Node, Index: 2, Kind: fault.Fail},
+		{Time: 0.75, Class: fault.Node, Index: 2, Kind: fault.Restore},
+	})
+	fo := r.Fault
+	if fo.DeadRanks != 8 {
+		t.Errorf("dead ranks = %d, want 8 (nodes 0 and 2)", fo.DeadRanks)
+	}
+	if fo.MissingChunks != 8 || !fo.Lost {
+		t.Errorf("missing chunks = %d, lost %v; want 8, lost", fo.MissingChunks, fo.Lost)
+	}
+	// The four known-dead ranks cost nothing; each of node 2's four costs
+	// one peer timeout after the detection window.
+	if min := 0.25 + 5*1.0; r.Agg.MaxEnd < min {
+		t.Errorf("step ended at %.3fs, before the writer's four timeouts could (%.3fs)", r.Agg.MaxEnd, min)
+	}
+}
+
 // TestMidWriteNodeDeathLosesCheckpoint pins the vulnerability-window model
 // for a non-grouped strategy: a node death while 1PFPP ranks are writing
 // makes those ranks' checkpoints non-durable (DeadRanks > 0, Lost), while

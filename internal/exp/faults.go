@@ -95,19 +95,6 @@ func (e *env) attachFaults(spec *FaultSpec) (*fault.Injector, error) {
 			case fault.Restore:
 				m.Eth.NIC(ev.Index).SetDegrade(0)
 			}
-		case fault.FabricLink:
-			// Compute-interconnect links degrade through the generic engine.
-			// Sampled schedules never include this class (its rate is absent
-			// from the map above), so it only fires from explicit schedules.
-			if ev.Index >= m.Topo.NumLinks() {
-				return
-			}
-			switch ev.Kind {
-			case fault.Degrade:
-				m.Net.SetLinkDegrade(ev.Index, ev.Factor)
-			case fault.Restore:
-				m.Net.SetLinkDegrade(ev.Index, 0)
-			}
 		}
 	})
 	return inj, nil

@@ -3,8 +3,6 @@ package exp
 import (
 	"testing"
 
-	"repro/internal/ckpt"
-	"repro/internal/fault"
 	"repro/internal/machine"
 	"repro/internal/table"
 )
@@ -96,49 +94,5 @@ func TestPsetRatioDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if ratios[128] {
 		t.Error("128:1 needs more psets than the 64-node partition has")
-	}
-}
-
-// TestFabricLinkDegradeSlowsCheckpoint pins the new fault class end to end:
-// an explicit schedule degrading every compute-fabric link throttles the
-// intra-group gather phase — a mild degrade stretches the checkpoint without
-// losing it, and a severe one makes writers time out on their members'
-// chunks (MissingChunks > 0, Lost). Sampled schedules never draw FabricLink
-// events, so this path is reachable only through explicit schedules — see
-// attachFaults.
-func TestFabricLinkDegradeSlowsCheckpoint(t *testing.T) {
-	np := 256
-	degradeAll := func(factor float64) fault.Schedule {
-		// 64 nodes on a torus: 6 directed links per node.
-		var sched fault.Schedule
-		for idx := 0; idx < 6*np/4; idx++ {
-			sched = append(sched, fault.Event{Time: 1e-9, Class: fault.FabricLink, Index: idx, Kind: fault.Degrade, Factor: factor})
-		}
-		return sched
-	}
-	run := func(sched fault.Schedule) *Run {
-		t.Helper()
-		var spec *FaultSpec
-		if sched != nil {
-			spec = &FaultSpec{Seed: 7, Schedule: sched}
-		}
-		r, err := runCheckpoint(Options{Seed: 1}, Job{NP: np, Strategy: ckpt.DefaultRbIO(), Faults: spec})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	clean := run(nil)
-	slow := run(degradeAll(0.25))
-	if slow.Fault == nil || slow.Fault.Lost || slow.Fault.MissingChunks != 0 {
-		t.Fatalf("4x fabric degrade must slow the checkpoint, not lose it: %+v", slow.Fault)
-	}
-	if slow.Result.Wall <= clean.Result.Wall {
-		t.Errorf("4x fabric degrade did not stretch the makespan: %.3fs vs clean %.3fs",
-			slow.Result.Wall, clean.Result.Wall)
-	}
-	crawl := run(degradeAll(0.02))
-	if crawl.Fault.MissingChunks == 0 || !crawl.Fault.Lost {
-		t.Errorf("50x fabric degrade should make writers give up on chunks: %+v", crawl.Fault)
 	}
 }

@@ -42,12 +42,6 @@ const (
 	// Link is an ION's Ethernet NIC: it degrades to a fraction of its
 	// bandwidth rather than going down.
 	Link
-	// FabricLink is one directed link of the compute interconnect (a torus,
-	// fat-tree, or dragonfly edge), indexed by the topology's dense link
-	// index. Like Link it degrades rather than fails. Sampled schedules only
-	// include it when its Rates entry is present, so existing seeds draw
-	// identical schedules.
-	FabricLink
 
 	numClasses
 )
@@ -62,8 +56,6 @@ func (c Class) String() string {
 		return "server"
 	case Link:
 		return "link"
-	case FabricLink:
-		return "fabric-link"
 	}
 	return fmt.Sprintf("class(%d)", uint8(c))
 }
@@ -129,7 +121,7 @@ type Rates struct {
 	MTBF  float64 // per-component mean time between failures, seconds (0: immune)
 	MTTR  float64 // mean time to repair, seconds (0: failures are permanent)
 	Shape float64 // Weibull shape for inter-failure times; <=0 or 1 means exponential
-	// Factor is the Link/FabricLink bandwidth multiplier while degraded;
+	// Factor is the Link bandwidth multiplier while degraded;
 	// ignored for other classes (they go fully down).
 	Factor float64
 }
@@ -161,7 +153,7 @@ func Sample(rng *xrand.RNG, horizon float64, rates map[Class]Rates) Schedule {
 				if t >= horizon {
 					break
 				}
-				if cl == Link || cl == FabricLink {
+				if cl == Link {
 					f := r.Factor
 					if f <= 0 || f > 1 {
 						f = 0.25

@@ -88,7 +88,8 @@ func TestInjectorReplay(t *testing.T) {
 	var seen []Event
 	in.Subscribe(func(ev Event) { seen = append(seen, ev) })
 	// Link 0's bandwidth multiplier as a subscriber applies it to the link
-	// (exp's SetLinkDegrade): a Degrade sets it, a Restore clears it.
+	// (exp's attachFaults sets the NIC's degrade): a Degrade sets it, a
+	// Restore clears it.
 	factor := 1.0
 	in.Subscribe(func(ev Event) {
 		switch {

@@ -23,12 +23,6 @@ type Interconnect struct {
 	linkFree   []float64 // per directed link: time it next becomes free
 	injectFree []float64 // per node: injection DMA next free
 
-	// Fault injection: per-link bandwidth multipliers (0 = healthy).
-	// degraded counts non-zero entries so the healthy fast path — bottleneck
-	// is exactly cfg.LinkBW, no per-link scan — survives untouched.
-	linkDegrade []float64
-	degraded    int
-
 	// Transfer scratch, reused across calls (the kernel serializes them).
 	routeBuf []int
 
@@ -40,13 +34,12 @@ type Interconnect struct {
 // NewInterconnect builds the contention engine over a topology.
 func NewInterconnect(t Topology, cfg fabric.LinkConfig) *Interconnect {
 	return &Interconnect{
-		topo:        t,
-		cfg:         cfg,
-		linkFree:    make([]float64, t.NumLinks()),
-		injectFree:  make([]float64, t.Nodes()),
-		linkDegrade: make([]float64, t.NumLinks()),
-		msgsCtr:     t.Name() + ".msgs",
-		bytesCtr:    t.Name() + ".bytes",
+		topo:       t,
+		cfg:        cfg,
+		linkFree:   make([]float64, t.NumLinks()),
+		injectFree: make([]float64, t.Nodes()),
+		msgsCtr:    t.Name() + ".msgs",
+		bytesCtr:   t.Name() + ".bytes",
 	}
 }
 
@@ -93,7 +86,6 @@ func (ic *Interconnect) transfer(routeBuf *[]int, start float64, src, dst int, s
 // priceRoute runs the contention arithmetic over an already-computed route.
 func (ic *Interconnect) priceRoute(route []int, start float64, size int64) (arrival float64) {
 	head := start
-	bottleneck := ic.cfg.LinkBW
 	// Head flit traverses each link, queueing behind earlier messages.
 	for _, idx := range route {
 		if ic.linkFree[idx] > head {
@@ -101,14 +93,7 @@ func (ic *Interconnect) priceRoute(route []int, start float64, size int64) (arri
 		}
 		head += fabric.HopLatency
 	}
-	if ic.degraded > 0 {
-		for _, idx := range route {
-			if f := ic.linkDegrade[idx]; f > 0 && ic.cfg.LinkBW*f < bottleneck {
-				bottleneck = ic.cfg.LinkBW * f
-			}
-		}
-	}
-	ser := float64(size) / bottleneck
+	ser := float64(size) / ic.cfg.LinkBW
 	arrival = head + ser
 	// The body occupies every traversed link for its serialization time.
 	for _, idx := range route {
@@ -143,23 +128,4 @@ func (p *Port) Inject(now float64, src int, size int64) (injectDone float64) {
 // worker whenever a recorder is attached.
 func (p *Port) Transfer(start float64, src, dst int, size int64) (arrival float64) {
 	return p.ic.transfer(&p.routeBuf, start, src, dst, size)
-}
-
-// SetLinkDegrade scales link idx's effective bandwidth by factor for future
-// transfers (fault injection: a flapping or half-duplex fabric link).
-// factor 0 or >= 1 restores full bandwidth; while no link is degraded the
-// transfer arithmetic is exactly the healthy path, so fault-free runs stay
-// bit-identical.
-func (ic *Interconnect) SetLinkDegrade(idx int, factor float64) {
-	if factor >= 1 {
-		factor = 0
-	}
-	was, is := ic.linkDegrade[idx] > 0, factor > 0
-	ic.linkDegrade[idx] = factor
-	switch {
-	case is && !was:
-		ic.degraded++
-	case was && !is:
-		ic.degraded--
-	}
 }

@@ -94,37 +94,3 @@ func TestTransferArrivalNeverBeforeStart(t *testing.T) {
 		}
 	}
 }
-
-// TestLinkDegradeSlowsBottleneck checks the fault-injection hook: degrading
-// a route link stretches serialization by the factor, and restoring it
-// returns the engine to the exact healthy arithmetic.
-func TestLinkDegradeSlowsBottleneck(t *testing.T) {
-	cfg := fabric.LinkConfig{LinkBW: 1e6, InjectBW: 1e12}
-	tn, _ := torusNet(t, 8, 1, 1, cfg)
-	tp := tn.topo
-	route := Route(tp, 0, 2)
-	hops := 2 * fabric.HopLatency // the route's head latency
-	healthy := tn.Transfer(0, 0, 2, 1e6)
-	if math.Abs(healthy-(1.0+hops)) > 1e-9 {
-		t.Fatalf("healthy arrival %v, want %v", healthy, 1.0+hops)
-	}
-	tn.SetLinkDegrade(route[0], 0.25) // quarter bandwidth on the first hop
-	slow := tn.Transfer(healthy, 0, 2, 1e6)
-	if math.Abs((slow-healthy)-(4.0+hops)) > 1e-9 {
-		t.Fatalf("degraded transfer took %v, want %v", slow-healthy, 4.0+hops)
-	}
-	tn.SetLinkDegrade(route[0], 0) // restore
-	again := tn.Transfer(slow, 0, 2, 1e6)
-	if math.Abs((again-slow)-(1.0+hops)) > 1e-9 {
-		t.Fatalf("restored transfer took %v, want %v", again-slow, 1.0+hops)
-	}
-	// A degraded link off the route changes nothing.
-	tn.SetLinkDegrade(route[0]+3, 0.5)
-	off := tn.Transfer(again, 4, 6, 1e6)
-	_ = off
-	tn.SetLinkDegrade(route[0]+3, 1) // factor >= 1 also restores
-	final := tn.Transfer(again+100, 0, 2, 1e6)
-	if math.Abs((final-(again+100))-(1.0+hops)) > 1e-9 {
-		t.Fatalf("post-restore transfer took %v, want %v", final-(again+100), 1.0+hops)
-	}
-}

@@ -11,8 +11,7 @@
 //     variable, as it is on the real machines.
 //   - Interconnect: a link-graph cost engine that prices a message over
 //     any Topology's route with per-link FIFO contention, virtual
-//     cut-through arithmetic, trace counters, and per-link fault-injection
-//     degrade hooks.
+//     cut-through arithmetic and trace counters.
 //
 // A concrete machine (internal/bgp's Intrepid, BlueGeneL, and the
 // fat-tree/dragonfly what-if variants) is a Config composing one choice per
