@@ -50,7 +50,7 @@ type cli struct {
 
 	which, ckptName, traceOut string
 	np, parallel, traceEvents int
-	manifests, metrics        bool
+	metrics                   bool
 }
 
 // newCLI defines iobench's flags on fs. -mtbf, -epochs, -work, -tenants and
@@ -65,7 +65,6 @@ func newCLI(fs *flag.FlagSet) *cli {
 	fs.Float64Var(&s.MTBF, "mtbf", s.MTBF, "per-component MTBF in hours for the fault experiments (faultsweep, makespan, recovery)")
 	fs.IntVar(&s.Epochs, "epochs", s.Epochs, "checkpoint epochs over the recovery lifecycle's work budget")
 	fs.IntVar(&s.Work, "work", s.Work, "solver-step work budget for -exp recovery")
-	fs.BoolVar(&c.manifests, "manifests", false, "attach epoch-manifest recording to every checkpoint run (results are byte-identical; used by the golden-diff CI step)")
 	fs.IntVar(&s.Tenants, "tenants", s.Tenants, "concurrent tenant jobs for the multi-tenant experiments (ckptstorm, restartstorm)")
 	fs.StringVar(&s.Workload, "workload", "", "workload generator spec for -exp workload: key=value pairs over jobs, np (min:max), gap, steps, seed, strategy")
 	fs.StringVar(&c.traceOut, "trace", "", "write a Chrome/Perfetto trace_event JSON of every simulation run to this file (load at ui.perfetto.dev)")
@@ -194,7 +193,6 @@ func (c *cli) resolve() ([]exp.Descriptor, error) {
 	}
 	o.Parallel = c.parallel
 	o.Ckpt = c.ckptName
-	o.Manifests = c.manifests
 	c.sess.Opts = o
 	return run, nil
 }
