@@ -11,9 +11,10 @@
 // composition over internal/storage — hashed-distributed metadata
 // (storage.HashedMDS), no locking (storage.LockFree), and a burst-buffer
 // data path (the one policy defined here). The spill path literally reuses
-// storage.StripeSync, and the drain's striped-commit math is the same
-// revolution grouping the PVFS policy uses — the shared core is what makes
-// this backend ~200 lines instead of a third copy of the storage path.
+// storage.StripeSync, and the drain commits through the same
+// revolution-grouped loop the PVFS policy uses (storage.Core.CommitStriped)
+// — the shared core is what makes this backend ~200 lines instead of a
+// third copy of the storage path.
 package bbuf
 
 import (

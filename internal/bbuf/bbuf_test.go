@@ -11,6 +11,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/pvfs"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/xrand"
 )
 
@@ -26,7 +27,14 @@ func mustNew(t *testing.T, m *machine.Machine, cfg Config) *FileSystem {
 
 func rig(t *testing.T, ranks int, mod func(*Config), body func(p *sim.Proc, fs *FileSystem)) {
 	t.Helper()
+	rigTraced(t, nil, ranks, mod, body)
+}
+
+// rigTraced is rig with rec attached before the mount; nil traces nothing.
+func rigTraced(t *testing.T, rec *trace.Recorder, ranks int, mod func(*Config), body func(p *sim.Proc, fs *FileSystem)) {
+	t.Helper()
 	k := sim.NewKernel()
+	k.SetRecorder(rec)
 	m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(ranks))
 	cfg := DefaultConfig()
 	cfg.NoiseProb = 0
@@ -114,8 +122,8 @@ func TestBackgroundDrainReachesServersAndFreesBuffer(t *testing.T) {
 	var writeEnd float64
 	var st BufferStats
 	var buffered int64
-	var serverBytes float64
-	rig(t, 256, nil, func(p *sim.Proc, fs *FileSystem) {
+	rec := trace.NewRecorder()
+	rigTraced(t, rec, 256, nil, func(p *sim.Proc, fs *FileSystem) {
 		h, _ := fs.Create(p, 0, "f")
 		h.WriteAt(p, 0, 0, data.Synthetic(n))
 		writeEnd = p.Now()
@@ -124,10 +132,13 @@ func TestBackgroundDrainReachesServersAndFreesBuffer(t *testing.T) {
 		p.Sleep(300)
 		st = fs.Buffer()
 		buffered = fs.BufferedBytes()
-		for _, s := range fs.Servers() {
-			serverBytes += s.Pipe().BusyTime() * s.Pipe().BW
-		}
 	})
+	var serverBytes int64
+	for _, s := range rec.Snapshot("", 0).Spans {
+		if s.Name == "server.write" {
+			serverBytes += s.Bytes
+		}
+	}
 	if st.AbsorbedBytes != n || st.SpilledBytes != 0 {
 		t.Fatalf("absorbed %d spilled %d, want %d/0", st.AbsorbedBytes, st.SpilledBytes, int64(n))
 	}
@@ -140,8 +151,8 @@ func TestBackgroundDrainReachesServersAndFreesBuffer(t *testing.T) {
 	// The revolution model charges the representative server with the
 	// per-server share of a fully parallel drain, so the pipes record
 	// n/NumServers, not n.
-	if perServer := float64(n / DefaultConfig().NumServers); serverBytes < perServer*(1-1e-12) {
-		t.Fatalf("shared servers saw only %g bytes of the drain (want >= %g)", serverBytes, perServer)
+	if perServer := int64(n / DefaultConfig().NumServers); serverBytes < perServer {
+		t.Fatalf("shared servers saw only %d bytes of the drain (want >= %d)", serverBytes, perServer)
 	}
 }
 

@@ -314,48 +314,11 @@ func (d *fleet) pump(c *storage.Core, node int) {
 // drain lands. It returns the time the node's drain channel frees (the
 // pipe's serialization point, not the landing).
 func (d *fleet) drainOut(c *storage.Core, h *storage.Handle, node int, ready float64, off, n int64) float64 {
-	m := c.Machine()
-	f := h.File()
 	drainStart, drainFree := d.drain[node].Transfer(ready, n)
-	spikeP := c.SpikeProb()
-	ss := d.cfg.BlockSize
-	servers := c.Servers()
-	revolution := ss * int64(len(servers))
-	host := d.host[node]
-	end := ready
-	var cum, lost int64
-	for lo := off; lo < off+n; {
-		hi := off + n
-		if r := (lo/revolution + 1) * revolution; r < hi {
-			hi = r
-		}
-		span := hi - lo
-		cum += span
-		deliver := drainStart + float64(cum)/d.cfg.DrainBW
-		srv, fdelay, ferr := c.PlanServer(f, lo/ss, deliver)
-		if ferr != nil {
-			// The retry budget exhausted against the shared servers: the
-			// rest of this drain cannot land and its bytes are lost.
-			lost = off + n - lo
-			if deliver+fdelay > end {
-				end = deliver + fdelay
-			}
-			break
-		}
-		ethEnd := m.Eth.Transfer(deliver+fdelay, host, span)
-		perServer := span / int64(len(servers))
-		if perServer == 0 {
-			perServer = span
-		}
-		_, e := srv.Pipe().Transfer(ethEnd, perServer)
-		e += c.DrawSpike(srv, spikeP)
-		if e > end {
-			end = e
-		}
-		lo = hi
-	}
-	c.ScheduleDrain(end)
-	done := end
+	// Past a server the retry budget cannot reach, the rest of the drain
+	// cannot land and its bytes are lost.
+	done, stop, _ := c.CommitStriped(h.File(), drainStart, d.cfg.DrainBW, d.host[node], ready, off, n)
+	lost := off + n - stop
 	if done > d.planEnd[node] {
 		d.planEnd[node] = done
 	}

@@ -14,13 +14,21 @@ import (
 	"repro/internal/machine"
 	"repro/internal/sim"
 	"repro/internal/storage"
+	"repro/internal/trace"
 	"repro/internal/xrand"
 )
 
 // rig builds a small machine + file system and runs body as a single process.
 func rig(t *testing.T, ranks int, mod func(*Config), body func(p *sim.Proc, fs *FileSystem)) {
 	t.Helper()
+	rigTraced(t, nil, ranks, mod, body)
+}
+
+// rigTraced is rig with rec attached before the mount; nil traces nothing.
+func rigTraced(t *testing.T, rec *trace.Recorder, ranks int, mod func(*Config), body func(p *sim.Proc, fs *FileSystem)) {
+	t.Helper()
 	k := sim.NewKernel()
+	k.SetRecorder(rec)
 	m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(ranks))
 	cfg := DefaultConfig()
 	cfg.NoiseProb = 0 // tests want exact timing unless they opt in
@@ -286,19 +294,20 @@ func TestWriteBehindOverlapsCommit(t *testing.T) {
 }
 
 func TestStripingSpreadsServers(t *testing.T) {
-	rig(t, 256, func(c *Config) { c.BlockSize = 1 << 20; c.NumServers = 8 }, func(p *sim.Proc, fs *FileSystem) {
+	rec := trace.NewRecorder()
+	rigTraced(t, rec, 256, func(c *Config) { c.BlockSize = 1 << 20; c.NumServers = 8 }, func(p *sim.Proc, fs *FileSystem) {
 		h, _ := fs.Create(p, 0, "big")
 		h.WriteAt(p, 0, 0, data.Synthetic(8<<20)) // exactly one block per server
-		busy := 0
-		for _, s := range fs.Servers() {
-			if s.Pipe().BusyTime() > 0 {
-				busy++
-			}
-		}
-		if busy != 8 {
-			t.Fatalf("striping touched %d/8 servers", busy)
-		}
 	})
+	busy := map[int32]bool{}
+	for _, ev := range rec.Events() {
+		if ev.Name == "server.write" {
+			busy[ev.Track] = true
+		}
+	}
+	if len(busy) != 8 {
+		t.Fatalf("striping touched %d/8 servers", len(busy))
+	}
 }
 
 func TestClientStreamCapsThroughput(t *testing.T) {

@@ -184,49 +184,61 @@ var _ DataPath = StripeSync{}
 // Commit implements DataPath: the full synchronous striped commit.
 func (StripeSync) Commit(c *Core, h *Handle, rank int, streamEnd float64, off, n int64) func(*sim.Proc) error {
 	streamBase := streamEnd - float64(n)/c.cfg.ClientStreamBW
-	commitEnd := streamBase
+	commitEnd, _, cerr := c.CommitStriped(h.f, streamBase, c.cfg.ClientStreamBW, c.m.PsetOfRank(rank), streamBase, off, n)
+	if cerr != nil {
+		// Synchronous commit against dead servers: the caller perceives
+		// the detection/retry delay, then the write fails.
+		h.setCommitErr(cerr)
+	}
+	// Cache off: synchronous completion.
+	return func(p *sim.Proc) error {
+		p.SleepUntil(commitEnd)
+		return cerr
+	}
+}
+
+// CommitStriped lands n bytes at off of f on the striped servers one
+// revolution at a time. The bytes leave at rate bytes per second from
+// start through host ION's Ethernet hop; a revolution's servers carry
+// span/NumServers each in parallel, so the busiest one is charged, with its
+// noise spike. The commit retires at its last landing, no earlier than end,
+// which it returns. When the retry budget cannot reach a revolution's
+// server, the commit stops there: it returns the offset of the first byte
+// that did not land and the error. Otherwise that offset is off+n.
+func (c *Core) CommitStriped(f *File, start, rate float64, host int, end float64, off, n int64) (float64, int64, error) {
 	spikeP := c.SpikeProb()
-	ion := c.m.PsetOfRank(rank)
-	var cerr error
-	var cum int64
 	ss := c.cfg.BlockSize
 	revolution := ss * int64(len(c.servers))
-	for lo := off; lo < off+n; {
+	var cum int64
+	var err error
+	lo := off
+	for lo < off+n {
 		hi := min64(off+n, (lo/revolution+1)*revolution)
 		span := hi - lo
 		cum += span
-		deliver := streamBase + float64(cum)/c.cfg.ClientStreamBW
-		srv, fdelay, ferr := c.PlanServer(h.f, lo/ss, deliver)
+		deliver := start + float64(cum)/rate
+		srv, fdelay, ferr := c.PlanServer(f, lo/ss, deliver)
 		if ferr != nil {
-			// Synchronous commit against dead servers: the caller perceives
-			// the detection/retry delay, then the write fails.
-			cerr = ferr
-			h.setCommitErr(ferr)
-			if deliver+fdelay > commitEnd {
-				commitEnd = deliver + fdelay
+			err = ferr
+			if deliver+fdelay > end {
+				end = deliver + fdelay
 			}
 			break
 		}
-		ethEnd := c.m.Eth.Transfer(deliver+fdelay, ion, span)
-		// The revolution touches up to NumServers servers; charge the
-		// busiest one (they carry span/NumServers each, in parallel).
+		ethEnd := c.m.Eth.Transfer(deliver+fdelay, host, span)
 		perServer := span / int64(len(c.servers))
 		if perServer == 0 {
 			perServer = span
 		}
 		_, e := srv.pipe.Transfer(ethEnd, perServer)
 		e += c.DrawSpike(srv, spikeP)
-		if e > commitEnd {
-			commitEnd = e
+		if e > end {
+			end = e
 		}
 		lo = hi
 	}
-	c.ScheduleDrain(commitEnd)
-	// Cache off: synchronous completion.
-	return func(p *sim.Proc) error {
-		p.SleepUntil(commitEnd)
-		return cerr
-	}
+	c.ScheduleDrain(end)
+	return end, lo, err
 }
 
 // Read implements DataPath: PVFS charges the request at the first stripe's

@@ -228,9 +228,6 @@ type Server struct {
 	rng  *xrand.RNG
 }
 
-// Pipe returns the server's request pipe.
-func (s *Server) Pipe() *fabric.Pipe { return s.pipe }
-
 // File is one file of the model: striping offset, sparse contents, token
 // state for lock policies, and the per-client stream pipes.
 type File struct {
