@@ -34,18 +34,9 @@ func main() {
 	strategy := ckpt.DefaultRbIO()
 
 	// Run one solver step and one checkpoint of the paper's weak-scaling
-	// problem (~2.5 MB of field data per rank).
-	res, err := nekcem.Run(world, fs, nekcem.RunConfig{
-		Mesh:            nekcem.PaperMesh(np),
-		Strategy:        strategy,
-		Dir:             "ckpt",
-		Steps:           1,
-		CheckpointEvery: 1,
-		Synthetic:       true, // sizes-only payloads; see examples/waveguide for real data
-		SkipPresetup:    true,
-		PayloadFactor:   nekcem.PaperPayloadFactor,
-		Compute:         nekcem.DefaultComputeModel(),
-	})
+	// problem (~2.5 MB of field data per rank, sizes only; see
+	// examples/waveguide for real data).
+	res, err := nekcem.Run(world, fs, nekcem.PaperRun(np, strategy, 1, 1))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -31,17 +31,7 @@ func measure(strategy ckpt.Strategy) (float64, float64) {
 	m := machine.MustNew(kernel, xrand.New(11), bgp.Intrepid(np))
 	fs := gpfs.MustNew(m, gpfs.DefaultConfig())
 	world := mpi.NewWorld(m, mpi.DefaultConfig())
-	res, err := nekcem.Run(world, fs, nekcem.RunConfig{
-		Mesh:            nekcem.PaperMesh(np),
-		Strategy:        strategy,
-		Dir:             "ckpt",
-		Steps:           1,
-		CheckpointEvery: 1,
-		Synthetic:       true,
-		SkipPresetup:    true,
-		PayloadFactor:   nekcem.PaperPayloadFactor,
-		Compute:         nekcem.DefaultComputeModel(),
-	})
+	res, err := nekcem.Run(world, fs, nekcem.PaperRun(np, strategy, 1, 1))
 	if err != nil {
 		log.Fatal(err)
 	}

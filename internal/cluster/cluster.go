@@ -109,21 +109,9 @@ func (s *Session) runConfig(t Tenant, startAt float64, onComplete func(float64))
 	if steps == 0 && t.RestartStep == 0 {
 		steps = 1
 	}
-	return nekcem.RunConfig{
-		Mesh:            nekcem.PaperMesh(t.NP),
-		Strategy:        t.Strategy,
-		Dir:             t.dir(),
-		Steps:           steps,
-		CheckpointEvery: 1,
-		Synthetic:       true,
-		SkipPresetup:    true,
-		PayloadFactor:   nekcem.PaperPayloadFactor,
-		Compute:         nekcem.DefaultComputeModel(),
-		RestartStep:     t.RestartStep,
-		StartAt:         startAt,
-		OnComplete:      onComplete,
-		Epochs:          t.Epochs,
-	}
+	cfg := nekcem.PaperRun(t.NP, t.Strategy, steps, 1)
+	cfg.Dir, cfg.RestartStep, cfg.StartAt, cfg.OnComplete, cfg.Epochs = t.dir(), t.RestartStep, startAt, onComplete, t.Epochs
+	return cfg
 }
 
 // Launch admits every tenant up front (static admission) and spawns its

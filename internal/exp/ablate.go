@@ -6,6 +6,7 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/gpfs"
 	"repro/internal/mpiio"
+	"repro/internal/nekcem"
 )
 
 func defaultHints() mpiio.Hints { return mpiio.DefaultHints() }
@@ -26,7 +27,7 @@ func runWith(o Options, np int, strat ckpt.Strategy, mod func(*gpfs.Config)) (*R
 	if mod != nil {
 		mod(&gcfg)
 	}
-	e, res, err := simulate(o, scenario{NP: np, GPFSCfg: &gcfg}, paperRun(np, strat, 1, 1), "ablation/"+strat.Name())
+	e, res, err := simulate(o, scenario{NP: np, GPFSCfg: &gcfg}, nekcem.PaperRun(np, strat, 1, 1), "ablation/"+strat.Name())
 	if err != nil {
 		return nil, err
 	}

@@ -166,7 +166,7 @@ func TestRankStackBudget(t *testing.T) {
 			for _, when := range at {
 				e.K.At(when, func() { got = append(got, collect()) })
 			}
-			res, err := e.solve(paperRun(np, j.Strategy, 1, 1))
+			res, err := e.solve(nekcem.PaperRun(np, j.Strategy, 1, 1))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -23,7 +23,7 @@ type Eq1Result struct {
 // production runs nc solver steps with a checkpoint at step nc and returns
 // the end-to-end time and the checkpoint/compute ratio.
 func production(o Options, np, nc int, strat ckpt.Strategy) (wall, ratio float64, err error) {
-	_, res, err := simulate(o, scenario{NP: np, Stream: streamNP}, paperRun(np, strat, nc, nc), "eq1/"+strat.Name())
+	_, res, err := simulate(o, scenario{NP: np, Stream: streamNP}, nekcem.PaperRun(np, strat, nc, nc), "eq1/"+strat.Name())
 	if err != nil {
 		return 0, 0, err
 	}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/fault"
 	"repro/internal/fsys"
+	"repro/internal/nekcem"
 )
 
 // frontierNames are the asyncfrontier arms: the two strongest blocking
@@ -160,7 +161,7 @@ func runFrontierCell(o Options, np int, name string, spec *FaultSpec) (*frontier
 		}
 		return cell
 	}
-	rcfg := paperRun(np, strat, frontierSteps, frontierEvery)
+	rcfg := nekcem.PaperRun(np, strat, frontierSteps, frontierEvery)
 	rcfg.Epochs = mlog.StartSegment(rcfg.Dir, 0, 0)
 	rcfg.RankUp = e.rankUp()
 	label := "asyncfrontier/" + name

@@ -150,7 +150,7 @@ func runCheckpoint(o Options, j Job) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	rcfg := paperRun(np, j.Strategy, 1, 1)
+	rcfg := nekcem.PaperRun(np, j.Strategy, 1, 1)
 	if j.WithLog {
 		rcfg.Log = &iolog.Log{}
 	}

@@ -1,6 +1,9 @@
 package exp
 
-import "repro/internal/ckpt"
+import (
+	"repro/internal/ckpt"
+	"repro/internal/nekcem"
+)
 
 // MLRow is one multi-level checkpointing measurement: a production run that
 // checkpoints every nc steps, with the local RAM-disk level absorbing all
@@ -31,7 +34,7 @@ func MultiLevelStudy(o Options, np int) ([]MLRow, error) {
 	}
 	var rows []MLRow
 	for _, strat := range cases {
-		e, res, err := simulate(o, scenario{NP: np, Stream: streamNP}, paperRun(np, strat, steps, nc), "multilevel/"+strat.Name())
+		e, res, err := simulate(o, scenario{NP: np, Stream: streamNP}, nekcem.PaperRun(np, strat, steps, nc), "multilevel/"+strat.Name())
 		if err != nil {
 			return nil, err
 		}

@@ -4,6 +4,7 @@ import (
 	"repro/internal/bgp"
 	"repro/internal/gpfs"
 	"repro/internal/mpi"
+	"repro/internal/nekcem"
 )
 
 // PriorWorkRow compares the paper's cited prior-work results (reference
@@ -47,7 +48,7 @@ func PriorWorkBGL(o Options) ([]PriorWorkRow, error) {
 			mcfg, gcfg, wcfg = bgp.Intrepid(np), gpfs.DefaultConfig(), mpi.DefaultConfig()
 		}
 		sc := scenario{NP: np, Stream: streamSeed, MachineCfg: &mcfg, GPFSCfg: &gcfg, MPICfg: &wcfg}
-		_, res, err := simulate(o, sc, paperRun(np, DefaultRbIOWithGroup(64), 1, 1), "priorwork/"+machineName)
+		_, res, err := simulate(o, sc, nekcem.PaperRun(np, DefaultRbIOWithGroup(64), 1, 1), "priorwork/"+machineName)
 		if err != nil {
 			return nil, err
 		}

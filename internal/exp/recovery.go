@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/ckpt"
+	"repro/internal/nekcem"
 	"repro/internal/recover"
 	"repro/internal/table"
 )
@@ -94,7 +95,7 @@ func runRecoveryCell(o Options, np int, fam recoveryFamily, work, ce int, spec *
 		// ClassifyKills sees one consistent number per event.
 		b.OnLost(func(_ int, _ int64, t float64) { log.BufferLoss(t) })
 	}
-	base := paperRun(np, fam.Strategy, 0, 0)
+	base := nekcem.PaperRun(np, fam.Strategy, 0, 0)
 	base.RankUp = e.rankUp()
 	res, err := recover.Run(e.K, recover.Config{
 		FS:       e.FS,

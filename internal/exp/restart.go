@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/gpfs"
+	"repro/internal/nekcem"
 )
 
 // RestartRow is one restart-path measurement: how long a job takes to read
@@ -31,7 +32,7 @@ func RestartStudy(o Options, np int) ([]RestartRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		res1, err := e.solve(paperRun(np, strat, 1, 1))
+		res1, err := e.solve(nekcem.PaperRun(np, strat, 1, 1))
 		if err != nil {
 			return nil, err
 		}

@@ -311,26 +311,10 @@ func simulate(o Options, sc scenario, cfg nekcem.RunConfig, label string) (*env,
 	return e, res, nil
 }
 
-// paperRun is the paper-synthetic solver job every experiment starts from:
-// the weak-scaling mesh at np, paper-scale synthetic payloads, no presetup,
-// checkpoints under "ckpt".
-func paperRun(np int, strat ckpt.Strategy, steps, every int) nekcem.RunConfig {
-	return nekcem.RunConfig{
-		Mesh:            nekcem.PaperMesh(np),
-		Strategy:        strat,
-		Dir:             "ckpt",
-		Steps:           steps,
-		CheckpointEvery: every,
-		Synthetic:       true,
-		SkipPresetup:    true,
-		PayloadFactor:   nekcem.PaperPayloadFactor,
-		Compute:         nekcem.DefaultComputeModel(),
-	}
-}
-
-// paperRestart is paperRun's restart job: a fresh world restoring step 1.
+// paperRestart is nekcem.PaperRun's restart job: a fresh world restoring
+// step 1.
 func paperRestart(np int, strat ckpt.Strategy) nekcem.RunConfig {
-	cfg := paperRun(np, strat, 0, 0)
+	cfg := nekcem.PaperRun(np, strat, 0, 0)
 	cfg.RestartStep = 1
 	return cfg
 }

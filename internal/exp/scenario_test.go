@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/ckpt"
+	"repro/internal/nekcem"
 	"repro/internal/sim"
 	"repro/internal/table"
 )
@@ -113,7 +114,7 @@ func TestRbIOShardedStaysOnLanes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.solve(paperRun(np, ckpt.MustNew("rbio", np), 1, 1)); err != nil {
+		if _, err := e.solve(nekcem.PaperRun(np, ckpt.MustNew("rbio", np), 1, 1)); err != nil {
 			t.Fatal(err)
 		}
 		e.finish("rbio")

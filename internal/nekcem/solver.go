@@ -71,6 +71,24 @@ type RunConfig struct {
 	OnComplete func(t float64)
 }
 
+// PaperRun is the paper's synthetic checkpointing job: the weak-scaling
+// mesh at np, paper-scale sizes-only payloads and no presetup, running
+// steps solver steps and checkpointing with strategy every every steps
+// under "ckpt".
+func PaperRun(np int, strategy ckpt.Strategy, steps, every int) RunConfig {
+	return RunConfig{
+		Mesh:            PaperMesh(np),
+		Strategy:        strategy,
+		Dir:             "ckpt",
+		Steps:           steps,
+		CheckpointEvery: every,
+		Synthetic:       true,
+		SkipPresetup:    true,
+		PayloadFactor:   PaperPayloadFactor,
+		Compute:         DefaultComputeModel(),
+	}
+}
+
 // RankCkpt is a rank's condensed view of the final checkpoint, retained for
 // the per-rank distribution figures.
 type RankCkpt struct {
