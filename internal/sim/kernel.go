@@ -124,8 +124,9 @@ func (k *Kernel) Recorder() *trace.Recorder { return k.rec }
 // SetLayer declares which layer's code is scheduling events until further
 // notice, returning the previous layer so callers can restore it on exit.
 // Layer entry points (an MPI operation, a storage write, a checkpoint
-// phase) bracket themselves with it; everything in between — including
-// events their callees schedule — is attributed to that layer. The layer
+// phase) bracket themselves with it through Proc.Enter and Proc.Leave;
+// everything in between — including events their callees schedule — is
+// attributed to that layer. The layer
 // is the kernel's on every context: a traced partitioned kernel runs its
 // lanes one at a time (see startCrew).
 func (k *Kernel) SetLayer(l trace.Layer) trace.Layer {
