@@ -5,10 +5,13 @@ import (
 
 	"repro/internal/bgp"
 	"repro/internal/ckpt"
+	"repro/internal/data"
+	"repro/internal/fsys"
 	"repro/internal/gpfs"
 	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/mpiio"
+	_ "repro/internal/pvfs"
 	"repro/internal/sim"
 	"repro/internal/xrand"
 )
@@ -170,41 +173,91 @@ func TestProductionRestartRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRestartWithinRun checks restart equivalence for every registered
+// strategy on gpfs and pvfs, in content mode: a run checkpoints every step
+// up to step k, a fresh world on the same kernel and file system restarts
+// from it and runs to step n, and the step-n checkpoint, read back through
+// the strategy's own Read, is bit-identical to an uninterrupted run's. A
+// fresh world has lost multilevel's node-local level, so k and n are
+// checkpoints that multilevel's every-4th global level holds too.
 func TestRestartWithinRun(t *testing.T) {
-	// World A writes a checkpoint at step 2; world B (same fs? no — same
-	// kernel constraint) ... instead: one world, two Run calls are not
-	// allowed. So drive restart through RunConfig.RestartStep in a single
-	// world: first a run writes step 2; then a second world on the SAME
-	// kernel/fs restarts from it.
-	k := sim.NewKernel()
-	m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(16))
-	cfg := gpfs.DefaultConfig()
-	cfg.NoiseProb = 0
-	fs := gpfs.MustNew(m, cfg)
-	mesh := Mesh{E: 32, N: 3}
-	strat := ckpt.CoIO{NumFiles: 1, Hints: mpiio.DefaultHints()}
+	const np, k, n = 64, 4, 8
+	mesh := Mesh{E: 128, N: 3}
+	compute := ComputeModel{SecPerPoint: 1e-7, Base: 1e-5}
+	for _, backend := range []fsys.Backend{"gpfs", "pvfs"} {
+		for _, d := range ckpt.Strategies() {
+			t.Run(string(backend)+"/"+d.Name, func(t *testing.T) {
+				strat := d.New(np)
+				run := func(m *machine.Machine, fs fsys.System, cfg RunConfig) {
+					t.Helper()
+					cfg.Mesh, cfg.Strategy, cfg.Dir, cfg.Compute = mesh, strat, "out", compute
+					if _, err := Run(mpi.NewWorld(m, mpi.DefaultConfig()), fs, cfg); err != nil {
+						t.Fatal(err)
+					}
+				}
+				// Restarted: checkpoint at k, then a fresh world runs k..n.
+				m, fs := mountFresh(t, np, backend)
+				run(m, fs, RunConfig{Steps: k, CheckpointEvery: 1})
+				run(m, fs, RunConfig{Steps: n - k, CheckpointEvery: 1, RestartStep: k, SkipPresetup: true})
+				got := readBack(t, m, fs, strat, n)
 
-	w1 := mpi.NewWorld(m, mpi.DefaultConfig())
-	if _, err := Run(w1, fs, RunConfig{
-		Mesh: mesh, Strategy: strat, Dir: "out",
-		Steps: 2, CheckpointEvery: 2,
-		Compute: ComputeModel{SecPerPoint: 1e-7, Base: 1e-5},
-	}); err != nil {
+				// Uninterrupted: 0..n on its own kernel and file system.
+				m, fs = mountFresh(t, np, backend)
+				run(m, fs, RunConfig{Steps: n, CheckpointEvery: 1})
+				want := readBack(t, m, fs, strat, n)
+
+				for rank := range want {
+					g, w := got[rank], want[rank]
+					if g.Step != w.Step || g.SimTime != w.SimTime || len(g.Fields) != len(w.Fields) {
+						t.Fatalf("rank %d: step %d at %g with %d fields, uninterrupted step %d at %g with %d",
+							rank, g.Step, g.SimTime, len(g.Fields), w.Step, w.SimTime, len(w.Fields))
+					}
+					for fi := range w.Fields {
+						if !g.Fields[fi].Data.Real() || !data.Equal(g.Fields[fi].Data, w.Fields[fi].Data) {
+							t.Fatalf("rank %d field %s differs from the uninterrupted run", rank, w.Fields[fi].Name)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// mountFresh returns a quiet np-rank machine on a new kernel with backend
+// mounted on it.
+func mountFresh(t *testing.T, np int, backend fsys.Backend) (*machine.Machine, fsys.System) {
+	t.Helper()
+	m := machine.MustNew(sim.NewKernel(), xrand.New(1), bgp.Intrepid(np))
+	fs, err := fsys.Mount(backend, m, fsys.MountOptions{Quiet: true})
+	if err != nil {
 		t.Fatal(err)
 	}
+	return m, fs
+}
 
-	w2 := mpi.NewWorld(m, mpi.DefaultConfig())
-	res, err := Run(w2, fs, RunConfig{
-		Mesh: mesh, Strategy: strat, Dir: "out",
-		Steps: 1, CheckpointEvery: 0, RestartStep: 2, SkipPresetup: true,
-		Compute: ComputeModel{SecPerPoint: 1e-7, Base: 1e-5},
+// readBack reads every rank's chunk of the step checkpoint through strat's
+// own Plan and Read, in a fresh world on m, indexed by world rank.
+func readBack(t *testing.T, m *machine.Machine, fs fsys.System, strat ckpt.Strategy, step int64) []*ckpt.Checkpoint {
+	t.Helper()
+	w := mpi.NewWorld(m, mpi.DefaultConfig())
+	out := make([]*ckpt.Checkpoint, w.Size())
+	env := &ckpt.Env{FS: fs, Dir: "out"}
+	err := w.Run(func(c *mpi.Comm, r *mpi.Rank) {
+		pl, err := strat.Plan(c, r)
+		if err == nil {
+			out[r.ID()], err = pl.Read(env, r, step)
+		}
+		if err != nil {
+			t.Errorf("rank %d: %v", r.ID(), err)
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Restored {
-		t.Fatal("run did not restore from checkpoint")
+	if t.Failed() {
+		t.FailNow()
 	}
+	return out
 }
 
 func TestPresetupScalesWithMesh(t *testing.T) {
