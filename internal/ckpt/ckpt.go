@@ -171,8 +171,6 @@ func (e *Env) log(rank int, op iolog.Op, start, end float64, bytes int64) {
 }
 
 // indivisible reports a rank count a strategy cannot lay out.
-//
-//go:noinline // keeps fmt's argument array out of the frame of build, parked under its splits
 func indivisible(format string, np, n int) error { return fmt.Errorf(format, np, n) }
 
 // Strategy is a checkpointing I/O approach. Plan is collective over the
@@ -202,6 +200,30 @@ type Plan interface {
 	// given step. Field payloads are real if the file holds content,
 	// synthetic (correct sizes) for paper-scale runs.
 	Read(env *Env, r *mpi.Rank, step int64) (*Checkpoint, error)
+}
+
+// AwaitPlan returns s.Plan(c, r) as the continuation r's body awaits
+// (sim.Proc.Then), which sets *plan and *err once it finished. rbIO plans
+// on the driver's stack; every other strategy runs its blocking Plan in a
+// phase it borrows (sim.Proc.Phase).
+func AwaitPlan(s Strategy, c *mpi.Comm, r *mpi.Rank, plan *Plan, err *error) sim.Cont {
+	if rb, ok := s.(RbIO); ok {
+		return rb.planCont(c, r, plan, err)
+	}
+	return r.Proc().Phase(func(*sim.Proc) { *plan, *err = s.Plan(c, r) })
+}
+
+// AwaitWrite returns pl.Write(env, r, cp) as the continuation r's body
+// awaits, which sets *stats and *err once it finished. An rbIO worker's
+// hand-off runs on the driver's stack; every other write runs in a phase
+// it borrows.
+func AwaitWrite(pl Plan, env *Env, r *mpi.Rank, cp *Checkpoint, stats *Stats, err *error) sim.Cont {
+	if rb, ok := pl.(*rbPlan); ok {
+		if c := rb.writeCont(env, r, cp, stats); c != nil {
+			return c
+		}
+	}
+	return r.Proc().Phase(func(*sim.Proc) { *stats, *err = pl.Write(env, r, cp) })
 }
 
 // FlushStats is one step's background-flush outcome for one rank, returned

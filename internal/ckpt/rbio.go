@@ -10,6 +10,7 @@ import (
 	"repro/internal/iolog"
 	"repro/internal/mpi"
 	"repro/internal/mpiio"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -61,35 +62,64 @@ func (s RbIO) Name() string {
 }
 
 // Plan implements Strategy: build the worker groups and the writers'
-// communicator (NekCEM does this once, at presetup). It is a shim the
-// compiler inlines into the pointer wrapper an interface call goes
-// through, so a rank parked in build's splits carries one frame for both.
-func (s RbIO) Plan(c *mpi.Comm, r *mpi.Rank) (Plan, error) {
-	return (&rbPlan{cfg: s, c: c}).build(r)
+// communicator (NekCEM does this once, at presetup).
+func (s RbIO) Plan(c *mpi.Comm, r *mpi.Rank) (pl Plan, err error) {
+	r.Proc().AwaitNow(s.planCont(c, r, &pl, &err))
+	return pl, err
 }
 
-// build splits pl.c into the worker groups and the writers' communicator.
-func (pl *rbPlan) build(r *mpi.Rank) (Plan, error) {
+// planCont returns rbIO's Plan as a continuation (see AwaitPlan).
+func (s RbIO) planCont(c *mpi.Comm, r *mpi.Rank, plan *Plan, err *error) sim.Cont {
+	return &rbBuild{pl: &rbPlan{cfg: s, c: c}, r: r, plan: plan, err: err}
+}
+
+// rbBuild is rbIO's Plan in flight: it splits pl.c into the worker groups
+// and then the writers' communicator, and sets *plan or *err.
+type rbBuild struct {
+	pl    *rbPlan
+	r     *mpi.Rank
+	plan  *Plan
+	err   *error
+	split *mpi.SplitCall // the split in flight
+}
+
+// Continue implements sim.Cont.
+func (b *rbBuild) Continue() bool {
+	pl, r := b.pl, b.r
 	c := pl.c
-	np := c.Size()
-	gs := min(max(pl.cfg.GroupSize, 1), np)
-	if np%gs != 0 {
-		return nil, indivisible("ckpt/rbio: %d ranks not divisible into groups of %d", np, gs)
-	}
 	me := c.Rank(r)
-	pl.group = c.Split(r, int64(me/gs), int64(me))
-	writerColor := int64(1)
-	if pl.isWriter(r) {
-		writerColor = 0
+	if b.split == nil {
+		np := c.Size()
+		gs := min(max(pl.cfg.GroupSize, 1), np)
+		if np%gs != 0 {
+			*b.err = indivisible("ckpt/rbio: %d ranks not divisible into groups of %d", np, gs)
+			return true
+		}
+		b.split = c.StartSplit(r, int64(me/gs), int64(me))
 	}
-	writers := c.Split(r, writerColor, int64(me))
+	if !b.split.Continue() {
+		return false
+	}
+	if pl.group == nil {
+		pl.group = b.split.Comm()
+		writerColor := int64(1)
+		if pl.isWriter(r) {
+			writerColor = 0
+		}
+		b.split = c.StartSplit(r, writerColor, int64(me))
+		if !b.split.Continue() {
+			return false
+		}
+	}
+	writers := b.split.Comm()
 	if pl.isWriter(r) {
 		pl.wr = &rbWriter{writers: writers}
 	}
 	if pl.cfg.WriterBuffer <= 0 {
 		pl.cfg.WriterBuffer = 512 << 20
 	}
-	return pl, nil
+	*b.plan = pl
+	return true
 }
 
 type rbPlan struct {
@@ -99,9 +129,10 @@ type rbPlan struct {
 
 	// The checkpoint in flight, for the hand-off (mpi.SendSeq) and the
 	// aggregation (mpi.RecvSeq), which run as the rank's continuation.
+	// perceived is a worker's blocking time so far.
 	env       *Env
 	cp        *Checkpoint
-	perceived float64 // the worker's blocking time so far
+	perceived float64
 
 	// wr is a writer's own state: set at plan time on a group's writer,
 	// at its first write on a fault-aware group's re-elected one.
@@ -147,30 +178,9 @@ func (pl *rbPlan) Write(env *Env, r *mpi.Rank, cp *Checkpoint) (Stats, error) {
 	if _, err := cp.ChunkBytes(); err != nil {
 		return Stats{}, err
 	}
-	if env.FaultAware() && !pl.cfg.SingleFile {
-		// nf=ng groups are independent, so a group can skip dead members
-		// and re-elect its writer. nf=1 cannot: the writers' communicator
-		// collectives are fixed at plan time, so under faults dead ranks
-		// ghost-participate through the plain path below and the loss is
-		// accounted at the aggregate level.
-		return pl.writeFT(env, r, cp)
-	}
-	if pl.isWriter(r) {
-		return pl.writeWriter(env, r, cp, 0, false)
-	}
-	return pl.writeWorkerTo(env, r, cp, 0)
-}
-
-// writeFT is the fault-aware nf=ng step. A dead rank contributes nothing; a
-// live group elects the lowest-ranked surviving member as writer (each rank
-// evaluates liveness at its own entry, so views can disagree across a
-// failure edge — the writer's per-peer receive timeouts keep every
-// disagreement deadlock-free, at worst costing a chunk recorded as
-// missing). The elected writer waits peerTimeout per believed-alive
-// peer before writing the group file with the missing chunks zero-length.
-func (pl *rbPlan) writeFT(env *Env, r *mpi.Rank, cp *Checkpoint) (Stats, error) {
-	me := pl.group.Rank(r)
-	if !env.Up(r.ID()) {
+	writer, ft := pl.writer(env, r)
+	switch me := pl.group.Rank(r); {
+	case writer < 0:
 		now := r.Now()
 		role := RoleWorker
 		if pl.isWriter(r) {
@@ -178,46 +188,106 @@ func (pl *rbPlan) writeFT(env *Env, r *mpi.Rank, cp *Checkpoint) (Stats, error) 
 		}
 		env.epochLost(LevelGlobal, cp.Step, r.ID(), "node down", now)
 		return Stats{Role: role, Start: now, End: now, Skipped: true, DeadRank: true}, nil
+	case me == writer:
+		return pl.writeWriter(env, r, cp, me, ft)
 	}
-	gs := pl.group.Size()
-	writer := 0
-	for ; writer < gs; writer++ {
-		if env.Up(pl.group.WorldRank(writer)) {
-			break
-		}
-	}
-	if me != writer {
-		return pl.writeWorkerTo(env, r, cp, writer)
-	}
-	return pl.writeWriter(env, r, cp, me, true)
+	var st Stats
+	r.Proc().AwaitNow(pl.handoff(env, r, cp, writer, &st))
+	return st, nil
 }
 
-// writeWorkerTo ships the rank's fields to the group's writer with
-// non-blocking sends and returns: the essence of "reduced blocking". When
-// the original writer (group rank 0) is dead and another was elected, the
-// worker first burns a send-timeout window discovering it (the paper's Isend
-// hand-off is fire-and-forget, so the failure only shows when the transport
-// gives up on the dead node).
-func (pl *rbPlan) writeWorkerTo(env *Env, r *mpi.Rank, cp *Checkpoint, writer int) (Stats, error) {
-	start := r.Now()
-	pl.perceived = 0
-	if writer != 0 {
-		r.Proc().Sleep(peerTimeout)
-		pl.perceived += peerTimeout
+// writeCont returns a worker's write as a continuation that fills *out
+// (see AwaitWrite): its hand-off. A writer's write, and any step that
+// fails or skips, blocks: nil.
+func (pl *rbPlan) writeCont(env *Env, r *mpi.Rank, cp *Checkpoint, out *Stats) sim.Cont {
+	if _, err := cp.ChunkBytes(); err != nil {
+		return nil
 	}
-	// Isend, then Wait, per field: each completes at local hand-off,
-	// microseconds.
-	pl.env, pl.cp = env, cp
-	pl.group.IsendWaitSeq(r, writer, len(cp.Fields), pl)
+	writer, _ := pl.writer(env, r)
+	if writer < 0 || pl.group.Rank(r) == writer {
+		return nil
+	}
+	return pl.handoff(env, r, cp, writer, out)
+}
+
+// writer returns the group rank of the writer r's group writes through
+// this step, -1 when r's own node is down, and whether the step is
+// fault-aware. nf=ng groups are independent, so under faults a group skips
+// dead members and elects the lowest-ranked surviving member as writer
+// (each rank evaluates liveness at its own entry, so views can disagree
+// across a failure edge — the writer's per-peer receive timeouts keep
+// every disagreement deadlock-free, at worst costing a chunk recorded as
+// missing). nf=1 cannot: the writers' communicator collectives are fixed
+// at plan time, so under faults dead ranks ghost-participate through the
+// plain path and the loss is accounted at the aggregate level.
+func (pl *rbPlan) writer(env *Env, r *mpi.Rank) (writer int, ft bool) {
+	if !env.FaultAware() || pl.cfg.SingleFile {
+		return 0, false
+	}
+	if !env.Up(r.ID()) {
+		return -1, true
+	}
+	gs := pl.group.Size()
+	for writer < gs && !env.Up(pl.group.WorldRank(writer)) {
+		writer++
+	}
+	return writer, true
+}
+
+// handoff returns a worker's write to the group rank writer as a
+// continuation that fills *out: the rank ships its fields with
+// non-blocking sends and returns, the essence of "reduced blocking". When
+// the original writer (group rank 0) is dead and another was elected, the
+// worker first burns a send-timeout window discovering it (the paper's
+// Isend hand-off is fire-and-forget, so the failure only shows when the
+// transport gives up on the dead node).
+func (pl *rbPlan) handoff(env *Env, r *mpi.Rank, cp *Checkpoint, writer int, out *Stats) *rbHandoff {
+	pl.perceived = 0
+	return &rbHandoff{pl: pl, r: r, env: env, cp: cp, out: out, start: r.Now(), writer: writer}
+}
+
+// rbHandoff is a worker's write in flight (see handoff).
+type rbHandoff struct {
+	pl     *rbPlan
+	r      *mpi.Rank
+	env    *Env
+	cp     *Checkpoint
+	out    *Stats
+	sends  sim.Cont // the fields' sends, once they started
+	start  float64
+	writer int
+	waited bool // a re-elected writer's detection window is over
+}
+
+// Continue implements sim.Cont.
+func (h *rbHandoff) Continue() bool {
+	pl, r := h.pl, h.r
+	if h.sends == nil {
+		if h.writer != 0 && !h.waited {
+			h.waited = true
+			pl.perceived += peerTimeout
+			if p := r.Proc(); !p.SleepFast(peerTimeout) {
+				p.UnparkAfter(peerTimeout)
+				return false
+			}
+		}
+		// Isend, then Wait, per field: each completes at local hand-off,
+		// microseconds.
+		pl.env, pl.cp = h.env, h.cp
+		h.sends = pl.group.StartIsendWaitSeq(r, h.writer, len(h.cp.Fields), pl)
+	}
+	if !h.sends.Continue() {
+		return false
+	}
 	pl.env, pl.cp = nil, nil // the plan outlives the step; its payload need not
-	end := r.Now()
-	return Stats{
+	*h.out = Stats{
 		Role:      RoleWorker,
-		Start:     start,
-		End:       end,
+		Start:     h.start,
+		End:       r.Now(),
 		Perceived: pl.perceived,
-		Bytes:     cp.TotalBytes(),
-	}, nil
+		Bytes:     h.cp.TotalBytes(),
+	}
+	return true
 }
 
 // SendMsg implements mpi.SendSeq: the worker's send i ships field i.

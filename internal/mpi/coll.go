@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"repro/internal/data"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -77,27 +78,28 @@ const (
 // pooled per execution context and lives only for the call, so the
 // thousands of ranks a world runs keep no collective state between calls.
 type coll struct {
-	r      *Rank
-	c      *Comm
-	op     collOp
-	pass   uint8 // index into collPasses[op]
-	began  bool  // the current pass has taken its tag and tree position
-	inProc bool  // steps run in the rank's process, not as its continuation
-	done   bool  // the call finished (not a hop left for the process)
-	wait   collWaitOn
-	prev   trace.Layer // layer to restore when the pending receive ends
-	root   int         // the root of every pass
-	vrank  int         // the rank's position in the current pass's tree
-	mask   int         // the current pass's next hop
-	tag    int         // the current pass's tag
-	t0     float64     // start of the pending receive (tracing only)
-	opLen  int64       // payload size of the pending receive
-	snd    *sendOp     // the pending send
-	v0, v1 int64       // the int64 inputs of the call's gather passes, in order
-	ival   []int64     // int64 gather: the owned run, then the root's result
-	bval   [][]byte    // byte gather: the owned run, then the root's result
-	buf    data.Buf    // broadcast payload
-	val    any         // host object riding the broadcast
+	r       *Rank
+	c       *Comm
+	op      collOp
+	pass    uint8 // index into collPasses[op]
+	began   bool  // the current pass has taken its tag and tree position
+	inProc  bool  // steps run in the rank's phase, not as its continuation
+	looping bool  // the rank's phase runs the call's steps (finish)
+	done    bool  // the call finished (not a hop left for a phase)
+	wait    collWaitOn
+	prev    trace.Layer // layer to restore when the pending receive ends
+	root    int         // the root of every pass
+	vrank   int         // the rank's position in the current pass's tree
+	mask    int         // the current pass's next hop
+	tag     int         // the current pass's tag
+	t0      float64     // start of the pending receive (tracing only)
+	opLen   int64       // payload size of the pending receive
+	snd     *sendOp     // the pending send
+	v0, v1  int64       // the int64 inputs of the call's gather passes, in order
+	ival    []int64     // int64 gather: the owned run, then the root's result
+	bval    [][]byte    // byte gather: the owned run, then the root's result
+	buf     data.Buf    // broadcast payload
+	val     any         // host object riding the broadcast
 }
 
 func (ln *laneMPI) getColl() *coll {
@@ -126,36 +128,45 @@ func (st *coll) release() {
 	pool.collPool = append(pool.collPool, st)
 }
 
-// run drives the call from the rank's own process. The process awaits st
-// at once (sim.Proc.AwaitNow), so even the steps before the first wait run
-// on the driver's stack, not the rank's, and it resumes once the call
-// finished — or earlier, for a hop only the process can make, after which
-// the steps go on inline.
-func (st *coll) run() {
-	p := st.r.proc
-	p.AwaitNow(st)
+// run drives the call from the rank's own phase. The phase awaits st at
+// once (sim.Proc.AwaitNow), so even the steps before the first wait run on
+// the driver's stack, not the rank's, and it resumes once the call
+// finished.
+func (st *coll) run() { st.r.proc.AwaitNow(st) }
+
+// finish runs the call's steps from a hop that needs a shared section on,
+// in a phase of the rank (sim.Proc.Borrow): a hop that enters a shared
+// section runs there, and the steps between the phase's waits run inline
+// or, from the phase's wakes, as its continuation.
+func (st *coll) finish(p *sim.Proc) {
+	st.looping = true
 	for !st.done {
 		st.inProc = true
 		s, d := st.step()
 		st.inProc = false
 		switch s {
 		case collDone:
-			return
+			st.done = true
 		case collWait:
 			p.Await(st)
 		case collSleep:
 			p.AwaitAfter(d, st)
 		}
 	}
+	st.looping = false
 }
 
 // Continue runs the call's next steps in the slot of one of the rank's
-// wakes (sim.Cont), or at the call's start. It resumes the rank when the
-// call finished or the next hop needs a shared section; otherwise the rank
-// waits on, parked. A receive that found its message waiting schedules the
-// rank's resume through the receive's cost where the rank's own Sleep
-// would have.
+// wakes (sim.Cont), or at the call's start. It finishes when the call
+// did. When the next hop needs a shared section, it borrows a phase that
+// runs the steps on from there (finish), or hands the hop to the phase
+// already running them; otherwise the rank waits on, parked. A receive
+// that found its message waiting schedules the rank's resume through the
+// receive's cost where the rank's own Sleep would have.
 func (st *coll) Continue() bool {
+	if st.done {
+		return true // its last steps ran in a borrowed phase
+	}
 	if st.pass == 0 && !st.began {
 		// The call's start, on the driver's stack: leave the next call a
 		// state to take, so a rank's own stack rarely allocates one.
@@ -172,6 +183,10 @@ func (st *coll) Continue() bool {
 		return false
 	}
 	st.done = s == collDone
+	if !st.done && !st.looping {
+		st.r.proc.Borrow(st.finish)
+		return false
+	}
 	return true
 }
 
@@ -359,9 +374,9 @@ func (st *coll) endPass() {
 	st.mask = 0
 }
 
-// procHop reports whether the send to comm rank dst must wait for the
-// rank's own process: it needs a shared section — the lanes may not carry
-// it — and the steps run as a continuation, which cannot enter one.
+// procHop reports whether the send to comm rank dst must wait for a phase
+// of the rank: it needs a shared section — the lanes may not carry it —
+// and the steps run as a continuation, which cannot enter one.
 func (st *coll) procHop(dst int) bool {
 	r := st.r
 	return !st.inProc && r.w.lanes != nil && r.w.lanePort(r, r.w.rankOf(st.c.members[dst])) == nil
@@ -528,21 +543,36 @@ func (c *Comm) AllgatherBytes(r *Rank, b []byte) [][]byte {
 // strategies only split with key == parent rank, where the two orderings
 // coincide.
 func (c *Comm) Split(r *Rank, color int64, key int64) *Comm {
+	s := c.StartSplit(r, color, key)
+	r.proc.AwaitNow(s)
+	return s.Comm()
+}
+
+// SplitCall is one rank's Split in flight: the continuation a rank's body
+// awaits (sim.Proc.Then), as Split's phase does.
+type SplitCall coll
+
+// StartSplit begins r's Split of c by color and key. The call runs as r's
+// continuation once awaited; Comm takes its result.
+func (c *Comm) StartSplit(r *Rank, color int64, key int64) *SplitCall {
 	// The physical cost is an allgather of (color, key): an allgather of
 	// the colors, a gather of the keys, and the broadcast of the child
 	// table comm rank 0 builds from them.
 	st := c.startColl(r, opSplit, 0)
 	st.v0, st.v1 = color, key
-	st.run()
-	return st.child(color)
+	return (*SplitCall)(st)
 }
 
-// child returns the new communicator of color and releases the call's
-// state.
+// Continue implements sim.Cont.
+func (s *SplitCall) Continue() bool { return (*coll)(s).Continue() }
+
+// Comm returns the new communicator of the rank's color once the call
+// finished, and releases the call's state.
 //
 //go:noinline // keeps the lookup's frame out of Split's, parked under the call
-func (st *coll) child(color int64) *Comm {
-	out := st.val.(map[int64]*Comm)[color]
+func (s *SplitCall) Comm() *Comm {
+	st := (*coll)(s)
+	out := st.val.(map[int64]*Comm)[st.v0]
 	st.release()
 	return out
 }

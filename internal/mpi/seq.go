@@ -2,19 +2,21 @@ package mpi
 
 import (
 	"repro/internal/data"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
-// Sequences. IsendWaitSeq and RecvSeq are a run of point-to-point calls
-// that a rank's own loop would make back to back, with only rank-private
-// work between them: rbIO's worker hand-off and its writer's aggregation.
-// The rank awaits the run as its continuation from the start
-// (sim.Proc.AwaitNow), every call's steps run in the slot where the loop
-// would have resumed, and the interface the caller passes does the loop's
-// work between calls there. The rank's process resumes once, when the run
-// ends (DESIGN §5, "Folded waits").
+// Sequences. An Isend-then-Wait run (StartIsendWaitSeq) and RecvSeq are a
+// run of point-to-point calls that a rank's own loop would make back to
+// back, with only rank-private work between them: rbIO's worker hand-off
+// and its writer's aggregation. The rank awaits the run as its
+// continuation from the start (sim.Proc.Then from its body,
+// sim.Proc.AwaitNow from a phase), every call's steps run in the slot
+// where the loop would have resumed, and the interface the caller passes
+// does the loop's work between calls there. The rank goes on once, when
+// the run ends (DESIGN §5, "Folded waits").
 
-// SendSeq supplies the sends of IsendWaitSeq and takes their results. Its
+// SendSeq supplies the sends of StartIsendWaitSeq and takes their results. Its
 // methods run as the rank's continuation, at the instants the loop of
 // Isend-then-Wait calls they replace would have run the same code.
 type SendSeq interface {
@@ -38,7 +40,7 @@ type RecvSeq interface {
 	Recvd(r *Rank, start float64, buf data.Buf, ok bool)
 }
 
-// seqStage is how far IsendWaitSeq's send in flight got.
+// seqStage is how far an Isend-then-Wait run's send in flight got.
 type seqStage uint8
 
 const (
@@ -48,27 +50,33 @@ const (
 	seqLocal                    // the send's local completion is due
 )
 
-// IsendWaitSeq makes n sends to communicator rank dst, each an Isend and a
-// Wait on its request, with seq naming each send's tag and payload and
-// taking its local time. The times, events, spans and messages are the
+// StartIsendWaitSeq begins r's run of n sends to communicator rank dst,
+// each an Isend and a Wait on its request, with seq naming each send's tag
+// and payload and taking its local time, and returns it as the
+// continuation r awaits. The times, events, spans and messages are the
 // loop's; the rank waits through the whole run as one continuation. A send
-// whose route needs a shared section resumes the process, which enters
-// the section and awaits the rest.
-func (c *Comm) IsendWaitSeq(r *Rank, dst, n int, seq SendSeq) {
+// whose route needs a shared section borrows a phase of the rank that
+// enters the section and awaits the rest (enterShared).
+func (c *Comm) StartIsendWaitSeq(r *Rank, dst, n int, seq SendSeq) sim.Cont {
 	op := c.getSend(r, dst)
 	op.seq, op.n = seq, int32(n)
-	for {
-		r.proc.AwaitNow(op)
-		if op.stage != seqEntered {
-			break
-		}
-		r.proc.EnterShared()
-	}
-	op.release()
+	return op
 }
 
-// next runs IsendWaitSeq on from one of the rank's wakes, or from its
-// start, to the next wait. Each send is Isend and then Wait as the rank's
+// enterShared runs an Isend-then-Wait run on from a send that needs a
+// shared section, in a phase of the rank (sim.Proc.Borrow): it enters the
+// section of each such send and awaits the run from there.
+func (op *sendOp) enterShared(p *sim.Proc) {
+	op.looping = true
+	for op.stage == seqEntered {
+		p.EnterShared()
+		p.AwaitNow(op)
+	}
+	op.looping = false
+}
+
+// next runs an Isend-then-Wait run on from one of the rank's wakes, or from
+// its start, to the next wait. Each send is Isend and then Wait as the rank's
 // code ran them: the overhead and the wait for local completion each end
 // in the slot the rank's Sleep would have resumed it in, or at once when
 // Sleep's fast path allows. It returns true when the run ended or the

@@ -128,8 +128,6 @@ type State struct {
 	// content mode the extra words are copies of the field values, so
 	// restart verification still covers the leading copy.
 	PayloadFactor int
-
-	snap *ckpt.Checkpoint // built by snapshot, until the rank takes it
 }
 
 // NewState builds a rank's solver state with real field storage.

@@ -215,19 +215,6 @@ func (k *Kernel) PartRNG(part int) *xrand.RNG {
 	return k.sh.parts[part].rng
 }
 
-// GoPart spawns fn as a process owned by partition part: its resumes live
-// in that partition's calendar and run on its lane. In serial mode (or
-// with part < 0) it is exactly Go.
-func (k *Kernel) GoPart(part int, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name}
-	if k.sh != nil && part >= 0 {
-		p.part = k.sh.parts[part]
-	}
-	home := p.home()
-	home.reg = append(home.reg, p)
-	return k.start(p, fn)
-}
-
 // AtHookCtx schedules h at absolute time t on the calendar owned by the
 // execution context currently driving p: p's partition while that lane is
 // running a window (the caller then is that lane — deliveries and wakeups
