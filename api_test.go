@@ -53,7 +53,7 @@ var testOnlyAllow = map[string]string{
 	// perfbench's mpi.p2p_ns probe calls it.
 	"mpi.Comm.Send": "the blocking point-to-point send",
 	// References and checkers that tests compare against.
-	"mpi.Request.Wait":    "Isend then Wait is the unfolded reference for IsendWaitSeq",
+	"mpi.Request.Wait":    "Isend then Wait is the unfolded reference for StartIsendWaitSeq",
 	"cemfmt.Validate":     "tests check the files every strategy writes against the checkpoint format",
 	"trace.File.Validate": "tests check written trace files against the trace_event schema",
 }

@@ -32,9 +32,9 @@ func (s CoIO) Name() string {
 	return fmt.Sprintf("coIO(nf=%d)", s.NumFiles)
 }
 
-// Plan implements Strategy: split the communicator into nf groups. Like
-// RbIO.Plan, it is a shim inlined into the interface call's pointer
-// wrapper.
+// Plan implements Strategy: split the communicator into nf groups. It is
+// a shim inlined into the interface call's pointer wrapper, so a phase
+// parked in build's split carries one frame for both.
 func (s CoIO) Plan(c *mpi.Comm, r *mpi.Rank) (Plan, error) {
 	return (&coPlan{c: c, hints: s.Hints}).build(r, s.NumFiles)
 }
