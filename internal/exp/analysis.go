@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/ckpt"
+	"repro/internal/mpiio"
 	"repro/internal/nekcem"
 )
 
@@ -64,7 +65,7 @@ type SpeedupResult struct {
 
 // Speedup measures Equations (2)-(7) at the given processor count.
 func Speedup(o Options, np int) (*SpeedupResult, error) {
-	co, err := runCheckpoint(o, Job{NP: np, Strategy: ckpt.CoIO{NumFiles: np / 64, Hints: defaultHints()}})
+	co, err := runCheckpoint(o, Job{NP: np, Strategy: ckpt.CoIO{NumFiles: np / 64, Hints: mpiio.DefaultHints()}})
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/cluster"
+	"repro/internal/mpiio"
 	"repro/internal/table"
 )
 
@@ -71,7 +72,7 @@ func TestClusterSingleTenantGoldenIdentity(t *testing.T) {
 					t.Parallel()
 					strategies := []ckpt.Strategy{
 						ckpt.DefaultRbIO(),
-						ckpt.CoIO{NumFiles: np / 64, Hints: defaultHints()},
+						ckpt.CoIO{NumFiles: np / 64, Hints: mpiio.DefaultHints()},
 						ckpt.OnePFPP{},
 					}
 					var rows []FSRow

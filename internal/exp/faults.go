@@ -157,59 +157,49 @@ func FaultSweepN(o Options, np int, mtbfHours float64, trials int) ([]FaultRow, 
 		trials = 8
 	}
 	strategies := faultStrategies(np)
-	var jobs []Job
-	for si, strat := range strategies {
-		for mi, mult := range faultMultipliers {
-			for t := 0; t < trials; t++ {
-				seed := o.seed()
-				seed ^= uint64(si+1) * 0xbf58476d1ce4e5b9
-				seed ^= uint64(mi+1) * 0x94d049bb133111eb
-				seed ^= uint64(t+1) * 0x9e3779b97f4a7c15
-				jobs = append(jobs, Job{NP: np, Strategy: strat, Faults: &FaultSpec{
-					MTBF: mtbfHours * 3600 * mult, MTTR: 600, Shape: 1.2,
-					Horizon: 150, Seed: seed, TryRestart: true,
-				}})
-			}
-		}
-	}
-	runs, err := RunSet(o, jobs)
-	if err != nil {
-		return nil, err
-	}
 	fsName := string(o.normalize().FS)
-	var rows []FaultRow
-	i := 0
-	for si := range strategies {
-		for _, mult := range faultMultipliers {
-			row := FaultRow{
-				Strategy: strategies[si].Name(), FS: fsName,
-				MTBFHours: mtbfHours * mult, Trials: trials,
-			}
-			lost, restored := 0, 0
-			for t := 0; t < trials; t++ {
-				fo := runs[i].Fault
-				i++
-				if fo.Lost {
-					lost++
-				}
-				if fo.RestartOK {
-					restored++
-				}
-				row.AvgFails += float64(fo.Counts.Fails)
-				row.AvgDeadRanks += float64(fo.DeadRanks)
-				row.AvgMissing += float64(fo.MissingChunks)
-				row.AvgFailovers += float64(fo.Failovers)
-			}
-			row.AvgFails /= float64(trials)
-			row.AvgDeadRanks /= float64(trials)
-			row.AvgMissing /= float64(trials)
-			row.AvgFailovers /= float64(trials)
-			row.Lost = lossTally{lost, trials}
-			row.RestartOK = restartTally{restored, trials - lost}
-			rows = append(rows, row)
+	// Each (strategy, MTBF) row is one cell that runs its trials in turn and
+	// folds them.
+	return runCells(o, pairs(len(strategies), len(faultMultipliers)), func(c pair) (FaultRow, error) {
+		si, mi := c.i, c.j
+		mult := faultMultipliers[mi]
+		row := FaultRow{
+			Strategy: strategies[si].Name(), FS: fsName,
+			MTBFHours: mtbfHours * mult, Trials: trials,
 		}
-	}
-	return rows, nil
+		lost, restored := 0, 0
+		for t := 0; t < trials; t++ {
+			seed := o.seed()
+			seed ^= uint64(si+1) * 0xbf58476d1ce4e5b9
+			seed ^= uint64(mi+1) * 0x94d049bb133111eb
+			seed ^= uint64(t+1) * 0x9e3779b97f4a7c15
+			r, err := runJob(o, Job{NP: np, Strategy: strategies[si], Faults: &FaultSpec{
+				MTBF: mtbfHours * 3600 * mult, MTTR: 600, Shape: 1.2,
+				Horizon: 150, Seed: seed, TryRestart: true,
+			}})
+			if err != nil {
+				return row, err
+			}
+			fo := r.Fault
+			if fo.Lost {
+				lost++
+			}
+			if fo.RestartOK {
+				restored++
+			}
+			row.AvgFails += float64(fo.Counts.Fails)
+			row.AvgDeadRanks += float64(fo.DeadRanks)
+			row.AvgMissing += float64(fo.MissingChunks)
+			row.AvgFailovers += float64(fo.Failovers)
+		}
+		row.AvgFails /= float64(trials)
+		row.AvgDeadRanks /= float64(trials)
+		row.AvgMissing /= float64(trials)
+		row.AvgFailovers /= float64(trials)
+		row.Lost = lossTally{lost, trials}
+		row.RestartOK = restartTally{restored, trials - lost}
+		return row, nil
+	})
 }
 
 // MakespanRow is one point of the expected-makespan study: a strategy's

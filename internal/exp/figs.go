@@ -28,17 +28,11 @@ func Headline(o Options, approaches ...int) ([]HeadlineRow, error) {
 		return headlineNamed(o)
 	}
 	if len(approaches) == 0 {
-		approaches = []int{0, 1, 2, 3, 4}
+		approaches = allApproaches
 	}
-	runs, err := RunAll(o, approaches...)
-	if err != nil {
-		return nil, err
-	}
-	var rows []HeadlineRow
-	for i, r := range runs {
-		rows = append(rows, headlineRow(r, ApproachLabels[approaches[i%len(approaches)]]))
-	}
-	return rows, nil
+	return sweep(o, headlineJobs(o, approaches), func(i int, r *Run) HeadlineRow {
+		return headlineRow(r, ApproachLabels[approaches[i%len(approaches)]])
+	})
 }
 
 // headlineNamed runs the single Options.Ckpt strategy across the sweep —
@@ -53,15 +47,7 @@ func headlineNamed(o Options) ([]HeadlineRow, error) {
 	for _, np := range o.nps() {
 		jobs = append(jobs, Job{NP: np, Strategy: d.New(np)})
 	}
-	runs, err := RunSet(o, jobs)
-	if err != nil {
-		return nil, err
-	}
-	var rows []HeadlineRow
-	for _, r := range runs {
-		rows = append(rows, headlineRow(r, d.Label))
-	}
-	return rows, nil
+	return sweep(o, jobs, func(_ int, r *Run) HeadlineRow { return headlineRow(r, d.Label) })
 }
 
 func headlineRow(r *Run, label string) HeadlineRow {
@@ -132,14 +118,11 @@ func Fig8(o Options) ([]Fig8Row, error) {
 			points = append(points, Fig8Row{NP: np, NF: nf})
 		}
 	}
-	runs, err := RunSet(o, jobs)
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range runs {
-		points[i].GBps = GB(r.Agg.Bandwidth())
-	}
-	return points, nil
+	return sweep(o, jobs, func(i int, r *Run) Fig8Row {
+		p := points[i]
+		p.GBps = GB(r.Agg.Bandwidth())
+		return p
+	})
 }
 
 // TableIRow is one row of the paper's Table I: perceived write performance.
@@ -161,23 +144,17 @@ func TableI(o Options) ([]TableIRow, error) {
 	for _, np := range o.nps() {
 		jobs = append(jobs, Job{NP: np, Strategy: DefaultRbIOWithGroup(64)})
 	}
-	runs, err := RunSet(o, jobs)
-	if err != nil {
-		return nil, err
-	}
-	var rows []TableIRow
-	for _, r := range runs {
+	return sweep(o, jobs, func(_ int, r *Run) TableIRow {
 		// MaxPerceived sums the six per-field hand-offs of the slowest
 		// worker; the paper reports per-send cycles at Intrepid's 850 MHz,
 		// other machines at their own clock.
 		perSend := r.Agg.MaxPerceived / 6
-		rows = append(rows, TableIRow{
+		return TableIRow{
 			NP:            r.NP,
 			SendCycles:    perSend * d.Config(r.NP).CPUHz,
 			PerceivedTBps: r.Agg.PerceivedBandwidth() / 1e12,
-		})
-	}
-	return rows, nil
+		}
+	})
 }
 
 // DefaultRbIOWithGroup returns the paper's rbIO configuration (nf = ng,

@@ -34,17 +34,10 @@ func FSComparisonOn(o Options, np int, fsNames ...fsys.Backend) ([]FSRow, error)
 			jobs = append(jobs, Job{NP: np, Strategy: strat, FS: fsName})
 		}
 	}
-	runs, err := RunSet(o, jobs)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]FSRow, len(runs))
-	for i, r := range runs {
-		c := r.Agg
-		rows[i] = FSRow{
+	return sweep(o, jobs, func(i int, r *Run) FSRow {
+		return FSRow{
 			FS: string(jobs[i].FS), Strategy: jobs[i].Strategy.Name(), NP: np,
-			GBps: GB(c.Bandwidth()), StepSec: c.StepTime(),
+			GBps: GB(r.Agg.Bandwidth()), StepSec: r.Agg.StepTime(),
 		}
-	}
-	return rows, nil
+	})
 }

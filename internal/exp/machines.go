@@ -36,19 +36,12 @@ func MapSweep(o Options, np int) ([]MapRow, error) {
 			jobs = append(jobs, Job{NP: np, Strategy: strat, Map: pol})
 		}
 	}
-	runs, err := RunSet(o, jobs)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]MapRow, len(runs))
-	for i, r := range runs {
-		c := r.Agg
-		rows[i] = MapRow{
+	return sweep(o, jobs, func(i int, r *Run) MapRow {
+		return MapRow{
 			Policy: jobs[i].Map, Strategy: jobs[i].Strategy.Name(), NP: np,
-			GBps: GB(c.Bandwidth()), StepSec: c.StepTime(),
+			GBps: GB(r.Agg.Bandwidth()), StepSec: r.Agg.StepTime(),
 		}
-	}
-	return rows, nil
+	})
 }
 
 // PsetRatioRow is one (compute:ION ratio, strategy) measurement of the
@@ -83,17 +76,10 @@ func PsetRatio(o Options, np int) ([]PsetRatioRow, error) {
 			jobs = append(jobs, Job{NP: np, Strategy: strat, NodesPerPset: ratio})
 		}
 	}
-	runs, err := RunSet(o, jobs)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]PsetRatioRow, len(runs))
-	for i, r := range runs {
-		c := r.Agg
-		rows[i] = PsetRatioRow{
+	return sweep(o, jobs, func(i int, r *Run) PsetRatioRow {
+		return PsetRatioRow{
 			NodesPerPset: jobs[i].NodesPerPset, Strategy: jobs[i].Strategy.Name(), NP: np,
-			GBps: GB(c.Bandwidth()), StepSec: c.StepTime(),
+			GBps: GB(r.Agg.Bandwidth()), StepSec: r.Agg.StepTime(),
 		}
-	}
-	return rows, nil
+	})
 }

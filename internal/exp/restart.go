@@ -3,8 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"repro/internal/ckpt"
-	"repro/internal/gpfs"
 	"repro/internal/nekcem"
 )
 
@@ -50,26 +48,6 @@ func RestartStudy(o Options, np int) ([]RestartRow, error) {
 			NP:         np,
 			WriteSec:   res1.Checkpoints[0].StepTime(),
 			RestartSec: res2.Wall - t0,
-		})
-	}
-	return rows, nil
-}
-
-// AblateBlockSize sweeps the GPFS block size (lock and striping
-// granularity) for the rbIO headline configuration — a file-system design
-// knob the paper's tuning discussion (Section V-B) implies but could not
-// vary on the production machine.
-func AblateBlockSize(o Options, np int) ([]AblationRow, error) {
-	var rows []AblationRow
-	for _, bs := range []int64{1 << 20, 4 << 20, 16 << 20} {
-		r, err := runWith(o, np, ckpt.DefaultRbIO(), func(c *gpfs.Config) { c.BlockSize = bs })
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, AblationRow{
-			Ablation: "GPFS block size", Variant: fmt.Sprintf("%d MiB", bs>>20), NP: np,
-			GBps: GB(r.Agg.Bandwidth()), StepSec: r.Agg.StepTime(),
-			Extra: fmt.Sprintf("%d token grants", r.FSStats.TokenGrants),
 		})
 	}
 	return rows, nil

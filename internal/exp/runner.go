@@ -37,25 +37,46 @@ type Job struct {
 // drain test can observe which jobs a failing pool actually starts.
 var runJob = runCheckpoint
 
-// RunSet executes the jobs on a worker pool and returns their results in
-// input order. Each job runs a complete simulation on its own kernel with its
-// own seeded RNG and touches no shared state, so the results — simulated
-// times included — are bit-identical to a serial run regardless of the worker
-// count or GOMAXPROCS; only the wall-clock time changes. The first error (in
-// input order) is returned, and unstarted jobs are abandoned once any job has
-// failed.
+// RunSet executes the jobs on the worker pool (runCells) and returns their
+// results in input order. Each job runs a complete simulation on its own
+// kernel with its own seeded RNG and touches no shared state, so the
+// results — simulated times included — are bit-identical to a serial run
+// regardless of the worker count or GOMAXPROCS; only the wall-clock time
+// changes.
 func RunSet(o Options, jobs []Job) ([]*Run, error) {
-	results := make([]*Run, len(jobs))
-	errs := make([]error, len(jobs))
-	var failed atomic.Bool // any job errored; skip the rest unstarted
-	runPool(o.workers(), len(jobs), func(i int) {
-		if failed.Load() {
-			return
+	return runCells(o, jobs, func(j Job) (*Run, error) { return runJob(o, j) })
+}
+
+// runCells runs every cell on a pool of o.workers() workers, the calling
+// goroutine one of them, and returns the results in input order. The error
+// returned is the first in input order, and once a cell has failed, cells
+// not yet started are abandoned. Every pooled experiment runs through it.
+func runCells[C, R any](o Options, cells []C, run func(C) (R, error)) ([]R, error) {
+	results := make([]R, len(cells))
+	errs := make([]error, len(cells))
+	var next atomic.Int64
+	var failed atomic.Bool // a cell errored; abandon the rest unstarted
+	work := func() {
+		for {
+			i := int(next.Add(1) - 1)
+			if i >= len(cells) || failed.Load() {
+				return
+			}
+			if results[i], errs[i] = run(cells[i]); errs[i] != nil {
+				failed.Store(true)
+			}
 		}
-		if results[i], errs[i] = runJob(o, jobs[i]); errs[i] != nil {
-			failed.Store(true)
-		}
-	})
+	}
+	var wg sync.WaitGroup
+	for range min(o.workers(), len(cells)) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -64,36 +85,36 @@ func RunSet(o Options, jobs []Job) ([]*Run, error) {
 	return results, nil
 }
 
-// runPool executes n index jobs on a bounded worker pool. Results land in
-// caller-owned slots, so the outcome is independent of the worker count. A
-// one-worker pool runs on the calling goroutine.
-func runPool(workers, n int, run func(i int)) {
-	if workers > n {
-		workers = n
+// sweep runs the jobs through RunSet and maps each run to its row; row gets
+// the job's index and its run.
+func sweep[R any](o Options, jobs []Job, row func(i int, r *Run) R) ([]R, error) {
+	runs, err := RunSet(o, jobs)
+	if err != nil {
+		return nil, err
 	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			run(i)
-		}
-		return
+	rows := make([]R, len(runs))
+	for i, r := range runs {
+		rows[i] = row(i, r)
 	}
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				run(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	return rows, nil
 }
+
+// pair is one cell of a two-level grid: outer index i, inner index j.
+type pair struct{ i, j int }
+
+// pairs lays out an n x m grid in row-major order.
+func pairs(n, m int) []pair {
+	out := make([]pair, 0, n*m)
+	for i := 0; i < n; i++ {
+		for j := 0; j < m; j++ {
+			out = append(out, pair{i, j})
+		}
+	}
+	return out
+}
+
+// allApproaches are the indices of the paper's five headline approaches.
+var allApproaches = []int{0, 1, 2, 3, 4}
 
 // RunAll executes the headline grid — every requested approach at every
 // processor count of the sweep — on the worker pool and returns the runs in
@@ -101,8 +122,13 @@ func runPool(workers, n int, run func(i int)) {
 // Passing no approach indices runs all five.
 func RunAll(o Options, approaches ...int) ([]*Run, error) {
 	if len(approaches) == 0 {
-		approaches = []int{0, 1, 2, 3, 4}
+		approaches = allApproaches
 	}
+	return RunSet(o, headlineJobs(o, approaches))
+}
+
+// headlineJobs lays out the headline grid in sweep order.
+func headlineJobs(o Options, approaches []int) []Job {
 	var jobs []Job
 	for _, np := range o.nps() {
 		all := Approaches(np)
@@ -110,5 +136,5 @@ func RunAll(o Options, approaches ...int) ([]*Run, error) {
 			jobs = append(jobs, Job{NP: np, Strategy: all[ai]})
 		}
 	}
-	return RunSet(o, jobs)
+	return jobs
 }

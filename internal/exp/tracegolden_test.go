@@ -52,13 +52,13 @@ func TestTraceGolden(t *testing.T) {
 	})
 	section("recovery", func(tc *TraceCollector) error {
 		fam := recoveryFamilies(256)[2] // rbIO
-		c := runRecoveryCell(Options{Seed: 1, Trace: tc}, 256, fam, 24, 6, &FaultSpec{
+		c, err := runRecoveryCell(Options{Seed: 1, Trace: tc}, 256, fam, 24, 6, &FaultSpec{
 			MTBF: 3600, MTTR: 60, Shape: 1.2, Horizon: 600, Seed: 5,
 		}, "recovery/rbio")
-		if c.err == nil && c.res.Rollbacks == 0 {
+		if err == nil && c.res.Rollbacks == 0 {
 			return fmt.Errorf("lifecycle rolled back 0 times; the case should restore")
 		}
-		return c.err
+		return err
 	})
 	faulted := section("fault", func(tc *TraceCollector) error {
 		_, err := runCheckpoint(Options{Seed: 1, Trace: tc}, Job{NP: 256, Strategy: DefaultRbIOWithGroup(64),
