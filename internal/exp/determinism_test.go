@@ -2,6 +2,7 @@ package exp
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/table"
@@ -87,6 +88,27 @@ func TestDrainOverlapDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		return table.Of(rows)
+	}
+	ref := at(1)
+	if got := at(4); got != ref {
+		t.Errorf("4-worker pool differs:\n%s\nvs\n%s", got, ref)
+	}
+}
+
+// TestAblationsDeterministicAcrossWorkers pins the ablations experiment
+// the same way: its variants fan out over the pool, each on its own
+// kernel, so the table must not depend on the pool size.
+func TestAblationsDeterministicAcrossWorkers(t *testing.T) {
+	at := func(parallel int) string {
+		var out strings.Builder
+		d, err := Lookup("ablations")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Run(NewSession(Options{Seed: 1, NPs: []int{512}, Parallel: parallel}, &out)); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
 	}
 	ref := at(1)
 	if got := at(4); got != ref {

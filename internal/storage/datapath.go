@@ -49,7 +49,7 @@ func (d *BlockPipeline) Commit(c *Core, h *Handle, rank int, streamEnd float64, 
 	for b := off / c.cfg.BlockSize; b <= (off+n-1)/c.cfg.BlockSize; b++ {
 		bStart := b * c.cfg.BlockSize
 		bEnd := bStart + c.cfg.BlockSize
-		lo, hi := max64(off, bStart), min64(off+n, bEnd)
+		lo, hi := max(off, bStart), min(off+n, bEnd)
 		cum += hi - lo
 		pace := streamBase + float64(cum)/c.cfg.ClientStreamBW
 		if pace < now {
@@ -154,7 +154,7 @@ func (c *Core) ChargeStripedRead(p *sim.Proc, f *File, rank int, off, n int64) e
 	end := p.Now()
 	for b := off / c.cfg.BlockSize; b <= (off+n-1)/c.cfg.BlockSize; b++ {
 		bStart := b * c.cfg.BlockSize
-		lo, hi := max64(off, bStart), min64(off+n, bStart+c.cfg.BlockSize)
+		lo, hi := max(off, bStart), min(off+n, bStart+c.cfg.BlockSize)
 		srv, fdelay, ferr := c.PlanServer(f, b, p.Now())
 		if ferr != nil {
 			p.SleepUntil(p.Now() + fdelay)
@@ -213,7 +213,7 @@ func (c *Core) CommitStriped(f *File, start, rate float64, host int, end float64
 	var err error
 	lo := off
 	for lo < off+n {
-		hi := min64(off+n, (lo/revolution+1)*revolution)
+		hi := min(off+n, (lo/revolution+1)*revolution)
 		span := hi - lo
 		cum += span
 		deliver := start + float64(cum)/rate

@@ -193,17 +193,3 @@ func (h *Handle) Size() int64 { return h.f.store.Size() }
 
 // Name returns the file's path.
 func (h *Handle) Name() string { return h.f.name }
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -334,15 +334,7 @@ const ExpressCutoff = 256 << 10
 // I/O node over the pset's collective-network funnel. Control-sized
 // messages ride the express path.
 func (c *Core) ShipToION(p *sim.Proc, rank int, size int64) {
-	pset := c.m.PsetOfRank(rank)
-	pipe := c.m.Tree.Pset(pset)
-	var end float64
-	if size <= ExpressCutoff {
-		_, end = pipe.TransferExpress(p.Now(), size)
-	} else {
-		_, end = pipe.Transfer(p.Now(), size)
-	}
-	p.SleepUntil(end)
+	p.SleepUntil(c.funnelIn(p, rank, size))
 }
 
 // funnelIn charges a write payload's cut-through of the pset funnel and
