@@ -43,10 +43,10 @@ type Options struct {
 	// "xyzt", "blocked", "roundrobin", "random"); "" keeps the preset's
 	// own mapping.
 	Map string
-	// Parallel is the worker-pool size for experiment sets (RunSet/RunAll):
-	// 0 means one worker per CPU, 1 forces serial execution. Simulations are
-	// deterministic per-run, so the worker count changes wall-clock time
-	// only, never results.
+	// Parallel is the worker-pool size of the experiment runner (runCells,
+	// under RunSet/RunAll and every pooled sweep): 0 means one worker per
+	// CPU, 1 forces serial execution. Simulations are deterministic per-run,
+	// so the worker count changes wall-clock time only, never results.
 	Parallel int
 	// Shards enables the partitioned parallel kernel inside each
 	// simulation: the event space splits into one sub-kernel per pset,
