@@ -21,7 +21,7 @@ check:
 	cd bench && $(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./internal/exp/...
-	$(GO) test -race ./internal/fault/... ./internal/storage/... ./internal/gpfs/... ./internal/pvfs/... ./internal/bbuf/...
+	$(GO) test -race ./internal/fault/... ./internal/storage/... ./internal/bbuf/...
 	$(GO) test -race ./internal/sim/... ./internal/mpi/... ./internal/ckpt/...
 
 # bench runs the perf-regression microbenchmarks (event calendar churn,

@@ -14,20 +14,18 @@ import (
 	"testing"
 
 	"repro/internal/bbuf"
-	"repro/internal/bgp"
 	"repro/internal/cemfmt"
 	"repro/internal/ckpt"
 	"repro/internal/data"
 	"repro/internal/exp"
 	"repro/internal/fsys"
-	"repro/internal/gpfs"
 	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/mpiio"
 	"repro/internal/nekcem"
 	"repro/internal/perf"
-	"repro/internal/pvfs"
 	"repro/internal/sim"
+	"repro/internal/storage"
 	"repro/internal/table"
 	"repro/internal/xrand"
 )
@@ -553,7 +551,7 @@ func BenchmarkMicroTorusRoute(b *testing.B) {
 // BenchmarkMicroTorusTransfer measures the contention-tracked transfer
 // arithmetic.
 func BenchmarkMicroTorusTransfer(b *testing.B) {
-	m := machine.MustNew(sim.NewKernel(), xrand.New(1), bgp.Intrepid(4096))
+	m := machine.MustNew(sim.NewKernel(), xrand.New(1), machine.Intrepid(4096))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Net.Transfer(float64(i), i%1024, (i*31)%1024, 1<<20)
@@ -564,7 +562,7 @@ func BenchmarkMicroTorusTransfer(b *testing.B) {
 // simulator.
 func BenchmarkMicroP2P(b *testing.B) {
 	k := sim.NewKernel()
-	m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(64))
+	m := machine.MustNew(k, xrand.New(1), machine.Intrepid(64))
 	w := mpi.NewWorld(m, mpi.DefaultConfig())
 	b.ResetTimer()
 	err := w.Run(func(c *mpi.Comm, r *mpi.Rank) {
@@ -588,7 +586,7 @@ func BenchmarkMicroP2P(b *testing.B) {
 // binomial gather + broadcast path.
 func BenchmarkMicroAllgather(b *testing.B) {
 	k := sim.NewKernel()
-	m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(256))
+	m := machine.MustNew(k, xrand.New(1), machine.Intrepid(256))
 	w := mpi.NewWorld(m, mpi.DefaultConfig())
 	b.ResetTimer()
 	err := w.Run(func(c *mpi.Comm, r *mpi.Rank) {
@@ -605,8 +603,11 @@ func BenchmarkMicroAllgather(b *testing.B) {
 // stream, Ethernet, striped commit) for a 4 MiB write.
 func BenchmarkMicroGPFSWrite(b *testing.B) {
 	k := sim.NewKernel()
-	m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(256))
-	fs := gpfs.MustNew(m, gpfs.DefaultConfig())
+	m := machine.MustNew(k, xrand.New(1), machine.Intrepid(256))
+	fs, err := storage.NewGPFS(m, storage.DefaultGPFS())
+	if err != nil {
+		b.Fatal(err)
+	}
 	k.Go("w", func(p *sim.Proc) {
 		h, err := fs.Create(p, 0, "bench")
 		if err != nil {
@@ -639,8 +640,8 @@ func BenchmarkStorageCommitPath(b *testing.B) {
 		name  string
 		mount func(m *machine.Machine) (fsys.System, error)
 	}{
-		{"gpfs", func(m *machine.Machine) (fsys.System, error) { return gpfs.New(m, gpfs.DefaultConfig()) }},
-		{"pvfs", func(m *machine.Machine) (fsys.System, error) { return pvfs.New(m, pvfs.DefaultConfig()) }},
+		{"gpfs", func(m *machine.Machine) (fsys.System, error) { return storage.NewGPFS(m, storage.DefaultGPFS()) }},
+		{"pvfs", func(m *machine.Machine) (fsys.System, error) { return storage.NewPVFS(m, storage.DefaultPVFS()) }},
 		{"bbuf", func(m *machine.Machine) (fsys.System, error) {
 			cfg := bbuf.DefaultConfig()
 			cfg.BufferPerION = 1 << 62
@@ -650,7 +651,7 @@ func BenchmarkStorageCommitPath(b *testing.B) {
 	for _, arm := range arms {
 		b.Run(arm.name, func(b *testing.B) {
 			k := sim.NewKernel()
-			m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(256))
+			m := machine.MustNew(k, xrand.New(1), machine.Intrepid(256))
 			fs, err := arm.mount(m)
 			if err != nil {
 				b.Fatal(err)
@@ -711,10 +712,13 @@ func BenchmarkMicroSEDGAdvance(b *testing.B) {
 func BenchmarkMicroCheckpointStep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k := sim.NewKernel()
-		m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(1024))
-		fs := gpfs.MustNew(m, gpfs.DefaultConfig())
+		m := machine.MustNew(k, xrand.New(1), machine.Intrepid(1024))
+		fs, err := storage.NewGPFS(m, storage.DefaultGPFS())
+		if err != nil {
+			b.Fatal(err)
+		}
 		w := mpi.NewWorld(m, mpi.DefaultConfig())
-		_, err := nekcem.Run(w, fs, nekcem.RunConfig{
+		_, err = nekcem.Run(w, fs, nekcem.RunConfig{
 			Mesh: nekcem.PaperMesh(1024), Strategy: ckpt.DefaultRbIO(), Dir: "ckpt",
 			Steps: 1, CheckpointEvery: 1, Synthetic: true, SkipPresetup: true,
 			PayloadFactor: nekcem.PaperPayloadFactor, Compute: nekcem.DefaultComputeModel(),
@@ -729,11 +733,14 @@ func BenchmarkMicroCheckpointStep(b *testing.B) {
 // through the two-phase machinery.
 func BenchmarkMicroCollectiveWrite(b *testing.B) {
 	k := sim.NewKernel()
-	m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(256))
-	fs := gpfs.MustNew(m, gpfs.DefaultConfig())
+	m := machine.MustNew(k, xrand.New(1), machine.Intrepid(256))
+	fs, err := storage.NewGPFS(m, storage.DefaultGPFS())
+	if err != nil {
+		b.Fatal(err)
+	}
 	w := mpi.NewWorld(m, mpi.DefaultConfig())
 	b.ResetTimer()
-	err := w.Run(func(c *mpi.Comm, r *mpi.Rank) {
+	err = w.Run(func(c *mpi.Comm, r *mpi.Rank) {
 		f, err := mpiio.Open(c, r, fs, "cw", true, mpiio.DefaultHints())
 		if err != nil {
 			b.Error(err)

@@ -9,7 +9,7 @@
 //	iobench -exp fig5        # one experiment (iobench -exp list for the set)
 //	iobench -exp list        # list experiments with their descriptions
 //	iobench -np 4096         # scaled-down sweep for a quick look
-//	iobench -quiet           # disable the shared-storage noise model
+//	iobench -quiet           # no server noise spikes (metadata jitter stays: -seed still matters)
 //	iobench -seed 7          # different reproducible noise sample
 //	iobench -fs bbuf         # run the checkpoint experiments on another backend
 //	iobench -fs bbuf -bb 4x0.25 -drain deadline      # shared 4-node burst-buffer fleet
@@ -38,8 +38,6 @@ import (
 	"repro/internal/exp"
 	"repro/internal/perf"
 	"repro/internal/registry"
-
-	_ "repro/internal/bgp" // registers the Blue Gene machine presets
 )
 
 // cli is iobench's command line: the flags every driver shares, the

@@ -26,17 +26,16 @@ import (
 // cli is nekcem's command line: the flags every driver shares, and its
 // own.
 type cli struct {
-	fs     *flag.FlagSet
 	shared *exp.Flags
 
-	np, steps, every, nf, elems, order, work, epochs int
-	ckptName, logPath                                string
-	content                                          bool
+	np, steps, every, nf, elems, order int
+	ckptName, logPath                  string
+	content                            bool
 }
 
 // newCLI defines nekcem's flags on fs.
 func newCLI(fs *flag.FlagSet) *cli {
-	c := &cli{fs: fs, shared: exp.DeclareFlags(fs)}
+	c := &cli{shared: exp.DeclareFlags(fs)}
 	fs.IntVar(&c.np, "np", 4096, "MPI ranks (power-of-two nodes, 4 ranks/node)")
 	fs.IntVar(&c.steps, "steps", 20, "solver time steps")
 	fs.IntVar(&c.every, "ckpt-every", 20, "checkpoint every N steps (0: never)")
@@ -46,8 +45,6 @@ func newCLI(fs *flag.FlagSet) *cli {
 	fs.StringVar(&c.logPath, "log", "", "write a Darshan-style I/O trace (JSON) to this file")
 	fs.IntVar(&c.elems, "elements", 0, "mesh elements (default: paper weak scaling, ~4.25/rank at N=15)")
 	fs.IntVar(&c.order, "order", 0, "polynomial order N (default 15; content mode default 4)")
-	fs.IntVar(&c.work, "work", 0, "solver-step work budget; with -epochs, overrides -steps/-ckpt-every and records epoch manifests (0 = off)")
-	fs.IntVar(&c.epochs, "epochs", 0, "checkpoint epochs over the -work budget (0 = off)")
 	return c
 }
 
@@ -60,12 +57,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	steps, every := c.steps, c.every
-	if c.work > 0 && c.epochs > 0 {
-		steps = c.work
-		every = max(c.work/c.epochs, 1)
-	}
-
 	mesh := nekcem.PaperMesh(c.np)
 	if c.content {
 		mesh = nekcem.Mesh{E: 2 * c.np, N: 4}
@@ -89,8 +80,8 @@ func main() {
 		Mesh:            mesh,
 		Strategy:        strat,
 		Dir:             "ckpt",
-		Steps:           steps,
-		CheckpointEvery: every,
+		Steps:           c.steps,
+		CheckpointEvery: c.every,
 		Synthetic:       !c.content,
 		PayloadFactor:   payload,
 		Compute:         nekcem.DefaultComputeModel(),
@@ -104,7 +95,7 @@ func main() {
 	fmt.Printf("NekCEM production run: np=%d E=%d N=%d strategy=%s\n", c.np, mesh.E, mesh.N, strat.Name())
 	fmt.Printf("  presetup (mesh read):   %8.2f s\n", res.Presetup)
 	fmt.Printf("  compute per step:       %8.3f s\n", res.ComputeStep)
-	fmt.Printf("  simulated wall time:    %8.2f s for %d steps\n", res.Wall, steps)
+	fmt.Printf("  simulated wall time:    %8.2f s for %d steps\n", res.Wall, c.steps)
 	for _, cp := range res.Checkpoints {
 		fmt.Printf("  checkpoint @step %-5d  %8.2f s  %7.2f GB  %6.2f GB/s", cp.Step, cp.StepTime(), float64(cp.Bytes)/1e9, exp.GB(cp.Bandwidth()))
 		if pb := cp.PerceivedBandwidth(); pb > 0 {
@@ -116,17 +107,6 @@ func main() {
 		fmt.Println()
 	}
 	fmt.Printf("  files on %s: %d\n", res.FS.Name(), res.FS.NumFiles())
-	if res.Epochs != nil {
-		sealed, torn := 0, 0
-		for _, e := range res.Epochs.Epochs(ckpt.LevelGlobal) {
-			if e.Sealed() {
-				sealed++
-			} else {
-				torn++
-			}
-		}
-		fmt.Printf("  epoch manifests: %d sealed, %d torn\n", sealed, torn)
-	}
 
 	if log != nil {
 		if err := exp.WriteFile(c.logPath, log.WriteJSON); err != nil {
@@ -150,9 +130,6 @@ func (c *cli) resolve() (exp.Options, ckpt.Strategy, error) {
 			return exp.Options{}, nil, &exp.FlagError{Flag: f.name, Value: f.value, Why: "want >= 0"}
 		}
 	}
-	if err := validateLifecycleFlags(c.epochs, c.work, setFlags(c.fs)); err != nil {
-		return exp.Options{}, nil, err
-	}
 	o, err := c.shared.Options(c.np)
 	if err != nil {
 		return o, nil, err
@@ -161,7 +138,6 @@ func (c *cli) resolve() (exp.Options, ckpt.Strategy, error) {
 	if err != nil {
 		return o, nil, err
 	}
-	o.Manifests = c.work > 0 && c.epochs > 0
 	return o, strat, nil
 }
 
@@ -191,29 +167,4 @@ func resolveStrategy(name string, np, nf int) (ckpt.Strategy, error) {
 		}
 	}
 	return strat, nil
-}
-
-// setFlags returns the names of the flags the command line set explicitly.
-func setFlags(fs *flag.FlagSet) map[string]bool {
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	return set
-}
-
-// validateLifecycleFlags rejects explicit non-positive -epochs/-work values
-// (their zero defaults leave -steps/-ckpt-every in charge) and one of the
-// two set without the other, naming the missing one.
-func validateLifecycleFlags(epochs, work int, set map[string]bool) error {
-	for _, f := range []struct {
-		name, other string
-		value       int
-	}{{"epochs", "work", epochs}, {"work", "epochs", work}} {
-		if set[f.name] && f.value <= 0 {
-			return &exp.FlagError{Flag: f.name, Value: f.value, Why: "want >= 1"}
-		}
-		if set[f.other] && !set[f.name] {
-			return &exp.FlagError{Flag: f.name, Value: f.value, Why: "want >= 1 with -" + f.other}
-		}
-	}
-	return nil
 }

@@ -84,10 +84,6 @@ func TestResolveRejectsBadFlags(t *testing.T) {
 		{[]string{"-shards", "-1"}, "", "shards"},
 		{[]string{"-ckpt", "rbio", "-nf", "3", "-np", "64"}, "", "nf"},
 		{[]string{"-ckpt", "coio", "-nf", "3", "-np", "64"}, "", "nf"},
-		{[]string{"-epochs", "0"}, "", "epochs"},
-		// One lifecycle flag alone names the missing one.
-		{[]string{"-np", "64", "-work", "10"}, "", "epochs"},
-		{[]string{"-epochs", "3"}, "", "work"},
 		{[]string{"-elements", "-5"}, "", "elements"},
 		{[]string{"-order", "-2"}, "", "order"},
 	} {
@@ -104,6 +100,14 @@ func TestResolveRejectsBadFlags(t *testing.T) {
 			t.Errorf("%v: error %#v, want a %s *registry.UnknownError", tc.args, err, tc.kind)
 		case tc.flag != "" && (!errors.As(err, &fe) || fe.Flag != tc.flag):
 			t.Errorf("%v: error %#v, want an *exp.FlagError for -%s", tc.args, err, tc.flag)
+		}
+	}
+	// -work and -epochs are iobench's recovery budget, not nekcem flags.
+	fs := flag.NewFlagSet("nekcem", flag.ContinueOnError)
+	newCLI(fs)
+	for _, name := range []string{"work", "epochs"} {
+		if fs.Lookup(name) != nil {
+			t.Errorf("nekcem declares -%s", name)
 		}
 	}
 	// Malformed fleet specs fail with the parser's typed error.
@@ -123,38 +127,5 @@ func TestResolveRejectsBadFlags(t *testing.T) {
 		if _, _, err := c.resolve(); !errors.As(err, tc.want) {
 			t.Errorf("%v: error %#v, want %T", tc.args, err, tc.want)
 		}
-	}
-}
-
-func TestValidateLifecycleFlags(t *testing.T) {
-	set := func(names ...string) map[string]bool {
-		m := map[string]bool{}
-		for _, n := range names {
-			m[n] = true
-		}
-		return m
-	}
-	cases := []struct {
-		name    string
-		epochs  int
-		work    int
-		set     map[string]bool
-		wantErr bool
-	}{
-		{"defaults pass (lifecycle off)", 0, 0, set(), false},
-		{"positive values pass", 4, 40, set("epochs", "work"), false},
-		{"explicit zero epochs rejected", 0, 40, set("epochs", "work"), true},
-		{"explicit negative epochs rejected", -1, 40, set("epochs"), true},
-		{"explicit zero work rejected", 4, 0, set("work"), true},
-		{"explicit negative work rejected", 4, -8, set("epochs", "work"), true},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			err := validateLifecycleFlags(c.epochs, c.work, c.set)
-			if (err != nil) != c.wantErr {
-				t.Fatalf("validateLifecycleFlags(%d, %d, %v) = %v, wantErr %v",
-					c.epochs, c.work, c.set, err, c.wantErr)
-			}
-		})
 	}
 }

@@ -12,13 +12,12 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/bgp"
 	"repro/internal/ckpt"
-	"repro/internal/gpfs"
 	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/nekcem"
 	"repro/internal/sim"
+	"repro/internal/storage"
 	"repro/internal/xrand"
 )
 
@@ -37,10 +36,13 @@ var (
 
 func main() {
 	kernel := sim.NewKernel()
-	m := machine.MustNew(kernel, xrand.New(3), bgp.Intrepid(np))
-	cfg := gpfs.DefaultConfig()
+	m := machine.MustNew(kernel, xrand.New(3), machine.Intrepid(np))
+	cfg := storage.DefaultGPFS()
 	cfg.NoiseProb = 0
-	fs := gpfs.MustNew(m, cfg)
+	fs, err := storage.NewGPFS(m, cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Phase 1: the original job. It plans to run 16 steps but "crashes"
 	// during step 10 — after the step-8 checkpoint became durable, before

@@ -13,13 +13,12 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/bgp"
 	"repro/internal/data"
-	"repro/internal/gpfs"
 	"repro/internal/machine"
 	"repro/internal/meshgen"
 	"repro/internal/mpi"
 	"repro/internal/sim"
+	"repro/internal/storage"
 	"repro/internal/xrand"
 )
 
@@ -35,10 +34,13 @@ func main() {
 
 	// The input files live on the parallel file system before the job runs.
 	kernel := sim.NewKernel()
-	m := machine.MustNew(kernel, xrand.New(5), bgp.Intrepid(np))
-	cfg := gpfs.DefaultConfig()
+	m := machine.MustNew(kernel, xrand.New(5), machine.Intrepid(np))
+	cfg := storage.DefaultGPFS()
 	cfg.NoiseProb = 0
-	fs := gpfs.MustNew(m, cfg)
+	fs, err := storage.NewGPFS(m, cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fs.PreloadBytes("in/waveguide.rea", rea)
 	fs.PreloadBytes("in/waveguide.map", mp)
 
@@ -48,7 +50,7 @@ func main() {
 	var presetup float64
 	perRank := make([]int, np)
 	mismatches := 0
-	err := world.Run(func(c *mpi.Comm, r *mpi.Rank) {
+	err = world.Run(func(c *mpi.Comm, r *mpi.Rank) {
 		p := r.Proc()
 		var reaBuf, mapBuf data.Buf
 		if c.Rank(r) == 0 {

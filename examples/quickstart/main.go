@@ -9,13 +9,12 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/bgp"
 	"repro/internal/ckpt"
-	"repro/internal/gpfs"
 	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/nekcem"
 	"repro/internal/sim"
+	"repro/internal/storage"
 	"repro/internal/xrand"
 )
 
@@ -25,8 +24,11 @@ func main() {
 	// driven by one deterministic discrete-event kernel.
 	const np = 1024
 	kernel := sim.NewKernel()
-	m := machine.MustNew(kernel, xrand.New(42), bgp.Intrepid(np))
-	fs := gpfs.MustNew(m, gpfs.DefaultConfig())
+	m := machine.MustNew(kernel, xrand.New(42), machine.Intrepid(np))
+	fs, err := storage.NewGPFS(m, storage.DefaultGPFS())
+	if err != nil {
+		log.Fatal(err)
+	}
 	world := mpi.NewWorld(m, mpi.DefaultConfig())
 
 	// The paper's headline strategy: reduced-blocking I/O with one dedicated

@@ -10,14 +10,13 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/bgp"
 	"repro/internal/ckpt"
-	"repro/internal/gpfs"
 	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/mpiio"
 	"repro/internal/nekcem"
 	"repro/internal/sim"
+	"repro/internal/storage"
 	"repro/internal/table"
 	"repro/internal/xrand"
 )
@@ -28,8 +27,11 @@ const np = 4096
 // returns (bandwidth GB/s, step seconds).
 func measure(strategy ckpt.Strategy) (float64, float64) {
 	kernel := sim.NewKernel()
-	m := machine.MustNew(kernel, xrand.New(11), bgp.Intrepid(np))
-	fs := gpfs.MustNew(m, gpfs.DefaultConfig())
+	m := machine.MustNew(kernel, xrand.New(11), machine.Intrepid(np))
+	fs, err := storage.NewGPFS(m, storage.DefaultGPFS())
+	if err != nil {
+		log.Fatal(err)
+	}
 	world := mpi.NewWorld(m, mpi.DefaultConfig())
 	res, err := nekcem.Run(world, fs, nekcem.PaperRun(np, strategy, 1, 1))
 	if err != nil {

@@ -12,14 +12,13 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/bgp"
 	"repro/internal/ckpt"
-	"repro/internal/gpfs"
 	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/mpiio"
 	"repro/internal/nekcem"
 	"repro/internal/sim"
+	"repro/internal/storage"
 	"repro/internal/xrand"
 )
 
@@ -33,10 +32,13 @@ func main() {
 	strategy := ckpt.CoIO{NumFiles: 4, Hints: mpiio.DefaultHints()}
 
 	kernel := sim.NewKernel()
-	m := machine.MustNew(kernel, xrand.New(7), bgp.Intrepid(np))
-	cfg := gpfs.DefaultConfig()
+	m := machine.MustNew(kernel, xrand.New(7), machine.Intrepid(np))
+	cfg := storage.DefaultGPFS()
 	cfg.NoiseProb = 0 // determinism matters more than realism here
-	fs := gpfs.MustNew(m, cfg)
+	fs, err := storage.NewGPFS(m, cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// First run: advance six steps, checkpointing at steps 3 and 6.
 	w1 := mpi.NewWorld(m, mpi.DefaultConfig())

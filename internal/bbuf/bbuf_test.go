@@ -5,12 +5,11 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/bgp"
 	"repro/internal/data"
 	"repro/internal/fsys"
 	"repro/internal/machine"
-	"repro/internal/pvfs"
 	"repro/internal/sim"
+	"repro/internal/storage"
 	"repro/internal/trace"
 	"repro/internal/xrand"
 )
@@ -35,7 +34,7 @@ func rigTraced(t *testing.T, rec *trace.Recorder, ranks int, mod func(*Config), 
 	t.Helper()
 	k := sim.NewKernel()
 	k.SetRecorder(rec)
-	m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(ranks))
+	m := machine.MustNew(k, xrand.New(1), machine.Intrepid(ranks))
 	cfg := DefaultConfig()
 	cfg.NoiseProb = 0
 	if mod != nil {
@@ -95,10 +94,10 @@ func TestAbsorptionFasterThanSynchronous(t *testing.T) {
 	})
 
 	k := sim.NewKernel()
-	m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(256))
-	pcfg := pvfs.DefaultConfig()
+	m := machine.MustNew(k, xrand.New(1), machine.Intrepid(256))
+	pcfg := storage.DefaultPVFS()
 	pcfg.NoiseProb = 0
-	pfs, err := pvfs.New(m, pcfg)
+	pfs, err := storage.NewPVFS(m, pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +207,7 @@ func TestSyncAndCloseDoNotWaitForDrain(t *testing.T) {
 func TestDeterministicPerSeed(t *testing.T) {
 	run := func(seed uint64) (float64, float64) {
 		k := sim.NewKernel()
-		m := machine.MustNew(k, xrand.New(seed), bgp.Intrepid(256))
+		m := machine.MustNew(k, xrand.New(seed), machine.Intrepid(256))
 		cfg := DefaultConfig()
 		cfg.NoiseProb = 0.2 // high so the drain path reliably draws spikes
 		fs := mustNew(t, m, cfg)

@@ -3,7 +3,6 @@ package bbuf
 import (
 	"testing"
 
-	"repro/internal/bgp"
 	"repro/internal/data"
 	"repro/internal/fault"
 	"repro/internal/machine"
@@ -16,7 +15,7 @@ import (
 func faultRig(t *testing.T, mod func(*Config), sched fault.Schedule, body func(p *sim.Proc, fs *FileSystem)) {
 	t.Helper()
 	k := sim.NewKernel()
-	m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(256))
+	m := machine.MustNew(k, xrand.New(1), machine.Intrepid(256))
 	cfg := DefaultConfig()
 	cfg.NoiseProb = 0
 	if mod != nil {

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/bgp"
 	"repro/internal/data"
 	"repro/internal/machine"
 	"repro/internal/registry"
@@ -117,7 +116,7 @@ func TestFleetPlacement(t *testing.T) {
 	// against a built fleet so the assertions don't race background drains.
 	const chunk = 8 << 20
 	k := sim.NewKernel()
-	m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(1024)) // 4 psets
+	m := machine.MustNew(k, xrand.New(1), machine.Intrepid(1024)) // 4 psets
 	cfg := DefaultConfig()
 	cfg.NoiseProb = 0
 	cfg.FleetNodes = 2
@@ -155,7 +154,7 @@ func TestFleetPlacement(t *testing.T) {
 
 	// The private shape considers only the pset's own node.
 	pk := sim.NewKernel()
-	pm := machine.MustNew(pk, xrand.New(1), bgp.Intrepid(1024))
+	pm := machine.MustNew(pk, xrand.New(1), machine.Intrepid(1024))
 	pcfg := DefaultConfig()
 	pcfg.NoiseProb = 0
 	pcfg.BufferPerION = chunk

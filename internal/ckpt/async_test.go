@@ -4,27 +4,29 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/bgp"
 	"repro/internal/data"
-	"repro/internal/gpfs"
 	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/sim"
+	"repro/internal/storage"
 	"repro/internal/xrand"
 )
 
 // runAsyncWorld is runWorld with a caller-built Env, so fault rules can see
 // the kernel clock and epoch sinks can be attached.
-func runAsyncWorld(t *testing.T, ranks int, strat Strategy, mkEnv func(k *sim.Kernel, m *machine.Machine, fs *gpfs.FileSystem) *Env, body func(env *Env, pl Plan, c *mpi.Comm, r *mpi.Rank)) *gpfs.FileSystem {
+func runAsyncWorld(t *testing.T, ranks int, strat Strategy, mkEnv func(k *sim.Kernel, m *machine.Machine, fs *storage.Core) *Env, body func(env *Env, pl Plan, c *mpi.Comm, r *mpi.Rank)) *storage.Core {
 	t.Helper()
 	k := sim.NewKernel()
-	m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(ranks))
-	cfg := gpfs.DefaultConfig()
+	m := machine.MustNew(k, xrand.New(1), machine.Intrepid(ranks))
+	cfg := storage.DefaultGPFS()
 	cfg.NoiseProb = 0
-	fs := gpfs.MustNew(m, cfg)
+	fs, err := storage.NewGPFS(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	env := mkEnv(k, m, fs)
 	w := mpi.NewWorld(m, mpi.DefaultConfig())
-	err := w.Run(func(c *mpi.Comm, r *mpi.Rank) {
+	err = w.Run(func(c *mpi.Comm, r *mpi.Rank) {
 		pl, err := strat.Plan(c, r)
 		if err != nil {
 			t.Errorf("rank %d plan: %v", r.ID(), err)
@@ -38,7 +40,7 @@ func runAsyncWorld(t *testing.T, ranks int, strat Strategy, mkEnv func(k *sim.Ke
 	return fs
 }
 
-func plainEnv(k *sim.Kernel, m *machine.Machine, fs *gpfs.FileSystem) *Env {
+func plainEnv(k *sim.Kernel, m *machine.Machine, fs *storage.Core) *Env {
 	return &Env{FS: fs, Dir: "ckpt"}
 }
 
@@ -188,7 +190,7 @@ func TestAsyncEpochSealsAtFlush(t *testing.T) {
 	var snapMax float64
 	durable := map[int]float64{}
 	runAsyncWorld(t, 64, DefaultAsync(),
-		func(k *sim.Kernel, m *machine.Machine, fs *gpfs.FileSystem) *Env {
+		func(k *sim.Kernel, m *machine.Machine, fs *storage.Core) *Env {
 			return &Env{FS: fs, Dir: "ckpt", Epochs: rec}
 		},
 		func(env *Env, pl Plan, c *mpi.Comm, r *mpi.Rank) {
@@ -234,7 +236,7 @@ func TestAsyncNodeDeadAtSnapshot(t *testing.T) {
 	rec := &epochRecorder{}
 	var deadNode int
 	runAsyncWorld(t, 64, DefaultAsync(),
-		func(k *sim.Kernel, m *machine.Machine, fs *gpfs.FileSystem) *Env {
+		func(k *sim.Kernel, m *machine.Machine, fs *storage.Core) *Env {
 			deadNode = m.NodeOfRank(0)
 			return &Env{FS: fs, Dir: "ckpt", Epochs: rec,
 				RankUp: func(w int) bool { return m.NodeOfRank(w) != deadNode }}
@@ -288,7 +290,7 @@ func TestAsyncNodeDiesHoldingSnapshot(t *testing.T) {
 	}
 	deadSnapEnd, flushStart := 0.0, 0.0
 	runAsyncWorld(t, 64, DefaultAsync(),
-		func(k *sim.Kernel, m *machine.Machine, fs *gpfs.FileSystem) *Env {
+		func(k *sim.Kernel, m *machine.Machine, fs *storage.Core) *Env {
 			mach, deadNode = m, m.NodeOfRank(0)
 			return &Env{FS: fs, Dir: "ckpt"}
 		},
@@ -316,7 +318,7 @@ func TestAsyncNodeDiesHoldingSnapshot(t *testing.T) {
 
 	rec := &epochRecorder{}
 	runAsyncWorld(t, 64, DefaultAsync(),
-		func(k *sim.Kernel, m *machine.Machine, fs *gpfs.FileSystem) *Env {
+		func(k *sim.Kernel, m *machine.Machine, fs *storage.Core) *Env {
 			mach, deadNode = m, m.NodeOfRank(0)
 			return &Env{FS: fs, Dir: "ckpt", Epochs: rec,
 				RankUp: func(w int) bool {

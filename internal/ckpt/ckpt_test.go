@@ -5,16 +5,14 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/bgp"
 	"repro/internal/cemfmt"
 	"repro/internal/data"
-	"repro/internal/gpfs"
 	"repro/internal/iolog"
 	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/mpiio"
-	"repro/internal/pvfs"
 	"repro/internal/sim"
+	"repro/internal/storage"
 	"repro/internal/xrand"
 )
 
@@ -37,17 +35,20 @@ func makeCheckpoint(rank int, step int64, chunk int) *Checkpoint {
 
 // runWorld executes body on a fresh world+fs and returns the collected
 // stats (indexed by world rank) and the environment used.
-func runWorld(t *testing.T, ranks int, strat Strategy, body func(env *Env, pl Plan, c *mpi.Comm, r *mpi.Rank)) (*gpfs.FileSystem, *iolog.Log) {
+func runWorld(t *testing.T, ranks int, strat Strategy, body func(env *Env, pl Plan, c *mpi.Comm, r *mpi.Rank)) (*storage.Core, *iolog.Log) {
 	t.Helper()
 	k := sim.NewKernel()
-	m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(ranks))
-	cfg := gpfs.DefaultConfig()
+	m := machine.MustNew(k, xrand.New(1), machine.Intrepid(ranks))
+	cfg := storage.DefaultGPFS()
 	cfg.NoiseProb = 0
-	fs := gpfs.MustNew(m, cfg)
+	fs, err := storage.NewGPFS(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	log := &iolog.Log{}
 	env := &Env{FS: fs, Dir: "ckpt", Log: log}
 	w := mpi.NewWorld(m, mpi.DefaultConfig())
-	err := w.Run(func(c *mpi.Comm, r *mpi.Rank) {
+	err = w.Run(func(c *mpi.Comm, r *mpi.Rank) {
 		pl, err := strat.Plan(c, r)
 		if err != nil {
 			t.Errorf("rank %d plan: %v", r.ID(), err)
@@ -63,7 +64,7 @@ func runWorld(t *testing.T, ranks int, strat Strategy, body func(env *Env, pl Pl
 
 // verifyRoundTrip writes a checkpoint with the strategy, reads it back, and
 // compares every byte.
-func verifyRoundTrip(t *testing.T, ranks, chunk int, strat Strategy) (*gpfs.FileSystem, *iolog.Log) {
+func verifyRoundTrip(t *testing.T, ranks, chunk int, strat Strategy) (*storage.Core, *iolog.Log) {
 	t.Helper()
 	return runWorld(t, ranks, strat, func(env *Env, pl Plan, c *mpi.Comm, r *mpi.Rank) {
 		cp := makeCheckpoint(r.ID(), 3, chunk)
@@ -285,7 +286,7 @@ func TestMismatchedFieldSizesRejected(t *testing.T) {
 
 func TestPlanRejectsIndivisibleGroups(t *testing.T) {
 	k := sim.NewKernel()
-	m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(64))
+	m := machine.MustNew(k, xrand.New(1), machine.Intrepid(64))
 	w := mpi.NewWorld(m, mpi.DefaultConfig())
 	errs := 0
 	err := w.Run(func(c *mpi.Comm, r *mpi.Rank) {
@@ -434,13 +435,13 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 
 // runWorldPVFS mirrors runWorld on the PVFS model, exercising the
 // strategies' independence from the file system implementation.
-func runWorldPVFS(t *testing.T, ranks int, strat Strategy, body func(env *Env, pl Plan, c *mpi.Comm, r *mpi.Rank)) *pvfs.FileSystem {
+func runWorldPVFS(t *testing.T, ranks int, strat Strategy, body func(env *Env, pl Plan, c *mpi.Comm, r *mpi.Rank)) *storage.Core {
 	t.Helper()
 	k := sim.NewKernel()
-	m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(ranks))
-	cfg := pvfs.DefaultConfig()
+	m := machine.MustNew(k, xrand.New(1), machine.Intrepid(ranks))
+	cfg := storage.DefaultPVFS()
 	cfg.NoiseProb = 0
-	fs, err := pvfs.New(m, cfg)
+	fs, err := storage.NewPVFS(m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/bgp"
 	"repro/internal/machine"
 	"repro/internal/sim"
 	"repro/internal/xrand"
@@ -18,7 +17,7 @@ import (
 // admission that can never happen.
 func TestLaunchQueuedRejectsOversizedTenant(t *testing.T) {
 	k := sim.NewKernel()
-	m, err := machine.New(k, xrand.New(1), bgp.Intrepid(512))
+	m, err := machine.New(k, xrand.New(1), machine.Intrepid(512))
 	if err != nil {
 		t.Fatal(err)
 	}

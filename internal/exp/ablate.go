@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/ckpt"
-	"repro/internal/gpfs"
 	"repro/internal/mpiio"
 	"repro/internal/nekcem"
+	"repro/internal/storage"
 )
 
 // AblationRow is one variant measurement of a design-choice ablation.
@@ -24,7 +24,7 @@ type AblationRow struct {
 type variant struct {
 	label string
 	strat ckpt.Strategy
-	tweak func(*gpfs.Config)
+	tweak func(*storage.GPFSConfig)
 	quiet bool // the noise model's setting, in an ablation that sets it
 }
 
@@ -59,7 +59,7 @@ func ablationTable(np int) []ablation {
 	unbuffered.BufferFields = false
 	blocks := func(mib int64) variant {
 		return variant{label: fmt.Sprintf("%d MiB", mib), strat: ckpt.DefaultRbIO(),
-			tweak: func(c *gpfs.Config) { c.BlockSize = mib << 20 }}
+			tweak: func(c *storage.GPFSConfig) { c.BlockSize = mib << 20 }}
 	}
 	return []ablation{
 		// coIO nf=1 with and without file-domain alignment (the BG/P ADIO
@@ -84,7 +84,7 @@ func ablationTable(np int) []ablation {
 		// paper's remark that PVFS ran with caching off).
 		ionCache: {name: "ION cache", np: np, variants: []variant{
 			{label: "write-behind", strat: ckpt.DefaultRbIO()},
-			{label: "synchronous (cache off)", strat: ckpt.DefaultRbIO(), tweak: func(c *gpfs.Config) { c.WriteBehind = false }},
+			{label: "synchronous (cache off)", strat: ckpt.DefaultRbIO(), tweak: func(c *storage.GPFSConfig) { c.WriteBehind = false }},
 		}},
 		// The normal-load noise model against a quiet machine, for the
 		// configuration the noise hurts most: coIO 64:1 at 64K ranks.
@@ -116,7 +116,7 @@ func writers(r *Run) int {
 // checkpoint step on its own kernel, and returns their rows in order.
 func ablate(o Options, a ablation) ([]AblationRow, error) {
 	return runCells(o, a.variants, func(v variant) (AblationRow, error) {
-		gcfg := gpfs.DefaultConfig()
+		gcfg := storage.DefaultGPFS()
 		if v.tweak != nil {
 			v.tweak(&gcfg)
 		}

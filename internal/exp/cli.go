@@ -34,7 +34,7 @@ func DeclareFlags(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.drain, "drain", "", "burst-buffer drain-scheduler policy for -fs bbuf: fifo (default), deadline, tenant")
 	fs.StringVar(&f.machine, "machine", "", "machine preset: intrepid (default), bgl, fattree, dragonfly (experiments that pin a machine ignore it)")
 	fs.StringVar(&f.placement, "map", "", "rank->node placement policy override: txyz (machine default), xyzt, blocked, roundrobin, random")
-	fs.BoolVar(&f.quiet, "quiet", false, "disable the shared-storage noise model")
+	fs.BoolVar(&f.quiet, "quiet", false, "disable the shared-storage noise model (server spikes); metadata jitter stays on, so results still depend on -seed")
 	fs.IntVar(&f.shards, "shards", 0, "partitioned-kernel lane workers inside each simulation (0 or 1 = serial kernel; runs that need the serial kernel, such as a -log run, keep it); results are identical at any setting")
 	return f
 }

@@ -63,12 +63,6 @@ type Options struct {
 	// never perturbs simulated time: results are byte-identical with and
 	// without it.
 	Trace *TraceCollector
-	// Manifests attaches an epoch-manifest log to every checkpoint run, so
-	// each strategy records its two-phase epoch commits. Manifest recording
-	// is pure bookkeeping on the write path (reads are only charged at
-	// restart scans), so fault-free results are byte-identical with and
-	// without it — the manifest golden-identity test pins that.
-	Manifests bool
 	// Ckpt, when non-empty, restricts headline sweeps (Figure 5/6/7, Table
 	// I) to the one named strategy from the ckpt registry instead of the
 	// full five-arm comparison. Experiments with fixed strategy casts (the
@@ -155,9 +149,6 @@ func runCheckpoint(o Options, j Job) (*Run, error) {
 		rcfg.Log = &iolog.Log{}
 	}
 	rcfg.RankUp = e.rankUp()
-	if o.Manifests {
-		rcfg.Epochs = e.epochLog().StartSegment(rcfg.Dir, 0, 0)
-	}
 	label := fmt.Sprintf("%s/%s", e.FS.Name(), j.Strategy.Name())
 	res, err := e.solve(rcfg)
 	if err != nil {

@@ -17,6 +17,11 @@ type FSRow struct {
 	StepSec  float64 `col:"step (s)" fmt:"%.1f"`
 }
 
+// FileSystems lists the selectable storage backends, in presentation order.
+// Every backend is a policy composition over the shared storage core
+// (internal/storage), so each experiment runs unchanged on any of them.
+var FileSystems = []fsys.Backend{"gpfs", "pvfs", "bbuf"}
+
 // FSComparison runs the paper's strongest strategies on every backend at
 // the given processor count.
 func FSComparison(o Options, np int) ([]FSRow, error) {

@@ -1,10 +1,10 @@
 package exp
 
 import (
-	"repro/internal/bgp"
-	"repro/internal/gpfs"
+	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/nekcem"
+	"repro/internal/storage"
 )
 
 // PriorWorkRow compares the paper's cited prior-work results (reference
@@ -21,8 +21,8 @@ type PriorWorkRow struct {
 // bglGPFS returns BG/L-era storage constants: the ANL BG/L's SAN was an
 // order of magnitude smaller than Intrepid's (32 servers, slower client
 // streams).
-func bglGPFS() gpfs.Config {
-	cfg := gpfs.DefaultConfig()
+func bglGPFS() storage.GPFSConfig {
+	cfg := storage.DefaultGPFS()
 	cfg.NumServers = 32
 	cfg.ServerBW = 80e6
 	cfg.ClientStreamBW = 20e6
@@ -43,9 +43,9 @@ func PriorWorkBGL(o Options) ([]PriorWorkRow, error) {
 	const np = 32768
 	var rows []PriorWorkRow
 	for _, machineName := range []string{"BG/L", "BG/P (Intrepid)"} {
-		mcfg, gcfg, wcfg := bgp.BlueGeneL(np), bglGPFS(), bglMPI()
+		mcfg, gcfg, wcfg := machine.BlueGeneL(np), bglGPFS(), bglMPI()
 		if machineName != "BG/L" {
-			mcfg, gcfg, wcfg = bgp.Intrepid(np), gpfs.DefaultConfig(), mpi.DefaultConfig()
+			mcfg, gcfg, wcfg = machine.Intrepid(np), storage.DefaultGPFS(), mpi.DefaultConfig()
 		}
 		sc := scenario{NP: np, Stream: streamSeed, MachineCfg: &mcfg, GPFSCfg: &gcfg, MPICfg: &wcfg}
 		_, res, err := simulate(o, sc, nekcem.PaperRun(np, DefaultRbIOWithGroup(64), 1, 1), "priorwork/"+machineName)

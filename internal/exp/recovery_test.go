@@ -1,11 +1,8 @@
 package exp
 
 import (
-	"fmt"
 	"strings"
 	"testing"
-
-	"repro/internal/table"
 )
 
 // TestRecoveryStudySmoke runs a small closed-loop lifecycle study and checks
@@ -72,39 +69,5 @@ func TestRecoveryStudyParallelDeterministic(t *testing.T) {
 	serial := run(1)
 	if par4 := run(4); par4 != serial {
 		t.Fatalf("recovery study depends on the worker count:\nserial:\n%s\npar4:\n%s", serial, par4)
-	}
-}
-
-// TestManifestRecordingGoldenIdentity pins the determinism contract of the
-// epoch-manifest layer: a checkpoint run with manifest recording attached is
-// byte-identical to the same run without it, verified against the
-// pre-manifest machine goldens at both headline experiments.
-func TestManifestRecordingGoldenIdentity(t *testing.T) {
-	for _, np := range []int{2048, 4096} {
-		for _, seed := range []uint64{1, 3} {
-			if testing.Short() && np > 2048 {
-				continue
-			}
-			name := fmt.Sprintf("np%d_seed%d", np, seed)
-			for _, par := range []int{1, 4} {
-				np, seed, par := np, seed, par
-				t.Run(fmt.Sprintf("fig5_%s_par%d", name, par), func(t *testing.T) {
-					t.Parallel()
-					rows, err := Headline(Options{Seed: seed, NPs: []int{np}, Parallel: par, Manifests: true})
-					if err != nil {
-						t.Fatal(err)
-					}
-					checkGolden(t, "machine_fig5_"+name+".golden", Fig5Table(rows))
-				})
-				t.Run(fmt.Sprintf("fscompare_%s_par%d", name, par), func(t *testing.T) {
-					t.Parallel()
-					rows, err := FSComparison(Options{Seed: seed, NPs: []int{np}, Parallel: par, Manifests: true}, np)
-					if err != nil {
-						t.Fatal(err)
-					}
-					checkGolden(t, "machine_fscompare_"+name+".golden", table.Of(rows))
-				})
-			}
-		}
 	}
 }

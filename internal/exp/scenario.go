@@ -6,7 +6,6 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/fault"
 	"repro/internal/fsys"
-	"repro/internal/gpfs"
 	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/nekcem"
@@ -54,7 +53,7 @@ type scenario struct {
 	// Pinned components (priorwork, ablations), used instead of the
 	// options' machine preset, backend and MPI defaults.
 	MachineCfg *machine.Config
-	GPFSCfg    *gpfs.Config
+	GPFSCfg    *storage.GPFSConfig
 	MPICfg     *mpi.Config
 
 	// Faults is armed before the world spawns. The flags below only say
@@ -210,7 +209,7 @@ func (sc scenario) mount(o Options, m *machine.Machine) (fsys.System, error) {
 		if o.Quiet {
 			cfg.NoiseProb = 0
 		}
-		fs, err := gpfs.New(m, cfg)
+		fs, err := storage.NewGPFS(m, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -322,24 +321,18 @@ func paperRestart(np int, strat ckpt.Strategy) nekcem.RunConfig {
 // ProductionRun is one production job's outcome.
 type ProductionRun struct {
 	*nekcem.RunResult
-	FS     fsys.System  // the backend the job wrote through
-	Epochs *recover.Log // epoch manifests; nil unless Options.Manifests
+	FS fsys.System // the backend the job wrote through
 }
 
 // Production runs one NekCEM production job of np ranks — cfg carries the
 // mesh, strategy and step cadence — on the machine and backend the options
 // select, built like every experiment run (machine RNG: the bare seed).
-// With Options.Manifests the job records its epochs into a fresh log.
 func Production(o Options, np int, cfg nekcem.RunConfig) (*ProductionRun, error) {
 	e, err := build(o, scenario{NP: np, Stream: streamSeed, Log: cfg.Log != nil})
 	if err != nil {
 		return nil, err
 	}
 	pr := &ProductionRun{FS: e.RunFS}
-	if o.Manifests {
-		pr.Epochs = e.epochLog()
-		cfg.Epochs = pr.Epochs.StartSegment(cfg.Dir, 0, 0)
-	}
 	if pr.RunResult, err = e.solve(cfg); err != nil {
 		return nil, err
 	}

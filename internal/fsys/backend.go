@@ -17,8 +17,8 @@ const DefaultBackend Backend = "gpfs"
 
 // MountOptions carries the cross-backend mount knobs.
 type MountOptions struct {
-	// Quiet disables the shared-storage noise model (NoiseProb = 0), for
-	// deterministic unit-style runs.
+	// Quiet disables the shared-storage noise model (NoiseProb = 0).
+	// Metadata jitter stays on, so a quiet run still depends on the seed.
 	Quiet bool
 
 	// Burst-buffer fleet knobs (the -bb and -drain flags); backends without
@@ -41,8 +41,8 @@ type MountFunc func(m *machine.Machine, opt MountOptions) (System, error)
 var backends = registry.New[MountFunc]("fsys backend", string(DefaultBackend))
 
 // Register installs a backend under its name. Backends self-register from
-// their package init, so importing internal/gpfs (etc.) is what makes a
-// backend mountable.
+// their package init: internal/storage registers gpfs and pvfs,
+// internal/bbuf the burst buffer.
 func Register(b Backend, fn MountFunc) { backends.Register(string(b), fn) }
 
 // Lookup resolves a backend name. The empty string resolves to

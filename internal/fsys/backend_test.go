@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/bgp"
 	"repro/internal/fsys"
 	"repro/internal/machine"
 	"repro/internal/registry"
@@ -12,8 +11,6 @@ import (
 	"repro/internal/xrand"
 
 	_ "repro/internal/bbuf"
-	_ "repro/internal/gpfs"
-	_ "repro/internal/pvfs"
 )
 
 func TestRegisteredBackends(t *testing.T) {
@@ -48,7 +45,7 @@ func TestLookupDefaultsAndErrors(t *testing.T) {
 func TestMountRoundTrip(t *testing.T) {
 	for _, name := range []fsys.Backend{"gpfs", "pvfs", "bbuf"} {
 		k := sim.NewKernel()
-		m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(256))
+		m := machine.MustNew(k, xrand.New(1), machine.Intrepid(256))
 		fs, err := fsys.Mount(name, m, fsys.MountOptions{Quiet: true})
 		if err != nil {
 			t.Fatalf("Mount(%q): %v", name, err)

@@ -2,8 +2,8 @@
 // checkpointing strategies and the MPI-IO layer write through. Intrepid
 // mounted two parallel file systems — GPFS and PVFS — and the paper
 // discusses both (Section V-C1); implementing against this interface lets
-// every strategy and experiment run unchanged on either model
-// (internal/gpfs and internal/pvfs).
+// every strategy and experiment run unchanged on either model (both in
+// internal/storage).
 package fsys
 
 import (

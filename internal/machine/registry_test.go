@@ -7,14 +7,11 @@ import (
 
 	. "repro/internal/machine"
 	"repro/internal/registry"
-
-	_ "repro/internal/bgp" // registers the Blue Gene presets under test
 )
 
 // TestLookupDefault checks that the empty name resolves to the Intrepid
-// preset (registered by the bgp package's init, pulled in by the blank
-// import above — which is why this file is an external test package: bgp
-// imports machine, so an in-package test importing bgp would be a cycle).
+// preset with no import beyond machine itself: the package registers its
+// own presets.
 func TestLookupDefault(t *testing.T) {
 	d, err := Lookup("")
 	if err != nil {

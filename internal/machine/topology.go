@@ -13,11 +13,11 @@
 //     any Topology's route with per-link FIFO contention, virtual
 //     cut-through arithmetic and trace counters.
 //
-// A concrete machine (internal/bgp's Intrepid, BlueGeneL, and the
-// fat-tree/dragonfly what-if variants) is a Config composing one choice per
+// A concrete machine (Intrepid, BlueGeneL, and the fat-tree/dragonfly
+// what-if variants, in presets.go) is a Config composing one choice per
 // seam plus the I/O-side fabrics (pset tree funnels, Ethernet); presets
-// self-register in the machine registry (registry.go) and are selected by
-// name (iobench -machine). Topologies, placements and presets are each a
+// register in the machine registry (registry.go) and are selected by name
+// (iobench -machine). Topologies, placements and presets are each a
 // registry.Registry.
 package machine
 

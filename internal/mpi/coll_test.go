@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/bgp"
 	"repro/internal/data"
 	"repro/internal/machine"
 	"repro/internal/sim"
@@ -219,7 +218,7 @@ func treeScenario(t *testing.T, api treeAPI, ranks, np, workers int) (log, spans
 	k := sim.NewKernel()
 	rec := trace.NewRecorder()
 	k.SetRecorder(rec)
-	m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(ranks))
+	m := machine.MustNew(k, xrand.New(1), machine.Intrepid(ranks))
 	if workers > 0 {
 		k.EnableSharding(m.NumPsets(), workers, Lookahead(m), 1)
 	}

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/bgp"
 	"repro/internal/data"
 	"repro/internal/machine"
 	"repro/internal/sim"
@@ -39,7 +38,7 @@ func runFold(t *testing.T, ranks, workers, np int, body foldBody) foldRun {
 	k := sim.NewKernel()
 	rec := trace.NewRecorder()
 	k.SetRecorder(rec)
-	m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(ranks))
+	m := machine.MustNew(k, xrand.New(1), machine.Intrepid(ranks))
 	if workers > 0 {
 		k.EnableSharding(m.NumPsets(), workers, Lookahead(m), 1)
 	}

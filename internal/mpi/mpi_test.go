@@ -3,7 +3,6 @@ package mpi
 import (
 	"testing"
 
-	"repro/internal/bgp"
 	"repro/internal/data"
 	"repro/internal/machine"
 	"repro/internal/sim"
@@ -14,7 +13,7 @@ import (
 func newWorld(t *testing.T, ranks int) *World {
 	t.Helper()
 	k := sim.NewKernel()
-	m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(ranks))
+	m := machine.MustNew(k, xrand.New(1), machine.Intrepid(ranks))
 	return NewWorld(m, DefaultConfig())
 }
 

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/bgp"
 	"repro/internal/data"
 	"repro/internal/machine"
 	"repro/internal/sim"
@@ -20,7 +19,7 @@ import (
 func newMachine(t *testing.T, ranks, workers int) *machine.Machine {
 	t.Helper()
 	k := sim.NewKernel()
-	m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(ranks))
+	m := machine.MustNew(k, xrand.New(1), machine.Intrepid(ranks))
 	if m.NumPsets() < 4 {
 		t.Fatalf("%d ranks span %d psets, want at least 4", ranks, m.NumPsets())
 	}

@@ -4,23 +4,25 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/bgp"
 	"repro/internal/data"
-	"repro/internal/gpfs"
 	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/sim"
+	"repro/internal/storage"
 	"repro/internal/xrand"
 )
 
 // env wires a small machine, file system and MPI world together.
-func env(t *testing.T, ranks int) (*mpi.World, *gpfs.FileSystem) {
+func env(t *testing.T, ranks int) (*mpi.World, *storage.Core) {
 	t.Helper()
 	k := sim.NewKernel()
-	m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(ranks))
-	cfg := gpfs.DefaultConfig()
+	m := machine.MustNew(k, xrand.New(1), machine.Intrepid(ranks))
+	cfg := storage.DefaultGPFS()
 	cfg.NoiseProb = 0
-	fs := gpfs.MustNew(m, cfg)
+	fs, err := storage.NewGPFS(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return mpi.NewWorld(m, mpi.DefaultConfig()), fs
 }
 

@@ -3,26 +3,28 @@ package nekcem
 import (
 	"testing"
 
-	"repro/internal/bgp"
 	"repro/internal/ckpt"
 	"repro/internal/data"
 	"repro/internal/fsys"
-	"repro/internal/gpfs"
 	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/mpiio"
-	_ "repro/internal/pvfs"
 	"repro/internal/sim"
+	"repro/internal/storage"
 	"repro/internal/xrand"
 )
 
-func testEnv(t *testing.T, ranks int) (*mpi.World, *gpfs.FileSystem) {
+func testEnv(t *testing.T, ranks int) (*mpi.World, *storage.Core) {
 	t.Helper()
 	k := sim.NewKernel()
-	m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(ranks))
-	cfg := gpfs.DefaultConfig()
+	m := machine.MustNew(k, xrand.New(1), machine.Intrepid(ranks))
+	cfg := storage.DefaultGPFS()
 	cfg.NoiseProb = 0
-	return mpi.NewWorld(m, mpi.DefaultConfig()), gpfs.MustNew(m, cfg)
+	fs, err := storage.NewGPFS(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mpi.NewWorld(m, mpi.DefaultConfig()), fs
 }
 
 func TestMeshArithmetic(t *testing.T) {
@@ -154,7 +156,7 @@ func TestProductionRestartRoundTrip(t *testing.T) {
 
 	// Restart on a fresh world sharing the same file system state.
 	k2 := sim.NewKernel()
-	m2 := machine.MustNew(k2, xrand.New(2), bgp.Intrepid(16))
+	m2 := machine.MustNew(k2, xrand.New(2), machine.Intrepid(16))
 	_ = m2
 	// The file system is bound to the first machine's kernel; restart within
 	// a fresh run against the same fs is not possible across kernels, so
@@ -227,7 +229,7 @@ func TestRestartWithinRun(t *testing.T) {
 // mounted on it.
 func mountFresh(t *testing.T, np int, backend fsys.Backend) (*machine.Machine, fsys.System) {
 	t.Helper()
-	m := machine.MustNew(sim.NewKernel(), xrand.New(1), bgp.Intrepid(np))
+	m := machine.MustNew(sim.NewKernel(), xrand.New(1), machine.Intrepid(np))
 	fs, err := fsys.Mount(backend, m, fsys.MountOptions{Quiet: true})
 	if err != nil {
 		t.Fatal(err)

@@ -3,10 +3,8 @@ package recover
 import (
 	"testing"
 
-	"repro/internal/bgp"
 	"repro/internal/ckpt"
 	"repro/internal/fault"
-	"repro/internal/gpfs"
 	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/mpiio"
@@ -22,10 +20,13 @@ import (
 func lifecycle(t *testing.T, np int, strat ckpt.Strategy, segCkpts, work, ce int, sched fault.Schedule) (*Result, *Log, fault.Schedule) {
 	t.Helper()
 	k := sim.NewKernel()
-	m := machine.MustNew(k, xrand.New(1), bgp.Intrepid(np))
-	gcfg := gpfs.DefaultConfig()
+	m := machine.MustNew(k, xrand.New(1), machine.Intrepid(np))
+	gcfg := storage.DefaultGPFS()
 	gcfg.NoiseProb = 0
-	fs := gpfs.MustNew(m, gcfg)
+	fs, err := storage.NewGPFS(m, gcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var inj *fault.Injector
 	if sched != nil {
 		inj = fault.NewInjector(k, sched)

@@ -22,9 +22,44 @@
 //     StripeSync's synchronous commit; internal/bbuf adds a burst-buffer
 //     path through the same seam).
 //
-// A backend (internal/gpfs, internal/pvfs, internal/bbuf) is a Config plus a
-// composition of one policy per seam; it contains no storage-path mechanism
-// of its own.
+// A backend is a Config plus a composition of one policy per seam; it
+// contains no storage-path mechanism of its own. This package registers the
+// two Intrepid volumes with fsys; internal/bbuf adds the burst buffer.
+//
+// GPFS (NewGPFS) composes CentralizedMDS, TokenManager and a write-behind
+// BlockPipeline: files block-striped across NSD servers, a metadata server
+// whose create cost grows with directory population, a per-file byte-range
+// token manager, per-client streaming limits and an ION-side write-behind
+// cache. It reproduces the queueing behaviours that dominate the paper's
+// results:
+//
+//   - 1PFPP's collapse: np file creates in one directory serialize at the
+//     metadata server, with per-create cost growing with the directory's
+//     entry count (directory-block scanning and locking).
+//   - nf=1's penalty: every block token for a shared file is granted by that
+//     file's metanode serially, so tens of thousands of token requests
+//     against a single file serialize; unaligned writes additionally revoke
+//     tokens held by other clients.
+//   - The nf sweep: few files mean few client streams (each capped by the
+//     per-stream pipeline bandwidth); many files mean many creates and more
+//     exposure to noise.
+//   - The 64K coIO drop: heavy-tail service-time spikes whose probability
+//     grows with the number of concurrently writing clients.
+//
+// PVFS (NewPVFS) is the lock-free alternative the paper wanted to compare
+// GPFS against (Section V-C1) but could not measure fairly because
+// client-side caching "was (and still is) turned off on PVFS". It differs
+// from GPFS exactly where the real systems differ, in policy:
+//
+//   - No byte-range locks (LockFree): applications are responsible for
+//     non-conflicting writes, so the nf=1 token-serial penalty does not
+//     exist.
+//   - No client/ION write-behind cache (StripeSync): every write blocks for
+//     the full commit, so writers cannot overlap commits with their next
+//     aggregation round.
+//   - Distributed metadata (HashedMDS): a create storm spreads over
+//     NumServers queues instead of thrashing one metadata server, so 1PFPP
+//     degrades far more gracefully, at the price of synchronous writes.
 //
 // Determinism contract: the core performs RNG splits and draws in a fixed
 // order (the metadata jitter stream first, then one stream per server, in

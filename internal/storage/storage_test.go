@@ -6,11 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/bbuf"
-	"repro/internal/bgp"
 	"repro/internal/fsys"
-	"repro/internal/gpfs"
 	"repro/internal/machine"
-	"repro/internal/pvfs"
 	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/xrand"
@@ -36,7 +33,7 @@ var mechBad = map[string]func(*storage.Config){
 }
 
 func newMachine() *machine.Machine {
-	return machine.MustNew(sim.NewKernel(), xrand.New(1), bgp.Intrepid(64))
+	return machine.MustNew(sim.NewKernel(), xrand.New(1), machine.Intrepid(64))
 }
 
 func mountBBuf(m *machine.Machine, mod func(*bbuf.Config)) error {
@@ -58,22 +55,22 @@ func TestBackends(t *testing.T) {
 	}{
 		{
 			name: "gpfs",
-			got:  gpfs.DefaultConfig(),
-			want: gpfs.Config{Config: intrepid(4<<20, 50e6), WriteBehind: true},
+			got:  storage.DefaultGPFS(),
+			want: storage.GPFSConfig{Config: intrepid(4<<20, 50e6), WriteBehind: true},
 			mount: func(m *machine.Machine, mod func(*storage.Config)) (fsys.System, error) {
-				cfg := gpfs.DefaultConfig()
+				cfg := storage.DefaultGPFS()
 				mod(&cfg.Config)
-				return gpfs.New(m, cfg)
+				return storage.NewGPFS(m, cfg)
 			},
 		},
 		{
 			name: "pvfs",
-			got:  pvfs.DefaultConfig(),
-			want: pvfs.Config{Config: intrepid(64<<10, 35e6)},
+			got:  storage.DefaultPVFS(),
+			want: intrepid(64<<10, 35e6),
 			mount: func(m *machine.Machine, mod func(*storage.Config)) (fsys.System, error) {
-				cfg := pvfs.DefaultConfig()
-				mod(&cfg.Config)
-				return pvfs.New(m, cfg)
+				cfg := storage.DefaultPVFS()
+				mod(&cfg)
+				return storage.NewPVFS(m, cfg)
 			},
 		},
 		{
