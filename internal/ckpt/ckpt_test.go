@@ -507,11 +507,13 @@ func TestWrittenFilesValidate(t *testing.T) {
 		OnePFPP{},
 		CoIO{NumFiles: 2, Hints: mpiio.DefaultHints()},
 		func() Strategy { s := DefaultRbIO(); s.GroupSize = 16; return s }(),
+		RbIO{GroupSize: 16, SingleFile: true, WriterBuffer: 512 << 20, BufferFields: true, Hints: mpiio.DefaultHints()},
 	}
 	paths := map[string][]string{
 		"1PFPP":            {"ckpt/step000004.p000000.nek", "ckpt/step000004.p000031.nek"},
 		"coIO(nf=2)":       {"ckpt/step000004.f00000.nek", "ckpt/step000004.f00001.nek"},
 		"rbIO(16:1,nf=ng)": {"ckpt/step000004.f00000.nek", "ckpt/step000004.f00001.nek"},
+		"rbIO(16:1,nf=1)":  {"ckpt/step000004.f00000.nek"},
 	}
 	for _, strat := range strategies {
 		strat := strat

@@ -113,7 +113,8 @@ func collect() stackSample {
 //
 // rbIO's Plan and its workers' hand-off are continuations, so at both
 // collections at most the writers — one rank in 64 — and a few other
-// goroutines are alive beyond those at time 0, before any rank ran.
+// goroutines are alive beyond those at time 0, before any rank ran. That
+// holds for nf=1 (rbio1) as for nf=ng: only the writers' commit differs.
 //
 // coIO's and 1PFPP's ranks borrow a coroutine for each strategy call, and
 // keep it. At every collection the runtime sets the starting stack of new
@@ -144,6 +145,7 @@ func TestRankStackBudget(t *testing.T) {
 		alive      uint64 // goroutines beyond time 0's; 0 = unchecked
 	}{
 		{"rbio", 0, np/64 + 8},
+		{"rbio1", 0, np/64 + 8},
 		{"coio1", 1216, 0},
 		{"1pfpp", 1472, 0},
 	} {
