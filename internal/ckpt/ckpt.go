@@ -377,6 +377,73 @@ func writeFile(env *Env, who string, p *sim.Proc, rank int, path string, hdr *ce
 	return nil
 }
 
+// collWriter is a rank's part of the collective commit of a shared file
+// (coIO's group files, rbIO nf=1's one file) through f, which every rank
+// of its communicator opened: header, then one split collective write per
+// field, then close. The rank's chunks of each field are those from chunk
+// first on. A field's op log record is the caller's, since the strategies
+// log different views of the same write.
+type collWriter struct {
+	env   *Env
+	f     *mpiio.File
+	hdr   *cemfmt.Header
+	path  string
+	first int
+	run   []data.Buf // a field's parts, reused across fields
+}
+
+// header has the rank holding chunk 0, which appendBlock gives the block
+// headers, write the master header independently (it is small).
+func (w *collWriter) header(r *mpi.Rank) error {
+	if w.first != 0 {
+		return nil
+	}
+	t := r.Now()
+	if err := w.f.WriteAt(r, 0, data.FromBytes(w.hdr.Marshal())); err != nil {
+		return err
+	}
+	w.env.log(r.ID(), iolog.OpWrite, t, r.Now(), w.hdr.HeaderSize())
+	return nil
+}
+
+// field commits the rank's chunks of field fi with one split collective
+// write, so a rank waits in the end's barrier without an unsplit write's
+// frame, and records its epoch block. It returns when the write began and
+// how many bytes the rank contributed.
+func (w *collWriter) field(r *mpi.Rank, fi int, chunks ...data.Buf) (t float64, n int64, err error) {
+	off, payload := w.payload(fi, chunks)
+	t, n = r.Now(), payload.Len()
+	if err = w.f.WriteAtAllBegin(r, off, payload); err == nil {
+		err = w.f.WriteAtAllEnd(r)
+	}
+	if err == nil {
+		w.env.epochBlock(LevelGlobal, w.hdr.Step, r.ID(), w.path, off, n, r.Now())
+	}
+	return
+}
+
+// payload returns the rank's contribution to field fi and its offset. It
+// returns before the write, so its frame is not parked with field's. A
+// contribution of one part, such as a coIO rank's chunk, is not copied.
+func (w *collWriter) payload(fi int, chunks []data.Buf) (int64, data.Buf) {
+	var off int64
+	w.run, off = appendBlock(w.run[:0], w.hdr, fi, w.first, chunks...)
+	if len(w.run) == 1 {
+		return off, w.run[0]
+	}
+	return off, data.Concat(w.run...)
+}
+
+// close closes the file.
+func (w *collWriter) close(r *mpi.Rank) error {
+	t := r.Now()
+	if err := w.f.Close(r); err != nil {
+		return err
+	}
+	w.env.log(r.ID(), iolog.OpClose, t, r.Now(), 0)
+	return nil
+}
+
 // headerResult carries a parsed master header (or the failure) from the
 // reading rank to its peers.
 type headerResult struct {

@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/cemfmt"
 	"repro/internal/data"
@@ -59,52 +60,44 @@ type coPlan struct {
 	group    *mpi.Comm
 	groupIdx int
 	hints    mpiio.Hints
+
+	// The step in flight: when it began, its file's writer, and the rank's
+	// chunk of the field being written (off Write's frame and the heap).
+	start float64
+	w     collWriter
+	own   [1]data.Buf
 }
 
-// Write implements Plan. Each phase runs in a method of a coStep on
-// Write's stack, so the frames parked under the collective writes stay
+// Write implements Plan. The step's state lives in the plan and each phase
+// runs in a method, so the frames parked under the collective writes stay
 // small (see DESIGN.md §5).
 func (pl *coPlan) Write(env *Env, r *mpi.Rank, cp *Checkpoint) (st Stats, err error) {
-	s := coStep{pl: pl, env: env, cp: cp}
-	if err = s.open(r); err != nil {
+	if err = pl.open(env, r, cp); err != nil {
 		return
 	}
 	for fi := range cp.Fields {
-		if err = s.field(r, fi); err != nil {
-			return
+		pl.own[0] = cp.Fields[fi].Data
+		t, n, err := pl.w.field(r, fi, pl.own[:]...)
+		if err != nil {
+			return st, err
 		}
+		pl.logField(r, t, n)
 	}
-	err = s.close(r, &st)
+	err = pl.close(r, cp, &st)
 	return
-}
-
-// coStep is one rank's coIO checkpoint step in flight.
-type coStep struct {
-	pl    *coPlan
-	env   *Env
-	cp    *Checkpoint
-	start float64
-	me    int // group rank
-	path  string
-	f     *mpiio.File
-	hdr   *cemfmt.Header
-	isAgg bool // the rank aggregates for the collective writes
 }
 
 // open creates the group file, derives the shared header from the
 // allgathered chunk sizes, and has group rank 0 write it.
-func (s *coStep) open(r *mpi.Rank) error {
-	pl, env, cp := s.pl, s.env, s.cp
+func (pl *coPlan) open(env *Env, r *mpi.Rank, cp *Checkpoint) error {
 	chunk, err := cp.ChunkBytes()
 	if err != nil {
 		return err
 	}
-	s.start = r.Now()
-	s.me = pl.group.Rank(r)
-	s.path = groupFile(env.Dir, cp.Step, pl.groupIdx)
-
+	pl.start = r.Now()
+	path := groupFile(env.Dir, cp.Step, pl.groupIdx)
 	t0 := r.Now()
-	s.f, err = mpiio.Open(pl.group, r, env.FS, s.path, true, pl.hints)
+	f, err := mpiio.Open(pl.group, r, env.FS, path, true, pl.hints)
 	if err != nil {
 		return fmt.Errorf("ckpt/coio: %w", err)
 	}
@@ -113,81 +106,36 @@ func (s *coStep) open(r *mpi.Rank) error {
 	// Chunk sizes across the group define the layout. Every rank derives
 	// the same header from the allgathered sizes; compute it once.
 	sizes := pl.group.AllgatherInt64(r, chunk)
-	s.hdr = pl.group.Shared(r, func() any { return buildHeader(cp, sizes) }).(*cemfmt.Header)
+	hdr := pl.group.Shared(r, func() any { return buildHeader(cp, sizes) }).(*cemfmt.Header)
 
-	// Group rank 0 writes the master header independently (small).
-	if s.me == 0 {
-		t1 := r.Now()
-		if err := s.f.WriteAt(r, 0, data.FromBytes(s.hdr.Marshal())); err != nil {
-			return err
-		}
-		env.log(r.ID(), iolog.OpWrite, t1, r.Now(), s.hdr.HeaderSize())
-	}
-	for _, a := range s.f.Aggregators() {
-		if a == s.me {
-			s.isAgg = true
-			break
-		}
-	}
-	return nil
+	pl.w = collWriter{env: env, f: f, hdr: hdr, path: path, first: pl.group.Rank(r)}
+	return pl.w.header(r)
 }
 
-// field commits field fi with one collective write (paper, Section V-B):
-// all processors commit data by fields. Rank 0's contribution carries the
-// field's block header, which directly precedes its chunk. The write runs
-// as its split halves, so a rank waits in the end's barrier without
-// WriteAtAll's frame.
-func (s *coStep) field(r *mpi.Rank, fi int) error {
-	off, payload := s.payload(fi)
-	t := r.Now()
-	if err := s.f.WriteAtAllBegin(r, off, payload); err != nil {
-		return err
-	}
-	if err := s.f.WriteAtAllEnd(r); err != nil {
-		return err
-	}
-	s.logField(r, off, payload.Len(), t)
-	return nil
-}
-
-// payload returns the rank's contribution to field fi and its offset. It
-// returns before the write, so its frame is not parked with field's. Only
-// rank 0's chunk, which carries the block header, is copied.
-func (s *coStep) payload(fi int) (int64, data.Buf) {
-	var parts [2]data.Buf
-	run, off := appendBlock(parts[:0], s.hdr, fi, s.me, s.cp.Fields[fi].Data)
-	if len(run) == 1 {
-		return off, run[0]
-	}
-	return off, data.Concat(run...)
-}
-
-// logField records a committed field of n bytes at off, written from t. For
-// the Darshan-style log, only the aggregators perform file system writes —
-// the other ranks' time is the exchange phase.
-func (s *coStep) logField(r *mpi.Rank, off, n int64, t float64) {
-	env := s.env
-	env.epochBlock(LevelGlobal, s.cp.Step, r.ID(), s.path, off, n, r.Now())
-	if s.isAgg {
+// logField records a committed field: n bytes, written from t. For the
+// Darshan-style log, only the aggregators perform file system writes — the
+// other ranks' time is the exchange phase.
+func (pl *coPlan) logField(r *mpi.Rank, t float64, n int64) {
+	w := &pl.w
+	aggs := w.f.Aggregators() // sorted; w.first is the rank's group rank
+	if i := sort.SearchInts(aggs, w.first); i < len(aggs) && aggs[i] == w.first {
 		// An aggregator commits its whole file domain, not just its own
 		// contribution.
-		env.log(r.ID(), iolog.OpWrite, t, r.Now(), s.hdr.FieldBytes()/int64(len(s.f.Aggregators())))
+		w.env.log(r.ID(), iolog.OpWrite, t, r.Now(), w.hdr.FieldBytes()/int64(len(aggs)))
 	} else {
-		env.log(r.ID(), iolog.OpExchange, t, r.Now(), n)
+		w.env.log(r.ID(), iolog.OpExchange, t, r.Now(), n)
 	}
 }
 
 // close closes the group file, seals the rank's epoch contribution and
 // fills in the step's stats.
-func (s *coStep) close(r *mpi.Rank, st *Stats) error {
-	env, cp := s.env, s.cp
-	t3 := r.Now()
-	if err := s.f.Close(r); err != nil {
+func (pl *coPlan) close(r *mpi.Rank, cp *Checkpoint, st *Stats) error {
+	w := pl.w
+	pl.w, pl.own = collWriter{}, [1]data.Buf{} // the plan outlives the step; its payload need not
+	if err := w.close(r); err != nil {
 		return err
 	}
-	env.log(r.ID(), iolog.OpClose, t3, r.Now(), 0)
-
-	end := r.Now()
+	env, end := w.env, r.Now()
 	// coIO is not fault-aware: a dead rank ghosts through the collective,
 	// but its data never really existed — its epoch contribution is lost,
 	// not committed.
@@ -198,9 +146,9 @@ func (s *coStep) close(r *mpi.Rank, st *Stats) error {
 	}
 	*st = Stats{
 		Role:      RoleAll,
-		Start:     s.start,
+		Start:     pl.start,
 		End:       end,
-		Perceived: end - s.start,
+		Perceived: end - pl.start,
 		Bytes:     cp.TotalBytes(),
 		Durable:   end,
 	}

@@ -426,7 +426,7 @@ func (pl *rbPlan) writeWriter(env *Env, r *mpi.Rank, cp *Checkpoint, me int, ft 
 		}
 	}
 	if pl.cfg.SingleFile {
-		err = pl.commitCollective(env, r, cp, chunkBytes, fieldData)
+		err = pl.commitShared(env, r, cp, chunkBytes, fieldData)
 	} else {
 		err = pl.commitIndependent(env, r, cp, chunkBytes, fieldData)
 	}
@@ -485,9 +485,9 @@ func (pl *rbPlan) commitIndependent(env *Env, r *mpi.Rank, cp *Checkpoint, chunk
 		buildHeader(cp, chunkBytes), fieldData, buffer)
 }
 
-// commitCollective is the nf=1 path: all writers share one file and commit
-// field by field with collective writes on the writers' communicator.
-func (pl *rbPlan) commitCollective(env *Env, r *mpi.Rank, cp *Checkpoint, chunkBytes []int64, fieldData [][]data.Buf) error {
+// commitShared is the nf=1 path: all writers share one file and commit it
+// field by field through collWriter on the writers' communicator.
+func (pl *rbPlan) commitShared(env *Env, r *mpi.Rank, cp *Checkpoint, chunkBytes []int64, fieldData [][]data.Buf) error {
 	gs := pl.group.Size()
 	np := pl.c.Size()
 	// The shared-file layout needs every rank's chunk size: the writers
@@ -517,34 +517,18 @@ func (pl *rbPlan) commitCollective(env *Env, r *mpi.Rank, cp *Checkpoint, chunkB
 	}
 	env.log(r.ID(), iolog.OpCreate, t0, r.Now(), 0)
 
-	if pl.wr.writers.Rank(r) == 0 {
-		t1 := r.Now()
-		if err := f.WriteAt(r, 0, data.FromBytes(hdr.Marshal())); err != nil {
-			return err
-		}
-		env.log(r.ID(), iolog.OpWrite, t1, r.Now(), hdr.HeaderSize())
-	}
-
-	firstChunk := pl.groupIdx(r) * gs
-	run := make([]data.Buf, 0, gs+1)
-	for fi := range cp.Fields {
-		var off int64
-		run, off = appendBlock(run[:0], hdr, fi, firstChunk, fieldData[fi]...)
-		payload := data.Concat(run...)
-		t2 := r.Now()
-		if err := f.WriteAtAll(r, off, payload); err != nil {
-			return err
-		}
-		env.log(r.ID(), iolog.OpWrite, t2, r.Now(), payload.Len())
-		env.epochBlock(LevelGlobal, cp.Step, r.ID(), path, off, payload.Len(), r.Now())
-	}
-
-	t3 := r.Now()
-	if err := f.Close(r); err != nil {
+	w := collWriter{env: env, f: f, hdr: hdr, path: path, first: pl.groupIdx(r) * gs, run: make([]data.Buf, 0, gs+1)}
+	if err := w.header(r); err != nil {
 		return err
 	}
-	env.log(r.ID(), iolog.OpClose, t3, r.Now(), 0)
-	return nil
+	for fi := range cp.Fields {
+		t, n, err := w.field(r, fi, fieldData[fi]...)
+		if err != nil {
+			return err
+		}
+		env.log(r.ID(), iolog.OpWrite, t, r.Now(), n)
+	}
+	return w.close(r)
 }
 
 // Read implements Plan: restart is collective within the communicator that
