@@ -3,9 +3,9 @@
 //
 //   - Collective open: one rank touches the metadata server; the handle is
 //     broadcast, avoiding a create/open storm.
-//   - Two-phase collective buffering for WriteAtAll: the ranks' access
-//     ranges are allgathered, the aggregate extent is partitioned into file
-//     domains owned by a small set of I/O aggregators (one per
+//   - Two-phase collective buffering for collective writes: the ranks'
+//     access ranges are allgathered, the aggregate extent is partitioned
+//     into file domains owned by a small set of I/O aggregators (one per
 //     "bgp_nodes_pset"-style ratio of ranks, spread across psets), domains
 //     are aligned to file system block boundaries to avoid lock-token
 //     false sharing, data is exchanged point-to-point to the aggregators,
