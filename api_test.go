@@ -290,7 +290,7 @@ func TestNoTestOnlyAPI(t *testing.T) {
 // non-test Go writes or reads and that stay anyway, each with the reason.
 var fieldOnlyAllow = map[string]string{
 	"ckpt.CommitRecord.Blocks": "writeseq.golden hashes every epoch record's blocks",
-	"cluster.Tenant.Dir":       `the nt=1 golden-identity test writes to the single-tenant "ckpt" directory, and PVFS hashes paths to metadata servers`,
+	"exp.Tenant.Dir":           `the nt=1 golden-identity test writes to the single-tenant "ckpt" directory, and PVFS hashes paths to metadata servers`,
 	"exp.Run.Events":           "the root Fig5 benchmarks report events/s from it",
 	// Observers: tests check an invariant through them that no live output
 	// shows.

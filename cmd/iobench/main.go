@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"repro/internal/ckpt"
-	"repro/internal/cluster"
 	"repro/internal/exp"
 	"repro/internal/perf"
 	"repro/internal/registry"
@@ -137,8 +136,8 @@ func hostCost(wall time.Duration) string {
 // resolve validates the command line before any simulation is built, sets
 // the session's options and returns the experiments to run, in registry
 // order. Every rejection is typed: a *registry.UnknownError for a name no
-// registry holds, a *bbuf.SpecError or *cluster.WorkloadError for a
-// malformed spec, a *cluster.CapacityError for a workload job larger than a
+// registry holds, a *bbuf.SpecError or *exp.WorkloadError for a
+// malformed spec, a *exp.CapacityError for a workload job larger than a
 // pinned -np, an *exp.FlagError for a number out of range.
 func (c *cli) resolve() ([]exp.Descriptor, error) {
 	if c.np < 0 {
@@ -199,7 +198,7 @@ func (c *cli) resolve() ([]exp.Descriptor, error) {
 // the workload experiment runs on and that experiment is selected, checks
 // that every generated job fits it.
 func checkWorkload(spec string, np int, run []exp.Descriptor) error {
-	wk, err := cluster.ParseWorkload(spec)
+	wk, err := exp.ParseWorkload(spec)
 	if err != nil || np == 0 || !slices.ContainsFunc(run, func(d exp.Descriptor) bool { return d.Name == "workload" }) {
 		return err
 	}
@@ -207,7 +206,7 @@ func checkWorkload(spec string, np int, run []exp.Descriptor) error {
 	if err != nil {
 		return err
 	}
-	return cluster.CheckCapacity(tenants, np)
+	return exp.CheckCapacity(tenants, np)
 }
 
 // validateCkptFlag rejects a -ckpt value the registry does not know; the

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/bbuf"
-	"repro/internal/cluster"
 	"repro/internal/exp"
 	"repro/internal/registry"
 )
@@ -93,15 +92,15 @@ func TestResolveRejectsBadFlags(t *testing.T) {
 		args []string
 		want any // pointer to the error type errors.As must find
 	}{
-		{[]string{"-workload", "jobs=3000000000000"}, new(*cluster.WorkloadError)},
-		{[]string{"-workload", "np=1:9223372036854775807"}, new(*cluster.WorkloadError)},
-		{[]string{"-workload", "gap=NaN"}, new(*cluster.WorkloadError)},
+		{[]string{"-workload", "jobs=3000000000000"}, new(*exp.WorkloadError)},
+		{[]string{"-workload", "np=1:9223372036854775807"}, new(*exp.WorkloadError)},
+		{[]string{"-workload", "gap=NaN"}, new(*exp.WorkloadError)},
 		{[]string{"-bb", "3y"}, new(*bbuf.SpecError)},
 		{[]string{"-bb", "8xNaN"}, new(*bbuf.SpecError)},
 		{[]string{"-bb", "8xInf"}, new(*bbuf.SpecError)},
 		// The default workload's jobs reach np=1024: a pinned 64-rank
 		// machine can never admit them.
-		{[]string{"-exp", "workload", "-np", "64"}, new(*cluster.CapacityError)},
+		{[]string{"-exp", "workload", "-np", "64"}, new(*exp.CapacityError)},
 	} {
 		if _, err := resolveArgs(t, tc.args...); !errors.As(err, tc.want) {
 			t.Errorf("%v: error %#v, want %T", tc.args, err, tc.want)

@@ -5,23 +5,104 @@ import (
 
 	"repro/internal/bbuf"
 	"repro/internal/ckpt"
-	"repro/internal/cluster"
 	"repro/internal/fault"
 	"repro/internal/machine"
+	"repro/internal/mpi"
+	"repro/internal/nekcem"
 	"repro/internal/recover"
 	"repro/internal/sim"
 	"repro/internal/table"
 	"repro/internal/trace"
 )
 
-// clusterSession is one multi-tenant run: a built scenario sized to host
-// every tenant at once, plus the cluster scheduler. When the tenant list
-// collapses to one job filling the machine, the composition is
-// byte-identical to a single-tenant runCheckpoint — the nt=1 goldens pin
-// it.
+// Tenant specifies one job of a multi-tenant session.
+type Tenant struct {
+	Name     string
+	NP       int           // ranks; must be a multiple of the machine's ranks-per-node
+	Strategy ckpt.Strategy // checkpoint strategy
+	Arrival  float64       // simulated arrival time
+
+	Steps int // solver steps (0: one step); each step checkpoints
+
+	// Dir is the tenant's checkpoint directory; "" derives "ckpt/<Name>" so
+	// concurrent tenants never collide on paths (Create fails on existing
+	// files).
+	Dir string
+
+	// RestartStep > 0 restores from that checkpoint instead of writing
+	// (Steps may then be 0 for a pure restart read).
+	RestartStep int64
+
+	// DrainPriority ranks this tenant's burst-buffer drains when the shared
+	// fleet runs the "tenant" scheduler (higher drains first; ties break by
+	// submission order). Ignored on non-bbuf backends and other policies.
+	DrainPriority int
+
+	// Epochs, when set, receives the tenant's two-phase epoch commit
+	// records (pure bookkeeping — recording never charges simulated time).
+	Epochs ckpt.EpochSink
+}
+
+// runConfig is the tenant's NekCEM run, starting at startAt.
+func (t Tenant) runConfig(startAt float64, onComplete func(float64)) nekcem.RunConfig {
+	steps := t.Steps
+	if steps == 0 && t.RestartStep == 0 {
+		steps = 1
+	}
+	cfg := nekcem.PaperRun(t.NP, t.Strategy, steps, 1)
+	cfg.Dir = t.Dir
+	if cfg.Dir == "" {
+		cfg.Dir = "ckpt/" + t.Name
+	}
+	cfg.RestartStep, cfg.StartAt, cfg.OnComplete, cfg.Epochs = t.RestartStep, startAt, onComplete, t.Epochs
+	return cfg
+}
+
+// TenantJob is one admitted tenant: its allocation and (after the kernel
+// ran and collect was called) its result.
+type TenantJob struct {
+	Tenant Tenant
+	Alloc  *machine.Alloc
+
+	// Admitted is when the job was placed (== Arrival under static
+	// admission; >= Arrival when it queued for capacity).
+	Admitted float64
+
+	Res *nekcem.RunResult
+
+	pe *nekcem.Pending
+}
+
+// clusterSession hosts many concurrent tenant jobs on one built scenario
+// sized to hold them. Each tenant gets a disjoint pset-aligned node
+// allocation, an mpi.World scoped to its global rank range, and its own
+// NekCEM run; all tenants share the kernel, the interconnect, and the file
+// servers and ION Ethernet core, so shared-storage slowdown emerges from
+// colliding I/O instead of the seeded noise model. Allocations follow
+// Options.Map, and the "random" policy draws from the options' seed.
+//
+// Two admission modes cover the experiment space:
+//
+//   - launch (static): every tenant's allocation is carved up front and its
+//     ranks are spawned before the kernel runs, sleeping until the tenant's
+//     arrival time. All allocations coexist, so peak demand must fit the
+//     machine; in exchange the mode works on the sharded kernel and is
+//     byte-identical across shard counts.
+//   - launchQueued (dynamic): a per-tenant admission process sleeps until
+//     arrival, queues until a large-enough span is free, then places and
+//     starts the job; a finished job's OnComplete hook retires its
+//     allocation and wakes the queue. Admission order is deterministic
+//     (arrival time, then spec order). The scenario must be Queued, which
+//     keeps the serial kernel: admission mutates shared allocator state in
+//     simulation time.
+//
+// When the tenant list collapses to one job filling the machine, the
+// composition is byte-identical to a single-tenant runCheckpoint; the nt=1
+// goldens pin it.
 type clusterSession struct {
 	*env
-	Sess *cluster.Session
+	alloc   *machine.Allocator
+	waiters []*sim.Proc // admission processes queued for capacity
 }
 
 // clusterCapacity sizes the shared machine for a tenant set: each tenant's
@@ -29,7 +110,7 @@ type clusterSession struct {
 // spans sum, and the total rounds up to the next power of two (the machine
 // contract). A single tenant whose np is already pset-aligned and a power of
 // two gets a machine of exactly np ranks — the single-tenant composition.
-func clusterCapacity(o Options, tenants []cluster.Tenant) (int, error) {
+func clusterCapacity(o Options, tenants []Tenant) (int, error) {
 	d, err := machine.Lookup(o.Machine)
 	if err != nil {
 		return 0, err
@@ -71,68 +152,147 @@ func newClusterSession(o Options, sc scenario) (*clusterSession, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &clusterSession{env: e, Sess: cluster.NewSession(e.M, e.RunFS)}, nil
+	return &clusterSession{env: e, alloc: machine.NewAllocator(e.M)}, nil
 }
 
-// tenantDefaults threads the session-level placement knobs into tenants
-// that did not pin their own, mirroring scenario.machineConfig's override order.
-func (cs *clusterSession) tenantDefaults(tenants []cluster.Tenant) []cluster.Tenant {
-	out := make([]cluster.Tenant, len(tenants))
+// launch admits every tenant up front (static admission) and spawns its
+// ranks, each sleeping until its arrival time. Fails if the tenants'
+// combined allocations exceed the machine. Static admission fixes every
+// rank and pset window up front, so launch then installs per-tenant trace
+// attribution and hands the windows and drain priorities to a burst-buffer
+// backend, whose "tenant" scheduler ranks backlogged drains by owner. The
+// caller then calls collect.
+func (cs *clusterSession) launch(tenants []Tenant) ([]*TenantJob, error) {
+	jobs := make([]*TenantJob, len(tenants))
+	ranges := make([]trace.TenantRange, len(tenants))
 	for i, t := range tenants {
-		if t.Placement == "" {
-			t.Placement = cs.o.Map
+		a, err := cs.alloc.Alloc(t.Name, t.NP, cs.o.Map, cs.o.seed())
+		if err != nil {
+			return nil, fmt.Errorf("cluster: admit %q: %w", t.Name, err)
 		}
-		if t.PlacementSeed == 0 {
-			t.PlacementSeed = cs.o.seed()
+		if jobs[i], err = cs.launchOn(a, t); err != nil {
+			return nil, err
 		}
-		out[i] = t
+		lo, hi := a.Psets()
+		ranges[i] = trace.TenantRange{RankLo: a.BaseRank(), RankHi: a.BaseRank() + a.Ranks(), PsetLo: lo, PsetHi: hi}
 	}
-	return out
-}
-
-// launch admits tenants statically and installs per-tenant trace
-// attribution (static admission fixes every rank/pset window up front).
-func (cs *clusterSession) launch(tenants []cluster.Tenant) ([]*cluster.Job, error) {
-	jobs, err := cs.Sess.Launch(cs.tenantDefaults(tenants))
-	if err != nil {
-		return nil, err
+	cs.Rec.SetTenants(ranges)
+	if b, ok := cs.FS.(*bbuf.FileSystem); ok {
+		b.SetTenantOf(func(rank int) int {
+			for i, r := range ranges {
+				if rank >= r.RankLo && rank < r.RankHi {
+					return i
+				}
+			}
+			return 0
+		})
+		for i, t := range tenants {
+			b.SetTenantPriority(i, t.DrainPriority)
+		}
 	}
-	cs.Rec.SetTenants(cluster.TenantRanges(jobs))
-	cs.wireDrainTenants(jobs)
 	return jobs, nil
 }
 
-// wireDrainTenants hands the admitted rank windows and per-tenant drain
-// priorities to a burst-buffer backend, so the fleet's "tenant" scheduler
-// can rank backlogged drains by owner. A no-op on every other backend.
-func (cs *clusterSession) wireDrainTenants(jobs []*cluster.Job) {
-	b, ok := cs.FS.(*bbuf.FileSystem)
-	if !ok {
-		return
+// launchOn spawns a tenant run on an existing allocation without touching
+// the allocator — restart phases reuse a tenant's slice so the re-read runs
+// on the very nodes that wrote the checkpoint.
+func (cs *clusterSession) launchOn(a *machine.Alloc, t Tenant) (*TenantJob, error) {
+	pe, err := nekcem.Launch(mpi.NewWorldOn(cs.M, a, mpi.DefaultConfig()), cs.RunFS, t.runConfig(t.Arrival, nil))
+	if err != nil {
+		return nil, fmt.Errorf("cluster: launch %q: %w", t.Name, err)
 	}
-	ranges := cluster.TenantRanges(jobs)
-	b.SetTenantOf(func(rank int) int {
-		for i, r := range ranges {
-			if rank >= r.RankLo && rank < r.RankHi {
-				return i
-			}
-		}
-		return 0
-	})
-	for i, j := range jobs {
-		b.SetTenantPriority(i, j.Tenant.DrainPriority)
-	}
+	return &TenantJob{Tenant: t, Alloc: a, Admitted: t.Arrival, pe: pe}, nil
 }
 
-// collect drives the kernel to completion and finalizes the jobs.
-func (cs *clusterSession) collect(jobs []*cluster.Job) error {
-	return cluster.Collect(jobs, cs.K.Run())
+// CapacityError reports a tenant that could never be admitted: it asks for
+// more ranks than the whole machine has.
+type CapacityError struct {
+	Tenant   string
+	NP       int
+	Capacity int // machine size in ranks
+}
+
+func (e *CapacityError) Error() string {
+	return fmt.Sprintf("cluster: tenant %q needs np=%d but the machine has only %d ranks", e.Tenant, e.NP, e.Capacity)
+}
+
+// CheckCapacity returns a *CapacityError for the first tenant that asks for
+// more than ranks, the machine's size.
+func CheckCapacity(tenants []Tenant, ranks int) error {
+	for _, t := range tenants {
+		if t.NP > ranks {
+			return &CapacityError{Tenant: t.Name, NP: t.NP, Capacity: ranks}
+		}
+	}
+	return nil
+}
+
+// launchQueued spawns one admission process per tenant (dynamic
+// scheduling): sleep to arrival, queue until capacity frees, place, run,
+// and retire the allocation on completion. The returned jobs fill in
+// Alloc and Admitted as the simulation admits them; collect reads them
+// after the kernel ran. A tenant larger than the machine fails the launch
+// with a *CapacityError before anything spawns, instead of queueing
+// forever.
+func (cs *clusterSession) launchQueued(tenants []Tenant) ([]*TenantJob, error) {
+	if err := CheckCapacity(tenants, cs.M.Cfg.Ranks); err != nil {
+		return nil, err
+	}
+	jobs := make([]*TenantJob, len(tenants))
+	for i, t := range tenants {
+		j := &TenantJob{Tenant: t}
+		jobs[i] = j
+		cs.K.Go("admit."+t.Name, func(p *sim.Proc) {
+			p.SleepUntil(t.Arrival)
+			a, err := cs.alloc.Alloc(t.Name, t.NP, cs.o.Map, cs.o.seed())
+			for err != nil {
+				// No span fits: park until some job retires. FIFO within one
+				// retirement, but a later small job may overtake a queued
+				// large one (backfill) — deterministically so.
+				cs.waiters = append(cs.waiters, p)
+				p.Park()
+				a, err = cs.alloc.Alloc(t.Name, t.NP, cs.o.Map, cs.o.seed())
+			}
+			j.Alloc, j.Admitted = a, p.Now()
+			j.pe, err = nekcem.Launch(mpi.NewWorldOn(cs.M, a, mpi.DefaultConfig()), cs.RunFS, t.runConfig(0, func(float64) {
+				// Retire the allocation and wake every queued admission,
+				// in queue order; each retries at the current instant.
+				cs.alloc.Free(a)
+				ws := cs.waiters
+				cs.waiters = nil
+				for _, w := range ws {
+					w.Unpark()
+				}
+			}))
+			if err != nil {
+				panic(fmt.Sprintf("cluster: launch %q: %v", t.Name, err))
+			}
+		})
+	}
+	return jobs, nil
+}
+
+// collect drives the kernel to completion and finalizes every job.
+func (cs *clusterSession) collect(jobs []*TenantJob) error {
+	runErr := cs.K.Run()
+	for _, j := range jobs {
+		if j.pe == nil {
+			return fmt.Errorf("cluster: job %q was never admitted (deadlocked queue?)", j.Tenant.Name)
+		}
+		res, err := j.pe.Finish(runErr)
+		if err != nil {
+			return fmt.Errorf("cluster: job %q: %w", j.Tenant.Name, err)
+		}
+		j.Res = res
+		j.pe = nil
+	}
+	return nil
 }
 
 // runStatic admits every tenant up front on a fresh session over a machine
 // of capRanks ranks, runs them to completion and finishes the trace under
 // label.
-func runStatic(o Options, capRanks int, tenants []cluster.Tenant, label string) ([]*cluster.Job, *trace.Recorder, error) {
+func runStatic(o Options, capRanks int, tenants []Tenant, label string) ([]*TenantJob, *trace.Recorder, error) {
 	cs, err := newClusterSession(o, scenario{NP: capRanks})
 	if err != nil {
 		return nil, nil, err
@@ -151,10 +311,10 @@ func runStatic(o Options, capRanks int, tenants []cluster.Tenant, label string) 
 // stormTenants builds nt identical tenants of np ranks each. Drain
 // priorities descend with the index (t0 highest), so a bbuf-backed storm
 // under -drain tenant has a strict drain order to exercise.
-func stormTenants(np, nt int, strat ckpt.Strategy) []cluster.Tenant {
-	ts := make([]cluster.Tenant, nt)
+func stormTenants(np, nt int, strat ckpt.Strategy) []Tenant {
+	ts := make([]Tenant, nt)
 	for i := range ts {
-		ts[i] = cluster.Tenant{
+		ts[i] = Tenant{
 			Name:          fmt.Sprintf("t%d", i),
 			NP:            np,
 			Strategy:      strat,
@@ -233,7 +393,7 @@ func CkptStorm(o Options, np, nt int) (*CkptStormResult, error) {
 	}
 	res := &CkptStormResult{NP: np, Tenants: nt, Capacity: capRanks}
 
-	arm := func(sname, label string, tenants []cluster.Tenant) ([]*cluster.Job, *trace.Recorder, error) {
+	arm := func(sname, label string, tenants []Tenant) ([]*TenantJob, *trace.Recorder, error) {
 		return runStatic(o, capRanks, tenants, "ckptstorm/"+sname+"/"+label)
 	}
 
@@ -241,7 +401,7 @@ func CkptStorm(o Options, np, nt int) (*CkptStormResult, error) {
 		all := stormTenants(np, nt, strat)
 		sname := strat.Name()
 		sum := CkptStormSummary{Strategy: sname}
-		addRows := func(label string, jobs []*cluster.Job, rec *trace.Recorder) float64 {
+		addRows := func(label string, jobs []*TenantJob, rec *trace.Recorder) float64 {
 			worst := 0.0
 			for i, j := range jobs {
 				agg := j.Res.Checkpoints[0]
@@ -275,7 +435,7 @@ func CkptStorm(o Options, np, nt int) (*CkptStormResult, error) {
 			// Arm 2 — staggered: arrivals spaced past the alone duration,
 			// so checkpoints barely overlap on the shared storage.
 			gap := 1.25 * (jobs[0].Res.Done - jobs[0].Res.Started)
-			staggered := make([]cluster.Tenant, nt)
+			staggered := make([]Tenant, nt)
 			for i, t := range all {
 				t.Arrival = float64(i) * gap
 				staggered[i] = t
@@ -382,7 +542,7 @@ func RestartStorm(o Options, np, nt int) (*RestartStormResult, error) {
 	// picking the newest sealed one), then re-reads that epoch with the
 	// machine otherwise idle, sequentially, on its own kernel run. The
 	// first run also dispatches the outage events.
-	restartOf := func(t cluster.Tenant, at float64, step int64) cluster.Tenant {
+	restartOf := func(t Tenant, at float64, step int64) Tenant {
 		t.Arrival = at
 		t.Steps = 0
 		t.RestartStep = step
@@ -413,11 +573,11 @@ func RestartStorm(o Options, np, nt int) (*RestartStormResult, error) {
 		picks[i] = pick.LocalStep
 		res.Torn += scans[i].Torn
 		res.ScanBytes += scans[i].ReadBytes
-		rj, err := cs.Sess.LaunchOn(j.Alloc, restartOf(cs.tenantDefaults(tenants)[i], cs.K.Now()+1, picks[i]))
+		rj, err := cs.launchOn(j.Alloc, restartOf(tenants[i], cs.K.Now()+1, picks[i]))
 		if err != nil {
 			return nil, err
 		}
-		if err := cluster.Collect([]*cluster.Job{rj}, cs.K.Run()); err != nil {
+		if err := cs.collect([]*TenantJob{rj}); err != nil {
 			return nil, err
 		}
 		if !rj.Res.Restored {
@@ -430,13 +590,13 @@ func RestartStorm(o Options, np, nt int) (*RestartStormResult, error) {
 	// Phase 4 — the storm: every tenant re-reads its manifest-picked epoch
 	// at the same instant on the nodes that wrote its checkpoint.
 	stormAt := cs.K.Now() + 1
-	storm := make([]*cluster.Job, nt)
+	storm := make([]*TenantJob, nt)
 	for i, j := range jobs {
-		if storm[i], err = cs.Sess.LaunchOn(j.Alloc, restartOf(cs.tenantDefaults(tenants)[i], stormAt, picks[i])); err != nil {
+		if storm[i], err = cs.launchOn(j.Alloc, restartOf(tenants[i], stormAt, picks[i])); err != nil {
 			return nil, err
 		}
 	}
-	if err := cluster.Collect(storm, cs.K.Run()); err != nil {
+	if err := cs.collect(storm); err != nil {
 		return nil, err
 	}
 	for i, rj := range storm {
@@ -466,7 +626,7 @@ func RestartStorm(o Options, np, nt int) (*RestartStormResult, error) {
 // arrived, when capacity admitted it, and how long it ran.
 type WorkloadResult struct {
 	Capacity int
-	Jobs     []*cluster.Job
+	Jobs     []*TenantJob
 	Makespan float64
 }
 
@@ -474,7 +634,7 @@ type WorkloadResult struct {
 // admission on a machine deliberately smaller than the aggregate demand
 // (twice the largest job, so arrivals genuinely queue). A single -np value
 // in the options overrides the capacity.
-func RunWorkload(o Options, wk cluster.Workload) (*WorkloadResult, error) {
+func RunWorkload(o Options, wk Workload) (*WorkloadResult, error) {
 	tenants, err := wk.Tenants()
 	if err != nil {
 		return nil, err
@@ -487,7 +647,7 @@ func RunWorkload(o Options, wk cluster.Workload) (*WorkloadResult, error) {
 				largest = t
 			}
 		}
-		if capRanks, err = clusterCapacity(o, []cluster.Tenant{largest}); err != nil {
+		if capRanks, err = clusterCapacity(o, []Tenant{largest}); err != nil {
 			return nil, err
 		}
 		capRanks = nextPow2(2 * capRanks)
@@ -496,7 +656,7 @@ func RunWorkload(o Options, wk cluster.Workload) (*WorkloadResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	jobs, err := cs.Sess.LaunchQueued(cs.tenantDefaults(tenants))
+	jobs, err := cs.launchQueued(tenants)
 	if err != nil {
 		return nil, err
 	}

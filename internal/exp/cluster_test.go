@@ -1,12 +1,13 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/ckpt"
-	"repro/internal/cluster"
 	"repro/internal/mpiio"
 	"repro/internal/table"
 )
@@ -14,7 +15,7 @@ import (
 // runCluster hosts the tenants together on one machine sized for all of
 // them, admits every one up front and runs them to completion: the nt=1
 // golden tests' route into the cluster composition.
-func runCluster(o Options, tenants []cluster.Tenant) ([]*cluster.Job, error) {
+func runCluster(o Options, tenants []Tenant) ([]*TenantJob, error) {
 	capRanks, err := clusterCapacity(o, tenants)
 	if err != nil {
 		return nil, err
@@ -30,7 +31,7 @@ func clusterHeadline(t *testing.T, o Options, np int) []HeadlineRow {
 	t.Helper()
 	var rows []HeadlineRow
 	for ai, strat := range Approaches(np) {
-		jobs, err := runCluster(o, []cluster.Tenant{
+		jobs, err := runCluster(o, []Tenant{
 			{Name: "t0", NP: np, Strategy: strat, Dir: "ckpt"},
 		})
 		if err != nil {
@@ -79,7 +80,7 @@ func TestClusterSingleTenantGoldenIdentity(t *testing.T) {
 					for _, fsName := range FileSystems {
 						for _, strat := range strategies {
 							jobs, err := runCluster(Options{Seed: seed, FS: fsName, Shards: shards},
-								[]cluster.Tenant{{Name: "t0", NP: np, Strategy: strat, Dir: "ckpt"}})
+								[]Tenant{{Name: "t0", NP: np, Strategy: strat, Dir: "ckpt"}})
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -202,7 +203,7 @@ func TestRestartStorm(t *testing.T) {
 // TestRunWorkloadQueued exercises dynamic admission: jobs arrive, queue for
 // capacity on an undersized machine, and retire; the trace is deterministic.
 func TestRunWorkloadQueued(t *testing.T) {
-	wk := cluster.Workload{Jobs: 4, Seed: 2, MinNP: 256, MaxNP: 512, Gap: 0.25}
+	wk := Workload{Jobs: 4, Seed: 2, MinNP: 256, MaxNP: 512, Gap: 0.25}
 	run := func() *WorkloadResult {
 		r, err := RunWorkload(Options{Seed: 5}, wk)
 		if err != nil {
@@ -251,5 +252,42 @@ func TestClusterTenantIsolation(t *testing.T) {
 		if j.Res.Checkpoints[0].Bytes <= 0 {
 			t.Errorf("tenant %s wrote no bytes", j.Tenant.Name)
 		}
+	}
+}
+
+// TestLaunchQueuedRejectsOversizedTenant pins the queued-admission capacity
+// check: a tenant larger than the whole machine fails the launch with a
+// typed error naming the tenant, its np and the capacity, and nothing is
+// spawned — so the kernel drains cleanly instead of deadlocking on an
+// admission that can never happen.
+func TestLaunchQueuedRejectsOversizedTenant(t *testing.T) {
+	cs, err := newClusterSession(Options{Seed: 1}, scenario{NP: 512, Queued: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := cs.launchQueued([]Tenant{
+		{Name: "fits", NP: 256},
+		{Name: "huge", NP: 1024},
+	})
+	var ce *CapacityError
+	if !errors.As(err, &ce) {
+		t.Fatalf("launchQueued = %v, want *CapacityError", err)
+	}
+	if ce.Tenant != "huge" || ce.NP != 1024 || ce.Capacity != 512 {
+		t.Fatalf("capacity error %+v, want tenant huge np=1024 capacity=512", *ce)
+	}
+	for _, want := range []string{`"huge"`, "1024", "512"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %s", err, want)
+		}
+	}
+	if jobs != nil {
+		t.Fatalf("rejected launch returned jobs: %v", jobs)
+	}
+	if err := cs.K.Run(); err != nil {
+		t.Fatalf("kernel after a rejected launch: %v", err)
+	}
+	if cs.K.Events() != 0 {
+		t.Fatalf("rejected launch dispatched %d events", cs.K.Events())
 	}
 }

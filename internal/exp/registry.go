@@ -5,7 +5,6 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/cluster"
 	"repro/internal/registry"
 	"repro/internal/table"
 )
@@ -52,7 +51,7 @@ type Session struct {
 	// flag).
 	Tenants int
 	// Workload is the workload experiment's generator spec (driver
-	// -workload flag; "" means cluster.DefaultWorkload).
+	// -workload flag; "" means DefaultWorkload).
 	Workload string
 	// Work is the recovery lifecycle's solver-step budget (driver -work
 	// flag).
@@ -342,7 +341,7 @@ func init() {
 		Doc:   "queued multi-tenant workload on an undersized machine",
 		Flags: "-workload, -np",
 		Run: func(s *Session) error {
-			wk, err := cluster.ParseWorkload(s.Workload)
+			wk, err := ParseWorkload(s.Workload)
 			if err != nil {
 				return err
 			}

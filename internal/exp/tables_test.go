@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/ckpt"
-	"repro/internal/cluster"
 	"repro/internal/nekcem"
 	"repro/internal/recover"
 	"repro/internal/table"
@@ -43,9 +42,9 @@ func TestTableFormats(t *testing.T) {
 		},
 	}
 	rbio := ckpt.MustNew("rbio", 512)
-	workload := &WorkloadResult{Jobs: []*cluster.Job{
-		{Tenant: cluster.Tenant{Name: "j0", NP: 512, Strategy: rbio, Arrival: 0}, Admitted: 0, Res: &nekcem.RunResult{Done: 3.14159}},
-		{Tenant: cluster.Tenant{Name: "j1", NP: 1024, Strategy: ckpt.MustNew("1pfpp", 1024), Arrival: 1.5}, Admitted: 4.25, Res: &nekcem.RunResult{Done: 12}},
+	workload := &WorkloadResult{Jobs: []*TenantJob{
+		{Tenant: Tenant{Name: "j0", NP: 512, Strategy: rbio, Arrival: 0}, Admitted: 0, Res: &nekcem.RunResult{Done: 3.14159}},
+		{Tenant: Tenant{Name: "j1", NP: 1024, Strategy: ckpt.MustNew("1pfpp", 1024), Arrival: 1.5}, Admitted: 4.25, Res: &nekcem.RunResult{Done: 12}},
 	}}
 	dist := &Distribution{
 		Label: "Fig11 rbIO 64:1 nf=ng", NP: 4,
