@@ -203,25 +203,31 @@ type Plan interface {
 }
 
 // AwaitPlan returns s.Plan(c, r) as the continuation r's body awaits
-// (sim.Proc.Then), which sets *plan and *err once it finished. rbIO plans
-// on the driver's stack; every other strategy runs its blocking Plan in a
-// phase it borrows (sim.Proc.Phase).
+// (sim.Proc.Then), which sets *plan and *err once it finished. rbIO and
+// coIO plan on the driver's stack; every other strategy runs its blocking
+// Plan in a phase it borrows (sim.Proc.Phase).
 func AwaitPlan(s Strategy, c *mpi.Comm, r *mpi.Rank, plan *Plan, err *error) sim.Cont {
-	if rb, ok := s.(RbIO); ok {
-		return rb.planCont(c, r, plan, err)
+	switch s := s.(type) {
+	case RbIO:
+		return s.planCont(c, r, plan, err)
+	case CoIO:
+		return s.planCont(c, r, plan, err)
 	}
 	return r.Proc().Phase(func(*sim.Proc) { *plan, *err = s.Plan(c, r) })
 }
 
 // AwaitWrite returns pl.Write(env, r, cp) as the continuation r's body
 // awaits, which sets *stats and *err once it finished. An rbIO worker's
-// hand-off runs on the driver's stack; every other write runs in a phase
-// it borrows.
+// hand-off and a coIO rank's step run on the driver's stack; every other
+// write runs in a phase it borrows.
 func AwaitWrite(pl Plan, env *Env, r *mpi.Rank, cp *Checkpoint, stats *Stats, err *error) sim.Cont {
-	if rb, ok := pl.(*rbPlan); ok {
-		if c := rb.writeCont(env, r, cp, stats); c != nil {
+	switch pl := pl.(type) {
+	case *rbPlan:
+		if c := pl.writeCont(env, r, cp, stats); c != nil {
 			return c
 		}
+	case *coPlan:
+		return pl.step(env, cp, stats, err)
 	}
 	return r.Proc().Phase(func(*sim.Proc) { *stats, *err = pl.Write(env, r, cp) })
 }
@@ -382,7 +388,9 @@ func writeFile(env *Env, who string, p *sim.Proc, rank int, path string, hdr *ce
 // of its communicator opened: header, then one split collective write per
 // field, then close. The rank's chunks of each field are those from chunk
 // first on. A field's op log record is the caller's, since the strategies
-// log different views of the same write.
+// log different views of the same write. Each collective call runs as
+// call, the continuation a coIO rank's step awaits (startField,
+// startClose) and an rbIO writer's phase awaits at once (field, close).
 type collWriter struct {
 	env   *Env
 	f     *mpiio.File
@@ -390,6 +398,12 @@ type collWriter struct {
 	path  string
 	first int
 	run   []data.Buf // a field's parts, reused across fields
+	call  mpiio.Call // the collective call in flight
+
+	// The call in flight: when it began, and a field's offset and bytes.
+	t   float64
+	off int64
+	n   int64
 }
 
 // header has the rank holding chunk 0, which appendBlock gives the block
@@ -407,23 +421,31 @@ func (w *collWriter) header(r *mpi.Rank) error {
 }
 
 // field commits the rank's chunks of field fi with one split collective
-// write, so a rank waits in the end's barrier without an unsplit write's
-// frame, and records its epoch block. It returns when the write began and
+// write and records its epoch block. It returns when the write began and
 // how many bytes the rank contributed.
 func (w *collWriter) field(r *mpi.Rank, fi int, chunks ...data.Buf) (t float64, n int64, err error) {
-	off, payload := w.payload(fi, chunks)
-	t, n = r.Now(), payload.Len()
-	if err = w.f.WriteAtAllBegin(r, off, payload); err == nil {
-		err = w.f.WriteAtAllEnd(r)
-	}
-	if err == nil {
-		w.env.epochBlock(LevelGlobal, w.hdr.Step, r.ID(), w.path, off, n, r.Now())
-	}
-	return
+	r.Proc().AwaitNow(w.startField(r, fi, chunks...))
+	return w.fieldDone(r)
 }
 
-// payload returns the rank's contribution to field fi and its offset. It
-// returns before the write, so its frame is not parked with field's. A
+// startField begins field's collective write and returns it as the
+// continuation the rank awaits; fieldDone ends it.
+func (w *collWriter) startField(r *mpi.Rank, fi int, chunks ...data.Buf) sim.Cont {
+	off, payload := w.payload(fi, chunks)
+	w.t, w.off, w.n = r.Now(), off, payload.Len()
+	return w.call.StartWriteAtAll(w.f, r, off, payload)
+}
+
+// fieldDone records a finished field write's epoch block and returns
+// field's results.
+func (w *collWriter) fieldDone(r *mpi.Rank) (t float64, n int64, err error) {
+	if err = w.call.Err(); err == nil {
+		w.env.epochBlock(LevelGlobal, w.hdr.Step, r.ID(), w.path, w.off, w.n, r.Now())
+	}
+	return w.t, w.n, err
+}
+
+// payload returns the rank's contribution to field fi and its offset. A
 // contribution of one part, such as a coIO rank's chunk, is not copied.
 func (w *collWriter) payload(fi int, chunks []data.Buf) (int64, data.Buf) {
 	var off int64
@@ -436,11 +458,23 @@ func (w *collWriter) payload(fi int, chunks []data.Buf) (int64, data.Buf) {
 
 // close closes the file.
 func (w *collWriter) close(r *mpi.Rank) error {
-	t := r.Now()
-	if err := w.f.Close(r); err != nil {
+	r.Proc().AwaitNow(w.startClose(r))
+	return w.closeDone(r)
+}
+
+// startClose begins close's collective close and returns it as the
+// continuation the rank awaits; closeDone ends it.
+func (w *collWriter) startClose(r *mpi.Rank) sim.Cont {
+	w.t = r.Now()
+	return w.call.StartClose(w.f, r)
+}
+
+// closeDone logs a finished close and returns its error.
+func (w *collWriter) closeDone(r *mpi.Rank) error {
+	if err := w.call.Err(); err != nil {
 		return err
 	}
-	w.env.log(r.ID(), iolog.OpClose, t, r.Now(), 0)
+	w.env.log(r.ID(), iolog.OpClose, w.t, r.Now(), 0)
 	return nil
 }
 

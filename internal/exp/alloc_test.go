@@ -53,13 +53,17 @@ func TestRbIOAllocBudget(t *testing.T) {
 // mpi.Comm.RecvSeq) took rbio to 2,612. Rank bodies that run in their
 // resumes' slots (sim.Kernel.Start) took it to 68: rbIO's workers never
 // hold a coroutine, and only its writers' borrowed phases are woken.
+// coIO's step as one continuation of the rank (ckpt.coPlan, mpiio.Call)
+// took coio1 to 398 and coio (64:1), 16,535 at its parent, to 1,453: only
+// group rank 0's create and close and the aggregators' commits are woken.
 func TestResumeBudget(t *testing.T) {
 	for _, tc := range []struct {
 		ckpt          string
 		events, woken int64
 	}{
-		{"coio1", 99384, 15816},
+		{"coio1", 99384, 398},
 		{"rbio", 35432, 68},
+		{"coio", 100269, 1453},
 	} {
 		trc := &TraceCollector{}
 		o := Options{Seed: 1, NPs: []int{512}, Ckpt: tc.ckpt, Parallel: 1, Trace: trc}
@@ -111,22 +115,23 @@ func collect() stackSample {
 // alive: while every rank waits in its first collective, and halfway to
 // the first rank's return from the checkpoint step.
 //
-// rbIO's Plan and its workers' hand-off are continuations, so at both
-// collections at most the writers — one rank in 64 — and a few other
-// goroutines are alive beyond those at time 0, before any rank ran. That
-// holds for nf=1 (rbio1) as for nf=ng: only the writers' commit differs.
+// rbIO's and coIO's Plans, rbIO's workers' hand-off and coIO's whole step
+// are continuations, so at both collections only the ranks that called
+// into storage, and a few other goroutines, are alive beyond those at
+// time 0, before any rank ran: for rbIO the writers, one rank in 64, nf=1
+// (rbio1) as nf=ng; for coIO group rank 0 and the aggregators, which
+// borrow a phase for the create, the header and each field's commit and
+// keep it, one rank in 32 for coio1 (nf=1) and one in 8 for coio (64:1).
 //
-// coIO's and 1PFPP's ranks borrow a coroutine for each strategy call, and
-// keep it. At every collection the runtime sets the starting stack of new
+// 1PFPP's ranks borrow a coroutine for each strategy call, and keep it.
+// At every collection the runtime sets the starting stack of new
 // goroutines to the average stack in use it scanned plus a 928-byte
 // guard, rounded up to a power of two, and an exiting goroutine keeps its
 // stack on the runtime's free list when that stack has the starting size.
 // In the first collective each must scan at most 1 KB per goroutine and
-// leave the start at 2 KB. In the checkpoint coIO's ranks wait out each
-// field's collective write in the write's closing barrier, under the
-// strategy's and the field's write, and 1PFPP's ranks wait in their own
-// file's create and writes under onePlan.Write and writeFile; both depths
-// are pinned so they can only fall.
+// leave the start at 2 KB. In the checkpoint 1PFPP's ranks wait in their
+// own file's create and writes under onePlan.Write and writeFile; that
+// depth is pinned so it can only fall.
 func TestRankStackBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("np=4096 simulations")
@@ -146,7 +151,8 @@ func TestRankStackBudget(t *testing.T) {
 	}{
 		{"rbio", 0, np/64 + 8},
 		{"rbio1", 0, np/64 + 8},
-		{"coio1", 1216, 0},
+		{"coio1", 0, np/32 + 8},
+		{"coio", 0, np/8 + 8},
 		{"1pfpp", 1472, 0},
 	} {
 		d, err := ckpt.Lookup(tc.ckpt)

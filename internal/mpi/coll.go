@@ -493,20 +493,18 @@ func (c *Comm) bcast(r *Rank, root int, buf data.Buf, val any) (data.Buf, any) {
 // overlapping broadcasts cannot cross. Receivers share the root's object:
 // treat it as read-only.
 func (c *Comm) BcastValueSized(r *Rank, root int, v any, size int64) any {
-	_, v = c.bcast(r, root, data.Synthetic(size), v)
-	return v
+	s := c.StartBcastValueSized(r, root, v, size)
+	r.proc.AwaitNow(s)
+	return s.Value()
 }
 
 // AllgatherInt64 gathers one int64 from every rank to every rank. All ranks
 // receive the same backing slice (the broadcast is charged at full size but
 // the decoded object is shared): treat the result as read-only.
 func (c *Comm) AllgatherInt64(r *Rank, v int64) []int64 {
-	st := c.startColl(r, opAllgather, 0)
-	st.v0 = v
-	st.run()
-	out := st.val.([]int64)
-	st.release()
-	return out
+	s := c.StartAllgatherInt64(r, v)
+	r.proc.AwaitNow(s)
+	return s.Int64s()
 }
 
 // AllgatherInt64Pair is AllgatherInt64(r, a) followed by AllgatherInt64(r,
@@ -514,9 +512,65 @@ func (c *Comm) AllgatherInt64(r *Rank, v int64) []int64 {
 // waiting through both as one continuation, so its process resumes once
 // instead of twice. Treat the results as read-only.
 func (c *Comm) AllgatherInt64Pair(r *Rank, a, b int64) (as, bs []int64) {
+	s := c.StartAllgatherInt64Pair(r, a, b)
+	r.proc.AwaitNow(s)
+	return s.Int64Pair()
+}
+
+// CollCall is one rank's BcastValueSized, AllgatherInt64 or
+// AllgatherInt64Pair in flight: the continuation the rank awaits, as
+// SplitCall is Split's. The blocking calls await it at once; a caller
+// that runs as a continuation awaits it from its own, and takes the
+// result once the call finished.
+type CollCall coll
+
+// StartBcastValueSized begins r's BcastValueSized; Value takes its result.
+func (c *Comm) StartBcastValueSized(r *Rank, root int, v any, size int64) *CollCall {
+	st := c.startColl(r, opBcast, root)
+	st.buf, st.val = data.Synthetic(size), v
+	return (*CollCall)(st)
+}
+
+// StartAllgatherInt64 begins r's AllgatherInt64; Int64s takes its result.
+func (c *Comm) StartAllgatherInt64(r *Rank, v int64) *CollCall {
+	st := c.startColl(r, opAllgather, 0)
+	st.v0 = v
+	return (*CollCall)(st)
+}
+
+// StartAllgatherInt64Pair begins r's AllgatherInt64Pair; Int64Pair takes
+// its results.
+func (c *Comm) StartAllgatherInt64Pair(r *Rank, a, b int64) *CollCall {
 	st := c.startColl(r, opAllgatherPair, 0)
 	st.v0, st.v1 = a, b
-	st.run()
+	return (*CollCall)(st)
+}
+
+// Continue implements sim.Cont.
+func (s *CollCall) Continue() bool { return (*coll)(s).Continue() }
+
+// Value returns a finished BcastValueSized's value and releases the
+// call's state.
+func (s *CollCall) Value() any {
+	st := (*coll)(s)
+	v := st.val
+	st.release()
+	return v
+}
+
+// Int64s returns a finished AllgatherInt64's values and releases the
+// call's state.
+func (s *CollCall) Int64s() []int64 {
+	st := (*coll)(s)
+	out := st.val.([]int64)
+	st.release()
+	return out
+}
+
+// Int64Pair returns a finished AllgatherInt64Pair's values and releases
+// the call's state.
+func (s *CollCall) Int64Pair() (as, bs []int64) {
+	st := (*coll)(s)
 	out := st.val.([2][]int64)
 	st.release()
 	return out[0], out[1]

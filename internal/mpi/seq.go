@@ -127,13 +127,17 @@ func (op *sendOp) next() bool {
 // with a deadline when seq gives one, and hands seq each result. The
 // times, events and spans are the loop's; the rank waits through the whole
 // run as one continuation, its recvWant.
-func (c *Comm) RecvSeq(r *Rank, seq RecvSeq) {
+func (c *Comm) RecvSeq(r *Rank, seq RecvSeq) { r.proc.AwaitNow(c.StartRecvSeq(r, seq)) }
+
+// StartRecvSeq begins r's RecvSeq on c and returns it as the continuation
+// r awaits; RecvSeq awaits it at once.
+func (c *Comm) StartRecvSeq(r *Rank, seq RecvSeq) sim.Cont {
 	w := &r.want
 	if w.posted {
 		panic("mpi: rank has a receive already outstanding")
 	}
 	w.seq, w.c = seq, c
-	r.proc.AwaitNow(w)
+	return w
 }
 
 // next ends RecvSeq's receive in flight, if any, and starts receives until

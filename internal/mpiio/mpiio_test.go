@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/fsys"
 	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/sim"
@@ -266,30 +267,100 @@ func TestIndependentWriteAt(t *testing.T) {
 	}
 }
 
-func TestSplitCollectiveBeginEnd(t *testing.T) {
-	w, fs := env(t, 256)
-	var beginDone, endDone float64
+// callBody is a rank body (sim.Kernel.Start) that opens a file, writes
+// its 1 MiB extent collectively and closes the file, awaiting each Call
+// with Then, and notes when its write returned.
+type callBody struct {
+	c     *mpi.Comm
+	r     *mpi.Rank
+	fs    fsys.System
+	at    int
+	k     Call
+	f     *File
+	times []float64
+	t     *testing.T
+}
+
+func (b *callBody) Continue() bool {
+	p := b.r.Proc()
+	for {
+		b.at++
+		switch b.at {
+		case 1:
+			if !p.Then(b.k.StartOpen(b.c, b.r, b.fs, "f", true, DefaultHints())) {
+				return false
+			}
+		case 2:
+			if b.f = b.k.File(); b.f == nil {
+				b.t.Error(b.k.Err())
+				return true
+			}
+			if !p.Then(b.k.StartWriteAtAll(b.f, b.r, int64(b.r.ID())<<20, data.Synthetic(1<<20))) {
+				return false
+			}
+		case 3:
+			if err := b.k.Err(); err != nil {
+				b.t.Error(err)
+			}
+			b.times[b.r.ID()] = b.r.Now()
+			if !p.Then(b.k.StartClose(b.f, b.r)) {
+				return false
+			}
+		default:
+			if err := b.k.Err(); err != nil {
+				b.t.Error(err)
+			}
+			return true
+		}
+	}
+}
+
+// TestCallFromBodyMatchesBlocking drives Open, WriteAtAll and Close as
+// Calls a rank body awaits, with no phase of the rank's own, and requires
+// the blocking calls' return times and events. Only comm rank 0's create
+// and close and the aggregators' commits borrow a coroutine, so the body
+// run's wakes are those phases' alone: far fewer than the blocking run's,
+// which wakes every rank after each wait.
+func TestCallFromBodyMatchesBlocking(t *testing.T) {
+	const n = 256
+	w, fs := env(t, n)
+	blocking := make([]float64, n)
 	err := w.Run(func(c *mpi.Comm, r *mpi.Rank) {
-		f, _ := Open(c, r, fs, "split", true, DefaultHints())
-		if err := f.WriteAtAllBegin(r, int64(r.ID())*1<<20, data.Synthetic(1<<20)); err != nil {
+		f, err := Open(c, r, fs, "f", true, DefaultHints())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := f.WriteAtAll(r, int64(r.ID())<<20, data.Synthetic(1<<20)); err != nil {
 			t.Error(err)
 		}
-		if r.ID() == 100 { // a non-aggregator rank
-			beginDone = r.Now()
-		}
-		if err := f.WriteAtAllEnd(r); err != nil {
+		blocking[r.ID()] = r.Now()
+		if err := f.Close(r); err != nil {
 			t.Error(err)
 		}
-		if r.ID() == 100 {
-			endDone = r.Now()
-		}
-		f.Close(r)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !(beginDone < endDone) {
-		t.Fatalf("begin (%v) should complete before end (%v) on a non-aggregator", beginDone, endDone)
+	wb, fsb := env(t, n)
+	body := make([]float64, n)
+	wb.Start(func(c *mpi.Comm, r *mpi.Rank) sim.Cont {
+		return &callBody{c: c, r: r, fs: fsb, times: body, t: t}
+	})
+	if err := wb.K.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range body {
+		if body[i] != blocking[i] {
+			t.Fatalf("rank %d's write returned at %v from a body, %v blocking", i, body[i], blocking[i])
+		}
+	}
+	if got, want := wb.K.Events(), w.K.Events(); got != want {
+		t.Fatalf("%d events from bodies, %d blocking", got, want)
+	}
+	t.Logf("wakes: %d from bodies, %d blocking", wb.K.Woken(), w.K.Woken())
+	if got, limit := wb.K.Woken(), w.K.Woken()/8; got > limit {
+		t.Fatalf("%d wakes from bodies, want at most %d", got, limit)
 	}
 }
 

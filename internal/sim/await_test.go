@@ -219,7 +219,7 @@ func TestBody(t *testing.T) {
 				},
 				func() bool {
 					note("slept", p)
-					sig.Await(p, contFunc(func() bool { return true }))
+					sig.Enlist(p)
 					return true
 				},
 				func() bool {

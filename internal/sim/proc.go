@@ -477,20 +477,13 @@ func (s *Signal) Wait(p *Proc) {
 	p.Park()
 }
 
-// Await is Wait with c as p's continuation (see Proc.Await): the wake Fire
-// schedules for p runs c.Continue in its slot. The signal must not have
-// fired yet.
-func (s *Signal) Await(p *Proc, c Cont) {
-	s.enlist(p)
-	p.Await(c)
-}
-
-// enlist adds p to the waiters.
-//
-//go:noinline // keeps the append's frame out of the caller's, which parks right after
-func (s *Signal) enlist(p *Proc) {
+// Enlist adds p, parked with a continuation in effect, to the waiters
+// without blocking: the wake Fire schedules for p runs that continuation
+// in its slot (see Proc.Await). A continuation waiting on the signal calls
+// it and returns false. The signal must not have fired yet.
+func (s *Signal) Enlist(p *Proc) {
 	if s.fired {
-		panic("sim: Await on a fired signal")
+		panic("sim: Enlist on a fired signal")
 	}
 	s.waiters = append(s.waiters, p)
 }

@@ -92,16 +92,17 @@ func TestSignalAlreadyFired(t *testing.T) {
 	}
 }
 
-// TestSignalAwaitRunsContinuationInWakeSlot checks Signal.Await: Fire's
-// wake of an awaiting process runs its continuation in that wake's slot,
-// ahead of an event scheduled after Fire at the same instant, and Await on
-// a fired signal panics.
-func TestSignalAwaitRunsContinuationInWakeSlot(t *testing.T) {
+// TestSignalEnlistRunsContinuationInWakeSlot checks Signal.Enlist: Fire's
+// wake of a process enlisted with a continuation in effect runs that
+// continuation in the wake's slot, ahead of an event scheduled after Fire
+// at the same instant, and Enlist on a fired signal panics.
+func TestSignalEnlistRunsContinuationInWakeSlot(t *testing.T) {
 	k := NewKernel()
 	var sig Signal
 	var log []string
 	k.Go("a", func(p *Proc) {
-		sig.Await(p, &countCont{p: p, log: &log, left: 1})
+		sig.Enlist(p)
+		p.Await(&countCont{p: p, log: &log, left: 1})
 		log = append(log, fmt.Sprintf("a resumed at %v", p.Now()))
 	})
 	k.At(7, func() {
@@ -116,10 +117,10 @@ func TestSignalAwaitRunsContinuationInWakeSlot(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Await on a fired signal did not panic")
+			t.Fatal("Enlist on a fired signal did not panic")
 		}
 	}()
-	sig.Await(nil, nil)
+	sig.Enlist(nil)
 }
 
 func TestDeadlockDetected(t *testing.T) {
