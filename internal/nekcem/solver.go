@@ -291,7 +291,8 @@ func (pe *Pending) fail(err error) {
 // strategy calls are continuations it awaits (ckpt.AwaitPlan,
 // ckpt.AwaitWrite). Only a phase that blocks borrows a coroutine
 // (sim.Proc.Borrow): the presetup, a restart's read, a strategy call that
-// blocks and async's drain. So a paper run's rbIO workers never hold one.
+// blocks and async's drain. So a paper run's rbIO workers, and its coIO
+// ranks other than group rank 0 and the aggregators, never hold one.
 type rank struct {
 	pe *Pending
 	c  *mpi.Comm
