@@ -513,11 +513,11 @@ func BenchmarkMicroKernelEvents(b *testing.B) {
 	fire = func(depth int) {
 		n++
 		if n < b.N {
-			k.After(1e-6, func() { fire(depth + 1) })
+			k.At(k.Now()+1e-6, func() { fire(depth + 1) })
 		}
 	}
 	b.ResetTimer()
-	k.After(0, func() { fire(0) })
+	k.At(k.Now(), func() { fire(0) })
 	if err := k.Run(); err != nil {
 		b.Fatal(err)
 	}

@@ -191,7 +191,7 @@ func TestSyncAndCloseDoNotWaitForDrain(t *testing.T) {
 		h, _ := fs.Create(p, 0, "f")
 		h.WriteAt(p, 0, 0, data.Synthetic(128<<20))
 		t0 := p.Now()
-		h.Sync(p, 0)
+		p.AwaitNow(h.StartSync(p, 0))
 		if p.Now() != t0 {
 			t.Error("Sync waited on the background drain")
 		}

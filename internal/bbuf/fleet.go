@@ -205,7 +205,7 @@ func (d *fleet) ionRestore(i int) {
 // absorbed at memory speed and drained in the background; one that no node
 // can hold takes the synchronous stripe path (storage.StripeSync) end to
 // end, exactly like a cache-off PVFS write.
-func (d *fleet) Commit(c *storage.Core, h *storage.Handle, rank int, streamEnd float64, off, n int64) func(*sim.Proc) error {
+func (d *fleet) Commit(c *storage.Core, h *storage.Handle, rank int, streamEnd float64, off, n int64) storage.Wait {
 	d.init(c)
 	ion := c.Machine().PsetOfRank(rank)
 	node := -1
@@ -247,10 +247,7 @@ func (d *fleet) Commit(c *storage.Core, h *storage.Handle, rank int, streamEnd f
 	d.submit(c, h, node, rank, absorbEnd, off, n)
 	// Absorption counts as completion: drain failures are background loss,
 	// accounted in BufferStats, never surfaced to the writer.
-	return func(p *sim.Proc) error {
-		p.SleepUntil(absorbEnd)
-		return nil
-	}
+	return storage.Wait{Until: absorbEnd}
 }
 
 // submit routes an absorbed write to the node's drain channel. Pass-through

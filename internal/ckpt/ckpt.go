@@ -203,11 +203,14 @@ type Plan interface {
 }
 
 // AwaitPlan returns s.Plan(c, r) as the continuation r's body awaits
-// (sim.Proc.Then), which sets *plan and *err once it finished. rbIO and
-// coIO plan on the driver's stack; every other strategy runs its blocking
-// Plan in a phase it borrows (sim.Proc.Phase).
+// (sim.Proc.Then), which sets *plan and *err once it finished. 1PFPP,
+// rbIO and coIO plan on the driver's stack; every other strategy runs its
+// blocking Plan in a phase it borrows (sim.Proc.Phase).
 func AwaitPlan(s Strategy, c *mpi.Comm, r *mpi.Rank, plan *Plan, err *error) sim.Cont {
 	switch s := s.(type) {
+	case OnePFPP:
+		*plan, *err = s.Plan(c, r)
+		return ready{}
 	case RbIO:
 		return s.planCont(c, r, plan, err)
 	case CoIO:
@@ -216,12 +219,20 @@ func AwaitPlan(s Strategy, c *mpi.Comm, r *mpi.Rank, plan *Plan, err *error) sim
 	return r.Proc().Phase(func(*sim.Proc) { *plan, *err = s.Plan(c, r) })
 }
 
+// ready is a continuation that has finished: what a call that never
+// waits returns for its caller to await.
+type ready struct{}
+
+func (ready) Continue() bool { return true }
+
 // AwaitWrite returns pl.Write(env, r, cp) as the continuation r's body
-// awaits, which sets *stats and *err once it finished. An rbIO worker's
-// hand-off and a coIO rank's step run on the driver's stack; every other
-// write runs in a phase it borrows.
+// awaits, which sets *stats and *err once it finished. A 1PFPP rank's
+// step, an rbIO worker's hand-off and a coIO rank's step run on the
+// driver's stack; every other write runs in a phase it borrows.
 func AwaitWrite(pl Plan, env *Env, r *mpi.Rank, cp *Checkpoint, stats *Stats, err *error) sim.Cont {
 	switch pl := pl.(type) {
+	case *onePlan:
+		return pl.step(env, r, cp, stats, err)
 	case *rbPlan:
 		if c := pl.writeCont(env, r, cp, stats); c != nil {
 			return c
@@ -276,8 +287,6 @@ type AsyncPlan interface {
 }
 
 // rankFile names the 1PFPP output of one rank.
-//
-//go:noinline // keeps fmt's argument array out of the frame of onePlan.Write, parked under writeFile
 func rankFile(dir string, step int64, rank int) string {
 	return fmt.Sprintf("%s/step%06d.p%06d.nek", dir, step, rank)
 }
@@ -329,58 +338,164 @@ func dropChunk(chunkBytes []int64, fields [][]data.Buf, w int) {
 // to the op log and every field block to the epoch sink. Consecutive field
 // blocks are contiguous in the file, so they may share a write: blocks
 // accumulate until buffer bytes are held (0: one write per field). who
-// prefixes a create error.
+// prefixes a create error. It awaits the commit (fileWriter) at once.
 func writeFile(env *Env, who string, p *sim.Proc, rank int, path string, hdr *cemfmt.Header, fields [][]data.Buf, buffer int64) error {
-	t0 := p.Now()
-	h, err := env.FS.Create(p, rank, path)
-	if err != nil {
-		return fmt.Errorf("%s: %w", who, err)
-	}
-	env.log(rank, iolog.OpCreate, t0, p.Now(), 0)
+	w := &fileWriter{}
+	w.start(env, who, p, rank, path, hdr, fields, buffer)
+	p.AwaitNow(w)
+	return w.err
+}
 
-	t1 := p.Now()
-	if err := h.WriteAt(p, rank, 0, data.FromBytes(hdr.Marshal())); err != nil {
-		return err
-	}
-	env.log(rank, iolog.OpWrite, t1, p.Now(), hdr.HeaderSize())
+// fileWriter is writeFile in flight, as the continuation its writer
+// awaits: the create, the header, the field runs and the close, each the
+// file system's own continuation (fsys.System.StartCreate and the
+// handle's StartWriteAt and StartClose), so a writer that awaits it from
+// its body holds no coroutine. A caller may keep one and start its
+// commits in it one after another.
+type fileWriter struct {
+	env    *Env
+	who    string
+	p      *sim.Proc
+	rank   int
+	path   string
+	hdr    *cemfmt.Header
+	fields [][]data.Buf
+	buffer int64
 
-	block := cemfmt.BlockHeaderSize + hdr.FieldBytes()
-	// A run holds the fields it takes to fill buffer, at most all of them.
-	held := min(len(fields), 1+int(buffer/block))
-	run := make([]data.Buf, 0, held*(len(fields[0])+1))
-	var runStart, buffered int64
-	// A field's epoch block is recorded after the write it filled, but
-	// before the write of a run still held after the last field.
-	for fi := 0; fi <= len(fields); fi++ {
-		last := fi == len(fields)
+	at  fwStage
+	sub sim.Cont // the file op in flight
+	h   fsys.Handle
+	err error
+
+	// The op in flight's start and bytes, the next field, and the run of
+	// field blocks held: its parts, its offset and its size.
+	t        float64
+	n        int64
+	fi       int
+	run      []data.Buf
+	runStart int64
+	buffered int64
+}
+
+// fwStage is where a fileWriter goes on once its file op in flight ended.
+type fwStage uint8
+
+const (
+	fwCreate  fwStage = iota // the create starts
+	fwCreated                // the create ended; the header write starts
+	fwHeader                 // the header write ended
+	fwField                  // the next field joins the run, which may be written
+	fwWrote                  // a run's write ended
+	fwBlock                  // a field's epoch block is recorded, or the close starts
+	fwClosed                 // the close ended
+	fwDone                   // the commit ended
+)
+
+// start begins the commit in w; see writeFile.
+func (w *fileWriter) start(env *Env, who string, p *sim.Proc, rank int, path string, hdr *cemfmt.Header, fields [][]data.Buf, buffer int64) {
+	*w = fileWriter{env: env, who: who, p: p, rank: rank, path: path, hdr: hdr, fields: fields, buffer: buffer, at: fwCreate, run: w.run[:0]}
+}
+
+// Continue implements sim.Cont: it runs the commit until a file op waits,
+// and reports true once the commit ended, with its error in w.err.
+func (w *fileWriter) Continue() bool {
+	for {
+		if w.sub != nil {
+			if !w.sub.Continue() {
+				return false
+			}
+			w.sub = nil
+		}
+		if w.at == fwDone {
+			return true
+		}
+		w.next()
+	}
+}
+
+// next runs the commit's next stage up to its next file op, which it
+// leaves in w.sub, or to the commit's end.
+func (w *fileWriter) next() {
+	env, p, rank, hdr := w.env, w.p, w.rank, w.hdr
+	switch w.at {
+	case fwCreate:
+		w.t = p.Now()
+		w.sub, w.at = env.FS.StartCreate(p, rank, w.path, &w.h, &w.err), fwCreated
+	case fwCreated:
+		if w.err != nil {
+			w.fail(fmt.Errorf("%s: %w", w.who, w.err))
+			return
+		}
+		env.log(rank, iolog.OpCreate, w.t, p.Now(), 0)
+		w.t = p.Now()
+		w.sub, w.at = w.h.StartWriteAt(p, rank, 0, data.FromBytes(hdr.Marshal()), &w.err), fwHeader
+	case fwHeader:
+		if w.err != nil {
+			w.fail(w.err)
+			return
+		}
+		env.log(rank, iolog.OpWrite, w.t, p.Now(), hdr.HeaderSize())
+		// A run holds the fields it takes to fill buffer, at most all of
+		// them.
+		held := min(len(w.fields), 1+int(w.buffer/w.block()))
+		if need := held * (len(w.fields[0]) + 1); cap(w.run) < need {
+			w.run = make([]data.Buf, 0, need)
+		}
+		w.at = fwField
+	case fwField:
+		// A field's epoch block is recorded after the write it filled, but
+		// before the write of a run still held after the last field.
+		last := w.fi == len(w.fields)
 		if !last {
 			var off int64
-			run, off = appendBlock(run, hdr, fi, 0, fields[fi]...)
-			if buffered == 0 {
-				runStart = off
+			w.run, off = appendBlock(w.run, hdr, w.fi, 0, w.fields[w.fi]...)
+			if w.buffered == 0 {
+				w.runStart = off
 			}
-			buffered += block
+			w.buffered += w.block()
 		}
-		if buffered > 0 && (last || buffered >= buffer) {
-			payload := data.Concat(run...)
-			t := p.Now()
-			if err := h.WriteAt(p, rank, runStart, payload); err != nil {
-				return err
-			}
-			env.log(rank, iolog.OpWrite, t, p.Now(), payload.Len())
-			run, buffered = run[:0], 0
+		w.at = fwBlock
+		if w.buffered > 0 && (last || w.buffered >= w.buffer) {
+			payload := data.Concat(w.run...)
+			w.t, w.n = p.Now(), payload.Len()
+			w.sub, w.at = w.h.StartWriteAt(p, rank, w.runStart, payload, &w.err), fwWrote
 		}
-		if !last {
-			env.epochBlock(LevelGlobal, hdr.Step, rank, path, hdr.FieldOffset(fi), block, p.Now())
+	case fwWrote:
+		if w.err != nil {
+			w.fail(w.err)
+			return
 		}
+		env.log(rank, iolog.OpWrite, w.t, p.Now(), w.n)
+		clear(w.run)
+		w.run, w.buffered, w.at = w.run[:0], 0, fwBlock
+	case fwBlock:
+		if w.fi < len(w.fields) {
+			env.epochBlock(LevelGlobal, hdr.Step, rank, w.path, hdr.FieldOffset(w.fi), w.block(), p.Now())
+			w.fi++
+			w.at = fwField
+			return
+		}
+		w.t = p.Now()
+		w.sub, w.at = w.h.StartClose(p, rank, &w.err), fwClosed
+	case fwClosed:
+		if w.err != nil {
+			w.fail(w.err)
+			return
+		}
+		env.log(rank, iolog.OpClose, w.t, p.Now(), 0)
+		w.fail(nil)
 	}
+}
 
-	t2 := p.Now()
-	if err := h.Close(p, rank); err != nil {
-		return err
-	}
-	env.log(rank, iolog.OpClose, t2, p.Now(), 0)
-	return nil
+// block is the size of a field's block in the file: its block header and
+// every chunk.
+func (w *fileWriter) block() int64 { return cemfmt.BlockHeaderSize + w.hdr.FieldBytes() }
+
+// fail ends the commit with err (nil: a commit that succeeded) and drops
+// what it held of the file and the payload.
+func (w *fileWriter) fail(err error) {
+	clear(w.run)
+	*w = fileWriter{err: err, at: fwDone, run: w.run[:0]}
 }
 
 // collWriter is a rank's part of the collective commit of a shared file
@@ -399,6 +514,7 @@ type collWriter struct {
 	first int
 	run   []data.Buf // a field's parts, reused across fields
 	call  mpiio.Call // the collective call in flight
+	err   error      // the header write's error
 
 	// The call in flight: when it began, and a field's offset and bytes.
 	t   float64
@@ -412,11 +528,23 @@ func (w *collWriter) header(r *mpi.Rank) error {
 	if w.first != 0 {
 		return nil
 	}
-	t := r.Now()
-	if err := w.f.WriteAt(r, 0, data.FromBytes(w.hdr.Marshal())); err != nil {
-		return err
+	r.Proc().AwaitNow(w.startHeader(r))
+	return w.headerDone(r)
+}
+
+// startHeader begins the header's write and returns it as the
+// continuation the rank awaits; headerDone ends it.
+func (w *collWriter) startHeader(r *mpi.Rank) sim.Cont {
+	w.t = r.Now()
+	return w.f.StartWriteAt(r, 0, data.FromBytes(w.hdr.Marshal()), &w.err)
+}
+
+// headerDone logs a finished header write and returns its error.
+func (w *collWriter) headerDone(r *mpi.Rank) error {
+	if w.err != nil {
+		return w.err
 	}
-	w.env.log(r.ID(), iolog.OpWrite, t, r.Now(), w.hdr.HeaderSize())
+	w.env.log(r.ID(), iolog.OpWrite, w.t, r.Now(), w.hdr.HeaderSize())
 	return nil
 }
 

@@ -108,14 +108,15 @@ type coPlan struct {
 type coStage uint8
 
 const (
-	coOpen      coStage = iota // the group file's collective open starts
-	coOpened                   // the open finished; the chunk sizes' allgather starts
-	coSized                    // the sizes are known; the shared header is derived
-	coHeader                   // group rank 0 writes the master header
-	coField                    // the next field's collective write starts, or the close
-	coFieldDone                // the field's write finished
-	coClosed                   // the close finished
-	coDone                     // the step ended
+	coOpen          coStage = iota // the group file's collective open starts
+	coOpened                       // the open finished; the chunk sizes' allgather starts
+	coSized                        // the sizes are known; the shared header is derived
+	coHeader                       // group rank 0 writes the master header
+	coHeaderWritten                // the header write finished
+	coField                        // the next field's collective write starts, or the close
+	coFieldDone                    // the field's write finished
+	coClosed                       // the close finished
+	coDone                         // the step ended
 )
 
 // Write implements Plan: it awaits the step at once.
@@ -128,8 +129,8 @@ func (pl *coPlan) Write(env *Env, r *mpi.Rank, cp *Checkpoint) (st Stats, err er
 // which sets *out and *err once it finished: the group file's collective
 // open, the header derived from the allgathered chunk sizes and written
 // by group rank 0, one collective write per field through collWriter, and
-// the collective close. The step's state lives in the plan, and the rank
-// borrows a phase only for a call into storage.
+// the collective close. The step's state lives in the plan, and every
+// call into storage is the file system's own continuation.
 func (pl *coPlan) step(env *Env, cp *Checkpoint, out *Stats, err *error) sim.Cont {
 	*out, *err = Stats{}, nil
 	pl.env, pl.cp, pl.out, pl.err, pl.at = env, cp, out, err, coOpen
@@ -189,8 +190,13 @@ func (pl *coPlan) next() {
 	case coHeader:
 		pl.at, pl.fi = coField, 0
 		if w.first == 0 {
-			pl.sub = r.Proc().Phase(pl.writeHeader)
+			pl.sub, pl.at = w.startHeader(r), coHeaderWritten
 		}
+	case coHeaderWritten:
+		if err := w.headerDone(r); err != nil {
+			*pl.err = err
+		}
+		pl.at = coField
 	case coField:
 		if *pl.err != nil {
 			pl.end()
@@ -224,14 +230,6 @@ func (pl *coPlan) next() {
 // the allgathered sizes, computed once.
 func (pl *coPlan) shareHeader(sizes []int64) {
 	pl.w.hdr = pl.group.Shared(pl.r, func() any { return buildHeader(pl.cp, sizes) }).(*cemfmt.Header)
-}
-
-// writeHeader is group rank 0's write of the master header, in a phase it
-// borrows.
-func (pl *coPlan) writeHeader(*sim.Proc) {
-	if err := pl.w.header(pl.r); err != nil {
-		*pl.err = err
-	}
 }
 
 // fail ends the step with err.

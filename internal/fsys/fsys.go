@@ -47,10 +47,17 @@ type System interface {
 	// alignment decisions.
 	BlockSize() int64
 
-	// Create makes a new file; it fails if the path exists.
+	// Create makes a new file; it fails if the path exists. It awaits
+	// StartCreate at once.
 	Create(p *sim.Proc, rank int, path string) (Handle, error)
-	// Open opens an existing file.
+	// StartCreate begins p's Create as rank and returns it as the
+	// continuation p awaits (sim.Proc.Then from a body, sim.Proc.AwaitNow
+	// from a phase), which sets *h and *err once it finished.
+	StartCreate(p *sim.Proc, rank int, path string, h *Handle, err *error) sim.Cont
+	// Open opens an existing file. It awaits StartOpen at once.
 	Open(p *sim.Proc, rank int, path string) (Handle, error)
+	// StartOpen begins p's Open as StartCreate begins a Create.
+	StartOpen(p *sim.Proc, rank int, path string, h *Handle, err *error) sim.Cont
 
 	// Preload installs a pre-existing synthetic input file without charging
 	// simulation time.
@@ -69,20 +76,28 @@ type System interface {
 // Handle is an open file descriptor; it may be shared across ranks the way
 // MPI-IO shares collective handles.
 type Handle interface {
-	// WriteAt writes buf at off through the full storage path.
+	// WriteAt writes buf at off through the full storage path. It awaits
+	// StartWriteAt at once.
 	WriteAt(p *sim.Proc, rank int, off int64, buf data.Buf) error
+	// StartWriteAt begins p's WriteAt as rank and returns it as the
+	// continuation p awaits, which sets *err once it finished.
+	StartWriteAt(p *sim.Proc, rank int, off int64, buf data.Buf, err *error) sim.Cont
 	// ReadAt reads n bytes at off; payloads are real where the file holds
 	// content and synthetic otherwise.
 	ReadAt(p *sim.Proc, rank int, off, n int64) (data.Buf, error)
-	// Sync blocks until the caller's outstanding write-behind commits are
-	// durable.
-	Sync(p *sim.Proc, rank int)
+	// StartSync begins p's sync as rank and returns it as the
+	// continuation p awaits: it ends once the caller's outstanding
+	// write-behind commits are durable.
+	StartSync(p *sim.Proc, rank int) sim.Cont
 	// Err returns the first asynchronous commit failure recorded on the
 	// handle (write-behind paths cannot return it from WriteAt), or nil.
 	Err() error
 	// Close syncs and releases the handle; like fsync, it also reports any
-	// recorded commit failure.
+	// recorded commit failure. It awaits StartClose at once.
 	Close(p *sim.Proc, rank int) error
+	// StartClose begins p's Close as rank and returns it as the
+	// continuation p awaits, which sets *err once it finished.
+	StartClose(p *sim.Proc, rank int, err *error) sim.Cont
 	// Size returns the file's current size.
 	Size() int64
 	// Name returns the file's path.

@@ -87,12 +87,33 @@ type countingFS struct {
 	writers map[int64]map[int]bool
 }
 
-func (c *countingFS) Create(p *sim.Proc, rank int, path string) (fsys.Handle, error) {
-	h, err := c.System.Create(p, rank, path)
-	if err != nil || path != c.path {
-		return h, err
+func (c *countingFS) Create(p *sim.Proc, rank int, path string) (h fsys.Handle, err error) {
+	p.AwaitNow(c.StartCreate(p, rank, path, &h, &err))
+	return h, err
+}
+
+func (c *countingFS) StartCreate(p *sim.Proc, rank int, path string, h *fsys.Handle, err *error) sim.Cont {
+	return &countingCreate{c: c, path: path, h: h, err: err, call: c.System.StartCreate(p, rank, path, h, err)}
+}
+
+// countingCreate is a create in flight whose handle, for the counted
+// path, counts once the create finished.
+type countingCreate struct {
+	c    *countingFS
+	path string
+	h    *fsys.Handle
+	err  *error
+	call sim.Cont
+}
+
+func (k *countingCreate) Continue() bool {
+	if !k.call.Continue() {
+		return false
 	}
-	return countingHandle{h, c}, nil
+	if *k.err == nil && k.path == k.c.path {
+		*k.h = countingHandle{*k.h, k.c}
+	}
+	return true
 }
 
 type countingHandle struct {
@@ -100,7 +121,12 @@ type countingHandle struct {
 	c *countingFS
 }
 
-func (h countingHandle) WriteAt(p *sim.Proc, rank int, off int64, buf data.Buf) error {
+func (h countingHandle) WriteAt(p *sim.Proc, rank int, off int64, buf data.Buf) (err error) {
+	p.AwaitNow(h.StartWriteAt(p, rank, off, buf, &err))
+	return err
+}
+
+func (h countingHandle) StartWriteAt(p *sim.Proc, rank int, off int64, buf data.Buf, err *error) sim.Cont {
 	h.c.written += buf.Len()
 	bs := h.c.BlockSize()
 	for b := off / bs; buf.Len() > 0 && b <= (off+buf.Len()-1)/bs; b++ {
@@ -109,7 +135,7 @@ func (h countingHandle) WriteAt(p *sim.Proc, rank int, off int64, buf data.Buf) 
 		}
 		h.c.writers[b][rank] = true
 	}
-	return h.Handle.WriteAt(p, rank, off, buf)
+	return h.Handle.StartWriteAt(p, rank, off, buf, err)
 }
 
 // FuzzCollectiveWrite holds the two-phase collective write to the
@@ -195,7 +221,7 @@ func FuzzCollectiveWrite(f *testing.F) {
 				t.Error(err)
 				return
 			}
-			if err := inf.WriteAt(r, l.offs[i], buf); err != nil {
+			if err := inf.h.WriteAt(r.Proc(), r.ID(), l.offs[i], buf); err != nil {
 				t.Errorf("rank %d independent: %v", i, err)
 			}
 			inf.Close(r)

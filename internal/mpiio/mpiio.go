@@ -18,10 +18,11 @@
 // Open, the collective write and Close are each one continuation of the
 // rank (Call), as the MPI collectives are (DESIGN §5): their steps run in
 // the slots where the rank's blocking code would have resumed, on the
-// driver's stack, and the rank borrows a phase only for a call into
-// storage — comm rank 0's create, open and close, and an aggregator's
-// commit. So a rank that is neither holds no coroutine through them. The
-// blocking functions (Open, WriteAtAll, Close) await a Call at once.
+// driver's stack, and so do the calls into storage — comm rank 0's
+// create, open and close, and an aggregator's chunked writes and sync —
+// which are the file system's own continuations. So no rank holds a
+// coroutine through them. The blocking functions (Open, WriteAtAll,
+// Close) await a Call at once.
 //
 // Differences from ROMIO are modelling simplifications: the exchange sends
 // each rank's full intersection with a domain in one message instead of
@@ -140,9 +141,10 @@ func (f *File) Aggregators() []int { return f.aggs }
 // Handle exposes the underlying file system handle.
 func (f *File) Handle() fsys.Handle { return f.h }
 
-// WriteAt performs an independent write from this rank.
-func (f *File) WriteAt(r *mpi.Rank, off int64, buf data.Buf) error {
-	return f.h.WriteAt(r.Proc(), r.ID(), off, buf)
+// StartWriteAt begins r's independent write and returns it as the
+// continuation r awaits, which sets *err once it finished.
+func (f *File) StartWriteAt(r *mpi.Rank, off int64, buf data.Buf, err *error) sim.Cont {
+	return f.h.StartWriteAt(r.Proc(), r.ID(), off, buf, err)
 }
 
 // piece is a fragment of a file domain received by an aggregator.
@@ -213,9 +215,10 @@ const writeTag = 1 << 19
 // Call is one rank's collective MPI-IO call in flight — an Open, a
 // WriteAtAll or a Close — as the continuation the rank awaits
 // (sim.Proc.Then from its body, sim.Proc.AwaitNow from a phase). Each
-// wait is an MPI call's own continuation, and each storage call runs in a
-// phase the rank borrows (sim.Proc.Phase). A caller may keep one Call and
-// start its calls in it one after another.
+// wait is an MPI call's or a file operation's own continuation
+// (fsys.System.StartCreate and the handle's StartWriteAt, StartSync and
+// StartClose). A caller may keep one Call and start its calls in it one
+// after another.
 type Call struct {
 	r    *mpi.Rank
 	c    *mpi.Comm
@@ -245,6 +248,12 @@ type Call struct {
 	agg        int
 	xi         int
 	pieces     []piece
+
+	// An aggregator's commit: its domain's contiguous runs, the run being
+	// written and the offset of its next cb_buffer_size chunk.
+	runs  []piece
+	ri    int
+	chunk int64
 }
 
 // callStage is where a Call goes on once its wait in flight finished.
@@ -259,6 +268,7 @@ const (
 	writePlanned                   // the plan is known; the exchange starts
 	writeExchange                  // the exchange ships the rank's next piece
 	writeReceived                  // an aggregator received its pieces; it commits
+	writeCommit                    // the aggregator writes its next chunk, or syncs
 	writeBarrier                   // the closing barrier starts, unless the commit failed
 	closeStart                     // the first barrier starts
 	closeHandle                    // comm rank 0 closes the file
@@ -314,13 +324,21 @@ func (k *Call) step() {
 	switch k.at {
 	case openStart:
 		k.at = openCreated
-		if c.Rank(r) == 0 {
-			k.sub = r.Proc().Phase(k.openFile)
+		if c.Rank(r) != 0 {
+			return
+		}
+		if k.create {
+			k.sub = k.fs.StartCreate(r.Proc(), r.ID(), k.path, &k.res.h, &k.res.err)
+		} else {
+			k.sub = k.fs.StartOpen(r.Proc(), r.ID(), k.path, &k.res.h, &k.res.err)
 		}
 	case openCreated:
-		// Only the root's value travels; the others' is replaced by it.
+		// Only the root's value travels; the others' is replaced by it,
+		// and with it the aggregator layout every rank would derive
+		// identically.
 		var v any
 		if c.Rank(r) == 0 {
+			k.res.aggs = chooseAggregators(c, k.fs.Machine(), k.hints.AggRatio)
 			v = k.res
 		}
 		k.coll = c.StartBcastValueSized(r, 0, v, 64)
@@ -377,8 +395,12 @@ func (k *Call) step() {
 			k.end()
 			return
 		}
-		// Phase 3: commit the domain.
-		k.sub, k.at = r.Proc().Phase(k.commit), writeBarrier
+		// Phase 3: commit the domain: contiguous pieces coalesce into
+		// runs, each written in cb_buffer_size chunks.
+		k.runs, k.ri, k.chunk = coalesce(k.pieces), 0, 0
+		k.at = writeCommit
+	case writeCommit:
+		k.commit()
 	case writeBarrier:
 		if k.err == nil {
 			k.sub = c.StartBarrier(r)
@@ -390,7 +412,7 @@ func (k *Call) step() {
 	case closeHandle:
 		k.at = closeClosed
 		if c.Rank(r) == 0 {
-			k.sub = r.Proc().Phase(k.closeFile)
+			k.sub = k.f.h.StartClose(r.Proc(), r.ID(), &k.err)
 		}
 	case closeClosed:
 		k.sub, k.at = c.StartBarrier(r), callDone
@@ -401,20 +423,9 @@ func (k *Call) step() {
 // it held of the payload and the plan.
 func (k *Call) end() {
 	k.at, k.coll, k.res = callDone, nil, openResult{}
-	k.buf, k.offs, k.lens, k.plan = data.Buf{}, nil, nil, nil
+	k.buf, k.offs, k.lens, k.plan, k.runs = data.Buf{}, nil, nil, nil, nil
 	clear(k.pieces)
 	k.pieces = k.pieces[:0]
-}
-
-// openFile is comm rank 0's create or open, in a phase it borrows, and
-// the aggregator layout every rank would derive identically.
-func (k *Call) openFile(p *sim.Proc) {
-	if k.create {
-		k.res.h, k.res.err = k.fs.Create(p, k.r.ID(), k.path)
-	} else {
-		k.res.h, k.res.err = k.fs.Open(p, k.r.ID(), k.path)
-	}
-	k.res.aggs = chooseAggregators(k.c, k.fs.Machine(), k.hints.AggRatio)
 }
 
 // planInSection derives the exchange plan in a phase, which enters the
@@ -472,26 +483,27 @@ func (k *Call) Recvd(_ *mpi.Rank, _ float64, got data.Buf, _ bool) {
 	k.pieces = append(k.pieces, piece{off: x.lo, buf: got})
 }
 
-// commit is an aggregator's write of its domain, in a phase it borrows:
-// contiguous pieces coalesce into runs, each committed in cb_buffer_size
-// chunks. An aggregator's buffered data must be durable before the
-// collective completes, so it then flushes write-behind state.
-func (k *Call) commit(p *sim.Proc) {
-	rank, h := k.r.ID(), k.f.h
-	for _, run := range coalesce(k.pieces) {
-		for chunk := int64(0); chunk < run.buf.Len(); chunk += cbBufferSize {
-			sz := min(cbBufferSize, run.buf.Len()-chunk)
-			if err := h.WriteAt(p, rank, run.off+chunk, run.buf.Slice(chunk, sz)); err != nil {
-				k.err = err
-				return
-			}
+// commit starts an aggregator's write of its domain's next chunk. An
+// aggregator's buffered data must be durable before the collective
+// completes, so once every chunk is written it flushes write-behind
+// state; a write that failed ends the commit there.
+func (k *Call) commit() {
+	if k.err != nil {
+		k.at = writeBarrier
+		return
+	}
+	p, rank, h := k.r.Proc(), k.r.ID(), k.f.h
+	for ; k.ri < len(k.runs); k.ri, k.chunk = k.ri+1, 0 {
+		run := k.runs[k.ri]
+		if k.chunk < run.buf.Len() {
+			sz := min(cbBufferSize, run.buf.Len()-k.chunk)
+			k.sub = h.StartWriteAt(p, rank, run.off+k.chunk, run.buf.Slice(k.chunk, sz), &k.err)
+			k.chunk += sz
+			return
 		}
 	}
-	h.Sync(p, rank)
+	k.sub, k.at = h.StartSync(p, rank), writeBarrier
 }
-
-// closeFile is comm rank 0's close of the handle, in a phase it borrows.
-func (k *Call) closeFile(p *sim.Proc) { k.err = k.f.h.Close(p, k.r.ID()) }
 
 // ReadAtAll performs a collective read: every rank of the communicator
 // requests (off, n) — possibly zero — and receives its payload. The

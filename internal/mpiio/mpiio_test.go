@@ -252,7 +252,7 @@ func TestIndependentWriteAt(t *testing.T) {
 	err := w.Run(func(c *mpi.Comm, r *mpi.Rank) {
 		f, _ := Open(c, r, fs, "ind", true, DefaultHints())
 		if r.ID() == 3 {
-			if err := f.WriteAt(r, 100, data.FromBytes([]byte("abc"))); err != nil {
+			if err := f.h.WriteAt(r.Proc(), r.ID(), 100, data.FromBytes([]byte("abc"))); err != nil {
 				t.Error(err)
 			}
 			got, err := f.Handle().ReadAt(r.Proc(), r.ID(), 100, 3)

@@ -76,7 +76,7 @@ func refExchange(f *File, r *mpi.Rank, plan *exchangePlan, off int64, buf data.B
 			}
 		}
 	}
-	f.h.Sync(r.Proc(), r.ID())
+	r.Proc().AwaitNow(f.h.StartSync(r.Proc(), r.ID()))
 	return nil
 }
 

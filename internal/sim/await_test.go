@@ -283,3 +283,67 @@ func TestBody(t *testing.T) {
 		}
 	}
 }
+
+// TestNestedBorrowResumesBorrower pins the borrower of a phase across a
+// borrow nested in it: a continuation the body awaits borrows a phase;
+// the phase awaits (AwaitNow) a continuation that borrows again, whose
+// function sleeps. When the nested function returns, its continuation
+// goes on; when the outer phase returns, the outer continuation goes on,
+// in that slot, before the body — on all three contexts.
+func TestNestedBorrowResumesBorrower(t *testing.T) {
+	for _, mode := range []string{"serial", "lane", "exclusive"} {
+		k := NewKernel()
+		part := -1
+		if mode != "serial" {
+			k.EnableSharding(2, 1, 10, 1)
+		}
+		if mode == "lane" {
+			part = 0
+		}
+		var log []string
+		note := func(what string, p *Proc) { log = append(log, fmt.Sprintf("%s@%g", what, p.Now())) }
+		var p *Proc
+		inner := 0
+		innerCont := contFunc(func() bool {
+			inner++
+			if inner == 1 {
+				p.Borrow(func(p *Proc) { p.Sleep(1); note("nested", p) })
+				return false
+			}
+			note("inner done", p)
+			return true
+		})
+		outer := 0
+		outerCont := contFunc(func() bool {
+			outer++
+			if outer == 1 {
+				p.Borrow(func(p *Proc) {
+					p.AwaitNow(innerCont)
+					p.Sleep(1)
+					note("phase", p)
+				})
+				return false
+			}
+			note("outer done", p)
+			return true
+		})
+		started := false
+		p = k.Start(part, "p", contFunc(func() bool {
+			if !started {
+				started = true
+				if !p.Then(outerCont) {
+					return false
+				}
+			}
+			note("body", p)
+			return true
+		}))
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		want := []string{"nested@1", "inner done@1", "phase@2", "outer done@2", "body@2"}
+		if !slices.Equal(log, want) {
+			t.Errorf("%s: ran %q, want %q", mode, log, want)
+		}
+	}
+}

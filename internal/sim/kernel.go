@@ -142,14 +142,6 @@ func (k *Kernel) SetLayer(l trace.Layer) trace.Layer {
 // through AtHookCtx or from a shared section.
 func (k *Kernel) At(t float64, fn func()) { k.insert(t, funcHook(fn)) }
 
-// After schedules fn to run d seconds from now.
-func (k *Kernel) After(d float64, fn func()) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	k.insert(k.now+d, funcHook(fn))
-}
-
 // AtHook schedules h to fire at absolute simulation time t without
 // allocating: the caller owns (and may pool) the Hook.
 func (k *Kernel) AtHook(t float64, h Hook) { k.insert(t, h) }

@@ -48,10 +48,10 @@ func TestTieBreakBySchedulingOrder(t *testing.T) {
 func TestAfterAccumulates(t *testing.T) {
 	k := NewKernel()
 	var times []float64
-	k.After(1, func() {
+	k.AfterHook(1, funcHook(func() {
 		times = append(times, k.Now())
-		k.After(2, func() { times = append(times, k.Now()) })
-	})
+		k.AfterHook(2, funcHook(func() { times = append(times, k.Now()) }))
+	}))
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -125,10 +125,10 @@ func TestClockMonotonic(t *testing.T) {
 		}
 		last = k.Now()
 		if depth < 50 {
-			k.After(0.5, func() { schedule(depth + 1) })
+			k.AfterHook(0.5, funcHook(func() { schedule(depth + 1) }))
 		}
 	}
-	k.After(0, func() { schedule(0) })
+	k.AfterHook(0, funcHook(func() { schedule(0) }))
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -148,10 +148,10 @@ func TestNegativeAfterPanics(t *testing.T) {
 	k := NewKernel()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("negative After did not panic")
+			t.Fatal("negative AfterHook did not panic")
 		}
 	}()
-	k.After(-1, func() {})
+	k.AfterHook(-1, funcHook(func() {}))
 }
 
 func TestDeadlockErrorMessage(t *testing.T) {

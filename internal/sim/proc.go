@@ -398,15 +398,17 @@ func (p *Proc) AwaitAfter(d float64, c Cont) {
 
 // await yields st from p's phase with c as p's continuation, and returns
 // once c resumed it. A function c borrowed meanwhile runs here, on the
-// phase's coroutine, and c goes on when it returns.
+// phase's coroutine, and c goes on when it returns; the continuation that
+// borrowed the phase itself is kept for the phase's own return.
 func (p *Proc) await(c Cont, st status) {
+	then := p.co.then
 	p.cont = c
 	p.yield(st)
 	for p.co.fn != nil {
 		fn := p.co.fn
 		p.co.fn = nil
 		fn(p)
-		p.cont, p.co.then = p.co.then, nil
+		p.cont, p.co.then = p.co.then, then
 		p.co.yield(continuing)
 	}
 }
@@ -526,16 +528,28 @@ func NewResource(capacity int) *Resource {
 
 // Acquire takes one unit, blocking the process FIFO if none is free.
 func (r *Resource) Acquire(p *Proc) {
+	if !r.Enlist(p) {
+		p.Park()
+	}
+}
+
+// Enlist takes one unit and returns true when one is free. Otherwise it
+// queues p FIFO without blocking and returns false: p, parked with a
+// continuation in effect, holds the unit once the Release that hands it
+// over wakes p, and that continuation runs in the wake's slot (see
+// Proc.Await). A continuation acquiring the resource calls it and, on
+// false, returns false.
+func (r *Resource) Enlist(p *Proc) bool {
 	if r.inUse < r.capacity {
 		r.inUse++
-		return
+		return true
 	}
 	if r.qlen == len(r.ring) {
 		r.grow()
 	}
 	r.ring[(r.head+r.qlen)&(len(r.ring)-1)] = p
 	r.qlen++
-	p.Park()
+	return false
 }
 
 // grow doubles the ring, unwrapping the live window to the front.

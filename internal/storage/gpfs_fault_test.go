@@ -50,7 +50,7 @@ func TestServerDeathFailsOverToSurvivors(t *testing.T) {
 			if err := h.WriteAt(p, 0, 0, data.Synthetic(16<<20)); err != nil {
 				t.Fatalf("write with a surviving stripe should succeed: %v", err)
 			}
-			h.Sync(p, 0)
+			p.AwaitNow(h.StartSync(p, 0))
 			if err := h.Close(p, 0); err != nil {
 				t.Fatalf("close: %v", err)
 			}
@@ -91,7 +91,7 @@ func TestAllServersDownSurfacesTypedError(t *testing.T) {
 			}
 			werr := h.WriteAt(p, 0, 0, data.Synthetic(4<<20))
 			if werr == nil {
-				h.Sync(p, 0)
+				p.AwaitNow(h.StartSync(p, 0))
 				werr = h.Err()
 			}
 			cerr := h.Close(p, 0)
@@ -144,7 +144,7 @@ func TestRetryJitterReproducible(t *testing.T) {
 				if err := h.WriteAt(p, 0, 0, data.Synthetic(8<<20)); err != nil {
 					t.Fatal(err)
 				}
-				h.Sync(p, 0)
+				p.AwaitNow(h.StartSync(p, 0))
 				if err := h.Close(p, 0); err != nil {
 					t.Fatal(err)
 				}

@@ -421,7 +421,7 @@ func TestSyncWaitsOwnCommitsOnly(t *testing.T) {
 		// quick even though pset 2's commits run for seconds.
 		h.WriteAt(p, 0, 1<<30, data.Synthetic(1<<20))
 		t0 := p.Now()
-		h.Sync(p, 0)
+		p.AwaitNow(h.StartSync(p, 0))
 		syncWait = p.Now() - t0
 		h.Close(p, 0) // close waits for everyone
 		inFlight = h.TotalOutstanding()

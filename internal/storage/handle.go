@@ -18,9 +18,9 @@ type Handle struct {
 	// can wait for exactly this handle's traffic; total covers Close. A
 	// synchronous data path never registers commits, so its Sync and the
 	// Close-side wait degenerate to no-ops.
-	outstanding map[int]int
+	outstanding map[int]int // nil until the first commit registers
 	total       int
-	syncWait    map[int][]*sim.Proc
+	syncWait    map[int][]*sim.Proc // nil until the first Sync waits
 	closeWait   []*sim.Proc
 	// commitErr is the first write-behind commit failure recorded against
 	// the handle: fire-and-forget paths cannot return it from WriteAt, so
@@ -34,7 +34,7 @@ var _ interface {
 } = (*Handle)(nil)
 
 func (c *Core) newHandle(f *File) *Handle {
-	return &Handle{c: c, f: f, outstanding: make(map[int]int), syncWait: make(map[int][]*sim.Proc)}
+	return &Handle{c: c, f: f}
 }
 
 // File returns the handle's file.
@@ -47,6 +47,9 @@ func (h *Handle) TotalOutstanding() int { return h.total }
 // AddOutstanding registers one in-flight commit for client. Called by data
 // paths that complete asynchronously.
 func (h *Handle) AddOutstanding(client int) {
+	if h.outstanding == nil {
+		h.outstanding = make(map[int]int)
+	}
 	h.outstanding[client]++
 	h.total++
 }
@@ -83,51 +86,16 @@ func (h *Handle) DoneOutstanding(client int) {
 // funnel cut-through, the concurrency policy's acquisition, the per-client
 // stream pipeline, then the data path's commit schedule. How much of that
 // the caller perceives is the data path's wait.
-func (h *Handle) WriteAt(p *sim.Proc, rank int, off int64, buf data.Buf) error {
-	if h.closed {
-		return h.c.errClosed()
-	}
-	if buf.Len() == 0 {
-		return nil
-	}
-	c := h.c
-	c.TrackBurst(rank)
-
-	prev, t0 := p.Enter(c.recLayer)
-
-	// 1. Data cuts through the pset funnel into the ION packet by packet
-	// while the client stream drains it toward the servers.
-	treeEnd := c.funnelIn(p, rank, buf.Len())
-	// 2. Whatever the concurrency policy requires before data moves
-	// (byte-range tokens serialized at the file's metanode, or nothing).
-	if c.rec != nil {
-		lt0 := p.Now()
-		c.lock.AcquireWrite(p, c, rank, h.f, off, buf.Len())
-		if lt1 := p.Now(); lt1 > lt0 {
-			c.rec.Span(c.recLayer, "lock.acquire", rank, lt0, lt1, 0)
-		}
-	} else {
-		c.lock.AcquireWrite(p, c, rank, h.f, off, buf.Len())
-	}
-	// 3. The client stream pipeline drains toward the servers. Streams are
-	// per (file, rank): the ION's CIOD proxies each compute process's I/O
-	// through its own stream, so distinct writers on one pset do not share
-	// a pipeline, while one writer's consecutive writes to a file do.
-	_, streamEnd := h.f.Stream(rank, c.cfg.ClientStreamBW).Transfer(p.Now(), buf.Len())
-	if streamEnd < treeEnd {
-		streamEnd = treeEnd
-	}
-	// 4+5. The data path schedules the Ethernet hops and striped server
-	// commits (write-behind, synchronous, or burst-buffer absorption) and
-	// hands back the caller's perceived wait.
-	wait := c.path.Commit(c, h, rank, streamEnd, off, buf.Len())
-
-	h.f.store.Write(off, buf)
-	c.Stats.BytesWritten += buf.Len()
-
-	err := wait(p)
-	p.Leave(prev, c.recLayer, "fs.write", rank, t0, buf.Len())
+func (h *Handle) WriteAt(p *sim.Proc, rank int, off int64, buf data.Buf) (err error) {
+	p.AwaitNow(h.StartWriteAt(p, rank, off, buf, &err))
 	return err
+}
+
+// StartWriteAt implements fsys.Handle.
+func (h *Handle) StartWriteAt(p *sim.Proc, rank int, off int64, buf data.Buf, err *error) sim.Cont {
+	o := h.c.startOp(p, opWrite, rank, err)
+	o.h, o.off, o.buf = h, off, buf
+	return o
 }
 
 // ReadAt reads n bytes at offset off, charging the data path's return path.
@@ -155,37 +123,30 @@ func (h *Handle) ReadAt(p *sim.Proc, rank int, off, n int64) (data.Buf, error) {
 	return h.f.store.Read(off, n), nil
 }
 
-// Sync blocks until the caller's outstanding commits on this handle have
-// reached the servers (immediately, on a synchronous data path).
-func (h *Handle) Sync(p *sim.Proc, rank int) {
-	client := h.c.m.PsetOfRank(rank)
-	for h.outstanding[client] > 0 {
-		h.syncWait[client] = append(h.syncWait[client], p)
-		p.Park()
-	}
+// StartSync implements fsys.Handle: the sync ends once the caller's
+// outstanding commits on this handle reached the servers (at once, on a
+// synchronous data path).
+func (h *Handle) StartSync(p *sim.Proc, rank int) sim.Cont {
+	o := h.c.startOp(p, opSync, rank, nil)
+	o.h = h
+	return o
 }
 
 // Close waits out all outstanding commits on the handle (from any client —
 // a shared handle is closed once, by convention by the lowest rank holding
-// it) and releases it at the metadata service.
-func (h *Handle) Close(p *sim.Proc, rank int) error {
-	if h.closed {
-		return h.c.errClosed()
-	}
-	c := h.c
-	prev, t0 := p.Enter(c.recLayer)
-	for h.total > 0 {
-		h.closeWait = append(h.closeWait, p)
-		p.Park()
-	}
-	h.c.ShipToION(p, rank, 256)
-	h.c.meta.Close(p, h.c, h.f.name)
-	p.Leave(prev, c.recLayer, "md.close", rank, t0, 0)
-	h.closed = true
-	h.c.Stats.Closes++
-	// Surface any asynchronous commit loss the way fsync/close would: the
-	// file is released, but the caller learns its data did not all land.
-	return h.commitErr
+// it) and releases it at the metadata service. Like fsync, it surfaces any
+// asynchronous commit loss: the file is released, but the caller learns
+// its data did not all land.
+func (h *Handle) Close(p *sim.Proc, rank int) (err error) {
+	p.AwaitNow(h.StartClose(p, rank, &err))
+	return err
+}
+
+// StartClose implements fsys.Handle.
+func (h *Handle) StartClose(p *sim.Proc, rank int, err *error) sim.Cont {
+	o := h.c.startOp(p, opClose, rank, err)
+	o.h, o.path = h, h.f.name
+	return o
 }
 
 // Size returns the file's current size.

@@ -17,33 +17,44 @@ const (
 	tokenRevoke float64 = 5e-3    // cost of revoking a token another client holds
 )
 
-// AcquireWrite obtains byte-range tokens for [off, off+n) of f on behalf of
-// the rank's ION.
-func (TokenManager) AcquireWrite(p *sim.Proc, c *Core, rank int, f *File, off, n int64) {
+// AcquireWrite implements Concurrency: the tokens for [off, off+n) of f
+// the rank's ION lacks, counted as the write arrives, serialized at the
+// file's metanode.
+func (TokenManager) AcquireWrite(c *Core, rank int, f *File, off, n int64) LockWait {
 	client := c.m.PsetOfRank(rank)
-	first := off / c.cfg.BlockSize
-	last := (off + n - 1) / c.cfg.BlockSize
-	var grants, revokes int
-	for b := first; b <= last; b++ {
+	var w LockWait
+	for b := off / c.cfg.BlockSize; b <= (off+n-1)/c.cfg.BlockSize; b++ {
 		owner, held := f.tokens[b]
 		switch {
 		case !held:
-			grants++
+			w.grants++
 		case owner != client:
-			revokes++
+			w.revokes++
 		}
 	}
-	if grants == 0 && revokes == 0 {
-		return
+	if w.grants == 0 && w.revokes == 0 {
+		return LockWait{}
 	}
-	f.tokenQ.Acquire(p)
-	p.Sleep(float64(grants)*tokenGrant + float64(revokes)*(tokenGrant+tokenRevoke))
-	for b := first; b <= last; b++ {
+	if f.tokenQ == nil {
+		f.tokenQ = sim.NewResource(1)
+	}
+	w.Q = f.tokenQ
+	w.Service = float64(w.grants)*tokenGrant + float64(w.revokes)*(tokenGrant+tokenRevoke)
+	return w
+}
+
+// Granted implements Concurrency: the ION owns every block of the write.
+func (TokenManager) Granted(c *Core, rank int, f *File, off, n int64, w LockWait) {
+	client := c.m.PsetOfRank(rank)
+	if f.tokens == nil {
+		f.tokens = make(map[int64]int)
+	}
+	for b := off / c.cfg.BlockSize; b <= (off+n-1)/c.cfg.BlockSize; b++ {
 		f.tokens[b] = client
 	}
-	f.tokenQ.Release()
-	c.Stats.TokenGrants += grants
-	c.Stats.TokenRevokes += revokes
+	w.Q.Release()
+	c.Stats.TokenGrants += w.grants
+	c.Stats.TokenRevokes += w.revokes
 }
 
 // LockFree is the PVFS-style concurrency policy: no locking at all;
@@ -52,5 +63,10 @@ type LockFree struct{}
 
 var _ Concurrency = LockFree{}
 
-// AcquireWrite implements Concurrency as a no-op (no time, no RNG draws).
-func (LockFree) AcquireWrite(p *sim.Proc, c *Core, rank int, f *File, off, n int64) {}
+// AcquireWrite implements Concurrency: nothing to wait on (no time, no
+// RNG draws).
+func (LockFree) AcquireWrite(c *Core, rank int, f *File, off, n int64) LockWait { return LockWait{} }
+
+// Granted implements Concurrency; LockFree never waits, so nothing calls
+// it.
+func (LockFree) Granted(c *Core, rank int, f *File, off, n int64, w LockWait) {}

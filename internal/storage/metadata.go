@@ -31,51 +31,46 @@ const (
 
 var _ Metadata = (*CentralizedMDS)(nil)
 
-// op serializes the calling process through the metadata server for base
-// seconds of service, amplified on the create path by the queue it finds
-// when it reaches the head.
-func (m *CentralizedMDS) op(p *sim.Proc, c *Core, amplify bool, base float64) {
+// Queue implements Metadata: creates take the directory-lock path, opens
+// and closes the lightweight one.
+func (m *CentralizedMDS) Queue(c *Core, op MetaOp, path string) *sim.Resource {
 	if m.heavy == nil {
 		m.heavy = sim.NewResource(1)
 		m.light = sim.NewResource(1)
 	}
-	res := m.light
-	if amplify {
-		res = m.heavy
+	if op == MetaCreate {
+		return m.heavy
 	}
-	res.Acquire(p)
-	service := base
-	if amplify {
-		q := float64(res.QueueLen()) / mdsQueueRef
-		mult := q * q
+	return m.light
+}
+
+// Service implements Metadata: the op's base cost, amplified on the
+// create path by the queue it leaves behind, times the jitter.
+func (m *CentralizedMDS) Service(c *Core, op MetaOp, q *sim.Resource) float64 {
+	service := mdsCloseBase
+	switch op {
+	case MetaCreate:
+		service = mdsCreateBase
+		x := float64(q.QueueLen()) / mdsQueueRef
+		mult := x * x
 		if mult > mdsMaxSlowdown {
 			mult = mdsMaxSlowdown
 		}
 		service *= 1 + mult
+	case MetaOpen:
+		service = mdsOpenBase
 	}
 	// Mild OS-level jitter on metadata service, always present.
-	service *= c.MDSJitter()
-	p.Sleep(service)
-	res.Release()
+	return service * c.MDSJitter()
 }
 
-// Create implements Metadata: the create holds the directory lock
-// (amplified under a deep queue) and scans the directory, whose population
-// is read at service time.
-func (m *CentralizedMDS) Create(p *sim.Proc, c *Core, path string) {
-	dir := DirOf(path)
-	m.op(p, c, true, mdsCreateBase)
-	p.Sleep(mdsEntryCost * float64(c.DirEntries(dir)) * c.MDSJitter())
-}
-
-// Open implements Metadata.
-func (m *CentralizedMDS) Open(p *sim.Proc, c *Core, path string) {
-	m.op(p, c, false, mdsOpenBase)
-}
-
-// Close implements Metadata.
-func (m *CentralizedMDS) Close(p *sim.Proc, c *Core, path string) {
-	m.op(p, c, false, mdsCloseBase)
+// Scan implements Metadata: a create, once it left the queue, scans the
+// directory, whose population is read then, with a jitter of its own.
+func (m *CentralizedMDS) Scan(c *Core, op MetaOp, path string) (float64, bool) {
+	if op != MetaCreate {
+		return 0, false
+	}
+	return mdsEntryCost * float64(c.DirEntries(DirOf(path))) * c.MDSJitter(), true
 }
 
 // HashedMDS is the PVFS-style metadata policy: file metadata is hashed
@@ -111,25 +106,20 @@ func (m *HashedMDS) queueFor(c *Core, path string) *sim.Resource {
 	return m.queues[h%uint32(len(m.queues))]
 }
 
-// op serializes the caller through the path's metadata queue.
-func (m *HashedMDS) op(p *sim.Proc, c *Core, path string, base float64) {
-	q := m.queueFor(c, path)
-	q.Acquire(p)
-	p.Sleep(base * c.MDSJitter())
-	q.Release()
+// Queue implements Metadata: the path's hashed queue.
+func (m *HashedMDS) Queue(c *Core, op MetaOp, path string) *sim.Resource { return m.queueFor(c, path) }
+
+// Service implements Metadata: the op's base cost times the jitter.
+func (m *HashedMDS) Service(c *Core, op MetaOp, q *sim.Resource) float64 {
+	base := hashedCloseBase
+	switch op {
+	case MetaCreate:
+		base = hashedCreateBase
+	case MetaOpen:
+		base = hashedOpenBase
+	}
+	return base * c.MDSJitter()
 }
 
-// Create implements Metadata.
-func (m *HashedMDS) Create(p *sim.Proc, c *Core, path string) {
-	m.op(p, c, path, hashedCreateBase)
-}
-
-// Open implements Metadata.
-func (m *HashedMDS) Open(p *sim.Proc, c *Core, path string) {
-	m.op(p, c, path, hashedOpenBase)
-}
-
-// Close implements Metadata.
-func (m *HashedMDS) Close(p *sim.Proc, c *Core, path string) {
-	m.op(p, c, path, hashedCloseBase)
-}
+// Scan implements Metadata: hashed metadata scans no directory.
+func (m *HashedMDS) Scan(c *Core, op MetaOp, path string) (float64, bool) { return 0, false }

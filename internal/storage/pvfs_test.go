@@ -84,7 +84,7 @@ func TestSyncIsNoop(t *testing.T) {
 		h, _ := fs.Create(p, 0, "f")
 		h.WriteAt(p, 0, 0, data.Synthetic(1<<20))
 		t0 := p.Now()
-		h.Sync(p, 0)
+		p.AwaitNow(h.StartSync(p, 0))
 		if p.Now() != t0 {
 			t.Fatal("Sync advanced time on a synchronous file system")
 		}
